@@ -69,7 +69,6 @@ from .stationary import (
     riccati_integral_check,
     riccati_residual,
     stable_lagrange_lp,
-    stable_lagrange_naive,
     stable_lagrange_schur,
 )
 from .symplectic import (

@@ -518,6 +518,7 @@ _CSV_SCHEMAS = {
     "decay": ("label", "rate", "prefactor"),
     "gap_margins": ("k", "N", "margin1", "margin2"),
     "continuity": ("phase_distance", "m_norm", "grassmann"),
+    "riccati": ("entry", "value"),
 }
 
 

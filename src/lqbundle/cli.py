@@ -148,8 +148,12 @@ def cmd_verify(scenario, out_dir, tol):
     return _finish(cert, out_dir)
 
 
-def cmd_report(scenario_path, out_dir):
-    """Re-render an existing certificate JSON (table + CSV re-export)."""
+def cmd_report(scenario_path):
+    """Re-render an existing certificate JSON as a table.
+
+    certificate.json stores no plot tables, so no CSV file is written: the
+    tables that the run exported next to it stay as they are.
+    """
     try:
         with open(scenario_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -174,8 +178,6 @@ def cmd_report(scenario_path, out_dir):
                         rec.get("detail", ""))
         )
     _print_certificate(cert)
-    if out_dir:
-        export_plots(cert, out_dir)
     return EXIT_PASS if cert.passed else EXIT_FAIL
 
 
@@ -203,18 +205,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--tol", type=float, default=None,
                        help="override the headline tolerance of this command")
-        p.add_argument("--seed", type=int, default=42,
-                       help="seed for randomized sweeps (recorded)")
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed for randomized sweeps, overriding the "
+                       "scenario's (recorded; default: the scenario's, else 42)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "report":
-        return cmd_report(args.scenario, args.out)
+        return cmd_report(args.scenario)
     try:
         scenario = load_scenario(args.scenario)
-        if args.seed != 42:
+        if args.seed is not None:
             object.__setattr__(scenario, "seed", args.seed)
         return _COMMANDS[args.command](scenario, args.out, args.tol)
     except ValidationError as exc:

@@ -142,7 +142,3 @@ class ParseError(ValidationError):
 
 class MissingField(ValidationError):
     pass
-
-
-class IoError(LqBundleError):
-    pass

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dichotomy import GridFunction
+from .errors import LqBundleError
 from .frequency import QuadraticFormTriple, frequency_condition_margin
 from .stationary import assemble_hamiltonian, l2_controllability
 
@@ -99,7 +100,7 @@ def random_passing_instance(
             continue
         try:
             margin = frequency_condition_margin(a, b, form)
-        except Exception:
+        except LqBundleError:
             continue
         if margin < min_margin:
             continue

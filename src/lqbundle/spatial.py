@@ -726,16 +726,16 @@ def contraction_bounds(config: SAConfig) -> dict:
 def _mode_operator_matrices(config, driver, q, times, with_coupling=True, batch=64):
     """Dense per-mode matrices of the discretized contraction T (or of L_A).
 
-    Columns are impulse responses; the phase axis is reused as the batch
-    axis (all batch entries share the phase q).
+    Columns are impulse responses; they ride on the phase axis of one
+    single-phase solver, whose step and weight arrays broadcast over it.
     """
     m = times.size
     n = config.n
     out = np.zeros((n, m, m))
     a_diag, chi, b_coef, c_coef = mode_coefficients(config)
+    solver = _ScalarChannelSolver(config, driver, [q], times)
     for lo in range(0, m, batch):
         hi = min(lo + batch, m)
-        solver = _ScalarChannelSolver(config, driver, [q] * (hi - lo), times)
         f = np.zeros((m, n, 2, hi - lo))
         for col in range(lo, hi):
             f[col, :, 0, col - lo] = 1.0
@@ -819,12 +819,6 @@ def sa_eps0_estimate(config: SAConfig) -> float:
 # -- the singular quadratic form certificate ---------------------------------
 
 
-def v_form_matrix(config: SAConfig) -> np.ndarray:
-    """(mu_bar / 2) (P_N - Q_N): the singular quadratic form on H."""
-    sgn = np.where(np.arange(config.n) < config.N, 1.0, -1.0)
-    return np.diag(0.5 * config.mu_bar * sgn)
-
-
 def v_form_brackets(config: SAConfig) -> tuple[float, float]:
     """The two positivity brackets of the certificate at zero deformation."""
     mu, k = config.mu_bar, config.k
@@ -858,32 +852,15 @@ def _mode_quadratic_blocks(config: SAConfig, a_value: float) -> np.ndarray:
     return s
 
 
-def _bisect_min_eig(blocks: np.ndarray, iters: int = 60) -> float:
-    """Largest delta with blocks - delta I psd, by bisection (min-eig test)."""
-    lam_min = float(np.linalg.eigvalsh(blocks).min())
-    if lam_min <= 0.0:
-        return lam_min
-    lo, hi = 0.0, lam_min + 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        shifted = blocks - mid * np.eye(3)
-        if np.linalg.eigvalsh(shifted).min() >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def v_form_certificate(
-    config: SAConfig, a_grid: np.ndarray | None = None, bisect: bool = True
-) -> dict:
+def v_form_certificate(config: SAConfig, a_grid: np.ndarray | None = None) -> dict:
     """Coercivity constant delta_V of the singular-form inequality.
 
-    For each a in the grid the per-mode 3x3 infinitesimal form is assembled
-    and the largest admissible delta_V found (bisection with a psd test);
-    the certificate is the minimum over the grid.  An affine minorant route
-    (the a-quadratic term is psd and may be dropped) cross-checks the grid
-    route from below at the interval endpoints.
+    For each a in the grid the per-mode 3x3 infinitesimal form is assembled;
+    blocks - delta I is psd exactly for delta up to the least eigenvalue of
+    the blocks, and the certificate is the minimum of that eigenvalue over
+    the grid.  An affine minorant route (the a-quadratic term is psd and may
+    be dropped) cross-checks the grid route from below at the interval
+    endpoints.
     """
     if not condition_holds(
         "nonosc", config.lam, config.delta, config.mu_bar, config.k
@@ -903,11 +880,7 @@ def v_form_certificate(
         if abs(a) > ab + 1e-12:
             raise AValueOutOfRange(f"grid value {a} outside [-a_bound, a_bound]")
         blocks = _mode_quadratic_blocks(config, a)
-        vals.append(
-            _bisect_min_eig(blocks)
-            if bisect
-            else float(np.linalg.eigvalsh(blocks).min())
-        )
+        vals.append(float(np.linalg.eigvalsh(blocks).min()))
     delta_v = float(np.min(vals))
     # affine minorant: drop the psd a^2 term, check the segment endpoints
     affine = []

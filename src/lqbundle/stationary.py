@@ -1,11 +1,11 @@
 """Stationary Hamiltonian assembly and stable Lagrange subspace construction.
 
 Two independent routes produce the stable subspace: the ordered-Schur
-invariant subspace (oracle) and the Lyapunov-Perron fixed point in the
-single-input unknown, discretized on a time grid with exponential-integrator
-weights and solved as one dense linear system.  Nonoscillation extraction,
-Riccati verification, controllability, coercivity and the Lyapunov
-inequality live here as well.
+invariant subspace (oracle) and the Lyapunov-Perron fixed point, discretized
+on a time grid with exponential-integrator weights, solved as one sparse
+block-banded collocation system in the recursion states and refined by
+Richardson extrapolation.  Nonoscillation extraction, Riccati verification,
+controllability, coercivity and the Lyapunov inequality live here as well.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .errors import (
     EpsilonTooLarge,
     FrequencyConditionFailed,
     HorizonTooShort,
+    LqBundleError,
+    NotAGraph,
     NotATrajectory,
     Oscillating,
     SampleNotInM0,
@@ -56,7 +58,6 @@ from .symplectic import (
     vertical_subspace,
 )
 
-SYMPLECTIC_TOL = 1e-10
 GRID_RHO_STEP = 0.04
 GRID_HORIZON_RATE = 12.0
 MIN_STEPS = 320
@@ -80,44 +81,21 @@ class Hamiltonian:
         j = j_matrix(2 * self.n)
         return float(np.linalg.norm(j @ self.matrix + self.matrix.T @ j, 2))
 
-    @staticmethod
-    def from_matrix(matrix: np.ndarray) -> "Hamiltonian":
-        matrix = np.asarray(matrix, dtype=float)
-        n = matrix.shape[0] // 2
-        ham = Hamiltonian(
-            matrix=matrix,
-            a_hat=matrix[:n, :n],
-            h2=matrix[n:, :n],
-            h3=matrix[:n, n:],
-        )
-        defect = ham.symplectic_defect()
-        if defect > SYMPLECTIC_TOL * max(1.0, np.linalg.norm(matrix, 2)):
-            raise DimensionMismatch(f"symplectic identity fails by {defect:.3e}")
-        return ham
-
 
 def assemble_hamiltonian(a, b, form: QuadraticFormTriple) -> Hamiltonian:
-    """H = [[A - B F3^-1 F2, B F3^-1 B^T], [F1 - F2^T F3^-1 F2, -(...)^T]]."""
+    """H = diag(A, -A^T) + R = [[A - B F3^-1 F2, B F3^-1 B^T],
+    [F1 - F2^T F3^-1 F2, -(...)^T]], with R from `perturbation_matrix`."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if b.shape != (form.state_dim, form.control_dim):
         raise DimensionMismatch("B shape incompatible with the form triple")
-    try:
-        f3_fac = sla.cho_factor(form.f3)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by the form
-        raise SingularF3(str(exc)) from exc
-    f3inv_f2 = sla.cho_solve(f3_fac, form.f2)
-    f3inv_bt = sla.cho_solve(f3_fac, b.T)
-    a_hat = a - b @ f3inv_f2
-    h3 = b @ f3inv_bt
-    h2 = form.f1 - form.f2.T @ f3inv_f2
     n = a.shape[0]
-    mat = np.zeros((2 * n, 2 * n))
-    mat[:n, :n] = a_hat
-    mat[:n, n:] = h3
-    mat[n:, :n] = h2
-    mat[n:, n:] = -a_hat.T
-    return Hamiltonian(matrix=mat, a_hat=a_hat, h2=h2, h3=h3)
+    mat = perturbation_matrix(a, b, form)
+    mat[:n, :n] += a
+    mat[n:, n:] -= a.T
+    return Hamiltonian(
+        matrix=mat, a_hat=mat[:n, :n], h2=mat[n:, :n], h3=mat[:n, n:]
+    )
 
 
 def stable_lagrange_schur(ham: Hamiltonian, axis_tol: float = 1e-10) -> LagrangeSubspace:
@@ -162,11 +140,14 @@ def breve_bases(
 
 
 def perturbation_matrix(a, b, form: QuadraticFormTriple) -> np.ndarray:
-    """R with H = diag(A, -A^T) + R."""
+    """R with H = diag(A, -A^T) + R: the one place F3 is factored for H."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     n = a.shape[0]
-    f3_fac = sla.cho_factor(form.f3)
+    try:
+        f3_fac = sla.cho_factor(form.f3)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by the form
+        raise SingularF3(str(exc)) from exc
     f3inv_f2 = sla.cho_solve(f3_fac, form.f2)
     f3inv_bt = sla.cho_solve(f3_fac, b.T)
     r = np.zeros((2 * n, 2 * n))
@@ -211,31 +192,21 @@ def _grid_parameters(
 
 
 class _StationaryLP:
-    """Half-line Lyapunov-Perron machinery shared by the LP routes."""
+    """Half-line Lyapunov-Perron collocation of the paired fixed point
+    Dz = L_breve P R (Dz + g) on one time grid."""
 
     def __init__(self, a, b, form, split_a, split_m, times):
-        self.a = np.atleast_2d(np.asarray(a, dtype=float))
-        self.b = np.atleast_2d(np.asarray(b, dtype=float))
-        self.form = form
         self.split_a = split_a
         self.split_m = split_m
         self.times = times
         self.op_v = LPGridOperator(split_a, times)
         self.op_e = LPGridOperator(split_m, times)
-        self.n = self.a.shape[0]
-        self.mu = form.control_dim
-        f3_fac = sla.cho_factor(form.f3)
-        self.f3inv_f2 = sla.cho_solve(f3_fac, form.f2)
-        self.f3inv_bt = sla.cho_solve(f3_fac, self.b.T)
+        self.n = split_a.n
         self.r = perturbation_matrix(a, b, form)
 
-    # -- forcing from the sharp semigroup ---------------------------------
-    def sharp_forcing(self, r_matrix=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """g = G_sharp(t) z^s for the orthonormal sharp basis columns.
-
-        Returns (g grid values (m, 2n, n), g_v, g_eta)."""
-        if r_matrix is None:
-            r_matrix = self.r
+    def sharp_forcing(self) -> tuple[np.ndarray, np.ndarray]:
+        """(g_v, g_eta) = R G_sharp(t) z^s for the orthonormal sharp basis
+        columns, split into the v and eta rows."""
         m = self.times.size
         n = self.n
         cols_v = _basis_or_empty(self.split_a.stable_basis, n)
@@ -253,66 +224,26 @@ class _StationaryLP:
             for i in range(m):
                 g[i, row0 : row0 + n, col0 : col0 + cols.shape[1]] = split.w[:, :k] @ c
                 c = e_s @ c
-        rg = left_multiply(r_matrix, g)
-        return g, rg[:, :n], rg[:, n:]
+        rg = left_multiply(self.r, g)
+        return rg[:, :n], rg[:, n:]
 
-    # -- the single-input operator ----------------------------------------
-    def t_apply(self, xi: np.ndarray) -> np.ndarray:
-        """T xi for grid controls xi of shape (m, mu, batch)."""
-        bxi = left_multiply(self.b, xi)
-        u = self.op_v.apply(bxi)
-        inner = left_multiply(self.form.f1, u) + left_multiply(self.form.f2.T, xi)
-        w = self.op_e.apply(inner)
-        return -left_multiply(self.f3inv_f2, u) + left_multiply(self.f3inv_bt, w)
-
-    def t0_forcing(self, g_v: np.ndarray, g_e: np.ndarray) -> np.ndarray:
-        u = self.op_v.apply(g_v)
-        w = self.op_e.apply(
-            left_multiply(self.form.f1, u) + g_e
-        )
-        return -left_multiply(self.f3inv_f2, u) + left_multiply(self.f3inv_bt, w)
-
-    def t_matrix(self, chunk: int = 192) -> np.ndarray:
-        """Dense matrix of the discretized T on flattened (node, component) data."""
-        m = self.times.size
-        size = m * self.mu
-        out = np.empty((size, size))
-        for lo in range(0, size, chunk):
-            hi = min(lo + chunk, size)
-            basis = np.zeros((m, self.mu, hi - lo))
-            for idx in range(lo, hi):
-                basis[idx // self.mu, idx % self.mu, idx - lo] = 1.0
-            out[:, lo:hi] = self.t_apply(basis).reshape(size, hi - lo)
-        return out
-
-    def reconstruct(self, xi, g_v, g_e):
-        """(dv, deta) grid values from the solved control."""
-        dv = self.op_v.apply(left_multiply(self.b, xi) + g_v)
-        de = self.op_e.apply(
-            left_multiply(self.form.f1, dv)
-            + left_multiply(self.form.f2.T, xi)
-            + g_e
-        )
-        return dv, de
-
-    def solve_structured(self, g_v, g_e, r_matrix=None):
+    def solve_structured(self, g_v, g_e):
         """Direct sparse solve of the collocation system in the recursion states.
 
         Eliminating the state unknowns from this block-banded system by hand
-        reproduces exactly the dense (I - T) xi = T0 g equation; solving the
+        gives the dense single-input equation (I - T) xi = T0 g; solving the
         banded form instead costs O(m) rather than O(m^3).  Returns the grid
-        control xi and (dv, deta).
+        values (dv, deta).
         """
-        if r_matrix is None:
-            r_matrix = self.r
         n = self.n
         m = self.times.size
         nb = g_v.shape[2]
-        fams = []  # (split, op, weights, forward?, input_row)
-        fams.append((self.split_a, self.op_v, "fwd"))
-        fams.append((self.split_a, self.op_v, "bwd"))
-        fams.append((self.split_m, self.op_e, "fwd"))
-        fams.append((self.split_m, self.op_e, "bwd"))
+        fams = [  # (split, grid operator, recursion direction)
+            (self.split_a, self.op_v, "fwd"),
+            (self.split_a, self.op_v, "bwd"),
+            (self.split_m, self.op_e, "fwd"),
+            (self.split_m, self.op_e, "bwd"),
+        ]
         ka, ja = self.split_a.k_stable, self.split_a.rank_j
         km, jm = self.split_m.k_stable, self.split_m.rank_j
         widths = [ka, ja, km, jm]
@@ -329,8 +260,9 @@ class _StationaryLP:
             de_map[:, offs[2] : offs[3]] = self.split_m.w[:, :km]
         if jm:
             de_map[:, offs[3] : offs[4]] = -self.split_m.w[:, km:]
-        c_v = r_matrix[:n, :n] @ dv_map + r_matrix[:n, n:] @ de_map
-        c_e = r_matrix[n:, :n] @ dv_map + r_matrix[n:, n:] @ de_map
+        r = self.r
+        c_v = r[:n, :n] @ dv_map + r[:n, n:] @ de_map
+        c_e = r[n:, :n] @ dv_map + r[n:, n:] @ de_map
         base, pattern = stencil_layout(m)
         rows, cols, data = [], [], []
         rhs = np.zeros((m * sdim, nb))
@@ -411,26 +343,22 @@ class _StationaryLP:
         )
         sol = spla.splu(mat).solve(rhs)
         s = sol.reshape(m, sdim, nb)
-        dv = left_multiply(dv_map, s)
-        de = left_multiply(de_map, s)
-        xi = -left_multiply(self.f3inv_f2, dv) + left_multiply(self.f3inv_bt, de)
-        return xi, dv, de
+        return left_multiply(dv_map, s), left_multiply(de_map, s)
 
 
 def _assemble_result(
+    ham: Hamiltonian,
     a,
     b,
     form,
     split_a,
-    split_m,
     dz0,
     sharp,
     flat,
     margin,
     diagnostics,
-    compute_eps0=True,
+    compute_eps0,
 ) -> StableLagrangeResult:
-    ham = assemble_hamiltonian(a, b, form)
     basis = sharp.basis + dz0
     l_plus = LagrangeSubspace(basis)
     coords = flat.basis.T @ dz0
@@ -465,21 +393,15 @@ def stable_lagrange_lp(
     n_steps: int | None = None,
     horizon: float | None = None,
     margin: float | None = None,
-    picard: bool = False,
-    picard_tol: float = 1e-12,
-    picard_max_iter: int = 400,
-    richardson: bool = True,
-    solver: str = "structured",
     compute_eps0: bool = True,
 ) -> StableLagrangeResult:
-    """Stable Lagrange subspace by the single-input Lyapunov-Perron route.
+    """Stable Lagrange subspace by the Lyapunov-Perron route.
 
-    The discretized fixed point xi = T xi + T0 g is solved directly on the
-    time grid: `solver="structured"` (default) solves the equivalent
+    The discretized fixed point is solved directly on the time grid as the
     block-banded collocation system in the recursion states (the Schur
-    complement of which is exactly I - T), `solver="dense"` materializes
-    I - T itself.  With `picard` the iteration is used instead, which
-    converges when T is a contraction (transfer-norm / Smith instances).
+    complement of which is exactly I - T for the single-input operator T),
+    once on the grid and once on the grid with twice the step; Richardson
+    extrapolation of the two removes the leading O(h^4) error.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     split_a = split if split is not None else dichotomy_split(a)
@@ -508,77 +430,17 @@ def stable_lagrange_lp(
 
     def solve_on(grid_times: np.ndarray) -> np.ndarray:
         lp = _StationaryLP(a, b, form, split_a, split_m, grid_times)
-        _, g_v, g_e = lp.sharp_forcing()
-        if picard:
-            t0 = lp.t0_forcing(g_v, g_e)
-            xi = np.zeros_like(t0)
-            ref = None
-            for it in range(picard_max_iter):
-                new = lp.t_apply(xi) + t0
-                delta = float(np.max(np.abs(new - xi)))
-                xi = new
-                if ref is None:
-                    ref = max(delta, 1e-300)
-                if delta <= picard_tol * ref:
-                    break
-            else:
-                raise FrequencyConditionFailed(
-                    "Picard iteration did not converge (operator not contractive?)"
-                )
-            diagnostics["picard_iterations"] = it + 1
-            dv, de = lp.reconstruct(xi, g_v, g_e)
-        elif solver == "dense":
-            t0 = lp.t0_forcing(g_v, g_e)
-            m = grid_times.size
-            tmat = lp.t_matrix()
-            size = m * lp.mu
-            lhs = np.eye(size) - tmat
-            xi = np.linalg.solve(lhs, t0.reshape(size, -1)).reshape(t0.shape)
-            dv, de = lp.reconstruct(xi, g_v, g_e)
-        else:
-            _, dv, de = lp.solve_structured(g_v, g_e)
+        dv, de = lp.solve_structured(*lp.sharp_forcing())
         return np.vstack([dv[0], de[0]])
 
     dz0 = solve_on(times)
-    if richardson:
-        coarse = np.linspace(times[0], times[-1], (times.size - 1) // 2 + 1)
-        dz0 = (16.0 * dz0 - solve_on(coarse)) / 15.0
+    coarse = np.linspace(times[0], times[-1], (times.size - 1) // 2 + 1)
+    dz0 = (16.0 * dz0 - solve_on(coarse)) / 15.0
     sharp, flat = breve_bases(split_a, split_m)
     return _assemble_result(
-        a, b, form, split_a, split_m, dz0, sharp, flat, margin, diagnostics,
-        compute_eps0=compute_eps0,
+        ham, a, b, form, split_a, dz0, sharp, flat, margin, diagnostics,
+        compute_eps0,
     )
-
-
-def stable_lagrange_naive(
-    a,
-    b,
-    form: QuadraticFormTriple,
-    *,
-    shift: float = 0.0,
-    n_steps: int | None = None,
-    horizon: float | None = None,
-) -> LagrangeSubspace:
-    """Paired-unknown fixed point Dz = L_breve P [R Dz + R g] (test-only route).
-
-    With `shift` = eps the construction runs for the shifted generator
-    diag(A, -A^T) + eps I and perturbation R - eps I, producing the
-    exponentially weighted subspace; the unshifted subspace must coincide
-    for |eps| below the decay certificate.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    n = a.shape[0]
-    eye = np.eye(n)
-    split_a = dichotomy_split(a + shift * eye)
-    split_m = dichotomy_split(-a.T + shift * eye)
-    ham = assemble_hamiltonian(a, b, form)
-    times, _ = _grid_parameters(split_a, ham, n_steps, horizon)
-    lp = _StationaryLP(a, b, form, split_a, split_m, times)
-    r = perturbation_matrix(a, b, form) - shift * np.eye(2 * n)
-    _, g_v, g_e = lp.sharp_forcing(r_matrix=r)
-    _, dv, de = lp.solve_structured(g_v, g_e, r_matrix=r)
-    sharp, _ = breve_bases(split_a, split_m)
-    return LagrangeSubspace(sharp.basis + np.vstack([dv[0], de[0]]))
 
 
 # -- nonoscillation and Riccati ------------------------------------------
@@ -604,7 +466,7 @@ def extract_nonoscillation(
         raise Oscillating("stable subspace meets the vertical subspace")
     try:
         go = graph_over(l_plus, horizontal_subspace(n), vertical_subspace(n))
-    except Exception as exc:
+    except NotAGraph as exc:
         raise Oscillating(str(exc)) from exc
     p = -go.matrix
     sym_defect = float(np.abs(p - p.T).max())
@@ -671,6 +533,15 @@ def pairing_drift(ham: Hamiltonian, z10, z20, times) -> tuple[float, float]:
     return float(np.max(np.abs(pair - pair[0]))), float(pair[0])
 
 
+def _form_density(form: QuadraticFormTriple, vv, xx) -> np.ndarray:
+    """<F1 v, v> + 2 <F2 v, xi> + <F3 xi, xi> at every grid node."""
+    return (
+        np.einsum("mi,ij,mj->m", vv, form.f1, vv)
+        + 2.0 * np.einsum("mi,ij,mj->m", xx, form.f2, vv)
+        + np.einsum("mi,ij,mj->m", xx, form.f3, xx)
+    )
+
+
 def _validate_trajectory(a, b, v: GridFunction, xi: GridFunction, tol: float):
     ref = integrate_control_trajectory(a, b, xi, v.values[0])
     scale = max(np.abs(v.values).max(), 1e-30)
@@ -700,11 +571,7 @@ def riccati_integral_check(
     k_fb = -sla.cho_solve(f3_fac, form.f2) - sla.cho_solve(f3_fac, b.T @ p)
     vv = v.values
     xx = xi.values
-    f_vals = (
-        np.einsum("mi,ij,mj->m", vv, form.f1, vv)
-        + 2.0 * np.einsum("mi,ij,mj->m", xx, form.f2, vv)
-        + np.einsum("mi,ij,mj->m", xx, form.f3, xx)
-    )
+    f_vals = _form_density(form, vv, xx)
     resid = xx - vv @ k_fb.T
     sq_vals = np.einsum("mi,ij,mj->m", resid, form.f3, resid)
     int_f = simpson(f_vals, x=v.times)
@@ -768,11 +635,7 @@ def coercivity_check(
         tail = np.abs(v.values[-1]).max()
         if tail > decay_tol * max(np.abs(v.values).max(), 1e-30):
             raise SampleNotInM0(f"state has not decayed by the horizon ({tail:.3e})")
-        f_vals = (
-            np.einsum("mi,ij,mj->m", v.values, form.f1, v.values)
-            + 2.0 * np.einsum("mi,ij,mj->m", xi.values, form.f2, v.values)
-            + np.einsum("mi,ij,mj->m", xi.values, form.f3, xi.values)
-        )
+        f_vals = _form_density(form, v.values, xi.values)
         lhs = simpson(f_vals, x=v.times)
         rhs = factor * (v.l2_norm() ** 2 + xi.l2_norm() ** 2)
         if rhs <= 1e-30:
@@ -815,11 +678,7 @@ def lyapunov_inequality_check(
     p_eps = extract_nonoscillation(l_eps).p
     ok = True
     for v, xi in trajectories:
-        f_vals = (
-            np.einsum("mi,ij,mj->m", v.values, form.f1, v.values)
-            + 2.0 * np.einsum("mi,ij,mj->m", xi.values, form.f2, v.values)
-            + np.einsum("mi,ij,mj->m", xi.values, form.f3, xi.values)
-        )
+        f_vals = _form_density(form, v.values, xi.values)
         vp = np.einsum("mi,ij,mj->m", v.values, p_eps, v.values)
         lhs = vp[-1] - vp[0] + simpson(f_vals, x=v.times)
         rhs = eps * (v.l2_norm() ** 2 + xi.l2_norm() ** 2)
@@ -857,7 +716,7 @@ def estimate_eps0(
         for sgn in (1.0, -1.0):
             try:
                 mg = frequency_condition_margin(a, b, form, grid=grid, shift=sgn * eps)
-            except Exception:
+            except LqBundleError:
                 return False
             if mg <= 0.0:
                 return False

@@ -1,0 +1,153 @@
+"""Oracle discretizations of the stationary Lyapunov-Perron fixed point.
+
+The library solves the fixed point through one sparse collocation system in
+the recursion states (`lqbundle.stationary._StationaryLP.solve_structured`).
+The routes here reach the same discrete solution by other means, built on
+the public `LPGridOperator`, and serve as references in the tests:
+
+- `SingleInputLP.solve_dense`: the dense single-input equation
+  (I - T) xi = T0 g;
+- `SingleInputLP.solve_picard`: the Picard iteration xi <- T xi + T0 g;
+- `paired_fixed_point`: the dense paired-unknown equation
+  Dz = L_breve P R_s (Dz + g) for the shifted generator diag(A, -A^T) + s I
+  with R_s = R - s I, which gives the unshifted subspace for |s| below the
+  decay certificate.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg as sla
+
+from lqbundle.dichotomy import LPGridOperator, dichotomy_split, left_multiply
+from lqbundle.stationary import (
+    _grid_parameters,
+    assemble_hamiltonian,
+    breve_bases,
+    perturbation_matrix,
+)
+from lqbundle.symplectic import LagrangeSubspace
+
+
+def default_grid(a, b, form, shift: float = 0.0):
+    """(split of A + s I, split of -A^T + s I, times) on the library's grid."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    eye = np.eye(a.shape[0])
+    split_a = dichotomy_split(a + shift * eye)
+    split_m = dichotomy_split(-a.T + shift * eye)
+    times, _ = _grid_parameters(split_a, assemble_hamiltonian(a, b, form), None, None)
+    return split_a, split_m, times
+
+
+def sharp_forcing(split_a, split_m, times) -> np.ndarray:
+    """G_sharp(t) z^s on the grid for the orthonormal sharp basis columns."""
+    sharp, _ = breve_bases(split_a, split_m)
+    n = split_a.n
+    out = np.empty((times.size,) + sharp.basis.shape)
+    for i, t in enumerate(times):
+        out[i, :n] = split_a.propagate_stable(t) @ sharp.basis[:n]
+        out[i, n:] = split_m.propagate_stable(t) @ sharp.basis[n:]
+    return out
+
+
+class SingleInputLP:
+    """The fixed point in the control unknown xi, on one grid."""
+
+    def __init__(self, a, b, form, split_a, split_m, times):
+        self.b = np.atleast_2d(np.asarray(b, dtype=float))
+        self.form = form
+        self.times = times
+        self.op_v = LPGridOperator(split_a, times)
+        self.op_e = LPGridOperator(split_m, times)
+        self.mu = form.control_dim
+        n = split_a.n
+        f3_fac = sla.cho_factor(form.f3)
+        self.f3inv_f2 = sla.cho_solve(f3_fac, form.f2)
+        self.f3inv_bt = sla.cho_solve(f3_fac, self.b.T)
+        rg = left_multiply(
+            perturbation_matrix(a, b, form), sharp_forcing(split_a, split_m, times)
+        )
+        self.g_v, self.g_e = rg[:, :n], rg[:, n:]
+
+    def _control(self, u, w):
+        return -left_multiply(self.f3inv_f2, u) + left_multiply(self.f3inv_bt, w)
+
+    def t_apply(self, xi: np.ndarray) -> np.ndarray:
+        """T xi for grid controls xi of shape (m, mu, batch)."""
+        u = self.op_v.apply(left_multiply(self.b, xi))
+        w = self.op_e.apply(
+            left_multiply(self.form.f1, u) + left_multiply(self.form.f2.T, xi)
+        )
+        return self._control(u, w)
+
+    def t0_forcing(self) -> np.ndarray:
+        u = self.op_v.apply(self.g_v)
+        w = self.op_e.apply(left_multiply(self.form.f1, u) + self.g_e)
+        return self._control(u, w)
+
+    def t_matrix(self, chunk: int = 192) -> np.ndarray:
+        """Dense matrix of T on flattened (node, component) data."""
+        size = self.times.size * self.mu
+        out = np.empty((size, size))
+        for lo in range(0, size, chunk):
+            hi = min(lo + chunk, size)
+            basis = np.zeros((size, hi - lo))
+            basis[lo:hi] = np.eye(hi - lo)
+            out[:, lo:hi] = self.t_apply(
+                basis.reshape(self.times.size, self.mu, hi - lo)
+            ).reshape(size, hi - lo)
+        return out
+
+    def dz0(self, xi: np.ndarray) -> np.ndarray:
+        """Delta z(0) = (dv(0), deta(0)) reconstructed from the grid control."""
+        dv = self.op_v.apply(left_multiply(self.b, xi) + self.g_v)
+        de = self.op_e.apply(
+            left_multiply(self.form.f1, dv)
+            + left_multiply(self.form.f2.T, xi)
+            + self.g_e
+        )
+        return np.vstack([dv[0], de[0]])
+
+    def solve_dense(self) -> np.ndarray:
+        t0 = self.t0_forcing()
+        size = self.times.size * self.mu
+        lhs = np.eye(size) - self.t_matrix()
+        xi = np.linalg.solve(lhs, t0.reshape(size, -1)).reshape(t0.shape)
+        return self.dz0(xi)
+
+    def solve_picard(self, tol: float = 1e-12, max_iter: int = 400):
+        """(Delta z(0), iteration count); raises if T does not contract."""
+        t0 = self.t0_forcing()
+        xi = np.zeros_like(t0)
+        ref = None
+        for it in range(max_iter):
+            new = self.t_apply(xi) + t0
+            delta = float(np.max(np.abs(new - xi)))
+            xi = new
+            if ref is None:
+                ref = max(delta, 1e-300)
+            if delta <= tol * ref:
+                return self.dz0(xi), it + 1
+        raise AssertionError("Picard iteration did not converge")
+
+
+def paired_fixed_point(a, b, form, shift: float = 0.0) -> LagrangeSubspace:
+    """Dense solve of Dz = L_breve P R_s (Dz + g) in the paired unknown."""
+    split_a, split_m, times = default_grid(a, b, form, shift)
+    n = split_a.n
+    m = times.size
+    r = perturbation_matrix(a, b, form) - shift * np.eye(2 * n)
+    ops = (LPGridOperator(split_a, times), LPGridOperator(split_m, times))
+
+    def apply(dz):
+        rz = left_multiply(r, dz)
+        return np.concatenate(
+            [ops[0].apply(rz[:, :n]), ops[1].apply(rz[:, n:])], axis=1
+        )
+
+    size = m * 2 * n
+    lmat = apply(np.eye(size).reshape(m, 2 * n, size)).reshape(size, size)
+    rhs = apply(sharp_forcing(split_a, split_m, times)).reshape(size, -1)
+    dz = np.linalg.solve(np.eye(size) - lmat, rhs).reshape(m, 2 * n, -1)
+    sharp, _ = breve_bases(split_a, split_m)
+    return LagrangeSubspace(sharp.basis + dz[0])

@@ -127,7 +127,7 @@ class TestExports:
     def test_empty_certificate_schema_valid(self, tmp_path):
         cert = Certificate(name="empty", mode="stationary", seed=0)
         files = export_plots(cert, str(tmp_path / "empty"))
-        assert len(files) == 5
+        assert len(files) == 6
         for f in files:
             lines = open(f).readlines()
             assert len(lines) == 1 and "," in lines[0]
@@ -142,7 +142,37 @@ class TestExports:
         assert doc["pass"] is True
 
 
+@pytest.fixture(scope="module")
+def s1_seed7_run(tmp_path_factory):
+    """`verify --seed 42 --out DIR` on S1 with the scenario seed 7."""
+    tmp = tmp_path_factory.mktemp("seed7")
+    path = write_json(tmp, "s1.json", dict(S1_DOC, seed=7))
+    out = tmp / "o"
+    assert main(["verify", "--scenario", path, "--seed", "42", "--out", str(out)]) == 0
+    return out
+
+
 class TestCli:
+    def test_seed_flag_overrides_scenario_seed(self, s1_seed7_run):
+        doc = json.loads((s1_seed7_run / "certificate.json").read_text())
+        assert doc["seed"] == 42
+
+    def test_riccati_table_exported(self, s1_seed7_run):
+        lines = (s1_seed7_run / "riccati.csv").read_text().splitlines()
+        assert lines[0] == "entry,value"
+        assert lines[1].startswith("P[0][0],")
+        assert float(lines[1].split(",")[1]) == pytest.approx(3.0**0.5 - 2.0)
+
+    def test_report_keeps_exported_tables(self, s1_seed7_run, capsys):
+        before = {p.name: p.read_text() for p in s1_seed7_run.glob("*.csv")}
+        assert len(before["freq_margin.csv"].splitlines()) > 10
+        code = main(["report", "--scenario", str(s1_seed7_run / "certificate.json"),
+                     "--out", str(s1_seed7_run)])
+        assert code == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        after = {p.name: p.read_text() for p in s1_seed7_run.glob("*.csv")}
+        assert after == before
+
     def test_verify_s1_exit_zero(self, tmp_path, capsys):
         path = write_json(tmp_path, "s1.json", S1_DOC)
         code = main(["verify", "--scenario", path, "--out", str(tmp_path / "o")])

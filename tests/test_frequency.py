@@ -156,15 +156,14 @@ class TestTimeFrequencyConsistency:
     def test_time_domain_operator_norm_bounded_by_symbol(self, s1):
         # the discretized fixed-point operator never beats the symbol sup
         # by more than the tail/truncation slack
-        import lqbundle.stationary as st
+        from lp_oracles import SingleInputLP
         from lqbundle.dichotomy import dichotomy_split
 
         a, b, form = s1
         split_a = dichotomy_split(a)
         split_m = dichotomy_split(-a.T)
         times = np.linspace(0.0, 9.0, 301)
-        lp = st._StationaryLP(a, b, form, split_a, split_m, times)
-        tmat = lp.t_matrix()
+        tmat = SingleInputLP(a, b, form, split_a, split_m, times).t_matrix()
         h = times[1] - times[0]
         w = np.full(times.size, h)
         w[0] = w[-1] = h / 2

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import lqbundle.sampling
+import lqbundle.stationary as st
+from lp_oracles import SingleInputLP, default_grid, paired_fixed_point
 from lqbundle.dichotomy import GridFunction, dichotomy_split
-from lqbundle.errors import EpsilonTooLarge, NotATrajectory, Oscillating
+from lqbundle.errors import EpsilonTooLarge, NotADirectSum, NotATrajectory, Oscillating
 from lqbundle.frequency import QuadraticFormTriple, smith_form_triple
 from lqbundle.sampling import bump_control, m0_sample, random_passing_instance
 from lqbundle.stationary import (
@@ -21,7 +24,6 @@ from lqbundle.stationary import (
     riccati_integral_check,
     riccati_residual,
     stable_lagrange_lp,
-    stable_lagrange_naive,
     stable_lagrange_schur,
 )
 from lqbundle.symplectic import (
@@ -34,6 +36,18 @@ from lqbundle.symplectic import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def subspace_from(dz0, split_a, split_m):
+    sharp, _ = st.breve_bases(split_a, split_m)
+    return LagrangeSubspace(sharp.basis + dz0)
+
+
+def structured_single_grid(a, b, form, split_a, split_m, times):
+    """The library's collocation solve on one grid, without Richardson."""
+    lp = st._StationaryLP(a, b, form, split_a, split_m, times)
+    dv, de = lp.solve_structured(*lp.sharp_forcing())
+    return subspace_from(np.vstack([dv[0], de[0]]), split_a, split_m)
 
 
 @pytest.fixture
@@ -97,24 +111,28 @@ class TestLPConstruction:
         assert grassmann_distance(res.l_plus, horizontal_subspace(1)) <= 1e-12
 
     def test_dense_and_structured_agree(self, s1):
-        r1 = stable_lagrange_lp(*s1, solver="structured", richardson=False,
-                                compute_eps0=False)
-        r2 = stable_lagrange_lp(*s1, solver="dense", richardson=False,
-                                compute_eps0=False)
-        assert grassmann_distance(r1.l_plus, r2.l_plus) <= 1e-13
+        grid = default_grid(*s1)
+        structured = structured_single_grid(*s1, *grid)
+        dense = SingleInputLP(*s1, *grid).solve_dense()
+        assert grassmann_distance(structured, subspace_from(dense, *grid[:2])) <= 1e-13
 
     def test_naive_form_agrees(self, s1):
-        res = stable_lagrange_lp(*s1, compute_eps0=False, richardson=False)
-        naive = stable_lagrange_naive(*s1)
-        assert grassmann_distance(res.l_plus, naive) <= 1e-12
+        structured = structured_single_grid(*s1, *default_grid(*s1))
+        assert grassmann_distance(structured, paired_fixed_point(*s1)) <= 1e-12
 
     def test_picard_under_smith(self, s1):
         a, b, _ = s1
         form = smith_form_triple([[1.0]], 0.4, 1)
-        res = stable_lagrange_lp(a, b, form, picard=True, compute_eps0=False)
-        assert res.diagnostics["picard_iterations"] < 60
+        split_a, split_m, times = default_grid(a, b, form)
+        coarse = np.linspace(times[0], times[-1], (times.size - 1) // 2 + 1)
+        fine, iters = SingleInputLP(a, b, form, split_a, split_m, times).solve_picard()
+        half, _ = SingleInputLP(a, b, form, split_a, split_m, coarse).solve_picard()
+        assert iters < 60
+        picard = subspace_from((16.0 * fine - half) / 15.0, split_a, split_m)
         oracle = stable_lagrange_schur(assemble_hamiltonian(a, b, form))
-        assert grassmann_distance(res.l_plus, oracle) <= 1e-6
+        assert grassmann_distance(picard, oracle) <= 1e-6
+        res = stable_lagrange_lp(a, b, form, compute_eps0=False)
+        assert grassmann_distance(picard, res.l_plus) <= 1e-6
 
     def test_fredholm_bound_j1_smith(self):
         # A = diag(1, -1), transfer-norm form with Lambda = 0.5
@@ -129,7 +147,7 @@ class TestLPConstruction:
         res = stable_lagrange_lp(*s1)
         assert res.eps0 > 0.1
         for sign in (+1.0, -1.0):
-            shifted = stable_lagrange_naive(*s1, shift=sign * res.eps0 / 2.0)
+            shifted = paired_fixed_point(*s1, shift=sign * res.eps0 / 2.0)
             assert grassmann_distance(res.l_plus, shifted) <= 1e-6
 
     def test_decay_certificate(self, s1):
@@ -289,3 +307,34 @@ class TestEps0:
         eps0 = estimate_eps0(a, b, form)
         # capped below both spectral gaps (2 and sqrt(3))
         assert 0.0 < eps0 <= SQRT3
+
+
+def _raiser(exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    return broken
+
+
+class TestTypedCatches:
+    """Only the typed failure a caller expects is absorbed."""
+
+    def test_eps0_bisection_lets_untyped_errors_escape(self, s1, monkeypatch):
+        monkeypatch.setattr(
+            st, "frequency_condition_margin", _raiser(RuntimeError("scan broke"))
+        )
+        with pytest.raises(RuntimeError, match="scan broke"):
+            estimate_eps0(*s1)
+
+    def test_sampler_lets_untyped_errors_escape(self, rng, monkeypatch):
+        monkeypatch.setattr(
+            lqbundle.sampling, "frequency_condition_margin",
+            _raiser(RuntimeError("scan broke")),
+        )
+        with pytest.raises(RuntimeError, match="scan broke"):
+            random_passing_instance(rng, 3)
+
+    def test_only_not_a_graph_means_oscillating(self, monkeypatch):
+        monkeypatch.setattr(st, "graph_over", _raiser(NotADirectSum("not transversal")))
+        with pytest.raises(NotADirectSum):
+            extract_nonoscillation(horizontal_subspace(2))
