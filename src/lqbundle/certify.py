@@ -1,9 +1,10 @@
 """Scenario ingestion, pipeline orchestration and certificate emission.
 
 A scenario file describes either a stationary system (matrices) or a
-spatial-averaging configuration; the pipeline runs every check of the
-corresponding route and emits a deterministic certificate with one record
-per check (pass iff margin >= 0), plus CSV tables for plotting.
+spatial-averaging configuration; the pipeline runs the named stages of the
+corresponding route (all of them, or a selection) and emits a deterministic
+certificate with one record per check (pass iff margin >= 0), plus CSV
+tables for plotting.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -209,56 +211,44 @@ def _sa_model(doc):
     return make_spectral_model(ev_doc)
 
 
-def _sa_config(scenario: Scenario):
+# -- pipeline stages -----------------------------------------------------------
+#
+# Each route is an ordered table of named stages.  A stage reads and extends
+# the run state, appends its records and tables to the certificate, emits
+# nothing when its inputs are missing, and returns True when its failure ends
+# the route.
+
+
+def _stationary_run(scenario: Scenario) -> SimpleNamespace:
     doc = scenario.payload
-    model = _sa_model(doc)
-    lam = float(doc["Lambda"])
-    delta = float(doc["delta"])
-    k = doc.get("k", "search")
-    n_split = doc.get("N", "search")
-    condition_set = doc.get("condition_set", "bundle")
-    searched = None
-    if k == "search" or n_split == "search":
-        found = sa.gap_search(model, lam, delta, condition_set)
-        searched = min(found, key=lambda r: (r["N"], r["k"]))
-        k, n_split = searched["k"], searched["N"]
-    cfg = sa.SAConfig(model=model, lam=lam, delta=delta, k=int(k), N=int(n_split))
-    drv_doc = doc["driver"]
-    driver = sa.driver_make(
-        drv_doc.get("kind", "periodic"),
-        {kk: vv for kk, vv in drv_doc.items() if kk != "kind"},
-        a_bound=cfg.a_bound,
+    return SimpleNamespace(
+        a=np.atleast_2d(np.asarray(doc["A"], dtype=float)),
+        b=np.atleast_2d(np.asarray(doc["B"], dtype=float)),
+        form=QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"]),
+        tol=scenario.tolerances,
+        rng=np.random.default_rng(scenario.seed),
+        split=None, scan=None, lp_res=None, ham=None, schur_sub=None, no=None,
     )
-    return cfg, driver, condition_set, searched
 
 
-# -- stationary pipeline ------------------------------------------------------
-
-
-def run_stationary_pipeline(scenario: Scenario) -> Certificate:
-    doc = scenario.payload
-    tol = scenario.tolerances
-    cert = Certificate(name=scenario.name, mode=scenario.mode, seed=scenario.seed)
-    a = np.atleast_2d(np.asarray(doc["A"], dtype=float))
-    b = np.atleast_2d(np.asarray(doc["B"], dtype=float))
-    form = QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"])
-    rng = np.random.default_rng(scenario.seed)
-    n = a.shape[0]
-    split = None
+def _st_dichotomy(run, cert):
     try:
-        split = dichotomy_split(a)
-        cert.add_lower(
-            "dichotomy-gap", split.eps_rate, 1e-10,
-            detail=f"rank j = {split.rank_j}, fitted M = {split.m_const:.6g}",
-        )
+        run.split = dichotomy_split(run.a)
     except LqBundleError as exc:
         cert.add_failure("dichotomy-gap", exc)
-        return cert
-    scan = None
+        return True
+    cert.add_lower(
+        "dichotomy-gap", run.split.eps_rate, 1e-10,
+        detail=f"rank j = {run.split.rank_j}, fitted M = {run.split.m_const:.6g}",
+    )
+
+
+def _st_frequency(run, cert):
+    form = run.form
     try:
-        scan = frequency_condition_margin(a, b, form, full_scan=True)
+        run.scan = scan = frequency_condition_margin(run.a, run.b, form, full_scan=True)
         cert.add_lower(
-            "frequency-margin", scan.margin, tol["margin"],
+            "frequency-margin", scan.margin, run.tol["margin"],
             detail="min_w eig(sym(F3(I - M(w)))) > 0",
         )
         cert.add_flag("frequency-tail-certified", scan.tail_certified,
@@ -277,133 +267,177 @@ def run_stationary_pipeline(scenario: Scenario) -> Certificate:
             )
     except LqBundleError as exc:
         cert.add_failure("frequency-margin", exc)
-    lp_res = None
-    schur_sub = None
-    if scan is not None and scan.margin > 0:
-        try:
-            lp_res = stable_lagrange_lp(a, b, form, split=split, margin=scan.margin)
-            cert.add_upper("lp-isotropy", isotropy_defect(lp_res.l_plus),
-                           tol["isotropy"])
-            cert.add_upper("lp-invariance",
-                           lp_res.diagnostics["invariance_defect"], tol["invariance"],
-                           detail="relative H-invariance; LP tail bound "
-                           f"{lp_res.diagnostics['tail_bound']:.3e}")
-        except LqBundleError as exc:
-            cert.add_failure("lp-construction", exc)
+
+
+def _st_lagrange(run, cert):
+    if run.split is None or run.scan is None or not run.scan.margin > 0:
+        return
     try:
-        ham = assemble_hamiltonian(a, b, form)
-        cert.add_upper("symplectic-defect", ham.symplectic_defect(), 1e-10,
+        run.lp_res = lp_res = stable_lagrange_lp(
+            run.a, run.b, run.form, split=run.split, margin=run.scan.margin
+        )
+        cert.add_upper("lp-isotropy", isotropy_defect(lp_res.l_plus),
+                       run.tol["isotropy"])
+        cert.add_upper("lp-invariance",
+                       lp_res.diagnostics["invariance_defect"], run.tol["invariance"],
+                       detail="relative H-invariance; LP tail bound "
+                       f"{lp_res.diagnostics['tail_bound']:.3e}")
+    except LqBundleError as exc:
+        cert.add_failure("lp-construction", exc)
+
+
+def _st_oracle(run, cert):
+    try:
+        run.ham = assemble_hamiltonian(run.a, run.b, run.form)
+        cert.add_upper("symplectic-defect", run.ham.symplectic_defect(), 1e-10,
                        detail="||J H + H^T J||")
-        schur_sub = stable_lagrange_schur(ham)
-        if lp_res is not None:
+        run.schur_sub = stable_lagrange_schur(run.ham)
+        if run.lp_res is not None:
             cert.add_upper(
                 "oracle-equivalence",
-                grassmann_distance(lp_res.l_plus, schur_sub),
-                tol["oracle"],
+                grassmann_distance(run.lp_res.l_plus, run.schur_sub),
+                run.tol["oracle"],
                 detail="grassmann distance LP construction vs ordered-Schur oracle",
             )
     except LqBundleError as exc:
         cert.add_failure("schur-oracle", exc)
-    if schur_sub is not None:
-        vert_dim = intersection_dimension(schur_sub, vertical_subspace(n))
-        cert.add_upper("vertical-intersection", vert_dim, split.rank_j,
-                       detail="dim(L+ cap vertical) <= j")
-        try:
-            no = extract_nonoscillation(schur_sub, a, b, form)
-            cert.add_upper("riccati-residual", no.riccati_residual, tol["riccati"],
-                           detail="||-P H3 P + P H1 + H1^T P + H2||")
-            cert.add_upper("p-symmetry-defect", no.symmetry_defect, 1e-8)
-            cert.tables["riccati"] = [
-                {"entry": f"P[{i}][{j}]", "value": float(no.p[i, j])}
-                for i in range(n)
-                for j in range(n)
-            ]
-        except Oscillating as exc:
-            cert.add_failure("nonoscillation", exc)
-            no = None
-        cert.add_flag("l2-controllability", l2_controllability(a, b),
-                      detail="Hautus rank test on nonstable modes")
-        if lp_res is not None:
-            cert.add_lower("eps0", lp_res.eps0, 0.0,
-                           detail=f"fitted M_eps = {lp_res.m_eps:.6g}")
-            traj = hamiltonian_trajectory(
-                ham, lp_res.l_plus.basis @ rng.standard_normal(n),
-                np.linspace(0.0, 8.0 / max(lp_res.diagnostics["eps_h"], 1e-6), 400),
-            )
-            rate, _ = fit_decay_rate(traj)
-            cert.add_lower("decay-rate", rate, lp_res.eps0 - 1e-3,
-                           detail="fitted trajectory rate >= eps0 - 1e-3")
-            cert.tables["decay"] = [
-                {"label": "stationary", "rate": float(rate),
-                 "prefactor": float(lp_res.m_eps)}
-            ]
-            drift, pair0 = pairing_drift(
-                ham, lp_res.l_plus.basis[:, 0], lp_res.l_plus.basis[:, -1],
-                np.linspace(0.0, 5.0, 200),
-            )
-            cert.add_upper("pairing-drift", drift, 1e-10,
-                           detail=f"initial pairing {pair0:.3e}")
-        if no is not None and split.rank_j == 0 and scan is not None:
-            times = np.linspace(0.0, 18.0 / split.eps_rate, 1500)
-            samples = []
-            for _ in range(4):
-                v, xi = m0_sample(rng, a, b, times)
-                samples.append((v, xi))
-            try:
-                worst = coercivity_check(a, b, form, samples, margin=scan.margin)
-                cert.add_lower("coercivity-ratio", worst, 1.0 - 1e-6,
-                               detail="J_F / coercive lower bound over M0 samples")
-            except ValidationError as exc:
-                cert.add_failure("coercivity-ratio", exc)
-            eps_try = min(0.05, 0.25 * scan.margin)
-            trajectories = []
-            for _ in range(3):
-                xi = bump_control(rng, times, form.control_dim)
-                v = integrate_control_trajectory(
-                    a, b, xi, rng.standard_normal(n)
-                )
-                trajectories.append((v, xi))
-            try:
-                ok = lyapunov_inequality_check(a, b, form, eps_try, trajectories)
-            except LqBundleError as exc:
-                cert.add_failure("lyapunov-inequality", exc)
-            else:
-                cert.add_flag("lyapunov-inequality", ok,
-                              detail=f"eps = {eps_try:.3g}")
-    return cert
 
 
-# -- spatial-averaging pipeline ----------------------------------------------
-
-
-def run_sa_pipeline(scenario: Scenario) -> Certificate:
-    doc = scenario.payload
-    tol = scenario.tolerances
-    cert = Certificate(name=scenario.name, mode=scenario.mode, seed=scenario.seed)
+def _st_riccati(run, cert):
+    if run.split is None or run.schur_sub is None:
+        return
+    a, b, n = run.a, run.b, run.a.shape[0]
+    vert_dim = intersection_dimension(run.schur_sub, vertical_subspace(n))
+    cert.add_upper("vertical-intersection", vert_dim, run.split.rank_j,
+                   detail="dim(L+ cap vertical) <= j")
     try:
-        cfg, driver, condition_set, searched = _sa_config(scenario)
+        run.no = no = extract_nonoscillation(run.schur_sub, a, b, run.form)
+    except Oscillating as exc:
+        cert.add_failure("nonoscillation", exc)
+    else:
+        cert.add_upper("riccati-residual", no.riccati_residual, run.tol["riccati"],
+                       detail="||-P H3 P + P H1 + H1^T P + H2||")
+        cert.add_upper("p-symmetry-defect", no.symmetry_defect, 1e-8)
+        cert.tables["riccati"] = [
+            {"entry": f"P[{i}][{j}]", "value": float(no.p[i, j])}
+            for i in range(n)
+            for j in range(n)
+        ]
+    cert.add_flag("l2-controllability", l2_controllability(a, b),
+                  detail="Hautus rank test on nonstable modes")
+
+
+def _st_decay(run, cert):
+    if run.schur_sub is None or run.lp_res is None:
+        return
+    lp_res, n = run.lp_res, run.a.shape[0]
+    cert.add_lower("eps0", lp_res.eps0, 0.0,
+                   detail=f"fitted M_eps = {lp_res.m_eps:.6g}")
+    traj = hamiltonian_trajectory(
+        run.ham, lp_res.l_plus.basis @ run.rng.standard_normal(n),
+        np.linspace(0.0, 8.0 / max(lp_res.diagnostics["eps_h"], 1e-6), 400),
+    )
+    rate, _ = fit_decay_rate(traj)
+    cert.add_lower("decay-rate", rate, lp_res.eps0 - 1e-3,
+                   detail="fitted trajectory rate >= eps0 - 1e-3")
+    cert.tables["decay"] = [
+        {"label": "stationary", "rate": float(rate),
+         "prefactor": float(lp_res.m_eps)}
+    ]
+    drift, pair0 = pairing_drift(
+        run.ham, lp_res.l_plus.basis[:, 0], lp_res.l_plus.basis[:, -1],
+        np.linspace(0.0, 5.0, 200),
+    )
+    cert.add_upper("pairing-drift", drift, 1e-10,
+                   detail=f"initial pairing {pair0:.3e}")
+
+
+def _st_coercivity(run, cert):
+    if run.no is None or run.split.rank_j != 0 or run.scan is None:
+        return
+    a, b, form, rng = run.a, run.b, run.form, run.rng
+    times = np.linspace(0.0, 18.0 / run.split.eps_rate, 1500)
+    samples = [m0_sample(rng, a, b, times) for _ in range(4)]
+    try:
+        worst = coercivity_check(a, b, form, samples, margin=run.scan.margin)
+        cert.add_lower("coercivity-ratio", worst, 1.0 - 1e-6,
+                       detail="J_F / coercive lower bound over M0 samples")
+    except ValidationError as exc:
+        cert.add_failure("coercivity-ratio", exc)
+    eps_try = min(0.05, 0.25 * run.scan.margin)
+    trajectories = []
+    for _ in range(3):
+        xi = bump_control(rng, times, form.control_dim)
+        v = integrate_control_trajectory(a, b, xi, rng.standard_normal(a.shape[0]))
+        trajectories.append((v, xi))
+    try:
+        ok = lyapunov_inequality_check(a, b, form, eps_try, trajectories)
+    except LqBundleError as exc:
+        cert.add_failure("lyapunov-inequality", exc)
+    else:
+        cert.add_flag("lyapunov-inequality", ok, detail=f"eps = {eps_try:.3g}")
+
+
+def _sa_run(scenario: Scenario) -> SimpleNamespace:
+    doc = scenario.payload
+    n_phases = int(doc.get("phase_samples", 16))
+    return SimpleNamespace(
+        doc=doc,
+        tol=scenario.tolerances,
+        phases=np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False),
+        horizon=doc.get("horizon"),
+        cfg=None, driver=None, fibers=None, vres=None,
+    )
+
+
+def _sa_gap(run, cert):
+    """One gap search: it picks (k, N) when they are "search" and fills the
+    table; a failed search ends the route only when (k, N) needed it."""
+    doc = run.doc
+    lam, delta = float(doc["Lambda"]), float(doc["delta"])
+    k, n_split = doc.get("k", "search"), doc.get("N", "search")
+    searched = k == "search" or n_split == "search"
+    condition_set = doc.get("condition_set", "bundle")
+    try:
+        model = _sa_model(doc)
+        try:
+            rows = sa.gap_search(model, lam, delta, condition_set)
+        except LqBundleError:
+            if searched:
+                raise
+            rows = []
+        if searched:
+            best = min(rows, key=lambda r: (r["N"], r["k"]))
+            k, n_split = best["k"], best["N"]
+        cfg = sa.SAConfig(model=model, lam=lam, delta=delta, k=int(k), N=int(n_split))
+        drv_doc = doc["driver"]
+        driver = sa.driver_make(
+            drv_doc.get("kind", "periodic"),
+            {kk: vv for kk, vv in drv_doc.items() if kk != "kind"},
+            a_bound=cfg.a_bound,
+        )
     except LqBundleError as exc:
         cert.add_failure("gap-search", exc)
-        return cert
-    m1, m2 = sa.condition_margins(
-        condition_set, cfg.lam, cfg.delta, cfg.mu_bar, cfg.k
-    )
+        return True
+    run.cfg, run.driver = cfg, driver
+    m1, m2 = sa.condition_margins(condition_set, lam, delta, cfg.mu_bar, cfg.k)
     detail = f"set={condition_set}, k={cfg.k}, N={cfg.N}, mu_bar={cfg.mu_bar:.6g}"
-    if searched is not None:
+    if searched:
         detail += " (searched)"
-    cert.add_lower("gap-margin-1", m1, 0.0, detail=detail)
-    cert.add_lower("gap-margin-2", m2, 0.0, detail=detail)
+    cert.add_lower("gap-margin-1", m1, run.tol["margin"], detail=detail)
+    cert.add_lower("gap-margin-2", m2, run.tol["margin"], detail=detail)
+    cert.tables["gap_margins"] = [
+        {"k": r["k"], "N": r["N"], "margin1": r["margins"][0],
+         "margin2": r["margins"][1]}
+        for r in rows
+    ]
+
+
+def _sa_contraction(run, cert):
+    if run.cfg is None:
+        return
     try:
-        all_rows = sa.gap_search(cfg.model, cfg.lam, cfg.delta, condition_set)
-        cert.tables["gap_margins"] = [
-            {"k": r["k"], "N": r["N"], "margin1": r["margins"][0],
-             "margin2": r["margins"][1]}
-            for r in all_rows
-        ]
-    except LqBundleError:
-        cert.tables["gap_margins"] = []
-    try:
-        con = sa.contraction_certificate(cfg, driver=None)
+        con = sa.contraction_certificate(run.cfg, driver=None)
         cert.add_upper("contraction-mid", con["measured_mid"],
                        con["bound_mid"] + 1e-6,
                        detail="discretized ||I T|| vs 1/2 + 2 delta^2/mu^2")
@@ -417,32 +451,48 @@ def run_sa_pipeline(scenario: Scenario) -> Certificate:
                        detail="||(P+Q) L_A|| <= 1/(mu_bar + k)")
     except LqBundleError as exc:
         cert.add_failure("contraction-certificate", exc)
-        return cert
-    n_phases = int(doc.get("phase_samples", 16))
-    phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
-    horizon = doc.get("horizon")
+        return True
+
+
+def _sa_fibers(run, cert):
+    if run.cfg is None:
+        return
     try:
-        fibers = sa.build_fibers(cfg, driver, phases, horizon=horizon)
+        run.fibers = fibers = sa.build_fibers(run.cfg, run.driver, run.phases,
+                                              horizon=run.horizon)
     except LqBundleError as exc:
         cert.add_failure("fibers", exc)
-        return cert
+        return True
     iso = max(isotropy_defect(f.l_plus_q) for f in fibers)
-    cert.add_upper("fiber-isotropy", iso, tol["isotropy"])
+    cert.add_upper("fiber-isotropy", iso, run.tol["isotropy"])
     cert.add_upper("picard-iterations", fibers[0].n_iterations, 200)
     vert = max(
-        intersection_dimension(f.l_plus_q, vertical_subspace(cfg.n)) for f in fibers
+        intersection_dimension(f.l_plus_q, vertical_subspace(run.cfg.n))
+        for f in fibers
     )
-    cert.add_upper("fiber-vertical-intersection", vert, cfg.N,
+    cert.add_upper("fiber-vertical-intersection", vert, run.cfg.N,
                    detail="dim(L+(q) cap vertical) <= N")
-    frozen_val = driver.value(phases[0])
-    frozen = sa.build_fiber(cfg, sa.constant_driver(frozen_val), 0.0, horizon=horizon)
-    oracle = stable_lagrange_schur(sa.assemble_nonaut_hamiltonian(cfg, frozen_val))
+
+
+def _sa_frozen_oracle(run, cert):
+    if run.cfg is None:
+        return
+    frozen_val = run.driver.value(run.phases[0])
+    frozen = sa.build_fiber(run.cfg, sa.constant_driver(frozen_val), 0.0,
+                            horizon=run.horizon)
+    oracle = stable_lagrange_schur(sa.assemble_nonaut_hamiltonian(run.cfg, frozen_val))
     cert.add_upper("frozen-oracle", grassmann_distance(frozen.l_plus_q, oracle),
-                   tol["oracle"],
+                   run.tol["oracle"],
                    detail=f"constant driver a = {frozen_val:.6g} vs Schur")
+
+
+def _sa_continuity(run, cert):
+    if run.cfg is None:
+        return
+    q0 = run.phases[0]
     rows = sa.fiber_continuity(
-        cfg, driver, phases[0],
-        [phases[0] + 2.0 ** (-m) for m in range(1, 7)], horizon=horizon,
+        run.cfg, run.driver, q0, [q0 + 2.0 ** (-m) for m in range(1, 7)],
+        horizon=run.horizon,
     )
     cert.tables["continuity"] = rows
     mono = all(
@@ -451,14 +501,25 @@ def run_sa_pipeline(scenario: Scenario) -> Certificate:
     )
     cert.add_flag("continuity-monotone", mono,
                   detail="grassmann moduli decreasing (10% jitter allowed)")
+
+
+def _sa_v_form(run, cert):
+    if run.cfg is None:
+        return
     try:
-        vres = sa.v_form_certificate(cfg)
+        run.vres = vres = sa.v_form_certificate(run.cfg)
         cert.add_lower("delta-v", vres["delta_v"], 0.0)
         cert.add_lower("bracket-mid", vres["brackets"][0], 0.0)
         cert.add_lower("bracket-pq", vres["brackets"][1], 0.0)
     except LqBundleError as exc:
         cert.add_failure("delta-v", exc)
-        return cert
+        return True
+
+
+def _sa_nonoscillation(run, cert):
+    if run.fibers is None or run.vres is None:
+        return
+    fibers = run.fibers
     oscillating = [f for f in fibers if f.oscillating]
     cert.add_flag("nonoscillation-all-phases", not oscillating,
                   detail=f"{len(oscillating)} oscillating fibers")
@@ -476,19 +537,25 @@ def run_sa_pipeline(scenario: Scenario) -> Certificate:
         )
     cert.tables["fibers"] = fiber_rows
     if not oscillating:
-        cert.add_upper("uniform-p-bound", p_max, 1.0 / vres["delta_v"] + 1e-6,
+        cert.add_upper("uniform-p-bound", p_max, 1.0 / run.vres["delta_v"] + 1e-6,
                        detail="max ||P(q)|| <= 1/delta_V + 1e-6")
-        lo, hi = sa.p_sign_structure(fibers[0].p_q, cfg)
+        lo, hi = sa.p_sign_structure(fibers[0].p_q, run.cfg)
         cert.add_lower("p-sign-low-block", lo, 0.0,
                        detail="min eig of P on modes 1..N")
         cert.add_upper("p-sign-high-block", hi, 0.0,
                        detail="max eig of P on modes N+1..n")
+
+
+def _sa_decay(run, cert):
+    if run.fibers is None:
+        return
+    cfg, fibers = run.cfg, run.fibers
     eps0 = sa.sa_eps0_estimate(cfg)
     rates, prefs = [], []
     decay_rows = []
     for f in fibers[:: max(1, len(fibers) // 8)]:
         z0 = f.l_plus_q.basis @ np.ones(cfg.n)
-        rate, pref = sa.exp_decay_fit(cfg, driver, f.q, z0, fiber=f)
+        rate, pref = sa.exp_decay_fit(cfg, run.driver, f.q, z0, fiber=f)
         rates.append(rate)
         prefs.append(pref)
         decay_rows.append(
@@ -500,14 +567,52 @@ def run_sa_pipeline(scenario: Scenario) -> Certificate:
                    detail=f"shifted-construction eps0 estimate {eps0:.6g}")
     cert.add_upper("decay-prefactor-spread", max(prefs) / max(min(prefs), 1e-300),
                    2.0, detail="fitted prefactor uniformity across phases")
+
+
+# mode -> (run-state factory, ordered {stage name: stage})
+_ROUTES = {
+    "stationary": (_stationary_run, {
+        "dichotomy": _st_dichotomy,
+        "frequency": _st_frequency,
+        "lagrange": _st_lagrange,
+        "oracle": _st_oracle,
+        "riccati": _st_riccati,
+        "decay": _st_decay,
+        "coercivity": _st_coercivity,
+    }),
+    "spatial-averaging": (_sa_run, {
+        "gap": _sa_gap,
+        "contraction": _sa_contraction,
+        "fibers": _sa_fibers,
+        "frozen-oracle": _sa_frozen_oracle,
+        "continuity": _sa_continuity,
+        "v-form": _sa_v_form,
+        "nonoscillation": _sa_nonoscillation,
+        "decay": _sa_decay,
+    }),
+}
+
+STAGES = {mode: tuple(route) for mode, (_, route) in _ROUTES.items()}
+
+
+def run_pipeline(scenario: Scenario, stages=None) -> Certificate:
+    """Run the selected stages of the scenario's route in route order (the
+    whole route when `stages` is None); records check failures instead of
+    raising.  A selected stage outside the route raises MissingField."""
+    make_run, route = _ROUTES[scenario.mode]
+    if stages is not None:
+        foreign = [s for s in stages if s not in route]
+        if foreign:
+            raise MissingField(
+                f"stage(s) {', '.join(foreign)} not in the {scenario.mode} route "
+                f"({', '.join(route)})"
+            )
+    cert = Certificate(name=scenario.name, mode=scenario.mode, seed=scenario.seed)
+    run = make_run(scenario)
+    for name, stage in route.items():
+        if (stages is None or name in stages) and stage(run, cert):
+            break
     return cert
-
-
-def run_pipeline(scenario: Scenario) -> Certificate:
-    """Dispatch on the scenario mode; records failures instead of raising."""
-    if scenario.mode == "stationary":
-        return run_stationary_pipeline(scenario)
-    return run_sa_pipeline(scenario)
 
 
 # -- exports -------------------------------------------------------------------

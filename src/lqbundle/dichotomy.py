@@ -8,8 +8,6 @@ so the exponential kernels are integrated exactly against the interpolant.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,20 +67,6 @@ class GridFunction:
         w = np.full(self.times.size, self.step)
         w[0] = w[-1] = 0.5 * self.step
         return float(np.sqrt(np.sum(w * np.sum(self.values**2, axis=1))))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["time"] + [f"c{i}" for i in range(self.dim)])
-        for t, row in zip(self.times, self.values):
-            writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "GridFunction":
-        rows = list(csv.reader(io.StringIO(text)))
-        data = np.array([[float(x) for x in row] for row in rows[1:]])
-        return GridFunction(times=data[:, 0], values=data[:, 1:])
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,11 @@ def tail_m_bound(a, b, form: QuadraticFormTriple, omega: float) -> float:
 def _refined_scan(
     ev: TransferEvaluator, grid: FrequencyGrid, rounds: int = 3
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Base scan plus bisection refinement where the margin dips low."""
+    """Base scan plus bisection refinement where the margin dips low.
+
+    An interval is bisected when a sample at its ends is at most
+    max(2 glob, 0), so a failing scan refines where the margin is negative.
+    """
     omegas = list(grid.nonnegative)
     pairs = [ev.margin_at(w) for w in omegas]
     margins = [p[0] for p in pairs]
@@ -221,7 +225,7 @@ def _refined_scan(
         skews = [skews[i] for i in order]
         new = []
         for i in range(len(omegas) - 1):
-            if min(margins[i], margins[i + 1]) <= 2.0 * glob:
+            if min(margins[i], margins[i + 1]) <= glob + abs(glob):
                 new.append(0.5 * (omegas[i] + omegas[i + 1]))
         if not new:
             break

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dichotomy import GridFunction
-from .errors import LqBundleError
+from .errors import ConditionFailed, LqBundleError
 from .frequency import QuadraticFormTriple, frequency_condition_margin
 from .stationary import assemble_hamiltonian, l2_controllability
 
@@ -112,7 +112,7 @@ def random_passing_instance(
         if eps_h < 0.35 or rho_h > 6.0 or rho_h / eps_h > 5.0:
             continue
         return a, b, form, margin
-    raise RuntimeError("could not sample a passing instance")
+    raise ConditionFailed(f"no passing instance in {max_tries} tries")
 
 
 def bump_control(

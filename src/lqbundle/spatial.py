@@ -205,7 +205,8 @@ class Driver:
         return float(self.c0 + np.sum(np.abs(self.amplitudes)))
 
     def _phases(self, q) -> np.ndarray:
-        return np.atleast_1d(np.asarray(q, dtype=float))
+        """One phase per frequency; a scalar q is the same phase on each."""
+        return np.broadcast_to(np.asarray(q, dtype=float), self.omegas.shape)
 
     def value(self, q, t: float = 0.0) -> float:
         ph = self._phases(q)

@@ -53,14 +53,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
 
-    def to_list(self) -> list:
-        """Column-major nested list (JSON serialization of the basis)."""
-        return [list(col) for col in self.basis.T]
-
-    @staticmethod
-    def from_list(cols) -> "Subspace":
-        return Subspace(np.array(cols, dtype=float).T)
-
 
 class LagrangeSubspace(Subspace):
     """Maximal isotropic subspace of H x H (dimension n at truncation)."""

@@ -74,6 +74,48 @@ class TestLoadScenario:
             load_scenario(str(path))
 
 
+@pytest.fixture(scope="module")
+def sa_standard_cert(tmp_path_factory):
+    """The whole spatial-averaging route on SA_DOC with 4 phases."""
+    path = write_json(tmp_path_factory.mktemp("sa"), "sa.json",
+                      dict(SA_DOC, phase_samples=4))
+    return run_pipeline(load_scenario(path))
+
+
+# The records each stage emits, in route order.
+STAGE_RECORDS = {
+    "dichotomy": ("dichotomy-gap",),
+    "frequency": ("frequency-margin", "frequency-tail-certified",
+                  "transfer-selfadjoint-defect", "inverse-norm-bound"),
+    "lagrange": ("lp-isotropy", "lp-invariance"),
+    "oracle": ("symplectic-defect", "oracle-equivalence"),
+    "riccati": ("vertical-intersection", "riccati-residual", "p-symmetry-defect",
+                "l2-controllability"),
+    "decay": ("eps0", "decay-rate", "pairing-drift"),
+    "gap": ("gap-margin-1", "gap-margin-2"),
+}
+
+
+def stage_records(checks, stages):
+    """The records of `checks` that the given stages emit, in order."""
+    names = {name for stage in stages for name in STAGE_RECORDS[stage]}
+    picked = [c for c in checks if c["name"] in names]
+    assert {c["name"] for c in picked} == names
+    return picked
+
+
+def certificate_checks(out_dir):
+    return json.loads((out_dir / "certificate.json").read_text())["checks"]
+
+
+def run_command(tmp_path, command, doc):
+    """(exit code, certificate records) of `command --out` on `doc`."""
+    out = tmp_path / command
+    code = main([command, "--scenario", write_json(tmp_path, "in.json", doc),
+                 "--out", str(out)])
+    return code, certificate_checks(out)
+
+
 class TestPipeline:
     def test_s1_certificate(self, tmp_path):
         scn = load_scenario(write_json(tmp_path, "s1.json", S1_DOC))
@@ -84,11 +126,8 @@ class TestPipeline:
         p_entries = {row["entry"]: row["value"] for row in cert.tables["riccati"]}
         assert p_entries["P[0][0]"] == pytest.approx(-0.2679, abs=1e-4)
 
-    def test_sa_standard_certificate(self, tmp_path):
-        doc = dict(SA_DOC)
-        doc["phase_samples"] = 4
-        scn = load_scenario(write_json(tmp_path, "sa.json", doc))
-        cert = run_pipeline(scn)
+    def test_sa_standard_certificate(self, sa_standard_cert):
+        cert = sa_standard_cert
         assert cert.passed
         by_name = {r.name: r for r in cert.records}
         assert by_name["delta-v"].value > 0.0
@@ -187,27 +226,47 @@ class TestCli:
         path.write_text("{")
         assert main(["verify", "--scenario", str(path)]) == 2
 
-    def test_check_freq(self, tmp_path, capsys):
-        path = write_json(tmp_path, "s1.json", S1_DOC)
-        assert main(["check-freq", "--scenario", path]) == 0
+    def test_check_freq(self, tmp_path, capsys, s1_seed7_run):
+        code, checks = run_command(tmp_path, "check-freq", S1_DOC)
+        assert code == 0
         assert "frequency-margin" in capsys.readouterr().out
+        assert checks == stage_records(certificate_checks(s1_seed7_run), ["frequency"])
 
-    def test_riccati_subcommand(self, tmp_path, capsys):
-        path = write_json(tmp_path, "s1.json", S1_DOC)
-        assert main(["riccati", "--scenario", path]) == 0
+    def test_riccati_subcommand(self, tmp_path, s1_seed7_run):
+        code, checks = run_command(tmp_path, "riccati", S1_DOC)
+        assert code == 0
+        expected = stage_records(
+            certificate_checks(s1_seed7_run), ["dichotomy", "oracle", "riccati"]
+        )
+        # oracle-equivalence needs the lagrange stage, which riccati does not run
+        assert checks == [c for c in expected if c["name"] != "oracle-equivalence"]
 
-    def test_build_lagrange_subcommand(self, tmp_path):
-        path = write_json(tmp_path, "s1.json", S1_DOC)
-        assert main(["build-lagrange", "--scenario", path]) == 0
+    def test_build_lagrange_subcommand(self, tmp_path, s1_seed7_run):
+        code, checks = run_command(tmp_path, "build-lagrange", S1_DOC)
+        assert code == 0
+        assert checks == stage_records(
+            certificate_checks(s1_seed7_run),
+            ["dichotomy", "frequency", "lagrange", "oracle", "decay"],
+        )
 
     def test_build_lagrange_impossible_tol(self, tmp_path):
         path = write_json(tmp_path, "s1.json", S1_DOC)
         assert main(["build-lagrange", "--scenario", path, "--tol", "1e-16"]) == 1
 
-    def test_sa_search(self, tmp_path, capsys):
-        path = write_json(tmp_path, "sa.json", SA_DOC)
-        assert main(["sa-search", "--scenario", path]) == 0
-        assert "minimal (k, N) = (3, 2)" in capsys.readouterr().out
+    def test_sa_search(self, tmp_path, capsys, sa_standard_cert):
+        code, checks = run_command(tmp_path, "sa-search", SA_DOC)
+        assert code == 0
+        assert "k=3, N=2" in capsys.readouterr().out
+        verify = [r.as_dict() for r in sa_standard_cert.records]
+        assert checks == stage_records(verify, ["gap"])
+
+    @pytest.mark.parametrize(
+        "command, doc", [("check-freq", SA_DOC), ("sa-search", S1_DOC)]
+    )
+    def test_wrong_mode_is_input_error(self, tmp_path, capsys, command, doc):
+        path = write_json(tmp_path, "other.json", doc)
+        assert main([command, "--scenario", path]) == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_report_round_trip(self, tmp_path, capsys):
         path = write_json(tmp_path, "s1.json", S1_DOC)

@@ -229,13 +229,6 @@ class TestAdjointKernel:
 
 
 class TestGridFunction:
-    def test_csv_round_trip(self, rng):
-        t = np.linspace(0.0, 2.0, 11)
-        g = GridFunction(t, rng.standard_normal((11, 3)))
-        again = GridFunction.from_csv(g.to_csv())
-        np.testing.assert_array_equal(again.times, g.times)
-        np.testing.assert_array_equal(again.values, g.values)
-
     def test_nonuniform_rejected(self):
         with pytest.raises(DimensionMismatch):
             GridFunction(np.array([0.0, 1.0, 3.0]), np.zeros((3, 1)))

@@ -91,6 +91,19 @@ class TestFrequencyMargin:
         form = smith_form_triple([[1.0]], a_val, 1)
         assert frequency_condition_margin(a, b, form) <= 1e-12
 
+    def test_negative_margin_is_refined(self):
+        # a lightly damped resonance near w = 3.3 dips far below the base
+        # grid's samples; the scan must refine it although its margin is < 0
+        a = np.array([[-0.02, 3.3], [-3.3, -0.02]])
+        b = np.array([[0.0], [1.0]])
+        form = QuadraticFormTriple(f1=-0.01 * np.eye(2), f2=[[0.0, 0.0]], f3=[[1.0]])
+        scan = frequency_condition_margin(a, b, form, full_scan=True)
+        assert scan.omegas.size > 1024
+        ev = TransferEvaluator(a, b, form)
+        dense = min(ev.margin_at(w)[0] for w in np.linspace(3.2, 3.4, 2001))
+        assert dense < -11.0
+        assert scan.margin <= dense + 0.5
+
     def test_tail_bound_implication(self, s1):
         a, b, form = s1
         grid = make_frequency_grid(a, b, form)

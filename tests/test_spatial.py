@@ -222,6 +222,18 @@ class TestDrivers:
         np.testing.assert_allclose(drv.values(0.3, t), 1.5)
         np.testing.assert_allclose(drv.integral(0.3, t), 1.5 * t)
 
+    def test_quasiperiodic_scalar_phase(self):
+        drv = driver_make(
+            "quasiperiodic",
+            {"c0": 1.2, "amplitudes": [0.4, 0.3], "omegas": [1.0, 1.414]},
+        )
+        t = np.linspace(0.0, 3.0, 3001)
+        got = drv.integral(0.7, t)
+        np.testing.assert_array_equal(got, drv.integral([0.7, 0.7], t))
+        vals = drv.values(0.7, t)
+        steps = 0.5 * (vals[1:] + vals[:-1]) * np.diff(t)
+        np.testing.assert_allclose(got, np.concatenate([[0.0], np.cumsum(steps)]), atol=1e-6)
+
     def test_quasiperiodic_integral(self):
         drv = driver_make(
             "quasiperiodic",

@@ -7,7 +7,13 @@ import lqbundle.sampling
 import lqbundle.stationary as st
 from lp_oracles import SingleInputLP, default_grid, paired_fixed_point
 from lqbundle.dichotomy import GridFunction, dichotomy_split
-from lqbundle.errors import EpsilonTooLarge, NotADirectSum, NotATrajectory, Oscillating
+from lqbundle.errors import (
+    ConditionFailed,
+    EpsilonTooLarge,
+    NotADirectSum,
+    NotATrajectory,
+    Oscillating,
+)
 from lqbundle.frequency import QuadraticFormTriple, smith_form_triple
 from lqbundle.sampling import bump_control, m0_sample, random_passing_instance
 from lqbundle.stationary import (
@@ -119,6 +125,19 @@ class TestLPConstruction:
     def test_naive_form_agrees(self, s1):
         structured = structured_single_grid(*s1, *default_grid(*s1))
         assert grassmann_distance(structured, paired_fixed_point(*s1)) <= 1e-12
+
+    def test_richardson_beats_single_grid(self, s1):
+        # 300 steps: coarser than the default 347-step S1 grid, yet in the
+        # range where the O(h^4) term dominates (below about 200 steps the
+        # error changes sign and extrapolation stops helping)
+        split_a, split_m, times = default_grid(*s1)
+        coarse = np.linspace(0.0, times[-1], 301)
+        single = structured_single_grid(*s1, split_a, split_m, coarse)
+        res = stable_lagrange_lp(*s1, n_steps=300, compute_eps0=False)
+        oracle = stable_lagrange_schur(assemble_hamiltonian(*s1))
+        assert 3.0 * grassmann_distance(res.l_plus, oracle) <= grassmann_distance(
+            single, oracle
+        )
 
     def test_picard_under_smith(self, s1):
         a, b, _ = s1
@@ -333,6 +352,10 @@ class TestTypedCatches:
         )
         with pytest.raises(RuntimeError, match="scan broke"):
             random_passing_instance(rng, 3)
+
+    def test_sampler_out_of_tries_is_typed(self, rng):
+        with pytest.raises(ConditionFailed):
+            random_passing_instance(rng, 3, max_tries=0)
 
     def test_only_not_a_graph_means_oscillating(self, monkeypatch):
         monkeypatch.setattr(st, "graph_over", _raiser(NotADirectSum("not transversal")))
