@@ -24,7 +24,6 @@ from .frequency import (
     make_frequency_grid,
     smith_condition,
     smith_form_triple,
-    transfer_M,
 )
 from .spatial import (
     Driver,
@@ -32,7 +31,6 @@ from .spatial import (
     SAConfig,
     assemble_forms,
     assemble_nonaut_hamiltonian,
-    build_fiber,
     build_fibers,
     condition_margins,
     constant_driver,
@@ -46,15 +44,11 @@ from .spatial import (
     v_form_certificate,
 )
 from .spectral import (
-    FractionalScale,
     ModeProjectors,
     SpectralModel,
     eigenvalue_generator,
-    fractional_inner_product,
     make_spectral_model,
     mode_projectors,
-    resolvent_apply,
-    semigroup_apply,
 )
 from .stationary import (
     Hamiltonian,
@@ -81,7 +75,6 @@ from .symplectic import (
     intersection_dimension,
     is_lagrange,
     isotropy_defect,
-    sum_codimension,
 )
 
 __version__ = "0.1.0"

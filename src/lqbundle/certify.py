@@ -32,8 +32,10 @@ from .spectral import eigenvalue_generator, make_spectral_model
 from .stationary import (
     assemble_hamiltonian,
     coercivity_check,
+    estimate_eps0,
     extract_nonoscillation,
     fit_decay_rate,
+    fitted_decay_constant,
     hamiltonian_trajectory,
     integrate_control_trajectory,
     l2_controllability,
@@ -331,18 +333,19 @@ def _st_decay(run, cert):
     if run.schur_sub is None or run.lp_res is None:
         return
     lp_res, n = run.lp_res, run.a.shape[0]
-    cert.add_lower("eps0", lp_res.eps0, 0.0,
-                   detail=f"fitted M_eps = {lp_res.m_eps:.6g}")
+    eps0 = estimate_eps0(run.a, run.b, run.form, split_a=run.split)
+    m_eps = fitted_decay_constant(run.ham, lp_res.l_plus, eps0)
+    cert.add_lower("eps0", eps0, 0.0, detail=f"fitted M_eps = {m_eps:.6g}")
     traj = hamiltonian_trajectory(
         run.ham, lp_res.l_plus.basis @ run.rng.standard_normal(n),
         np.linspace(0.0, 8.0 / max(lp_res.diagnostics["eps_h"], 1e-6), 400),
     )
     rate, _ = fit_decay_rate(traj)
-    cert.add_lower("decay-rate", rate, lp_res.eps0 - 1e-3,
+    cert.add_lower("decay-rate", rate, eps0 - 1e-3,
                    detail="fitted trajectory rate >= eps0 - 1e-3")
     cert.tables["decay"] = [
         {"label": "stationary", "rate": float(rate),
-         "prefactor": float(lp_res.m_eps)}
+         "prefactor": float(m_eps)}
     ]
     drift, pair0 = pairing_drift(
         run.ham, lp_res.l_plus.basis[:, 0], lp_res.l_plus.basis[:, -1],
@@ -437,7 +440,7 @@ def _sa_contraction(run, cert):
     if run.cfg is None:
         return
     try:
-        con = sa.contraction_certificate(run.cfg, driver=None)
+        con = sa.contraction_certificate(run.cfg)
         cert.add_upper("contraction-mid", con["measured_mid"],
                        con["bound_mid"] + 1e-6,
                        detail="discretized ||I T|| vs 1/2 + 2 delta^2/mu^2")
@@ -478,8 +481,8 @@ def _sa_frozen_oracle(run, cert):
     if run.cfg is None:
         return
     frozen_val = run.driver.value(run.phases[0])
-    frozen = sa.build_fiber(run.cfg, sa.constant_driver(frozen_val), 0.0,
-                            horizon=run.horizon)
+    frozen = sa.build_fibers(run.cfg, sa.constant_driver(frozen_val), [0.0],
+                             horizon=run.horizon)[0]
     oracle = stable_lagrange_schur(sa.assemble_nonaut_hamiltonian(run.cfg, frozen_val))
     cert.add_upper("frozen-oracle", grassmann_distance(frozen.l_plus_q, oracle),
                    run.tol["oracle"],

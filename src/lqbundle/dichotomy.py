@@ -27,8 +27,15 @@ from .errors import (
 from .symplectic import Subspace
 
 AXIS_TOL = 1e-10
-#: default truncation target for the infinite-line integral
+#: truncation target for the infinite-line integral
 HORIZON_FACTOR = 1e-12
+#: sampled times of the fitted dichotomy constant M
+M_CONST_SAMPLES = 80
+#: Fourier modes below this fraction of the largest forcing mode are skipped
+FOURIER_KEEP_REL = 1e-2
+#: sampled (t, s) pairs of the adjoint-kernel check, and their seed
+KERNEL_SAMPLES = 60
+KERNEL_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -80,10 +87,10 @@ class DichotomySplit:
     m_const: float
     eps_rate: float
     # block-diagonalizing similarity: generator = W diag(T_s, T_u) W^{-1}
-    w: np.ndarray = field(repr=False, default=None)
-    winv: np.ndarray = field(repr=False, default=None)
-    t_stable: np.ndarray = field(repr=False, default=None)
-    t_unstable: np.ndarray = field(repr=False, default=None)
+    w: np.ndarray = field(repr=False)
+    winv: np.ndarray = field(repr=False)
+    t_stable: np.ndarray = field(repr=False)
+    t_unstable: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -116,7 +123,7 @@ class DichotomySplit:
         return self.w[:, k:] @ sla.expm(t * self.t_unstable) @ self.winv[k:]
 
 
-def dichotomy_split(a, axis_tol: float = AXIS_TOL) -> DichotomySplit:
+def dichotomy_split(a) -> DichotomySplit:
     """Split a matrix generator along its stable/unstable spectrum.
 
     Ordered real Schur form puts the stable block first; a Sylvester solve
@@ -127,9 +134,9 @@ def dichotomy_split(a, axis_tol: float = AXIS_TOL) -> DichotomySplit:
     n = a.shape[0]
     eigs = np.linalg.eigvals(a)
     eps_rate = float(np.min(np.abs(eigs.real)))
-    if eps_rate <= axis_tol:
+    if eps_rate <= AXIS_TOL:
         raise SpectrumOnAxis(
-            f"eigenvalue with |Re| = {eps_rate:.3e} <= {axis_tol:.1e}"
+            f"eigenvalue with |Re| = {eps_rate:.3e} <= {AXIS_TOL:.1e}"
         )
     t, u, k = sla.schur(a, output="real", sort="lhp")
     j = n - k
@@ -165,10 +172,11 @@ def dichotomy_split(a, axis_tol: float = AXIS_TOL) -> DichotomySplit:
     return split
 
 
-def _fit_m_const(split: DichotomySplit, n_samples: int = 80) -> float:
+def _fit_m_const(split: DichotomySplit) -> float:
     """Sampled sup of the normalized semigroup norms (lower estimate of M)."""
     ts = np.concatenate(
-        [[0.0], np.geomspace(1e-3 / split.eps_rate, 10.0 / split.eps_rate, n_samples)]
+        [[0.0],
+         np.geomspace(1e-3 / split.eps_rate, 10.0 / split.eps_rate, M_CONST_SAMPLES)]
     )
     m = 1.0
     for t in ts:
@@ -275,21 +283,17 @@ class LPGridOperator:
         return out[:, :, 0] if squeeze else out
 
 
-def lyapunov_perron_apply(
-    split: DichotomySplit,
-    f: GridFunction,
-    horizon_tol: float = HORIZON_FACTOR,
-) -> GridFunction:
+def lyapunov_perron_apply(split: DichotomySplit, f: GridFunction) -> GridFunction:
     """Unique square-integrable solution of z' = A z + f on the grid window.
 
     The grid must be wide enough that the dropped tails of the whole-line
-    integral are below `horizon_tol` relative to the kernel constant.
+    integral are below HORIZON_FACTOR relative to the kernel constant.
     """
     if f.dim != split.n:
         raise DimensionMismatch("forcing dimension does not match the generator")
     half_width = 0.5 * (f.times[-1] - f.times[0])
-    if np.exp(-split.eps_rate * half_width) >= horizon_tol:
-        need = -np.log(horizon_tol) / split.eps_rate
+    if np.exp(-split.eps_rate * half_width) >= HORIZON_FACTOR:
+        need = -np.log(HORIZON_FACTOR) / split.eps_rate
         raise HorizonTooShort(
             f"grid half-width {half_width:.3g} < required {need:.3g}"
         )
@@ -297,11 +301,7 @@ def lyapunov_perron_apply(
     return GridFunction(times=f.times, values=op.apply(f.values))
 
 
-def fourier_resolvent_check(
-    split: DichotomySplit,
-    f: GridFunction,
-    keep_rel: float = 1e-2,
-) -> float:
+def fourier_resolvent_check(split: DichotomySplit, f: GridFunction) -> float:
     """Max relative defect of i w z^(w) = A z^(w) + f^(w) over retained modes.
 
     z is the Lyapunov-Perron solve of f; both transforms are taken with the
@@ -314,7 +314,7 @@ def fourier_resolvent_check(
     fnorm = np.linalg.norm(fhat, axis=1)
     if fnorm.max() == 0.0:
         return 0.0
-    keep = fnorm >= keep_rel * fnorm.max()
+    keep = fnorm >= FOURIER_KEEP_REL * fnorm.max()
     resid = (
         1j * omega[keep, None] * zhat[keep]
         - zhat[keep] @ split.generator.T
@@ -324,10 +324,7 @@ def fourier_resolvent_check(
 
 
 def adjoint_kernel_defect(
-    split_a: DichotomySplit,
-    split_minus_at: DichotomySplit,
-    n_samples: int = 60,
-    seed: int = 0,
+    split_a: DichotomySplit, split_minus_at: DichotomySplit
 ) -> float:
     """Max over sampled (t, s) of || F_{-A^T}(t, s) + F_A(s, t)^T ||.
 
@@ -337,10 +334,10 @@ def adjoint_kernel_defect(
     """
     if not np.allclose(split_minus_at.generator, -split_a.generator.T):
         raise DimensionMismatch("second split must be built from -A^T")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(KERNEL_SEED)
     scale = 1.0 / min(split_a.eps_rate, split_minus_at.eps_rate)
     defect = 0.0
-    for _ in range(n_samples):
+    for _ in range(KERNEL_SAMPLES):
         t, s = rng.uniform(-3.0 * scale, 3.0 * scale, size=2)
         if abs(t - s) < 1e-3 * scale:
             s = t + np.sign(s - t or 1.0) * 1e-2 * scale
@@ -349,11 +346,3 @@ def adjoint_kernel_defect(
         defect = max(defect, float(np.linalg.norm(lhs + rhs, 2)))
     return defect
 
-
-def paired_split(split_a: DichotomySplit, split_minus_at: DichotomySplit) -> DichotomySplit:
-    """Dichotomy of the doubled generator diag(A, -A^T)."""
-    n = split_a.n
-    gen = np.zeros((2 * n, 2 * n))
-    gen[:n, :n] = split_a.generator
-    gen[n:, n:] = split_minus_at.generator
-    return dichotomy_split(gen)

@@ -26,18 +26,6 @@ class IndexOutOfRange(ValidationError):
     pass
 
 
-class NegativeTime(ValidationError):
-    pass
-
-
-class NegativeBeta(ValidationError):
-    pass
-
-
-class SingularShift(LqBundleError):
-    """Resolvent requested at (numerically) spectral point."""
-
-
 # symplectic geometry
 class OddLength(ValidationError):
     pass
@@ -69,8 +57,8 @@ class HorizonTooShort(ValidationError):
 
 
 # frequency domain
-class TailNotCertified(LqBundleError):
-    pass
+class SingularShift(LqBundleError):
+    """Resolvent requested at (numerically) spectral point."""
 
 
 class ConditionFailed(LqBundleError):

@@ -8,30 +8,29 @@ resolvent bounds, and checks the Lax-Milgram inverse bound ||(I-M)^-1|| <=
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConditionFailed,
-    DimensionMismatch,
-    SingularF3,
-    SingularShift,
-    TailNotCertified,
-)
+from .errors import ConditionFailed, DimensionMismatch, SingularF3, SingularShift
 
 SYM_TOL = 1e-12
 AXIS_DIST_TOL = 1e-12
+#: bisection rounds of the margin scan
+REFINE_ROUNDS = 3
 
 
 @dataclass(frozen=True)
 class QuadraticFormTriple:
-    """Coefficients (F1, F2, F3) of F(v, xi) = (F1 v, v) + 2 (F2 v, xi) + (F3 xi, xi)."""
+    """Coefficients (F1, F2, F3) of F(v, xi) = (F1 v, v) + 2 (F2 v, xi) + (F3 xi, xi).
+
+    `delta_floor` is the least eigenvalue of F3.
+    """
 
     f1: np.ndarray
     f2: np.ndarray
     f3: np.ndarray
-    delta_floor: float = 0.0
+    delta_floor: float = field(init=False)
 
     def __post_init__(self):
         f1 = np.atleast_2d(np.asarray(self.f1, dtype=float))
@@ -51,15 +50,10 @@ class QuadraticFormTriple:
         floor = float(np.linalg.eigvalsh(f3).min())
         if floor <= 0.0:
             raise SingularF3(f"F3 must be positive definite, min eig {floor:.3e}")
-        requested = self.delta_floor
-        if requested and floor < requested - 1e-12:
-            raise SingularF3(
-                f"min eig of F3 = {floor:.6g} below requested floor {requested}"
-            )
         object.__setattr__(self, "f1", f1)
         object.__setattr__(self, "f2", f2)
         object.__setattr__(self, "f3", f3)
-        object.__setattr__(self, "delta_floor", requested or floor)
+        object.__setattr__(self, "delta_floor", floor)
 
     @property
     def state_dim(self) -> int:
@@ -75,17 +69,6 @@ class QuadraticFormTriple:
         xi = np.asarray(xi, dtype=float)
         return float(v @ self.f1 @ v + 2.0 * xi @ (self.f2 @ v) + xi @ self.f3 @ xi)
 
-    def evaluate_complex(self, v, xi) -> float:
-        """Hermitian extension F^C(v, xi) (real-valued for F1, F3 symmetric)."""
-        v = np.asarray(v, dtype=complex)
-        xi = np.asarray(xi, dtype=complex)
-        val = (
-            np.vdot(v, self.f1 @ v)
-            + 2.0 * np.real(np.vdot(xi, self.f2 @ v))
-            + np.vdot(xi, self.f3 @ xi)
-        )
-        return float(np.real(val))
-
 
 def smith_form_triple(c, lam: float, control_dim: int) -> QuadraticFormTriple:
     """The transfer-norm (Smith) specialization F1 = -lam^2 C^T C, F2 = 0, F3 = I."""
@@ -98,11 +81,10 @@ def smith_form_triple(c, lam: float, control_dim: int) -> QuadraticFormTriple:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Symmetric scan grid with a certified-tail marker."""
+    """Symmetric scan grid up to omega_max."""
 
     omegas: np.ndarray
     omega_max: float
-    tail_certified: bool = False
 
     def __post_init__(self):
         om = np.asarray(self.omegas, dtype=float).ravel()
@@ -114,8 +96,11 @@ class FrequencyGrid:
         return self.omegas[self.omegas >= 0.0]
 
 
-def default_omega_max(a, b, form: QuadraticFormTriple) -> float:
-    norm = (
+def make_frequency_grid(
+    a, b, form: QuadraticFormTriple, n_base: int = 1024
+) -> FrequencyGrid:
+    """Uniform grid on [0, 10 (||A|| + ||B|| + max ||F_i||)]."""
+    omega_max = 10.0 * (
         np.linalg.norm(a, 2)
         + np.linalg.norm(b, 2)
         + max(
@@ -124,14 +109,6 @@ def default_omega_max(a, b, form: QuadraticFormTriple) -> float:
             np.linalg.norm(form.f3, 2),
         )
     )
-    return 10.0 * norm
-
-
-def make_frequency_grid(
-    a, b, form: QuadraticFormTriple, n_base: int = 1024, omega_max: float | None = None
-) -> FrequencyGrid:
-    if omega_max is None:
-        omega_max = default_omega_max(a, b, form)
     base = np.linspace(0.0, omega_max, n_base)
     return FrequencyGrid(omegas=base, omega_max=float(omega_max))
 
@@ -183,11 +160,6 @@ class TransferEvaluator:
         return float(np.linalg.eigvalsh(herm).min()), skew
 
 
-def transfer_M(a, b, form: QuadraticFormTriple, omega: float) -> np.ndarray:
-    """One-shot M(w); F3 M(w) is self-adjoint up to roundoff."""
-    return TransferEvaluator(a, b, form).transfer_m(omega)
-
-
 def tail_m_bound(a, b, form: QuadraticFormTriple, omega: float) -> float:
     """Submultiplicative bound on ||M(w)|| for |w| beyond ||A||.
 
@@ -206,7 +178,7 @@ def tail_m_bound(a, b, form: QuadraticFormTriple, omega: float) -> float:
 
 
 def _refined_scan(
-    ev: TransferEvaluator, grid: FrequencyGrid, rounds: int = 3
+    ev: TransferEvaluator, grid: FrequencyGrid
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Base scan plus bisection refinement where the margin dips low.
 
@@ -217,7 +189,7 @@ def _refined_scan(
     pairs = [ev.margin_at(w) for w in omegas]
     margins = [p[0] for p in pairs]
     skews = [p[1] for p in pairs]
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         glob = min(margins)
         order = np.argsort(omegas)
         omegas = [omegas[i] for i in order]
@@ -261,15 +233,13 @@ def frequency_condition_margin(
     form: QuadraticFormTriple,
     grid: FrequencyGrid | None = None,
     shift: float = 0.0,
-    require_tail: bool = False,
     full_scan: bool = False,
 ):
     """delta* = min over the grid of lambda_min(sym(F3 (I - M(w)))).
 
     Hermitian symmetry in w is used: only w >= 0 is scanned.  The tail beyond
-    omega_max is certified from the submultiplicative bound; with
-    `require_tail` a failed tail certification raises TailNotCertified.
-    Returns the margin, or the full MarginScan when `full_scan` is set.
+    omega_max is certified from the submultiplicative bound.  Returns the
+    margin, or the full MarginScan when `full_scan` is set.
     """
     ev = TransferEvaluator(a, b, form, shift=shift)
     if grid is None:
@@ -277,13 +247,8 @@ def frequency_condition_margin(
     omegas, margins, skew = _refined_scan(ev, grid)
     margin = float(np.min(margins))
     tail = tail_m_bound(a, b, form, grid.omega_max)
-    f3_floor = float(np.linalg.eigvalsh(form.f3).min())
-    tail_floor = f3_floor - float(np.linalg.norm(form.f3, 2)) * tail
+    tail_floor = form.delta_floor - float(np.linalg.norm(form.f3, 2)) * tail
     certified = bool(tail_floor > 0.0)
-    if require_tail and not certified:
-        raise TailNotCertified(
-            f"tail floor {tail_floor:.3e} at omega_max {grid.omega_max:.3g}"
-        )
     if not full_scan:
         return margin
     inv_norms = []

@@ -9,10 +9,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dichotomy import GridFunction
+from .dichotomy import GridFunction, dichotomy_split
 from .errors import ConditionFailed, LqBundleError
 from .frequency import QuadraticFormTriple, frequency_condition_margin
-from .stationary import assemble_hamiltonian, l2_controllability
+from .stationary import (
+    assemble_hamiltonian,
+    integrate_control_trajectory,
+    l2_controllability,
+)
+
+#: real-part bands of the placed stable and unstable eigenvalues
+STABLE_BAND = (-2.2, -0.5)
+UNSTABLE_BAND = (0.4, 1.2)
+#: largest imaginary part of a placed complex pair
+IMAG_MAX = 1.2
+#: scale of the strictly upper coupling that makes the generator non-normal
+COUPLING = 0.25
+F1_SCALE = 0.25
+#: bumps are centred in the first BUMP_SUPPORT fraction of the window
+BUMP_SUPPORT = 0.4
+M0_BUMPS = 4
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -24,10 +40,6 @@ def random_dichotomy_generator(
     rng: np.random.Generator,
     n: int,
     j: int = 0,
-    stable_band: tuple[float, float] = (-2.2, -0.5),
-    unstable_band: tuple[float, float] = (0.4, 1.2),
-    imag_max: float = 1.2,
-    coupling: float = 0.25,
 ) -> np.ndarray:
     """Matrix with j eigenvalues in the right half-plane, bounded stiffness.
 
@@ -36,11 +48,11 @@ def random_dichotomy_generator(
     """
     blocks: list[np.ndarray] = []
     remaining = {"s": n - j, "u": j}
-    for kind, band in (("u", unstable_band), ("s", stable_band)):
+    for kind, band in (("u", UNSTABLE_BAND), ("s", STABLE_BAND)):
         while remaining[kind] > 0:
             if remaining[kind] >= 2 and rng.uniform() < 0.4:
                 re = rng.uniform(*band)
-                im = rng.uniform(0.2, imag_max)
+                im = rng.uniform(0.2, IMAG_MAX)
                 blocks.append(np.array([[re, im], [-im, re]]))
                 remaining[kind] -= 2
             else:
@@ -57,7 +69,7 @@ def random_dichotomy_generator(
     for blk in blocks:
         w = blk.shape[0]
         if pos + w < n:
-            t[pos : pos + w, pos + w :] = coupling * rng.standard_normal(
+            t[pos : pos + w, pos + w :] = COUPLING * rng.standard_normal(
                 (w, n - pos - w)
             )
         pos += w
@@ -65,11 +77,9 @@ def random_dichotomy_generator(
     return q @ t @ q.T
 
 
-def random_form(
-    rng: np.random.Generator, n: int, m: int, f1_scale: float = 0.25
-) -> QuadraticFormTriple:
+def random_form(rng: np.random.Generator, n: int, m: int) -> QuadraticFormTriple:
     g = rng.standard_normal((n, n))
-    f1 = -f1_scale * (g @ g.T) / n + 0.05 * f1_scale * _sym(rng.standard_normal((n, n)))
+    f1 = -F1_SCALE * (g @ g.T) / n + 0.05 * F1_SCALE * _sym(rng.standard_normal((n, n)))
     f2 = 0.15 * rng.standard_normal((m, n))
     g3 = rng.standard_normal((m, m))
     f3 = g3 @ g3.T / m + np.eye(m)
@@ -120,7 +130,6 @@ def bump_control(
     times: np.ndarray,
     m: int,
     n_bumps: int = 3,
-    support: float = 0.4,
 ) -> GridFunction:
     """Smooth random control supported in the early part of the window."""
     t = np.asarray(times, dtype=float)
@@ -128,18 +137,14 @@ def bump_control(
     vals = np.zeros((t.size, m))
     for c in range(m):
         for _ in range(n_bumps):
-            center = t[0] + span * support * rng.uniform(0.1, 0.9)
-            width = span * support * rng.uniform(0.05, 0.2)
+            center = t[0] + span * BUMP_SUPPORT * rng.uniform(0.1, 0.9)
+            width = span * BUMP_SUPPORT * rng.uniform(0.05, 0.2)
             vals[:, c] += rng.normal() * np.exp(-(((t - center) / width) ** 2))
     return GridFunction(times=t, values=vals)
 
 
 def m0_sample(
-    rng: np.random.Generator,
-    a,
-    b,
-    times: np.ndarray,
-    n_bumps: int = 4,
+    rng: np.random.Generator, a, b, times: np.ndarray
 ) -> tuple[GridFunction, GridFunction]:
     """A decaying process (v, xi) with v(0) = 0 (an M_0 element).
 
@@ -147,30 +152,26 @@ def m0_sample(
     a least-squares steering step so the unstable component is annihilated
     and the state decays by the horizon.
     """
-    from .dichotomy import dichotomy_split
-    from .stationary import integrate_control_trajectory
-
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     n, m_u = b.shape
     split = dichotomy_split(a)
-    bumps = [bump_control(rng, times, m_u, n_bumps=1) for _ in range(n_bumps)]
+    bumps = [bump_control(rng, times, m_u, n_bumps=1) for _ in range(M0_BUMPS)]
     if split.rank_j:
         # unstable-subspace responses at a matching time
-        t_probe = times[int(0.7 * times.size)]
         idx = int(0.7 * times.size)
         proj_u = split.projector_unstable()
         resp = []
         for g in bumps:
             v = integrate_control_trajectory(a, b, g, np.zeros(n))
             resp.append(proj_u @ v.values[idx])
-        resp = np.array(resp).T  # (n, n_bumps)
-        coef = np.ones(n_bumps)
+        resp = np.array(resp).T  # (n, M0_BUMPS)
+        coef = np.ones(M0_BUMPS)
         # minimal correction with resp @ coef = 0
         corr = np.linalg.lstsq(resp, resp @ coef, rcond=None)[0]
         coef = coef - corr
     else:
-        coef = np.ones(n_bumps)
+        coef = np.ones(M0_BUMPS)
     xi_vals = sum(c * g.values for c, g in zip(coef, bumps))
     xi = GridFunction(times=times, values=xi_vals)
     v = integrate_control_trajectory(a, b, xi, np.zeros(n))

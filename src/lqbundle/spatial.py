@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._phi import backward_weights_scalar, forward_weights_scalar, stencil_layout
+from .dichotomy import GridFunction
 from .errors import (
     AmplitudeTooLarge,
     AValueOutOfRange,
@@ -31,14 +32,22 @@ from .errors import (
 )
 from .frequency import QuadraticFormTriple
 from .spectral import ModeProjectors, SpectralModel, mode_projectors
-from .stationary import Hamiltonian, extract_nonoscillation
+from .stationary import Hamiltonian, extract_nonoscillation, fit_decay_rate
 from .symplectic import (
     GraphOperator,
     LagrangeSubspace,
     grassmann_distance,
 )
 
-CONDITION_SETS = ("bundle", "nonosc", "zelik")
+#: Picard stopping rule of the fiber construction, relative to the first update
+PICARD_TOL = 1e-10
+PICARD_MAX_ITER = 200
+#: time steps of the grid on which the contraction norms are measured
+CONTRACTION_STEPS = 360
+#: impulse columns per solve of the measured contraction norms
+IMPULSE_BATCH = 64
+#: trajectory step relative to 1 / (the largest frozen coefficient sum)
+TRAJECTORY_STEP_SCALE = 0.01
 
 
 # -- configuration ----------------------------------------------------------
@@ -46,7 +55,12 @@ CONDITION_SETS = ("bundle", "nonosc", "zelik")
 
 @dataclass(frozen=True)
 class SAConfig:
-    """Parameters of one spatial-averaging scenario at truncation n."""
+    """Parameters of one spatial-averaging scenario at truncation n.
+
+    Derived: the gap half-width mu_bar and midpoint alpha, the form
+    coefficients taus = (1, (mu_bar / Lambda)^2 / 4, 1) and the amplitude
+    bound a_bound = Lambda + delta.
+    """
 
     model: SpectralModel
     lam: float
@@ -55,8 +69,8 @@ class SAConfig:
     N: int
     mu_bar: float = field(init=False)
     alpha: float = field(init=False)
-    taus: tuple[float, float, float] | None = None
-    a_bound: float | None = None
+    taus: tuple[float, float, float] = field(init=False)
+    a_bound: float = field(init=False)
 
     def __post_init__(self):
         lam_seq = self.model.eigenvalues
@@ -68,15 +82,8 @@ class SAConfig:
         alpha = 0.5 * (lam_seq[self.N] + lam_seq[self.N - 1])
         object.__setattr__(self, "mu_bar", float(mu_bar))
         object.__setattr__(self, "alpha", float(alpha))
-        if self.taus is None:
-            taus = (1.0, 0.25 * (mu_bar / self.lam) ** 2, 1.0)
-            object.__setattr__(self, "taus", taus)
-        if self.a_bound is None:
-            object.__setattr__(self, "a_bound", self.lam + self.delta)
-        if self.a_bound > self.lam + self.delta + 1e-12:
-            raise AmplitudeTooLarge(
-                f"a_bound {self.a_bound} exceeds Lambda + delta = {self.lam + self.delta}"
-            )
+        object.__setattr__(self, "taus", (1.0, 0.25 * (mu_bar / self.lam) ** 2, 1.0))
+        object.__setattr__(self, "a_bound", self.lam + self.delta)
         if self.a_bound >= self.mu_bar + self.k:
             raise AmplitudeTooLarge(
                 f"a_bound {self.a_bound} >= mu_bar + k = {self.mu_bar + self.k}"
@@ -333,22 +340,12 @@ def mode_coefficients(config: SAConfig):
     return a_diag, chi, b_coef, c_coef
 
 
-def assemble_nonaut_hamiltonian(
-    config: SAConfig, a_value: float, route: str = "direct"
-) -> Hamiltonian:
-    """The frozen-coefficient Hamiltonian at a(q) = a_value.
-
-    route="direct" realizes the explicitly reduced coupled system;
-    route="generic" assembles from (A(q), B, F(q)); the two must agree.
-    """
+def assemble_nonaut_hamiltonian(config: SAConfig, a_value: float) -> Hamiltonian:
+    """The frozen-coefficient Hamiltonian at a(q) = a_value, from the explicitly
+    reduced mode-wise system; it equals `assemble_hamiltonian` on
+    (A(q), B, F(q))."""
     if abs(a_value) > config.a_bound + 1e-12:
         raise AValueOutOfRange(f"|a| = {abs(a_value)} exceeds a_bound {config.a_bound}")
-    if route == "generic":
-        from .stationary import assemble_hamiltonian
-
-        return assemble_hamiltonian(
-            config.a_matrix(a_value), config.b_matrix(), assemble_forms(config, a_value)
-        )
     a_diag, chi, b_coef, c_coef = mode_coefficients(config)
     n = config.n
     mat = np.zeros((2 * n, 2 * n))
@@ -590,15 +587,7 @@ def _sharp_forcing_channels(solver: _ScalarChannelSolver):
 
 
 def build_fibers(
-    config: SAConfig,
-    driver: Driver,
-    phases,
-    horizon: float | None = None,
-    n_steps: int | None = None,
-    beta: float = 0.0,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    check_contraction: bool = True,
+    config: SAConfig, driver: Driver, phases, horizon: float | None = None
 ) -> list[FiberResult]:
     """Stable-bundle fibers at several phases by the Picard iteration.
 
@@ -610,16 +599,10 @@ def build_fibers(
         raise AmplitudeTooLarge(
             f"driver amplitude {driver.amplitude_bound} > a_bound {config.a_bound}"
         )
-    if check_contraction:
-        cert = contraction_certificate(config, measured=False)
-        if not cert["analytic_pass"]:
-            raise NotAContraction(str(cert))
-    times = _fiber_grid(config, horizon, n_steps)
+    _require_contraction(config)
+    times = _fiber_grid(config, horizon, None)
     solver = _ScalarChannelSolver(config, driver, phases, times)
     g_v, g_e = _sharp_forcing_channels(solver)
-    scale = config.model.eigenvalues**beta
-    g_v = g_v * scale[None, :, None, None]
-    g_e = g_e * scale[None, :, None, None]
     bcf = solver.b_coef[None, :, None, None]
     ccf = solver.c_coef[None, :, None, None]
     d_eta = np.zeros_like(g_e)
@@ -631,24 +614,24 @@ def build_fibers(
         vals = solver.physical(channels)
         return float(np.sqrt(np.max(np.sum(l2w[:, None, None] * vals**2, axis=(0, 1)))))
 
-    for it in range(max_iter):
+    for it in range(PICARD_MAX_ITER):
         dv = solver.frame_v.solve(bcf * d_eta + g_v)
         new = solver.frame_e.solve(ccf * dv + g_e)
         delta = phys_norm(new - d_eta)
         d_eta = new
         if ref is None:
             ref = max(delta, 1e-300)
-        if delta <= tol * ref:
+        if delta <= PICARD_TOL * ref:
             break
     else:
         raise ContractionFailed(
-            f"Picard did not reach {tol:.1e} within {max_iter} iterations"
+            f"Picard did not reach {PICARD_TOL:.1e} within {PICARD_MAX_ITER} iterations"
         )
     n_iter = it + 1
     dv = solver.frame_v.solve(bcf * d_eta + g_v)
-    # values at t = 0: channel sum (e^{mu 0} = 1), unscaled by the beta weight
-    dv0 = (dv[0, :, 0, :] + dv[0, :, 1, :]) / scale[:, None]
-    de0 = (d_eta[0, :, 0, :] + d_eta[0, :, 1, :]) / scale[:, None]
+    # values at t = 0: channel sum (e^{mu 0} = 1)
+    dv0 = dv[0, :, 0, :] + dv[0, :, 1, :]
+    de0 = d_eta[0, :, 0, :] + d_eta[0, :, 1, :]
     sharp, flat = sa_breve_bases(config)
     n = config.n
     results = []
@@ -678,11 +661,6 @@ def build_fibers(
             )
         )
     return results
-
-
-def build_fiber(config: SAConfig, driver: Driver, q, **kwargs) -> FiberResult:
-    """Single-phase wrapper around `build_fibers`."""
-    return build_fibers(config, driver, [q], **kwargs)[0]
 
 
 def fiber_continuity(
@@ -724,19 +702,27 @@ def contraction_bounds(config: SAConfig) -> dict:
     }
 
 
-def _mode_operator_matrices(config, driver, q, times, with_coupling=True, batch=64):
+def _require_contraction(config: SAConfig) -> dict:
+    out = contraction_bounds(config)
+    if not out["analytic_pass"]:
+        raise NotAContraction(
+            f"analytic bounds {out['bound_mid']:.3f}, {out['bound_pq']:.3f} not < 1"
+        )
+    return out
+
+
+def _mode_operator_matrices(solver: _ScalarChannelSolver, with_coupling: bool):
     """Dense per-mode matrices of the discretized contraction T (or of L_A).
 
-    Columns are impulse responses; they ride on the phase axis of one
+    Columns are impulse responses; they ride on the phase axis of the
     single-phase solver, whose step and weight arrays broadcast over it.
     """
-    m = times.size
-    n = config.n
+    m = solver.m
+    n = solver.a_diag.size
     out = np.zeros((n, m, m))
-    a_diag, chi, b_coef, c_coef = mode_coefficients(config)
-    solver = _ScalarChannelSolver(config, driver, [q], times)
-    for lo in range(0, m, batch):
-        hi = min(lo + batch, m)
+    b_coef, c_coef = solver.b_coef, solver.c_coef
+    for lo in range(0, m, IMPULSE_BATCH):
+        hi = min(lo + IMPULSE_BATCH, m)
         f = np.zeros((m, n, 2, hi - lo))
         for col in range(lo, hi):
             f[col, :, 0, col - lo] = 1.0
@@ -751,37 +737,24 @@ def _mode_operator_matrices(config, driver, q, times, with_coupling=True, batch=
     return out
 
 
-def contraction_certificate(
-    config: SAConfig,
-    driver: Driver | None = None,
-    q=0.0,
-    n_steps: int = 360,
-    horizon: float | None = None,
-    measured: bool = True,
-) -> dict:
+def contraction_certificate(config: SAConfig) -> dict:
     """Analytic contraction bounds plus measured discretized operator norms.
 
-    The measured norms split by the band projectors (the discrete operator is
+    The norms are measured at phase 0 of the constant driver a = a_bound.
+    They split by the band projectors (the discrete operator is
     mode-diagonal) and must stay below the analytic bounds; the discretized
     Lyapunov-Perron norms are checked against 1/mu_bar and 1/(mu_bar + k).
     """
-    out = contraction_bounds(config)
-    if not out["analytic_pass"]:
-        raise NotAContraction(
-            f"analytic bounds {out['bound_mid']:.3f}, {out['bound_pq']:.3f} not < 1"
-        )
-    if not measured:
-        return out
-    if driver is None:
-        driver = constant_driver(config.a_bound)
-    times = _fiber_grid(config, horizon, n_steps)
+    out = _require_contraction(config)
+    times = _fiber_grid(config, None, CONTRACTION_STEPS)
     h = times[1] - times[0]
     w = np.full(times.size, h)
     w[0] = w[-1] = h / 2
     d_sq = np.sqrt(w)
     proj = config.projectors()
-    tmats = _mode_operator_matrices(config, driver, q, times, with_coupling=True)
-    lmats = _mode_operator_matrices(config, driver, q, times, with_coupling=False)
+    solver = _ScalarChannelSolver(config, constant_driver(config.a_bound), [0.0], times)
+    tmats = _mode_operator_matrices(solver, with_coupling=True)
+    lmats = _mode_operator_matrices(solver, with_coupling=False)
     norms_t = np.array(
         [np.linalg.norm((tm * d_sq[:, None]) / d_sq[None, :], 2) for tm in tmats]
     )
@@ -853,13 +826,13 @@ def _mode_quadratic_blocks(config: SAConfig, a_value: float) -> np.ndarray:
     return s
 
 
-def v_form_certificate(config: SAConfig, a_grid: np.ndarray | None = None) -> dict:
+def v_form_certificate(config: SAConfig) -> dict:
     """Coercivity constant delta_V of the singular-form inequality.
 
-    For each a in the grid the per-mode 3x3 infinitesimal form is assembled;
-    blocks - delta I is psd exactly for delta up to the least eigenvalue of
-    the blocks, and the certificate is the minimum of that eigenvalue over
-    the grid.  An affine minorant route (the a-quadratic term is psd and may
+    For each a of a 64-point grid on [-a_bound, a_bound] the per-mode 3x3
+    infinitesimal form is assembled; blocks - delta I is psd exactly for
+    delta up to the least eigenvalue of the blocks, and the certificate is
+    the minimum of that eigenvalue over the grid.  An affine minorant route (the a-quadratic term is psd and may
     be dropped) cross-checks the grid route from below at the interval
     endpoints.
     """
@@ -874,12 +847,9 @@ def v_form_certificate(config: SAConfig, a_grid: np.ndarray | None = None) -> di
             f"(margins {m1:.6g}, {m2:.6g}); certificate not attempted"
         )
     ab = config.a_bound
-    if a_grid is None:
-        a_grid = np.unique(np.concatenate([np.linspace(-ab, ab, 64), [-ab, ab]]))
+    a_grid = np.unique(np.concatenate([np.linspace(-ab, ab, 64), [-ab, ab]]))
     vals = []
-    for a in np.asarray(a_grid, dtype=float):
-        if abs(a) > ab + 1e-12:
-            raise AValueOutOfRange(f"grid value {a} outside [-a_bound, a_bound]")
+    for a in a_grid:
         blocks = _mode_quadratic_blocks(config, a)
         vals.append(float(np.linalg.eigvalsh(blocks).min()))
     delta_v = float(np.min(vals))
@@ -897,7 +867,6 @@ def v_form_certificate(config: SAConfig, a_grid: np.ndarray | None = None) -> di
         "delta_v": delta_v,
         "affine_floor": affine_floor,
         "brackets": v_form_brackets(config),
-        "a_grid_size": int(np.size(a_grid)),
     }
     if delta_v <= 1e-12:
         raise NotPositive(f"certificate failed: delta_V = {delta_v:.3e}")
@@ -940,27 +909,17 @@ def _expm2x2_traceless(p, q_, r) -> np.ndarray:
     return out.real
 
 
-def sa_trajectory(
-    config: SAConfig,
-    driver: Driver,
-    q,
-    z0: np.ndarray,
-    horizon: float,
-    step: float | None = None,
-):
+def sa_trajectory(config: SAConfig, driver: Driver, q, z0: np.ndarray, horizon: float):
     """Integrate z' = H(theta^t q) z with the exponential midpoint rule.
 
     Every step propagator is the exponential of a Hamiltonian block, so the
     mode-wise symplectic pairings are preserved exactly.
     """
-    from .dichotomy import GridFunction
-
     a_diag, chi, b_coef, c_coef = mode_coefficients(config)
     h_norm = float(
         np.max(np.abs(a_diag) + config.a_bound * chi + np.abs(b_coef) + np.abs(c_coef))
     )
-    if step is None:
-        step = 0.01 / h_norm
+    step = TRAJECTORY_STEP_SCALE / h_norm
     m = int(np.ceil(horizon / step)) + 1
     times = np.linspace(0.0, horizon, m)
     h = times[1] - times[0]
@@ -984,12 +943,9 @@ def exp_decay_fit(
     q,
     z0: np.ndarray,
     fiber: FiberResult | None = None,
-    horizon: float | None = None,
-    step: float | None = None,
 ) -> tuple[float, float]:
-    """(fitted rate, fitted prefactor) of a trajectory from the fiber."""
-    from .stationary import fit_decay_rate
-
+    """(fitted rate, fitted prefactor) of a trajectory from the fiber over
+    the horizon 8 / mu_bar."""
     z0 = np.asarray(z0, dtype=float)
     if np.linalg.norm(z0) == 0.0:
         return float("inf"), 0.0
@@ -998,8 +954,7 @@ def exp_decay_fit(
         off = np.linalg.norm(z0 - proj @ z0) / np.linalg.norm(z0)
         if off > 1e-6:
             raise NotInFiber(f"initial state off the fiber by {off:.3e}")
-    horizon = horizon if horizon is not None else 8.0 / config.mu_bar
-    traj = sa_trajectory(config, driver, q, z0, horizon, step=step)
+    traj = sa_trajectory(config, driver, q, z0, 8.0 / config.mu_bar)
     return fit_decay_rate(traj)
 
 

@@ -1,8 +1,7 @@
 """Finite Galerkin model of a diagonal positive self-adjoint operator.
 
-Holds the ascending eigenvalue sequence, the low/intermediate/high spectral
-band projectors, semigroups and resolvents of diagonal generators, and the
-fractional-power weighted inner products.
+Holds the ascending eigenvalue sequence, its built-in generators, and the
+low/intermediate/high spectral band projectors.
 """
 
 from __future__ import annotations
@@ -11,17 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRange,
-    NegativeBeta,
-    NegativeTime,
-    NonPositiveEigenvalue,
-    NotSorted,
-    SingularShift,
-)
-
-PROJECTOR_TOL = 1e-12
-RESOLVENT_SV_TOL = 1e-12
+from .errors import IndexOutOfRange, NonPositiveEigenvalue, NotSorted
 
 
 @dataclass(frozen=True)
@@ -30,10 +19,6 @@ class SpectralModel:
 
     eigenvalues: np.ndarray
     n: int
-
-    def operator(self) -> np.ndarray:
-        """Dense diagonal matrix of the modeled operator."""
-        return np.diag(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -46,17 +31,9 @@ class ModeProjectors:
     I_mid: np.ndarray
     k: int
     N: int
-    low_mask: np.ndarray = field(repr=False, default=None)
-    mid_mask: np.ndarray = field(repr=False, default=None)
-    high_mask: np.ndarray = field(repr=False, default=None)
-
-
-@dataclass(frozen=True)
-class FractionalScale:
-    """Weights lambda_j^beta of the fractional-power inner product."""
-
-    beta: float
-    weights: np.ndarray
+    low_mask: np.ndarray = field(repr=False)
+    mid_mask: np.ndarray = field(repr=False)
+    high_mask: np.ndarray = field(repr=False)
 
 
 def make_spectral_model(eigenvalues) -> SpectralModel:
@@ -121,39 +98,3 @@ def mode_projectors(model: SpectralModel, k: int, N: int) -> ModeProjectors:
         high_mask=high,
     )
 
-
-def semigroup_apply(generator, t: float, v) -> np.ndarray:
-    """exp(t * diag) applied componentwise; exact for diagonal generators."""
-    if t < 0:
-        raise NegativeTime(f"semigroup time must be >= 0, got {t}")
-    gen = np.asarray(generator, dtype=float)
-    if gen.ndim == 2:
-        off = gen - np.diag(np.diag(gen))
-        if np.any(np.abs(off) > PROJECTOR_TOL * max(1.0, np.abs(gen).max())):
-            raise SingularShift("semigroup_apply expects a diagonal generator")
-        gen = np.diag(gen)
-    return np.exp(t * gen) * np.asarray(v)
-
-
-def resolvent_apply(a, z: complex, v, sv_tol: float = RESOLVENT_SV_TOL) -> np.ndarray:
-    """(A - z I)^{-1} v with an explicit smallest-singular-value guard."""
-    a = np.atleast_2d(np.asarray(a))
-    shifted = a - z * np.eye(a.shape[0])
-    smin = np.linalg.svd(shifted, compute_uv=False)[-1]
-    if smin <= sv_tol:
-        raise SingularShift(f"shift {z} is within {sv_tol} of the spectrum")
-    return np.linalg.solve(shifted, np.asarray(v, dtype=complex))
-
-
-def fractional_scale(model: SpectralModel, beta: float) -> FractionalScale:
-    if beta < 0:
-        raise NegativeBeta(f"beta must be >= 0, got {beta}")
-    return FractionalScale(beta=beta, weights=model.eigenvalues**beta)
-
-
-def fractional_inner_product(model: SpectralModel, beta: float, v, w) -> float:
-    """Weighted inner product sum_j lambda_j^{2 beta} v_j w_j."""
-    scale = fractional_scale(model, beta)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return float(np.sum(scale.weights**2 * v * w))

@@ -109,14 +109,14 @@ def isotropy_defect(subspace: Subspace) -> float:
     return float(np.abs(b.T @ apply_J(b)).max())
 
 
-def is_lagrange(subspace: Subspace, tol: float = ISOTROPY_TOL) -> tuple[bool, float]:
+def is_lagrange(subspace: Subspace) -> tuple[bool, float]:
     """Finite-dimensional Lagrange test: isotropic and of half dimension.
 
     Returns (verdict, margin) where margin is the isotropy defect.
     """
     defect = isotropy_defect(subspace)
     ok = subspace.ambient % 2 == 0 and subspace.dim == subspace.ambient // 2
-    return (ok and defect <= tol, defect)
+    return (ok and defect <= ISOTROPY_TOL, defect)
 
 
 def grassmann_distance(l1: Subspace, l2: Subspace) -> float:
@@ -134,14 +134,6 @@ def intersection_dimension(l1: Subspace, l2: Subspace) -> int:
     sv = np.linalg.svd(stacked, compute_uv=False)
     rank = int(np.sum(sv > RANK_RTOL * sv[0]))
     return l1.dim + l2.dim - rank
-
-
-def sum_codimension(l1: Subspace, l2: Subspace) -> int:
-    """codim(L1 + L2) in the ambient space (Fredholm-pair companion index)."""
-    stacked = np.hstack([l1.basis, l2.basis])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(sv > RANK_RTOL * sv[0]))
-    return l1.ambient - rank
 
 
 def graph_over(
@@ -182,25 +174,6 @@ def horizontal_subspace(n: int) -> LagrangeSubspace:
 def vertical_subspace(n: int) -> LagrangeSubspace:
     """{0} x H."""
     basis = np.vstack([np.zeros((n, n)), np.eye(n)])
-    return LagrangeSubspace(basis)
-
-
-def lagrange_product(range_basis: np.ndarray) -> LagrangeSubspace:
-    """Ran(Pi) x {0} (+) {0} x Ran(Pi)^perp for an orthogonal projector range.
-
-    This is the Lagrange subspace attached to an orthogonal projector; it is
-    also how the stable/unstable pairing subspaces of the doubled system are
-    assembled.
-    """
-    u = np.atleast_2d(np.asarray(range_basis, dtype=float))
-    n = u.shape[0]
-    q, _ = np.linalg.qr(u)
-    # orthogonal complement via full QR
-    full, _ = np.linalg.qr(np.hstack([q, np.eye(n)]))
-    comp = full[:, q.shape[1] :]
-    basis = np.zeros((2 * n, n))
-    basis[:n, : q.shape[1]] = q
-    basis[n:, q.shape[1] :] = comp
     return LagrangeSubspace(basis)
 
 

@@ -35,7 +35,7 @@ def default_grid(a, b, form, shift: float = 0.0):
     eye = np.eye(a.shape[0])
     split_a = dichotomy_split(a + shift * eye)
     split_m = dichotomy_split(-a.T + shift * eye)
-    times, _ = _grid_parameters(split_a, assemble_hamiltonian(a, b, form), None, None)
+    times, _ = _grid_parameters(split_a, assemble_hamiltonian(a, b, form), None)
     return split_a, split_m, times
 
 

@@ -22,7 +22,6 @@ from lqbundle.sampling import random_dichotomy_generator, random_passing_instanc
 from lqbundle.spatial import (
     assemble_nonaut_hamiltonian,
     build_fibers,
-    build_fiber,
     constant_driver,
     contraction_certificate,
     exp_decay_fit,
@@ -73,8 +72,7 @@ def instance_pool():
         m = 2 if idx % 7 == 3 else 1
         a, b, form, margin = random_passing_instance(rng, n, j=min(j, n - 1), m=m)
         split = dichotomy_split(a)
-        lp = stable_lagrange_lp(a, b, form, split=split, margin=margin,
-                                compute_eps0=False)
+        lp = stable_lagrange_lp(a, b, form, split=split, margin=margin)
         schur = stable_lagrange_schur(assemble_hamiltonian(a, b, form))
         pool.append(
             {
@@ -257,7 +255,7 @@ def test_criterion_07_sa_standard_instance(sa_standard, sa_results):
         and con["measured_pass"]
     )
     picard_ok = all(f.n_iterations <= 200 for f in fibers)
-    frozen = build_fiber(sa_standard, constant_driver(1.5), 0.0)
+    frozen = build_fibers(sa_standard, constant_driver(1.5), [0.0])[0]
     oracle = stable_lagrange_schur(assemble_nonaut_hamiltonian(sa_standard, 1.5))
     frozen_dist = grassmann_distance(frozen.l_plus_q, oracle)
     brackets_ok = (

@@ -1,0 +1,124 @@
+"""Guard on the public surface of the library.
+
+Every public top-level function, class and constant of `src/lqbundle/*.py`
+is either used by other library code (a reference outside its own
+definition, in any module but `__init__.py`) or listed in KEEP together with
+the test or criterion that needs it.  Anything else is code that only its
+own unit test reaches.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lqbundle"
+
+# name -> what needs it although no other library code references it
+KEEP = {
+    # oracles: independent second routes that tests and criteria compare with
+    "fourier_resolvent_check": "oracle; criterion 09 (Fourier convergence order)",
+    "adjoint_kernel_defect": "oracle; criterion 04 (adjoint kernels)",
+    "riccati_integral_check": "oracle; criterion 09 (balance identity order)",
+    "smith_condition": "oracle; TestSmithCondition",
+    "inverse_norm_certificate": "criterion 04 (inverse-norm bound)",
+    "implication_sweep": "criterion 08 (inequality implications)",
+    "spatial_avg_condition": "the paper's spatial-averaging condition; TestSpatialAvgCondition",
+    "sa_pairing_drift": "criterion 03 (pairing along the driven flow)",
+    "is_lagrange": "criterion 03 (Lagrange test)",
+    "graph_of_symmetric": "the nonoscillating normal form; test_symplectic oracles",
+    "random_passing_instance": "acceptance pools and perfbench/make_n40.py",
+    "assemble_forms": "oracle: the generic (A(q), B, F(q)) route of "
+    "test_two_routes_agree for assemble_nonaut_hamiltonian",
+}
+
+
+def _modules():
+    return sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _public_definitions(tree):
+    """{name: (first line, last line)} of public top-level definitions."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                out[name] = (node.lineno, node.end_lineno)
+    return out
+
+
+def _references(path, tree, own):
+    """(defining module, name, line) for each name use in one module.
+
+    A bare name resolves to this module's own definition or to what
+    `from .mod import name` binds; `alias.name` resolves through
+    `from . import mod as alias`.
+    """
+    here = path.stem
+    bound = {name: (here, name) for name in own}
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    modules[local] = alias.name
+                else:
+                    bound[local] = (node.module, alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in bound:
+            yield (*bound[node.id], node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            yield (modules[node.value.id], node.attr, node.lineno)
+
+
+def _surface():
+    """({(module, name): lines}, {(module, name) used by other library code})."""
+    defined, used = {}, set()
+    parsed = [(p, ast.parse(p.read_text(encoding="utf-8"))) for p in _modules()]
+    for path, tree in parsed:
+        for name, span in _public_definitions(tree).items():
+            defined[(path.stem, name)] = span
+    for path, tree in parsed:
+        own = {n for (m, n) in defined if m == path.stem}
+        for mod, name, line in _references(path, tree, own):
+            span = defined.get((mod, name))
+            if span is None:
+                continue
+            if mod == path.stem and span[0] <= line <= span[1]:
+                continue  # inside its own definition
+            used.add((mod, name))
+    return defined, used
+
+
+def test_every_public_name_is_used_or_kept():
+    defined, used = _surface()
+    unused = sorted(
+        f"{mod}.{name}" for (mod, name) in defined
+        if (mod, name) not in used and name not in KEEP
+    )
+    assert unused == [], (
+        "public names that no other library code uses; delete them or add "
+        f"them to KEEP with the test or criterion that needs them: {unused}"
+    )
+
+
+def test_keep_lists_only_unused_names():
+    defined, used = _surface()
+    stale = sorted(
+        name for name in KEEP
+        if not any(key[1] == name and key not in used for key in defined)
+    )
+    assert stale == [], (
+        f"KEEP entries the library no longer defines or already uses: {stale}"
+    )

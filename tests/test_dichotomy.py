@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.integrate import quad
 
 from lqbundle.dichotomy import (
@@ -11,7 +12,6 @@ from lqbundle.dichotomy import (
     fourier_resolvent_check,
     green_kernel,
     lyapunov_perron_apply,
-    paired_split,
 )
 from lqbundle.errors import (
     DiagonalOfKernel,
@@ -158,7 +158,7 @@ class TestLyapunovPerron:
         a = random_dichotomic(rng, 3, 1)
         sa_ = dichotomy_split(a)
         sm = dichotomy_split(-a.T)
-        sp = paired_split(sa_, sm)
+        sp = dichotomy_split(sla.block_diag(a, -a.T))
         t = np.arange(-45, 45.001, 0.02)
         w = np.exp(-((t / 10.0) ** 2))
         fg = w[:, None] * rng.standard_normal((1, 6))

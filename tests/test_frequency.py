@@ -11,7 +11,6 @@ from lqbundle.frequency import (
     smith_condition,
     smith_form_triple,
     tail_m_bound,
-    transfer_M,
 )
 
 
@@ -40,23 +39,18 @@ class TestQuadraticFormTriple:
         form = QuadraticFormTriple(f1=[[0.0]], f2=[[0.0]], f3=[[2.0]])
         assert form.delta_floor == pytest.approx(2.0)
 
-    def test_evaluate_matches_complex(self, rng):
-        _, _, form = random_system(rng)
-        v = rng.standard_normal(5)
-        xi = rng.standard_normal(2)
-        assert form.evaluate(v, xi) == pytest.approx(form.evaluate_complex(v, xi))
-
 
 class TestTransferM:
     def test_scalar_value_at_zero(self, s1):
         a, b, form = s1
-        assert transfer_M(a, b, form, 0.0)[0, 0] == pytest.approx(0.25)
+        assert TransferEvaluator(a, b, form).transfer_m(0.0)[0, 0] == pytest.approx(0.25)
 
     def test_vanishing_forms(self, s1):
         a, b, _ = s1
         form0 = QuadraticFormTriple(f1=[[0.0]], f2=[[0.0]], f3=[[1.0]])
+        ev = TransferEvaluator(a, b, form0)
         for w in (0.0, 1.0, 5.5):
-            assert np.abs(transfer_M(a, b, form0, w)).max() == 0.0
+            assert np.abs(ev.transfer_m(w)).max() == 0.0
 
     def test_f3m_selfadjoint(self, rng):
         a, b, form = random_system(rng)
@@ -111,7 +105,7 @@ class TestFrequencyMargin:
         floor = form.delta_floor - np.linalg.norm(form.f3, 2) * bound
         assert floor > 0.0
         # the bound dominates the true transfer norm at omega_max
-        m_val = np.linalg.norm(transfer_M(a, b, form, grid.omega_max), 2)
+        m_val = np.linalg.norm(TransferEvaluator(a, b, form).transfer_m(grid.omega_max), 2)
         assert m_val <= bound
 
 

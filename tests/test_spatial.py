@@ -13,7 +13,6 @@ from lqbundle.spatial import (
     SAConfig,
     assemble_forms,
     assemble_nonaut_hamiltonian,
-    build_fiber,
     build_fibers,
     condition_holds,
     condition_margins,
@@ -34,7 +33,7 @@ from lqbundle.spatial import (
     v_form_certificate,
 )
 from lqbundle.spectral import make_spectral_model
-from lqbundle.stationary import stable_lagrange_schur
+from lqbundle.stationary import assemble_hamiltonian, stable_lagrange_schur
 from lqbundle.symplectic import (
     grassmann_distance,
     intersection_dimension,
@@ -161,8 +160,12 @@ class TestSpatialAvgCondition:
 class TestNonautHamiltonian:
     def test_two_routes_agree(self, sa_standard):
         for a_val in (0.0, 1.5, -2.0):
-            h1 = assemble_nonaut_hamiltonian(sa_standard, a_val, route="direct")
-            h2 = assemble_nonaut_hamiltonian(sa_standard, a_val, route="generic")
+            h1 = assemble_nonaut_hamiltonian(sa_standard, a_val)
+            h2 = assemble_hamiltonian(
+                sa_standard.a_matrix(a_val),
+                sa_standard.b_matrix(),
+                assemble_forms(sa_standard, a_val),
+            )
             assert np.abs(h1.matrix - h2.matrix).max() <= 1e-12
 
     def test_zero_a_decouples_band_coupling(self, sa_standard):
@@ -252,7 +255,7 @@ class TestDrivers:
 class TestFibers:
     def test_frozen_matches_schur(self, sa_standard):
         for a_val in (0.0, 1.5):
-            fib = build_fiber(sa_standard, constant_driver(a_val), 0.0)
+            fib = build_fibers(sa_standard, constant_driver(a_val), [0.0])[0]
             oracle = stable_lagrange_schur(
                 assemble_nonaut_hamiltonian(sa_standard, a_val)
             )
@@ -270,17 +273,9 @@ class TestFibers:
             for f in fibers
         ) <= sa_standard.N
 
-    def test_beta_scale_consistency(self, sa_standard, sa_driver):
-        mats = [
-            build_fiber(sa_standard, sa_driver, 0.3, beta=beta).m_plus_q.matrix
-            for beta in (0.0, 0.5, 1.0)
-        ]
-        assert np.abs(mats[0] - mats[1]).max() <= 1e-8
-        assert np.abs(mats[0] - mats[2]).max() <= 1e-8
-
     def test_horizon_guard(self, sa_standard, sa_driver):
         with pytest.raises(HorizonTooShort):
-            build_fiber(sa_standard, sa_driver, 0.0, horizon=1.0)
+            build_fibers(sa_standard, sa_driver, [0.0], horizon=1.0)
 
     def test_failing_k1_not_a_contraction(self):
         model = make_spectral_model([float(j * j) for j in range(1, 9)])
@@ -349,7 +344,7 @@ class TestDecay:
 
     def test_frozen_rate_meets_spectrum(self, sa_standard):
         drv = constant_driver(0.0)
-        fib = build_fiber(sa_standard, drv, 0.0)
+        fib = build_fibers(sa_standard, drv, [0.0])[0]
         ham = assemble_nonaut_hamiltonian(sa_standard, 0.0)
         gap = np.min(np.abs(np.linalg.eigvals(ham.matrix).real))
         z0 = fib.l_plus_q.basis @ np.ones(sa_standard.n)
@@ -357,7 +352,7 @@ class TestDecay:
         assert rate >= gap - 1e-3
 
     def test_not_in_fiber(self, sa_standard, sa_driver):
-        fib = build_fiber(sa_standard, sa_driver, 0.0)
+        fib = build_fibers(sa_standard, sa_driver, [0.0])[0]
         bad = np.ones(2 * sa_standard.n)
         with pytest.raises(NotInFiber):
             exp_decay_fit(sa_standard, sa_driver, 0.0, bad, fiber=fib)
@@ -376,7 +371,7 @@ class TestDecay:
         assert max(prefs) / min(prefs) < 2.0
 
     def test_pairing_preserved(self, sa_standard, sa_driver):
-        fib = build_fiber(sa_standard, sa_driver, 0.4)
+        fib = build_fibers(sa_standard, sa_driver, [0.4])[0]
         drift, pair0 = sa_pairing_drift(
             sa_standard, sa_driver, 0.4,
             fib.l_plus_q.basis[:, 0], fib.l_plus_q.basis[:, 5], 3.0,

@@ -3,22 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqbundle.errors import (
-    IndexOutOfRange,
-    NegativeBeta,
-    NegativeTime,
-    NonPositiveEigenvalue,
-    NotSorted,
-    SingularShift,
-)
-from lqbundle.spectral import (
-    eigenvalue_generator,
-    fractional_inner_product,
-    make_spectral_model,
-    mode_projectors,
-    resolvent_apply,
-    semigroup_apply,
-)
+from lqbundle.errors import IndexOutOfRange, NonPositiveEigenvalue, NotSorted
+from lqbundle.spectral import eigenvalue_generator, make_spectral_model, mode_projectors
 
 
 class TestMakeSpectralModel:
@@ -101,77 +87,10 @@ class TestModeProjectors:
         model = make_spectral_model([float(j * j) for j in range(1, 11)])
         k, n_split = 3, 2
         proj = mode_projectors(model, k=k, N=n_split)
-        a0 = model.operator()
+        a0 = np.diag(model.eigenvalues)
         lam_n = model.eigenvalues[n_split - 1]
         for _ in range(50):
             v = proj.Q_high @ rng.standard_normal(model.n)
             quad = v @ a0 @ v
             assert quad >= (lam_n + k) * (v @ v) - 1e-12
 
-
-class TestSemigroup:
-    def test_identity_at_zero(self):
-        np.testing.assert_allclose(semigroup_apply(np.diag([-2.0]), 0.0, [1.0]), [1.0])
-
-    def test_analytic_value(self):
-        np.testing.assert_allclose(
-            semigroup_apply(np.diag([-1.0]), np.log(2.0), [1.0]), [0.5]
-        )
-
-    def test_two_modes(self):
-        got = semigroup_apply(np.diag([-2.0, -3.0]), 1.0, [1.0, 1.0])
-        np.testing.assert_allclose(got, [np.exp(-2), np.exp(-3)], rtol=1e-15)
-
-    def test_negative_time(self):
-        with pytest.raises(NegativeTime):
-            semigroup_apply(np.diag([-1.0]), -0.1, [1.0])
-
-    def test_homomorphism(self, rng):
-        gen = -rng.uniform(0.5, 3.0, size=5)
-        v = rng.standard_normal(5)
-        for s, t in [(0.3, 1.1), (2.0, 0.01)]:
-            lhs = semigroup_apply(gen, s + t, v)
-            rhs = semigroup_apply(gen, s, semigroup_apply(gen, t, v))
-            assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
-
-
-class TestResolvent:
-    def test_scalar_inverse(self):
-        np.testing.assert_allclose(resolvent_apply(np.diag([-2.0]), 0.0, [1.0]), [-0.5])
-
-    def test_complex_shift(self):
-        got = resolvent_apply(np.diag([-2.0]), 1j, [1.0])
-        np.testing.assert_allclose(got, [(-2.0 + 1j) / 5.0], rtol=1e-15)
-
-    def test_spectrum_hit(self):
-        with pytest.raises(SingularShift):
-            resolvent_apply(np.diag([-2.0]), -2.0, [1.0])
-
-    def test_resolvent_identity(self, rng):
-        a = rng.standard_normal((6, 6))
-        z1, z2 = 0.7 + 2.3j, -1.1 + 0.4j
-        for _ in range(5):
-            v = rng.standard_normal(6)
-            lhs = resolvent_apply(a, z1, v) - resolvent_apply(a, z2, v)
-            rhs = (z1 - z2) * resolvent_apply(a, z1, resolvent_apply(a, z2, v))
-            assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(lhs).max())
-
-
-class TestFractionalScale:
-    def test_beta_zero_is_euclidean(self, rng):
-        model = make_spectral_model([1, 4, 9])
-        v, w = rng.standard_normal(3), rng.standard_normal(3)
-        assert fractional_inner_product(model, 0.0, v, w) == pytest.approx(v @ w)
-
-    def test_half_power(self):
-        model = make_spectral_model([1, 4])
-        assert fractional_inner_product(model, 0.5, [1, 1], [1, 1]) == pytest.approx(5.0)
-
-    def test_orthogonality_preserved(self):
-        model = make_spectral_model([1, 4, 9])
-        assert fractional_inner_product(model, 0.7, [1, 0, 0], [0, 1, 0]) == 0.0
-
-    def test_negative_beta(self):
-        model = make_spectral_model([1, 4])
-        with pytest.raises(NegativeBeta):
-            fractional_inner_product(model, -0.5, [1, 0], [1, 0])

@@ -106,13 +106,13 @@ class TestSchurOracle:
 
 class TestLPConstruction:
     def test_scalar_matches_exact(self, s1, s1_exact_subspace):
-        res = stable_lagrange_lp(*s1, compute_eps0=False)
+        res = stable_lagrange_lp(*s1)
         assert grassmann_distance(res.l_plus, s1_exact_subspace) <= 1e-7
 
     def test_trivial_graph_operator(self, s1):
         a, b, _ = s1
         form0 = QuadraticFormTriple(f1=[[0.0]], f2=[[0.0]], f3=[[1.0]])
-        res = stable_lagrange_lp(a, b, form0, compute_eps0=False)
+        res = stable_lagrange_lp(a, b, form0)
         assert np.abs(res.m_plus.matrix).max() <= 1e-12
         assert grassmann_distance(res.l_plus, horizontal_subspace(1)) <= 1e-12
 
@@ -133,7 +133,7 @@ class TestLPConstruction:
         split_a, split_m, times = default_grid(*s1)
         coarse = np.linspace(0.0, times[-1], 301)
         single = structured_single_grid(*s1, split_a, split_m, coarse)
-        res = stable_lagrange_lp(*s1, n_steps=300, compute_eps0=False)
+        res = stable_lagrange_lp(*s1, n_steps=300)
         oracle = stable_lagrange_schur(assemble_hamiltonian(*s1))
         assert 3.0 * grassmann_distance(res.l_plus, oracle) <= grassmann_distance(
             single, oracle
@@ -150,7 +150,7 @@ class TestLPConstruction:
         picard = subspace_from((16.0 * fine - half) / 15.0, split_a, split_m)
         oracle = stable_lagrange_schur(assemble_hamiltonian(a, b, form))
         assert grassmann_distance(picard, oracle) <= 1e-6
-        res = stable_lagrange_lp(a, b, form, compute_eps0=False)
+        res = stable_lagrange_lp(a, b, form)
         assert grassmann_distance(picard, res.l_plus) <= 1e-6
 
     def test_fredholm_bound_j1_smith(self):
@@ -158,15 +158,16 @@ class TestLPConstruction:
         a = np.diag([1.0, -1.0])
         b = np.eye(2)
         form = smith_form_triple(np.eye(2), 0.5, 2)
-        res = stable_lagrange_lp(a, b, form, compute_eps0=False)
+        res = stable_lagrange_lp(a, b, form)
         dim = intersection_dimension(res.l_plus, vertical_subspace(2))
         assert dim <= 1
 
     def test_eps_robustness(self, s1):
         res = stable_lagrange_lp(*s1)
-        assert res.eps0 > 0.1
+        eps0 = estimate_eps0(*s1)
+        assert eps0 > 0.1
         for sign in (+1.0, -1.0):
-            shifted = paired_fixed_point(*s1, shift=sign * res.eps0 / 2.0)
+            shifted = paired_fixed_point(*s1, shift=sign * eps0 / 2.0)
             assert grassmann_distance(res.l_plus, shifted) <= 1e-6
 
     def test_decay_certificate(self, s1):
@@ -176,11 +177,11 @@ class TestLPConstruction:
             ham, res.l_plus.basis[:, 0], np.linspace(0.0, 6.0, 500)
         )
         rate, _ = fit_decay_rate(traj)
-        assert rate >= res.eps0 - 1e-3
+        assert rate >= estimate_eps0(*s1) - 1e-3
 
     def test_pairing_preserved_along_flow(self, rng):
         a, b, form, margin = random_passing_instance(rng, 4, j=1)
-        res = stable_lagrange_lp(a, b, form, margin=margin, compute_eps0=False)
+        res = stable_lagrange_lp(a, b, form, margin=margin)
         ham = assemble_hamiltonian(a, b, form)
         times = np.linspace(0.0, 6.0, 300)
         drift, pair0 = pairing_drift(

@@ -15,8 +15,6 @@ from lqbundle.symplectic import (
     intersection_dimension,
     is_lagrange,
     isotropy_defect,
-    lagrange_product,
-    sum_codimension,
     vertical_subspace,
 )
 
@@ -106,14 +104,6 @@ class TestIsLagrange:
         ok, _ = is_lagrange(sub)
         assert not ok
 
-    def test_projector_construction(self, rng):
-        # Ran(Pi) x {0} (+) {0} x Ran(Pi)^perp from a random orthogonal projector
-        for d in (1, 2, 3):
-            basis = np.linalg.qr(rng.standard_normal((4, d)))[0]
-            lag = lagrange_product(basis)
-            ok, margin = is_lagrange(lag)
-            assert ok and margin <= 1e-12
-
 
 class TestIntersectionDimension:
     def test_self_intersection(self, rng):
@@ -133,17 +123,15 @@ class TestIntersectionDimension:
         assert intersection_dimension(s1, s2) == k
 
     def test_fredholm_two_routes(self, rng):
-        # dim(L1 cap L2) + codim(L1 + L2) via SVD agrees with the null-space route
+        # dim(L1 cap L2) by SVD rank agrees with codim(L1 + L2) by null space
         for _ in range(6):
             l1 = random_lagrange(rng, 3)
             l2 = random_lagrange(rng, 3)
             dim_cap = intersection_dimension(l1, l2)
-            codim = sum_codimension(l1, l2)
             null = sla.null_space(np.hstack([l1.basis, l2.basis]).T, rcond=1e-8)
-            assert codim == null.shape[1]
             # for Lagrange pairs the two indices agree (J maps the sum
             # complement onto the intersection)
-            assert dim_cap == codim
+            assert dim_cap == null.shape[1]
 
 
 class TestLagrangeGeometry:
