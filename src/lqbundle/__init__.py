@@ -53,6 +53,7 @@ from .spectral import (
 from .stationary import (
     Hamiltonian,
     NonoscillationResult,
+    Regulator,
     StableLagrangeResult,
     assemble_hamiltonian,
     coercivity_check,

@@ -18,8 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import spatial as sa
-from .dichotomy import dichotomy_split
 from .errors import (
+    DimensionMismatch,
     LqBundleError,
     MissingField,
     Oscillating,
@@ -30,7 +30,7 @@ from .frequency import QuadraticFormTriple, frequency_condition_margin
 from .sampling import bump_control, m0_sample
 from .spectral import eigenvalue_generator, make_spectral_model
 from .stationary import (
-    assemble_hamiltonian,
+    Regulator,
     coercivity_check,
     estimate_eps0,
     extract_nonoscillation,
@@ -41,6 +41,7 @@ from .stationary import (
     l2_controllability,
     lyapunov_inequality_check,
     pairing_drift,
+    riccati_residual,
     stable_lagrange_lp,
     stable_lagrange_schur,
 )
@@ -56,7 +57,7 @@ SCHEMA_VERSION = 1
 DEFAULT_TOLERANCES = {
     "oracle": 1e-6,
     "isotropy": 1e-8,
-    "riccati": 1e-8,
+    "riccati": 1e-12,
     "margin": 0.0,
     "invariance": 1e-8,
 }
@@ -64,13 +65,14 @@ DEFAULT_TOLERANCES = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario description."""
+    """Validated scenario description; `regulator` holds a stationary system."""
 
     name: str
     mode: str
     seed: int
     tolerances: dict
     payload: dict = field(repr=False)
+    regulator: Regulator | None = field(repr=False)
 
 
 @dataclass
@@ -179,28 +181,24 @@ def load_scenario(path: str) -> Scenario:
     seed = int(doc.get("seed", 42))
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(doc.get("tolerances", {}))
+    regulator = None
     if mode == "stationary":
         for key in ("A", "B", "F1", "F2", "F3"):
             _require(doc, key)
         # eager validation of shapes and symmetry
         form = QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"])
-        a = np.atleast_2d(np.asarray(doc["A"], dtype=float))
-        b = np.atleast_2d(np.asarray(doc["B"], dtype=float))
-        if a.shape != (form.state_dim, form.state_dim):
-            raise MissingField(
-                f"A must be {form.state_dim} x {form.state_dim}, got {a.shape}"
-            )
-        if b.shape != (form.state_dim, form.control_dim):
-            raise MissingField(
-                f"B must be {form.state_dim} x {form.control_dim}, got {b.shape}"
-            )
+        try:
+            regulator = Regulator(doc["A"], doc["B"], form)
+        except DimensionMismatch as exc:
+            raise MissingField(str(exc)) from exc
     elif mode == "spatial-averaging":
         for key in ("eigenvalues", "Lambda", "delta", "driver"):
             _require(doc, key)
         _sa_model(doc)
     else:
         raise MissingField(f"unknown mode {mode!r}")
-    return Scenario(name=name, mode=mode, seed=seed, tolerances=tolerances, payload=doc)
+    return Scenario(name=name, mode=mode, seed=seed, tolerances=tolerances,
+                    payload=doc, regulator=regulator)
 
 
 def _sa_model(doc):
@@ -222,20 +220,18 @@ def _sa_model(doc):
 
 
 def _stationary_run(scenario: Scenario) -> SimpleNamespace:
-    doc = scenario.payload
+    # `split` is set only by a dichotomy stage that ran and succeeded
     return SimpleNamespace(
-        a=np.atleast_2d(np.asarray(doc["A"], dtype=float)),
-        b=np.atleast_2d(np.asarray(doc["B"], dtype=float)),
-        form=QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"]),
+        reg=scenario.regulator,
         tol=scenario.tolerances,
         rng=np.random.default_rng(scenario.seed),
-        split=None, scan=None, lp_res=None, ham=None, schur_sub=None, no=None,
+        split=None, scan=None, lp_res=None, schur_sub=None, no=None,
     )
 
 
 def _st_dichotomy(run, cert):
     try:
-        run.split = dichotomy_split(run.a)
+        run.split = run.reg.split_a
     except LqBundleError as exc:
         cert.add_failure("dichotomy-gap", exc)
         return True
@@ -246,9 +242,10 @@ def _st_dichotomy(run, cert):
 
 
 def _st_frequency(run, cert):
-    form = run.form
+    reg = run.reg
     try:
-        run.scan = scan = frequency_condition_margin(run.a, run.b, form, full_scan=True)
+        run.scan = scan = frequency_condition_margin(reg.a, reg.b, reg.form,
+                                                     full_scan=True)
         cert.add_lower(
             "frequency-margin", scan.margin, run.tol["margin"],
             detail="min_w eig(sym(F3(I - M(w)))) > 0",
@@ -262,7 +259,7 @@ def _st_frequency(run, cert):
             for w, mg, iv in zip(scan.omegas, scan.margins, scan.inverse_norms)
         ]
         if scan.margin > 0:
-            bound = np.linalg.norm(form.f3, 2) / scan.margin
+            bound = np.linalg.norm(reg.form.f3, 2) / scan.margin
             cert.add_upper(
                 "inverse-norm-bound", float(np.max(scan.inverse_norms)), bound,
                 detail="||(I - M(w))^-1|| <= ||F3|| / margin",
@@ -275,9 +272,7 @@ def _st_lagrange(run, cert):
     if run.split is None or run.scan is None or not run.scan.margin > 0:
         return
     try:
-        run.lp_res = lp_res = stable_lagrange_lp(
-            run.a, run.b, run.form, split=run.split, margin=run.scan.margin
-        )
+        run.lp_res = lp_res = stable_lagrange_lp(run.reg, run.scan.margin)
         cert.add_upper("lp-isotropy", isotropy_defect(lp_res.l_plus),
                        run.tol["isotropy"])
         cert.add_upper("lp-invariance",
@@ -290,10 +285,10 @@ def _st_lagrange(run, cert):
 
 def _st_oracle(run, cert):
     try:
-        run.ham = assemble_hamiltonian(run.a, run.b, run.form)
-        cert.add_upper("symplectic-defect", run.ham.symplectic_defect(), 1e-10,
+        ham = run.reg.ham
+        cert.add_upper("symplectic-defect", ham.symplectic_defect(), 1e-10,
                        detail="||J H + H^T J||")
-        run.schur_sub = stable_lagrange_schur(run.ham)
+        run.schur_sub = stable_lagrange_schur(ham)
         if run.lp_res is not None:
             cert.add_upper(
                 "oracle-equivalence",
@@ -308,36 +303,39 @@ def _st_oracle(run, cert):
 def _st_riccati(run, cert):
     if run.split is None or run.schur_sub is None:
         return
-    a, b, n = run.a, run.b, run.a.shape[0]
+    reg = run.reg
+    n = reg.a.shape[0]
     vert_dim = intersection_dimension(run.schur_sub, vertical_subspace(n))
     cert.add_upper("vertical-intersection", vert_dim, run.split.rank_j,
                    detail="dim(L+ cap vertical) <= j")
     try:
-        run.no = no = extract_nonoscillation(run.schur_sub, a, b, run.form)
+        run.no = no = extract_nonoscillation(run.schur_sub)
     except Oscillating as exc:
         cert.add_failure("nonoscillation", exc)
     else:
-        cert.add_upper("riccati-residual", no.riccati_residual, run.tol["riccati"],
-                       detail="||-P H3 P + P H1 + H1^T P + H2||")
+        resid, scale = riccati_residual(no.p, reg.ham)
+        cert.add_upper("riccati-residual", resid, run.tol["riccati"] * scale,
+                       detail="||-P H3 P + P H1 + H1^T P + H2|| <= tol x "
+                       f"(||P||^2 ||H3|| + 2 ||P|| ||H1|| + ||H2|| = {scale:.6g})")
         cert.add_upper("p-symmetry-defect", no.symmetry_defect, 1e-8)
         cert.tables["riccati"] = [
             {"entry": f"P[{i}][{j}]", "value": float(no.p[i, j])}
             for i in range(n)
             for j in range(n)
         ]
-    cert.add_flag("l2-controllability", l2_controllability(a, b),
+    cert.add_flag("l2-controllability", l2_controllability(reg.a, reg.b),
                   detail="Hautus rank test on nonstable modes")
 
 
 def _st_decay(run, cert):
     if run.schur_sub is None or run.lp_res is None:
         return
-    lp_res, n = run.lp_res, run.a.shape[0]
-    eps0 = estimate_eps0(run.a, run.b, run.form, split_a=run.split)
-    m_eps = fitted_decay_constant(run.ham, lp_res.l_plus, eps0)
+    lp_res, ham = run.lp_res, run.reg.ham
+    eps0 = estimate_eps0(run.reg)
+    m_eps = fitted_decay_constant(ham, lp_res.l_plus, eps0)
     cert.add_lower("eps0", eps0, 0.0, detail=f"fitted M_eps = {m_eps:.6g}")
     traj = hamiltonian_trajectory(
-        run.ham, lp_res.l_plus.basis @ run.rng.standard_normal(n),
+        ham, lp_res.l_plus.basis @ run.rng.standard_normal(ham.n),
         np.linspace(0.0, 8.0 / max(lp_res.diagnostics["eps_h"], 1e-6), 400),
     )
     rate, _ = fit_decay_rate(traj)
@@ -348,7 +346,7 @@ def _st_decay(run, cert):
          "prefactor": float(m_eps)}
     ]
     drift, pair0 = pairing_drift(
-        run.ham, lp_res.l_plus.basis[:, 0], lp_res.l_plus.basis[:, -1],
+        ham, lp_res.l_plus.basis[:, 0], lp_res.l_plus.basis[:, -1],
         np.linspace(0.0, 5.0, 200),
     )
     cert.add_upper("pairing-drift", drift, 1e-10,
@@ -358,11 +356,11 @@ def _st_decay(run, cert):
 def _st_coercivity(run, cert):
     if run.no is None or run.split.rank_j != 0 or run.scan is None:
         return
-    a, b, form, rng = run.a, run.b, run.form, run.rng
+    reg, rng = run.reg, run.rng
     times = np.linspace(0.0, 18.0 / run.split.eps_rate, 1500)
-    samples = [m0_sample(rng, a, b, times) for _ in range(4)]
+    samples = [m0_sample(rng, reg, times) for _ in range(4)]
     try:
-        worst = coercivity_check(a, b, form, samples, margin=run.scan.margin)
+        worst = coercivity_check(reg, samples, run.scan.margin)
         cert.add_lower("coercivity-ratio", worst, 1.0 - 1e-6,
                        detail="J_F / coercive lower bound over M0 samples")
     except ValidationError as exc:
@@ -370,11 +368,12 @@ def _st_coercivity(run, cert):
     eps_try = min(0.05, 0.25 * run.scan.margin)
     trajectories = []
     for _ in range(3):
-        xi = bump_control(rng, times, form.control_dim)
-        v = integrate_control_trajectory(a, b, xi, rng.standard_normal(a.shape[0]))
+        xi = bump_control(rng, times, reg.form.control_dim)
+        v = integrate_control_trajectory(reg.a, reg.b, xi,
+                                         rng.standard_normal(reg.a.shape[0]))
         trajectories.append((v, xi))
     try:
-        ok = lyapunov_inequality_check(a, b, form, eps_try, trajectories)
+        ok = lyapunov_inequality_check(reg, eps_try, trajectories)
     except LqBundleError as exc:
         cert.add_failure("lyapunov-inequality", exc)
     else:

@@ -9,8 +9,10 @@ resolvent bounds, and checks the Lax-Milgram inverse bound ||(I-M)^-1|| <=
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import ConditionFailed, DimensionMismatch, SingularF3, SingularShift
 
@@ -24,7 +26,8 @@ REFINE_ROUNDS = 3
 class QuadraticFormTriple:
     """Coefficients (F1, F2, F3) of F(v, xi) = (F1 v, v) + 2 (F2 v, xi) + (F3 xi, xi).
 
-    `delta_floor` is the least eigenvalue of F3.
+    `delta_floor` is the least eigenvalue of F3; `f3_factor` its Cholesky
+    factor, computed on first use.
     """
 
     f1: np.ndarray
@@ -54,6 +57,14 @@ class QuadraticFormTriple:
         object.__setattr__(self, "f2", f2)
         object.__setattr__(self, "f3", f3)
         object.__setattr__(self, "delta_floor", floor)
+
+    @cached_property
+    def f3_factor(self) -> tuple[np.ndarray, bool]:
+        """`scipy.linalg.cho_factor(F3)`, computed once per form."""
+        try:
+            return sla.cho_factor(self.f3)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - F3 > 0 is checked
+            raise SingularF3(str(exc)) from exc
 
     @property
     def state_dim(self) -> int:

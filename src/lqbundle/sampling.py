@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dichotomy import GridFunction, dichotomy_split
+from .dichotomy import GridFunction
 from .errors import ConditionFailed, LqBundleError
 from .frequency import QuadraticFormTriple, frequency_condition_margin
 from .stationary import (
+    Regulator,
     assemble_hamiltonian,
     integrate_control_trajectory,
     l2_controllability,
@@ -115,9 +116,8 @@ def random_passing_instance(
         if margin < min_margin:
             continue
         ham = assemble_hamiltonian(a, b, form)
-        eig_h = np.linalg.eigvals(ham.matrix)
-        eps_h = np.min(np.abs(eig_h.real))
-        rho_h = np.max(np.abs(eig_h))
+        eps_h = ham.gap
+        rho_h = np.max(np.abs(ham.eigenvalues))
         # keep the stiffness bounded so the default time grids stay sharp
         if eps_h < 0.35 or rho_h > 6.0 or rho_h / eps_h > 5.0:
             continue
@@ -144,7 +144,7 @@ def bump_control(
 
 
 def m0_sample(
-    rng: np.random.Generator, a, b, times: np.ndarray
+    rng: np.random.Generator, reg: Regulator, times: np.ndarray
 ) -> tuple[GridFunction, GridFunction]:
     """A decaying process (v, xi) with v(0) = 0 (an M_0 element).
 
@@ -152,10 +152,9 @@ def m0_sample(
     a least-squares steering step so the unstable component is annihilated
     and the state decays by the horizon.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a, b = reg.a, reg.b
     n, m_u = b.shape
-    split = dichotomy_split(a)
+    split = reg.split_a
     bumps = [bump_control(rng, times, m_u, n_bumps=1) for _ in range(M0_BUMPS)]
     if split.rank_j:
         # unstable-subspace responses at a matching time

@@ -7,7 +7,7 @@ block-banded collocation system in the recursion states and refined by
 Richardson extrapolation, which helps only once the grid is in the
 asymptotic range (see `stable_lagrange_lp`).  Nonoscillation extraction,
 Riccati verification, controllability, coercivity and the Lyapunov
-inequality live here as well.
+inequality live here as well, all on one `Regulator` (A, B, F).
 """
 
 from __future__ import annotations
@@ -99,6 +99,11 @@ class Hamiltonian:
         eigs.flags.writeable = False
         return eigs
 
+    @cached_property
+    def gap(self) -> float:
+        """min |Re lambda(H)|: the distance of the spectrum from the imaginary axis."""
+        return float(np.min(np.abs(self.eigenvalues.real)))
+
     def symplectic_defect(self) -> float:
         j = j_matrix(2 * self.n)
         return float(np.linalg.norm(j @ self.matrix + self.matrix.T @ j, 2))
@@ -120,11 +125,44 @@ def assemble_hamiltonian(a, b, form: QuadraticFormTriple) -> Hamiltonian:
     )
 
 
+@dataclass(frozen=True)
+class Regulator:
+    """The regulator problem v' = A v + B xi with cost form F; the one place
+    that derives the Hamiltonian `ham` (spectrum, gap), the splits `split_a`
+    of A and `split_m` of -A^T, and (via the form) the F3 factor, each once."""
+
+    a: np.ndarray
+    b: np.ndarray
+    form: QuadraticFormTriple
+
+    def __post_init__(self):
+        a = np.atleast_2d(np.asarray(self.a, dtype=float))
+        b = np.atleast_2d(np.asarray(self.b, dtype=float))
+        n, m = self.form.state_dim, self.form.control_dim
+        if a.shape != (n, n):
+            raise DimensionMismatch(f"A must be {n} x {n}, got {a.shape}")
+        if b.shape != (n, m):
+            raise DimensionMismatch(f"B must be {n} x {m}, got {b.shape}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    @cached_property
+    def ham(self) -> Hamiltonian:
+        return assemble_hamiltonian(self.a, self.b, self.form)
+
+    @cached_property
+    def split_a(self) -> DichotomySplit:
+        return dichotomy_split(self.a)
+
+    @cached_property
+    def split_m(self) -> DichotomySplit:
+        return dichotomy_split(-self.a.T)
+
+
 def stable_lagrange_schur(ham: Hamiltonian) -> LagrangeSubspace:
     """Oracle route: ordered real Schur basis of the stable invariant subspace."""
-    gap = float(np.min(np.abs(ham.eigenvalues.real)))
-    if gap <= AXIS_TOL:
-        raise SpectrumOnAxis(f"Hamiltonian eigenvalue with |Re| = {gap:.3e}")
+    if ham.gap <= AXIS_TOL:
+        raise SpectrumOnAxis(f"Hamiltonian eigenvalue with |Re| = {ham.gap:.3e}")
     _, u, k = sla.schur(ham.matrix, output="real", sort="lhp")
     if k != ham.n:
         raise SpectrumOnAxis(
@@ -161,14 +199,9 @@ def breve_bases(
 
 
 def perturbation_matrix(a, b, form: QuadraticFormTriple) -> np.ndarray:
-    """R with H = diag(A, -A^T) + R: the one place F3 is factored for H."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    """R with H = diag(A, -A^T) + R, for 2-d float A and B."""
     n = a.shape[0]
-    try:
-        f3_fac = sla.cho_factor(form.f3)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by the form
-        raise SingularF3(str(exc)) from exc
+    f3_fac = form.f3_factor
     f3inv_f2 = sla.cho_solve(f3_fac, form.f2)
     f3inv_bt = sla.cho_solve(f3_fac, b.T)
     r = np.zeros((2 * n, 2 * n))
@@ -190,19 +223,16 @@ class StableLagrangeResult:
 
 def _grid_parameters(
     split_a: DichotomySplit, ham: Hamiltonian, n_steps: int | None
-) -> tuple[np.ndarray, float]:
-    eig_h = ham.eigenvalues
-    eps_h = float(np.min(np.abs(eig_h.real)))
-    if eps_h <= AXIS_TOL:
+) -> np.ndarray:
+    if ham.gap <= AXIS_TOL:
         raise SpectrumOnAxis("Hamiltonian spectrum touches the imaginary axis")
     eig_a = np.linalg.eigvals(split_a.generator)
-    eps = min(split_a.eps_rate, eps_h)
-    rho = max(np.abs(eig_a).max(), np.abs(eig_h).max(), 1.0)
+    eps = min(split_a.eps_rate, ham.gap)
+    rho = max(np.abs(eig_a).max(), np.abs(ham.eigenvalues).max(), 1.0)
     horizon = GRID_HORIZON_RATE / eps
     if n_steps is None:
         n_steps = int(np.clip(np.ceil(horizon * rho / GRID_RHO_STEP), MIN_STEPS, MAX_STEPS))
-    times = np.linspace(0.0, horizon, int(n_steps) + 1)
-    return times, eps_h
+    return np.linspace(0.0, horizon, int(n_steps) + 1)
 
 
 class _StationaryLP:
@@ -360,36 +390,11 @@ class _StationaryLP:
         return left_multiply(dv_map, s), left_multiply(de_map, s)
 
 
-def _assemble_result(
-    ham: Hamiltonian, dz0, sharp, flat, margin, diagnostics
-) -> StableLagrangeResult:
-    basis = sharp.basis + dz0
-    l_plus = LagrangeSubspace(basis)
-    coords = flat.basis.T @ dz0
-    off_flat = float(np.linalg.norm(flat.basis @ coords - dz0, 2))
-    m_plus = GraphOperator(matrix=coords, sharp=sharp, flat=flat)
-    hb = ham.matrix @ l_plus.basis
-    invariance = float(
-        np.linalg.norm(hb - l_plus.basis @ (l_plus.basis.T @ hb), 2)
-        / max(1.0, np.linalg.norm(ham.matrix, 2))
-    )
-    diagnostics = dict(diagnostics)
-    diagnostics.update(
-        margin=margin, off_flat_defect=off_flat, invariance_defect=invariance
-    )
-    return StableLagrangeResult(l_plus=l_plus, m_plus=m_plus, diagnostics=diagnostics)
-
-
 def stable_lagrange_lp(
-    a,
-    b,
-    form: QuadraticFormTriple,
-    split: DichotomySplit | None = None,
-    *,
-    n_steps: int | None = None,
-    margin: float | None = None,
+    reg: Regulator, margin: float, *, n_steps: int | None = None
 ) -> StableLagrangeResult:
-    """Stable Lagrange subspace by the Lyapunov-Perron route.
+    """Stable Lagrange subspace by the Lyapunov-Perron route, given the
+    system's frequency margin (a nonpositive one raises, a tiny one warns).
 
     The discretized fixed point is solved directly on the time grid as the
     block-banded collocation system in the recursion states (the Schur
@@ -401,11 +406,6 @@ def stable_lagrange_lp(
     300, 347 (the default) and 512 steps, but 1.5x and 2.1x farther at 32
     and 64 steps.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    split_a = split if split is not None else dichotomy_split(a)
-    split_m = dichotomy_split(-a.T)
-    if margin is None:
-        margin = frequency_condition_margin(a, b, form)
     if margin <= 0.0:
         raise FrequencyConditionFailed(f"frequency margin {margin:.3e} <= 0")
     if margin < 1e-4:
@@ -415,19 +415,11 @@ def stable_lagrange_lp(
             RuntimeWarning,
             stacklevel=2,
         )
-    ham = assemble_hamiltonian(a, b, form)
-    times, eps_h = _grid_parameters(split_a, ham, n_steps)
-    diagnostics = {
-        "n_steps": times.size - 1,
-        "horizon": float(times[-1]),
-        "eps_h": eps_h,
-        "tail_bound": float(
-            split_a.m_const * np.exp(-split_a.eps_rate * times[-1])
-        ),
-    }
+    ham, split_a, split_m = reg.ham, reg.split_a, reg.split_m
+    times = _grid_parameters(split_a, ham, n_steps)
 
     def solve_on(grid_times: np.ndarray) -> np.ndarray:
-        lp = _StationaryLP(a, b, form, split_a, split_m, grid_times)
+        lp = _StationaryLP(reg.a, reg.b, reg.form, split_a, split_m, grid_times)
         dv, de = lp.solve_structured(*lp.sharp_forcing())
         return np.vstack([dv[0], de[0]])
 
@@ -435,7 +427,23 @@ def stable_lagrange_lp(
     coarse = np.linspace(times[0], times[-1], (times.size - 1) // 2 + 1)
     dz0 = (16.0 * dz0 - solve_on(coarse)) / 15.0
     sharp, flat = breve_bases(split_a, split_m)
-    return _assemble_result(ham, dz0, sharp, flat, margin, diagnostics)
+    l_plus = LagrangeSubspace(sharp.basis + dz0)
+    coords = flat.basis.T @ dz0
+    hb = ham.matrix @ l_plus.basis
+    diagnostics = {
+        "n_steps": times.size - 1,
+        "horizon": float(times[-1]),
+        "eps_h": ham.gap,
+        "tail_bound": float(split_a.m_const * np.exp(-split_a.eps_rate * times[-1])),
+        "margin": margin,
+        "off_flat_defect": float(np.linalg.norm(flat.basis @ coords - dz0, 2)),
+        "invariance_defect": float(
+            np.linalg.norm(hb - l_plus.basis @ (l_plus.basis.T @ hb), 2)
+            / max(1.0, np.linalg.norm(ham.matrix, 2))
+        ),
+    }
+    m_plus = GraphOperator(matrix=coords, sharp=sharp, flat=flat)
+    return StableLagrangeResult(l_plus=l_plus, m_plus=m_plus, diagnostics=diagnostics)
 
 
 # -- nonoscillation and Riccati ------------------------------------------
@@ -470,20 +478,24 @@ def extract_nonoscillation(
     resid = None
     if a is not None and b is not None and form is not None:
         b = np.atleast_2d(np.asarray(b, dtype=float))
-        f3_fac = sla.cho_factor(form.f3)
+        f3_fac = form.f3_factor
         feedback = -sla.cho_solve(f3_fac, form.f2) - sla.cho_solve(f3_fac, b.T @ p)
-        resid = riccati_residual(p, a, b, form)
+        resid, _ = riccati_residual(p, assemble_hamiltonian(a, b, form))
     return NonoscillationResult(
         p=p, feedback=feedback, riccati_residual=resid, symmetry_defect=sym_defect
     )
 
 
-def riccati_residual(p, a, b, form: QuadraticFormTriple) -> float:
-    """Spectral norm of -P H3 P + P H1 + H1^T P + H2."""
+def riccati_residual(p, ham: Hamiltonian) -> tuple[float, float]:
+    """(||-P H3 P + P H1 + H1^T P + H2||, ||P||^2 ||H3|| + 2 ||P|| ||H1|| + ||H2||)
+    in spectral norms, H1 = A_hat: the residual and the scale that makes it a
+    relative backward error (a small multiple of the roundoff for exact P)."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
-    ham = assemble_hamiltonian(a, b, form)
     res = -p @ ham.h3 @ p + p @ ham.a_hat + ham.a_hat.T @ p + ham.h2
-    return float(np.linalg.norm(res, 2))
+    p_n = np.linalg.norm(p, 2)
+    h1_n, h2_n, h3_n = (np.linalg.norm(m, 2) for m in (ham.a_hat, ham.h2, ham.h3))
+    scale = p_n**2 * h3_n + 2.0 * p_n * h1_n + h2_n
+    return float(np.linalg.norm(res, 2)), float(scale)
 
 
 # -- trajectories -----------------------------------------------------------
@@ -561,7 +573,7 @@ def riccati_integral_check(
     p = np.atleast_2d(np.asarray(p, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     _validate_trajectory(a, b, v, xi)
-    f3_fac = sla.cho_factor(form.f3)
+    f3_fac = form.f3_factor
     k_fb = -sla.cho_solve(f3_fac, form.f2) - sla.cho_solve(f3_fac, b.T @ p)
     vv = v.values
     xx = xi.values
@@ -594,13 +606,7 @@ def l2_controllability(a, b) -> bool:
     return True
 
 
-def coercivity_check(
-    a,
-    b,
-    form: QuadraticFormTriple,
-    samples,
-    margin: float | None = None,
-) -> float:
+def coercivity_check(reg: Regulator, samples, margin: float) -> float:
     """Worst ratio of int F against the coercive lower bound on M_0 processes.
 
     Bound: delta/(max(1, delta) M^2 + 1) (||v||^2 + ||xi||^2), with M the
@@ -609,10 +615,7 @@ def coercivity_check(
     yields; for delta < 1 the denominator delta M^2 + 1 would overstate the
     constant (the scalar closed-form instance attains delta/(M^2+1) sharply).
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if margin is None:
-        margin = frequency_condition_margin(a, b, form)
+    a, b, form = reg.a, reg.b, reg.form
     ev = TransferEvaluator(a, b, form)
     grid = make_frequency_grid(a, b, form)
     m_sup = max(
@@ -648,28 +651,22 @@ def shifted_form(form: QuadraticFormTriple, eps: float) -> QuadraticFormTriple:
         raise EpsilonTooLarge(f"F3 - eps I loses definiteness: {exc}") from exc
 
 
-def lyapunov_inequality_check(
-    a,
-    b,
-    form: QuadraticFormTriple,
-    eps: float,
-    trajectories,
-) -> bool:
+def lyapunov_inequality_check(reg: Regulator, eps: float, trajectories) -> bool:
     """Dissipation inequality with the eps-shifted storage operator P_eps.
 
     Builds P_eps from the pipeline on F_eps and verifies
     V(v_T) - V(v_0) + int F >= eps int (|v|^2 + |xi|^2) on each trajectory.
     """
-    form_eps = shifted_form(form, eps)
-    margin = frequency_condition_margin(a, b, form_eps)
+    form_eps = shifted_form(reg.form, eps)
+    margin = frequency_condition_margin(reg.a, reg.b, form_eps)
     if margin <= 0.0:
         raise EpsilonTooLarge(f"shifted frequency margin {margin:.3e} <= 0")
-    ham = assemble_hamiltonian(a, b, form_eps)
+    ham = assemble_hamiltonian(reg.a, reg.b, form_eps)
     l_eps = stable_lagrange_schur(ham)
     p_eps = extract_nonoscillation(l_eps).p
     ok = True
     for v, xi in trajectories:
-        f_vals = _form_density(form, v.values, xi.values)
+        f_vals = _form_density(reg.form, v.values, xi.values)
         vp = np.einsum("mi,ij,mj->m", v.values, p_eps, v.values)
         lhs = vp[-1] - vp[0] + simpson(f_vals, x=v.times)
         rhs = eps * (v.l2_norm() ** 2 + xi.l2_norm() ** 2)
@@ -682,22 +679,14 @@ def lyapunov_inequality_check(
 # -- decay certificates -----------------------------------------------------
 
 
-def estimate_eps0(
-    a,
-    b,
-    form: QuadraticFormTriple,
-    split_a: DichotomySplit | None = None,
-) -> float:
+def estimate_eps0(reg: Regulator) -> float:
     """Largest verified eps with both +/- shifted frequency margins positive.
 
     Bisection; the reported value is the midpoint of the final bracket,
     capped below the dichotomy and Hamiltonian spectral gaps.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if split_a is None:
-        split_a = dichotomy_split(a)
-    eps_h = float(np.min(np.abs(assemble_hamiltonian(a, b, form).eigenvalues.real)))
-    cap = 0.999 * min(split_a.eps_rate, eps_h)
+    a, b, form = reg.a, reg.b, reg.form
+    cap = 0.999 * min(reg.split_a.eps_rate, reg.ham.gap)
     grid = make_frequency_grid(a, b, form, n_base=EPS0_GRID_POINTS)
 
     def passes(eps: float) -> bool:
@@ -726,8 +715,7 @@ def fitted_decay_constant(
     ham: Hamiltonian, l_plus: LagrangeSubspace, eps0: float
 ) -> float:
     """Sampled sup of e^{eps0 t} ||exp(tH)|restricted to L+|| (estimate of M_eps)."""
-    eps_h = float(np.min(np.abs(ham.eigenvalues.real)))
-    t_max = 10.0 / max(eps_h, 1e-6)
+    t_max = 10.0 / max(ham.gap, 1e-6)
     out = 1.0
     for t in np.linspace(0.0, t_max, DECAY_CONSTANT_SAMPLES):
         prop = sla.expm(t * ham.matrix) @ l_plus.basis

@@ -21,8 +21,8 @@ import scipy.linalg as sla
 
 from lqbundle.dichotomy import LPGridOperator, dichotomy_split, left_multiply
 from lqbundle.stationary import (
+    Regulator,
     _grid_parameters,
-    assemble_hamiltonian,
     breve_bases,
     perturbation_matrix,
 )
@@ -31,12 +31,11 @@ from lqbundle.symplectic import LagrangeSubspace
 
 def default_grid(a, b, form, shift: float = 0.0):
     """(split of A + s I, split of -A^T + s I, times) on the library's grid."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    eye = np.eye(a.shape[0])
-    split_a = dichotomy_split(a + shift * eye)
-    split_m = dichotomy_split(-a.T + shift * eye)
-    times, _ = _grid_parameters(split_a, assemble_hamiltonian(a, b, form), None)
-    return split_a, split_m, times
+    reg = Regulator(a, b, form)
+    eye = np.eye(reg.a.shape[0])
+    split_a = dichotomy_split(reg.a + shift * eye)
+    split_m = dichotomy_split(-reg.a.T + shift * eye)
+    return split_a, split_m, _grid_parameters(split_a, reg.ham, None)
 
 
 def sharp_forcing(split_a, split_m, times) -> np.ndarray:

@@ -31,6 +31,7 @@ from lqbundle.spatial import (
     v_form_certificate,
 )
 from lqbundle.stationary import (
+    Regulator,
     assemble_hamiltonian,
     estimate_eps0,
     extract_nonoscillation,
@@ -71,15 +72,10 @@ def instance_pool():
         j = js[idx % len(js)] if n > 2 else idx % 2
         m = 2 if idx % 7 == 3 else 1
         a, b, form, margin = random_passing_instance(rng, n, j=min(j, n - 1), m=m)
-        split = dichotomy_split(a)
-        lp = stable_lagrange_lp(a, b, form, split=split, margin=margin)
-        schur = stable_lagrange_schur(assemble_hamiltonian(a, b, form))
-        pool.append(
-            {
-                "a": a, "b": b, "form": form, "margin": margin,
-                "j": split.rank_j, "split": split, "lp": lp, "schur": schur,
-            }
-        )
+        reg = Regulator(a, b, form)
+        lp = stable_lagrange_lp(reg, margin)
+        schur = stable_lagrange_schur(reg.ham)
+        pool.append({"reg": reg, "j": reg.split_a.rank_j, "lp": lp, "schur": schur})
     return pool
 
 
@@ -127,7 +123,7 @@ def test_criterion_03_isotropy_suite(instance_pool, sa_results, sa_standard, sa_
     # symplectic pairing along integrated trajectories
     drift_stat = 0.0
     for item in instance_pool[:5]:
-        ham = assemble_hamiltonian(item["a"], item["b"], item["form"])
+        ham = item["reg"].ham
         basis = item["lp"].l_plus.basis
         d, p0 = pairing_drift(ham, basis[:, 0], basis[:, -1],
                               np.linspace(0.0, 5.0, 200))
@@ -154,12 +150,13 @@ def test_criterion_03_isotropy_suite(instance_pool, sa_results, sa_standard, sa_
 def test_criterion_04_norm_bounds(instance_pool, rng):
     worst_ratio = 0.0
     for item in instance_pool[:12]:
-        ratio, _ = inverse_norm_certificate(item["a"], item["b"], item["form"])
+        reg = item["reg"]
+        ratio, _ = inverse_norm_certificate(reg.a, reg.b, reg.form)
         worst_ratio = max(worst_ratio, ratio)
     # Lyapunov-Perron L2 bound
     worst_l2 = 0.0
     for item in instance_pool[:8]:
-        split = item["split"]
+        split = item["reg"].split_a
         n = split.n
         t = np.arange(-50.0, 50.0 + 1e-9, 0.05)
         window = np.exp(-((t / 12.0) ** 2))
@@ -189,7 +186,7 @@ def test_criterion_04_norm_bounds(instance_pool, rng):
 def test_criterion_05_fredholm_bounds(instance_pool, sa_results, sa_standard):
     ok_stat = True
     for item in instance_pool:
-        n = item["a"].shape[0]
+        n = item["reg"].a.shape[0]
         dim = intersection_dimension(item["schur"], vertical_subspace(n))
         dim_lp = intersection_dimension(item["lp"].l_plus, vertical_subspace(n))
         ok_stat = ok_stat and dim <= item["j"] and dim_lp <= item["j"]
@@ -215,7 +212,7 @@ def test_criterion_06_controllability_nonoscillation(instance_pool):
     rng = np.random.default_rng(99)
     checked = 0
     for item in instance_pool:
-        if not l2_controllability(item["a"], item["b"]):
+        if not l2_controllability(item["reg"].a, item["reg"].b):
             continue
         extract_nonoscillation(item["schur"])  # must not raise
         checked += 1
@@ -328,8 +325,8 @@ def test_criterion_10_decay_fits(instance_pool, sa_standard, sa_driver, sa_resul
     ok_stat = True
     stat_summary = []
     for item in instance_pool[:3]:
-        eps0 = estimate_eps0(item["a"], item["b"], item["form"], split_a=item["split"])
-        ham = assemble_hamiltonian(item["a"], item["b"], item["form"])
+        eps0 = estimate_eps0(item["reg"])
+        ham = item["reg"].ham
         basis = item["lp"].l_plus.basis
         traj = hamiltonian_trajectory(
             ham, basis @ np.ones(basis.shape[1]), np.linspace(0.0, 6.0, 400)

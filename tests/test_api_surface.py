@@ -122,3 +122,53 @@ def test_keep_lists_only_unused_names():
     assert stale == [], (
         f"KEEP entries the library no longer defines or already uses: {stale}"
     )
+
+
+# Defaulted `def` parameters plus defaulted dataclass init fields in
+# src/lqbundle/*.py.  Lower it when options go; raising it needs two callers
+# that want different values.
+MAX_OPTIONS = 39
+
+
+def _is_dataclass(cls):
+    for deco in cls.decorator_list:
+        fn = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(fn, "id", getattr(fn, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _field_has_default(value):
+    """Whether a dataclass field's value gives it a default init argument."""
+    if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"):
+        return True
+    kw = {k.arg: k.value for k in value.keywords}
+    init = kw.get("init")
+    if isinstance(init, ast.Constant) and init.value is False:
+        return False
+    return "default" in kw or "default_factory" in kw
+
+
+def _options(tree):
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(
+                isinstance(s, ast.AnnAssign) and s.value is not None
+                and _field_has_default(s.value)
+                for s in node.body
+            )
+    return count
+
+
+def test_option_count_within_ceiling():
+    count = sum(
+        _options(ast.parse(p.read_text(encoding="utf-8"))) for p in SRC.glob("*.py")
+    )
+    assert count <= MAX_OPTIONS, (
+        f"{count} options in src/lqbundle (ceiling {MAX_OPTIONS}): make a "
+        "single-valued option a constant, or derive it from the inputs"
+    )

@@ -1,9 +1,15 @@
 import json
 import os
+import sys
 
+import numpy as np
 import pytest
+import scipy.linalg
 
+import lqbundle.dichotomy
+import lqbundle.stationary
 from lqbundle.certify import (
+    DEFAULT_TOLERANCES,
     Certificate,
     export_plots,
     load_scenario,
@@ -12,6 +18,7 @@ from lqbundle.certify import (
 )
 from lqbundle.cli import main
 from lqbundle.errors import MissingField, ParseError, ValidationError
+from lqbundle.sampling import random_passing_instance
 
 
 def write_json(tmp_path, name, doc):
@@ -67,6 +74,11 @@ class TestLoadScenario:
         with pytest.raises(MissingField):
             load_scenario(write_json(tmp_path, "missing.json", doc))
 
+    def test_b_shape_rejected(self, tmp_path):
+        doc = dict(S1_DOC, B=[[1.0, 0.0]])
+        with pytest.raises(MissingField, match=r"B must be 1 x 1, got \(1, 2\)"):
+            load_scenario(write_json(tmp_path, "bad_b.json", doc))
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -108,6 +120,24 @@ def certificate_checks(out_dir):
     return json.loads((out_dir / "certificate.json").read_text())["checks"]
 
 
+def count_calls(monkeypatch, owner, name):
+    """A list that grows by one per call of `owner.name`, wrapped in `owner`
+    and in every lqbundle module that binds the same function."""
+    fn = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is owner or (
+            mod_name.split(".")[0] == "lqbundle" and vars(mod).get(name) is fn
+        ):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 def run_command(tmp_path, command, doc):
     """(exit code, certificate records) of `command --out` on `doc`."""
     out = tmp_path / command
@@ -125,6 +155,41 @@ class TestPipeline:
         assert by_name["riccati-residual"].value <= 1e-8
         p_entries = {row["entry"]: row["value"] for row in cert.tables["riccati"]}
         assert p_entries["P[0][0]"] == pytest.approx(-0.2679, abs=1e-4)
+
+    def test_s1_derives_each_piece_once(self, tmp_path, monkeypatch):
+        # one H, one split each of A and -A^T and one F3 factor for the
+        # system, plus the eps-shifted H and its F3 factor of the Lyapunov check
+        scn = load_scenario(write_json(tmp_path, "s1.json", S1_DOC))
+        calls = {
+            name: count_calls(monkeypatch, owner, name)
+            for owner, name in (
+                (lqbundle.stationary, "assemble_hamiltonian"),
+                (lqbundle.dichotomy, "dichotomy_split"),
+                (scipy.linalg, "cho_factor"),
+            )
+        }
+        assert run_pipeline(scn).passed
+        assert {name: len(c) for name, c in calls.items()} == {
+            "assemble_hamiltonian": 2, "dichotomy_split": 2, "cho_factor": 2,
+        }
+
+    def test_riccati_bound_scales_with_p(self, tmp_path):
+        # ||P|| = 1.6e4: the residual of the exact P is 1.1e-7 in absolute
+        # terms, 9e-16 relative to the backward-error scale
+        a, b, form, _ = random_passing_instance(np.random.default_rng(0), 20, j=1)
+        doc = {"name": "n20-j1", "mode": "stationary", "A": a.tolist(),
+               "B": b.tolist(), "F1": form.f1.tolist(), "F2": form.f2.tolist(),
+               "F3": form.f3.tolist()}
+        scn = load_scenario(write_json(tmp_path, "n20.json", doc))
+        cert = run_pipeline(scn, ("dichotomy", "oracle", "riccati"))
+        rec = {r.name: r for r in cert.records}["riccati-residual"]
+        assert rec.passed and rec.value > 1e-8
+        # the same check rejects P moved by 1e-6 ||P|| in one entry
+        ham = scn.regulator.ham
+        p = np.array([[row["value"] for row in cert.tables["riccati"]]]).reshape(20, 20)
+        p[0, 0] += 1e-6 * np.linalg.norm(p, 2)
+        resid, scale = lqbundle.stationary.riccati_residual(p, ham)
+        assert resid > DEFAULT_TOLERANCES["riccati"] * scale
 
     def test_sa_standard_certificate(self, sa_standard_cert):
         cert = sa_standard_cert

@@ -6,7 +6,7 @@ import pytest
 import lqbundle.sampling
 import lqbundle.stationary as st
 from lp_oracles import SingleInputLP, default_grid, paired_fixed_point
-from lqbundle.dichotomy import GridFunction, dichotomy_split
+from lqbundle.dichotomy import GridFunction
 from lqbundle.errors import (
     ConditionFailed,
     EpsilonTooLarge,
@@ -14,9 +14,14 @@ from lqbundle.errors import (
     NotATrajectory,
     Oscillating,
 )
-from lqbundle.frequency import QuadraticFormTriple, smith_form_triple
+from lqbundle.frequency import (
+    QuadraticFormTriple,
+    frequency_condition_margin,
+    smith_form_triple,
+)
 from lqbundle.sampling import bump_control, m0_sample, random_passing_instance
 from lqbundle.stationary import (
+    Regulator,
     assemble_hamiltonian,
     coercivity_check,
     estimate_eps0,
@@ -47,6 +52,12 @@ SQRT3 = math.sqrt(3.0)
 def subspace_from(dz0, split_a, split_m):
     sharp, _ = st.breve_bases(split_a, split_m)
     return LagrangeSubspace(sharp.basis + dz0)
+
+
+def lp_scanned(a, b, form, **kwargs):
+    """`stable_lagrange_lp` at the scanned frequency margin of (A, B, F)."""
+    reg = Regulator(a, b, form)
+    return stable_lagrange_lp(reg, frequency_condition_margin(a, b, form), **kwargs)
 
 
 def structured_single_grid(a, b, form, split_a, split_m, times):
@@ -106,13 +117,13 @@ class TestSchurOracle:
 
 class TestLPConstruction:
     def test_scalar_matches_exact(self, s1, s1_exact_subspace):
-        res = stable_lagrange_lp(*s1)
+        res = lp_scanned(*s1)
         assert grassmann_distance(res.l_plus, s1_exact_subspace) <= 1e-7
 
     def test_trivial_graph_operator(self, s1):
         a, b, _ = s1
         form0 = QuadraticFormTriple(f1=[[0.0]], f2=[[0.0]], f3=[[1.0]])
-        res = stable_lagrange_lp(a, b, form0)
+        res = lp_scanned(a, b, form0)
         assert np.abs(res.m_plus.matrix).max() <= 1e-12
         assert grassmann_distance(res.l_plus, horizontal_subspace(1)) <= 1e-12
 
@@ -133,7 +144,7 @@ class TestLPConstruction:
         split_a, split_m, times = default_grid(*s1)
         coarse = np.linspace(0.0, times[-1], 301)
         single = structured_single_grid(*s1, split_a, split_m, coarse)
-        res = stable_lagrange_lp(*s1, n_steps=300)
+        res = lp_scanned(*s1, n_steps=300)
         oracle = stable_lagrange_schur(assemble_hamiltonian(*s1))
         assert 3.0 * grassmann_distance(res.l_plus, oracle) <= grassmann_distance(
             single, oracle
@@ -150,7 +161,7 @@ class TestLPConstruction:
         picard = subspace_from((16.0 * fine - half) / 15.0, split_a, split_m)
         oracle = stable_lagrange_schur(assemble_hamiltonian(a, b, form))
         assert grassmann_distance(picard, oracle) <= 1e-6
-        res = stable_lagrange_lp(a, b, form)
+        res = lp_scanned(a, b, form)
         assert grassmann_distance(picard, res.l_plus) <= 1e-6
 
     def test_fredholm_bound_j1_smith(self):
@@ -158,30 +169,30 @@ class TestLPConstruction:
         a = np.diag([1.0, -1.0])
         b = np.eye(2)
         form = smith_form_triple(np.eye(2), 0.5, 2)
-        res = stable_lagrange_lp(a, b, form)
+        res = lp_scanned(a, b, form)
         dim = intersection_dimension(res.l_plus, vertical_subspace(2))
         assert dim <= 1
 
     def test_eps_robustness(self, s1):
-        res = stable_lagrange_lp(*s1)
-        eps0 = estimate_eps0(*s1)
+        res = lp_scanned(*s1)
+        eps0 = estimate_eps0(Regulator(*s1))
         assert eps0 > 0.1
         for sign in (+1.0, -1.0):
             shifted = paired_fixed_point(*s1, shift=sign * eps0 / 2.0)
             assert grassmann_distance(res.l_plus, shifted) <= 1e-6
 
     def test_decay_certificate(self, s1):
-        res = stable_lagrange_lp(*s1)
+        res = lp_scanned(*s1)
         ham = assemble_hamiltonian(*s1)
         traj = hamiltonian_trajectory(
             ham, res.l_plus.basis[:, 0], np.linspace(0.0, 6.0, 500)
         )
         rate, _ = fit_decay_rate(traj)
-        assert rate >= estimate_eps0(*s1) - 1e-3
+        assert rate >= estimate_eps0(Regulator(*s1)) - 1e-3
 
     def test_pairing_preserved_along_flow(self, rng):
         a, b, form, margin = random_passing_instance(rng, 4, j=1)
-        res = stable_lagrange_lp(a, b, form, margin=margin)
+        res = stable_lagrange_lp(Regulator(a, b, form), margin)
         ham = assemble_hamiltonian(a, b, form)
         times = np.linspace(0.0, 6.0, 300)
         drift, pair0 = pairing_drift(
@@ -211,16 +222,17 @@ class TestNonoscillation:
 class TestRiccati:
     def test_scalar_residual(self, s1):
         p = np.array([[SQRT3 - 2.0]])
-        assert riccati_residual(p, *s1) <= 1e-12
+        assert riccati_residual(p, assemble_hamiltonian(*s1))[0] <= 1e-12
 
     def test_zero_p_zero_cost(self, s1):
         a, b, _ = s1
         form0 = QuadraticFormTriple(f1=[[0.0]], f2=[[0.0]], f3=[[1.0]])
-        assert riccati_residual(np.zeros((1, 1)), a, b, form0) == 0.0
+        ham = assemble_hamiltonian(a, b, form0)
+        assert riccati_residual(np.zeros((1, 1)), ham)[0] == 0.0
 
     def test_perturbation_sensitivity(self, s1):
         p = np.array([[SQRT3 - 2.0 + 0.1]])
-        assert riccati_residual(p, *s1) > 0.01
+        assert riccati_residual(p, assemble_hamiltonian(*s1))[0] > 0.01
 
     def test_integral_identity_optimal_slice(self, s1):
         a, b, form = s1
@@ -276,18 +288,18 @@ class TestControllability:
 
 class TestCoercivity:
     def test_scalar_bump(self, s1, rng):
-        a, b, form = s1
+        reg = Regulator(*s1)
         times = np.linspace(0.0, 16.0, 1601)
-        samples = [m0_sample(rng, a, b, times) for _ in range(3)]
-        ratio = coercivity_check(a, b, form, samples)
+        samples = [m0_sample(rng, reg, times) for _ in range(3)]
+        ratio = coercivity_check(reg, samples, frequency_condition_margin(*s1))
         assert ratio >= 1.0
 
     def test_sweep(self, rng):
         a, b, form, margin = random_passing_instance(rng, 3, j=0, m=1)
-        split = dichotomy_split(a)
-        times = np.linspace(0.0, 18.0 / split.eps_rate, 1500)
-        samples = [m0_sample(rng, a, b, times) for _ in range(20)]
-        ratio = coercivity_check(a, b, form, samples, margin=margin)
+        reg = Regulator(a, b, form)
+        times = np.linspace(0.0, 18.0 / reg.split_a.eps_rate, 1500)
+        samples = [m0_sample(rng, reg, times) for _ in range(20)]
+        ratio = coercivity_check(reg, samples, margin)
         assert ratio >= 1.0 - 1e-6
 
 
@@ -302,29 +314,28 @@ class TestLyapunovInequality:
         return out
 
     def test_scalar_holds(self, s1, rng):
-        a, b, form = s1
+        a, b, _ = s1
         assert lyapunov_inequality_check(
-            a, b, form, 0.05, self._trajectories(rng, a, b, 1, 20)
+            Regulator(*s1), 0.05, self._trajectories(rng, a, b, 1, 20)
         )
 
     def test_degenerate_eps_reduces_to_balance(self, s1, rng):
-        a, b, form = s1
+        a, b, _ = s1
         assert lyapunov_inequality_check(
-            a, b, form, 0.0, self._trajectories(rng, a, b, 1, 5)
+            Regulator(*s1), 0.0, self._trajectories(rng, a, b, 1, 5)
         )
 
     def test_eps_beyond_margin(self, s1, rng):
-        a, b, form = s1
+        a, b, _ = s1
         with pytest.raises(EpsilonTooLarge):
             lyapunov_inequality_check(
-                a, b, form, 0.9, self._trajectories(rng, a, b, 1, 2)
+                Regulator(*s1), 0.9, self._trajectories(rng, a, b, 1, 2)
             )
 
 
 class TestEps0:
     def test_scalar_cap(self, s1):
-        a, b, form = s1
-        eps0 = estimate_eps0(a, b, form)
+        eps0 = estimate_eps0(Regulator(*s1))
         # capped below both spectral gaps (2 and sqrt(3))
         assert 0.0 < eps0 <= SQRT3
 
@@ -344,7 +355,7 @@ class TestTypedCatches:
             st, "frequency_condition_margin", _raiser(RuntimeError("scan broke"))
         )
         with pytest.raises(RuntimeError, match="scan broke"):
-            estimate_eps0(*s1)
+            estimate_eps0(Regulator(*s1))
 
     def test_sampler_lets_untyped_errors_escape(self, rng, monkeypatch):
         monkeypatch.setattr(
