@@ -21,7 +21,9 @@ from .frequency import (
     QuadraticFormTriple,
     frequency_condition_margin,
     inverse_norm_certificate,
+    level_crossings,
     make_frequency_grid,
+    resolvent_sup_norm,
     smith_condition,
     smith_form_triple,
 )

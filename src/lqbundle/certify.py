@@ -248,12 +248,11 @@ def _st_frequency(run, cert):
                                                      full_scan=True)
         cert.add_lower(
             "frequency-margin", scan.margin, run.tol["margin"],
-            detail="min_w eig(sym(F3(I - M(w)))) > 0",
+            detail="exact inf_w eig(sym(F3(I - M(w)))) by Hamiltonian level "
+            f"sets, at w = {abs(scan.omega_star):.6g}",
         )
-        cert.add_flag("frequency-tail-certified", scan.tail_certified,
-                      detail=f"tail floor {scan.tail_floor:.6g}")
         cert.add_upper("transfer-selfadjoint-defect", scan.skew_defect, 1e-10,
-                       detail="||F3 M - (F3 M)*||")
+                       detail="||F3 M - (F3 M)*||, sampled on the freq_margin rows")
         cert.tables["freq_margin"] = [
             {"omega": float(w), "min_eig": float(mg), "inv_norm": float(iv)}
             for w, mg, iv in zip(scan.omegas, scan.margins, scan.inverse_norms)
@@ -262,7 +261,8 @@ def _st_frequency(run, cert):
             bound = np.linalg.norm(reg.form.f3, 2) / scan.margin
             cert.add_upper(
                 "inverse-norm-bound", float(np.max(scan.inverse_norms)), bound,
-                detail="||(I - M(w))^-1|| <= ||F3|| / margin",
+                detail="||(I - M(w))^-1|| <= ||F3|| / margin, sampled on the "
+                "freq_margin rows",
             )
     except LqBundleError as exc:
         cert.add_failure("frequency-margin", exc)

@@ -1,9 +1,14 @@
 """Transfer operators and frequency-domain certificates.
 
-The margin scan evaluates the self-adjoint part of F3 (I - M(w)) over an
-adaptively refined frequency grid, certifies the tail by submultiplicative
-resolvent bounds, and checks the Lax-Milgram inverse bound ||(I-M)^-1|| <=
-||F3|| / delta* pointwise.
+The frequency margin delta* = inf_w lambda_min(sym(F3 (I - M(w)))) is exact:
+gamma < delta* holds exactly when the level Hamiltonian of
+(F1, F2, F3 - gamma I) has no imaginary eigenvalue, since F3 (I - M) tends
+to F3 > 0 (Willems 1971), and the level-set iteration of Boyd, Balakrishnan
+& Kabamba (1989) and Bruinsma & Steinbuch (1990) finds the infimum in a few
+eigenvalue solves.  A shifted system (eps0) uses the 4n-state realisation of
+the Hermitian part.  Transfer-norm sups follow from the Smith form.  The
+plot table (grid rows plus the minimiser) is sampled, and so is the
+Lax-Milgram inverse bound ||(I-M)^-1|| <= ||F3|| / delta* checked on it.
 """
 
 from __future__ import annotations
@@ -18,8 +23,16 @@ from .errors import ConditionFailed, DimensionMismatch, SingularF3, SingularShif
 
 SYM_TOL = 1e-12
 AXIS_DIST_TOL = 1e-12
-#: bisection rounds of the margin scan
-REFINE_ROUNDS = 3
+#: points of the fixed frequency grid (the plot table and its start level)
+GRID_POINTS = 1024
+#: relative gap below the least sample at which the level set is tested
+LEVEL_RTOL = 1e-10
+#: |Re lambda| below this fraction of ||H||_1 counts as a level crossing
+CROSSING_RTOL = 1e-8
+#: level-set steps before the iteration is declared unsettled
+LEVEL_STEPS = 50
+#: frequencies per batched solve of the inverse-norm column
+BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -107,9 +120,7 @@ class FrequencyGrid:
         return self.omegas[self.omegas >= 0.0]
 
 
-def make_frequency_grid(
-    a, b, form: QuadraticFormTriple, n_base: int = 1024
-) -> FrequencyGrid:
+def make_frequency_grid(a, b, form: QuadraticFormTriple) -> FrequencyGrid:
     """Uniform grid on [0, 10 (||A|| + ||B|| + max ||F_i||)]."""
     omega_max = 10.0 * (
         np.linalg.norm(a, 2)
@@ -120,7 +131,7 @@ def make_frequency_grid(
             np.linalg.norm(form.f3, 2),
         )
     )
-    base = np.linspace(0.0, omega_max, n_base)
+    base = np.linspace(0.0, omega_max, GRID_POINTS)
     return FrequencyGrid(omegas=base, omega_max=float(omega_max))
 
 
@@ -144,22 +155,20 @@ class TransferEvaluator:
         if dist <= AXIS_DIST_TOL:
             raise SingularShift(f"i*{omega} within {AXIS_DIST_TOL} of the spectrum")
 
-    def resolvent_b(self, omega: float) -> np.ndarray:
-        """(A + shift - i w)^{-1} B."""
-        self._guard(omega)
-        n = self.a.shape[0]
-        return np.linalg.solve(
-            self.a + (self.shift - 1j * omega) * np.eye(n), self.b.astype(complex)
-        )
-
     def transfer_m(self, omega: float) -> np.ndarray:
-        """M(w) = F3^-1 F2 R B + F3^-1 B^* (-A^* + shift - i w)^-1 (F1 R B - F2^*)."""
-        n = self.a.shape[0]
-        rb = self.resolvent_b(omega)
-        rhs = self.form.f1 @ rb - self.form.f2.T.astype(complex)
-        second = np.linalg.solve(
-            -self.a.T + (self.shift - 1j * omega) * np.eye(n), rhs
-        )
+        """M(w) = F3^-1 F2 R B + F3^-1 B^* (-A^* + shift - i w)^-1 (F1 R B - F2^*),
+        R = (A + shift - i w)^{-1}."""
+        self._guard(omega)
+        return self._transfer([omega])[0]
+
+    def _transfer(self, omegas) -> np.ndarray:
+        """M(w) stacked over `omegas`, with the resolvent solves batched."""
+        n, m = self.b.shape
+        z = (self.shift - 1j * np.asarray(omegas, dtype=float))[:, None, None]
+        b = np.broadcast_to(self.b, (z.size, n, m))
+        rb = np.linalg.solve(self.a + z * np.eye(n), b)
+        rhs = self.form.f1 @ rb - self.form.f2.T
+        second = np.linalg.solve(-self.a.T + z * np.eye(n), rhs)
         return self.f3_inv @ (self.form.f2 @ rb + self.b.T @ second)
 
     def margin_at(self, omega: float) -> tuple[float, float]:
@@ -170,154 +179,147 @@ class TransferEvaluator:
         skew = float(np.linalg.norm(g - g.conj().T, 2))
         return float(np.linalg.eigvalsh(herm).min()), skew
 
+    def inverse_norms(self, omegas) -> np.ndarray:
+        """||(I - M(w))^{-1}|| = 1 / sigma_min(I - M(w)) at each w, batched
+        over chunks of BATCH frequencies."""
+        omegas = np.asarray(omegas, dtype=float)
+        out = np.empty(omegas.size)
+        for lo in range(0, omegas.size, BATCH):
+            tm = self._transfer(omegas[lo : lo + BATCH])
+            sv = np.linalg.svd(np.eye(tm.shape[-1]) - tm, compute_uv=False)[:, -1]
+            inv = np.full(sv.size, np.inf)
+            out[lo : lo + BATCH] = np.divide(1.0, sv, out=inv, where=sv > 0)
+        return out
 
-def tail_m_bound(a, b, form: QuadraticFormTriple, omega: float) -> float:
-    """Submultiplicative bound on ||M(w)|| for |w| beyond ||A||.
 
-    With r = 1 / (|w| - ||A||):
-    ||M|| <= ||F3^-1|| ( ||F2|| ||B|| r + ||B|| r (||F1|| ||B|| r + ||F2||) ).
+def level_crossings(a, b, form: QuadraticFormTriple, level: float, shift: float):
+    """The w >= 0 at which `level` is an eigenvalue of the Hermitian part of
+    F3 (I - M(w)) for the shifted system A + shift: the imaginary eigenvalues
+    of the level Hamiltonian.
+
+    The transfer function F3 (I - M) is F3 + C0 (s - A0)^-1 B0 with
+    A0 = [[A + shift, 0], [F1, shift - A^T]], B0 = [B; F2^T], C0 = [F2, -B^T],
+    so its level crossings are the eigenvalues of A0 - B0 (F3 - level)^-1 C0:
+    at shift 0 the regulator Hamiltonian of (F1, F2, F3 - level I).  With a
+    shift, the Hermitian part is realised on 4n states by diag(A0, -A0^T),
+    [B0; -C0^T] and [C0, B0^T] / 2.  An eigenvalue counts as imaginary within
+    CROSSING_RTOL of the matrix's 1-norm.
     """
-    a_norm = np.linalg.norm(a, 2)
-    if omega <= a_norm:
-        return np.inf
-    r = 1.0 / (omega - a_norm)
-    b_norm = np.linalg.norm(b, 2)
-    f1 = np.linalg.norm(form.f1, 2)
-    f2 = np.linalg.norm(form.f2, 2)
-    f3inv = np.linalg.norm(np.linalg.inv(form.f3), 2)
-    return float(f3inv * (f2 * b_norm * r + b_norm * r * (f1 * b_norm * r + f2)))
-
-
-def _refined_scan(
-    ev: TransferEvaluator, grid: FrequencyGrid
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Base scan plus bisection refinement where the margin dips low.
-
-    An interval is bisected when a sample at its ends is at most
-    max(2 glob, 0), so a failing scan refines where the margin is negative.
-    """
-    omegas = list(grid.nonnegative)
-    pairs = [ev.margin_at(w) for w in omegas]
-    margins = [p[0] for p in pairs]
-    skews = [p[1] for p in pairs]
-    for _ in range(REFINE_ROUNDS):
-        glob = min(margins)
-        order = np.argsort(omegas)
-        omegas = [omegas[i] for i in order]
-        margins = [margins[i] for i in order]
-        skews = [skews[i] for i in order]
-        new = []
-        for i in range(len(omegas) - 1):
-            if min(margins[i], margins[i + 1]) <= glob + abs(glob):
-                new.append(0.5 * (omegas[i] + omegas[i + 1]))
-        if not new:
-            break
-        for w in new:
-            mg, sk = ev.margin_at(w)
-            omegas.append(w)
-            margins.append(mg)
-            skews.append(sk)
-    order = np.argsort(omegas)
-    return (
-        np.asarray(omegas)[order],
-        np.asarray(margins)[order],
-        float(np.max(skews)),
-    )
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    n = a.shape[0]
+    eye = np.eye(n)
+    a0 = np.block([[a + shift * eye, np.zeros((n, n))], [form.f1, shift * eye - a.T]])
+    b0 = np.vstack([b, form.f2.T])
+    c0 = np.hstack([form.f2, -b.T])
+    if shift:
+        a0 = sla.block_diag(a0, -a0.T)
+        b0, c0 = np.vstack([b0, -c0.T]), 0.5 * np.hstack([c0, b0.T])
+    ham = a0 - b0 @ np.linalg.solve(form.f3 - level * np.eye(form.control_dim), c0)
+    eigs = np.linalg.eigvals(ham)
+    tol = CROSSING_RTOL * max(1.0, np.linalg.norm(ham, 1))
+    return np.sort(eigs.imag[(np.abs(eigs.real) <= tol) & (eigs.imag >= 0.0)])
 
 
 @dataclass(frozen=True)
 class MarginScan:
-    """Result of a frequency-condition scan (kept for CSV export)."""
+    """The exact margin with its sampled plot table: the fixed grid plus the
+    minimiser w* (rows sorted by w, kept for CSV export)."""
 
     omegas: np.ndarray
     margins: np.ndarray
     inverse_norms: np.ndarray
     margin: float
+    omega_star: float
     skew_defect: float
-    tail_certified: bool
-    tail_floor: float
 
 
 def frequency_condition_margin(
     a,
     b,
     form: QuadraticFormTriple,
-    grid: FrequencyGrid | None = None,
     shift: float = 0.0,
     full_scan: bool = False,
 ):
-    """delta* = min over the grid of lambda_min(sym(F3 (I - M(w)))).
+    """delta* = inf_w lambda_min(sym(F3 (I - M(w)))), exactly, by Hamiltonian
+    level sets (Bruinsma & Steinbuch 1990).
 
-    Hermitian symmetry in w is used: only w >= 0 is scanned.  The tail beyond
-    omega_max is certified from the submultiplicative bound.  Returns the
-    margin, or the full MarginScan when `full_scan` is set.
+    Start from the least sample: on the fixed grid when `full_scan` asks for
+    the table, else at w = 0 and the resonances |Im lambda(A)|.  Then, while
+    the level gamma - LEVEL_RTOL |gamma| has crossings, sample at the crossings
+    and the midpoints between them (on each such interval the sign of
+    lambda_min - level is constant) and lower gamma to the least sample.  The
+    returned margin is a sampled value certified to within LEVEL_RTOL of
+    delta*, or lambda_min(F3) = Phi(inf) when that is lower.  Hermitian
+    symmetry in w is used: only w >= 0 is sampled.  Returns the margin, or
+    the MarginScan when `full_scan` is set.
     """
     ev = TransferEvaluator(a, b, form, shift=shift)
-    if grid is None:
-        grid = make_frequency_grid(a, b, form)
-    omegas, margins, skew = _refined_scan(ev, grid)
-    margin = float(np.min(margins))
-    tail = tail_m_bound(a, b, form, grid.omega_max)
-    tail_floor = form.delta_floor - float(np.linalg.norm(form.f3, 2)) * tail
-    certified = bool(tail_floor > 0.0)
+    seen = {}
+
+    def least(omegas):
+        for w in omegas:
+            if w not in seen:
+                seen[w] = ev.margin_at(w)
+        w = min(omegas, key=lambda w: seen[w][0])
+        return seen[w][0], w
+
+    if full_scan:
+        grid = make_frequency_grid(a, b, form).nonnegative
+        gamma, w_star = least(grid)
+    else:
+        gamma, w_star = least(np.unique(np.abs(np.append(ev.eigs.imag, 0.0))))
+    if form.delta_floor < gamma:
+        gamma, w_star = form.delta_floor, np.inf
+    for _ in range(LEVEL_STEPS):
+        level = gamma - LEVEL_RTOL * abs(gamma)
+        cross = level_crossings(ev.a, ev.b, form, level, shift)
+        if cross.size == 0:
+            break
+        ends = np.concatenate([-cross[::-1], cross])
+        mids = 0.5 * (ends[1:] + ends[:-1])
+        value, w = least(np.abs(np.concatenate([cross, mids])))
+        if value >= gamma:
+            break  # only spurious crossings: nothing lies below the level
+        gamma, w_star = value, w
+    else:
+        raise ConditionFailed(f"level sets unsettled after {LEVEL_STEPS} steps")
     if not full_scan:
-        return margin
-    inv_norms = []
-    for w in omegas:
-        try:
-            inv_norms.append(
-                np.linalg.norm(
-                    np.linalg.inv(np.eye(form.control_dim) - ev.transfer_m(w)), 2
-                )
-            )
-        except np.linalg.LinAlgError:
-            inv_norms.append(np.inf)
-    inv_norms = np.array(inv_norms)
+        return gamma
+    omegas = np.union1d(grid, [w_star] if np.isfinite(w_star) else [])
     return MarginScan(
         omegas=omegas,
-        margins=margins,
-        inverse_norms=inv_norms,
-        margin=margin,
-        skew_defect=skew,
-        tail_certified=certified,
-        tail_floor=tail_floor,
+        margins=np.array([seen[w][0] for w in omegas]),
+        inverse_norms=ev.inverse_norms(omegas),
+        margin=gamma,
+        omega_star=float(w_star),
+        skew_defect=max(seen[w][1] for w in omegas),
     )
 
 
-def smith_condition(
-    a, b, c, lam: float, grid: FrequencyGrid | None = None
-) -> tuple[bool, float]:
-    """sup_w ||C (A - i w)^{-1} B|| < 1/lam, with the tail bound included."""
-    c = np.atleast_2d(np.asarray(c, dtype=float))
+def resolvent_sup_norm(a, b, c) -> float:
+    """sup_w ||C (A - i w)^{-1} B||, exactly: the Smith form with lam = 1 has
+    F3 (I - M(w)) = I - W(w)^* W(w), W = C (A - i w)^{-1} B, so its
+    frequency margin is 1 - sup^2."""
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    form = smith_form_triple(c, lam, b.shape[1])
-    ev = TransferEvaluator(a, b, form)
-    if grid is None:
-        grid = make_frequency_grid(a, b, form)
-    sup = 0.0
-    for w in grid.nonnegative:
-        sup = max(sup, float(np.linalg.norm(c @ ev.resolvent_b(w), 2)))
-    a_norm = np.linalg.norm(np.atleast_2d(a), 2)
-    if grid.omega_max > a_norm:
-        tail = float(
-            np.linalg.norm(c, 2)
-            * np.linalg.norm(b, 2)
-            / (grid.omega_max - a_norm)
-        )
-    else:
-        tail = np.inf
-    sup = max(sup, 0.0)
-    return bool(max(sup, tail) < 1.0 / lam), sup
+    margin = frequency_condition_margin(a, b, smith_form_triple(c, 1.0, b.shape[1]))
+    return float(np.sqrt(max(0.0, 1.0 - margin)))
+
+
+def smith_condition(a, b, c, lam: float) -> tuple[bool, float]:
+    """(sup_w ||C (A - i w)^{-1} B|| < 1/lam, the sup)."""
+    sup = resolvent_sup_norm(a, b, c)
+    return bool(sup < 1.0 / lam), sup
 
 
 def inverse_norm_certificate(
-    a, b, form: QuadraticFormTriple, grid: FrequencyGrid | None = None
+    a, b, form: QuadraticFormTriple
 ) -> tuple[float, MarginScan]:
-    """Verify ||(I - M(w))^{-1}|| <= ||F3|| / delta* on the scan grid.
+    """Verify ||(I - M(w))^{-1}|| <= ||F3|| / delta* on the table's rows.
 
     Returns (worst ratio, scan).  Requires a positive margin.
     """
-    scan = frequency_condition_margin(a, b, form, grid=grid, full_scan=True)
+    scan = frequency_condition_margin(a, b, form, full_scan=True)
     if scan.margin <= 0.0:
         raise ConditionFailed(f"frequency margin {scan.margin:.3e} <= 0")
     bound = float(np.linalg.norm(form.f3, 2)) / scan.margin

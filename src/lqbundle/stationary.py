@@ -36,7 +36,6 @@ from .errors import (
     DimensionMismatch,
     EpsilonTooLarge,
     FrequencyConditionFailed,
-    LqBundleError,
     NotAGraph,
     NotATrajectory,
     Oscillating,
@@ -44,12 +43,7 @@ from .errors import (
     SingularF3,
     SpectrumOnAxis,
 )
-from .frequency import (
-    QuadraticFormTriple,
-    TransferEvaluator,
-    frequency_condition_margin,
-    make_frequency_grid,
-)
+from .frequency import QuadraticFormTriple, level_crossings, resolvent_sup_norm
 from .symplectic import (
     RANK_RTOL,
     GraphOperator,
@@ -71,8 +65,7 @@ TRAJ_TOL = 1e-6
 #: relative state left at the horizon above which an M_0 sample has not decayed
 DECAY_TOL = 1e-3
 LYAPUNOV_SLACK = 1e-9
-#: base frequency grid and bracket width of the eps0 bisection
-EPS0_GRID_POINTS = 256
+#: bracket width of the eps0 bisection
 EPS0_TOL = 1e-4
 DECAY_CONSTANT_SAMPLES = 60
 #: relative norm below which trajectory samples are left out of the rate fit
@@ -610,17 +603,13 @@ def coercivity_check(reg: Regulator, samples, margin: float) -> float:
     """Worst ratio of int F against the coercive lower bound on M_0 processes.
 
     Bound: delta/(max(1, delta) M^2 + 1) (||v||^2 + ||xi||^2), with M the
-    scanned sup of ||(A - i w)^{-1} B|| and delta the frequency margin.  The
+    exact sup of ||(A - i w)^{-1} B|| and delta the frequency margin.  The
     max(1, delta) factor is what the Parseval/Cauchy-Schwarz chain actually
     yields; for delta < 1 the denominator delta M^2 + 1 would overstate the
     constant (the scalar closed-form instance attains delta/(M^2+1) sharply).
     """
     a, b, form = reg.a, reg.b, reg.form
-    ev = TransferEvaluator(a, b, form)
-    grid = make_frequency_grid(a, b, form)
-    m_sup = max(
-        float(np.linalg.norm(ev.resolvent_b(w), 2)) for w in grid.nonnegative
-    )
+    m_sup = resolvent_sup_norm(a, b, np.eye(a.shape[0]))
     factor = margin / (max(1.0, margin) * m_sup**2 + 1.0)
     worst = np.inf
     for v, xi in samples:
@@ -658,9 +647,9 @@ def lyapunov_inequality_check(reg: Regulator, eps: float, trajectories) -> bool:
     V(v_T) - V(v_0) + int F >= eps int (|v|^2 + |xi|^2) on each trajectory.
     """
     form_eps = shifted_form(reg.form, eps)
-    margin = frequency_condition_margin(reg.a, reg.b, form_eps)
-    if margin <= 0.0:
-        raise EpsilonTooLarge(f"shifted frequency margin {margin:.3e} <= 0")
+    cross = level_crossings(reg.a, reg.b, form_eps, 0.0, 0.0)
+    if cross.size:
+        raise EpsilonTooLarge(f"F_eps frequency margin <= 0 (at w = {cross[0]:.6g})")
     ham = assemble_hamiltonian(reg.a, reg.b, form_eps)
     l_eps = stable_lagrange_schur(ham)
     p_eps = extract_nonoscillation(l_eps).p
@@ -682,22 +671,16 @@ def lyapunov_inequality_check(reg: Regulator, eps: float, trajectories) -> bool:
 def estimate_eps0(reg: Regulator) -> float:
     """Largest verified eps with both +/- shifted frequency margins positive.
 
-    Bisection; the reported value is the midpoint of the final bracket,
+    Bisection on the exact test (no level-0 crossing of either shifted
+    system); the reported value is the midpoint of the final bracket,
     capped below the dichotomy and Hamiltonian spectral gaps.
     """
-    a, b, form = reg.a, reg.b, reg.form
     cap = 0.999 * min(reg.split_a.eps_rate, reg.ham.gap)
-    grid = make_frequency_grid(a, b, form, n_base=EPS0_GRID_POINTS)
 
     def passes(eps: float) -> bool:
-        for sgn in (1.0, -1.0):
-            try:
-                mg = frequency_condition_margin(a, b, form, grid=grid, shift=sgn * eps)
-            except LqBundleError:
-                return False
-            if mg <= 0.0:
-                return False
-        return True
+        return not any(
+            level_crossings(reg.a, reg.b, reg.form, 0.0, s).size for s in (eps, -eps)
+        )
 
     if passes(cap):
         return cap

@@ -1,0 +1,60 @@
+"""Sampled frequency-margin routes, kept as oracles for the exact level-set
+margin of `lqbundle.frequency`.
+
+`sampled_margin` is the refined grid scan the library used before the
+level-set iteration: it samples lambda_min(sym(F3 (I - M(w)))) on the fixed
+grid and bisects, for REFINE_ROUNDS rounds, every interval with an end
+sample at most max(2 min, 0).  It is an upper estimate of delta*, so the
+exact margin never exceeds it by more than LEVEL_RTOL.  `tail_m_bound` is the submultiplicative
+bound on ||M(w)|| that certified the scan's tail.
+"""
+
+import numpy as np
+
+from lqbundle.frequency import (
+    QuadraticFormTriple,
+    TransferEvaluator,
+    make_frequency_grid,
+)
+
+REFINE_ROUNDS = 3
+
+
+def tail_m_bound(a, b, form: QuadraticFormTriple, omega: float) -> float:
+    """Submultiplicative bound on ||M(w)|| for |w| beyond ||A||.
+
+    With r = 1 / (|w| - ||A||):
+    ||M|| <= ||F3^-1|| ( ||F2|| ||B|| r + ||B|| r (||F1|| ||B|| r + ||F2||) ).
+    """
+    a_norm = np.linalg.norm(a, 2)
+    if omega <= a_norm:
+        return np.inf
+    r = 1.0 / (omega - a_norm)
+    b_norm = np.linalg.norm(b, 2)
+    f1 = np.linalg.norm(form.f1, 2)
+    f2 = np.linalg.norm(form.f2, 2)
+    f3inv = np.linalg.norm(np.linalg.inv(form.f3), 2)
+    return float(f3inv * (f2 * b_norm * r + b_norm * r * (f1 * b_norm * r + f2)))
+
+
+def sampled_margin(a, b, form: QuadraticFormTriple, shift: float = 0.0):
+    """(omegas, margins) of the refined scan; margins.min() is its estimate."""
+    ev = TransferEvaluator(a, b, form, shift=shift)
+    omegas = list(make_frequency_grid(a, b, form).nonnegative)
+    margins = [ev.margin_at(w)[0] for w in omegas]
+    for _ in range(REFINE_ROUNDS):
+        glob = min(margins)
+        order = np.argsort(omegas)
+        omegas = [omegas[i] for i in order]
+        margins = [margins[i] for i in order]
+        new = [
+            0.5 * (omegas[i] + omegas[i + 1])
+            for i in range(len(omegas) - 1)
+            if min(margins[i], margins[i + 1]) <= glob + abs(glob)
+        ]
+        if not new:
+            break
+        omegas += new
+        margins += [ev.margin_at(w)[0] for w in new]
+    order = np.argsort(omegas)
+    return np.asarray(omegas)[order], np.asarray(margins)[order]

@@ -18,6 +18,7 @@ from lqbundle.certify import (
 )
 from lqbundle.cli import main
 from lqbundle.errors import MissingField, ParseError, ValidationError
+from lqbundle.frequency import TransferEvaluator
 from lqbundle.sampling import random_passing_instance
 
 
@@ -97,8 +98,8 @@ def sa_standard_cert(tmp_path_factory):
 # The records each stage emits, in route order.
 STAGE_RECORDS = {
     "dichotomy": ("dichotomy-gap",),
-    "frequency": ("frequency-margin", "frequency-tail-certified",
-                  "transfer-selfadjoint-defect", "inverse-norm-bound"),
+    "frequency": ("frequency-margin", "transfer-selfadjoint-defect",
+                  "inverse-norm-bound"),
     "lagrange": ("lp-isotropy", "lp-invariance"),
     "oracle": ("symplectic-defect", "oracle-equivalence"),
     "riccati": ("vertical-intersection", "riccati-residual", "p-symmetry-defect",
@@ -172,6 +173,21 @@ class TestPipeline:
         assert {name: len(c) for name, c in calls.items()} == {
             "assemble_hamiltonian": 2, "dichotomy_split": 2, "cho_factor": 2,
         }
+
+    def test_s1_margin_evaluations_within_budget(self, tmp_path, monkeypatch):
+        # the 1,024 grid samples of the plot table plus the level-set steps;
+        # the refined scans of the frequency, eps0 and Lyapunov stages took 16,888
+        scn = load_scenario(write_json(tmp_path, "s1.json", S1_DOC))
+        margin_at = TransferEvaluator.margin_at
+        calls = []
+
+        def counted(self, omega):
+            calls.append(omega)
+            return margin_at(self, omega)
+
+        monkeypatch.setattr(TransferEvaluator, "margin_at", counted)
+        assert run_pipeline(scn).passed
+        assert len(calls) <= 1200
 
     def test_riccati_bound_scales_with_p(self, tmp_path):
         # ||P|| = 1.6e4: the residual of the exact P is 1.1e-7 in absolute
@@ -296,6 +312,16 @@ class TestCli:
         assert code == 0
         assert "frequency-margin" in capsys.readouterr().out
         assert checks == stage_records(certificate_checks(s1_seed7_run), ["frequency"])
+
+    def test_check_freq_fails_between_grid_samples(self, tmp_path):
+        # a resonance of width 1e-3 at w = 3.3137: the refined scan passed it
+        # with margin 0.699, the exact margin is -1.0
+        doc = dict(S1_DOC, A=[[-1e-3, 3.3137], [-3.3137, -1e-3]], B=[[0.0], [1.0]],
+                   F1=[[-4e-6, 0.0], [0.0, -4e-6]], F2=[[0.0, 0.0]])
+        code, checks = run_command(tmp_path, "check-freq", doc)
+        assert code == 1
+        rec = {c["name"]: c for c in checks}["frequency-margin"]
+        assert not rec["pass"] and rec["value"] == pytest.approx(-1.0, abs=1e-6)
 
     def test_riccati_subcommand(self, tmp_path, s1_seed7_run):
         code, checks = run_command(tmp_path, "riccati", S1_DOC)

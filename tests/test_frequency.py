@@ -1,17 +1,31 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from lqbundle.errors import ConditionFailed, DimensionMismatch, SingularF3
+from frequency_oracles import sampled_margin, tail_m_bound
+from lqbundle import frequency
+from lqbundle.errors import (
+    ConditionFailed,
+    DimensionMismatch,
+    SingularF3,
+    SingularShift,
+)
 from lqbundle.frequency import (
+    LEVEL_RTOL,
     QuadraticFormTriple,
     TransferEvaluator,
     frequency_condition_margin,
     inverse_norm_certificate,
+    level_crossings,
     make_frequency_grid,
     smith_condition,
     smith_form_triple,
-    tail_m_bound,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
 
 
 def random_system(rng, n=5, m=2):
@@ -24,6 +38,29 @@ def random_system(rng, n=5, m=2):
     g3 = rng.standard_normal((m, m))
     f3 = g3 @ g3.T + np.eye(m)
     return a, b, QuadraticFormTriple(f1=f1, f2=f2, f3=f3)
+
+
+def resonance(damping, freq, f1_scale):
+    """A lightly damped rotation driven through its second state, with
+    F1 = -f1_scale I, F2 = 0, F3 = 1: the margin dips at w = freq over a
+    width of about `damping`, far narrower than the grid spacing."""
+    a = np.array([[-damping, freq], [-freq, -damping]])
+    b = np.array([[0.0], [1.0]])
+    form = QuadraticFormTriple(f1=-f1_scale * np.eye(2), f2=[[0.0, 0.0]], f3=[[1.0]])
+    return a, b, form
+
+
+def scenario_system(name):
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    form = QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"])
+    return np.array(doc["A"]), np.array(doc["B"]), form
+
+
+def sharpest(ev, lo, hi):
+    """lambda_min of sym(F3 (I - M)) minimised over [lo, hi] by scipy."""
+    res = minimize_scalar(lambda w: ev.margin_at(w)[0], bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-12})
+    return float(res.fun)
 
 
 class TestQuadraticFormTriple:
@@ -87,16 +124,96 @@ class TestFrequencyMargin:
 
     def test_negative_margin_is_refined(self):
         # a lightly damped resonance near w = 3.3 dips far below the base
-        # grid's samples; the scan must refine it although its margin is < 0
-        a = np.array([[-0.02, 3.3], [-3.3, -0.02]])
-        b = np.array([[0.0], [1.0]])
-        form = QuadraticFormTriple(f1=-0.01 * np.eye(2), f2=[[0.0, 0.0]], f3=[[1.0]])
+        # grid's samples; the level sets find the dip although its margin is < 0
+        a, b, form = resonance(0.02, 3.3, 0.01)
         scan = frequency_condition_margin(a, b, form, full_scan=True)
         assert scan.omegas.size > 1024
         ev = TransferEvaluator(a, b, form)
         dense = min(ev.margin_at(w)[0] for w in np.linspace(3.2, 3.4, 2001))
         assert dense < -11.0
-        assert scan.margin <= dense + 0.5
+        # the margin is a sample certified to within LEVEL_RTOL of delta*; the
+        # dense grid holds a point 1.5e-9 from the minimiser, 1.8e-14 lower
+        assert scan.margin <= dense + LEVEL_RTOL * abs(dense)
+
+    def test_resonance_between_samples_is_not_a_silent_pass(self):
+        # the refined scan reads 0.699 here; the true minimum is -1.0 at the
+        # resonance w = 3.3137, whose width 1e-3 the scan's spacing misses
+        a, b, form = resonance(1e-3, 3.3137, 4e-6)
+        _, sampled = sampled_margin(a, b, form)
+        assert sampled.min() > 0.69
+        ev = TransferEvaluator(a, b, form)
+        dense = min(ev.margin_at(w)[0] for w in np.linspace(3.31, 3.32, 2001))
+        assert dense == pytest.approx(-1.0, abs=1e-6)
+        # started from w = 0 and |Im lambda(A)|, and from the grid
+        from_grid = frequency_condition_margin(a, b, form, full_scan=True).margin
+        for margin in (frequency_condition_margin(a, b, form), from_grid):
+            assert margin <= dense and margin < 0.0
+
+    def test_n40_matches_bounded_minimisation(self):
+        # the sampled scan read 0.8506650 at w = 0.19582; a bounded 1-D
+        # minimisation between the neighbouring samples gives 0.8506548
+        a, b, form = scenario_system("n40_j0")
+        scan = frequency_condition_margin(a, b, form, full_scan=True)
+        assert scan.margin <= 0.8506548 + 1e-9
+        sharp = sharpest(TransferEvaluator(a, b, form), 0.185, 0.2)
+        assert scan.margin == pytest.approx(sharp, rel=LEVEL_RTOL)
+        assert scan.margin == scan.margins.min()
+
+    def test_exact_below_sampled_and_certified(self, rng):
+        for _ in range(4):
+            a, b, form = random_system(rng)
+            margin = frequency_condition_margin(a, b, form)
+            _, sampled = sampled_margin(a, b, form)
+            assert margin <= sampled.min() + LEVEL_RTOL * abs(sampled.min())
+            scan = frequency_condition_margin(a, b, form, full_scan=True)
+            assert scan.margin == pytest.approx(margin, rel=1e-9)
+            w = scan.omega_star
+            if np.isinf(w):  # the infimum is F3's floor, approached as w -> inf
+                assert scan.margin == form.delta_floor < scan.margins.min()
+                continue
+            # nothing lies below the certified level around the minimiser
+            sharp = sharpest(TransferEvaluator(a, b, form), max(0.0, w - 0.5), w + 0.5)
+            assert sharp >= margin - LEVEL_RTOL * abs(margin)
+
+    @pytest.mark.parametrize("shift", [0.2, -0.3])
+    def test_shifted_margin_against_dense_scan(self, rng, shift):
+        a, b, form = random_system(rng)
+        ev = TransferEvaluator(a, b, form, shift=shift)
+        omegas = np.linspace(0.0, 20.0, 4001)
+        dense = np.array([ev.margin_at(w)[0] for w in omegas])
+        w = omegas[np.argmin(dense)]
+        sharp = sharpest(ev, max(0.0, w - 0.01), w + 0.01)
+        margin = frequency_condition_margin(a, b, form, shift=shift)
+        assert margin == pytest.approx(sharp, rel=LEVEL_RTOL)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.25])
+    def test_crossings_are_level_eigenvalues(self, rng, shift):
+        a, b, form = random_system(rng)
+        ev = TransferEvaluator(a, b, form, shift=shift)
+        level = frequency_condition_margin(a, b, form, shift=shift) + 0.05
+        cross = level_crossings(a, b, form, level, shift)
+        assert cross.size >= 1
+        for w in cross:
+            g = form.f3 @ (np.eye(2) - ev.transfer_m(w))
+            eigs = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+            assert np.min(np.abs(eigs - level)) <= 1e-8
+
+    def test_near_zero_margin(self):
+        # Smith form just inside the boundary: margin 1 - (lam / 2)^2 ~ 2e-6
+        lam = 2.0 * (1.0 - 1e-6)
+        form = smith_form_triple([[1.0]], lam, 1)
+        margin = frequency_condition_margin(np.array([[-2.0]]), np.array([[1.0]]), form)
+        assert margin == pytest.approx(1.0 - (lam / 2.0) ** 2, rel=1e-9)
+
+    def test_unsettled_iteration_is_typed(self, monkeypatch):
+        monkeypatch.setattr(frequency, "LEVEL_STEPS", 1)
+        with pytest.raises(ConditionFailed, match="unsettled"):
+            frequency_condition_margin(*resonance(0.02, 3.3, 0.01), full_scan=True)
+
+    def test_spectrum_on_the_axis_is_typed(self):
+        a, b, form = resonance(1e-13, 2.0, 0.01)
+        with pytest.raises(SingularShift):
+            frequency_condition_margin(a, b, form)
 
     def test_tail_bound_implication(self, s1):
         a, b, form = s1
@@ -110,6 +227,13 @@ class TestFrequencyMargin:
 
 
 class TestSmithCondition:
+    def test_sup_between_grid_nodes(self):
+        # |C (A - i w)^-1 B| = w0 / |w0^2 + d^2 - w^2 + 2 i d w| peaks at 1 / (2 d)
+        a, b, _ = resonance(1e-3, 3.3137, 0.0)
+        ok, sup = smith_condition(a, b, [[1.0, 0.0]], 1.0 / 600.0)
+        assert ok and sup == pytest.approx(500.0, rel=1e-8)
+        assert not smith_condition(a, b, [[1.0, 0.0]], 1.0 / 400.0)[0]
+
     def test_passing(self, s1):
         a, b, _ = s1
         ok, sup = smith_condition(a, b, [[1.0]], 1.0)
@@ -133,7 +257,7 @@ class TestInverseNormCertificate:
         # ||(I - M)^{-1}|| = (1 - 1/(4+w^2))^{-1} peaks at 4/3 = ||F3||/margin
         assert worst <= 1.0 + 1e-10
         assert worst >= 1.0 - 1e-9
-        assert scan.tail_certified
+        assert scan.omega_star == 0.0
 
     def test_trivial_form(self, s1):
         a, b, _ = s1

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from lqbundle.errors import (
 )
 from lqbundle.frequency import (
     QuadraticFormTriple,
+    TransferEvaluator,
     frequency_condition_margin,
     smith_form_triple,
 )
@@ -339,6 +342,24 @@ class TestEps0:
         # capped below both spectral gaps (2 and sqrt(3))
         assert 0.0 < eps0 <= SQRT3
 
+    def test_bracket_holds_the_sign_change(self):
+        # n40_j0: the refined scans passed eps = 0.449002, where a sample of
+        # both shifted margins reads -1.4e-3
+        path = Path(__file__).resolve().parents[1] / "perfbench/scenarios/n40_j0.json"
+        doc = json.loads(path.read_text())
+        form = QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"])
+        a, b = np.array(doc["A"]), np.array(doc["B"])
+        eps0 = estimate_eps0(Regulator(a, b, form))
+        lo, hi = eps0 - 0.5 * st.EPS0_TOL, eps0 + 0.5 * st.EPS0_TOL
+
+        def sampled(shift):
+            ev = TransferEvaluator(a, b, form, shift=shift)
+            return min(ev.margin_at(w)[0] for w in np.linspace(0.0, 1.0, 401))
+
+        assert sampled(lo) > 0.0 and sampled(hi) < 0.0
+        for shift in (lo, -lo):
+            assert frequency_condition_margin(a, b, form, shift=shift) > 0.0
+
 
 def _raiser(exc):
     def broken(*args, **kwargs):
@@ -352,7 +373,7 @@ class TestTypedCatches:
 
     def test_eps0_bisection_lets_untyped_errors_escape(self, s1, monkeypatch):
         monkeypatch.setattr(
-            st, "frequency_condition_margin", _raiser(RuntimeError("scan broke"))
+            st, "level_crossings", _raiser(RuntimeError("scan broke"))
         )
         with pytest.raises(RuntimeError, match="scan broke"):
             estimate_eps0(Regulator(*s1))
