@@ -17,7 +17,6 @@ from .dichotomy import (
     lyapunov_perron_apply,
 )
 from .frequency import (
-    FrequencyGrid,
     QuadraticFormTriple,
     frequency_condition_margin,
     inverse_norm_certificate,

@@ -140,26 +140,26 @@ def backward_weight_matrices(ht: np.ndarray, h: float) -> list[list[np.ndarray]]
     return out
 
 
-def forward_weights_scalar(z: np.ndarray, h: np.ndarray | float) -> np.ndarray:
-    """Scalar forward weights, vectorized over z; shape (3, 4) + z.shape.
+def forward_weights_scalar(z: np.ndarray, h: float, pattern: int) -> np.ndarray:
+    """Scalar forward weights of one stencil pattern, vectorized over z;
+    shape (4,) + z.shape.
 
-    weights[p, l] multiplies the sample at stencil node l of pattern p.
+    weights[l] multiplies the sample at stencil node l of the pattern.
     """
     ph = phi_scalar(4, z)
-    out = np.empty((3, 4) + np.shape(z))
-    for p, cinv in enumerate(_CINV):
-        for ell in range(4):
-            out[p, ell] = h * sum(
-                math.factorial(m) * cinv[m, ell] * ph[m] for m in range(4)
-            )
+    cinv = _CINV[pattern]
+    out = np.empty((4,) + np.shape(z))
+    for ell in range(4):
+        out[ell] = h * sum(math.factorial(m) * cinv[m, ell] * ph[m] for m in range(4))
     return out
 
 
-def backward_weights_scalar(z: np.ndarray, h: np.ndarray | float) -> np.ndarray:
-    """Scalar backward weights for int_0^h exp(-r s) p(s) ds with z = r*h."""
+def backward_weights_scalar(z: np.ndarray, h: float, pattern: int) -> np.ndarray:
+    """Scalar backward weights of one stencil pattern for
+    int_0^h exp(-r s) p(s) ds with z = r*h."""
     jm = j_weights_scalar(z)
-    out = np.empty((3, 4) + np.shape(z))
-    for p, cinv in enumerate(_CINV):
-        for ell in range(4):
-            out[p, ell] = h * sum(cinv[m, ell] * jm[m] for m in range(4))
+    cinv = _CINV[pattern]
+    out = np.empty((4,) + np.shape(z))
+    for ell in range(4):
+        out[ell] = h * sum(cinv[m, ell] * jm[m] for m in range(4))
     return out

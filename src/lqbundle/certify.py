@@ -249,7 +249,7 @@ def _st_frequency(run, cert):
         cert.add_lower(
             "frequency-margin", scan.margin, run.tol["margin"],
             detail="exact inf_w eig(sym(F3(I - M(w)))) by Hamiltonian level "
-            f"sets, at w = {abs(scan.omega_star):.6g}",
+            f"sets, at w = {scan.omega_star:.6g}",
         )
         cert.add_upper("transfer-selfadjoint-defect", scan.skew_defect, 1e-10,
                        detail="||F3 M - (F3 M)*||, sampled on the freq_margin rows")
@@ -388,7 +388,8 @@ def _sa_run(scenario: Scenario) -> SimpleNamespace:
         tol=scenario.tolerances,
         phases=np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False),
         horizon=doc.get("horizon"),
-        cfg=None, driver=None, fibers=None, vres=None,
+        cfg=None, driver=None, fibers=None, step_fibers=None, frozen_fiber=None,
+        vres=None,
     )
 
 
@@ -457,14 +458,24 @@ def _sa_contraction(run, cert):
 
 
 def _sa_fibers(run, cert):
+    """The run's one fiber solve: the phase grid, the continuity steps
+    q0 + 2^-m (m = 1..6) and the frozen driver a = a(q0), as its columns."""
     if run.cfg is None:
         return
+    q0 = run.phases[0]
+    columns = (
+        [(run.driver, q) for q in run.phases]
+        + [(run.driver, q0 + 2.0 ** (-m)) for m in range(1, 7)]
+        + [(sa.constant_driver(run.driver.value(q0)), 0.0)]
+    )
     try:
-        run.fibers = fibers = sa.build_fibers(run.cfg, run.driver, run.phases,
-                                              horizon=run.horizon)
+        built = sa.build_fibers(run.cfg, columns, horizon=run.horizon)
     except LqBundleError as exc:
         cert.add_failure("fibers", exc)
         return True
+    n_grid = len(run.phases)
+    run.fibers = fibers = built[:n_grid]
+    run.step_fibers, run.frozen_fiber = built[n_grid:-1], built[-1]
     iso = max(isotropy_defect(f.l_plus_q) for f in fibers)
     cert.add_upper("fiber-isotropy", iso, run.tol["isotropy"])
     cert.add_upper("picard-iterations", fibers[0].n_iterations, 200)
@@ -477,25 +488,20 @@ def _sa_fibers(run, cert):
 
 
 def _sa_frozen_oracle(run, cert):
-    if run.cfg is None:
+    if run.frozen_fiber is None:
         return
     frozen_val = run.driver.value(run.phases[0])
-    frozen = sa.build_fibers(run.cfg, sa.constant_driver(frozen_val), [0.0],
-                             horizon=run.horizon)[0]
     oracle = stable_lagrange_schur(sa.assemble_nonaut_hamiltonian(run.cfg, frozen_val))
-    cert.add_upper("frozen-oracle", grassmann_distance(frozen.l_plus_q, oracle),
+    cert.add_upper("frozen-oracle",
+                   grassmann_distance(run.frozen_fiber.l_plus_q, oracle),
                    run.tol["oracle"],
                    detail=f"constant driver a = {frozen_val:.6g} vs Schur")
 
 
 def _sa_continuity(run, cert):
-    if run.cfg is None:
+    if run.step_fibers is None:
         return
-    q0 = run.phases[0]
-    rows = sa.fiber_continuity(
-        run.cfg, run.driver, q0, [q0 + 2.0 ** (-m) for m in range(1, 7)],
-        horizon=run.horizon,
-    )
+    rows = sa.fiber_continuity(run.driver, run.fibers[0], run.step_fibers)
     cert.tables["continuity"] = rows
     mono = all(
         rows[i + 1]["grassmann"] <= 1.1 * rows[i]["grassmann"] + 1e-14

@@ -103,25 +103,8 @@ def smith_form_triple(c, lam: float, control_dim: int) -> QuadraticFormTriple:
     )
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Symmetric scan grid up to omega_max."""
-
-    omegas: np.ndarray
-    omega_max: float
-
-    def __post_init__(self):
-        om = np.asarray(self.omegas, dtype=float).ravel()
-        om = np.unique(np.concatenate([om, -om]))
-        object.__setattr__(self, "omegas", om)
-
-    @property
-    def nonnegative(self) -> np.ndarray:
-        return self.omegas[self.omegas >= 0.0]
-
-
-def make_frequency_grid(a, b, form: QuadraticFormTriple) -> FrequencyGrid:
-    """Uniform grid on [0, 10 (||A|| + ||B|| + max ||F_i||)]."""
+def make_frequency_grid(a, b, form: QuadraticFormTriple) -> np.ndarray:
+    """Uniform grid on [0, 10 (||A|| + ||B|| + max ||F_i||)], from w = +0.0."""
     omega_max = 10.0 * (
         np.linalg.norm(a, 2)
         + np.linalg.norm(b, 2)
@@ -131,8 +114,7 @@ def make_frequency_grid(a, b, form: QuadraticFormTriple) -> FrequencyGrid:
             np.linalg.norm(form.f3, 2),
         )
     )
-    base = np.linspace(0.0, omega_max, GRID_POINTS)
-    return FrequencyGrid(omegas=base, omega_max=float(omega_max))
+    return np.linspace(0.0, omega_max, GRID_POINTS)
 
 
 class TransferEvaluator:
@@ -265,7 +247,7 @@ def frequency_condition_margin(
         return seen[w][0], w
 
     if full_scan:
-        grid = make_frequency_grid(a, b, form).nonnegative
+        grid = make_frequency_grid(a, b, form)
         gamma, w_star = least(grid)
     else:
         gamma, w_star = least(np.unique(np.abs(np.append(ev.eigs.imag, 0.0))))

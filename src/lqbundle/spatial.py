@@ -8,12 +8,15 @@ reference operator, so the doubled system splits into independent
 structure (projected solves plus Picard on the certified contraction) but
 runs it mode-wise, with a two-channel representation (smooth part plus the
 mode's own stiff exponential) so the stiff transients are integrated
-exactly.
+exactly.  `build_fibers` solves every (driver, phase) column a run needs in
+one Picard iteration: the certify pipeline's frozen-driver oracle and
+continuity table read columns of its fibers stage and solve nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +51,8 @@ CONTRACTION_STEPS = 360
 IMPULSE_BATCH = 64
 #: trajectory step relative to 1 / (the largest frozen coefficient sum)
 TRAJECTORY_STEP_SCALE = 0.01
+#: largest k that the gap search tries
+GAP_K_MAX = 50
 
 
 # -- configuration ----------------------------------------------------------
@@ -93,7 +98,9 @@ class SAConfig:
     def n(self) -> int:
         return self.model.n
 
+    @cached_property
     def projectors(self) -> ModeProjectors:
+        """The band projectors, built once per config."""
         return mode_projectors(self.model, self.k, self.N)
 
     def b_matrix(self) -> np.ndarray:
@@ -138,7 +145,6 @@ def gap_search(
     lam: float,
     delta: float,
     condition_set: str = "bundle",
-    k_max: int = 50,
 ) -> list[dict]:
     """Enumerate (k, N) pairs satisfying the selected inequality set."""
     found = []
@@ -146,7 +152,7 @@ def gap_search(
         mu_bar = 0.5 * (model.eigenvalues[n_idx] - model.eigenvalues[n_idx - 1])
         if mu_bar <= 0.0:
             continue
-        for k in range(1, k_max + 1):
+        for k in range(1, GAP_K_MAX + 1):
             if condition_holds(condition_set, lam, delta, mu_bar, k):
                 m1, m2 = condition_margins(condition_set, lam, delta, mu_bar, k)
                 found.append(
@@ -159,7 +165,7 @@ def gap_search(
                 )
     if not found:
         raise NoCandidate(
-            f"no (k, N) satisfies the {condition_set!r} inequalities up to k_max={k_max}"
+            f"no (k, N) satisfies the {condition_set!r} inequalities up to k = {GAP_K_MAX}"
         )
     return found
 
@@ -298,7 +304,7 @@ def assemble_forms(config: SAConfig, a_value: float) -> QuadraticFormTriple:
     if abs(a_value) > config.a_bound + 1e-12:
         raise AValueOutOfRange(f"|a| = {abs(a_value)} exceeds a_bound {config.a_bound}")
     t1, t2, t3 = config.taus
-    proj = config.projectors()
+    proj = config.projectors
     i_mid = proj.I_mid
     pq = proj.P_low + proj.Q_high
     lam2 = config.lam**2
@@ -314,7 +320,7 @@ def assemble_forms(config: SAConfig, a_value: float) -> QuadraticFormTriple:
 def spatial_avg_condition(l_q, config: SAConfig, a_value: float) -> tuple[float, bool]:
     """Defect || I_mid L I_mid - a I_mid || and the pass flag against delta."""
     l_q = np.atleast_2d(np.asarray(l_q, dtype=float))
-    proj = config.projectors()
+    proj = config.projectors
     i_mid = proj.I_mid
     defect = float(np.linalg.norm(i_mid @ l_q @ i_mid - a_value * i_mid, 2))
     return defect, bool(defect <= config.delta + 1e-12)
@@ -327,7 +333,7 @@ def mode_coefficients(config: SAConfig):
     a_diag[j] = alpha - lambda_j, chi = P+Q indicator, b = eta-coefficient in
     the v-row, c = v-coefficient in the eta-row.
     """
-    proj = config.projectors()
+    proj = config.projectors
     chi = (~proj.mid_mask).astype(float)
     a_diag = config.alpha - config.model.eigenvalues
     ratio2 = 4.0 * (config.lam / config.mu_bar) ** 2
@@ -354,9 +360,7 @@ def assemble_nonaut_hamiltonian(config: SAConfig, a_value: float) -> Hamiltonian
     mat[:n, n:] = np.diag(b_coef)
     mat[n:, :n] = np.diag(c_coef)
     mat[n:, n:] = -np.diag(top)
-    return Hamiltonian(
-        matrix=mat, a_hat=mat[:n, :n], h2=mat[n:, :n], h3=mat[:n, n:]
-    )
+    return Hamiltonian(mat)
 
 
 def sa_breve_bases(config: SAConfig) -> tuple[LagrangeSubspace, LagrangeSubspace]:
@@ -382,7 +386,7 @@ def sa_breve_bases(config: SAConfig) -> tuple[LagrangeSubspace, LagrangeSubspace
 
 
 class _ScalarFrame:
-    """One projected scalar equation family x' = r(t) x + f, all modes/phases.
+    """One projected scalar equation family x' = r(t) x + f, all modes/columns.
 
     r(t) = s_j + sign * chi_j * a(t) per mode; channel c is propagated with
     the rate shifted by rho_c in {0, mu_j}.  Step factors use the exact
@@ -390,7 +394,7 @@ class _ScalarFrame:
     into the integrand samples, so only the (smooth) fold-corrected data is
     polynomial-interpolated.
 
-    Array layout: (m nodes, n modes, 2 channels, P phases).
+    Array layout: (m nodes, n modes, 2 channels, P columns).
     """
 
     def __init__(
@@ -410,7 +414,7 @@ class _ScalarFrame:
         n = s_base.size
         p_count = a_mean.shape[1]
         self.forward_modes = forward_modes
-        base, pattern = stencil_layout(m)
+        base, _ = stencil_layout(m)
         self.base = base
         # frozen per-interval rates: (m-1, n, 2, P)
         rbar = (
@@ -422,8 +426,11 @@ class _ScalarFrame:
         z = (rbar - rho) * self.h
         self.step_fwd = np.exp(z)
         self.step_bwd = np.exp(-z)
-        self.w_fwd = forward_weights_scalar(z, self.h)
-        self.w_bwd = backward_weights_scalar(z, self.h)
+        # weights only where `_local` reads them: stencil pattern 0 on the
+        # first interval, 1 on the interior, 2 on the last
+        spans = ((0, slice(0, 1)), (1, slice(1, m - 2)), (2, slice(m - 2, m - 1)))
+        self.w_fwd = [forward_weights_scalar(z[sl], self.h, p) for p, sl in spans]
+        self.w_bwd = [backward_weights_scalar(z[sl], self.h, p) for p, sl in spans]
         # fold factors at the stencil nodes: forward reference = right end,
         # backward reference = left end of the interval
         self.fold_fwd = np.ones((m - 1, 4, n, p_count))
@@ -442,19 +449,17 @@ class _ScalarFrame:
 
     def _local(self, fvals: np.ndarray, forward: bool) -> np.ndarray:
         m = self.m
-        weights = self.w_fwd if forward else self.w_bwd
+        w_first, w_interior, w_last = self.w_fwd if forward else self.w_bwd
         fold = self.fold_fwd if forward else self.fold_bwd
         out = np.zeros((m - 1,) + fvals.shape[1:])
         interior = slice(1, m - 2)
         for ell in range(4):
-            w_int = weights[1, ell, interior] * fold[interior, ell, :, None, :]
+            w_int = w_interior[ell] * fold[interior, ell, :, None, :]
             out[interior] += w_int * fvals[ell : m - 3 + ell]
         for ell in range(4):
-            out[0] += weights[0, ell, 0] * fold[0, ell, :, None, :] * fvals[ell]
+            out[0] += w_first[ell, 0] * fold[0, ell, :, None, :] * fvals[ell]
             out[m - 2] += (
-                weights[2, ell, m - 2]
-                * fold[m - 2, ell, :, None, :]
-                * fvals[m - 4 + ell]
+                w_last[ell, 0] * fold[m - 2, ell, :, None, :] * fvals[m - 4 + ell]
             )
         return out
 
@@ -482,14 +487,14 @@ class _ScalarFrame:
 
 
 class _ScalarChannelSolver:
-    """Mode-wise projected solves of the doubled SA system over many phases."""
+    """Mode-wise projected solves of the doubled SA system over many
+    (driver, phase) columns."""
 
-    def __init__(self, config: SAConfig, driver: Driver, phases, times: np.ndarray):
+    def __init__(self, config: SAConfig, columns, times: np.ndarray):
         self.config = config
-        self.driver = driver
         self.times = np.asarray(times, dtype=float)
         self.m = self.times.size
-        self.phases = list(phases)
+        self.columns = list(columns)
         a_diag, chi, b_coef, c_coef = mode_coefficients(config)
         self.a_diag = a_diag
         self.chi = chi
@@ -498,10 +503,10 @@ class _ScalarChannelSolver:
         self.mu = -np.abs(a_diag)
         self.unstable = a_diag > 0  # modes 1..N
         self.a_vals = np.stack(
-            [driver.values(q, self.times) for q in self.phases], axis=1
+            [drv.values(q, self.times) for drv, q in self.columns], axis=1
         )
         c_int = np.stack(
-            [driver.integral(q, self.times) for q in self.phases], axis=1
+            [drv.integral(q, self.times) for drv, q in self.columns], axis=1
         )
         h = self.times[1] - self.times[0]
         a_mean = np.diff(c_int, axis=0) / h
@@ -566,7 +571,7 @@ def _sharp_forcing_channels(solver: _ScalarChannelSolver):
     """Channel-1 forcing modulations of R(theta^t q) G_sharp(t) z^s_j."""
     m = solver.m
     n = solver.a_diag.size
-    p_count = len(solver.phases)
+    p_count = len(solver.columns)
     g_v = np.zeros((m, n, 2, p_count))
     g_e = np.zeros((m, n, 2, p_count))
     a_t = solver.a_vals[:, None, :]  # (m, 1, P)
@@ -587,21 +592,24 @@ def _sharp_forcing_channels(solver: _ScalarChannelSolver):
 
 
 def build_fibers(
-    config: SAConfig, driver: Driver, phases, horizon: float | None = None
+    config: SAConfig, columns, horizon: float | None = None
 ) -> list[FiberResult]:
-    """Stable-bundle fibers at several phases by the Picard iteration.
+    """Stable-bundle fibers of (driver, phase) columns by one Picard iteration.
 
-    The contraction is iterated mode-wise on the time grid; the fiber basis
-    is assembled from Delta z(0) per sharp basis vector and nonoscillation
+    The contraction is iterated mode-wise on the time grid, every column on
+    the same sweeps, until the largest update over the columns has settled;
+    one FiberResult is returned per column, in order.  The fiber basis is
+    assembled from Delta z(0) per sharp basis vector and nonoscillation
     extraction is attempted on each fiber.
     """
-    if driver.amplitude_bound > config.a_bound + 1e-12:
-        raise AmplitudeTooLarge(
-            f"driver amplitude {driver.amplitude_bound} > a_bound {config.a_bound}"
-        )
+    for driver, _ in columns:
+        if driver.amplitude_bound > config.a_bound + 1e-12:
+            raise AmplitudeTooLarge(
+                f"driver amplitude {driver.amplitude_bound} > a_bound {config.a_bound}"
+            )
     _require_contraction(config)
     times = _fiber_grid(config, horizon, None)
-    solver = _ScalarChannelSolver(config, driver, phases, times)
+    solver = _ScalarChannelSolver(config, columns, times)
     g_v, g_e = _sharp_forcing_channels(solver)
     bcf = solver.b_coef[None, :, None, None]
     ccf = solver.c_coef[None, :, None, None]
@@ -635,7 +643,7 @@ def build_fibers(
     sharp, flat = sa_breve_bases(config)
     n = config.n
     results = []
-    for p_idx, q in enumerate(solver.phases):
+    for p_idx, (_, q) in enumerate(solver.columns):
         m_diag = np.where(solver.unstable, dv0[:, p_idx], de0[:, p_idx])
         basis = sharp.basis.copy()
         for j in range(n):
@@ -663,24 +671,19 @@ def build_fibers(
     return results
 
 
-def fiber_continuity(
-    config: SAConfig, driver: Driver, q_ref, q_sequence, **kwargs
-) -> list[dict]:
-    """Moduli table: phase distance, ||M+(q_m) - M+(q)||, grassmann distance."""
-    fibers = build_fibers(config, driver, [q_ref] + list(q_sequence), **kwargs)
-    ref = fibers[0]
-    rows = []
-    for fib in fibers[1:]:
-        rows.append(
-            {
-                "phase_distance": driver.phase_distance(fib.q, q_ref),
-                "m_norm": float(
-                    np.linalg.norm(fib.m_plus_q.matrix - ref.m_plus_q.matrix, 2)
-                ),
-                "grassmann": grassmann_distance(fib.l_plus_q, ref.l_plus_q),
-            }
-        )
-    return rows
+def fiber_continuity(driver: Driver, ref: FiberResult, fibers) -> list[dict]:
+    """Moduli table of built fibers of `driver` against the fiber `ref`:
+    phase distance, ||M+(q) - M+(q_ref)||, grassmann distance."""
+    return [
+        {
+            "phase_distance": driver.phase_distance(fib.q, ref.q),
+            "m_norm": float(
+                np.linalg.norm(fib.m_plus_q.matrix - ref.m_plus_q.matrix, 2)
+            ),
+            "grassmann": grassmann_distance(fib.l_plus_q, ref.l_plus_q),
+        }
+        for fib in fibers
+    ]
 
 
 # -- contraction certificate --------------------------------------------------
@@ -714,8 +717,8 @@ def _require_contraction(config: SAConfig) -> dict:
 def _mode_operator_matrices(solver: _ScalarChannelSolver, with_coupling: bool):
     """Dense per-mode matrices of the discretized contraction T (or of L_A).
 
-    Columns are impulse responses; they ride on the phase axis of the
-    single-phase solver, whose step and weight arrays broadcast over it.
+    Columns are impulse responses; they ride on the column axis of the
+    single-column solver, whose step and weight arrays broadcast over it.
     """
     m = solver.m
     n = solver.a_diag.size
@@ -751,8 +754,8 @@ def contraction_certificate(config: SAConfig) -> dict:
     w = np.full(times.size, h)
     w[0] = w[-1] = h / 2
     d_sq = np.sqrt(w)
-    proj = config.projectors()
-    solver = _ScalarChannelSolver(config, constant_driver(config.a_bound), [0.0], times)
+    proj = config.projectors
+    solver = _ScalarChannelSolver(config, [(constant_driver(config.a_bound), 0.0)], times)
     tmats = _mode_operator_matrices(solver, with_coupling=True)
     lmats = _mode_operator_matrices(solver, with_coupling=False)
     norms_t = np.array(
@@ -810,7 +813,7 @@ def _mode_quadratic_blocks(config: SAConfig, a_value: float) -> np.ndarray:
     (v_j, xiI_j, xiC_j)."""
     t1, t2, t3 = config.taus
     lam2 = config.lam**2
-    proj = config.projectors()
+    proj = config.projectors
     chi_i = proj.mid_mask.astype(float)
     chi = 1.0 - chi_i
     n = config.n
@@ -858,7 +861,7 @@ def v_form_certificate(config: SAConfig) -> dict:
     for a in (-ab, ab):
         blocks = _mode_quadratic_blocks(config, a)
         t1 = config.taus[0]
-        chi_i = config.projectors().mid_mask.astype(float)
+        chi_i = config.projectors.mid_mask.astype(float)
         blocks = blocks.copy()
         blocks[:, 0, 0] -= t1 * a**2 * chi_i
         affine.append(float(np.linalg.eigvalsh(blocks).min()))

@@ -74,16 +74,26 @@ DECAY_FIT_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Block Hamiltonian [[A_hat, H3], [H2, -A_hat^T]] of the regulator problem."""
+    """Block Hamiltonian [[A_hat, H3], [H2, -A_hat^T]] of the regulator problem;
+    the blocks are views of `matrix`."""
 
     matrix: np.ndarray
-    a_hat: np.ndarray
-    h2: np.ndarray
-    h3: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.a_hat.shape[0]
+        return self.matrix.shape[0] // 2
+
+    @property
+    def a_hat(self) -> np.ndarray:
+        return self.matrix[:self.n, :self.n]
+
+    @property
+    def h2(self) -> np.ndarray:
+        return self.matrix[self.n:, :self.n]
+
+    @property
+    def h3(self) -> np.ndarray:
+        return self.matrix[:self.n, self.n:]
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -113,9 +123,7 @@ def assemble_hamiltonian(a, b, form: QuadraticFormTriple) -> Hamiltonian:
     mat = perturbation_matrix(a, b, form)
     mat[:n, :n] += a
     mat[n:, n:] -= a.T
-    return Hamiltonian(
-        matrix=mat, a_hat=mat[:n, :n], h2=mat[n:, :n], h3=mat[:n, n:]
-    )
+    return Hamiltonian(mat)
 
 
 @dataclass(frozen=True)

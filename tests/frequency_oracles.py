@@ -40,7 +40,7 @@ def tail_m_bound(a, b, form: QuadraticFormTriple, omega: float) -> float:
 def sampled_margin(a, b, form: QuadraticFormTriple, shift: float = 0.0):
     """(omegas, margins) of the refined scan; margins.min() is its estimate."""
     ev = TransferEvaluator(a, b, form, shift=shift)
-    omegas = list(make_frequency_grid(a, b, form).nonnegative)
+    omegas = list(make_frequency_grid(a, b, form))
     margins = [ev.margin_at(w)[0] for w in omegas]
     for _ in range(REFINE_ROUNDS):
         glob = min(margins)

@@ -82,7 +82,7 @@ def instance_pool():
 @pytest.fixture(scope="module")
 def sa_results(sa_standard, sa_driver):
     phases = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-    fibers = build_fibers(sa_standard, sa_driver, phases)
+    fibers = build_fibers(sa_standard, [(sa_driver, q) for q in phases])
     cert = contraction_certificate(sa_standard)
     vform = v_form_certificate(sa_standard)
     return {"fibers": fibers, "contraction": cert, "vform": vform}
@@ -252,7 +252,7 @@ def test_criterion_07_sa_standard_instance(sa_standard, sa_results):
         and con["measured_pass"]
     )
     picard_ok = all(f.n_iterations <= 200 for f in fibers)
-    frozen = build_fibers(sa_standard, constant_driver(1.5), [0.0])[0]
+    (frozen,) = build_fibers(sa_standard, [(constant_driver(1.5), 0.0)])
     oracle = stable_lagrange_schur(assemble_nonaut_hamiltonian(sa_standard, 1.5))
     frozen_dist = grassmann_distance(frozen.l_plus_q, oracle)
     brackets_ok = (

@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 
 import lqbundle.dichotomy
+import lqbundle.spatial
+import lqbundle.spectral
 import lqbundle.stationary
 from lqbundle.certify import (
     DEFAULT_TOLERANCES,
@@ -88,11 +90,28 @@ class TestLoadScenario:
 
 
 @pytest.fixture(scope="module")
-def sa_standard_cert(tmp_path_factory):
-    """The whole spatial-averaging route on SA_DOC with 4 phases."""
+def sa_route(tmp_path_factory):
+    """The whole spatial-averaging route on SA_DOC with 4 phases, as `verify`
+    runs it: (certificate, {function: its calls during the run})."""
     path = write_json(tmp_path_factory.mktemp("sa"), "sa.json",
                       dict(SA_DOC, phase_samples=4))
-    return run_pipeline(load_scenario(path))
+    scenario = load_scenario(path)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = {
+            name: count_calls(mp, owner, name)
+            for owner, name in (
+                (lqbundle.spatial, "build_fibers"),
+                (lqbundle.spatial, "_ScalarChannelSolver"),
+                (lqbundle.spectral, "mode_projectors"),
+            )
+        }
+        cert = run_pipeline(scenario)
+    return cert, calls
+
+
+@pytest.fixture(scope="module")
+def sa_standard_cert(sa_route):
+    return sa_route[0]
 
 
 # The records each stage emits, in route order.
@@ -214,6 +233,31 @@ class TestPipeline:
         assert by_name["delta-v"].value > 0.0
         assert by_name["uniform-p-bound"].value <= 1.0 / by_name["delta-v"].value + 1e-6
         assert len(cert.tables["fibers"]) == 4
+
+    def test_sa_solves_each_fiber_once(self, sa_route):
+        # one fiber solve holds the phase grid, the continuity steps and the
+        # frozen column; the other solver is the contraction certificate's;
+        # the band projectors are built once per config
+        cert, calls = sa_route
+        assert {name: len(c) for name, c in calls.items()} == {
+            "build_fibers": 1, "_ScalarChannelSolver": 2, "mode_projectors": 1,
+        }
+        assert len(cert.tables["fibers"]) == 4
+        assert len(cert.tables["continuity"]) == 6
+
+    def test_sa_stages_without_fibers_emit_nothing(self, tmp_path, monkeypatch):
+        # frozen-oracle and continuity read the columns of the fibers stage
+        scn = load_scenario(write_json(tmp_path, "sa.json", SA_DOC))
+        calls = count_calls(monkeypatch, lqbundle.spatial, "build_fibers")
+        cert = run_pipeline(scn, ("gap", "frozen-oracle", "continuity"))
+        assert [r.name for r in cert.records] == ["gap-margin-1", "gap-margin-2"]
+        assert "continuity" not in cert.tables and calls == []
+
+    def test_freq_margin_starts_at_positive_zero(self, tmp_path):
+        # a grid mirrored to +-w and filtered back started at w = -0.0
+        scn = load_scenario(write_json(tmp_path, "s1.json", S1_DOC))
+        omega = run_pipeline(scn, ("frequency",)).tables["freq_margin"][0]["omega"]
+        assert omega == 0.0 and not np.signbit(omega)
 
     def test_failing_k1_sa(self, tmp_path):
         doc = dict(SA_DOC)

@@ -58,9 +58,10 @@ class TestGapSearch:
         assert condition_holds("nonosc", 1.0, 1.0, 2.5, 3)
 
     def test_no_candidate(self):
+        # the first margin mu_bar / sqrt(5) - delta < 0 does not depend on k
         model = make_spectral_model([1.0, 2.0, 3.0])
         with pytest.raises(NoCandidate):
-            gap_search(model, 1.0, 10.0, "bundle", k_max=30)
+            gap_search(model, 1.0, 10.0, "bundle")
 
 
 class TestImplicationSweep:
@@ -87,7 +88,7 @@ class TestImplicationSweep:
 class TestForms:
     def test_two_route_evaluation(self, sa_standard, rng):
         cfg = sa_standard
-        proj = cfg.projectors()
+        proj = cfg.projectors
         i_mid = proj.I_mid
         pq = proj.P_low + proj.Q_high
         t1, t2, t3 = cfg.taus
@@ -141,7 +142,7 @@ class TestSpatialAvgCondition:
 
     def test_rank_one_within_delta(self, sa_standard):
         cfg = sa_standard
-        proj = cfg.projectors()
+        proj = cfg.projectors
         mid_idx = np.where(proj.mid_mask)[0]
         e = np.zeros(cfg.n)
         e[mid_idx[0]] = 1.0
@@ -151,7 +152,7 @@ class TestSpatialAvgCondition:
 
     def test_outer_blocks_ignored(self, sa_standard):
         cfg = sa_standard
-        proj = cfg.projectors()
+        proj = cfg.projectors
         huge = 100.0 * (proj.P_low + proj.Q_high)
         defect, ok = spatial_avg_condition(1.0 * np.eye(cfg.n) + huge, cfg, 1.0)
         assert defect == 0.0 and ok
@@ -254,16 +255,35 @@ class TestDrivers:
 
 class TestFibers:
     def test_frozen_matches_schur(self, sa_standard):
-        for a_val in (0.0, 1.5):
-            fib = build_fibers(sa_standard, constant_driver(a_val), [0.0])[0]
+        a_vals = (0.0, 1.5)
+        fibers = build_fibers(
+            sa_standard, [(constant_driver(a_val), 0.0) for a_val in a_vals]
+        )
+        for a_val, fib in zip(a_vals, fibers):
             oracle = stable_lagrange_schur(
                 assemble_nonaut_hamiltonian(sa_standard, a_val)
             )
             assert grassmann_distance(fib.l_plus_q, oracle) <= 1e-6
 
+    def test_mixed_columns_match_single_columns(self, sa_standard, sa_driver):
+        # every column of one mixed call is the fiber of its own call
+        columns = [(sa_driver, 0.0), (sa_driver, 2.5), (constant_driver(1.5), 0.0)]
+        mixed = build_fibers(sa_standard, columns)
+        for column, fib in zip(columns, mixed):
+            (alone,) = build_fibers(sa_standard, [column])
+            assert fib.q == alone.q
+            assert grassmann_distance(fib.l_plus_q, alone.l_plus_q) <= 1e-9
+            assert fib.n_iterations == alone.n_iterations
+
+    def test_amplitude_guard_on_every_column(self, sa_standard, sa_driver):
+        too_large = constant_driver(sa_standard.a_bound + 0.1)
+        with pytest.raises(AmplitudeTooLarge):
+            build_fibers(sa_standard, [(sa_driver, 0.0), (too_large, 0.0)])
+
     def test_periodic_phases(self, sa_standard, sa_driver):
         fibers = build_fibers(
-            sa_standard, sa_driver, np.linspace(0, 2 * np.pi, 16, endpoint=False)
+            sa_standard,
+            [(sa_driver, q) for q in np.linspace(0, 2 * np.pi, 16, endpoint=False)],
         )
         assert all(f.n_iterations <= 200 for f in fibers)
         assert max(isotropy_defect(f.l_plus_q) for f in fibers) <= 1e-8
@@ -275,7 +295,7 @@ class TestFibers:
 
     def test_horizon_guard(self, sa_standard, sa_driver):
         with pytest.raises(HorizonTooShort):
-            build_fibers(sa_standard, sa_driver, [0.0], horizon=1.0)
+            build_fibers(sa_standard, [(sa_driver, 0.0)], horizon=1.0)
 
     def test_failing_k1_not_a_contraction(self):
         model = make_spectral_model([float(j * j) for j in range(1, 9)])
@@ -286,9 +306,9 @@ class TestFibers:
             v_form_certificate(cfg)
 
     def test_continuity_table(self, sa_standard, sa_driver):
-        rows = fiber_continuity(
-            sa_standard, sa_driver, 1.0, [1.0 + 2.0**-m for m in range(1, 7)]
-        )
+        phases = [1.0] + [1.0 + 2.0**-m for m in range(1, 7)]
+        fibers = build_fibers(sa_standard, [(sa_driver, q) for q in phases])
+        rows = fiber_continuity(sa_driver, fibers[0], fibers[1:])
         gr = [r["grassmann"] for r in rows]
         mn = [r["m_norm"] for r in rows]
         # decreasing up to 10% jitter, roughly geometric
@@ -300,9 +320,9 @@ class TestFibers:
             assert g <= 10.0 * m and m <= 10.0 * g
 
     def test_constant_driver_continuity_zero(self, sa_standard):
-        rows = fiber_continuity(
-            sa_standard, constant_driver(1.2), 0.0, [0.5, 0.25]
-        )
+        drv = constant_driver(1.2)
+        fibers = build_fibers(sa_standard, [(drv, q) for q in (0.0, 0.5, 0.25)])
+        rows = fiber_continuity(drv, fibers[0], fibers[1:])
         assert max(r["grassmann"] for r in rows) <= 1e-12
 
 
@@ -328,7 +348,8 @@ class TestVForm:
     def test_p_bound_and_signs(self, sa_standard, sa_driver):
         out = v_form_certificate(sa_standard)
         fibers = build_fibers(
-            sa_standard, sa_driver, np.linspace(0, 2 * np.pi, 8, endpoint=False)
+            sa_standard,
+            [(sa_driver, q) for q in np.linspace(0, 2 * np.pi, 8, endpoint=False)],
         )
         p_max = max(np.linalg.norm(f.p_q, 2) for f in fibers)
         assert p_max <= 1.0 / out["delta_v"] + 1e-6
@@ -344,7 +365,7 @@ class TestDecay:
 
     def test_frozen_rate_meets_spectrum(self, sa_standard):
         drv = constant_driver(0.0)
-        fib = build_fibers(sa_standard, drv, [0.0])[0]
+        (fib,) = build_fibers(sa_standard, [(drv, 0.0)])
         ham = assemble_nonaut_hamiltonian(sa_standard, 0.0)
         gap = np.min(np.abs(np.linalg.eigvals(ham.matrix).real))
         z0 = fib.l_plus_q.basis @ np.ones(sa_standard.n)
@@ -352,14 +373,14 @@ class TestDecay:
         assert rate >= gap - 1e-3
 
     def test_not_in_fiber(self, sa_standard, sa_driver):
-        fib = build_fibers(sa_standard, sa_driver, [0.0])[0]
+        (fib,) = build_fibers(sa_standard, [(sa_driver, 0.0)])
         bad = np.ones(2 * sa_standard.n)
         with pytest.raises(NotInFiber):
             exp_decay_fit(sa_standard, sa_driver, 0.0, bad, fiber=fib)
 
     def test_uniform_prefactor(self, sa_standard, sa_driver):
         phases = np.linspace(0, 2 * np.pi, 8, endpoint=False)
-        fibers = build_fibers(sa_standard, sa_driver, phases)
+        fibers = build_fibers(sa_standard, [(sa_driver, q) for q in phases])
         eps0 = sa_eps0_estimate(sa_standard)
         rates, prefs = [], []
         for f in fibers:
@@ -371,7 +392,7 @@ class TestDecay:
         assert max(prefs) / min(prefs) < 2.0
 
     def test_pairing_preserved(self, sa_standard, sa_driver):
-        fib = build_fibers(sa_standard, sa_driver, [0.4])[0]
+        (fib,) = build_fibers(sa_standard, [(sa_driver, 0.4)])
         drift, pair0 = sa_pairing_drift(
             sa_standard, sa_driver, 0.4,
             fib.l_plus_q.basis[:, 0], fib.l_plus_q.basis[:, 5], 3.0,
