@@ -602,6 +602,7 @@ def build_fibers(
     assembled from Delta z(0) per sharp basis vector and nonoscillation
     extraction is attempted on each fiber.
     """
+    columns = list(columns)
     for driver, _ in columns:
         if driver.amplitude_bound > config.a_bound + 1e-12:
             raise AmplitudeTooLarge(
