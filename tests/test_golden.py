@@ -1,8 +1,9 @@
 """Certificates of the perfbench scenarios against committed goldens.
 
-tests/golden holds `certificate.json` of `verify` on S1 and sa-standard and
-of `check-freq` on the two n = 40 systems.  Pass flags, record names and
-their order must match exactly; values and bounds to the tolerances below.
+tests/golden holds `certificate.json` of `verify` on S1, sa-standard and the
+j = 0 n = 40 system, and of `check-freq` on the two n = 40 systems.  Pass
+flags, record names and their order must match exactly; values and bounds to
+the tolerances below.
 Regenerate a golden only for a change that moves a value on purpose, and
 justify the move against an oracle.
 """
@@ -43,8 +44,8 @@ def assert_matches_golden(checks, golden):
 
 @pytest.mark.parametrize(
     "command, scenario",
-    [("verify", "s1"), ("verify", "sa_standard"), ("check-freq", "n40_j0"),
-     ("check-freq", "n40_j1")],
+    [("verify", "s1"), ("verify", "sa_standard"), ("verify", "n40_j0"),
+     ("check-freq", "n40_j0"), ("check-freq", "n40_j1")],
 )
 def test_certificate_matches_golden(tmp_path, command, scenario):
     golden = json.loads((GOLDEN / f"{scenario}.{command}.json").read_text())
