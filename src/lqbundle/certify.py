@@ -26,7 +26,11 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .frequency import QuadraticFormTriple, frequency_condition_margin
+from .frequency import (
+    QuadraticFormTriple,
+    frequency_condition_margin,
+    inverse_norm_bound,
+)
 from .sampling import bump_control, m0_sample
 from .spectral import eigenvalue_generator, make_spectral_model
 from .stationary import (
@@ -258,11 +262,11 @@ def _st_frequency(run, cert):
             for w, mg, iv in zip(scan.omegas, scan.margins, scan.inverse_norms)
         ]
         if scan.margin > 0:
-            bound = np.linalg.norm(reg.form.f3, 2) / scan.margin
             cert.add_upper(
-                "inverse-norm-bound", float(np.max(scan.inverse_norms)), bound,
-                detail="||(I - M(w))^-1|| <= ||F3|| / margin, sampled on the "
-                "freq_margin rows",
+                "inverse-norm-bound", float(np.max(scan.inverse_norms)),
+                inverse_norm_bound(reg.form, scan.margin),
+                detail="||(I - M(w))^-1|| <= ||F3|| / (margin - LEVEL_RTOL |margin|), "
+                "sampled on the freq_margin rows",
             )
     except LqBundleError as exc:
         cert.add_failure("frequency-margin", exc)

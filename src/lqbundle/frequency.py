@@ -8,7 +8,8 @@ to F3 > 0 (Willems 1971), and the level-set iteration of Boyd, Balakrishnan
 eigenvalue solves.  A shifted system (eps0) uses the 4n-state realisation of
 the Hermitian part.  Transfer-norm sups follow from the Smith form.  The
 plot table (grid rows plus the minimiser) is sampled, and so is the
-Lax-Milgram inverse bound ||(I-M)^-1|| <= ||F3|| / delta* checked on it.
+Lax-Milgram inverse bound ||(I-M)^-1|| <= ||F3|| / delta* checked on it, with
+delta* replaced by the certified lower end of the margin.
 """
 
 from __future__ import annotations
@@ -294,16 +295,23 @@ def smith_condition(a, b, c, lam: float) -> tuple[bool, float]:
     return bool(sup < 1.0 / lam), sup
 
 
+def inverse_norm_bound(form: QuadraticFormTriple, margin: float) -> float:
+    """The Lax-Milgram bound ||F3|| / delta* on ||(I - M(w))^{-1}||, taken
+    at margin - LEVEL_RTOL |margin|: the returned margin is certified only
+    to within LEVEL_RTOL of delta*, and this is its certified lower end."""
+    return float(np.linalg.norm(form.f3, 2)) / (margin - LEVEL_RTOL * abs(margin))
+
+
 def inverse_norm_certificate(
     a, b, form: QuadraticFormTriple
 ) -> tuple[float, MarginScan]:
-    """Verify ||(I - M(w))^{-1}|| <= ||F3|| / delta* on the table's rows.
+    """Verify ||(I - M(w))^{-1}|| <= `inverse_norm_bound` on the table's rows.
 
     Returns (worst ratio, scan).  Requires a positive margin.
     """
     scan = frequency_condition_margin(a, b, form, full_scan=True)
     if scan.margin <= 0.0:
         raise ConditionFailed(f"frequency margin {scan.margin:.3e} <= 0")
-    bound = float(np.linalg.norm(form.f3, 2)) / scan.margin
+    bound = inverse_norm_bound(form, scan.margin)
     worst = float(np.max(scan.inverse_norms)) / bound
     return worst, scan

@@ -8,9 +8,14 @@ reference operator, so the doubled system splits into independent
 structure (projected solves plus Picard on the certified contraction) but
 runs it mode-wise, with a two-channel representation (smooth part plus the
 mode's own stiff exponential) so the stiff transients are integrated
-exactly.  `build_fibers` solves every (driver, phase) column a run needs in
-one Picard iteration: the certify pipeline's frozen-driver oracle and
+exactly.  Each mode is integrated only in the direction of its
+square-integrable Green branch, and both directions of a frame share one
+recurrence.  `build_fibers` solves every (driver, phase) column a run needs
+in one Picard iteration: the certify pipeline's frozen-driver oracle and
 continuity table read columns of its fibers stage and solve nothing.
+Driven trajectories compute their step propagators in vectorised batches.
+The two-direction frame solve and the per-step trajectory loop are kept as
+exact references in tests/spatial_oracles.py.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ CONTRACTION_STEPS = 360
 IMPULSE_BATCH = 64
 #: trajectory step relative to 1 / (the largest frozen coefficient sum)
 TRAJECTORY_STEP_SCALE = 0.01
+#: trajectory steps whose propagators are computed in one vectorised batch
+TRAJECTORY_CHUNK = 4096
 #: largest k that the gap search tries
 GAP_K_MAX = 50
 
@@ -394,6 +401,12 @@ class _ScalarFrame:
     into the integrand samples, so only the (smooth) fold-corrected data is
     polynomial-interpolated.
 
+    Each mode is integrated in the one direction whose Green branch is
+    square-integrable: forward from zero on `forward_modes`, backward from
+    zero on the others.  Quadrature weights, fold factors and step factors
+    exist for that direction only, and weights and folds are multiplied
+    once, since their product is the same on every solve.
+
     Array layout: (m nodes, n modes, 2 channels, P columns).
     """
 
@@ -408,14 +421,12 @@ class _ScalarFrame:
         a_mean: np.ndarray,
         c_int: np.ndarray,
     ):
-        self.times = times
-        self.h = float(times[1] - times[0])
+        self.h = h = float(times[1] - times[0])
         self.m = m = times.size
         n = s_base.size
-        p_count = a_mean.shape[1]
-        self.forward_modes = forward_modes
+        self.fwd = np.flatnonzero(forward_modes)
+        self.bwd = np.flatnonzero(~forward_modes)
         base, _ = stencil_layout(m)
-        self.base = base
         # frozen per-interval rates: (m-1, n, 2, P)
         rbar = (
             s_base[None, :, None, None]
@@ -423,19 +434,16 @@ class _ScalarFrame:
         )
         rho = np.zeros((1, n, 2, 1))
         rho[0, :, 1, 0] = mu
-        z = (rbar - rho) * self.h
-        self.step_fwd = np.exp(z)
-        self.step_bwd = np.exp(-z)
-        # weights only where `_local` reads them: stencil pattern 0 on the
-        # first interval, 1 on the interior, 2 on the last
-        spans = ((0, slice(0, 1)), (1, slice(1, m - 2)), (2, slice(m - 2, m - 1)))
-        self.w_fwd = [forward_weights_scalar(z[sl], self.h, p) for p, sl in spans]
-        self.w_bwd = [backward_weights_scalar(z[sl], self.h, p) for p, sl in spans]
+        z = (rbar - rho) * h
+        # the recurrence runs over both directions at once: forward modes in
+        # time order, then backward modes in reversed time order
+        self.steps = np.concatenate(
+            [np.exp(z[:, self.fwd]), np.exp(-z[::-1, self.bwd])], axis=1
+        )
         # fold factors at the stencil nodes: forward reference = right end,
         # backward reference = left end of the interval
-        self.fold_fwd = np.ones((m - 1, 4, n, p_count))
-        self.fold_bwd = np.ones((m - 1, 4, n, p_count))
         sc = sign * chi[None, :, None]
+        fold_f, fold_b = [], []
         for ell in range(4):
             nodes = base + ell
             dev_f = (c_int[1:] - c_int[nodes]) - a_mean * (
@@ -444,45 +452,57 @@ class _ScalarFrame:
             dev_b = (c_int[nodes] - c_int[:-1]) - a_mean * (
                 times[nodes, None] - times[:-1, None]
             )
-            self.fold_fwd[:, ell] = np.exp(sc * dev_f[:, None, :])
-            self.fold_bwd[:, ell] = np.exp(-sc * dev_b[:, None, :])
+            fold_f.append(np.exp(sc[:, self.fwd] * dev_f[:, None, :]))
+            fold_b.append(np.exp(-sc[:, self.bwd] * dev_b[:, None, :]))
+        self.wf_fwd = self._weighted_folds(forward_weights_scalar, z[:, self.fwd], fold_f)
+        self.wf_bwd = self._weighted_folds(backward_weights_scalar, z[:, self.bwd], fold_b)
 
-    def _local(self, fvals: np.ndarray, forward: bool) -> np.ndarray:
+    def _weighted_folds(self, weights, z, folds):
+        """Per stencil node ell, the weights times the fold factors on the
+        intervals of one direction: (4, m-1, modes, 2, P).  Stencil pattern
+        0 holds on the first interval, 1 on the interior, 2 on the last."""
         m = self.m
-        w_first, w_interior, w_last = self.w_fwd if forward else self.w_bwd
-        fold = self.fold_fwd if forward else self.fold_bwd
-        out = np.zeros((m - 1,) + fvals.shape[1:])
-        interior = slice(1, m - 2)
-        for ell in range(4):
-            w_int = w_interior[ell] * fold[interior, ell, :, None, :]
-            out[interior] += w_int * fvals[ell : m - 3 + ell]
-        for ell in range(4):
-            out[0] += w_first[ell, 0] * fold[0, ell, :, None, :] * fvals[ell]
-            out[m - 2] += (
-                w_last[ell, 0] * fold[m - 2, ell, :, None, :] * fvals[m - 4 + ell]
-            )
+        out = np.empty((4,) + z.shape)
+        spans = ((0, slice(0, 1)), (1, slice(1, m - 2)), (2, slice(m - 2, m - 1)))
+        for pattern, sl in spans:
+            w = weights(z[sl], self.h, pattern)
+            for ell in range(4):
+                out[ell, sl] = w[ell] * folds[ell][sl, :, None, :]
         return out
+
+    def _local(self, fvals: np.ndarray, wf: np.ndarray, out: np.ndarray) -> None:
+        """Accumulate the per-interval local integrals of fvals into out."""
+        m = self.m
+        interior = slice(1, m - 2)
+        out_int = out[interior]
+        prod = np.empty(out_int.shape)
+        for ell in range(4):
+            np.multiply(wf[ell, interior], fvals[ell : m - 3 + ell], prod)
+            out_int += prod
+        for ell in range(4):
+            out[0] += wf[ell, 0] * fvals[ell]
+            out[m - 2] += wf[ell, m - 2] * fvals[m - 4 + ell]
 
     def solve(self, fvals: np.ndarray) -> np.ndarray:
         """L2 solve: forward from zero on forward modes, backward (negated
-        Green branch) on the others.  All modes are propagated both ways on
-        the shared arrays; the output picks the square-integrable branch."""
+        Green branch) on the others.  The local integrals of both directions
+        fill one time-aligned buffer, forward modes in time order and
+        backward ones reversed, and a single recurrence
+        acc = step * acc + local runs over its rows."""
         m = self.m
+        nf = self.fwd.size
+        loc = np.zeros((m - 1,) + fvals.shape[1:])
+        self._local(fvals[:, self.fwd], self.wf_fwd, loc[:, :nf])
+        back = loc[::-1, nf:]
+        self._local(fvals[:, self.bwd], self.wf_bwd, back)
+        np.negative(back, out=back)
+        acc = np.zeros(loc.shape[1:])
+        for step, row in zip(self.steps, loc):
+            row += step * acc
+            acc = row
         out = np.zeros_like(fvals)
-        fsel = self.forward_modes
-        bsel = ~fsel
-        if np.any(fsel):
-            loc = self._local(fvals, forward=True)
-            acc = np.zeros_like(fvals[0, fsel])
-            for i in range(m - 1):
-                acc = self.step_fwd[i, fsel] * acc + loc[i, fsel]
-                out[i + 1, fsel] = acc
-        if np.any(bsel):
-            loc = self._local(fvals, forward=False)
-            acc = np.zeros_like(fvals[0, bsel])
-            for i in range(m - 2, -1, -1):
-                acc = self.step_bwd[i, bsel] * acc - loc[i, bsel]
-                out[i, bsel] = acc
+        out[1:, self.fwd] = loc[:, :nf]
+        out[:-1, self.bwd] = back
         return out
 
 
@@ -917,7 +937,9 @@ def sa_trajectory(config: SAConfig, driver: Driver, q, z0: np.ndarray, horizon: 
     """Integrate z' = H(theta^t q) z with the exponential midpoint rule.
 
     Every step propagator is the exponential of a Hamiltonian block, so the
-    mode-wise symplectic pairings are preserved exactly.
+    mode-wise symplectic pairings are preserved exactly.  The propagators
+    are computed TRAJECTORY_CHUNK steps at a time, vectorised over steps;
+    the state then advances step by step on their contiguous rows.
     """
     a_diag, chi, b_coef, c_coef = mode_coefficients(config)
     h_norm = float(
@@ -930,14 +952,20 @@ def sa_trajectory(config: SAConfig, driver: Driver, q, z0: np.ndarray, horizon: 
     n = config.n
     z = np.empty((m, 2 * n))
     z[0] = np.asarray(z0, dtype=float)
-    mids = times[:-1] + 0.5 * h
-    a_mid = driver.values(q, mids)
-    for i in range(m - 1):
-        top = (a_diag - a_mid[i] * chi) * h
-        props = _expm2x2_traceless(top, b_coef * h, c_coef * h)
-        v, e = z[i, :n], z[i, n:]
-        z[i + 1, :n] = props[:, 0, 0] * v + props[:, 0, 1] * e
-        z[i + 1, n:] = props[:, 1, 0] * v + props[:, 1, 1] * e
+    pairs = z.reshape(m, 2, n)  # rows (v, eta)
+    a_mid = driver.values(q, times[:-1] + 0.5 * h)
+    # Roundoff off the stable subspace grows at the fastest antistable rate
+    # and may overflow on a long horizon; the decay fit stops before that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, m - 1, TRAJECTORY_CHUNK):
+            top = (a_diag - a_mid[lo : lo + TRAJECTORY_CHUNK, None] * chi) * h
+            props = _expm2x2_traceless(top, b_coef * h, c_coef * h)
+            # (p00, p11) multiply (v, eta) and (p01, p10) multiply (eta, v)
+            diag = np.stack([props[..., 0, 0], props[..., 1, 1]], axis=1)
+            cross = np.stack([props[..., 0, 1], props[..., 1, 0]], axis=1)
+            for cur, nxt, d_row, c_row in zip(pairs[lo:], pairs[lo + 1 :], diag, cross):
+                np.multiply(d_row, cur, nxt)
+                nxt += c_row * cur[::-1]
     return GridFunction(times=times, values=z)
 
 

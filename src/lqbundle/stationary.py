@@ -719,10 +719,16 @@ def fit_decay_rate(traj: GridFunction) -> tuple[float, float]:
 
     Off-subspace roundoff grows at the fastest antistable rate and
     eventually dominates any trajectory meant to stay on the stable
-    subspace, so the fit window ends at the norm minimum.  prefactor is the
-    sampled sup of ||z(t)|| e^{rate t} / ||z(0)||.
+    subspace, so the fit window ends at the norm minimum.  On a long horizon
+    that growth may overflow; the norms are cut at the first non-finite one
+    before the minimum is taken.  prefactor is the sampled sup of
+    ||z(t)|| e^{rate t} / ||z(0)||.
     """
-    norms = np.linalg.norm(traj.values, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(traj.values, axis=1)
+    finite = np.isfinite(norms)
+    if not finite.all():
+        norms = norms[: int(np.argmin(finite))]
     stop = int(np.argmin(norms)) + 1
     if stop < 5:
         stop = norms.size

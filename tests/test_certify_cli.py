@@ -259,6 +259,15 @@ class TestPipeline:
         omega = run_pipeline(scn, ("frequency",)).tables["freq_margin"][0]["omega"]
         assert omega == 0.0 and not np.signbit(omega)
 
+    def test_s1_inverse_norm_bound_has_room(self, tmp_path):
+        # S1 is the Lax-Milgram equality case: ||F3|| / margin equals the
+        # sampled inverse norm, so only the certified lower end of the
+        # margin leaves the record a positive margin
+        scn = load_scenario(write_json(tmp_path, "s1.json", S1_DOC))
+        cert = run_pipeline(scn, ("frequency",))
+        rec = {r.name: r for r in cert.records}["inverse-norm-bound"]
+        assert rec.passed and rec.margin > 0.0
+
     def test_failing_k1_sa(self, tmp_path):
         doc = dict(SA_DOC)
         doc["k"] = 1

@@ -1,6 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
+from spatial_oracles import oracle_frames, trajectory_oracle
 
+from lqbundle.dichotomy import GridFunction
 from lqbundle.errors import (
     AmplitudeTooLarge,
     AValueOutOfRange,
@@ -10,7 +14,12 @@ from lqbundle.errors import (
     NotPositive,
 )
 from lqbundle.spatial import (
+    CONTRACTION_STEPS,
+    TRAJECTORY_CHUNK,
     SAConfig,
+    _fiber_grid,
+    _mode_operator_matrices,
+    _ScalarChannelSolver,
     assemble_forms,
     assemble_nonaut_hamiltonian,
     build_fibers,
@@ -28,12 +37,17 @@ from lqbundle.spatial import (
     p_sign_structure,
     sa_eps0_estimate,
     sa_pairing_drift,
+    sa_trajectory,
     spatial_avg_condition,
     v_form_brackets,
     v_form_certificate,
 )
 from lqbundle.spectral import make_spectral_model
-from lqbundle.stationary import assemble_hamiltonian, stable_lagrange_schur
+from lqbundle.stationary import (
+    assemble_hamiltonian,
+    fit_decay_rate,
+    stable_lagrange_schur,
+)
 from lqbundle.symplectic import (
     grassmann_distance,
     intersection_dimension,
@@ -399,6 +413,92 @@ class TestDecay:
         )
         assert drift <= 1e-12
         assert abs(pair0) <= 1e-12
+
+
+class TestNonfiniteTrajectory:
+    def test_fit_stops_at_first_nonfinite_norm(self):
+        # decay at rate 2, growth to overflow, then inf - inf = nan
+        times = np.linspace(0.0, 3.0, 31)
+        norms = np.exp(-2.0 * times)
+        norms[20:26] = 10.0 ** np.arange(150, 300, 25)
+        norms[26:28] = np.inf
+        norms[28:] = np.nan
+        traj = GridFunction(times=times, values=np.outer(norms, [0.6, 0.8]))
+        rate, pref = fit_decay_rate(traj)
+        assert rate == pytest.approx(2.0, rel=1e-12)
+        assert pref == pytest.approx(1.0, rel=1e-12)
+
+    def test_n16_fiber_decay_fit_is_finite(self):
+        # the trajectory from an n = 16 fiber overflows well after its norm
+        # minimum; the fit over the decaying window stays finite
+        model = make_spectral_model([float(j * j) for j in range(1, 17)])
+        cfg = SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=2)
+        drv = driver_make("periodic", {"c0": 1.5, "c1": 0.5, "omega": 1.0},
+                          a_bound=cfg.a_bound)
+        (fib,) = build_fibers(cfg, [(drv, 0.0)])
+        z0 = fib.l_plus_q.basis @ np.ones(cfg.n)
+        traj = sa_trajectory(cfg, drv, 0.0, z0, 8.0 / cfg.mu_bar)
+        assert not np.all(np.isfinite(traj.values))
+        rate, pref = exp_decay_fit(cfg, drv, 0.0, z0, fiber=fib)
+        assert np.isfinite(rate) and np.isfinite(pref)
+        assert rate >= sa_eps0_estimate(cfg) - 1e-3
+
+
+def assert_frames_match_oracles(solver, rng):
+    """Both frame solves of `solver` equal the two-direction reference
+    loops exactly, on random forcing in every mode, channel and column."""
+    for frame, oracle in zip((solver.frame_v, solver.frame_e), oracle_frames(solver)):
+        fvals = rng.standard_normal((solver.m, solver.a_diag.size, 2, len(solver.columns)))
+        assert np.array_equal(frame.solve(fvals), oracle.solve(fvals))
+
+
+class TestOracles:
+    def test_frames_on_verify_columns(self, sa_standard, sa_driver, rng):
+        # the 16 phases, 6 continuity steps and frozen driver of one verify
+        phases = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        columns = (
+            [(sa_driver, q) for q in phases]
+            + [(sa_driver, 2.0 ** (-m)) for m in range(1, 7)]
+            + [(constant_driver(sa_driver.value(0.0)), 0.0)]
+        )
+        solver = _ScalarChannelSolver(
+            sa_standard, columns, _fiber_grid(sa_standard, None, None)
+        )
+        assert_frames_match_oracles(solver, rng)
+
+    def test_frames_on_quasiperiodic_driver(self, sa_standard, rng):
+        drv = driver_make(
+            "quasiperiodic",
+            {"c0": 1.5, "amplitudes": [0.3, 0.2], "omegas": [1.0, np.sqrt(2.0)]},
+            a_bound=sa_standard.a_bound,
+        )
+        columns = [(drv, np.array([q, 2.0 * q])) for q in (0.0, 1.1, 4.0)]
+        solver = _ScalarChannelSolver(
+            sa_standard, columns, _fiber_grid(sa_standard, None, None)
+        )
+        assert_frames_match_oracles(solver, rng)
+
+    def test_contraction_impulse_columns(self, sa_standard):
+        times = _fiber_grid(sa_standard, None, CONTRACTION_STEPS)
+        solver = _ScalarChannelSolver(
+            sa_standard, [(constant_driver(sa_standard.a_bound), 0.0)], times
+        )
+        reference = copy.copy(solver)
+        reference.frame_v, reference.frame_e = oracle_frames(solver)
+        for coupling in (True, False):
+            assert np.array_equal(
+                _mode_operator_matrices(solver, coupling),
+                _mode_operator_matrices(reference, coupling),
+            )
+
+    def test_trajectory_over_several_chunks(self, sa_standard, sa_driver, rng):
+        z0 = rng.standard_normal(2 * sa_standard.n)
+        horizon = 8.0 / sa_standard.mu_bar
+        traj = sa_trajectory(sa_standard, sa_driver, 0.7, z0, horizon)
+        assert traj.times.size > 3 * TRAJECTORY_CHUNK
+        ref = trajectory_oracle(sa_standard, sa_driver, 0.7, z0, horizon)
+        assert np.array_equal(traj.times, ref.times)
+        assert np.array_equal(traj.values, ref.values)
 
 
 class TestEps0Estimate:
