@@ -454,8 +454,12 @@ class _ScalarFrame:
             )
             fold_f.append(np.exp(sc[:, self.fwd] * dev_f[:, None, :]))
             fold_b.append(np.exp(-sc[:, self.bwd] * dev_b[:, None, :]))
-        self.wf_fwd = self._weighted_folds(forward_weights_scalar, z[:, self.fwd], fold_f)
-        self.wf_bwd = self._weighted_folds(backward_weights_scalar, z[:, self.bwd], fold_b)
+        self.wf_fwd = self._weighted_folds(
+            forward_weights_scalar, z[:, self.fwd], fold_f
+        )
+        self.wf_bwd = self._weighted_folds(
+            backward_weights_scalar, z[:, self.bwd], fold_b
+        )
 
     def _weighted_folds(self, weights, z, folds):
         """Per stencil node ell, the weights times the fold factors on the
@@ -963,7 +967,8 @@ def sa_trajectory(config: SAConfig, driver: Driver, q, z0: np.ndarray, horizon: 
             # (p00, p11) multiply (v, eta) and (p01, p10) multiply (eta, v)
             diag = np.stack([props[..., 0, 0], props[..., 1, 1]], axis=1)
             cross = np.stack([props[..., 0, 1], props[..., 1, 0]], axis=1)
-            for cur, nxt, d_row, c_row in zip(pairs[lo:], pairs[lo + 1 :], diag, cross):
+            rows = zip(pairs[lo:], pairs[lo + 1 :], diag, cross)
+            for cur, nxt, d_row, c_row in rows:
                 np.multiply(d_row, cur, nxt)
                 nxt += c_row * cur[::-1]
     return GridFunction(times=times, values=z)

@@ -18,7 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from lqbundle._phi import backward_weights_scalar, forward_weights_scalar, stencil_layout
+from lqbundle._phi import (
+    backward_weights_scalar,
+    forward_weights_scalar,
+    stencil_layout,
+)
 from lqbundle.dichotomy import GridFunction
 from lqbundle.spatial import (
     TRAJECTORY_STEP_SCALE,

@@ -448,7 +448,8 @@ def assert_frames_match_oracles(solver, rng):
     """Both frame solves of `solver` equal the two-direction reference
     loops exactly, on random forcing in every mode, channel and column."""
     for frame, oracle in zip((solver.frame_v, solver.frame_e), oracle_frames(solver)):
-        fvals = rng.standard_normal((solver.m, solver.a_diag.size, 2, len(solver.columns)))
+        shape = (solver.m, solver.a_diag.size, 2, len(solver.columns))
+        fvals = rng.standard_normal(shape)
         assert np.array_equal(frame.solve(fvals), oracle.solve(fvals))
 
 
