@@ -958,17 +958,17 @@ def sa_trajectory(config: SAConfig, driver: Driver, q, z0: np.ndarray, horizon: 
     z[0] = np.asarray(z0, dtype=float)
     pairs = z.reshape(m, 2, n)  # rows (v, eta)
     a_mid = driver.values(q, times[:-1] + 0.5 * h)
-    # Roundoff off the stable subspace grows at the fastest antistable rate
-    # and may overflow on a long horizon; the decay fit stops before that.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, m - 1, TRAJECTORY_CHUNK):
-            top = (a_diag - a_mid[lo : lo + TRAJECTORY_CHUNK, None] * chi) * h
-            props = _expm2x2_traceless(top, b_coef * h, c_coef * h)
-            # (p00, p11) multiply (v, eta) and (p01, p10) multiply (eta, v)
-            diag = np.stack([props[..., 0, 0], props[..., 1, 1]], axis=1)
-            cross = np.stack([props[..., 0, 1], props[..., 1, 0]], axis=1)
-            rows = zip(pairs[lo:], pairs[lo + 1 :], diag, cross)
-            for cur, nxt, d_row, c_row in rows:
+    for lo in range(0, m - 1, TRAJECTORY_CHUNK):
+        top = (a_diag - a_mid[lo : lo + TRAJECTORY_CHUNK, None] * chi) * h
+        props = _expm2x2_traceless(top, b_coef * h, c_coef * h)
+        # (p00, p11) multiply (v, eta) and (p01, p10) multiply (eta, v)
+        diag = np.stack([props[..., 0, 0], props[..., 1, 1]], axis=1)
+        cross = np.stack([props[..., 0, 1], props[..., 1, 0]], axis=1)
+        # roundoff off the stable subspace grows at the fastest antistable
+        # rate and may overflow on a long horizon; the decay fit stops
+        # before that
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cur, nxt, d_row, c_row in zip(pairs[lo:], pairs[lo + 1 :], diag, cross):
                 np.multiply(d_row, cur, nxt)
                 nxt += c_row * cur[::-1]
     return GridFunction(times=times, values=z)
