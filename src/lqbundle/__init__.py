@@ -37,8 +37,8 @@ from .spatial import (
     constant_driver,
     contraction_certificate,
     driver_make,
-    exp_decay_fit,
     fiber_continuity,
+    fiber_growth,
     gap_search,
     implication_sweep,
     spatial_avg_condition,

@@ -74,14 +74,14 @@ def phi_block(kmax: int, m: np.ndarray) -> list[np.ndarray]:
     return [big[:n, (k + 1) * n : (k + 2) * n] for k in range(kmax)]
 
 
-def j_weights_scalar(z: np.ndarray, mmax: int = 3) -> np.ndarray:
-    """J_m(z) = int_0^1 exp(-z*tau) tau^m dtau, m = 0..mmax, stable for z >= 0.
+def j_weights_scalar(z: np.ndarray) -> np.ndarray:
+    """J_m(z) = int_0^1 exp(-z*tau) tau^m dtau, m = 0..3, stable for z >= 0.
 
     Uses J_m = sum_k C(m,k) (-1)^k k! phi_{k+1}(-z).
     """
-    ph = phi_scalar(mmax + 1, -np.asarray(z, dtype=float))
+    ph = phi_scalar(4, -np.asarray(z, dtype=float))
     out = np.empty_like(ph)
-    for m in range(mmax + 1):
+    for m in range(4):
         acc = np.zeros_like(ph[0])
         for k in range(m + 1):
             acc += math.comb(m, k) * (-1.0) ** k * math.factorial(k) * ph[k]

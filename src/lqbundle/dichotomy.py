@@ -81,6 +81,7 @@ class DichotomySplit:
     """Stable/unstable invariant decomposition of a matrix generator."""
 
     generator: np.ndarray
+    eigenvalues: np.ndarray = field(repr=False)
     stable_basis: Subspace | None
     unstable_basis: Subspace | None
     rank_j: int
@@ -157,6 +158,7 @@ def dichotomy_split(a) -> DichotomySplit:
     unstable = Subspace(w[:, k:]) if j else None
     split = DichotomySplit(
         generator=a,
+        eigenvalues=eigs,
         stable_basis=stable,
         unstable_basis=unstable,
         rank_j=j,

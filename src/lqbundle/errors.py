@@ -115,10 +115,6 @@ class ContractionFailed(LqBundleError):
     pass
 
 
-class NotInFiber(ValidationError):
-    pass
-
-
 class NotPositive(LqBundleError):
     """V-form certificate cannot find a positive coercivity constant."""
 

@@ -13,9 +13,13 @@ square-integrable Green branch, and both directions of a frame share one
 recurrence.  `build_fibers` solves every (driver, phase) column a run needs
 in one Picard iteration: the certify pipeline's frozen-driver oracle and
 continuity table read columns of its fibers stage and solve nothing.
-Driven trajectories compute their step propagators in vectorised batches.
-The two-direction frame solve and the per-step trajectory loop are kept as
-exact references in tests/spatial_oracles.py.
+The decay records read the exact growth rate of each mode line of the built
+fibers (`fiber_growth`); no trajectory is integrated for them.  Driven
+trajectories, which the pairing check integrates, compute their step
+propagators in vectorised batches.  The two-direction frame solve and the
+per-step trajectory loop are kept as exact references in
+tests/spatial_oracles.py, and the trajectory fits of the decay rate in
+tests/decay_oracles.py.
 """
 
 from __future__ import annotations
@@ -34,13 +38,12 @@ from .errors import (
     HorizonTooShort,
     NoCandidate,
     NotAContraction,
-    NotInFiber,
     NotPositive,
     Oscillating,
 )
 from .frequency import QuadraticFormTriple
 from .spectral import ModeProjectors, SpectralModel, mode_projectors
-from .stationary import Hamiltonian, extract_nonoscillation, fit_decay_rate
+from .stationary import Hamiltonian, extract_nonoscillation
 from .symplectic import (
     GraphOperator,
     LagrangeSubspace,
@@ -151,7 +154,7 @@ def gap_search(
     model: SpectralModel,
     lam: float,
     delta: float,
-    condition_set: str = "bundle",
+    condition_set: str,
 ) -> list[dict]:
     """Enumerate (k, N) pairs satisfying the selected inequality set."""
     found = []
@@ -228,9 +231,8 @@ class Driver:
         """One phase per frequency; a scalar q is the same phase on each."""
         return np.broadcast_to(np.asarray(q, dtype=float), self.omegas.shape)
 
-    def value(self, q, t: float = 0.0) -> float:
-        ph = self._phases(q)
-        return float(self.c0 + np.sum(self.amplitudes * np.sin(self.omegas * t + ph)))
+    def value(self, q) -> float:
+        return float(self.c0 + np.sum(self.amplitudes * np.sin(self._phases(q))))
 
     def values(self, q, times: np.ndarray) -> np.ndarray:
         ph = self._phases(q)
@@ -711,6 +713,25 @@ def fiber_continuity(driver: Driver, ref: FiberResult, fibers) -> list[dict]:
     ]
 
 
+def fiber_growth(
+    config: SAConfig, driver: Driver, fibers
+) -> tuple[np.ndarray, np.ndarray]:
+    """(growth, weights) of the mode lines of built fibers, (fibers, modes) each.
+
+    A fiber is mode-diagonal, M+(q) = diag(m_j): mode j spans the line of
+    (e_j, m_j e_j) for j >= N and of (m_j e_j, e_j) for j < N, which the flow
+    grows at exactly the rate top_j + b_j m_j, resp. c_j m_j - top_j, with
+    top_j = a_diag_j - chi_j a(q).  The weight sqrt(1 + m_j^2) is the norm
+    of the line's spanning vector.
+    """
+    a_diag, chi, b_coef, c_coef = mode_coefficients(config)
+    m = np.array([np.diag(f.m_plus_q.matrix) for f in fibers])
+    top = a_diag - np.array([driver.value(f.q) for f in fibers])[:, None] * chi
+    stable = np.arange(config.n) >= config.N
+    growth = np.where(stable, top + b_coef * m, c_coef * m - top)
+    return growth, np.sqrt(1.0 + m**2)
+
+
 # -- contraction certificate --------------------------------------------------
 
 
@@ -964,35 +985,10 @@ def sa_trajectory(config: SAConfig, driver: Driver, q, z0: np.ndarray, horizon: 
         # (p00, p11) multiply (v, eta) and (p01, p10) multiply (eta, v)
         diag = np.stack([props[..., 0, 0], props[..., 1, 1]], axis=1)
         cross = np.stack([props[..., 0, 1], props[..., 1, 0]], axis=1)
-        # roundoff off the stable subspace grows at the fastest antistable
-        # rate and may overflow on a long horizon; the decay fit stops
-        # before that
-        with np.errstate(over="ignore", invalid="ignore"):
-            for cur, nxt, d_row, c_row in zip(pairs[lo:], pairs[lo + 1 :], diag, cross):
-                np.multiply(d_row, cur, nxt)
-                nxt += c_row * cur[::-1]
+        for cur, nxt, d_row, c_row in zip(pairs[lo:], pairs[lo + 1 :], diag, cross):
+            np.multiply(d_row, cur, nxt)
+            nxt += c_row * cur[::-1]
     return GridFunction(times=times, values=z)
-
-
-def exp_decay_fit(
-    config: SAConfig,
-    driver: Driver,
-    q,
-    z0: np.ndarray,
-    fiber: FiberResult | None = None,
-) -> tuple[float, float]:
-    """(fitted rate, fitted prefactor) of a trajectory from the fiber over
-    the horizon 8 / mu_bar."""
-    z0 = np.asarray(z0, dtype=float)
-    if np.linalg.norm(z0) == 0.0:
-        return float("inf"), 0.0
-    if fiber is not None:
-        proj = fiber.l_plus_q.projector()
-        off = np.linalg.norm(z0 - proj @ z0) / np.linalg.norm(z0)
-        if off > 1e-6:
-            raise NotInFiber(f"initial state off the fiber by {off:.3e}")
-    traj = sa_trajectory(config, driver, q, z0, 8.0 / config.mu_bar)
-    return fit_decay_rate(traj)
 
 
 def sa_pairing_drift(

@@ -67,9 +67,6 @@ DECAY_TOL = 1e-3
 LYAPUNOV_SLACK = 1e-9
 #: bracket width of the eps0 bisection
 EPS0_TOL = 1e-4
-DECAY_CONSTANT_SAMPLES = 60
-#: relative norm below which trajectory samples are left out of the rate fit
-DECAY_FIT_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -227,9 +224,8 @@ def _grid_parameters(
 ) -> np.ndarray:
     if ham.gap <= AXIS_TOL:
         raise SpectrumOnAxis("Hamiltonian spectrum touches the imaginary axis")
-    eig_a = np.linalg.eigvals(split_a.generator)
     eps = min(split_a.eps_rate, ham.gap)
-    rho = max(np.abs(eig_a).max(), np.abs(ham.eigenvalues).max(), 1.0)
+    rho = max(np.abs(split_a.eigenvalues).max(), np.abs(ham.eigenvalues).max(), 1.0)
     horizon = GRID_HORIZON_RATE / eps
     if n_steps is None:
         n_steps = int(np.clip(np.ceil(horizon * rho / GRID_RHO_STEP), MIN_STEPS, MAX_STEPS))
@@ -434,7 +430,6 @@ def stable_lagrange_lp(
     diagnostics = {
         "n_steps": times.size - 1,
         "horizon": float(times[-1]),
-        "eps_h": ham.gap,
         "tail_bound": float(split_a.m_const * np.exp(-split_a.eps_rate * times[-1])),
         "margin": margin,
         "off_flat_defect": float(np.linalg.norm(flat.basis @ coords - dz0, 2)),
@@ -702,42 +697,21 @@ def estimate_eps0(reg: Regulator) -> float:
     return 0.5 * (lo + hi)
 
 
-def fitted_decay_constant(
+def restricted_decay(
     ham: Hamiltonian, l_plus: LagrangeSubspace, eps0: float
-) -> float:
-    """Sampled sup of e^{eps0 t} ||exp(tH)|restricted to L+|| (estimate of M_eps)."""
-    t_max = 10.0 / max(ham.gap, 1e-6)
-    out = 1.0
-    for t in np.linspace(0.0, t_max, DECAY_CONSTANT_SAMPLES):
-        prop = sla.expm(t * ham.matrix) @ l_plus.basis
-        out = max(out, float(np.linalg.norm(prop, 2)) * np.exp(eps0 * t))
-    return out
+) -> tuple[float, float]:
+    """(rate, M_eps) of the flow z' = H z on L+, read from the subspace.
 
-
-def fit_decay_rate(traj: GridFunction) -> tuple[float, float]:
-    """(rate, prefactor) from a least-squares fit of log ||z(t)||.
-
-    Off-subspace roundoff grows at the fastest antistable rate and
-    eventually dominates any trajectory meant to stay on the stable
-    subspace, so the fit window ends at the norm minimum.  On a long horizon
-    that growth may overflow; the norms are cut at the first non-finite one
-    before the minimum is taken.  prefactor is the sampled sup of
-    ||z(t)|| e^{rate t} / ||z(0)||.
+    K = L+^T H L+ is H restricted to L+ in its orthonormal basis, and the
+    rate is -max Re lambda(K).  M_eps = sqrt(cond X), where
+    (K + eps0 I)^T X + X (K + eps0 I) = -I, is a proven bound
+    ||e^{tK}|| <= M_eps e^{-eps0 t}: y^T X y does not grow along the shifted
+    flow.  M_eps is inf when K + eps0 I is not Hurwitz.
     """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(traj.values, axis=1)
-    finite = np.isfinite(norms)
-    if not finite.all():
-        norms = norms[: int(np.argmin(finite))]
-    stop = int(np.argmin(norms)) + 1
-    if stop < 5:
-        stop = norms.size
-    norms = norms[:stop]
-    times = traj.times[:stop]
-    keep = norms > DECAY_FIT_FLOOR * max(norms[0], 1e-300)
-    t = times[keep]
-    ln = np.log(norms[keep])
-    slope, _ = np.polyfit(t, ln, 1)
-    rate = -float(slope)
-    pref = float(np.max(norms[keep] * np.exp(rate * t) / max(norms[0], 1e-300)))
-    return rate, pref
+    k = l_plus.basis.T @ ham.matrix @ l_plus.basis
+    rate = -float(np.max(np.linalg.eigvals(k).real))
+    if rate <= eps0:
+        return rate, float("inf")
+    shifted = k + eps0 * np.eye(k.shape[0])
+    x = sla.solve_continuous_lyapunov(shifted.T, -np.eye(k.shape[0]))
+    return rate, float(np.sqrt(np.linalg.cond(x)))

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from decay_oracles import exp_decay_fit, fit_decay_rate
 
 from lqbundle.dichotomy import (
     GridFunction,
@@ -24,7 +25,6 @@ from lqbundle.spatial import (
     build_fibers,
     constant_driver,
     contraction_certificate,
-    exp_decay_fit,
     implication_sweep,
     sa_eps0_estimate,
     sa_pairing_drift,
@@ -35,7 +35,6 @@ from lqbundle.stationary import (
     assemble_hamiltonian,
     estimate_eps0,
     extract_nonoscillation,
-    fit_decay_rate,
     hamiltonian_trajectory,
     integrate_control_trajectory,
     l2_controllability,

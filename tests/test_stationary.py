@@ -7,6 +7,7 @@ import pytest
 
 import lqbundle.sampling
 import lqbundle.stationary as st
+from decay_oracles import fit_decay_rate
 from lp_oracles import SingleInputLP, default_grid, paired_fixed_point
 from lqbundle.dichotomy import GridFunction
 from lqbundle.errors import (
@@ -29,7 +30,6 @@ from lqbundle.stationary import (
     coercivity_check,
     estimate_eps0,
     extract_nonoscillation,
-    fit_decay_rate,
     hamiltonian_trajectory,
     integrate_control_trajectory,
     l2_controllability,
