@@ -1,10 +1,15 @@
 """Oracle discretizations of the stationary Lyapunov-Perron fixed point.
 
 The library solves the fixed point through one sparse collocation system in
-the recursion states (`lqbundle.stationary._StationaryLP.solve_structured`).
-The routes here reach the same discrete solution by other means, built on
-the public `LPGridOperator`, and serve as references in the tests:
+the recursion states (`lqbundle.stationary._StationaryLP.solve_structured`),
+whose CSR arrays `_StationaryLP.assemble` writes from per-family row
+templates.  The routes here reach the same discrete solution by other means,
+built on the public `LPGridOperator`, and serve as references in the tests:
 
+- `coo_collocation_system`: the same collocation matrix and right-hand side
+  built block by block from COO triplet lists, as the library once did; its
+  matrix equals the library's exactly (it also stores the explicit zeros of
+  the boundary identity blocks, and it needs about three times the memory);
 - `SingleInputLP.solve_dense`: the dense single-input equation
   (I - T) xi = T0 g;
 - `SingleInputLP.solve_picard`: the Picard iteration xi <- T xi + T0 g;
@@ -18,7 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
+from lqbundle._phi import stencil_layout
 from lqbundle.dichotomy import LPGridOperator, dichotomy_split, left_multiply
 from lqbundle.stationary import (
     Regulator,
@@ -150,3 +157,115 @@ def paired_fixed_point(a, b, form, shift: float = 0.0) -> LagrangeSubspace:
     dz = np.linalg.solve(np.eye(size) - lmat, rhs).reshape(m, 2 * n, -1)
     sharp, _ = breve_bases(split_a, split_m)
     return LagrangeSubspace(sharp.basis + dz[0])
+
+
+def coo_collocation_system(lp, g_v, g_e):
+    """(CSC matrix, rhs) of `lp`'s collocation system, assembled from
+    triplet lists block by block; duplicates are summed by the conversion."""
+    n = lp.n
+    m = lp.times.size
+    nb = g_v.shape[2]
+    fams = [  # (split, grid operator, recursion direction)
+        (lp.split_a, lp.op_v, "fwd"),
+        (lp.split_a, lp.op_v, "bwd"),
+        (lp.split_m, lp.op_e, "fwd"),
+        (lp.split_m, lp.op_e, "bwd"),
+    ]
+    ka, ja = lp.split_a.k_stable, lp.split_a.rank_j
+    km, jm = lp.split_m.k_stable, lp.split_m.rank_j
+    widths = [ka, ja, km, jm]
+    offs = np.concatenate([[0], np.cumsum(widths)])
+    sdim = int(offs[-1])  # = 2n
+    # value maps from the per-node state s = (u, w, p, q)
+    dv_map = np.zeros((n, sdim))
+    de_map = np.zeros((n, sdim))
+    if ka:
+        dv_map[:, offs[0] : offs[1]] = lp.split_a.w[:, :ka]
+    if ja:
+        dv_map[:, offs[1] : offs[2]] = -lp.split_a.w[:, ka:]
+    if km:
+        de_map[:, offs[2] : offs[3]] = lp.split_m.w[:, :km]
+    if jm:
+        de_map[:, offs[3] : offs[4]] = -lp.split_m.w[:, km:]
+    r = lp.r
+    c_v = r[:n, :n] @ dv_map + r[:n, n:] @ de_map
+    c_e = r[n:, :n] @ dv_map + r[n:, n:] @ de_map
+    base, pattern = stencil_layout(m)
+    rows, cols, data = [], [], []
+    rhs = np.zeros((m * sdim, nb))
+
+    def add_block(r0, c0, block, count=1, r_step=0, c_step=0, sel=None,
+                  col_nodes=None):
+        """Accumulate `block` at rows r0 + t*r_step and columns
+        c0 + t*c_step (or c0 + col_nodes[t]*sdim) for each t."""
+        br, bc = block.shape
+        t = np.arange(count) if sel is None else np.asarray(sel)
+        rr = (r0 + t * r_step)[:, None, None] + np.arange(br)[None, :, None]
+        if col_nodes is None:
+            cbase = c0 + t * c_step
+        else:
+            cbase = c0 + np.asarray(col_nodes) * sdim
+        cc = cbase[:, None, None] + np.arange(bc)[None, None, :]
+        rows.append(np.broadcast_to(rr, (t.size, br, bc)).ravel().copy())
+        cols.append(np.broadcast_to(cc, (t.size, br, bc)).ravel().copy())
+        data.append(np.broadcast_to(block, (t.size, br, bc)).ravel().copy())
+
+    row0 = 0
+    for fam, (split, op, kind) in enumerate(fams):
+        width = widths[fam]
+        if width == 0:
+            continue
+        state_off = int(offs[fam])
+        is_v = fam < 2
+        cin = c_v if is_v else c_e
+        g_in = g_v if is_v else g_e
+        k = split.k_stable
+        if kind == "fwd":
+            winv_blk = split.winv[:k]
+            weights = op._wf
+            e_blk = op.e_s
+        else:
+            winv_blk = split.winv[k:]
+            weights = op._wb
+            e_blk = op.e_u
+        # recursion rows: one block row per interval
+        for p in range(3):
+            sel = np.nonzero(pattern == p)[0]
+            if sel.size == 0:
+                continue
+            for ell in range(4):
+                blk = -(weights[p][ell] @ winv_blk) @ cin
+                add_block(
+                    row0, 0, blk, r_step=width, sel=sel,
+                    col_nodes=base[sel] + ell,
+                )
+        eye_blk = np.eye(width)
+        if kind == "fwd":
+            # u_{i+1} - E u_i - ... = rhs_i ; rows at interval i
+            add_block(row0, state_off + sdim, eye_blk, count=m - 1,
+                      r_step=width, c_step=sdim)
+            add_block(row0, state_off, -e_blk, count=m - 1,
+                      r_step=width, c_step=sdim)
+        else:
+            # w_i - E w_{i+1} - ... = rhs_i
+            add_block(row0, state_off, eye_blk, count=m - 1,
+                      r_step=width, c_step=sdim)
+            add_block(row0, state_off + sdim, -e_blk, count=m - 1,
+                      r_step=width, c_step=sdim)
+        # rhs from the g-forcing through the same stencil weights
+        coords = left_multiply(winv_blk, g_in)
+        loc = op._local_forcing(weights, coords)
+        rhs[row0 : row0 + (m - 1) * width] = loc.reshape((m - 1) * width, nb)
+        row0 += (m - 1) * width
+    # boundary conditions: u_0 = 0, w_{m-1} = 0, p_0 = 0, q_{m-1} = 0
+    for fam, node in ((0, 0), (1, m - 1), (2, 0), (3, m - 1)):
+        width = widths[fam]
+        if width == 0:
+            continue
+        add_block(row0, node * sdim + int(offs[fam]), np.eye(width))
+        row0 += width
+    mat = sp.csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m * sdim, m * sdim),
+    )
+    return mat, rhs

@@ -31,6 +31,7 @@ from lqbundle.spatial import (
     v_form_certificate,
 )
 from lqbundle.stationary import (
+    MAX_STEPS,
     Regulator,
     assemble_hamiltonian,
     estimate_eps0,
@@ -96,6 +97,13 @@ def test_criterion_01_oracle_equivalence(instance_pool):
         worst <= 1e-6,
         f"50 random systems, worst LP-vs-Schur distance {worst:.3e} <= 1e-6",
     )
+
+
+def test_pool_grids_below_the_flat_cap(instance_pool):
+    """No pool grid is clipped, by the flat MAX_STEPS cap or by the larger
+    nonzero-budget cap, so the budget moves none of them."""
+    steps = max(item["lp"].diagnostics["n_steps"] for item in instance_pool)
+    assert steps == 1386 < MAX_STEPS
 
 
 def test_criterion_02_scalar_closed_form(s1):

@@ -8,7 +8,13 @@ import pytest
 import lqbundle.sampling
 import lqbundle.stationary as st
 from decay_oracles import fit_decay_rate
-from lp_oracles import SingleInputLP, default_grid, paired_fixed_point
+from lp_oracles import (
+    SingleInputLP,
+    coo_collocation_system,
+    default_grid,
+    paired_fixed_point,
+)
+from lqbundle._phi import stencil_layout
 from lqbundle.dichotomy import GridFunction
 from lqbundle.errors import (
     ConditionFailed,
@@ -203,6 +209,89 @@ class TestLPConstruction:
         )
         assert drift <= 1e-10
         assert abs(pair0) <= 1e-8
+
+
+#: name: (seed, n, j, inputs) of a seeded `random_passing_instance`
+COLLOCATION_SYSTEMS = {"s1": None, "j1-m2": (7, 5, 1, 2), "j-eq-n": (11, 6, 6, 2),
+                       "three-input": (13, 8, 2, 3)}
+
+
+@pytest.fixture(params=sorted(COLLOCATION_SYSTEMS))
+def collocation(request):
+    """(lp, library (matrix, rhs), COO oracle (matrix, rhs)) on the default
+    grid of S1, a j = 1 two-input system, a j = n system (n = 6) and a
+    three-input system (n = 8, j = 2)."""
+    spec = COLLOCATION_SYSTEMS[request.param]
+    if spec is None:
+        a, b, form = request.getfixturevalue("s1")
+    else:
+        seed, n, j, inputs = spec
+        a, b, form, _ = random_passing_instance(
+            np.random.default_rng(seed), n, j=j, m=inputs
+        )
+        assert (Regulator(a, b, form).split_a.rank_j, b.shape[1]) == (j, inputs)
+    lp = st._StationaryLP(a, b, form, *default_grid(a, b, form))
+    forcing = lp.sharp_forcing()
+    return lp, lp.assemble(*forcing), coo_collocation_system(lp, *forcing)
+
+
+class TestCollocationMatrix:
+    """The template-assembled collocation matrix against the COO oracle."""
+
+    def test_equals_coo_oracle_exactly(self, collocation):
+        _, (mat, rhs), (oracle, oracle_rhs) = collocation
+        assert mat.shape == oracle.shape
+        assert abs(mat - oracle).max() == 0.0
+        assert np.array_equal(rhs, oracle_rhs)
+
+    def test_canonical_window_rows(self, collocation):
+        lp, (mat, _), _ = collocation
+        m, sdim = lp.times.size, 2 * lp.n
+        assert mat.format == "csc" and mat.has_canonical_format
+        col_of = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
+        same_col = col_of[1:] == col_of[:-1]
+        assert np.all(np.diff(mat.indices)[same_col] > 0)  # sorted, no duplicates
+        assert mat.nnz == (m - 1) * sdim * 4 * sdim + sdim
+        csr = mat.tocsr()
+        row_len = np.diff(csr.indptr)
+        n_int = (m - 1) * sdim
+        assert np.all(row_len[:n_int] == 4 * sdim) and np.all(row_len[n_int:] == 1)
+        # interval rows run family by family, `width` rows per interval
+        base, _ = stencil_layout(m)
+        interval = np.concatenate([np.repeat(np.arange(m - 1), w) for w in lp.widths])
+        lo = np.repeat(base[interval] * sdim, 4 * sdim)
+        cols = csr.indices[: n_int * 4 * sdim]
+        assert np.all((lo <= cols) & (cols < lo + 4 * sdim))
+
+
+STIFF = (np.diag([-1.0, -10.0, -100.0, -1000.0]), 0.5 * np.ones((4, 1)),
+         QuadraticFormTriple(f1=-0.1 * np.eye(4), f2=np.zeros((1, 4)), f3=[[1.0]]))
+
+
+class TestStepCap:
+    def test_stiff_spectrum_passes_lp_checks(self):
+        # rho(H) ~ 1000 asks for 303,823 steps; the flat 6000-step cap read
+        # invariance 6.9e-6 and oracle distance 3.5e-6
+        reg = Regulator(*STIFF)
+        res = stable_lagrange_lp(reg, frequency_condition_margin(*STIFF))
+        assert res.diagnostics["n_steps"] == st.NNZ_BUDGET // (4 * 8**2) > st.MAX_STEPS
+        assert grassmann_distance(res.l_plus, stable_lagrange_schur(reg.ham)) <= 1e-6
+        assert res.diagnostics["invariance_defect"] <= 1e-8
+
+    def test_fixture_grids_do_not_move(self, s1):
+        scenarios = Path(__file__).resolve().parents[1] / "perfbench/scenarios"
+        systems = {"s1": s1}
+        for name in ("n40_j0", "n40_j1"):
+            doc = json.loads((scenarios / f"{name}.json").read_text())
+            form = QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"])
+            systems[name] = (doc["A"], doc["B"], form)
+        steps = {}
+        for name, system in systems.items():
+            reg = Regulator(*system)
+            steps[name] = st._grid_parameters(reg.split_a, reg.ham, None).size - 1
+        # below MAX_STEPS, so neither the flat nor the budget cap clips them
+        assert steps == {"s1": 347, "n40_j0": 1443, "n40_j1": 1308}
+        assert max(steps.values()) < st.MAX_STEPS
 
 
 class TestNonoscillation:
