@@ -6,19 +6,20 @@ Every block of the assembled Hamiltonian is a function of the diagonal
 reference operator, so the doubled system splits into independent
 (v_j, eta_j) mode pairs.  The fiber construction keeps the analytical
 structure (projected solves plus Picard on the certified contraction) but
-runs it mode-wise, with a two-channel representation (smooth part plus the
-mode's own stiff exponential) so the stiff transients are integrated
-exactly.  Each mode is integrated only in the direction of its
-square-integrable Green branch, and both directions of a frame share one
-recurrence.  `build_fibers` solves every (driver, phase) column a run needs
+runs it mode-wise.  A mode's fiber forcing carries its own stiff
+exponential e^{mu_j t}, so the fiber solver integrates the smooth factor
+with the rate shifted by mu_j, and the stiff transients are integrated
+exactly; the contraction's impulse responses need no shift.  Each mode is
+integrated only in the direction of its square-integrable Green branch, and
+both directions of a frame share one recurrence.  `build_fibers` solves every (driver, phase) column a run needs
 in one Picard iteration: the certify pipeline's frozen-driver oracle and
 continuity table read columns of its fibers stage and solve nothing.
 The decay records read the exact growth rate of each mode line of the built
 fibers (`fiber_growth`); no trajectory is integrated for them.  Driven
 trajectories, which the pairing check integrates, compute their step
-propagators in vectorised batches.  The two-direction frame solve and the
-per-step trajectory loop are kept as exact references in
-tests/spatial_oracles.py, and the trajectory fits of the decay rate in
+propagators in vectorised batches.  The two-direction, two-channel frame
+solve with its Picard loop and the per-step trajectory loop are kept as
+exact references in tests/spatial_oracles.py, and the trajectory fits of the decay rate in
 tests/decay_oracles.py.
 """
 
@@ -395,13 +396,15 @@ def sa_breve_bases(config: SAConfig) -> tuple[LagrangeSubspace, LagrangeSubspace
 
 
 class _ScalarFrame:
-    """One projected scalar equation family x' = r(t) x + f, all modes/columns.
+    """One projected scalar equation family x' = (r(t) - rho) x + f, all
+    modes and columns.
 
-    r(t) = s_j + sign * chi_j * a(t) per mode; channel c is propagated with
-    the rate shifted by rho_c in {0, mu_j}.  Step factors use the exact
-    interval means of r; the within-interval variation of a(t) is folded
-    into the integrand samples, so only the (smooth) fold-corrected data is
-    polynomial-interpolated.
+    r(t) = s_j + sign * chi_j * a(t) per mode, and rho_j is the mode's rate
+    shift: a solution x stands for the physical e^{rho_j t} x, so a forcing
+    that carries the mode's own stiff exponential is integrated exactly.
+    Step factors use the exact interval means of r; the within-interval
+    variation of a(t) is folded into the integrand samples, so only the
+    (smooth) fold-corrected data is polynomial-interpolated.
 
     Each mode is integrated in the one direction whose Green branch is
     square-integrable: forward from zero on `forward_modes`, backward from
@@ -409,7 +412,7 @@ class _ScalarFrame:
     exist for that direction only, and weights and folds are multiplied
     once, since their product is the same on every solve.
 
-    Array layout: (m nodes, n modes, 2 channels, P columns).
+    Array layout: (m nodes, n modes, P columns).
     """
 
     def __init__(
@@ -418,25 +421,19 @@ class _ScalarFrame:
         s_base: np.ndarray,
         chi: np.ndarray,
         sign: float,
-        mu: np.ndarray,
+        rho: np.ndarray,
         forward_modes: np.ndarray,
         a_mean: np.ndarray,
         c_int: np.ndarray,
     ):
         self.h = h = float(times[1] - times[0])
         self.m = m = times.size
-        n = s_base.size
         self.fwd = np.flatnonzero(forward_modes)
         self.bwd = np.flatnonzero(~forward_modes)
         base, _ = stencil_layout(m)
-        # frozen per-interval rates: (m-1, n, 2, P)
-        rbar = (
-            s_base[None, :, None, None]
-            + sign * chi[None, :, None, None] * a_mean[:, None, None, :]
-        )
-        rho = np.zeros((1, n, 2, 1))
-        rho[0, :, 1, 0] = mu
-        z = (rbar - rho) * h
+        # shifted per-interval rates: (m-1, n, P)
+        rbar = s_base[None, :, None] + sign * chi[None, :, None] * a_mean[:, None, :]
+        z = (rbar - rho[None, :, None]) * h
         # the recurrence runs over both directions at once: forward modes in
         # time order, then backward modes in reversed time order
         self.steps = np.concatenate(
@@ -465,7 +462,7 @@ class _ScalarFrame:
 
     def _weighted_folds(self, weights, z, folds):
         """Per stencil node ell, the weights times the fold factors on the
-        intervals of one direction: (4, m-1, modes, 2, P).  Stencil pattern
+        intervals of one direction: (4, m-1, modes, P).  Stencil pattern
         0 holds on the first interval, 1 on the interior, 2 on the last."""
         m = self.m
         out = np.empty((4,) + z.shape)
@@ -473,7 +470,7 @@ class _ScalarFrame:
         for pattern, sl in spans:
             w = weights(z[sl], self.h, pattern)
             for ell in range(4):
-                out[ell, sl] = w[ell] * folds[ell][sl, :, None, :]
+                out[ell, sl] = w[ell] * folds[ell][sl]
         return out
 
     def _local(self, fvals: np.ndarray, wf: np.ndarray, out: np.ndarray) -> None:
@@ -512,21 +509,25 @@ class _ScalarFrame:
         return out
 
 
-class _ScalarChannelSolver:
+class _ModeSolver:
     """Mode-wise projected solves of the doubled SA system over many
-    (driver, phase) columns."""
+    (driver, phase) columns, every mode's rate shifted by rho_j.
 
-    def __init__(self, config: SAConfig, columns, times: np.ndarray):
+    The fiber solver (`shifted`) uses rho_j = mu_j = -|a_diag_j|: its
+    forcing is e^{mu_j t} times smooth data, so it solves for the smooth
+    factor, and `physical` multiplies the decay back in.  The contraction
+    solver uses rho = 0, so its impulse responses are physical values.
+    """
+
+    def __init__(self, config: SAConfig, columns, times: np.ndarray, shifted: bool):
         self.config = config
         self.times = np.asarray(times, dtype=float)
         self.m = self.times.size
         self.columns = list(columns)
-        a_diag, chi, b_coef, c_coef = mode_coefficients(config)
-        self.a_diag = a_diag
-        self.chi = chi
-        self.b_coef = b_coef
-        self.c_coef = c_coef
+        self.a_diag, self.chi, self.b_coef, self.c_coef = mode_coefficients(config)
+        a_diag, chi = self.a_diag, self.chi
         self.mu = -np.abs(a_diag)
+        self.rho = self.mu if shifted else np.zeros_like(self.mu)
         self.unstable = a_diag > 0  # modes 1..N
         self.a_vals = np.stack(
             [drv.values(q, self.times) for drv, q in self.columns], axis=1
@@ -537,16 +538,15 @@ class _ScalarChannelSolver:
         h = self.times[1] - self.times[0]
         a_mean = np.diff(c_int, axis=0) / h
         self.frame_v = _ScalarFrame(
-            self.times, a_diag, chi, -1.0, self.mu, ~self.unstable, a_mean, c_int
+            self.times, a_diag, chi, -1.0, self.rho, ~self.unstable, a_mean, c_int
         )
         self.frame_e = _ScalarFrame(
-            self.times, -a_diag, chi, +1.0, self.mu, self.unstable, a_mean, c_int
+            self.times, -a_diag, chi, +1.0, self.rho, self.unstable, a_mean, c_int
         )
 
-    def physical(self, channels: np.ndarray) -> np.ndarray:
-        """Collapse (m, n, 2, P) channels to physical samples (m, n, P)."""
-        decay = np.exp(self.mu[None, :] * self.times[:, None])
-        return channels[:, :, 0] + decay[:, :, None] * channels[:, :, 1]
+    def physical(self, x: np.ndarray) -> np.ndarray:
+        """Physical samples e^{rho t} x of (m, n, P) solutions."""
+        return np.exp(self.rho[None, :] * self.times[:, None])[:, :, None] * x
 
 
 # -- fibers -------------------------------------------------------------------
@@ -593,27 +593,17 @@ def _fiber_grid(config: SAConfig, horizon: float | None, n_steps: int | None):
     return np.linspace(0.0, t_end, int(n_steps) + 1)
 
 
-def _sharp_forcing_channels(solver: _ScalarChannelSolver):
-    """Channel-1 forcing modulations of R(theta^t q) G_sharp(t) z^s_j."""
-    m = solver.m
-    n = solver.a_diag.size
-    p_count = len(solver.columns)
-    g_v = np.zeros((m, n, 2, p_count))
-    g_e = np.zeros((m, n, 2, p_count))
-    a_t = solver.a_vals[:, None, :]  # (m, 1, P)
-    unst = solver.unstable
-    chi = solver.chi
-    bcf = solver.b_coef
-    ccf = solver.c_coef
-    # unstable modes (j <= N): g = (0, e^{mu t}) -> g_v = b_j e^{mu t},
-    # g_eta = chi_j a(t) e^{mu t}
-    g_v[:, unst, 1, :] = bcf[unst][None, :, None]
-    g_e[:, unst, 1, :] = (chi[unst][None, :, None]) * a_t
-    # stable modes (j > N): g = (e^{mu t}, 0) -> g_v = -chi a(t) e^{mu t},
-    # g_eta = c_j e^{mu t}
-    st = ~unst
-    g_v[:, st, 1, :] = -(chi[st][None, :, None]) * a_t
-    g_e[:, st, 1, :] = ccf[st][None, :, None]
+def _sharp_forcing(solver: _ModeSolver):
+    """R(theta^t q) G_sharp(t) z^s_j over the decay e^{mu_j t}, (m, n, P) each.
+
+    An unstable mode (j < N) has g = (0, e^{mu t}), so g_v = b_j and
+    g_eta = chi_j a(t); a stable one has g = (e^{mu t}, 0), so
+    g_v = -chi_j a(t) and g_eta = c_j.
+    """
+    unst = solver.unstable[None, :, None]
+    chi_a = solver.chi[None, :, None] * solver.a_vals[:, None, :]
+    g_v = np.where(unst, solver.b_coef[None, :, None], -chi_a)
+    g_e = np.where(unst, chi_a, solver.c_coef[None, :, None])
     return g_v, g_e
 
 
@@ -624,9 +614,7 @@ def build_fibers(
 
     The contraction is iterated mode-wise on the time grid, every column on
     the same sweeps, until the largest update over the columns has settled;
-    one FiberResult is returned per column, in order.  The fiber basis is
-    assembled from Delta z(0) per sharp basis vector and nonoscillation
-    extraction is attempted on each fiber.
+    one FiberResult is returned per column, in order (`_fibers_from`).
     """
     columns = list(columns)
     for driver, _ in columns:
@@ -636,17 +624,17 @@ def build_fibers(
             )
     _require_contraction(config)
     times = _fiber_grid(config, horizon, None)
-    solver = _ScalarChannelSolver(config, columns, times)
-    g_v, g_e = _sharp_forcing_channels(solver)
-    bcf = solver.b_coef[None, :, None, None]
-    ccf = solver.c_coef[None, :, None, None]
+    solver = _ModeSolver(config, columns, times, shifted=True)
+    g_v, g_e = _sharp_forcing(solver)
+    bcf = solver.b_coef[None, :, None]
+    ccf = solver.c_coef[None, :, None]
     d_eta = np.zeros_like(g_e)
     ref = None
     l2w = np.full(times.size, times[1] - times[0])
     l2w[0] = l2w[-1] = 0.5 * (times[1] - times[0])
 
-    def phys_norm(channels):
-        vals = solver.physical(channels)
+    def phys_norm(x):
+        vals = solver.physical(x)
         return float(np.sqrt(np.max(np.sum(l2w[:, None, None] * vals**2, axis=(0, 1)))))
 
     for it in range(PICARD_MAX_ITER):
@@ -662,22 +650,27 @@ def build_fibers(
         raise ContractionFailed(
             f"Picard did not reach {PICARD_TOL:.1e} within {PICARD_MAX_ITER} iterations"
         )
-    n_iter = it + 1
     dv = solver.frame_v.solve(bcf * d_eta + g_v)
-    # values at t = 0: channel sum (e^{mu 0} = 1)
-    dv0 = dv[0, :, 0, :] + dv[0, :, 1, :]
-    de0 = d_eta[0, :, 0, :] + d_eta[0, :, 1, :]
+    # values at t = 0, where e^{mu 0} = 1
+    return _fibers_from(config, solver.columns, dv[0], d_eta[0], it + 1)
+
+
+def _fibers_from(config: SAConfig, columns, dv0, de0, n_iter: int) -> list[FiberResult]:
+    """The fibers of the columns from Delta z(0), (n, P) each per half.
+
+    The fiber basis adds Delta z(0) to each sharp basis vector, and
+    nonoscillation extraction is attempted on each fiber.
+    """
     sharp, flat = sa_breve_bases(config)
-    n = config.n
+    modes = np.arange(config.n)
+    unstable = modes < config.N
+    # mode j's sharp vector gains m_j in its v-entry (j < N) or eta-entry
+    rows = np.where(unstable, modes, config.n + modes)
     results = []
-    for p_idx, (_, q) in enumerate(solver.columns):
-        m_diag = np.where(solver.unstable, dv0[:, p_idx], de0[:, p_idx])
+    for p_idx, (_, q) in enumerate(columns):
+        m_diag = np.where(unstable, dv0[:, p_idx], de0[:, p_idx])
         basis = sharp.basis.copy()
-        for j in range(n):
-            if j < config.N:
-                basis[j, j] += m_diag[j]
-            else:
-                basis[n + j, j] += m_diag[j]
+        basis[rows, modes] += m_diag
         l_plus = LagrangeSubspace(basis)
         gop = GraphOperator(matrix=np.diag(m_diag), sharp=sharp, flat=flat)
         try:
@@ -760,11 +753,12 @@ def _require_contraction(config: SAConfig) -> dict:
     return out
 
 
-def _mode_operator_matrices(solver: _ScalarChannelSolver, with_coupling: bool):
+def _mode_operator_matrices(solver: _ModeSolver, with_coupling: bool):
     """Dense per-mode matrices of the discretized contraction T (or of L_A).
 
-    Columns are impulse responses; they ride on the column axis of the
-    single-column solver, whose step and weight arrays broadcast over it.
+    Columns are impulse responses of the unshifted solver, so they are
+    physical values; they ride on the column axis of the single-column
+    solver, whose step and weight arrays broadcast over it.
     """
     m = solver.m
     n = solver.a_diag.size
@@ -772,16 +766,14 @@ def _mode_operator_matrices(solver: _ScalarChannelSolver, with_coupling: bool):
     b_coef, c_coef = solver.b_coef, solver.c_coef
     for lo in range(0, m, IMPULSE_BATCH):
         hi = min(lo + IMPULSE_BATCH, m)
-        f = np.zeros((m, n, 2, hi - lo))
+        f = np.zeros((m, n, hi - lo))
         for col in range(lo, hi):
-            f[col, :, 0, col - lo] = 1.0
+            f[col, :, col - lo] = 1.0
         if with_coupling:
-            dv = solver.frame_v.solve(b_coef[None, :, None, None] * f)
-            te = solver.frame_e.solve(c_coef[None, :, None, None] * dv)
-            vals = te[:, :, 0, :] + te[:, :, 1, :]
+            dv = solver.frame_v.solve(b_coef[None, :, None] * f)
+            vals = solver.frame_e.solve(c_coef[None, :, None] * dv)
         else:
-            lv = solver.frame_v.solve(f)
-            vals = lv[:, :, 0, :] + lv[:, :, 1, :]
+            vals = solver.frame_v.solve(f)
         out[:, :, lo:hi] = np.transpose(vals, (1, 0, 2))
     return out
 
@@ -801,7 +793,9 @@ def contraction_certificate(config: SAConfig) -> dict:
     w[0] = w[-1] = h / 2
     d_sq = np.sqrt(w)
     proj = config.projectors
-    solver = _ScalarChannelSolver(config, [(constant_driver(config.a_bound), 0.0)], times)
+    solver = _ModeSolver(
+        config, [(constant_driver(config.a_bound), 0.0)], times, shifted=False
+    )
     tmats = _mode_operator_matrices(solver, with_coupling=True)
     lmats = _mode_operator_matrices(solver, with_coupling=False)
     norms_t = np.array(

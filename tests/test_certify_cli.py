@@ -101,7 +101,7 @@ def sa_route(tmp_path_factory):
             name: count_calls(mp, owner, name)
             for owner, name in (
                 (lqbundle.spatial, "build_fibers"),
-                (lqbundle.spatial, "_ScalarChannelSolver"),
+                (lqbundle.spatial, "_ModeSolver"),
                 (lqbundle.spectral, "mode_projectors"),
             )
         }
@@ -240,7 +240,7 @@ class TestPipeline:
         # the band projectors are built once per config
         cert, calls = sa_route
         assert {name: len(c) for name, c in calls.items()} == {
-            "build_fibers": 1, "_ScalarChannelSolver": 2, "mode_projectors": 1,
+            "build_fibers": 1, "_ModeSolver": 2, "mode_projectors": 1,
         }
         assert len(cert.tables["fibers"]) == 4
         assert len(cert.tables["continuity"]) == 6

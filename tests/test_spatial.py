@@ -1,9 +1,12 @@
-import copy
-
 import numpy as np
 import pytest
 from decay_oracles import exp_decay_fit, fit_decay_rate
-from spatial_oracles import oracle_frames, trajectory_oracle
+from spatial_oracles import (
+    oracle_frames,
+    trajectory_oracle,
+    two_channel_fibers,
+    two_channel_operator_matrices,
+)
 
 from lqbundle.dichotomy import GridFunction
 from lqbundle.errors import (
@@ -19,7 +22,7 @@ from lqbundle.spatial import (
     SAConfig,
     _fiber_grid,
     _mode_operator_matrices,
-    _ScalarChannelSolver,
+    _ModeSolver,
     assemble_forms,
     assemble_nonaut_hamiltonian,
     build_fibers,
@@ -440,52 +443,80 @@ class TestNonfiniteTrajectory:
         assert rate >= sa_eps0_estimate(cfg) - 1e-3
 
 
-def assert_frames_match_oracles(solver, rng):
-    """Both frame solves of `solver` equal the two-direction reference
-    loops exactly, on random forcing in every mode, channel and column."""
-    for frame, oracle in zip((solver.frame_v, solver.frame_e), oracle_frames(solver)):
+def assert_frames_match_oracles(solver, channel, rng):
+    """Both one-channel frame solves of `solver` equal the given channel of
+    the two-direction, two-channel reference loops exactly, on random
+    forcing in every mode, channel and column."""
+    oracles = oracle_frames(solver.config, solver.columns, solver.times)
+    for frame, oracle in zip((solver.frame_v, solver.frame_e), oracles):
         shape = (solver.m, solver.a_diag.size, 2, len(solver.columns))
         fvals = rng.standard_normal(shape)
-        assert np.array_equal(frame.solve(fvals), oracle.solve(fvals))
+        assert np.array_equal(
+            frame.solve(fvals[:, :, channel]), oracle.solve(fvals)[:, :, channel]
+        )
+
+
+def assert_fibers_match_two_channel(config, columns):
+    """`build_fibers` equals the two-channel Picard loop on the oracle frames
+    exactly, fiber by fiber, and takes as many sweeps."""
+    fibers = build_fibers(config, columns)
+    for fib, ref in zip(fibers, two_channel_fibers(config, columns), strict=True):
+        assert np.array_equal(fib.m_plus_q.matrix, ref.m_plus_q.matrix)
+        assert np.array_equal(fib.p_q, ref.p_q)
+        assert fib.n_iterations == ref.n_iterations
+
+
+def verify_columns(driver):
+    """The 16 phases, 6 continuity steps and frozen driver of one verify."""
+    phases = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    return (
+        [(driver, q) for q in phases]
+        + [(driver, 2.0 ** (-m)) for m in range(1, 7)]
+        + [(constant_driver(driver.value(0.0)), 0.0)]
+    )
+
+
+def quasiperiodic_columns(config):
+    drv = driver_make(
+        "quasiperiodic",
+        {"c0": 1.5, "amplitudes": [0.3, 0.2], "omegas": [1.0, np.sqrt(2.0)]},
+        a_bound=config.a_bound,
+    )
+    return [(drv, np.array([q, 2.0 * q])) for q in (0.0, 1.1, 4.0)]
 
 
 class TestOracles:
-    def test_frames_on_verify_columns(self, sa_standard, sa_driver, rng):
-        # the 16 phases, 6 continuity steps and frozen driver of one verify
-        phases = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-        columns = (
-            [(sa_driver, q) for q in phases]
-            + [(sa_driver, 2.0 ** (-m)) for m in range(1, 7)]
-            + [(constant_driver(sa_driver.value(0.0)), 0.0)]
+    # the fiber solver is shifted by mu (channel 1), the contraction's is not
+    @pytest.mark.parametrize("shifted", [True, False])
+    def test_frames_on_verify_columns(self, sa_standard, sa_driver, rng, shifted):
+        solver = _ModeSolver(
+            sa_standard, verify_columns(sa_driver),
+            _fiber_grid(sa_standard, None, None), shifted,
         )
-        solver = _ScalarChannelSolver(
-            sa_standard, columns, _fiber_grid(sa_standard, None, None)
-        )
-        assert_frames_match_oracles(solver, rng)
+        assert_frames_match_oracles(solver, int(shifted), rng)
 
-    def test_frames_on_quasiperiodic_driver(self, sa_standard, rng):
-        drv = driver_make(
-            "quasiperiodic",
-            {"c0": 1.5, "amplitudes": [0.3, 0.2], "omegas": [1.0, np.sqrt(2.0)]},
-            a_bound=sa_standard.a_bound,
+    @pytest.mark.parametrize("shifted", [True, False])
+    def test_frames_on_quasiperiodic_driver(self, sa_standard, rng, shifted):
+        solver = _ModeSolver(
+            sa_standard, quasiperiodic_columns(sa_standard),
+            _fiber_grid(sa_standard, None, None), shifted,
         )
-        columns = [(drv, np.array([q, 2.0 * q])) for q in (0.0, 1.1, 4.0)]
-        solver = _ScalarChannelSolver(
-            sa_standard, columns, _fiber_grid(sa_standard, None, None)
-        )
-        assert_frames_match_oracles(solver, rng)
+        assert_frames_match_oracles(solver, int(shifted), rng)
+
+    def test_fibers_on_verify_columns(self, sa_standard, sa_driver):
+        assert_fibers_match_two_channel(sa_standard, verify_columns(sa_driver))
+
+    def test_fibers_on_quasiperiodic_driver(self, sa_standard):
+        assert_fibers_match_two_channel(sa_standard, quasiperiodic_columns(sa_standard))
 
     def test_contraction_impulse_columns(self, sa_standard):
         times = _fiber_grid(sa_standard, None, CONTRACTION_STEPS)
-        solver = _ScalarChannelSolver(
-            sa_standard, [(constant_driver(sa_standard.a_bound), 0.0)], times
-        )
-        reference = copy.copy(solver)
-        reference.frame_v, reference.frame_e = oracle_frames(solver)
+        columns = [(constant_driver(sa_standard.a_bound), 0.0)]
+        solver = _ModeSolver(sa_standard, columns, times, shifted=False)
         for coupling in (True, False):
             assert np.array_equal(
                 _mode_operator_matrices(solver, coupling),
-                _mode_operator_matrices(reference, coupling),
+                two_channel_operator_matrices(sa_standard, columns, times, coupling),
             )
 
     def test_trajectory_over_several_chunks(self, sa_standard, sa_driver, rng):
