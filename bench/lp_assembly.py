@@ -90,7 +90,7 @@ def measure(name: str, assembly: str, steps: int | None) -> dict:
 
     def solve_on(grid):
         t0 = time.perf_counter()
-        lp = st._StationaryLP(reg.a, reg.b, reg.form, split_a, split_m, grid)
+        lp = st._StationaryLP(reg.a, reg.b, reg.form, split_a, split_m, grid, reg.r)
         forcing = lp.sharp_forcing()
         t1 = time.perf_counter()
         if assembly == "lean":

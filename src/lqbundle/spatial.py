@@ -11,16 +11,16 @@ exponential e^{mu_j t}, so the fiber solver integrates the smooth factor
 with the rate shifted by mu_j, and the stiff transients are integrated
 exactly; the contraction's impulse responses need no shift.  Each mode is
 integrated only in the direction of its square-integrable Green branch, and
-both directions of a frame share one recurrence.  `build_fibers` solves every (driver, phase) column a run needs
-in one Picard iteration: the certify pipeline's frozen-driver oracle and
-continuity table read columns of its fibers stage and solve nothing.
-The decay records read the exact growth rate of each mode line of the built
-fibers (`fiber_growth`); no trajectory is integrated for them.  Driven
-trajectories, which the pairing check integrates, compute their step
-propagators in vectorised batches.  The two-direction, two-channel frame
-solve with its Picard loop and the per-step trajectory loop are kept as
-exact references in tests/spatial_oracles.py, and the trajectory fits of the decay rate in
-tests/decay_oracles.py.
+both directions of a frame share one recurrence.  `build_fibers` solves
+every (driver, phase) column a run needs in one Picard iteration: the
+certify pipeline's frozen-driver oracle and continuity table read columns of
+its fibers stage and solve nothing.  The decay records read the exact growth
+rate of each mode line of the built fibers (`fiber_growth`); no trajectory
+is integrated for them.  Driven trajectories, which the pairing check
+integrates, compute their step propagators in vectorised batches.  The
+two-direction, two-channel frame solve with its Picard loop and the per-step
+trajectory loop are kept as exact references in tests/spatial_oracles.py,
+and the trajectory fits of the decay rate in tests/decay_oracles.py.
 """
 
 from __future__ import annotations
@@ -526,8 +526,7 @@ class _ModeSolver:
         self.columns = list(columns)
         self.a_diag, self.chi, self.b_coef, self.c_coef = mode_coefficients(config)
         a_diag, chi = self.a_diag, self.chi
-        self.mu = -np.abs(a_diag)
-        self.rho = self.mu if shifted else np.zeros_like(self.mu)
+        self.rho = -np.abs(a_diag) if shifted else np.zeros_like(a_diag)
         self.unstable = a_diag > 0  # modes 1..N
         self.a_vals = np.stack(
             [drv.values(q, self.times) for drv, q in self.columns], axis=1
@@ -674,20 +673,11 @@ def _fibers_from(config: SAConfig, columns, dv0, de0, n_iter: int) -> list[Fiber
         l_plus = LagrangeSubspace(basis)
         gop = GraphOperator(matrix=np.diag(m_diag), sharp=sharp, flat=flat)
         try:
-            no = extract_nonoscillation(l_plus)
-            p_q, osc = no.p, False
+            p_q, osc = extract_nonoscillation(l_plus).p, False
         except Oscillating:
             p_q, osc = None, True
-        results.append(
-            FiberResult(
-                q=q,
-                l_plus_q=l_plus,
-                m_plus_q=gop,
-                p_q=p_q,
-                oscillating=osc,
-                n_iterations=n_iter,
-            )
-        )
+        results.append(FiberResult(q=q, l_plus_q=l_plus, m_plus_q=gop, p_q=p_q,
+                                   oscillating=osc, n_iterations=n_iter))
     return results
 
 

@@ -120,22 +120,15 @@ class Hamiltonian:
 def assemble_hamiltonian(a, b, form: QuadraticFormTriple) -> Hamiltonian:
     """H = diag(A, -A^T) + R = [[A - B F3^-1 F2, B F3^-1 B^T],
     [F1 - F2^T F3^-1 F2, -(...)^T]], with R from `perturbation_matrix`."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if b.shape != (form.state_dim, form.control_dim):
-        raise DimensionMismatch("B shape incompatible with the form triple")
-    n = a.shape[0]
-    mat = perturbation_matrix(a, b, form)
-    mat[:n, :n] += a
-    mat[n:, n:] -= a.T
-    return Hamiltonian(mat)
+    return Regulator(a, b, form).ham
 
 
 @dataclass(frozen=True)
 class Regulator:
     """The regulator problem v' = A v + B xi with cost form F; the one place
-    that derives the Hamiltonian `ham` (spectrum, gap), the splits `split_a`
-    of A and `split_m` of -A^T, and (via the form) the F3 factor, each once."""
+    that derives the perturbation `r`, the Hamiltonian `ham` (spectrum, gap),
+    the splits `split_a` of A and `split_m` of -A^T, and (via the form) the
+    F3 factor, each once."""
 
     a: np.ndarray
     b: np.ndarray
@@ -153,8 +146,17 @@ class Regulator:
         object.__setattr__(self, "b", b)
 
     @cached_property
+    def r(self) -> np.ndarray:
+        """R = H - diag(A, -A^T), read by `ham` and by the LP solve."""
+        return perturbation_matrix(self.a, self.b, self.form)
+
+    @cached_property
     def ham(self) -> Hamiltonian:
-        return assemble_hamiltonian(self.a, self.b, self.form)
+        n = self.a.shape[0]
+        mat = self.r.copy()
+        mat[:n, :n] += self.a
+        mat[n:, n:] -= self.a.T
+        return Hamiltonian(mat)
 
     @cached_property
     def split_a(self) -> DichotomySplit:
@@ -243,16 +245,17 @@ def _grid_parameters(
 
 class _StationaryLP:
     """Half-line Lyapunov-Perron collocation of the paired fixed point
-    Dz = L_breve P R (Dz + g) on one time grid."""
+    Dz = L_breve P R (Dz + g) on one time grid.  R (`Regulator.r`) carries
+    a, b and form, which only keep `times` where the benchmark tracer reads it."""
 
-    def __init__(self, a, b, form, split_a, split_m, times):
+    def __init__(self, a, b, form, split_a, split_m, times, r):
         self.split_a = split_a
         self.split_m = split_m
         self.times = times
         self.op_v = LPGridOperator(split_a, times)
         self.op_e = LPGridOperator(split_m, times)
         self.n = split_a.n
-        self.r = perturbation_matrix(a, b, form)
+        self.r = r
         # the per-node state s = (u, w, p, q): forward and backward recursion
         # coordinates of v, then of eta; dv_map and de_map give v and eta
         ka, ja = split_a.k_stable, split_a.rank_j
@@ -280,10 +283,14 @@ class _StationaryLP:
                 continue
             k = split.k_stable
             e_s = sla.expm((self.times[1] - self.times[0]) * split.t_stable)
-            c = split.winv[:k] @ cols
-            for i in range(m):
-                g[i, row0 : row0 + n, col0 : col0 + cols.shape[1]] = split.w[:, :k] @ c
-                c = e_s @ c
+            # the stable coordinates c_i = e_s^i c_0 by the k x cols recurrence
+            c = np.empty((m, k, cols.shape[1]))
+            c[0] = split.winv[:k] @ cols
+            for i in range(1, m):
+                np.matmul(e_s, c[i - 1], out=c[i])
+            g[:, row0 : row0 + n, col0 : col0 + cols.shape[1]] = left_multiply(
+                split.w[:, :k], c
+            )
         rg = left_multiply(self.r, g)
         return rg[:, :n], rg[:, n:]
 
@@ -408,7 +415,7 @@ def stable_lagrange_lp(
     times = _grid_parameters(split_a, ham, n_steps)
 
     def solve_on(grid_times: np.ndarray) -> np.ndarray:
-        lp = _StationaryLP(reg.a, reg.b, reg.form, split_a, split_m, grid_times)
+        lp = _StationaryLP(reg.a, reg.b, reg.form, split_a, split_m, grid_times, reg.r)
         dv, de = lp.solve_structured(*lp.sharp_forcing())
         return np.vstack([dv[0], de[0]])
 

@@ -177,12 +177,14 @@ class TestPipeline:
         assert p_entries["P[0][0]"] == pytest.approx(-0.2679, abs=1e-4)
 
     def test_s1_derives_each_piece_once(self, tmp_path, monkeypatch):
-        # one H, one split each of A and -A^T and one F3 factor for the
-        # system, plus the eps-shifted H and its F3 factor of the Lyapunov check
+        # one R (read by H and by both LP grids), one split each of A and
+        # -A^T and one F3 factor for the system, plus the eps-shifted H, its
+        # R and its F3 factor of the Lyapunov check
         scn = load_scenario(write_json(tmp_path, "s1.json", S1_DOC))
         calls = {
             name: count_calls(monkeypatch, owner, name)
             for owner, name in (
+                (lqbundle.stationary, "perturbation_matrix"),
                 (lqbundle.stationary, "assemble_hamiltonian"),
                 (lqbundle.dichotomy, "dichotomy_split"),
                 (scipy.linalg, "cho_factor"),
@@ -190,7 +192,8 @@ class TestPipeline:
         }
         assert run_pipeline(scn).passed
         assert {name: len(c) for name, c in calls.items()} == {
-            "assemble_hamiltonian": 2, "dichotomy_split": 2, "cho_factor": 2,
+            "perturbation_matrix": 2, "assemble_hamiltonian": 1,
+            "dichotomy_split": 2, "cho_factor": 2,
         }
 
     def test_s1_margin_evaluations_within_budget(self, tmp_path, monkeypatch):
@@ -267,6 +270,17 @@ class TestPipeline:
         cert = run_pipeline(scn, ("frequency",))
         rec = {r.name: r for r in cert.records}["inverse-norm-bound"]
         assert rec.passed and rec.margin > 0.0
+
+    def test_stiff_spectrum_passes_every_record(self, tmp_path):
+        # rho(H) ~ 1000: the pairing trajectories over [0, 5] overflowed and
+        # read NaN; they now stop at 12 / 1000 (RuntimeWarnings are errors)
+        doc = dict(S1_DOC, name="stiff", B=[[0.5]] * 4, F2=[[0.0] * 4],
+                   A=np.diag([-1.0, -10.0, -100.0, -1000.0]).tolist(),
+                   F1=(-0.1 * np.eye(4)).tolist())
+        cert = run_pipeline(load_scenario(write_json(tmp_path, "stiff.json", doc)))
+        assert [r.name for r in cert.records if not r.passed] == []
+        drift = {r.name: r for r in cert.records}["pairing-drift"]
+        assert drift.value <= 1e-20 and "over [0, 0.012]" in drift.detail
 
     def test_failing_k1_sa(self, tmp_path):
         doc = dict(SA_DOC)

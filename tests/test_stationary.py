@@ -71,7 +71,7 @@ def lp_scanned(a, b, form, **kwargs):
 
 def structured_single_grid(a, b, form, split_a, split_m, times):
     """The library's collocation solve on one grid, without Richardson."""
-    lp = st._StationaryLP(a, b, form, split_a, split_m, times)
+    lp = st._StationaryLP(a, b, form, split_a, split_m, times, Regulator(a, b, form).r)
     dv, de = lp.solve_structured(*lp.sharp_forcing())
     return subspace_from(np.vstack([dv[0], de[0]]), split_a, split_m)
 
@@ -230,7 +230,7 @@ def collocation(request):
             np.random.default_rng(seed), n, j=j, m=inputs
         )
         assert (Regulator(a, b, form).split_a.rank_j, b.shape[1]) == (j, inputs)
-    lp = st._StationaryLP(a, b, form, *default_grid(a, b, form))
+    lp = st._StationaryLP(a, b, form, *default_grid(a, b, form), Regulator(a, b, form).r)
     forcing = lp.sharp_forcing()
     return lp, lp.assemble(*forcing), coo_collocation_system(lp, *forcing)
 
