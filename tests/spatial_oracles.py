@@ -181,13 +181,12 @@ def two_channel_fibers(config, columns, horizon=None, frame=ScalarFrameOracle):
     return _fibers_from(config, columns, dv0, de0, it + 1)
 
 
-def two_channel_operator_matrices(config, columns, times, with_coupling,
-                                  frame=ScalarFrameOracle):
-    """`_mode_operator_matrices` on two-channel frames: impulses in channel
-    0 and the channel sum as the response."""
-    frame_v, frame_e = oracle_frames(config, columns, times, frame)
+def two_channel_operator_matrices(config, frames, with_coupling):
+    """`_mode_operator_matrices` on two-channel (v, eta) frames: impulses in
+    channel 0 and the channel sum as the response."""
+    frame_v, frame_e = frames
     _, _, b_coef, c_coef = mode_coefficients(config)
-    m, n = times.size, b_coef.size
+    m, n = frame_v.m, b_coef.size
     out = np.zeros((n, m, m))
     for lo in range(0, m, IMPULSE_BATCH):
         hi = min(lo + IMPULSE_BATCH, m)
