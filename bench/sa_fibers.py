@@ -17,13 +17,15 @@ Each run is a fresh single-threaded process, so its `ru_maxrss` rises are
 its own.  The contraction matrices are built first, then the fibers.  Frame
 setup is the time spent constructing the frames; ms per sweep is the rest
 of the fiber solve over the sweep count.  The fibers and the matrices are
-hashed, so the runs of one system show whether they agree bit for bit.
+hashed, so the runs of one system show whether they agree bit for bit
+(up to the sign of an exact zero).
 Systems: sa-standard (lambda_j = j^2, n = 8, Lambda = delta = 1, k = 3,
 N = 2, driver 1.5 + 0.5 sin t) and its n = 16 truncation.
 
     python bench/sa_fibers.py --out BENCH_sa_fibers.json
 
-About two minutes on a 2-core host.
+Each of the six runs is repeated three times, interleaved, and the
+summary holds the medians.  About three minutes on a 2-core host.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ THREAD_ENV = {
 RUNS = tuple(
     (n, variant) for n in (8, 16) for variant in ("oracle", "two_channel", "one_channel")
 )
+#: rounds over RUNS; the summary holds each metric's median over them
+REPEATS = 3
+SUMMARY = ("build_fibers_s", "frame_setup_s", "picard_sweeps", "ms_per_sweep",
+           "impulse_matrices_s", "fibers_rss_rise_mb", "impulse_rss_rise_mb")
 
 
 def _peak_mb() -> float:
@@ -55,9 +61,11 @@ def _peak_mb() -> float:
 
 
 def _digest(*arrays) -> str:
+    """Hash of the arrays' bytes, with -0.0 read as +0.0: the two-channel
+    response ch0 + ch1 adds a signed zero, so its exact zeros are +0.0."""
     sha = hashlib.sha256()
     for arr in arrays:
-        sha.update(arr.tobytes())
+        sha.update((arr + 0.0).tobytes())
     return sha.hexdigest()[:16]
 
 
@@ -172,13 +180,23 @@ def main(argv=None) -> int:
     env = dict(os.environ, **THREAD_ENV, PYTHONPATH=str(ROOT / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     runs = []
-    for n, variant in RUNS:
-        cmd = [sys.executable, __file__, "--child", str(n), variant]
-        out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-        runs.append(json.loads(out.stdout.strip().splitlines()[-1]))
-        print(json.dumps(runs[-1]), file=sys.stderr)
+    for _ in range(REPEATS):
+        for n, variant in RUNS:
+            cmd = [sys.executable, __file__, "--child", str(n), variant]
+            out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+            runs.append(json.loads(out.stdout.strip().splitlines()[-1]))
+            print(json.dumps(runs[-1]), file=sys.stderr)
     import numpy
     import scipy
+
+    summary = [
+        {"n": n, "variant": variant, **{
+            key: float(numpy.median([r[key] for r in runs
+                                     if (r["n"], r["variant"]) == (n, variant)]))
+            for key in SUMMARY
+        }}
+        for n, variant in RUNS
+    ]
 
     doc = {
         "what": "the verify fiber solve (23 columns) and the contraction impulse "
@@ -195,6 +213,7 @@ def main(argv=None) -> int:
             == 1
             for n in sorted({r["n"] for r in runs})
         },
+        "median": summary,
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
