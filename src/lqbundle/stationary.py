@@ -68,6 +68,9 @@ MIN_STEPS = 320
 MAX_STEPS = 6000
 #: fine-grid nonzeros (steps * 4 sdim^2) up to which the step cap may exceed MAX_STEPS
 NNZ_BUDGET = 12_500_000
+#: entries per batch of the LP forcing's coordinate stack (64 kB); a whole-grid
+#: stack (18 MB at n = 40) raised the allocator's mmap threshold and peak RSS
+FORCING_BATCH = 8192
 #: relative residual above which a (v, xi) pair is not a control trajectory
 TRAJ_TOL = 1e-6
 #: relative state left at the horizon above which an M_0 sample has not decayed
@@ -283,14 +286,16 @@ class _StationaryLP:
                 continue
             k = split.k_stable
             e_s = sla.expm((self.times[1] - self.times[0]) * split.t_stable)
-            # the stable coordinates c_i = e_s^i c_0 by the k x cols recurrence
-            c = np.empty((m, k, cols.shape[1]))
-            c[0] = split.winv[:k] @ cols
-            for i in range(1, m):
-                np.matmul(e_s, c[i - 1], out=c[i])
-            g[:, row0 : row0 + n, col0 : col0 + cols.shape[1]] = left_multiply(
-                split.w[:, :k], c
-            )
+            # c <- e_s c per node; the basis multiplies one batch per product
+            c = split.winv[:k] @ cols
+            stack = np.empty((max(1, FORCING_BATCH // c.size),) + c.shape)
+            for lo in range(0, m, stack.shape[0]):
+                hi = min(lo + stack.shape[0], m)
+                for j in range(hi - lo):
+                    stack[j] = c
+                    c = e_s @ c
+                block = g[lo:hi, row0 : row0 + n, col0 : col0 + cols.shape[1]]
+                np.matmul(split.w[:, :k], stack[: hi - lo], out=block)
         rg = left_multiply(self.r, g)
         return rg[:, :n], rg[:, n:]
 
