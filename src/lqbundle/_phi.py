@@ -1,12 +1,17 @@
-"""Exponential-integrator primitives.
+"""Exponential-integrator quadrature, the one home of it in lqbundle.
 
-phi_k functions, their matrix versions, and piecewise-cubic quadrature weights
+phi_k functions of scalars and of matrices, piecewise-cubic node weights
 for integrals of the form
 
     int_0^h exp(T (h - s)) p(s) ds      (forward, decaying kernel)
     int_0^h exp(-T s) p(s) ds           (backward, decaying kernel)
 
-with p the cubic Lagrange interpolant of grid samples.  These weights make the
+with p the cubic Lagrange interpolant of grid samples (Hochbruck &
+Ostermann, Acta Numerica 19, 2010), and the stencil contraction that
+applies matrix weights along a grid.  One forward and one backward weight
+formula serve both the matrix callers (the Lyapunov-Perron grid operator,
+the stationary collocation and the control trajectories) and the vectorised
+scalar callers (the spatial-averaging mode frames).  These weights make the
 kernel integration exact for piecewise-cubic data, which is what keeps the
 Lyapunov-Perron solves accurate on stiff spectra.
 """
@@ -74,21 +79,6 @@ def phi_block(kmax: int, m: np.ndarray) -> list[np.ndarray]:
     return [big[:n, (k + 1) * n : (k + 2) * n] for k in range(kmax)]
 
 
-def j_weights_scalar(z: np.ndarray) -> np.ndarray:
-    """J_m(z) = int_0^1 exp(-z*tau) tau^m dtau, m = 0..3, stable for z >= 0.
-
-    Uses J_m = sum_k C(m,k) (-1)^k k! phi_{k+1}(-z).
-    """
-    ph = phi_scalar(4, -np.asarray(z, dtype=float))
-    out = np.empty_like(ph)
-    for m in range(4):
-        acc = np.zeros_like(ph[0])
-        for k in range(m + 1):
-            acc += math.comb(m, k) * (-1.0) ** k * math.factorial(k) * ph[k]
-        out[m] = acc
-    return out
-
-
 def stencil_layout(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-interval stencil base index and pattern id for cubic interpolation.
 
@@ -102,64 +92,58 @@ def stencil_layout(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return base, idx - base
 
 
-def forward_weight_matrices(ht: np.ndarray, h: float) -> list[list[np.ndarray]]:
-    """Node-weight matrices for int_0^h exp(T(h-s)) p(s) ds, per pattern.
-
-    Returns weights[pattern][node] (4 node matrices per pattern) such that the
-    local integral is sum_l weights[p][l] @ f[base+l].
-    """
-    ph = phi_block(4, ht)
-    fact = [math.factorial(m) for m in range(4)]
-    out = []
-    for cinv in _CINV:
-        out.append(
-            [
-                h * sum(fact[m] * cinv[m, ell] * ph[m] for m in range(4))
-                for ell in range(4)
-            ]
-        )
-    return out
-
-
-def backward_weight_matrices(ht: np.ndarray, h: float) -> list[list[np.ndarray]]:
-    """Node-weight matrices for int_0^h exp(-T s) p(s) ds, per pattern."""
-    ph = phi_block(4, -ht)
-    jm = []
-    for m in range(4):
-        jm.append(
-            sum(
-                math.comb(m, k) * (-1.0) ** k * math.factorial(k) * ph[k]
-                for k in range(m + 1)
-            )
-        )
-    out = []
-    for cinv in _CINV:
-        out.append(
-            [h * sum(cinv[m, ell] * jm[m] for m in range(4)) for ell in range(4)]
-        )
-    return out
-
-
-def forward_weights_scalar(z: np.ndarray, h: float, pattern: int) -> np.ndarray:
-    """Scalar forward weights of one stencil pattern, vectorized over z;
-    shape (4,) + z.shape.
-
-    weights[l] multiplies the sample at stencil node l of the pattern.
-    """
-    ph = phi_scalar(4, z)
+def forward_weights(ph, h: float, pattern: int) -> list:
+    """Node weights of int_0^h exp(T (h - s)) p(s) ds on one stencil pattern,
+    from ph = [phi_1(hT), ..., phi_4(hT)]: matrices (`phi_block`) or arrays
+    of scalars (`phi_scalar`).  Weight l multiplies the sample at stencil
+    node l of the pattern."""
     cinv = _CINV[pattern]
-    out = np.empty((4,) + np.shape(z))
-    for ell in range(4):
-        out[ell] = h * sum(math.factorial(m) * cinv[m, ell] * ph[m] for m in range(4))
-    return out
+    return [
+        h * sum(math.factorial(m) * cinv[m, ell] * ph[m] for m in range(4))
+        for ell in range(4)
+    ]
 
 
-def backward_weights_scalar(z: np.ndarray, h: float, pattern: int) -> np.ndarray:
-    """Scalar backward weights of one stencil pattern for
-    int_0^h exp(-r s) p(s) ds with z = r*h."""
-    jm = j_weights_scalar(z)
+def backward_moments(ph) -> list:
+    """J_m = int_0^1 exp(-hT tau) tau^m dtau, m = 0..3, from
+    ph = [phi_1(-hT), ..., phi_4(-hT)]: J_m = sum_k C(m,k) (-1)^k k! phi_{k+1}.
+
+    Stable for hT >= 0.  Scalar callers pass `phi_scalar` inline, so the
+    phi arrays are freed before the weights are formed."""
+    return [
+        sum(
+            math.comb(m, k) * (-1.0) ** k * math.factorial(k) * ph[k]
+            for k in range(m + 1)
+        )
+        for m in range(4)
+    ]
+
+
+def backward_weights(jm, h: float, pattern: int) -> list:
+    """Node weights of int_0^h exp(-T s) p(s) ds on one stencil pattern, from
+    the moments jm = `backward_moments` of hT."""
     cinv = _CINV[pattern]
-    out = np.empty((4,) + np.shape(z))
+    return [h * sum(cinv[m, ell] * jm[m] for m in range(4)) for ell in range(4)]
+
+
+def local_forcing(weights, coords: np.ndarray) -> np.ndarray:
+    """Per-interval stencil contraction G[i] = sum_l W[p_i][l] y[base_i + l]
+    of node coordinates y, (m, k_in, batch), by the weight matrices
+    weights[pattern][node] (k, k_in); returns (m - 1, k, batch).
+
+    Interior intervals share the centered stencil, so the contraction is
+    four whole-array products accumulated through shifted views; only the
+    first and last interval use one-sided stencils.
+    """
+    m, k_in, batch = coords.shape
+    k = weights[0][0].shape[0]
+    flat = coords.transpose(1, 0, 2).reshape(k_in, m * batch)
+    z = [(weights[1][ell] @ flat).reshape(k, m, batch) for ell in range(4)]
+    out = np.zeros((m - 1, k, batch))
+    interior = out[1 : m - 2].transpose(1, 0, 2)
     for ell in range(4):
-        out[ell] = h * sum(cinv[m, ell] * jm[m] for m in range(4))
+        interior += z[ell][:, ell : m - 3 + ell]
+    for ell in range(4):
+        out[0] += weights[0][ell] @ coords[ell]
+        out[m - 2] += weights[2][ell] @ coords[m - 4 + ell]
     return out

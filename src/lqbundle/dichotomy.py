@@ -2,8 +2,9 @@
 
 A dichotomy split block-diagonalizes the generator by an ordered real Schur
 decomposition plus a Sylvester correction; the Lyapunov-Perron operator is
-applied on uniform grids with piecewise-cubic exponential-integrator weights,
-so the exponential kernels are integrated exactly against the interpolant.
+applied on uniform grids by a recursion in the decoupled coordinates, whose
+local forcing is the piecewise-cubic exponential quadrature of `_phi`, so the
+exponential kernels are integrated exactly against the interpolant.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._phi import (
-    backward_weight_matrices,
-    forward_weight_matrices,
-    stencil_layout,
+    backward_moments,
+    backward_weights,
+    forward_weights,
+    local_forcing,
+    phi_block,
 )
 from .errors import (
     DiagonalOfKernel,
@@ -225,39 +228,15 @@ class LPGridOperator:
             raise HorizonTooShort("need at least 4 grid nodes")
         self.split = split
         self.times = times
-        self.h = float(times[1] - times[0])
-        self.base, self.pattern = stencil_layout(times.size)
-        k = split.k_stable
-        self._wf = self._wb = None
-        if k:
-            self.e_s = sla.expm(self.h * split.t_stable)
-            self._wf = forward_weight_matrices(self.h * split.t_stable, self.h)
+        self.h = h = float(times[1] - times[0])
+        if split.k_stable:
+            self.e_s = sla.expm(h * split.t_stable)
+            ph = phi_block(4, h * split.t_stable)
+            self.wf = [forward_weights(ph, h, p) for p in range(3)]
         if split.rank_j:
-            self.e_u = sla.expm(-self.h * split.t_unstable)
-            self._wb = backward_weight_matrices(self.h * split.t_unstable, self.h)
-
-    def _local_forcing(self, weights, coords):
-        """Per-interval stencil contraction: G[i] = sum_l W[p_i][l] y[base_i + l].
-
-        Interior intervals share the centered stencil, so the contraction is
-        four whole-array products accumulated through shifted views; only the
-        first and last interval use one-sided stencils.
-        """
-        m = self.times.size
-        k = weights[0][0].shape[0]
-        batch = coords.shape[2]
-        flat = coords.transpose(1, 0, 2).reshape(coords.shape[1], m * batch)
-        z = [
-            (weights[1][ell] @ flat).reshape(k, m, batch) for ell in range(4)
-        ]
-        out = np.zeros((m - 1, k, batch))
-        interior = out[1 : m - 2].transpose(1, 0, 2)
-        for ell in range(4):
-            interior += z[ell][:, ell : m - 3 + ell]
-        for ell in range(4):
-            out[0] += weights[0][ell] @ coords[ell]
-            out[m - 2] += weights[2][ell] @ coords[m - 4 + ell]
-        return out
+            self.e_u = sla.expm(-h * split.t_unstable)
+            jm = backward_moments(phi_block(4, -h * split.t_unstable))
+            self.wb = [backward_weights(jm, h, p) for p in range(3)]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Apply to samples of f; values shaped (m, n) or (m, n, batch)."""
@@ -270,14 +249,14 @@ class LPGridOperator:
         out = np.zeros_like(values)
         if k:
             ys = left_multiply(split.winv[:k], values)
-            g = self._local_forcing(self._wf, ys)
+            g = local_forcing(self.wf, ys)
             u = np.zeros_like(ys)
             for i in range(m - 1):
                 u[i + 1] = self.e_s @ u[i] + g[i]
             out += left_multiply(split.w[:, :k], u)
         if split.rank_j:
             yu = left_multiply(split.winv[k:], values)
-            g = self._local_forcing(self._wb, yu)
+            g = local_forcing(self.wb, yu)
             w = np.zeros_like(yu)
             for i in range(m - 2, -1, -1):
                 w[i] = self.e_u @ w[i + 1] + g[i]

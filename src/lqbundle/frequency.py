@@ -9,7 +9,10 @@ eigenvalue solves.  A shifted system (eps0) uses the 4n-state realisation of
 the Hermitian part.  Transfer-norm sups follow from the Smith form.  The
 plot table (grid rows plus the minimiser) is sampled, and so is the
 Lax-Milgram inverse bound ||(I-M)^-1|| <= ||F3|| / delta* checked on it, with
-delta* replaced by the certified lower end of the margin.
+delta* replaced by the certified lower end of the margin.  The fixed grid is
+evaluated in one batched pass (`TransferEvaluator.rows`: margin, skew defect
+and inverse norm from one M(w) stack); `margin_at` is a single row, and it
+serves the level-set samples.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ LEVEL_RTOL = 1e-10
 CROSSING_RTOL = 1e-8
 #: level-set steps before the iteration is declared unsettled
 LEVEL_STEPS = 50
-#: frequencies per batched solve of the inverse-norm column
+#: frequencies per batched evaluation of `TransferEvaluator.rows`
 BATCH = 128
 
 
@@ -133,46 +136,54 @@ class TransferEvaluator:
         self.eigs = np.linalg.eigvals(self.a + self.shift * np.eye(self.a.shape[0]))
         self.f3_inv = np.linalg.inv(form.f3)
 
-    def _guard(self, omega: float):
-        dist = np.min(np.abs(self.eigs - 1j * omega))
-        if dist <= AXIS_DIST_TOL:
-            raise SingularShift(f"i*{omega} within {AXIS_DIST_TOL} of the spectrum")
+    def _guard(self, omegas: np.ndarray):
+        dist = np.abs(self.eigs[None, :] - 1j * omegas[:, None]).min(axis=1)
+        if np.any(dist <= AXIS_DIST_TOL):
+            w = omegas[np.argmax(dist <= AXIS_DIST_TOL)]
+            raise SingularShift(f"i*{w} within {AXIS_DIST_TOL} of the spectrum")
 
     def transfer_m(self, omega: float) -> np.ndarray:
         """M(w) = F3^-1 F2 R B + F3^-1 B^* (-A^* + shift - i w)^-1 (F1 R B - F2^*),
         R = (A + shift - i w)^{-1}."""
-        self._guard(omega)
-        return self._transfer([omega])[0]
+        omegas = np.array([omega], dtype=float)
+        self._guard(omegas)
+        return self._transfer(omegas)[0]
 
-    def _transfer(self, omegas) -> np.ndarray:
+    def _transfer(self, omegas: np.ndarray) -> np.ndarray:
         """M(w) stacked over `omegas`, with the resolvent solves batched."""
         n, m = self.b.shape
-        z = (self.shift - 1j * np.asarray(omegas, dtype=float))[:, None, None]
+        z = (self.shift - 1j * omegas)[:, None, None]
         b = np.broadcast_to(self.b, (z.size, n, m))
         rb = np.linalg.solve(self.a + z * np.eye(n), b)
         rhs = self.form.f1 @ rb - self.form.f2.T
         second = np.linalg.solve(-self.a.T + z * np.eye(n), rhs)
         return self.f3_inv @ (self.form.f2 @ rb + self.b.T @ second)
 
-    def margin_at(self, omega: float) -> tuple[float, float]:
-        """(min eig of sym part of F3 (I - M(w)), skew defect)."""
-        m = self.transfer_m(omega)
-        g = self.form.f3 @ (np.eye(self.form.control_dim) - m)
-        herm = 0.5 * (g + g.conj().T)
-        skew = float(np.linalg.norm(g - g.conj().T, 2))
-        return float(np.linalg.eigvalsh(herm).min()), skew
-
-    def inverse_norms(self, omegas) -> np.ndarray:
-        """||(I - M(w))^{-1}|| = 1 / sigma_min(I - M(w)) at each w, batched
-        over chunks of BATCH frequencies."""
+    def rows(self, omegas) -> np.ndarray:
+        """(margin, skew defect, inverse norm) at each w, shape (len, 3):
+        lambda_min of the Hermitian part of G = F3 (I - M(w)), ||G - G^*||
+        and ||(I - M(w))^{-1}|| = 1 / sigma_min(I - M(w)), all from one M(w)
+        stack per chunk of BATCH frequencies.  Raises SingularShift when a
+        w lies on the spectrum of A + shift."""
         omegas = np.asarray(omegas, dtype=float)
-        out = np.empty(omegas.size)
+        self._guard(omegas)
+        out = np.empty((omegas.size, 3))
+        eye = np.eye(self.form.control_dim)
         for lo in range(0, omegas.size, BATCH):
-            tm = self._transfer(omegas[lo : lo + BATCH])
-            sv = np.linalg.svd(np.eye(tm.shape[-1]) - tm, compute_uv=False)[:, -1]
+            i_m = eye - self._transfer(omegas[lo : lo + BATCH])
+            g = self.form.f3 @ i_m
+            g_h = g.conj().swapaxes(-1, -2)
+            chunk = out[lo : lo + BATCH]
+            chunk[:, 0] = np.linalg.eigvalsh(0.5 * (g + g_h)).min(axis=-1)
+            chunk[:, 1] = np.linalg.norm(g - g_h, 2, axis=(-2, -1))
+            sv = np.linalg.svd(i_m, compute_uv=False)[:, -1]
             inv = np.full(sv.size, np.inf)
-            out[lo : lo + BATCH] = np.divide(1.0, sv, out=inv, where=sv > 0)
+            chunk[:, 2] = np.divide(1.0, sv, out=inv, where=sv > 0)
         return out
+
+    def margin_at(self, omega: float) -> np.ndarray:
+        """(margin, skew defect, inverse norm) at one w: one row of `rows`."""
+        return self.rows([omega])[0]
 
 
 def level_crossings(a, b, form: QuadraticFormTriple, level: float, shift: float):
@@ -249,6 +260,7 @@ def frequency_condition_margin(
 
     if full_scan:
         grid = make_frequency_grid(a, b, form)
+        seen.update(zip(grid, ev.rows(grid)))
         gamma, w_star = least(grid)
     else:
         gamma, w_star = least(np.unique(np.abs(np.append(ev.eigs.imag, 0.0))))
@@ -268,15 +280,16 @@ def frequency_condition_margin(
     else:
         raise ConditionFailed(f"level sets unsettled after {LEVEL_STEPS} steps")
     if not full_scan:
-        return gamma
+        return float(gamma)
     omegas = np.union1d(grid, [w_star] if np.isfinite(w_star) else [])
+    table = np.array([seen[w] for w in omegas])
     return MarginScan(
         omegas=omegas,
-        margins=np.array([seen[w][0] for w in omegas]),
-        inverse_norms=ev.inverse_norms(omegas),
-        margin=gamma,
+        margins=table[:, 0],
+        inverse_norms=table[:, 2],
+        margin=float(gamma),
         omega_star=float(w_star),
-        skew_defect=max(seen[w][1] for w in omegas),
+        skew_defect=float(table[:, 1].max()),
     )
 
 

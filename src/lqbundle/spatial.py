@@ -6,12 +6,14 @@ Every block of the assembled Hamiltonian is a function of the diagonal
 reference operator, so the doubled system splits into independent
 (v_j, eta_j) mode pairs.  The fiber construction keeps the analytical
 structure (projected solves plus Picard on the certified contraction) but
-runs it mode-wise.  A mode's fiber forcing carries its own stiff
-exponential e^{mu_j t}, so the fiber solver integrates the smooth factor
-with the rate shifted by mu_j, and the stiff transients are integrated
-exactly; the contraction's impulse responses need no shift.  Each mode is
-integrated only in the direction of its square-integrable Green branch, and
-both directions of a frame share one recurrence.  `build_fibers` solves
+runs it mode-wise, on per-mode data derived once per `SAConfig`
+(`mode_coefficients`, `unstable`) and the scalar quadrature of `_phi`.  A
+mode's fiber forcing carries its own stiff exponential e^{mu_j t}, so the
+fiber solver integrates the smooth factor with the rate shifted by mu_j,
+and the stiff transients are integrated exactly; the contraction's impulse
+responses need no shift.  Each mode is integrated only in the direction of
+its square-integrable Green branch, and both directions of a frame share
+one recurrence.  `build_fibers` solves
 every (driver, phase) column a run needs in one Picard iteration: the
 certify pipeline's frozen-driver oracle and continuity table read columns of
 its fibers stage and solve nothing.  The decay records read the exact growth
@@ -30,7 +32,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ._phi import backward_weights_scalar, forward_weights_scalar, stencil_layout
+from ._phi import (
+    backward_moments,
+    backward_weights,
+    forward_weights,
+    phi_scalar,
+    stencil_layout,
+)
 from .dichotomy import GridFunction
 from .errors import (
     AmplitudeTooLarge,
@@ -95,6 +103,11 @@ class SAConfig:
         if self.k < 1:
             raise NoCandidate(f"k={self.k} must be >= 1")
         mu_bar = 0.5 * (lam_seq[self.N] - lam_seq[self.N - 1])
+        if mu_bar <= 0.0:
+            raise NoCandidate(
+                f"no spectral gap at N={self.N}: "
+                f"lambda_(N+1) - lambda_N = {2.0 * mu_bar:.6g}"
+            )
         alpha = 0.5 * (lam_seq[self.N] + lam_seq[self.N - 1])
         object.__setattr__(self, "mu_bar", float(mu_bar))
         object.__setattr__(self, "alpha", float(alpha))
@@ -113,6 +126,28 @@ class SAConfig:
     def projectors(self) -> ModeProjectors:
         """The band projectors, built once per config."""
         return mode_projectors(self.model, self.k, self.N)
+
+    @cached_property
+    def unstable(self) -> np.ndarray:
+        """The modes 1..N (indices j < N), where a_diag_j > 0."""
+        return np.arange(self.n) < self.N
+
+    @cached_property
+    def mode_coefficients(self) -> tuple[np.ndarray, ...]:
+        """Per-mode scalars of the doubled system, built once per config.
+
+        (a_diag, chi, b_coef, c_coef): a_diag[j] = alpha - lambda_j, chi the
+        P+Q indicator, b the eta-coefficient in the v-row, c the
+        v-coefficient in the eta-row.
+        """
+        mid = self.projectors.mid_mask
+        ratio2 = 4.0 * (self.lam / self.mu_bar) ** 2
+        return (
+            self.alpha - self.model.eigenvalues,
+            (~mid).astype(float),
+            np.where(mid, 2.0, 1.0 + ratio2),
+            np.where(mid, -(self.delta**2 + self.mu_bar**2 / 4.0), -self.lam**2),
+        )
 
     def b_matrix(self) -> np.ndarray:
         """Control operator B (xi_I, xi_c) -> xi_I + xi_c."""
@@ -336,33 +371,13 @@ def spatial_avg_condition(l_q, config: SAConfig, a_value: float) -> tuple[float,
     return defect, bool(defect <= config.delta + 1e-12)
 
 
-def mode_coefficients(config: SAConfig):
-    """Per-mode scalars of the doubled system.
-
-    Returns (a_diag, chi, b_coef, c_coef):
-    a_diag[j] = alpha - lambda_j, chi = P+Q indicator, b = eta-coefficient in
-    the v-row, c = v-coefficient in the eta-row.
-    """
-    proj = config.projectors
-    chi = (~proj.mid_mask).astype(float)
-    a_diag = config.alpha - config.model.eigenvalues
-    ratio2 = 4.0 * (config.lam / config.mu_bar) ** 2
-    b_coef = np.where(proj.mid_mask, 2.0, 1.0 + ratio2)
-    c_coef = np.where(
-        proj.mid_mask,
-        -(config.delta**2 + config.mu_bar**2 / 4.0),
-        -config.lam**2,
-    )
-    return a_diag, chi, b_coef, c_coef
-
-
 def assemble_nonaut_hamiltonian(config: SAConfig, a_value: float) -> Hamiltonian:
     """The frozen-coefficient Hamiltonian at a(q) = a_value, from the explicitly
     reduced mode-wise system; it equals `assemble_hamiltonian` on
     (A(q), B, F(q))."""
     if abs(a_value) > config.a_bound + 1e-12:
         raise AValueOutOfRange(f"|a| = {abs(a_value)} exceeds a_bound {config.a_bound}")
-    a_diag, chi, b_coef, c_coef = mode_coefficients(config)
+    a_diag, chi, b_coef, c_coef = config.mode_coefficients
     n = config.n
     mat = np.zeros((2 * n, 2 * n))
     top = a_diag - a_value * chi
@@ -376,19 +391,15 @@ def assemble_nonaut_hamiltonian(config: SAConfig, a_value: float) -> Hamiltonian
 def sa_breve_bases(config: SAConfig) -> tuple[LagrangeSubspace, LagrangeSubspace]:
     """Sharp/flat pairing subspaces ordered by mode index.
 
-    Sharp column j: vertical e_j for j <= N (unstable eta-side), horizontal
-    e_j for j > N; flat columns are the complements.
+    Sharp column j: vertical e_j for j < N (unstable eta-side), horizontal
+    e_j for j >= N; flat columns are the complements.
     """
     n = config.n
+    modes = np.arange(n)
     sharp = np.zeros((2 * n, n))
     flat = np.zeros((2 * n, n))
-    for j in range(n):
-        if j < config.N:
-            sharp[n + j, j] = 1.0
-            flat[j, j] = 1.0
-        else:
-            sharp[j, j] = 1.0
-            flat[n + j, j] = 1.0
+    sharp[np.where(config.unstable, n + modes, modes), modes] = 1.0
+    flat[np.where(config.unstable, modes, n + modes), modes] = 1.0
     return LagrangeSubspace(sharp), LagrangeSubspace(flat)
 
 
@@ -453,22 +464,23 @@ class _ScalarFrame:
             )
             fold_f.append(np.exp(sc[:, self.fwd] * dev_f[:, None, :]))
             fold_b.append(np.exp(-sc[:, self.bwd] * dev_b[:, None, :]))
-        self.wf_fwd = self._weighted_folds(
-            forward_weights_scalar, z[:, self.fwd], fold_f
-        )
-        self.wf_bwd = self._weighted_folds(
-            backward_weights_scalar, z[:, self.bwd], fold_b
-        )
+        self.wf_fwd = self._weighted_folds(True, z[:, self.fwd], fold_f)
+        self.wf_bwd = self._weighted_folds(False, z[:, self.bwd], fold_b)
 
-    def _weighted_folds(self, weights, z, folds):
-        """Per stencil node ell, the weights times the fold factors on the
-        intervals of one direction: (4, m-1, modes, P).  Stencil pattern
-        0 holds on the first interval, 1 on the interior, 2 on the last."""
-        m = self.m
+    def _weighted_folds(self, forward: bool, z, folds):
+        """Per stencil node ell, the weights of one direction times its fold
+        factors on the intervals: (4, m-1, modes, P).  Stencil pattern 0
+        holds on the first interval, 1 on the interior, 2 on the last."""
+        m, h = self.m, self.h
         out = np.empty((4,) + z.shape)
         spans = ((0, slice(0, 1)), (1, slice(1, m - 2)), (2, slice(m - 2, m - 1)))
         for pattern, sl in spans:
-            w = weights(z[sl], self.h, pattern)
+            if forward:
+                w = forward_weights(phi_scalar(4, z[sl]), h, pattern)
+            else:
+                w = backward_weights(
+                    backward_moments(phi_scalar(4, -z[sl])), h, pattern
+                )
             for ell in range(4):
                 out[ell, sl] = w[ell] * folds[ell][sl]
         return out
@@ -524,10 +536,10 @@ class _ModeSolver:
         self.times = np.asarray(times, dtype=float)
         self.m = self.times.size
         self.columns = list(columns)
-        self.a_diag, self.chi, self.b_coef, self.c_coef = mode_coefficients(config)
+        self.a_diag, self.chi, self.b_coef, self.c_coef = config.mode_coefficients
         a_diag, chi = self.a_diag, self.chi
         self.rho = -np.abs(a_diag) if shifted else np.zeros_like(a_diag)
-        self.unstable = a_diag > 0  # modes 1..N
+        self.unstable = config.unstable
         self.a_vals = np.stack(
             [drv.values(q, self.times) for drv, q in self.columns], axis=1
         )
@@ -569,7 +581,7 @@ def slowest_fiber_rate(config: SAConfig) -> float:
     Per mode the frozen rates are sqrt((A_j - a chi_j)^2 + b_j c_j); the
     truncation error of the fixed point decays with twice this rate.
     """
-    a_diag, chi, b_coef, c_coef = mode_coefficients(config)
+    a_diag, chi, b_coef, c_coef = config.mode_coefficients
     worst = np.abs(a_diag) - config.a_bound * chi
     s_sq = worst**2 + b_coef * c_coef
     if np.any(s_sq <= 0.0):
@@ -662,12 +674,11 @@ def _fibers_from(config: SAConfig, columns, dv0, de0, n_iter: int) -> list[Fiber
     """
     sharp, flat = sa_breve_bases(config)
     modes = np.arange(config.n)
-    unstable = modes < config.N
     # mode j's sharp vector gains m_j in its v-entry (j < N) or eta-entry
-    rows = np.where(unstable, modes, config.n + modes)
+    rows = np.where(config.unstable, modes, config.n + modes)
     results = []
     for p_idx, (_, q) in enumerate(columns):
-        m_diag = np.where(unstable, dv0[:, p_idx], de0[:, p_idx])
+        m_diag = np.where(config.unstable, dv0[:, p_idx], de0[:, p_idx])
         basis = sharp.basis.copy()
         basis[rows, modes] += m_diag
         l_plus = LagrangeSubspace(basis)
@@ -707,11 +718,10 @@ def fiber_growth(
     top_j = a_diag_j - chi_j a(q).  The weight sqrt(1 + m_j^2) is the norm
     of the line's spanning vector.
     """
-    a_diag, chi, b_coef, c_coef = mode_coefficients(config)
+    a_diag, chi, b_coef, c_coef = config.mode_coefficients
     m = np.array([np.diag(f.m_plus_q.matrix) for f in fibers])
     top = a_diag - np.array([driver.value(f.q) for f in fibers])[:, None] * chi
-    stable = np.arange(config.n) >= config.N
-    growth = np.where(stable, top + b_coef * m, c_coef * m - top)
+    growth = np.where(config.unstable, c_coef * m - top, top + b_coef * m)
     return growth, np.sqrt(1.0 + m**2)
 
 
@@ -843,14 +853,11 @@ def _mode_quadratic_blocks(config: SAConfig, a_value: float) -> np.ndarray:
     (v_j, xiI_j, xiC_j)."""
     t1, t2, t3 = config.taus
     lam2 = config.lam**2
-    proj = config.projectors
-    chi_i = proj.mid_mask.astype(float)
-    chi = 1.0 - chi_i
-    n = config.n
-    a_diag = config.alpha - config.model.eigenvalues
-    d = config.mu_bar * np.where(np.arange(n) < config.N, 1.0, -1.0)
+    a_diag, chi, _, _ = config.mode_coefficients
+    chi_i = 1.0 - chi
+    d = config.mu_bar * np.where(config.unstable, 1.0, -1.0)
     f1 = (t1 * a_value**2 - t1 * config.delta**2 - t2 * lam2) * chi_i - t3 * lam2 * chi
-    s = np.zeros((n, 3, 3))
+    s = np.zeros((config.n, 3, 3))
     s[:, 0, 0] = d * (a_diag - a_value) + f1
     s[:, 0, 1] = s[:, 1, 0] = 0.5 * d - t1 * a_value * chi_i
     s[:, 0, 2] = s[:, 2, 0] = 0.5 * d
@@ -950,7 +957,7 @@ def sa_trajectory(config: SAConfig, driver: Driver, q, z0: np.ndarray, horizon: 
     are computed TRAJECTORY_CHUNK steps at a time, vectorised over steps;
     the state then advances step by step on their contiguous rows.
     """
-    a_diag, chi, b_coef, c_coef = mode_coefficients(config)
+    a_diag, chi, b_coef, c_coef = config.mode_coefficients
     h_norm = float(
         np.max(np.abs(a_diag) + config.a_bound * chi + np.abs(b_coef) + np.abs(c_coef))
     )

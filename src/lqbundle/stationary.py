@@ -2,8 +2,8 @@
 
 Two independent routes produce the stable subspace: the ordered-Schur
 invariant subspace (oracle) and the Lyapunov-Perron fixed point, discretized
-on a time grid with exponential-integrator weights (Hochbruck & Ostermann,
-Acta Numerica 2010), solved as one sparse collocation system in the
+on a time grid with the exponential quadrature of `_phi` (Hochbruck &
+Ostermann, Acta Numerica 2010), solved as one sparse collocation system in the
 recursion states and refined by Richardson extrapolation, which helps only
 once the grid is in the asymptotic range (see `stable_lagrange_lp`).  Every
 interval row of that system holds the 4 sdim entries (sdim = 2n) of its
@@ -13,7 +13,8 @@ each with the LU factor.  So the step cap follows a nonzero budget
 (`NNZ_BUDGET`) as well as `MAX_STEPS`, and stiff spectra get the step they
 need.  Nonoscillation extraction, Riccati verification, controllability,
 coercivity and the Lyapunov inequality live here as well, all on one
-`Regulator` (A, B, F).
+`Regulator` (A, B, F); their control trajectories take the local integrals
+of every step from the same stencil contraction as the collocation system.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from scipy.integrate import simpson
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._phi import forward_weight_matrices, stencil_layout
+from ._phi import forward_weights, local_forcing, phi_block, stencil_layout
 from .dichotomy import (
     AXIS_TOL,
     DichotomySplit,
@@ -278,14 +279,14 @@ class _StationaryLP:
         cols_v = _basis_or_empty(self.split_a.stable_basis, n)
         cols_e = _basis_or_empty(self.split_m.stable_basis, n)
         g = np.zeros((m, 2 * n, cols_v.shape[1] + cols_e.shape[1]))
-        for (split, cols, row0, col0) in (
-            (self.split_a, cols_v, 0, 0),
-            (self.split_m, cols_e, n, cols_v.shape[1]),
+        for (op, cols, row0, col0) in (
+            (self.op_v, cols_v, 0, 0),
+            (self.op_e, cols_e, n, cols_v.shape[1]),
         ):
             if cols.shape[1] == 0:
                 continue
+            split, e_s = op.split, op.e_s
             k = split.k_stable
-            e_s = sla.expm((self.times[1] - self.times[0]) * split.t_stable)
             # c <- e_s c per node; the basis multiplies one batch per product
             c = split.winv[:k] @ cols
             stack = np.empty((max(1, FORCING_BATCH // c.size),) + c.shape)
@@ -341,7 +342,7 @@ class _StationaryLP:
             off = self.offs[fam]
             k = split.k_stable
             winv_blk = split.winv[:k] if fwd else split.winv[k:]
-            weights = op._wf if fwd else op._wb
+            weights = op.wf if fwd else op.wb
             cin = c_v if fam < 2 else c_e
             templates = np.empty((3, width, 4, sdim))
             for p in range(3):
@@ -360,7 +361,7 @@ class _StationaryLP:
             indices[lo:hi].reshape(m - 1, width, win)[...] = window
             # rhs from the g-forcing through the same stencil weights
             coords = left_multiply(winv_blk, g_v if fam < 2 else g_e)
-            loc = op._local_forcing(weights, coords)
+            loc = local_forcing(weights, coords)
             rhs[row0 : row0 + (m - 1) * width] = loc.reshape((m - 1) * width, -1)
             row0 += (m - 1) * width
         data[n_int:] = 1.0
@@ -502,21 +503,20 @@ def riccati_residual(p, ham: Hamiltonian) -> tuple[float, float]:
 
 
 def integrate_control_trajectory(a, b, xi: GridFunction, v0) -> GridFunction:
-    """Exact-exponential stepping of v' = A v + B xi for piecewise-cubic xi."""
+    """Exact-exponential stepping of v' = A v + B xi for piecewise-cubic xi:
+    the local integrals of all steps in one stencil contraction, then the
+    recurrence v_{i+1} = exp(hA) v_i + G_i."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     h = xi.step
-    m = xi.times.size
+    ph = phi_block(4, h * a)
+    weights = [forward_weights(ph, h, p) for p in range(3)]
+    g = local_forcing(weights, (xi.values @ b.T)[:, :, None])[:, :, 0]
     e = sla.expm(h * a)
-    weights = forward_weight_matrices(h * a, h)
-    base, pattern = stencil_layout(m)
-    bx = xi.values @ b.T
-    v = np.empty((m, a.shape[0]))
+    v = np.empty((xi.times.size, a.shape[0]))
     v[0] = np.asarray(v0, dtype=float)
-    for i in range(m - 1):
-        p = pattern[i]
-        local = sum(weights[p][ell] @ bx[base[i] + ell] for ell in range(4))
-        v[i + 1] = e @ v[i] + local
+    for i, gi in enumerate(g):
+        v[i + 1] = e @ v[i] + gi
     return GridFunction(times=xi.times, values=v)
 
 

@@ -17,6 +17,11 @@ built on the public `LPGridOperator`, and serve as references in the tests:
   Dz = L_breve P R_s (Dz + g) for the shifted generator diag(A, -A^T) + s I
   with R_s = R - s I, which gives the unshifted subspace for |s| below the
   decay certificate.
+
+One more oracle shares their quadrature: `stepwise_control_trajectory`
+steps v' = A v + B xi one interval at a time, each step's local integral a
+sum of four weight-matrix products, as `integrate_control_trajectory` ran
+before it took all local integrals from one stencil contraction.
 """
 
 from __future__ import annotations
@@ -25,8 +30,13 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from lqbundle._phi import stencil_layout
-from lqbundle.dichotomy import LPGridOperator, dichotomy_split, left_multiply
+from lqbundle._phi import forward_weights, local_forcing, phi_block, stencil_layout
+from lqbundle.dichotomy import (
+    GridFunction,
+    LPGridOperator,
+    dichotomy_split,
+    left_multiply,
+)
 from lqbundle.stationary import (
     Regulator,
     _grid_parameters,
@@ -222,11 +232,11 @@ def coo_collocation_system(lp, g_v, g_e):
         k = split.k_stable
         if kind == "fwd":
             winv_blk = split.winv[:k]
-            weights = op._wf
+            weights = op.wf
             e_blk = op.e_s
         else:
             winv_blk = split.winv[k:]
-            weights = op._wb
+            weights = op.wb
             e_blk = op.e_u
         # recursion rows: one block row per interval
         for p in range(3):
@@ -254,7 +264,7 @@ def coo_collocation_system(lp, g_v, g_e):
                       r_step=width, c_step=sdim)
         # rhs from the g-forcing through the same stencil weights
         coords = left_multiply(winv_blk, g_in)
-        loc = op._local_forcing(weights, coords)
+        loc = local_forcing(weights, coords)
         rhs[row0 : row0 + (m - 1) * width] = loc.reshape((m - 1) * width, nb)
         row0 += (m - 1) * width
     # boundary conditions: u_0 = 0, w_{m-1} = 0, p_0 = 0, q_{m-1} = 0
@@ -269,3 +279,23 @@ def coo_collocation_system(lp, g_v, g_e):
         shape=(m * sdim, m * sdim),
     )
     return mat, rhs
+
+
+def stepwise_control_trajectory(a, b, xi, v0):
+    """Exact-exponential stepping of v' = A v + B xi, one interval at a time."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    h = xi.step
+    m = xi.times.size
+    e = sla.expm(h * a)
+    ph = phi_block(4, h * a)
+    weights = [forward_weights(ph, h, p) for p in range(3)]
+    base, pattern = stencil_layout(m)
+    bx = xi.values @ b.T
+    v = np.empty((m, a.shape[0]))
+    v[0] = np.asarray(v0, dtype=float)
+    for i in range(m - 1):
+        p = pattern[i]
+        local = sum(weights[p][ell] @ bx[base[i] + ell] for ell in range(4))
+        v[i + 1] = e @ v[i] + local
+    return GridFunction(times=xi.times, values=v)

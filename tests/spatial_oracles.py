@@ -26,8 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from lqbundle._phi import (
-    backward_weights_scalar,
-    forward_weights_scalar,
+    backward_moments,
+    backward_weights,
+    forward_weights,
+    phi_scalar,
     stencil_layout,
 )
 from lqbundle.dichotomy import GridFunction
@@ -39,7 +41,6 @@ from lqbundle.spatial import (
     _expm2x2_traceless,
     _fiber_grid,
     _fibers_from,
-    mode_coefficients,
 )
 
 
@@ -67,8 +68,13 @@ class ScalarFrameOracle:
         self.step_fwd = np.exp(z)
         self.step_bwd = np.exp(-z)
         spans = ((0, slice(0, 1)), (1, slice(1, m - 2)), (2, slice(m - 2, m - 1)))
-        self.w_fwd = [forward_weights_scalar(z[sl], self.h, p) for p, sl in spans]
-        self.w_bwd = [backward_weights_scalar(z[sl], self.h, p) for p, sl in spans]
+        self.w_fwd = [
+            forward_weights(phi_scalar(4, z[sl]), self.h, p) for p, sl in spans
+        ]
+        self.w_bwd = [
+            backward_weights(backward_moments(phi_scalar(4, -z[sl])), self.h, p)
+            for p, sl in spans
+        ]
         self.fold_fwd = np.ones((m - 1, 4, n, p_count))
         self.fold_bwd = np.ones((m - 1, 4, n, p_count))
         sc = sign * chi[None, :, None]
@@ -98,9 +104,9 @@ class ScalarFrameOracle:
         for ell, w_int in enumerate(self.wf_interior[forward]):
             out[1 : m - 2] += w_int * fvals[ell : m - 3 + ell]
         for ell in range(4):
-            out[0] += w_first[ell, 0] * fold[0, ell, :, None, :] * fvals[ell]
+            out[0] += w_first[ell][0] * fold[0, ell, :, None, :] * fvals[ell]
             out[m - 2] += (
-                w_last[ell, 0] * fold[m - 2, ell, :, None, :] * fvals[m - 4 + ell]
+                w_last[ell][0] * fold[m - 2, ell, :, None, :] * fvals[m - 4 + ell]
             )
         return out
 
@@ -131,8 +137,8 @@ def oracle_frames(config, columns, times, frame=ScalarFrameOracle):
     `frame` is the frame class, called like `ScalarFrameOracle`."""
     c_int = np.stack([drv.integral(q, times) for drv, q in columns], axis=1)
     a_mean = np.diff(c_int, axis=0) / (times[1] - times[0])
-    a_diag, chi, _, _ = mode_coefficients(config)
-    mu, unstable = -np.abs(a_diag), a_diag > 0
+    a_diag, chi, _, _ = config.mode_coefficients
+    mu, unstable = -np.abs(a_diag), config.unstable
     return (
         frame(times, a_diag, chi, -1.0, mu, ~unstable, a_mean, c_int),
         frame(times, -a_diag, chi, +1.0, mu, unstable, a_mean, c_int),
@@ -146,8 +152,8 @@ def two_channel_fibers(config, columns, horizon=None, frame=ScalarFrameOracle):
     columns = list(columns)
     times = _fiber_grid(config, horizon, None)
     frame_v, frame_e = oracle_frames(config, columns, times, frame)
-    a_diag, chi, b_coef, c_coef = mode_coefficients(config)
-    mu, unst = -np.abs(a_diag), a_diag > 0
+    a_diag, chi, b_coef, c_coef = config.mode_coefficients
+    mu, unst = -np.abs(a_diag), config.unstable
     a_t = np.stack([drv.values(q, times) for drv, q in columns], axis=1)[:, None, :]
     g_v = np.zeros((times.size, a_diag.size, 2, len(columns)))
     g_e = np.zeros_like(g_v)
@@ -185,7 +191,7 @@ def two_channel_operator_matrices(config, frames, with_coupling):
     """`_mode_operator_matrices` on two-channel (v, eta) frames: impulses in
     channel 0 and the channel sum as the response."""
     frame_v, frame_e = frames
-    _, _, b_coef, c_coef = mode_coefficients(config)
+    _, _, b_coef, c_coef = config.mode_coefficients
     m, n = frame_v.m, b_coef.size
     out = np.zeros((n, m, m))
     for lo in range(0, m, IMPULSE_BATCH):
@@ -204,7 +210,7 @@ def two_channel_operator_matrices(config, frames, with_coupling):
 
 def trajectory_oracle(config, driver, q, z0, horizon):
     """`sa_trajectory` with one closed-form propagator per step."""
-    a_diag, chi, b_coef, c_coef = mode_coefficients(config)
+    a_diag, chi, b_coef, c_coef = config.mode_coefficients
     h_norm = float(
         np.max(np.abs(a_diag) + config.a_bound * chi + np.abs(b_coef) + np.abs(c_coef))
     )

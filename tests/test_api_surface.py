@@ -3,8 +3,10 @@
 Every public top-level function, class and constant of `src/lqbundle/*.py`
 is either used by other library code (a reference outside its own
 definition, in any module but `__init__.py`) or listed in KEEP together with
-the test or criterion that needs it.  Anything else is code that only its
-own unit test reaches.
+the test or criterion that needs it.  So is every public method (or
+property) of a top-level class, where a use is any attribute access by the
+method's name outside its own definition, and the KEEP key is
+`Class.method`.  Anything else is code that only its own unit test reaches.
 """
 
 import ast
@@ -28,6 +30,14 @@ KEEP = {
     "random_passing_instance": "acceptance pools and perfbench/make_n40.py",
     "assemble_forms": "oracle: the generic (A(q), B, F(q)) route of "
     "test_two_routes_agree for assemble_nonaut_hamiltonian",
+    # methods
+    "DichotomySplit.projector_stable": "test_projector_semigroup_commute, "
+    "criterion 04 (L2 bound of the stable Lyapunov-Perron part)",
+    "QuadraticFormTriple.evaluate": "TestForms::test_two_route_evaluation",
+    "SAConfig.a_matrix": "oracle: the generic route of test_two_routes_agree",
+    "SAConfig.b_matrix": "oracle: the generic route of test_two_routes_agree",
+    "TransferEvaluator.transfer_m": "TestTransferM, test_tail_bound_implication, "
+    "TestRows (the per-point inverse-norm reference)",
 }
 
 
@@ -101,6 +111,31 @@ def _surface():
     return defined, used
 
 
+def _method_surface():
+    """({Class.method: (module, first line, last line)}, {Class.method used
+    by other library code}), a use being an attribute access by name."""
+    defined, used = {}, set()
+    parsed = [(p, ast.parse(p.read_text(encoding="utf-8"))) for p in _modules()]
+    for path, tree in parsed:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    defined[f"{cls.name}.{node.name}"] = (
+                        path.stem, node.lineno, node.end_lineno
+                    )
+    for path, tree in parsed:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            for key, (mod, first, last) in defined.items():
+                own = mod == path.stem and first <= node.lineno <= last
+                if key.endswith("." + node.attr) and not own:
+                    used.add(key)
+    return defined, used
+
+
 def test_every_public_name_is_used_or_kept():
     defined, used = _surface()
     unused = sorted(
@@ -113,11 +148,22 @@ def test_every_public_name_is_used_or_kept():
     )
 
 
+def test_every_public_method_is_used_or_kept():
+    defined, used = _method_surface()
+    unused = sorted(key for key in defined if key not in used and key not in KEEP)
+    assert unused == [], (
+        "public methods that no other library code calls; delete them or add "
+        f"them to KEEP with the test or criterion that needs them: {unused}"
+    )
+
+
 def test_keep_lists_only_unused_names():
     defined, used = _surface()
+    methods, methods_used = _method_surface()
     stale = sorted(
         name for name in KEEP
         if not any(key[1] == name and key not in used for key in defined)
+        and not (name in methods and name not in methods_used)
     )
     assert stale == [], (
         f"KEEP entries the library no longer defines or already uses: {stale}"

@@ -197,19 +197,21 @@ class TestPipeline:
         }
 
     def test_s1_margin_evaluations_within_budget(self, tmp_path, monkeypatch):
-        # the 1,024 grid samples of the plot table plus the level-set steps;
-        # the refined scans of the frequency, eps0 and Lyapunov stages took 16,888
+        # every evaluated row, batched or single (`margin_at` is one row of
+        # `rows`): the 1,024 grid rows of the plot table in one batched call
+        # plus the level-set samples; the refined scans of the frequency,
+        # eps0 and Lyapunov stages took 16,888
         scn = load_scenario(write_json(tmp_path, "s1.json", S1_DOC))
-        margin_at = TransferEvaluator.margin_at
-        calls = []
+        rows = TransferEvaluator.rows
+        evaluated = []
 
-        def counted(self, omega):
-            calls.append(omega)
-            return margin_at(self, omega)
+        def counted(self, omegas):
+            evaluated.extend(np.atleast_1d(omegas))
+            return rows(self, omegas)
 
-        monkeypatch.setattr(TransferEvaluator, "margin_at", counted)
+        monkeypatch.setattr(TransferEvaluator, "rows", counted)
         assert run_pipeline(scn).passed
-        assert len(calls) <= 1200
+        assert 1024 < len(evaluated) <= 1200
 
     def test_riccati_bound_scales_with_p(self, tmp_path):
         # ||P|| = 1.6e4: the residual of the exact P is 1.1e-7 in absolute
@@ -417,6 +419,16 @@ class TestCli:
         assert "k=3, N=2" in capsys.readouterr().out
         verify = [r.as_dict() for r in sa_standard_cert.records]
         assert checks == stage_records(verify, ["gap"])
+
+    @pytest.mark.parametrize("k, n_split", [(3, 1), ("search", "search")])
+    def test_zero_spectral_gap_is_one_gap_search_failure(self, tmp_path, k, n_split):
+        # sum-of-squares-2d starts 1, 1, 2: at N = 1 the gap half-width is 0
+        doc = dict(SA_DOC, eigenvalues={"generator": "sum-of-squares-2d", "n": 8},
+                   k=k, N=n_split)
+        code, checks = run_command(tmp_path, "verify", doc)
+        assert code == 1
+        assert [(c["name"], c["pass"]) for c in checks] == [("gap-search", False)]
+        assert "NoCandidate" in checks[0]["detail"]
 
     @pytest.mark.parametrize(
         "command, doc", [("check-freq", SA_DOC), ("sa-search", S1_DOC)]

@@ -103,6 +103,33 @@ class TestTransferM:
             assert np.abs(ev.transfer_m(-w) - ev.transfer_m(w).conj()).max() <= 1e-12
 
 
+class TestRows:
+    """`rows` against `margin_at` and the per-point formulas on `transfer_m`."""
+
+    @pytest.mark.parametrize("name", ["s1", "n40_j0"])
+    def test_rows_equal_single_points_exactly(self, s1, name):
+        a, b, form = s1 if name == "s1" else scenario_system(name)
+        ev = TransferEvaluator(a, b, form)
+        grid = make_frequency_grid(a, b, form)
+        table = ev.rows(grid)
+        eye = np.eye(form.control_dim)
+        for w, row in zip(grid, table):
+            np.testing.assert_array_equal(row, ev.margin_at(w))
+            i_m = eye - ev.transfer_m(w)
+            g = form.f3 @ i_m
+            assert row[0] == np.linalg.eigvalsh(0.5 * (g + g.conj().T)).min()
+            assert row[1] == np.linalg.norm(g - g.conj().T, 2)
+            assert row[2] == 1.0 / np.linalg.svd(i_m, compute_uv=False)[-1]
+
+    def test_every_row_is_guarded(self):
+        # eigenvalues +-2i: M(2) does not exist, in any column
+        a, b, form = resonance(0.0, 2.0, 0.01)
+        ev = TransferEvaluator(a, b, form)
+        assert np.all(np.isfinite(ev.rows([0.0, 1.0, 3.0])))
+        with pytest.raises(SingularShift):
+            ev.rows([0.0, 1.0, 2.0, 3.0])
+
+
 class TestFrequencyMargin:
     def test_scalar_closed_form(self, s1):
         a, b, form = s1

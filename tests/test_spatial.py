@@ -35,7 +35,6 @@ from lqbundle.spatial import (
     fiber_continuity,
     gap_search,
     implication_sweep,
-    mode_coefficients,
     p_sign_structure,
     sa_eps0_estimate,
     sa_pairing_drift,
@@ -74,6 +73,24 @@ class TestGapSearch:
         model = make_spectral_model([1.0, 2.0, 3.0])
         with pytest.raises(NoCandidate):
             gap_search(model, 1.0, 10.0, "bundle")
+
+
+    def test_zero_gap_config_is_no_candidate(self):
+        # lambda_1 = lambda_2: no gap at N = 1, where mu_bar = 0
+        model = make_spectral_model([1.0, 1.0, 2.0, 4.0])
+        with pytest.raises(NoCandidate, match="no spectral gap at N=1"):
+            SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=1)
+
+
+class TestModeData:
+    def test_unstable_mask_is_the_positive_a_diag(self, sa_standard):
+        a_diag, _, _, _ = sa_standard.mode_coefficients
+        np.testing.assert_array_equal(sa_standard.unstable, a_diag > 0)
+        assert sa_standard.unstable.sum() == sa_standard.N
+
+    def test_derived_once_per_config(self, sa_standard):
+        assert sa_standard.mode_coefficients is sa_standard.mode_coefficients
+        assert sa_standard.unstable is sa_standard.unstable
 
 
 class TestImplicationSweep:
@@ -183,7 +200,7 @@ class TestNonautHamiltonian:
 
     def test_zero_a_decouples_band_coupling(self, sa_standard):
         ham = assemble_nonaut_hamiltonian(sa_standard, 0.0)
-        a_diag, chi, _, _ = mode_coefficients(sa_standard)
+        a_diag, chi, _, _ = sa_standard.mode_coefficients
         n = sa_standard.n
         np.testing.assert_allclose(np.diag(ham.matrix[:n, :n]), a_diag)
 

@@ -13,6 +13,7 @@ from lp_oracles import (
     coo_collocation_system,
     default_grid,
     paired_fixed_point,
+    stepwise_control_trajectory,
 )
 from lqbundle._phi import stencil_layout
 from lqbundle.dichotomy import GridFunction
@@ -56,6 +57,7 @@ from lqbundle.symplectic import (
 )
 
 SQRT3 = math.sqrt(3.0)
+SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
 
 
 def subspace_from(dz0, split_a, split_m):
@@ -364,6 +366,34 @@ class TestRiccati:
         v = GridFunction(times, np.cos(times)[:, None])
         with pytest.raises(NotATrajectory):
             riccati_integral_check(np.array([[0.0]]), a, b, form, v, xi)
+
+
+class TestControlTrajectory:
+    """`integrate_control_trajectory` against the per-step loop it replaced."""
+
+    @staticmethod
+    def _both(rng, a, b, horizon, nodes):
+        times = np.linspace(0.0, horizon, nodes)
+        xi = bump_control(rng, times, b.shape[1])
+        v0 = rng.standard_normal(a.shape[0])
+        got = integrate_control_trajectory(a, b, xi, v0).values
+        return got, stepwise_control_trajectory(a, b, xi, v0).values
+
+    def test_scalar_equals_the_loop_exactly(self, s1, rng):
+        a, b, _ = s1
+        got, ref = self._both(rng, a, b, 12.0, 1201)
+        np.testing.assert_array_equal(got, ref)
+
+    def test_n8_two_inputs(self, rng):
+        a, b, _, _ = random_passing_instance(rng, 8, j=0, m=2)
+        got, ref = self._both(rng, a, b, 10.0, 1001)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_n40(self, rng):
+        doc = json.loads((SCENARIOS / "n40_j0.json").read_text())
+        a, b = np.array(doc["A"]), np.array(doc["B"])
+        got, ref = self._both(rng, a, b, 10.0, 1001)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestControllability:
