@@ -7,30 +7,19 @@ spatial-averaging pipeline with nonautonomous drivers, uniform
 nonoscillation and the singular-form certificate.
 """
 
-from .dichotomy import (
-    DichotomySplit,
-    GridFunction,
-    adjoint_kernel_defect,
-    dichotomy_split,
-    fourier_resolvent_check,
-    green_kernel,
-    lyapunov_perron_apply,
-)
+from .dichotomy import DichotomySplit, GridFunction, dichotomy_split
 from .frequency import (
     QuadraticFormTriple,
     frequency_condition_margin,
-    inverse_norm_certificate,
     level_crossings,
     make_frequency_grid,
     resolvent_sup_norm,
-    smith_condition,
     smith_form_triple,
 )
 from .spatial import (
     Driver,
     FiberResult,
     SAConfig,
-    assemble_forms,
     assemble_nonaut_hamiltonian,
     build_fibers,
     condition_margins,
@@ -40,8 +29,6 @@ from .spatial import (
     fiber_continuity,
     fiber_growth,
     gap_search,
-    implication_sweep,
-    spatial_avg_condition,
     v_form_certificate,
 )
 from .spectral import (
@@ -62,7 +49,6 @@ from .stationary import (
     extract_nonoscillation,
     l2_controllability,
     lyapunov_inequality_check,
-    riccati_integral_check,
     riccati_residual,
     stable_lagrange_lp,
     stable_lagrange_schur,
@@ -75,7 +61,6 @@ from .symplectic import (
     graph_over,
     grassmann_distance,
     intersection_dimension,
-    is_lagrange,
     isotropy_defect,
 )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     LqBundleError,
     MissingField,
+    NoCandidate,
     Oscillating,
     ParseError,
     ValidationError,
@@ -164,56 +166,126 @@ def _jsonable(x):
 
 def _require(doc: dict, key: str):
     if key not in doc:
-        raise MissingField(f"scenario is missing required field {key!r}")
+        raise MissingField(f"missing required field {key!r}")
     return doc[key]
+
+
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in the file at `path`, else ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} file: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def _number(value, what: str) -> float:
+    """A finite JSON number, else ParseError."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ParseError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer, else ParseError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _array(value, what: str) -> np.ndarray:
+    """A finite numeric JSON array (or number) as floats, else ParseError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what} must be a numeric array") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"{what} has a non-finite entry")
+    return arr
 
 
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario JSON file.
 
-    Matrix shapes and the form triple are validated eagerly so schema errors
-    surface here rather than deep in the pipeline.
+    Field types, matrix shapes and the form triple are validated eagerly, so
+    malformed input raises a ValidationError here rather than deep in the
+    pipeline.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scenario is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "scenario")
     name = str(doc.get("name", os.path.basename(path)))
     mode = str(_require(doc, "mode"))
-    seed = int(doc.get("seed", 42))
+    seed = _integer(doc.get("seed", 42), "seed")
+    overrides = doc.get("tolerances", {})
+    if not isinstance(overrides, dict):
+        raise ParseError("tolerances must be an object")
     tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(doc.get("tolerances", {}))
+    tolerances.update(
+        {key: _number(val, f"tolerance {key!r}") for key, val in overrides.items()}
+    )
     regulator = None
     if mode == "stationary":
-        for key in ("A", "B", "F1", "F2", "F3"):
-            _require(doc, key)
+        a, b, f1, f2, f3 = (
+            _array(_require(doc, key), key) for key in ("A", "B", "F1", "F2", "F3")
+        )
         # eager validation of shapes and symmetry
-        form = QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"])
+        form = QuadraticFormTriple(f1=f1, f2=f2, f3=f3)
         try:
-            regulator = Regulator(doc["A"], doc["B"], form)
+            regulator = Regulator(a, b, form)
         except DimensionMismatch as exc:
             raise MissingField(str(exc)) from exc
     elif mode == "spatial-averaging":
-        for key in ("eigenvalues", "Lambda", "delta", "driver"):
-            _require(doc, key)
-        _sa_model(doc)
+        for key in ("Lambda", "delta"):
+            _number(_require(doc, key), key)
+        for key in ("k", "N"):
+            if doc.get(key, "search") != "search":
+                _integer(doc[key], key)
+        if doc.get("horizon") is not None:
+            _number(doc["horizon"], "horizon")
+        if _integer(doc.get("phase_samples", 16), "phase_samples") < 1:
+            raise ParseError("phase_samples must be at least 1")
+        _driver_params(_require(doc, "driver"))
+        _sa_model(_require(doc, "eigenvalues"))
     else:
         raise MissingField(f"unknown mode {mode!r}")
     return Scenario(name=name, mode=mode, seed=seed, tolerances=tolerances,
                     payload=doc, regulator=regulator)
 
 
-def _sa_model(doc):
-    ev_doc = doc["eigenvalues"]
+def _sa_model(ev_doc):
+    """The spectral model of a scenario's "eigenvalues": a generator object
+    or a flat list."""
     if isinstance(ev_doc, dict):
         kind = _require(ev_doc, "generator")
-        n = int(_require(ev_doc, "n"))
-        params = {k: v for k, v in ev_doc.items() if k not in ("generator", "n")}
+        n = _integer(_require(ev_doc, "n"), "eigenvalue count n")
+        params = {
+            k: _number(v, f"eigenvalue parameter {k!r}")
+            for k, v in ev_doc.items() if k not in ("generator", "n")
+        }
         return make_spectral_model(eigenvalue_generator(kind, n, **params))
-    return make_spectral_model(ev_doc)
+    values = _array(ev_doc, "eigenvalues")
+    if values.ndim != 1:
+        raise ParseError("eigenvalues must be a flat list")
+    return make_spectral_model(values)
+
+
+def _driver_params(drv_doc) -> tuple[str, dict]:
+    """(kind, parameters) of a scenario's driver object for `driver_make`:
+    the offset c0 a number, the other parameters numeric arrays."""
+    if not isinstance(drv_doc, dict):
+        raise ParseError(f"driver must be an object, not {type(drv_doc).__name__}")
+    kind = drv_doc.get("kind", "periodic")
+    if kind == "quasiperiodic":
+        _require(drv_doc, "amplitudes"), _require(drv_doc, "omegas")
+    return kind, {
+        key: (_number if key == "c0" else _array)(val, f"driver {key}")
+        for key, val in drv_doc.items() if key != "kind"
+    }
 
 
 # -- pipeline stages -----------------------------------------------------------
@@ -403,7 +475,7 @@ def _sa_gap(run, cert):
     searched = k == "search" or n_split == "search"
     condition_set = doc.get("condition_set", "bundle")
     try:
-        model = _sa_model(doc)
+        model = _sa_model(doc["eigenvalues"])
         try:
             rows = sa.gap_search(model, lam, delta, condition_set)
         except LqBundleError:
@@ -411,15 +483,15 @@ def _sa_gap(run, cert):
                 raise
             rows = []
         if searched:
-            best = min(rows, key=lambda r: (r["N"], r["k"]))
+            # the minimal pair among those that keep a fixed k or N
+            fits = [r for r in rows
+                    if k in ("search", r["k"]) and n_split in ("search", r["N"])]
+            if not fits:
+                raise NoCandidate(f"no searched (k, N) has k = {k} and N = {n_split}")
+            best = min(fits, key=lambda r: (r["N"], r["k"]))
             k, n_split = best["k"], best["N"]
         cfg = sa.SAConfig(model=model, lam=lam, delta=delta, k=int(k), N=int(n_split))
-        drv_doc = doc["driver"]
-        driver = sa.driver_make(
-            drv_doc.get("kind", "periodic"),
-            {kk: vv for kk, vv in drv_doc.items() if kk != "kind"},
-            a_bound=cfg.a_bound,
-        )
+        driver = sa.driver_make(*_driver_params(doc["driver"]), a_bound=cfg.a_bound)
     except LqBundleError as exc:
         cert.add_failure("gap-search", exc)
         return True
@@ -648,6 +720,37 @@ def export_plots(cert: Certificate, out_dir: str) -> list[str]:
                 writer.writerow([row.get(c, "") for c in columns])
         written.append(path)
     return written
+
+
+def _from_jsonable(value, what: str) -> float:
+    """Inverse of `_jsonable`: a finite number, "nan", "inf" or "-inf"."""
+    return float(value) if value in ("nan", "inf", "-inf") else _number(value, what)
+
+
+def load_certificate(path: str) -> Certificate:
+    """The records of a certificate JSON file, validated.  The file stores
+    no plot tables, so the certificate has none."""
+    doc = _read_json(path, "certificate")
+    checks = _require(doc, "checks")
+    if not isinstance(checks, list):
+        raise ParseError("certificate 'checks' must be a list")
+    cert = Certificate(name=str(doc.get("name", "?")), mode=str(doc.get("mode", "?")),
+                       seed=_integer(doc.get("seed", 0), "seed"))
+    for rec in checks:
+        if not isinstance(rec, dict):
+            raise ParseError(f"a check must be an object, got {rec!r}")
+        name = str(_require(rec, "name"))
+        value, bound, margin = (
+            _from_jsonable(_require(rec, key), f"check {name!r} {key}")
+            for key in ("value", "bound", "margin")
+        )
+        passed = _require(rec, "pass")
+        if not isinstance(passed, bool):
+            raise ParseError(f"check {name!r} pass must be true or false")
+        cert.records.append(
+            CheckRecord(name, value, bound, margin, passed, str(rec.get("detail", "")))
+        )
+    return cert
 
 
 def write_certificate(cert: Certificate, out_dir: str) -> str:

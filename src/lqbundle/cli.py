@@ -11,14 +11,13 @@ randomized sweeps honor --seed (recorded in the certificate).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .certify import (
     STAGES,
     Certificate,
-    CheckRecord,
     export_plots,
+    load_certificate,
     load_scenario,
     run_pipeline,
     write_certificate,
@@ -57,35 +56,13 @@ def cmd_run(scenario, stages, tol_key, tol, out_dir) -> int:
     return _finish(run_pipeline(scenario, stages), out_dir)
 
 
-def cmd_report(scenario_path):
+def cmd_report(certificate_path) -> int:
     """Re-render an existing certificate JSON as a table.
 
     certificate.json stores no plot tables, so no CSV file is written: the
     tables that the run exported next to it stay as they are.
     """
-    try:
-        with open(scenario_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read certificate: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if "checks" not in doc:
-        print("error: not a certificate file (no 'checks')", file=sys.stderr)
-        return EXIT_INPUT
-    cert = Certificate(
-        name=doc.get("name", "?"), mode=doc.get("mode", "?"),
-        seed=int(doc.get("seed", 0)),
-    )
-    for rec in doc["checks"]:
-        val = rec["value"]
-        val = float("nan") if val == "nan" else float(val)
-        cert.records.append(
-            CheckRecord(rec["name"], val, float(rec["bound"]),
-                        float(rec["margin"]), bool(rec["pass"]),
-                        rec.get("detail", ""))
-        )
-    _print_certificate(cert)
-    return EXIT_PASS if cert.passed else EXIT_FAIL
+    return _finish(load_certificate(certificate_path), None)
 
 
 # command -> (pipeline stages, None for the scenario's whole route;
@@ -124,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "report":
-        return cmd_report(args.scenario)
     try:
+        if args.command == "report":
+            return cmd_report(args.scenario)
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
             object.__setattr__(scenario, "seed", args.seed)

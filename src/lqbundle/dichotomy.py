@@ -1,10 +1,14 @@
-"""Exponential dichotomies, Green kernels and Lyapunov-Perron solves.
+"""Exponential dichotomies and the grid data of the Lyapunov-Perron operator.
 
 A dichotomy split block-diagonalizes the generator by an ordered real Schur
-decomposition plus a Sylvester correction; the Lyapunov-Perron operator is
-applied on uniform grids by a recursion in the decoupled coordinates, whose
-local forcing is the piecewise-cubic exponential quadrature of `_phi`, so the
-exponential kernels are integrated exactly against the interpolant.
+decomposition plus a Sylvester correction.  In the decoupled coordinates the
+Lyapunov-Perron operator on a uniform grid is a recursion whose local
+forcing is the piecewise-cubic exponential quadrature of `_phi`, so the
+exponential kernels are integrated exactly against the interpolant;
+`LPGridOperator` holds its step propagators and weights, from which the
+stationary collocation system is assembled.  The Green kernels and the grid
+application of the operator itself are kept as oracles in
+tests/dichotomy_oracles.py.
 """
 
 from __future__ import annotations
@@ -14,31 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from ._phi import (
-    backward_moments,
-    backward_weights,
-    forward_weights,
-    local_forcing,
-    phi_block,
-)
-from .errors import (
-    DiagonalOfKernel,
-    DimensionMismatch,
-    HorizonTooShort,
-    SpectrumOnAxis,
-)
+from ._phi import backward_moments, backward_weights, forward_weights, phi_block
+from .errors import DimensionMismatch, HorizonTooShort, SpectrumOnAxis
 from .symplectic import Subspace
 
 AXIS_TOL = 1e-10
-#: truncation target for the infinite-line integral
-HORIZON_FACTOR = 1e-12
 #: sampled times of the fitted dichotomy constant M
 M_CONST_SAMPLES = 80
-#: Fourier modes below this fraction of the largest forcing mode are skipped
-FOURIER_KEEP_REL = 1e-2
-#: sampled (t, s) pairs of the adjoint-kernel check, and their seed
-KERNEL_SAMPLES = 60
-KERNEL_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -67,10 +53,6 @@ class GridFunction:
     @property
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
     def l2_norm(self) -> float:
         """Trapezoid L2(time) norm of the vector-valued samples."""
@@ -103,10 +85,6 @@ class DichotomySplit:
     @property
     def k_stable(self) -> int:
         return self.n - self.rank_j
-
-    def projector_stable(self) -> np.ndarray:
-        k = self.k_stable
-        return self.w[:, :k] @ self.winv[:k]
 
     def projector_unstable(self) -> np.ndarray:
         k = self.k_stable
@@ -193,16 +171,6 @@ def _fit_m_const(split: DichotomySplit) -> float:
     return float(m)
 
 
-def green_kernel(split: DichotomySplit, t: float, s: float) -> np.ndarray:
-    """Dichotomy Green kernel: forward stable branch for t > s, negated
-    backward unstable branch for t < s."""
-    if t == s:
-        raise DiagonalOfKernel("kernel has a jump at t == s")
-    if t > s:
-        return split.propagate_stable(t - s)
-    return -split.propagate_unstable(t - s)
-
-
 def left_multiply(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """mat @ arr along axis 1 of (m, j[, batch]) arrays, via BLAS."""
     if arr.ndim == 2:
@@ -213,22 +181,18 @@ def left_multiply(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
 
 
 class LPGridOperator:
-    """Discretized Lyapunov-Perron solve z = int F(t,s) f(s) ds on a grid.
-
-    Forward/backward recursions in the decoupled Schur coordinates with
-    exponential weights exact for the piecewise-cubic interpolant of f.
-    The integral is truncated at the grid ends (f is treated as zero
-    outside), which realizes both the whole-line operator on wide grids and
-    the half-line R L P compression on [0, T] grids.
-    """
+    """The Lyapunov-Perron operator's recursions on one uniform grid, in the
+    decoupled coordinates of `split`: forward on the stable block with step
+    `e_s` and weights `wf`, backward on the unstable block with `e_u` and
+    `wb`, the weights exact for the piecewise-cubic interpolant of the
+    forcing (one list per stencil pattern)."""
 
     def __init__(self, split: DichotomySplit, times: np.ndarray):
         times = np.asarray(times, dtype=float)
         if times.size < 4:
             raise HorizonTooShort("need at least 4 grid nodes")
         self.split = split
-        self.times = times
-        self.h = h = float(times[1] - times[0])
+        h = float(times[1] - times[0])
         if split.k_stable:
             self.e_s = sla.expm(h * split.t_stable)
             ph = phi_block(4, h * split.t_stable)
@@ -237,93 +201,3 @@ class LPGridOperator:
             self.e_u = sla.expm(-h * split.t_unstable)
             jm = backward_moments(phi_block(4, -h * split.t_unstable))
             self.wb = [backward_weights(jm, h, p) for p in range(3)]
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Apply to samples of f; values shaped (m, n) or (m, n, batch)."""
-        squeeze = values.ndim == 2
-        if squeeze:
-            values = values[:, :, None]
-        m = self.times.size
-        split = self.split
-        k = split.k_stable
-        out = np.zeros_like(values)
-        if k:
-            ys = left_multiply(split.winv[:k], values)
-            g = local_forcing(self.wf, ys)
-            u = np.zeros_like(ys)
-            for i in range(m - 1):
-                u[i + 1] = self.e_s @ u[i] + g[i]
-            out += left_multiply(split.w[:, :k], u)
-        if split.rank_j:
-            yu = left_multiply(split.winv[k:], values)
-            g = local_forcing(self.wb, yu)
-            w = np.zeros_like(yu)
-            for i in range(m - 2, -1, -1):
-                w[i] = self.e_u @ w[i + 1] + g[i]
-            out -= left_multiply(split.w[:, k:], w)
-        return out[:, :, 0] if squeeze else out
-
-
-def lyapunov_perron_apply(split: DichotomySplit, f: GridFunction) -> GridFunction:
-    """Unique square-integrable solution of z' = A z + f on the grid window.
-
-    The grid must be wide enough that the dropped tails of the whole-line
-    integral are below HORIZON_FACTOR relative to the kernel constant.
-    """
-    if f.dim != split.n:
-        raise DimensionMismatch("forcing dimension does not match the generator")
-    half_width = 0.5 * (f.times[-1] - f.times[0])
-    if np.exp(-split.eps_rate * half_width) >= HORIZON_FACTOR:
-        need = -np.log(HORIZON_FACTOR) / split.eps_rate
-        raise HorizonTooShort(
-            f"grid half-width {half_width:.3g} < required {need:.3g}"
-        )
-    op = LPGridOperator(split, f.times)
-    return GridFunction(times=f.times, values=op.apply(f.values))
-
-
-def fourier_resolvent_check(split: DichotomySplit, f: GridFunction) -> float:
-    """Max relative defect of i w z^(w) = A z^(w) + f^(w) over retained modes.
-
-    z is the Lyapunov-Perron solve of f; both transforms are taken with the
-    same discrete convention so the residual measures quadrature error only.
-    """
-    z = lyapunov_perron_apply(split, f)
-    fhat = np.fft.fft(f.values, axis=0)
-    zhat = np.fft.fft(z.values, axis=0)
-    omega = 2.0 * np.pi * np.fft.fftfreq(f.times.size, f.step)
-    fnorm = np.linalg.norm(fhat, axis=1)
-    if fnorm.max() == 0.0:
-        return 0.0
-    keep = fnorm >= FOURIER_KEEP_REL * fnorm.max()
-    resid = (
-        1j * omega[keep, None] * zhat[keep]
-        - zhat[keep] @ split.generator.T
-        - fhat[keep]
-    )
-    return float(np.max(np.linalg.norm(resid, axis=1) / fnorm[keep]))
-
-
-def adjoint_kernel_defect(
-    split_a: DichotomySplit, split_minus_at: DichotomySplit
-) -> float:
-    """Max over sampled (t, s) of || F_{-A^T}(t, s) + F_A(s, t)^T ||.
-
-    The kernels of the paired forward/backward problems are adjoint up to
-    sign; both splits are computed independently, so this is a two-route
-    consistency check.
-    """
-    if not np.allclose(split_minus_at.generator, -split_a.generator.T):
-        raise DimensionMismatch("second split must be built from -A^T")
-    rng = np.random.default_rng(KERNEL_SEED)
-    scale = 1.0 / min(split_a.eps_rate, split_minus_at.eps_rate)
-    defect = 0.0
-    for _ in range(KERNEL_SAMPLES):
-        t, s = rng.uniform(-3.0 * scale, 3.0 * scale, size=2)
-        if abs(t - s) < 1e-3 * scale:
-            s = t + np.sign(s - t or 1.0) * 1e-2 * scale
-        lhs = green_kernel(split_minus_at, t, s)
-        rhs = green_kernel(split_a, s, t).T
-        defect = max(defect, float(np.linalg.norm(lhs + rhs, 2)))
-    return defect
-

@@ -48,10 +48,6 @@ class SpectrumOnAxis(LqBundleError):
     pass
 
 
-class DiagonalOfKernel(ValidationError):
-    """Green kernel evaluated at t == s."""
-
-
 class HorizonTooShort(ValidationError):
     pass
 

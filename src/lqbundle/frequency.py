@@ -91,12 +91,6 @@ class QuadraticFormTriple:
     def control_dim(self) -> int:
         return self.f3.shape[0]
 
-    def evaluate(self, v, xi) -> float:
-        """F(v, xi) for real vectors."""
-        v = np.asarray(v, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return float(v @ self.f1 @ v + 2.0 * xi @ (self.f2 @ v) + xi @ self.f3 @ xi)
-
 
 def smith_form_triple(c, lam: float, control_dim: int) -> QuadraticFormTriple:
     """The transfer-norm (Smith) specialization F1 = -lam^2 C^T C, F2 = 0, F3 = I."""
@@ -302,29 +296,9 @@ def resolvent_sup_norm(a, b, c) -> float:
     return float(np.sqrt(max(0.0, 1.0 - margin)))
 
 
-def smith_condition(a, b, c, lam: float) -> tuple[bool, float]:
-    """(sup_w ||C (A - i w)^{-1} B|| < 1/lam, the sup)."""
-    sup = resolvent_sup_norm(a, b, c)
-    return bool(sup < 1.0 / lam), sup
-
-
 def inverse_norm_bound(form: QuadraticFormTriple, margin: float) -> float:
     """The Lax-Milgram bound ||F3|| / delta* on ||(I - M(w))^{-1}||, taken
     at margin - LEVEL_RTOL |margin|: the returned margin is certified only
     to within LEVEL_RTOL of delta*, and this is its certified lower end."""
     return float(np.linalg.norm(form.f3, 2)) / (margin - LEVEL_RTOL * abs(margin))
 
-
-def inverse_norm_certificate(
-    a, b, form: QuadraticFormTriple
-) -> tuple[float, MarginScan]:
-    """Verify ||(I - M(w))^{-1}|| <= `inverse_norm_bound` on the table's rows.
-
-    Returns (worst ratio, scan).  Requires a positive margin.
-    """
-    scan = frequency_condition_margin(a, b, form, full_scan=True)
-    if scan.margin <= 0.0:
-        raise ConditionFailed(f"frequency margin {scan.margin:.3e} <= 0")
-    bound = inverse_norm_bound(form, scan.margin)
-    worst = float(np.max(scan.inverse_norms)) / bound
-    return worst, scan

@@ -18,11 +18,12 @@ every (driver, phase) column a run needs in one Picard iteration: the
 certify pipeline's frozen-driver oracle and continuity table read columns of
 its fibers stage and solve nothing.  The decay records read the exact growth
 rate of each mode line of the built fibers (`fiber_growth`); no trajectory
-is integrated for them.  Driven trajectories, which the pairing check
-integrates, compute their step propagators in vectorised batches.  The
-two-direction, two-channel frame solve with its Picard loop and the per-step
-trajectory loop are kept as exact references in tests/spatial_oracles.py,
-and the trajectory fits of the decay rate in tests/decay_oracles.py.
+is integrated in a run.  tests/spatial_oracles.py keeps the two-direction,
+two-channel frame solve with its Picard loop as an exact reference, and the
+routes that only tests take: the generic quadratic forms and frozen
+(A(q), B) of the spatial-averaging condition, the inequality-implication
+sweep, and the driven trajectories with their symplectic pairing;
+tests/decay_oracles.py keeps the trajectory fits of the decay rate.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from ._phi import (
     phi_scalar,
     stencil_layout,
 )
-from .dichotomy import GridFunction
 from .errors import (
     AmplitudeTooLarge,
     AValueOutOfRange,
@@ -50,7 +50,6 @@ from .errors import (
     NotPositive,
     Oscillating,
 )
-from .frequency import QuadraticFormTriple
 from .spectral import ModeProjectors, SpectralModel, mode_projectors
 from .stationary import Hamiltonian, extract_nonoscillation
 from .symplectic import (
@@ -66,10 +65,6 @@ PICARD_MAX_ITER = 200
 CONTRACTION_STEPS = 360
 #: impulse columns per solve of the measured contraction norms
 IMPULSE_BATCH = 64
-#: trajectory step relative to 1 / (the largest frozen coefficient sum)
-TRAJECTORY_STEP_SCALE = 0.01
-#: trajectory steps whose propagators are computed in one vectorised batch
-TRAJECTORY_CHUNK = 4096
 #: largest k that the gap search tries
 GAP_K_MAX = 50
 
@@ -149,15 +144,6 @@ class SAConfig:
             np.where(mid, -(self.delta**2 + self.mu_bar**2 / 4.0), -self.lam**2),
         )
 
-    def b_matrix(self) -> np.ndarray:
-        """Control operator B (xi_I, xi_c) -> xi_I + xi_c."""
-        n = self.n
-        return np.hstack([np.eye(n), np.eye(n)])
-
-    def a_matrix(self, a_value: float) -> np.ndarray:
-        """A(q) = -A0 + (alpha - a(q)) I in the eigenbasis."""
-        return np.diag(self.alpha - a_value - self.model.eigenvalues)
-
 
 # -- inequality sets and the gap search -------------------------------------
 
@@ -216,45 +202,18 @@ def gap_search(
     return found
 
 
-def implication_sweep(lams, deltas, mu_bars, ks):
-    """Verify zelik => bundle and zelik => nonosc over a parameter grid.
-
-    Returns None on a clean pass or the first counterexample tuple
-    (lam, delta, mu_bar, k, failed_set).
-    """
-    for lam in np.asarray(lams, dtype=float):
-        for delta in np.asarray(deltas, dtype=float):
-            for mu_bar in np.asarray(mu_bars, dtype=float):
-                ks_arr = np.asarray(ks, dtype=float)
-                zel = np.array(
-                    [condition_holds("zelik", lam, delta, mu_bar, k) for k in ks_arr]
-                )
-                for target in ("bundle", "nonosc"):
-                    tgt = np.array(
-                        [
-                            condition_holds(target, lam, delta, mu_bar, k)
-                            for k in ks_arr
-                        ]
-                    )
-                    bad = zel & ~tgt
-                    if np.any(bad):
-                        k_bad = float(ks_arr[np.argmax(bad)])
-                        return (float(lam), float(delta), float(mu_bar), k_bad, target)
-    return None
-
-
 # -- drivers -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Driver:
-    """Closed-form driving flow: a(shift(q, t)) with exact integrals.
+    """Closed-form driving flow with exact integrals: from phase q the flow
+    reaches phase q + omega t at time t.
 
     periodic: a = c0 + c1 sin(omega t + q), phase q scalar.
     quasiperiodic: a = c0 + sum_i c_i sin(omega_i t + q_i), phase q vector.
     """
 
-    kind: str
     c0: float
     amplitudes: np.ndarray
     omegas: np.ndarray
@@ -278,7 +237,7 @@ class Driver:
         )
 
     def integral(self, q, times: np.ndarray) -> np.ndarray:
-        """int_0^t a(shift(q, s)) ds, closed form."""
+        """int_0^t a(q + omega s) ds, closed form."""
         ph = self._phases(q)
         tt = np.asarray(times, dtype=float)[:, None]
         nz = np.abs(self.omegas) > 0
@@ -296,11 +255,6 @@ class Driver:
             )
         return self.c0 * np.asarray(times, dtype=float) + osc
 
-    def shift(self, q, t: float):
-        ph = self._phases(q) + self.omegas * t
-        ph = np.mod(ph, 2.0 * np.pi)
-        return float(ph[0]) if self.kind == "periodic" else ph
-
     def phase_distance(self, q1, q2) -> float:
         d = np.abs(self._phases(q1) - self._phases(q2))
         d = np.minimum(d, 2.0 * np.pi - d)
@@ -311,14 +265,12 @@ def driver_make(kind: str, params: dict, a_bound: float | None = None) -> Driver
     """Build a periodic or quasiperiodic driver; validates the amplitude."""
     if kind == "periodic":
         drv = Driver(
-            kind="periodic",
             c0=float(params.get("c0", 0.0)),
             amplitudes=np.atleast_1d(np.asarray(params.get("c1", 0.0), dtype=float)),
             omegas=np.atleast_1d(np.asarray(params.get("omega", 1.0), dtype=float)),
         )
     elif kind == "quasiperiodic":
         drv = Driver(
-            kind="quasiperiodic",
             c0=float(params.get("c0", 0.0)),
             amplitudes=np.asarray(params["amplitudes"], dtype=float),
             omegas=np.asarray(params["omegas"], dtype=float),
@@ -335,40 +287,10 @@ def driver_make(kind: str, params: dict, a_bound: float | None = None) -> Driver
 
 
 def constant_driver(value: float) -> Driver:
-    return Driver(
-        kind="periodic", c0=float(value), amplitudes=np.zeros(1), omegas=np.ones(1)
-    )
+    return Driver(c0=float(value), amplitudes=np.zeros(1), omegas=np.ones(1))
 
 
-# -- quadratic forms and Hamiltonians ---------------------------------------
-
-
-def assemble_forms(config: SAConfig, a_value: float) -> QuadraticFormTriple:
-    """F1(q), F2(q), F3 on the doubled control space, built from the band
-    projectors with the fixed tau coefficients."""
-    if abs(a_value) > config.a_bound + 1e-12:
-        raise AValueOutOfRange(f"|a| = {abs(a_value)} exceeds a_bound {config.a_bound}")
-    t1, t2, t3 = config.taus
-    proj = config.projectors
-    i_mid = proj.I_mid
-    pq = proj.P_low + proj.Q_high
-    lam2 = config.lam**2
-    f1 = (t1 * a_value**2 - t1 * config.delta**2 - t2 * lam2) * i_mid - t3 * lam2 * pq
-    n = config.n
-    f2 = np.vstack([-t1 * a_value * i_mid, np.zeros((n, n))])
-    f3 = np.zeros((2 * n, 2 * n))
-    f3[:n, :n] = t1 * i_mid + t2 * pq
-    f3[n:, n:] = t3 * np.eye(n)
-    return QuadraticFormTriple(f1=f1, f2=f2, f3=f3)
-
-
-def spatial_avg_condition(l_q, config: SAConfig, a_value: float) -> tuple[float, bool]:
-    """Defect || I_mid L I_mid - a I_mid || and the pass flag against delta."""
-    l_q = np.atleast_2d(np.asarray(l_q, dtype=float))
-    proj = config.projectors
-    i_mid = proj.I_mid
-    defect = float(np.linalg.norm(i_mid @ l_q @ i_mid - a_value * i_mid, 2))
-    return defect, bool(defect <= config.delta + 1e-12)
+# -- Hamiltonians -------------------------------------------------------------
 
 
 def assemble_nonaut_hamiltonian(config: SAConfig, a_value: float) -> Hamiltonian:
@@ -930,69 +852,3 @@ def p_sign_structure(p_q: np.ndarray, config: SAConfig) -> tuple[float, float]:
     high_max = float(np.linalg.eigvalsh(p_q[high, high]).max())
     return low_min, high_max
 
-
-# -- nonautonomous trajectories ----------------------------------------------
-
-
-def _expm2x2_traceless(p, q_, r) -> np.ndarray:
-    """Batched expm of traceless [[p, q], [r, -p]] blocks (closed form)."""
-    d = np.sqrt(np.asarray(p, dtype=complex) ** 2 + q_ * r)
-    small = np.abs(d) < 1e-8
-    d_safe = np.where(small, 1.0, d)
-    sinc = np.where(small, 1.0 + d**2 / 6.0, np.sinh(d_safe) / d_safe)
-    cosh = np.cosh(d)
-    out = np.empty(np.broadcast(p, q_, r).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = cosh + sinc * p
-    out[..., 0, 1] = sinc * q_
-    out[..., 1, 0] = sinc * r
-    out[..., 1, 1] = cosh - sinc * p
-    return out.real
-
-
-def sa_trajectory(config: SAConfig, driver: Driver, q, z0: np.ndarray, horizon: float):
-    """Integrate z' = H(theta^t q) z with the exponential midpoint rule.
-
-    Every step propagator is the exponential of a Hamiltonian block, so the
-    mode-wise symplectic pairings are preserved exactly.  The propagators
-    are computed TRAJECTORY_CHUNK steps at a time, vectorised over steps;
-    the state then advances step by step on their contiguous rows.
-    """
-    a_diag, chi, b_coef, c_coef = config.mode_coefficients
-    h_norm = float(
-        np.max(np.abs(a_diag) + config.a_bound * chi + np.abs(b_coef) + np.abs(c_coef))
-    )
-    step = TRAJECTORY_STEP_SCALE / h_norm
-    m = int(np.ceil(horizon / step)) + 1
-    times = np.linspace(0.0, horizon, m)
-    h = times[1] - times[0]
-    n = config.n
-    z = np.empty((m, 2 * n))
-    z[0] = np.asarray(z0, dtype=float)
-    pairs = z.reshape(m, 2, n)  # rows (v, eta)
-    a_mid = driver.values(q, times[:-1] + 0.5 * h)
-    for lo in range(0, m - 1, TRAJECTORY_CHUNK):
-        top = (a_diag - a_mid[lo : lo + TRAJECTORY_CHUNK, None] * chi) * h
-        props = _expm2x2_traceless(top, b_coef * h, c_coef * h)
-        # (p00, p11) multiply (v, eta) and (p01, p10) multiply (eta, v)
-        diag = np.stack([props[..., 0, 0], props[..., 1, 1]], axis=1)
-        cross = np.stack([props[..., 0, 1], props[..., 1, 0]], axis=1)
-        for cur, nxt, d_row, c_row in zip(pairs[lo:], pairs[lo + 1 :], diag, cross):
-            np.multiply(d_row, cur, nxt)
-            nxt += c_row * cur[::-1]
-    return GridFunction(times=times, values=z)
-
-
-def sa_pairing_drift(
-    config: SAConfig, driver: Driver, q, z10, z20, horizon: float
-) -> tuple[float, float]:
-    """(max drift of <z1(t), J z2(t)>, initial pairing) along the driven flow."""
-    t1 = sa_trajectory(config, driver, q, z10, horizon)
-    t2 = sa_trajectory(config, driver, q, z20, horizon)
-    n = config.n
-    pair = np.sum(
-        t1.values[:, :n] * t2.values[:, n:] - t1.values[:, n:] * t2.values[:, :n],
-        axis=1,
-    )
-    # <z1, J z2> = <v1, v2-part of J z2> ... = sum(eta1 v2 - v1 eta2)
-    pair = -pair
-    return float(np.max(np.abs(pair - pair[0]))), float(pair[0])

@@ -1,12 +1,12 @@
 """Finite Galerkin model of a diagonal positive self-adjoint operator.
 
 Holds the ascending eigenvalue sequence, its built-in generators, and the
-low/intermediate/high spectral band projectors.
+low/intermediate/high spectral bands (as mode masks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +23,13 @@ class SpectralModel:
 
 @dataclass(frozen=True)
 class ModeProjectors:
-    """Orthogonal projectors onto the essentially-lower / intermediate /
-    essentially-higher spectral bands for a (k, N) split."""
+    """The essentially-lower / intermediate / essentially-higher spectral
+    bands of a (k, N) split, as mode masks; the band projectors are the
+    diagonal matrices of the masks."""
 
-    P_low: np.ndarray
-    Q_high: np.ndarray
-    I_mid: np.ndarray
-    k: int
-    N: int
-    low_mask: np.ndarray = field(repr=False)
-    mid_mask: np.ndarray = field(repr=False)
-    high_mask: np.ndarray = field(repr=False)
+    low_mask: np.ndarray
+    mid_mask: np.ndarray
+    high_mask: np.ndarray
 
 
 def make_spectral_model(eigenvalues) -> SpectralModel:
@@ -71,7 +67,7 @@ def eigenvalue_generator(kind: str, n: int, **params) -> np.ndarray:
 
 
 def mode_projectors(model: SpectralModel, k: int, N: int) -> ModeProjectors:
-    """Spectral band projectors around the gap (lambda_N, lambda_{N+1}).
+    """Spectral band masks around the gap (lambda_N, lambda_{N+1}).
 
     Lower band: lambda_j < lambda_N - k; higher band: lambda_j >
     lambda_{N+1} + k; intermediate the rest (ties go to the intermediate
@@ -87,14 +83,5 @@ def mode_projectors(model: SpectralModel, k: int, N: int) -> ModeProjectors:
     low = lam < lam[N - 1] - k
     high = lam > lam[N] + k
     mid = ~(low | high)
-    return ModeProjectors(
-        P_low=np.diag(low.astype(float)),
-        Q_high=np.diag(high.astype(float)),
-        I_mid=np.diag(mid.astype(float)),
-        k=k,
-        N=N,
-        low_mask=low,
-        mid_mask=mid,
-        high_mask=high,
-    )
+    return ModeProjectors(low_mask=low, mid_mask=mid, high_mask=high)
 

@@ -79,10 +79,6 @@ class GraphOperator:
     sharp: Subspace
     flat: Subspace
 
-    def assemble(self) -> Subspace:
-        cols = self.sharp.basis + self.flat.basis @ self.matrix
-        return Subspace(cols)
-
 
 def j_matrix(two_n: int) -> np.ndarray:
     """Matrix of J(v, eta) = (-eta, v) on stacked coordinates (v; eta)."""
@@ -107,16 +103,6 @@ def isotropy_defect(subspace: Subspace) -> float:
     """max_ij |<b_i, J b_j>|; zero exactly when the subspace is isotropic."""
     b = subspace.basis
     return float(np.abs(b.T @ apply_J(b)).max())
-
-
-def is_lagrange(subspace: Subspace) -> tuple[bool, float]:
-    """Finite-dimensional Lagrange test: isotropic and of half dimension.
-
-    Returns (verdict, margin) where margin is the isotropy defect.
-    """
-    defect = isotropy_defect(subspace)
-    ok = subspace.ambient % 2 == 0 and subspace.dim == subspace.ambient // 2
-    return (ok and defect <= ISOTROPY_TOL, defect)
 
 
 def grassmann_distance(l1: Subspace, l2: Subspace) -> float:
@@ -176,9 +162,3 @@ def vertical_subspace(n: int) -> LagrangeSubspace:
     basis = np.vstack([np.zeros((n, n)), np.eye(n)])
     return LagrangeSubspace(basis)
 
-
-def graph_of_symmetric(p: np.ndarray) -> LagrangeSubspace:
-    """{(v, -P v)} for symmetric P; the nonoscillating normal form."""
-    p = np.asarray(p, dtype=float)
-    n = p.shape[0]
-    return LagrangeSubspace(np.vstack([np.eye(n), -p]))

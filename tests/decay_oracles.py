@@ -12,9 +12,9 @@ independent references in the tests.
 from __future__ import annotations
 
 import numpy as np
+from spatial_oracles import sa_trajectory
 
 from lqbundle.dichotomy import GridFunction
-from lqbundle.spatial import sa_trajectory
 
 #: relative norm below which trajectory samples are left out of the rate fit
 DECAY_FIT_FLOOR = 1e-13

@@ -4,7 +4,8 @@ The library solves the fixed point through one sparse collocation system in
 the recursion states (`lqbundle.stationary._StationaryLP.solve_structured`),
 whose CSR arrays `_StationaryLP.assemble` writes from per-family row
 templates.  The routes here reach the same discrete solution by other means,
-built on the public `LPGridOperator`, and serve as references in the tests:
+built on the grid operator `dichotomy_oracles.LPGridOracle`, and serve as
+references in the tests:
 
 - `coo_collocation_system`: the same collocation matrix and right-hand side
   built block by block from COO triplet lists, as the library once did; its
@@ -29,14 +30,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from dichotomy_oracles import LPGridOracle
 
 from lqbundle._phi import forward_weights, local_forcing, phi_block, stencil_layout
-from lqbundle.dichotomy import (
-    GridFunction,
-    LPGridOperator,
-    dichotomy_split,
-    left_multiply,
-)
+from lqbundle.dichotomy import GridFunction, dichotomy_split, left_multiply
 from lqbundle.stationary import (
     Regulator,
     _grid_parameters,
@@ -73,8 +70,8 @@ class SingleInputLP:
         self.b = np.atleast_2d(np.asarray(b, dtype=float))
         self.form = form
         self.times = times
-        self.op_v = LPGridOperator(split_a, times)
-        self.op_e = LPGridOperator(split_m, times)
+        self.op_v = LPGridOracle(split_a, times)
+        self.op_e = LPGridOracle(split_m, times)
         self.mu = form.control_dim
         n = split_a.n
         f3_fac = sla.cho_factor(form.f3)
@@ -153,7 +150,7 @@ def paired_fixed_point(a, b, form, shift: float = 0.0) -> LagrangeSubspace:
     n = split_a.n
     m = times.size
     r = perturbation_matrix(a, b, form) - shift * np.eye(2 * n)
-    ops = (LPGridOperator(split_a, times), LPGridOperator(split_m, times))
+    ops = (LPGridOracle(split_a, times), LPGridOracle(split_m, times))
 
     def apply(dz):
         rz = left_multiply(r, dz)

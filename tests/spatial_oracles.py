@@ -1,11 +1,11 @@
-"""Reference loops of the spatial-averaging solves.
+"""Reference loops of the spatial-averaging solves, and the spatial-averaging
+routes that only tests take.
 
 The library integrates each mode of a `_ScalarFrame` in its one
 square-integrable direction, through a single recurrence over a stacked
-buffer, on the one rate shift its solver needs; and it computes the
-propagators of `sa_trajectory` vectorised over steps.  The routes here are
-the plain loops those replace, with the same elementwise arithmetic, and
-serve as exact references in the tests:
+buffer, on the one rate shift its solver needs.  The routes here are the
+plain loops those replace, with the same elementwise arithmetic, and serve
+as exact references in the tests:
 
 - `ScalarFrameOracle`: every mode propagated both ways on all-mode weight,
   fold and step arrays, in two channels, unshifted (0) and shifted by the
@@ -16,9 +16,20 @@ serve as exact references in the tests:
   Picard loop and the contraction's impulse responses on two-channel
   frames, as the library ran them before each solver kept only the channel
   its consumer reads (the fiber forcing fills channel 1 only, the impulses
-  channel 0 only);
-- `trajectory_oracle`: the exponential midpoint rule, one propagator per
-  step.
+  channel 0 only).
+
+A run reads the frozen Hamiltonian of the mode-wise reduced system
+(`assemble_nonaut_hamiltonian`) and integrates no driven trajectory.  The
+second routes of the tests live here:
+
+- `assemble_forms`, `a_matrix` and `b_matrix`: the generic
+  (A(q), B, F(q)) of the paper's formulation, on the dense band projectors;
+- `spatial_avg_condition`: the spatial-averaging condition on an operator;
+- `implication_sweep`: zelik => bundle and zelik => nonosc over a grid;
+- `sa_trajectory` and `sa_pairing_drift`: driven trajectories by the
+  exponential midpoint rule, their propagators vectorised over steps, and
+  the symplectic pairing along them; `trajectory_oracle` is the same rule
+  with one propagator per step.
 """
 
 from __future__ import annotations
@@ -33,15 +44,21 @@ from lqbundle._phi import (
     stencil_layout,
 )
 from lqbundle.dichotomy import GridFunction
+from lqbundle.errors import AValueOutOfRange
+from lqbundle.frequency import QuadraticFormTriple
 from lqbundle.spatial import (
     IMPULSE_BATCH,
     PICARD_MAX_ITER,
     PICARD_TOL,
-    TRAJECTORY_STEP_SCALE,
-    _expm2x2_traceless,
     _fiber_grid,
     _fibers_from,
+    condition_holds,
 )
+
+#: trajectory step relative to 1 / (the largest frozen coefficient sum)
+TRAJECTORY_STEP_SCALE = 0.01
+#: trajectory steps whose propagators are computed in one vectorised batch
+TRAJECTORY_CHUNK = 4096
 
 
 class ScalarFrameOracle:
@@ -206,6 +223,147 @@ def two_channel_operator_matrices(config, frames, with_coupling):
             resp = frame_v.solve(f)
         out[:, :, lo:hi] = np.transpose(resp[:, :, 0] + resp[:, :, 1], (1, 0, 2))
     return out
+
+
+# -- the generic formulation --------------------------------------------------
+
+
+def b_matrix(config) -> np.ndarray:
+    """Control operator B (xi_I, xi_c) -> xi_I + xi_c."""
+    n = config.n
+    return np.hstack([np.eye(n), np.eye(n)])
+
+
+def a_matrix(config, a_value: float) -> np.ndarray:
+    """A(q) = -A0 + (alpha - a(q)) I in the eigenbasis."""
+    return np.diag(config.alpha - a_value - config.model.eigenvalues)
+
+
+def band_projectors(config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P_low, I_mid, Q_high): the diagonal matrices of the band masks."""
+    proj = config.projectors
+    return tuple(
+        np.diag(mask.astype(float))
+        for mask in (proj.low_mask, proj.mid_mask, proj.high_mask)
+    )
+
+
+def assemble_forms(config, a_value: float) -> QuadraticFormTriple:
+    """F1(q), F2(q), F3 on the doubled control space, built from the band
+    projectors with the fixed tau coefficients."""
+    if abs(a_value) > config.a_bound + 1e-12:
+        raise AValueOutOfRange(f"|a| = {abs(a_value)} exceeds a_bound {config.a_bound}")
+    t1, t2, t3 = config.taus
+    p_low, i_mid, q_high = band_projectors(config)
+    pq = p_low + q_high
+    lam2 = config.lam**2
+    f1 = (t1 * a_value**2 - t1 * config.delta**2 - t2 * lam2) * i_mid - t3 * lam2 * pq
+    n = config.n
+    f2 = np.vstack([-t1 * a_value * i_mid, np.zeros((n, n))])
+    f3 = np.zeros((2 * n, 2 * n))
+    f3[:n, :n] = t1 * i_mid + t2 * pq
+    f3[n:, n:] = t3 * np.eye(n)
+    return QuadraticFormTriple(f1=f1, f2=f2, f3=f3)
+
+
+def spatial_avg_condition(l_q, config, a_value: float) -> tuple[float, bool]:
+    """Defect || I_mid L I_mid - a I_mid || and the pass flag against delta."""
+    l_q = np.atleast_2d(np.asarray(l_q, dtype=float))
+    _, i_mid, _ = band_projectors(config)
+    defect = float(np.linalg.norm(i_mid @ l_q @ i_mid - a_value * i_mid, 2))
+    return defect, bool(defect <= config.delta + 1e-12)
+
+
+def implication_sweep(lams, deltas, mu_bars, ks):
+    """Verify zelik => bundle and zelik => nonosc over a parameter grid.
+
+    Returns None on a clean pass or the first counterexample tuple
+    (lam, delta, mu_bar, k, failed_set).
+    """
+    for lam in np.asarray(lams, dtype=float):
+        for delta in np.asarray(deltas, dtype=float):
+            for mu_bar in np.asarray(mu_bars, dtype=float):
+                ks_arr = np.asarray(ks, dtype=float)
+                zel = np.array(
+                    [condition_holds("zelik", lam, delta, mu_bar, k) for k in ks_arr]
+                )
+                for target in ("bundle", "nonosc"):
+                    tgt = np.array(
+                        [
+                            condition_holds(target, lam, delta, mu_bar, k)
+                            for k in ks_arr
+                        ]
+                    )
+                    bad = zel & ~tgt
+                    if np.any(bad):
+                        k_bad = float(ks_arr[np.argmax(bad)])
+                        return (float(lam), float(delta), float(mu_bar), k_bad, target)
+    return None
+
+
+# -- driven trajectories --------------------------------------------------------
+
+
+def _expm2x2_traceless(p, q_, r) -> np.ndarray:
+    """Batched expm of traceless [[p, q], [r, -p]] blocks (closed form)."""
+    d = np.sqrt(np.asarray(p, dtype=complex) ** 2 + q_ * r)
+    small = np.abs(d) < 1e-8
+    d_safe = np.where(small, 1.0, d)
+    sinc = np.where(small, 1.0 + d**2 / 6.0, np.sinh(d_safe) / d_safe)
+    cosh = np.cosh(d)
+    out = np.empty(np.broadcast(p, q_, r).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = cosh + sinc * p
+    out[..., 0, 1] = sinc * q_
+    out[..., 1, 0] = sinc * r
+    out[..., 1, 1] = cosh - sinc * p
+    return out.real
+
+
+def sa_trajectory(config, driver, q, z0: np.ndarray, horizon: float):
+    """Integrate z' = H(theta^t q) z with the exponential midpoint rule.
+
+    Every step propagator is the exponential of a Hamiltonian block, so the
+    mode-wise symplectic pairings are preserved exactly.  The propagators
+    are computed TRAJECTORY_CHUNK steps at a time, vectorised over steps;
+    the state then advances step by step on their contiguous rows.
+    """
+    a_diag, chi, b_coef, c_coef = config.mode_coefficients
+    h_norm = float(
+        np.max(np.abs(a_diag) + config.a_bound * chi + np.abs(b_coef) + np.abs(c_coef))
+    )
+    step = TRAJECTORY_STEP_SCALE / h_norm
+    m = int(np.ceil(horizon / step)) + 1
+    times = np.linspace(0.0, horizon, m)
+    h = times[1] - times[0]
+    n = config.n
+    z = np.empty((m, 2 * n))
+    z[0] = np.asarray(z0, dtype=float)
+    pairs = z.reshape(m, 2, n)  # rows (v, eta)
+    a_mid = driver.values(q, times[:-1] + 0.5 * h)
+    for lo in range(0, m - 1, TRAJECTORY_CHUNK):
+        top = (a_diag - a_mid[lo : lo + TRAJECTORY_CHUNK, None] * chi) * h
+        props = _expm2x2_traceless(top, b_coef * h, c_coef * h)
+        # (p00, p11) multiply (v, eta) and (p01, p10) multiply (eta, v)
+        diag = np.stack([props[..., 0, 0], props[..., 1, 1]], axis=1)
+        cross = np.stack([props[..., 0, 1], props[..., 1, 0]], axis=1)
+        for cur, nxt, d_row, c_row in zip(pairs[lo:], pairs[lo + 1 :], diag, cross):
+            np.multiply(d_row, cur, nxt)
+            nxt += c_row * cur[::-1]
+    return GridFunction(times=times, values=z)
+
+
+def sa_pairing_drift(config, driver, q, z10, z20, horizon: float):
+    """(max drift of <z1(t), J z2(t)>, initial pairing) along the driven flow."""
+    t1 = sa_trajectory(config, driver, q, z10, horizon)
+    t2 = sa_trajectory(config, driver, q, z20, horizon)
+    n = config.n
+    pair = np.sum(
+        t1.values[:, :n] * t2.values[:, n:] - t1.values[:, n:] * t2.values[:, :n],
+        axis=1,
+    )
+    # <z1, J z2> = <v1, v2-part of J z2> ... = sum(eta1 v2 - v1 eta2)
+    pair = -pair
+    return float(np.max(np.abs(pair - pair[0]))), float(pair[0])
 
 
 def trajectory_oracle(config, driver, q, z0, horizon):

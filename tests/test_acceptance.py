@@ -9,25 +9,29 @@ import math
 import numpy as np
 import pytest
 from decay_oracles import exp_decay_fit, fit_decay_rate
-
-from lqbundle.dichotomy import (
-    GridFunction,
+from dichotomy_oracles import (
     adjoint_kernel_defect,
-    dichotomy_split,
     fourier_resolvent_check,
     lyapunov_perron_apply,
+    stable_projector,
 )
+from spatial_oracles import implication_sweep, sa_pairing_drift
+from stationary_oracles import riccati_integral_check
+
+from lqbundle.dichotomy import GridFunction, dichotomy_split
 from lqbundle.errors import Oscillating
-from lqbundle.frequency import QuadraticFormTriple, inverse_norm_certificate
+from lqbundle.frequency import (
+    QuadraticFormTriple,
+    frequency_condition_margin,
+    inverse_norm_bound,
+)
 from lqbundle.sampling import random_dichotomy_generator, random_passing_instance
 from lqbundle.spatial import (
     assemble_nonaut_hamiltonian,
     build_fibers,
     constant_driver,
     contraction_certificate,
-    implication_sweep,
     sa_eps0_estimate,
-    sa_pairing_drift,
     v_form_certificate,
 )
 from lqbundle.stationary import (
@@ -40,14 +44,13 @@ from lqbundle.stationary import (
     integrate_control_trajectory,
     l2_controllability,
     pairing_drift,
-    riccati_integral_check,
     stable_lagrange_lp,
     stable_lagrange_schur,
 )
 from lqbundle.symplectic import (
+    ISOTROPY_TOL,
     grassmann_distance,
     intersection_dimension,
-    is_lagrange,
     isotropy_defect,
     vertical_subspace,
 )
@@ -123,8 +126,10 @@ def test_criterion_03_isotropy_suite(instance_pool, sa_results, sa_standard, sa_
     worst_stat = 0.0
     all_lagrange = True
     for item in instance_pool:
-        worst_stat = max(worst_stat, isotropy_defect(item["lp"].l_plus))
-        ok, _ = is_lagrange(item["lp"].l_plus)
+        l_plus = item["lp"].l_plus
+        defect = isotropy_defect(l_plus)
+        worst_stat = max(worst_stat, defect)
+        ok = l_plus.dim == l_plus.ambient // 2 and defect <= ISOTROPY_TOL
         all_lagrange = all_lagrange and ok
     worst_sa = max(isotropy_defect(f.l_plus_q) for f in sa_results["fibers"])
     # symplectic pairing along integrated trajectories
@@ -158,7 +163,8 @@ def test_criterion_04_norm_bounds(instance_pool, rng):
     worst_ratio = 0.0
     for item in instance_pool[:12]:
         reg = item["reg"]
-        ratio, _ = inverse_norm_certificate(reg.a, reg.b, reg.form)
+        scan = frequency_condition_margin(reg.a, reg.b, reg.form, full_scan=True)
+        ratio = np.max(scan.inverse_norms) / inverse_norm_bound(reg.form, scan.margin)
         worst_ratio = max(worst_ratio, ratio)
     # Lyapunov-Perron L2 bound
     worst_l2 = 0.0
@@ -169,7 +175,7 @@ def test_criterion_04_norm_bounds(instance_pool, rng):
         window = np.exp(-((t / 12.0) ** 2))
         vals = window[:, None] * rng.standard_normal((1, n))
         z = lyapunov_perron_apply(split, GridFunction(t, vals))
-        p = split.projector_stable()
+        p = stable_projector(split)
         num = GridFunction(t, z.values @ p.T).l2_norm()
         den = GridFunction(t, vals @ p.T).l2_norm()
         worst_l2 = max(worst_l2, num / (split.m_const / split.eps_rate * den))

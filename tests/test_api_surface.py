@@ -4,9 +4,12 @@ Every public top-level function, class and constant of `src/lqbundle/*.py`
 is either used by other library code (a reference outside its own
 definition, in any module but `__init__.py`) or listed in KEEP together with
 the test or criterion that needs it.  So is every public method (or
-property) of a top-level class, where a use is any attribute access by the
+property) of a top-level class, where a use is an attribute access by the
 method's name outside its own definition, and the KEEP key is
-`Class.method`.  Anything else is code that only its own unit test reaches.
+`Class.method`.  A `self.<name>` access is a use of its own class's method
+(or a library base class's) only, so another class's attribute of the same
+name does not hide a method.  Anything else is code that only its own unit
+test reaches.
 """
 
 import ast
@@ -16,26 +19,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "lqbundle"
 
 # name -> what needs it although no other library code references it
 KEEP = {
-    # oracles: independent second routes that tests and criteria compare with
-    "fourier_resolvent_check": "oracle; criterion 09 (Fourier convergence order)",
-    "adjoint_kernel_defect": "oracle; criterion 04 (adjoint kernels)",
-    "riccati_integral_check": "oracle; criterion 09 (balance identity order)",
-    "smith_condition": "the Smith transfer-norm condition; TestSmithCondition",
-    "inverse_norm_certificate": "criterion 04 (inverse-norm bound)",
-    "implication_sweep": "criterion 08 (inequality implications)",
-    "spatial_avg_condition": "the paper's spatial-averaging condition; TestSpatialAvgCondition",
-    "sa_pairing_drift": "criterion 03 (pairing along the driven flow)",
-    "is_lagrange": "criterion 03 (Lagrange test)",
-    "graph_of_symmetric": "the nonoscillating normal form; test_symplectic oracles",
     "random_passing_instance": "acceptance pools and perfbench/make_n40.py",
-    "assemble_forms": "oracle: the generic (A(q), B, F(q)) route of "
-    "test_two_routes_agree for assemble_nonaut_hamiltonian",
     # methods
-    "DichotomySplit.projector_stable": "test_projector_semigroup_commute, "
-    "criterion 04 (L2 bound of the stable Lyapunov-Perron part)",
-    "QuadraticFormTriple.evaluate": "TestForms::test_two_route_evaluation",
-    "SAConfig.a_matrix": "oracle: the generic route of test_two_routes_agree",
-    "SAConfig.b_matrix": "oracle: the generic route of test_two_routes_agree",
     "TransferEvaluator.transfer_m": "TestTransferM, test_tail_bound_implication, "
     "TestRows (the per-point inverse-norm reference)",
 }
@@ -111,27 +96,70 @@ def _surface():
     return defined, used
 
 
-def _method_surface():
+def _parsed():
+    """(module name, syntax tree) of each library module."""
+    return [(p.stem, ast.parse(p.read_text(encoding="utf-8"))) for p in _modules()]
+
+
+def _self_accesses(tree):
+    """{id(node): class name} of the `self.<name>` accesses in the methods of
+    each top-level class."""
+    out = {}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    out[id(node)] = cls.name
+    return out
+
+
+def _method_surface(parsed=None):
     """({Class.method: (module, first line, last line)}, {Class.method used
-    by other library code}), a use being an attribute access by name."""
-    defined, used = {}, set()
-    parsed = [(p, ast.parse(p.read_text(encoding="utf-8"))) for p in _modules()]
-    for path, tree in parsed:
+    by other library code}), a use being an attribute access by name.
+
+    `self.<name>` resolves to its enclosing class (or a library base class
+    of it) and is a use of that class's method only; any other `x.<name>`
+    is a use of every class's method of that name.
+    """
+    parsed = _parsed() if parsed is None else parsed
+    defined, used, bases = {}, set(), {}
+    for stem, tree in parsed:
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
+            bases[cls.name] = [b.id for b in cls.bases if isinstance(b, ast.Name)]
             for node in cls.body:
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                     defined[f"{cls.name}.{node.name}"] = (
-                        path.stem, node.lineno, node.end_lineno
+                        stem, node.lineno, node.end_lineno
                     )
-    for path, tree in parsed:
+
+    def resolve(cls, attr):
+        key = f"{cls}.{attr}"
+        if key in defined:
+            return [key]
+        for base in bases.get(cls, ()):
+            found = resolve(base, attr)
+            if found:
+                return found
+        return []
+
+    for stem, tree in parsed:
+        owners = _self_accesses(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Attribute):
                 continue
-            for key, (mod, first, last) in defined.items():
-                own = mod == path.stem and first <= node.lineno <= last
-                if key.endswith("." + node.attr) and not own:
+            if id(node) in owners:
+                keys = resolve(owners[id(node)], node.attr)
+            else:
+                keys = [k for k in defined if k.endswith("." + node.attr)]
+            for key in keys:
+                mod, first, last = defined[key]
+                if not (mod == stem and first <= node.lineno <= last):
                     used.add(key)
     return defined, used
 
@@ -155,6 +183,39 @@ def test_every_public_method_is_used_or_kept():
         "public methods that no other library code calls; delete them or add "
         f"them to KEEP with the test or criterion that needs them: {unused}"
     )
+
+
+# A class that stores an attribute named like another class's method, and a
+# subclass that calls an inherited method through `self`.
+TWO_CLASSES = """
+class Evaluator:
+    def __init__(self, shift):
+        self.shift = shift
+
+    def value(self):
+        return self.shift + self.scale()
+
+    def scale(self):
+        return 1.0
+
+
+class Scaled(Evaluator):
+    def doubled(self):
+        return 2.0 * self.value()
+
+
+class Driver:
+    def shift(self, q):
+        return q
+"""
+
+
+def test_self_access_resolves_to_its_own_class():
+    defined, used = _method_surface([("snippet", ast.parse(TWO_CLASSES))])
+    assert "Driver.shift" in defined and "Driver.shift" not in used
+    # a method reached through `self` in its own class or a subclass is used
+    assert {"Evaluator.scale", "Evaluator.value"} <= used
+    assert "Scaled.doubled" not in used
 
 
 def test_keep_lists_only_unused_names():

@@ -331,6 +331,33 @@ class TestExports:
         assert doc["pass"] is True
 
 
+# Malformed documents: each once crashed with a traceback and exit code 1,
+# or (nested eigenvalues) was silently flattened.
+MALFORMED = {
+    "k-auto": ("verify", dict(SA_DOC, k="auto")),
+    "phase-samples-zero": ("verify", dict(SA_DOC, phase_samples=0)),
+    "phase-samples-text": ("verify", dict(SA_DOC, phase_samples="x")),
+    "quasiperiodic-without-amplitudes": ("verify", dict(
+        SA_DOC, driver={"kind": "quasiperiodic", "c0": 1.5, "omegas": [1.0, 1.414]})),
+    "driver-list": ("verify", dict(SA_DOC, driver=[1.5, 0.5, 1.0])),
+    "top-level-list": ("verify", [S1_DOC]),
+    "generator-p-text": ("verify", dict(
+        SA_DOC, eigenvalues={"generator": "power", "p": "two", "n": 8})),
+    "generator-n-text": ("verify", dict(
+        SA_DOC, eigenvalues={"generator": "power", "p": 2, "n": "eight"})),
+    "nested-eigenvalues": ("verify", dict(SA_DOC, eigenvalues=[[1, 2], [3, 4]])),
+    "lambda-text": ("verify", dict(SA_DOC, Lambda="one")),
+    "horizon-text": ("verify", dict(SA_DOC, horizon="long")),
+    "seed-text": ("verify", dict(S1_DOC, seed="x")),
+    "tolerance-text": ("verify", dict(S1_DOC, tolerances={"oracle": "x"})),
+    "nan-in-a": ("verify", dict(S1_DOC, A=[[float("nan")]])),
+    "report-record-without-value": ("report", {
+        "name": "S1", "mode": "stationary", "seed": 42,
+        "checks": [{"name": "eps0", "bound": 0.0, "margin": 1.0, "pass": True}],
+    }),
+}
+
+
 @pytest.fixture(scope="module")
 def s1_seed7_run(tmp_path_factory):
     """`verify --seed 42 --out DIR` on S1 with the scenario seed 7."""
@@ -429,6 +456,31 @@ class TestCli:
         assert code == 1
         assert [(c["name"], c["pass"]) for c in checks] == [("gap-search", False)]
         assert "NoCandidate" in checks[0]["detail"]
+
+    @pytest.mark.parametrize(
+        "k, n_split, picked", [(5, "search", "k=5, N=2"), ("search", 3, "k=3, N=3")]
+    )
+    def test_half_fixed_gap_search_keeps_the_fixed_value(self, tmp_path, k, n_split,
+                                                          picked):
+        # the minimal pair overall is (3, 2); a fixed k or N must stay fixed
+        code, checks = run_command(tmp_path, "sa-search", dict(SA_DOC, k=k, N=n_split))
+        assert code == 0
+        assert [c["name"] for c in checks] == ["gap-margin-1", "gap-margin-2"]
+        assert all(c["detail"].startswith(f"set=bundle, {picked},") for c in checks)
+
+    def test_half_fixed_gap_search_without_a_match(self, tmp_path):
+        # the search tries k <= 50 only, so no searched pair has k = 60
+        code, checks = run_command(tmp_path, "sa-search", dict(SA_DOC, k=60, N="search"))
+        assert code == 1
+        assert [(c["name"], c["pass"]) for c in checks] == [("gap-search", False)]
+        assert "NoCandidate" in checks[0]["detail"]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_is_input_error(self, tmp_path, capsys, case):
+        command, doc = MALFORMED[case]
+        path = write_json(tmp_path, "bad.json", doc)
+        assert main([command, "--scenario", path]) == 2
+        assert "input error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, doc", [("check-freq", SA_DOC), ("sa-search", S1_DOC)]

@@ -7,6 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from frequency_oracles import sampled_margin, tail_m_bound
 from lqbundle import frequency
+from lqbundle.certify import DEFAULT_TOLERANCES, Scenario, run_pipeline
 from lqbundle.errors import (
     ConditionFailed,
     DimensionMismatch,
@@ -18,12 +19,13 @@ from lqbundle.frequency import (
     QuadraticFormTriple,
     TransferEvaluator,
     frequency_condition_margin,
-    inverse_norm_certificate,
+    inverse_norm_bound,
     level_crossings,
     make_frequency_grid,
-    smith_condition,
+    resolvent_sup_norm,
     smith_form_triple,
 )
+from lqbundle.stationary import Regulator
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
 
@@ -254,33 +256,41 @@ class TestFrequencyMargin:
 
 
 class TestSmithCondition:
+    # the Smith transfer-norm condition sup_w ||C (A - i w)^-1 B|| < 1/lam
     def test_sup_between_grid_nodes(self):
         # |C (A - i w)^-1 B| = w0 / |w0^2 + d^2 - w^2 + 2 i d w| peaks at 1 / (2 d)
         a, b, _ = resonance(1e-3, 3.3137, 0.0)
-        ok, sup = smith_condition(a, b, [[1.0, 0.0]], 1.0 / 600.0)
-        assert ok and sup == pytest.approx(500.0, rel=1e-8)
-        assert not smith_condition(a, b, [[1.0, 0.0]], 1.0 / 400.0)[0]
+        sup = resolvent_sup_norm(a, b, [[1.0, 0.0]])
+        assert sup < 600.0 and sup == pytest.approx(500.0, rel=1e-8)
+        assert not sup < 400.0
 
     def test_passing(self, s1):
         a, b, _ = s1
-        ok, sup = smith_condition(a, b, [[1.0]], 1.0)
-        assert ok and sup == pytest.approx(0.5, abs=1e-9)
+        sup = resolvent_sup_norm(a, b, [[1.0]])
+        assert sup < 1.0 / 1.0 and sup == pytest.approx(0.5, abs=1e-9)
 
     def test_failing(self, s1):
         a, b, _ = s1
-        ok, sup = smith_condition(a, b, [[1.0]], 3.0)
-        assert not ok and sup == pytest.approx(0.5, abs=1e-9)
+        sup = resolvent_sup_norm(a, b, [[1.0]])
+        assert not sup < 1.0 / 3.0 and sup == pytest.approx(0.5, abs=1e-9)
 
     def test_zero_observation(self, s1):
         a, b, _ = s1
-        ok, sup = smith_condition(a, b, [[0.0]], 1e6)
-        assert ok and sup == 0.0
+        sup = resolvent_sup_norm(a, b, [[0.0]])
+        assert sup < 1.0 / 1e6 and sup == 0.0
+
+
+def inverse_norm_ratio(a, b, form):
+    """(worst sampled ||(I - M(w))^-1|| over `inverse_norm_bound`, scan), as
+    the certify frequency stage forms its inverse-norm-bound record."""
+    scan = frequency_condition_margin(a, b, form, full_scan=True)
+    return float(np.max(scan.inverse_norms)) / inverse_norm_bound(form, scan.margin), scan
 
 
 class TestInverseNormCertificate:
     def test_scalar_equality_case(self, s1):
         a, b, form = s1
-        worst, scan = inverse_norm_certificate(a, b, form)
+        worst, scan = inverse_norm_ratio(a, b, form)
         # ||(I - M)^{-1}|| = (1 - 1/(4+w^2))^{-1} peaks at 4/3 = ||F3||/margin
         assert worst <= 1.0 + 1e-10
         assert worst >= 1.0 - 1e-9
@@ -289,7 +299,7 @@ class TestInverseNormCertificate:
     def test_trivial_form(self, s1):
         a, b, _ = s1
         form0 = QuadraticFormTriple(f1=[[0.0]], f2=[[0.0]], f3=[[1.0]])
-        worst, _ = inverse_norm_certificate(a, b, form0)
+        worst, _ = inverse_norm_ratio(a, b, form0)
         assert worst == pytest.approx(1.0)
 
     def test_random_sweep(self, rng):
@@ -298,16 +308,24 @@ class TestInverseNormCertificate:
             a, b, form = random_system(rng)
             if frequency_condition_margin(a, b, form) < 0.05:
                 continue
-            worst, _ = inverse_norm_certificate(a, b, form)
+            worst, _ = inverse_norm_ratio(a, b, form)
             assert worst <= 1.0 + 1e-10
             done += 1
 
     def test_condition_failed(self):
+        # no Lax-Milgram bound without a positive margin (here sup |W| = 1/2
+        # = 1/lam, so the margin 1 - lam^2 sup^2 is 0): the frequency stage
+        # records the margin and forms no inverse-norm record
         a = np.array([[-2.0]])
         b = np.array([[1.0]])
         form = smith_form_triple([[1.0]], 2.0, 1)
-        with pytest.raises(ConditionFailed):
-            inverse_norm_certificate(a, b, form)
+        scenario = Scenario(name="smith-2", mode="stationary", seed=0,
+                            tolerances=dict(DEFAULT_TOLERANCES), payload={},
+                            regulator=Regulator(a, b, form))
+        cert = run_pipeline(scenario, ("frequency",))
+        records = {r.name: r for r in cert.records}
+        assert records["frequency-margin"].value <= 0.0
+        assert "inverse-norm-bound" not in records
 
 
 class TestTimeFrequencyConsistency:

@@ -77,9 +77,13 @@ class TestModeProjectors:
     def test_partition_of_unity(self, k, n):
         model = make_spectral_model([float(j * j) for j in range(1, 9)])
         proj = mode_projectors(model, k=k, N=n)
-        total = proj.P_low + proj.I_mid + proj.Q_high
+        bands = [
+            np.diag(mask.astype(float))
+            for mask in (proj.low_mask, proj.mid_mask, proj.high_mask)
+        ]
+        total = sum(bands)
         assert np.abs(total - np.eye(8)).max() <= 1e-12
-        for p in (proj.P_low, proj.I_mid, proj.Q_high):
+        for p in bands:
             assert np.abs(p @ p - p).max() <= 1e-12
             assert np.abs(p - p.T).max() <= 1e-12
 
@@ -90,7 +94,7 @@ class TestModeProjectors:
         a0 = np.diag(model.eigenvalues)
         lam_n = model.eigenvalues[n_split - 1]
         for _ in range(50):
-            v = proj.Q_high @ rng.standard_normal(model.n)
+            v = np.diag(proj.high_mask.astype(float)) @ rng.standard_normal(model.n)
             quad = v @ a0 @ v
             assert quad >= (lam_n + k) * (v @ v) - 1e-12
 

@@ -8,15 +8,25 @@ from lqbundle.symplectic import (
     LagrangeSubspace,
     Subspace,
     apply_J,
-    graph_of_symmetric,
     graph_over,
     grassmann_distance,
     horizontal_subspace,
     intersection_dimension,
-    is_lagrange,
     isotropy_defect,
     vertical_subspace,
 )
+
+
+def graph_of_symmetric(p):
+    """{(v, -P v)} for symmetric P; the nonoscillating normal form."""
+    p = np.asarray(p, dtype=float)
+    n = p.shape[0]
+    return LagrangeSubspace(np.vstack([np.eye(n), -p]))
+
+
+def graph_subspace(go: GraphOperator) -> Subspace:
+    """The subspace {z + M z | z in sharp} that the graph coordinates stand for."""
+    return Subspace(go.sharp.basis + go.flat.basis @ go.matrix)
 
 
 def random_lagrange(rng, n):
@@ -91,18 +101,21 @@ class TestGraphOver:
         for _ in range(10):
             lag = random_lagrange(rng, 4)
             go = graph_over(lag, horizontal_subspace(4), vertical_subspace(4))
-            assert grassmann_distance(go.assemble(), lag) <= 1e-8
+            assert grassmann_distance(graph_subspace(go), lag) <= 1e-8
 
 
 class TestIsLagrange:
+    # the Lagrange test is the LagrangeSubspace constructor: isotropic and
+    # of half dimension
     def test_horizontal(self):
-        ok, margin = is_lagrange(horizontal_subspace(3))
-        assert ok and margin == 0.0
+        lag = LagrangeSubspace(horizontal_subspace(3).basis)
+        assert isotropy_defect(lag) == 0.0
 
     def test_dimension_deficient(self):
         sub = Subspace(np.array([[1.0], [0.0], [0.0], [0.0]]))
-        ok, _ = is_lagrange(sub)
-        assert not ok
+        assert isotropy_defect(sub) == 0.0
+        with pytest.raises(NotLagrange, match="need dimension 2"):
+            LagrangeSubspace(sub.basis)
 
 
 class TestIntersectionDimension:
@@ -169,4 +182,4 @@ class TestTypes:
         go = GraphOperator(
             matrix=-p, sharp=horizontal_subspace(2), flat=vertical_subspace(2)
         )
-        assert grassmann_distance(go.assemble(), graph_of_symmetric(p)) <= 1e-12
+        assert grassmann_distance(graph_subspace(go), graph_of_symmetric(p)) <= 1e-12
