@@ -1,23 +1,28 @@
 """Before/after timing and memory of the stationary Lyapunov-Perron solve.
 
 Runs the two grid solves of `stable_lagrange_lp` (the fine grid and the
-Richardson grid with twice the step) with either collocation assembly:
+Richardson grid with twice the step) with either collocation system, each
+factored by SuperLU in one of two column orderings (COLAMD or NATURAL):
 
-- `lean`: the library's `_StationaryLP.assemble`, which writes the CSR arrays
+- `lean`: the library's `_StationaryLP.assemble`, the system in the
+  recursion states and the control xi at every node, its CSR arrays written
   from per-family row templates;
-- `coo`: `coo_collocation_system` from tests/lp_oracles.py, the triplet-list
-  assembly the library used before.
+- `coo`: `coo_collocation_system` from tests/lp_oracles.py, the system in
+  the recursion states alone with the product R (dv, deta) in every row,
+  assembled from triplet lists as the library once did.
 
 Each run is a fresh single-threaded process, so its `ru_maxrss` rise is the
 LP's own.  Assembly, `splu` factor and solve are timed separately and summed
-over both grids.  Systems: the benchmark's n40_j0 and n40_j1 scenarios and
-the stiff A = diag(-1, -10, -100, -1000), B = 0.5 (1, 1, 1, 1)^T,
-F1 = -0.1 I, F2 = 0, F3 = 1, at the default grid and, for the stiff system,
-at the previous flat cap of 6000 steps.
+over both grids; the matrix and LU nonzeros are listed per grid.  Systems:
+the benchmark's n40_j0 and n40_j1 scenarios and the stiff
+A = diag(-1, -10, -100, -1000), B = 0.5 (1, 1, 1, 1)^T, F1 = -0.1 I,
+F2 = 0, F3 = 1, at the default grid and, for the stiff system's `coo` run,
+at the previous flat cap of 6000 steps.  The n40 `coo` runs peak near
+3.3 GB, so they are left out.
 
     python bench/lp_assembly.py --out BENCH_lp_assembly.json
 
-About a minute on a 2-core host; the COO runs of n40 peak near 3.3 GB.
+About a minute on a 2-core host; no run peaks above 1.2 GB.
 """
 
 from __future__ import annotations
@@ -38,15 +43,16 @@ THREAD_ENV = {
     "OMP_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
 }
-#: (system, assembly, steps or None for the default grid)
+#: (system, assembly, SuperLU column ordering, steps or None for the default grid)
 RUNS = (
-    ("n40_j0", "coo", None),
-    ("n40_j0", "lean", None),
-    ("n40_j1", "coo", None),
-    ("n40_j1", "lean", None),
-    ("stiff", "coo", 6000),
-    ("stiff", "coo", None),
-    ("stiff", "lean", None),
+    ("n40_j0", "lean", "COLAMD", None),
+    ("n40_j0", "lean", "NATURAL", None),
+    ("n40_j1", "lean", "COLAMD", None),
+    ("n40_j1", "lean", "NATURAL", None),
+    ("stiff", "coo", "COLAMD", 6000),
+    ("stiff", "coo", "COLAMD", None),
+    ("stiff", "lean", "COLAMD", None),
+    ("stiff", "lean", "NATURAL", None),
 )
 
 
@@ -67,7 +73,7 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def measure(name: str, assembly: str, steps: int | None) -> dict:
+def measure(name: str, assembly: str, ordering: str, steps: int | None) -> dict:
     """One LP solve on both grids, in this process."""
     import numpy as np
     import scipy.sparse.linalg as spla
@@ -76,7 +82,7 @@ def measure(name: str, assembly: str, steps: int | None) -> dict:
     from lqbundle.symplectic import LagrangeSubspace, grassmann_distance
 
     sys.path.insert(0, str(ROOT / "tests"))
-    from lp_oracles import coo_collocation_system
+    from lp_oracles import coo_collocation_system, paired_state_maps
 
     reg = st.Regulator(*_system(name))
     ham, split_a, split_m = reg.ham, reg.split_a, reg.split_m
@@ -84,7 +90,7 @@ def measure(name: str, assembly: str, steps: int | None) -> dict:
     times = st._grid_parameters(split_a, ham, steps)
     coarse = np.linspace(times[0], times[-1], (times.size - 1) // 2 + 1)
     stage = dict.fromkeys(("forcing_s", "assembly_s", "factor_s", "solve_s"), 0.0)
-    nnz = []
+    rows, nnz, lu_nnz = [], [], []
     rss0 = _peak_mb()
     start = time.perf_counter()
 
@@ -95,18 +101,22 @@ def measure(name: str, assembly: str, steps: int | None) -> dict:
         t1 = time.perf_counter()
         if assembly == "lean":
             mat, rhs = lp.assemble(*forcing)
+            dv_map, de_map = lp.dv_map, lp.de_map
         else:
-            mat, rhs = coo_collocation_system(lp, *forcing)
+            mat, rhs = coo_collocation_system(lp, reg.r, *forcing)
+            dv_map, de_map = paired_state_maps(lp)
         t2 = time.perf_counter()
-        lu = spla.splu(mat)
+        lu = spla.splu(mat, permc_spec=ordering)
         t3 = time.perf_counter()
         sol = lu.solve(rhs)
         t4 = time.perf_counter()
         for key, dt in zip(stage, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             stage[key] += dt
+        rows.append(int(mat.shape[0]))
         nnz.append(int(mat.nnz))
-        s0 = sol.reshape(grid.size, 2 * lp.n, -1)[0]
-        return np.vstack([lp.dv_map @ s0, lp.de_map @ s0])
+        lu_nnz.append(int(lu.nnz))
+        s0 = sol.reshape(grid.size, dv_map.shape[1], -1)[0]
+        return np.vstack([dv_map @ s0, de_map @ s0])
 
     dz0 = (16.0 * solve_on(times) - solve_on(coarse)) / 15.0
     lp_s = time.perf_counter() - start
@@ -121,10 +131,12 @@ def measure(name: str, assembly: str, steps: int | None) -> dict:
     return {
         "system": name,
         "assembly": assembly,
+        "ordering": ordering,
         "steps": int(times.size - 1),
         "coarse_steps": int(coarse.size - 1),
-        "matrix_rows": [int(times.size * 2 * split_a.n), int(coarse.size * 2 * split_a.n)],
+        "matrix_rows": rows,
         "nnz": nnz,
+        "lu_nnz": lu_nnz,
         "lp_s": round(lp_s, 3),
         **{key: round(val, 3) for key, val in stage.items()},
         "rss_before_mb": round(rss0, 1),
@@ -139,18 +151,20 @@ def measure(name: str, assembly: str, steps: int | None) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_lp_assembly.json"))
-    parser.add_argument("--child", nargs=3, metavar=("SYSTEM", "ASSEMBLY", "STEPS"),
+    parser.add_argument("--child", nargs=4,
+                        metavar=("SYSTEM", "ASSEMBLY", "ORDERING", "STEPS"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        name, assembly, steps = args.child
-        print(json.dumps(measure(name, assembly, None if steps == "default" else int(steps))))
+        name, assembly, ordering, steps = args.child
+        steps = None if steps == "default" else int(steps)
+        print(json.dumps(measure(name, assembly, ordering, steps)))
         return 0
     env = dict(os.environ, **THREAD_ENV, PYTHONPATH=str(ROOT / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     runs = []
-    for name, assembly, steps in RUNS:
-        cmd = [sys.executable, __file__, "--child", name, assembly,
+    for name, assembly, ordering, steps in RUNS:
+        cmd = [sys.executable, __file__, "--child", name, assembly, ordering,
                "default" if steps is None else str(steps)]
         out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
         runs.append(json.loads(out.stdout.strip().splitlines()[-1]))
@@ -159,8 +173,9 @@ def main(argv=None) -> int:
     import scipy
 
     doc = {
-        "what": "stable_lagrange_lp's two grid solves: COO triplet assembly (coo, "
-                "before) against the window-template CSR assembly (lean, after)",
+        "what": "stable_lagrange_lp's two grid solves: the library's system in the "
+                "states and the control xi (lean) in both SuperLU column orderings, "
+                "and the stiff system's state-only COO triplet system (coo)",
         "command": "python bench/lp_assembly.py --out BENCH_lp_assembly.json",
         "threads": THREAD_ENV,
         "host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),

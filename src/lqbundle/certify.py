@@ -224,6 +224,10 @@ def load_scenario(path: str) -> Scenario:
     overrides = doc.get("tolerances", {})
     if not isinstance(overrides, dict):
         raise ParseError("tolerances must be an object")
+    unknown = sorted(set(overrides) - set(DEFAULT_TOLERANCES))
+    if unknown:
+        raise ParseError(f"unknown tolerance {unknown[0]!r}; known: "
+                         f"{', '.join(DEFAULT_TOLERANCES)}")
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(
         {key: _number(val, f"tolerance {key!r}") for key, val in overrides.items()}
@@ -249,6 +253,9 @@ def load_scenario(path: str) -> Scenario:
             _number(doc["horizon"], "horizon")
         if _integer(doc.get("phase_samples", 16), "phase_samples") < 1:
             raise ParseError("phase_samples must be at least 1")
+        if doc.get("condition_set", "bundle") not in sa.CONDITION_SETS:
+            raise ParseError(f"condition_set must be one of {sa.CONDITION_SETS}, "
+                             f"got {doc['condition_set']!r}")
         _driver_params(_require(doc, "driver"))
         _sa_model(_require(doc, "eigenvalues"))
     else:
@@ -280,6 +287,8 @@ def _driver_params(drv_doc) -> tuple[str, dict]:
     if not isinstance(drv_doc, dict):
         raise ParseError(f"driver must be an object, not {type(drv_doc).__name__}")
     kind = drv_doc.get("kind", "periodic")
+    if kind not in sa.DRIVER_KINDS:
+        raise ParseError(f"driver kind must be one of {sa.DRIVER_KINDS}, got {kind!r}")
     if kind == "quasiperiodic":
         _require(drv_doc, "amplitudes"), _require(drv_doc, "omegas")
     return kind, {

@@ -148,6 +148,10 @@ class SAConfig:
 # -- inequality sets and the gap search -------------------------------------
 
 
+#: the inequality sets of `condition_margins`
+CONDITION_SETS = ("bundle", "nonosc", "zelik")
+
+
 def condition_margins(
     condition_set: str, lam: float, delta: float, mu_bar: float, k
 ) -> tuple:
@@ -259,6 +263,10 @@ class Driver:
         d = np.abs(self._phases(q1) - self._phases(q2))
         d = np.minimum(d, 2.0 * np.pi - d)
         return float(np.max(d))
+
+
+#: the driver kinds of `driver_make`
+DRIVER_KINDS = ("periodic", "quasiperiodic")
 
 
 def driver_make(kind: str, params: dict, a_bound: float | None = None) -> Driver:

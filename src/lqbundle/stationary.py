@@ -3,18 +3,20 @@
 Two independent routes produce the stable subspace: the ordered-Schur
 invariant subspace (oracle) and the Lyapunov-Perron fixed point, discretized
 on a time grid with the exponential quadrature of `_phi` (Hochbruck &
-Ostermann, Acta Numerica 2010), solved as one sparse collocation system in the
-recursion states and refined by Richardson extrapolation, which helps only
-once the grid is in the asymptotic range (see `stable_lagrange_lp`).  Every
-interval row of that system holds the 4 sdim entries (sdim = 2n) of its
-cubic stencil's four nodes, so its CSR arrays are written straight from row
-templates and the solve's memory is linear in the nonzeros, about 30 bytes
-each with the LU factor.  So the step cap follows a nonzero budget
-(`NNZ_BUDGET`) as well as `MAX_STEPS`, and stiff spectra get the step they
-need.  Nonoscillation extraction, Riccati verification, controllability,
-coercivity and the Lyapunov inequality live here as well, all on one
-`Regulator` (A, B, F); their control trajectories take the local integrals
-of every step from the same stencil contraction as the collocation system.
+Ostermann, Acta Numerica 2010), solved as one sparse collocation system in
+the recursion states and the control xi at every node, and refined by
+Richardson extrapolation, which helps only once the grid is in the asymptotic
+range (see `stable_lagrange_lp`).  R reaches the system only through xi, so
+an interval row holds the entries of xi (v rows) or of (v, xi) (eta rows) at
+its cubic stencil's four nodes plus its own recursion step, and the CSR
+arrays are written straight from row templates.  The solve's memory is linear
+in the nonzeros (about 37 bytes each at n = 40, with the LU factor), and the
+step cap follows a budget on steps * 4 sdim^2 (`NNZ_BUDGET`, sdim = 2n) as
+well as `MAX_STEPS`, so stiff spectra get the step they need.
+Nonoscillation extraction, Riccati verification, controllability, coercivity
+and the Lyapunov inequality live here as well, all on one `Regulator`
+(A, B, F); their control trajectories take the local integrals of every step
+from the same stencil contraction as the collocation system.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import simpson
-
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -67,7 +67,9 @@ GRID_RHO_STEP = 0.04
 GRID_HORIZON_RATE = 12.0
 MIN_STEPS = 320
 MAX_STEPS = 6000
-#: fine-grid nonzeros (steps * 4 sdim^2) up to which the step cap may exceed MAX_STEPS
+#: bound on steps * 4 sdim^2 (sdim = 2n) up to which the step cap may exceed
+#: MAX_STEPS: a proxy for the fine-grid nonzeros, of which the n = 40 fixtures
+#: hold about half and the stiff n = 4 system two thirds
 NNZ_BUDGET = 12_500_000
 #: entries per batch of the LP forcing's coordinate stack (64 kB); a whole-grid
 #: stack (18 MB at n = 40) raised the allocator's mmap threshold and peak RSS
@@ -249,8 +251,11 @@ def _grid_parameters(
 
 class _StationaryLP:
     """Half-line Lyapunov-Perron collocation of the paired fixed point
-    Dz = L_breve P R (Dz + g) on one time grid.  R (`Regulator.r`) carries
-    a, b and form, which only keep `times` where the benchmark tracer reads it."""
+    Dz = L_breve P R (Dz + g) on one time grid.  R (`Regulator.r`) makes the
+    forcing R g; R Dz reaches the system only through the control
+    xi = F3^-1 (B^T deta - F2 dv), as R (dv, deta) = (B xi, F1 dv + F2^T xi),
+    so xi is an unknown of its own, read from b and form.  `a` is not read:
+    it keeps `times` where the benchmark tracer reads it."""
 
     def __init__(self, a, b, form, split_a, split_m, times, r):
         self.split_a = split_a
@@ -259,16 +264,22 @@ class _StationaryLP:
         self.op_v = LPGridOperator(split_a, times)
         self.op_e = LPGridOperator(split_m, times)
         self.n = split_a.n
+        self.b = np.atleast_2d(np.asarray(b, dtype=float))
+        self.form = form
         self.r = r
-        # the per-node state s = (u, w, p, q): forward and backward recursion
-        # coordinates of v, then of eta; dv_map and de_map give v and eta
+        # the per-node state s = (u, w, xi, p, q), `stride` entries: forward
+        # and backward recursion coordinates of v, the control, then those of
+        # eta; dv_map, xi_map and de_map give v, xi and eta
         ka, ja = split_a.k_stable, split_a.rank_j
         km, jm = split_m.k_stable, split_m.rank_j
+        mu = form.control_dim
         self.widths = (ka, ja, km, jm)
-        self.offs = np.concatenate([[0], np.cumsum(self.widths)])
+        self.offs = (0, ka, self.n + mu, self.n + mu + km)
+        self.stride = 2 * self.n + mu
         self.dv_map = np.hstack([split_a.w[:, :ka], -split_a.w[:, ka:],
-                                 np.zeros((self.n, km + jm))])
-        self.de_map = np.hstack([np.zeros((self.n, ka + ja)),
+                                 np.zeros((self.n, mu + km + jm))])
+        self.xi_map = np.eye(mu, self.stride, self.n)
+        self.de_map = np.hstack([np.zeros((self.n, self.n + mu)),
                                  split_m.w[:, :km], -split_m.w[:, km:]])
 
     def sharp_forcing(self) -> tuple[np.ndarray, np.ndarray]:
@@ -306,34 +317,45 @@ class _StationaryLP:
         Interval i of a family couples the nodes base[i] .. base[i] + 3 of its
         cubic stencil, and the recursion step x_{i+1} - E x_i (forward) or
         x_i - E x_{i+1} (backward) sits at the window nodes p and p + 1 of
-        that stencil, p = pattern[i].  So every interval row holds exactly
-        4 sdim entries, in the column window that starts at base[i] sdim, and
-        the rows of one family differ only by p.  The CSR arrays are written
-        directly from three (width, 4 sdim) templates per family, one per
-        pattern; the sdim boundary rows u_0 = 0, w_{m-1} = 0, p_0 = 0 and
-        q_{m-1} = 0 hold one entry each.  So the assembly's memory is linear
-        in the nonzeros and the matrix holds no duplicate entries.
+        that stencil, p = pattern[i].  A v row reads xi at the four nodes
+        (4 mu entries), an eta row reads (u, w, xi) there (4 (n + mu)), and
+        both hold the dense width x width step blocks (2 width), so the rows
+        of one family differ only by p and their column window, which starts
+        at base[i] stride.  The CSR arrays are written directly from one
+        (width, row length) template and one column-offset row per family and
+        pattern.  Each node adds mu rows F3 xi + F2 dv - B^T deta = 0 over its
+        own stride columns, and the 2n boundary rows u_0 = 0, w_{m-1} = 0,
+        p_0 = 0 and q_{m-1} = 0 hold one entry each.  So the assembly's memory
+        is linear in the nonzeros and the matrix holds no duplicate entries.
         """
         n = self.n
         m = self.times.size
-        sdim = 2 * n
-        win = 4 * sdim
-        r = self.r
-        c_v = r[:n, :n] @ self.dv_map + r[:n, n:] @ self.de_map
-        c_e = r[n:, :n] @ self.dv_map + r[n:, n:] @ self.de_map
-        base, pattern = stencil_layout(m)
-        n_int = (m - 1) * sdim * win
-        idx_t = np.int32 if n_int + sdim < 2**31 else np.int64
-        data = np.empty(n_int + sdim)
-        indices = np.empty(n_int + sdim, dtype=idx_t)
-        window = base.astype(idx_t)[:, None, None] * sdim + np.arange(win, dtype=idx_t)
-        rhs = np.zeros((m * sdim, g_v.shape[2]))
+        size = self.stride
+        mu = size - 2 * n
+        form = self.form
+        # (what a family's rows read of a node's state, the columns it may touch)
+        reads = (
+            (self.b @ self.xi_map, np.arange(n, n + mu)),
+            (form.f1 @ self.dv_map + form.f2.T @ self.xi_map, np.arange(n + mu)),
+        )
         fams = (  # (split, grid operator, forward recursion)
             (self.split_a, self.op_v, True),
             (self.split_a, self.op_v, False),
             (self.split_m, self.op_e, True),
             (self.split_m, self.op_e, False),
         )
+        row_len = [4 * reads[fam // 2][1].size + 2 * w for fam, w in enumerate(self.widths)]
+        n_int = (m - 1) * sum(w * ell for w, ell in zip(self.widths, row_len))
+        n_xi = m * mu * size
+        nnz = n_int + n_xi + 2 * n
+        idx_t = np.int32 if nnz < 2**31 else np.int64
+        data = np.empty(nnz)
+        indices = np.empty(nnz, dtype=idx_t)
+        indptr = np.zeros(m * size + 1, dtype=idx_t)
+        np.cumsum(np.repeat(row_len + [size, 1], [(m - 1) * w for w in self.widths]
+                            + [m * mu, 2 * n]), out=indptr[1:])
+        base, pattern = stencil_layout(m)
+        rhs = np.zeros((m * size, g_v.shape[2]))
         row0 = 0
         for fam, (split, op, fwd) in enumerate(fams):
             width = self.widths[fam]
@@ -343,52 +365,64 @@ class _StationaryLP:
             k = split.k_stable
             winv_blk = split.winv[:k] if fwd else split.winv[k:]
             weights = op.wf if fwd else op.wb
-            cin = c_v if fam < 2 else c_e
-            templates = np.empty((3, width, 4, sdim))
-            for p in range(3):
-                for ell in range(4):
-                    templates[p, :, ell] = -(weights[p][ell] @ winv_blk) @ cin
-            templates = templates.reshape(3, width, win)
+            cin, cols = reads[fam // 2]
+            full = np.zeros((3, width, 4, size))
+            used = np.zeros((3, 4, size), dtype=bool)
+            used[:, :, cols] = True
             # the step's identity and -E blocks, at window nodes p and p + 1
             e_blk = op.e_s if fwd else op.e_u
             near, far = (-e_blk, np.eye(width)) if fwd else (np.eye(width), -e_blk)
             for p in range(3):
+                for ell in range(4):
+                    full[p, :, ell] = -(weights[p][ell] @ winv_blk) @ cin
                 for node, blk in ((p, near), (p + 1, far)):
-                    templates[p, :, node * sdim + off : node * sdim + off + width] += blk
-            lo, hi = row0 * win, (row0 + (m - 1) * width) * win
-            np.take(templates, pattern, axis=0, mode="clip",
-                    out=data[lo:hi].reshape(m - 1, width, win))
-            indices[lo:hi].reshape(m - 1, width, win)[...] = window
+                    full[p, :, node, off : off + width] += blk
+                    used[p, node, off : off + width] = True
+            col_pat = np.stack([np.flatnonzero(used[p]) for p in range(3)]).astype(idx_t)
+            templates = np.stack([full[p].reshape(width, -1)[:, col_pat[p]]
+                                  for p in range(3)])
+            lo, hi = indptr[row0], indptr[row0 + (m - 1) * width]
+            shape = (m - 1, width, row_len[fam])
+            np.take(templates, pattern, axis=0, mode="clip", out=data[lo:hi].reshape(shape))
+            idx = indices[lo:hi].reshape(shape)
+            idx[...] = col_pat[pattern][:, None, :]
+            idx += (base.astype(idx_t) * size)[:, None, None]
             # rhs from the g-forcing through the same stencil weights
             coords = left_multiply(winv_blk, g_v if fam < 2 else g_e)
             loc = local_forcing(weights, coords)
             rhs[row0 : row0 + (m - 1) * width] = loc.reshape((m - 1) * width, -1)
             row0 += (m - 1) * width
-        data[n_int:] = 1.0
-        indices[n_int:] = np.concatenate([
-            node * sdim + np.arange(self.offs[fam], self.offs[fam + 1])
+        # the control rows of every node
+        xi_rows = form.f2 @ self.dv_map + form.f3 @ self.xi_map - self.b.T @ self.de_map
+        lo = n_int
+        data[lo : lo + n_xi].reshape(m, mu, size)[...] = xi_rows
+        indices[lo : lo + n_xi].reshape(m, mu, size)[...] = (
+            np.arange(m, dtype=idx_t)[:, None, None] * size + np.arange(size, dtype=idx_t)
+        )
+        data[lo + n_xi :] = 1.0
+        indices[lo + n_xi :] = np.concatenate([
+            node * size + self.offs[fam] + np.arange(self.widths[fam])
             for fam, node in ((0, 0), (1, m - 1), (2, 0), (3, m - 1))
         ])
-        indptr = np.concatenate([
-            np.arange(0, n_int + 1, win, dtype=idx_t),
-            np.arange(n_int + 1, n_int + sdim + 1, dtype=idx_t),
-        ])
-        mat = sp.csr_matrix((data, indices, indptr), shape=(m * sdim, m * sdim))
+        mat = sp.csr_matrix((data, indices, indptr), shape=(m * size, m * size))
         return mat.tocsc(), rhs
 
     def solve_structured(self, g_v, g_e):
-        """Direct sparse solve of the collocation system in the recursion states.
+        """Direct sparse solve of the collocation system in the node states.
 
         Eliminating the state unknowns from this block-banded system by hand
         gives the dense single-input equation (I - T) xi = T0 g; solving the
         banded form instead costs O(m) rather than O(m^3).  The matrix comes
-        from `assemble`, 4 sdim entries per interval row (the window of the
-        row's cubic stencil); one SuperLU factorization with the default
-        COLAMD ordering adds about 3 % fill-in at n = 40.  Returns the grid
-        values (dv, deta).
+        from `assemble`: at n = 40 with one input a v row holds 4 + 2 width
+        entries and an eta row 164 + 2 width, about half of what the product
+        R (dv, deta) stored in every row.  The node-major columns are already
+        in time order, so one SuperLU factorization keeps them in their
+        natural order.  Returns the grid values (dv, deta).
         """
         mat, rhs = self.assemble(g_v, g_e)
-        s = spla.splu(mat).solve(rhs).reshape(self.times.size, 2 * self.n, -1)
+        lu = spla.splu(mat, permc_spec="NATURAL")
+        del mat  # the factor keeps no reference to it; the solve peaks without it
+        s = lu.solve(rhs).reshape(self.times.size, self.stride, -1)
         return left_multiply(self.dv_map, s), left_multiply(self.de_map, s)
 
 
@@ -581,6 +615,8 @@ def coercivity_check(reg: Regulator, samples, margin: float) -> float:
     yields; for delta < 1 the denominator delta M^2 + 1 would overstate the
     constant (the scalar closed-form instance attains delta/(M^2+1) sharply).
     """
+    from scipy.integrate import simpson  # 0.2 s to import, for this stage only
+
     a, b, form = reg.a, reg.b, reg.form
     m_sup = resolvent_sup_norm(a, b, np.eye(a.shape[0]))
     factor = margin / (max(1.0, margin) * m_sup**2 + 1.0)
@@ -619,6 +655,8 @@ def lyapunov_inequality_check(reg: Regulator, eps: float, trajectories) -> bool:
     Builds P_eps from the pipeline on F_eps and verifies
     V(v_T) - V(v_0) + int F >= eps int (|v|^2 + |xi|^2) on each trajectory.
     """
+    from scipy.integrate import simpson
+
     form_eps = shifted_form(reg.form, eps)
     cross = level_crossings(reg.a, reg.b, form_eps, 0.0, 0.0)
     if cross.size:

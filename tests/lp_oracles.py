@@ -1,16 +1,18 @@
 """Oracle discretizations of the stationary Lyapunov-Perron fixed point.
 
 The library solves the fixed point through one sparse collocation system in
-the recursion states (`lqbundle.stationary._StationaryLP.solve_structured`),
-whose CSR arrays `_StationaryLP.assemble` writes from per-family row
-templates.  The routes here reach the same discrete solution by other means,
-built on the grid operator `dichotomy_oracles.LPGridOracle`, and serve as
-references in the tests:
+the recursion states and the control xi at every node
+(`lqbundle.stationary._StationaryLP.solve_structured`), whose CSR arrays
+`_StationaryLP.assemble` writes from per-family row templates.  The routes
+here reach the same discrete solution by other means, built on the grid
+operator `dichotomy_oracles.LPGridOracle`, and serve as references in the
+tests:
 
-- `coo_collocation_system`: the same collocation matrix and right-hand side
-  built block by block from COO triplet lists, as the library once did; its
-  matrix equals the library's exactly (it also stores the explicit zeros of
-  the boundary identity blocks, and it needs about three times the memory);
+- `coo_collocation_system` (solved by `coo_solve`): the collocation system
+  in the recursion states alone, every row holding the dense product
+  R (dv, deta), built block by block from COO triplet lists as the library
+  once did; it has about twice the library's nonzeros and needs about three
+  times the memory of its own matrix;
 - `SingleInputLP.solve_dense`: the dense single-input equation
   (I - T) xi = T0 g;
 - `SingleInputLP.solve_picard`: the Picard iteration xi <- T xi + T0 g;
@@ -30,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from dichotomy_oracles import LPGridOracle
 
 from lqbundle._phi import forward_weights, local_forcing, phi_block, stencil_layout
@@ -166,9 +169,26 @@ def paired_fixed_point(a, b, form, shift: float = 0.0) -> LagrangeSubspace:
     return LagrangeSubspace(sharp.basis + dz[0])
 
 
-def coo_collocation_system(lp, g_v, g_e):
-    """(CSC matrix, rhs) of `lp`'s collocation system, assembled from
-    triplet lists block by block; duplicates are summed by the conversion."""
+def paired_state_maps(lp):
+    """(dv_map, de_map) of the per-node state s = (u, w, p, q), 2n entries,
+    in which `coo_collocation_system` is written."""
+    n = lp.n
+    ka, km = lp.split_a.k_stable, lp.split_m.k_stable
+    dv_map = np.zeros((n, 2 * n))
+    de_map = np.zeros((n, 2 * n))
+    dv_map[:, :ka] = lp.split_a.w[:, :ka]
+    dv_map[:, ka:n] = -lp.split_a.w[:, ka:]
+    de_map[:, n : n + km] = lp.split_m.w[:, :km]
+    de_map[:, n + km :] = -lp.split_m.w[:, km:]
+    return dv_map, de_map
+
+
+def coo_collocation_system(lp, r, g_v, g_e):
+    """(CSC matrix, rhs) of the collocation system of `lp`'s grid in the
+    paired state s = (u, w, p, q) of `paired_state_maps`, every row holding
+    the product R (dv, deta) of the system's perturbation `r`
+    (`Regulator.r`), assembled from triplet lists block by block; duplicates
+    are summed by the conversion."""
     n = lp.n
     m = lp.times.size
     nb = g_v.shape[2]
@@ -183,18 +203,7 @@ def coo_collocation_system(lp, g_v, g_e):
     widths = [ka, ja, km, jm]
     offs = np.concatenate([[0], np.cumsum(widths)])
     sdim = int(offs[-1])  # = 2n
-    # value maps from the per-node state s = (u, w, p, q)
-    dv_map = np.zeros((n, sdim))
-    de_map = np.zeros((n, sdim))
-    if ka:
-        dv_map[:, offs[0] : offs[1]] = lp.split_a.w[:, :ka]
-    if ja:
-        dv_map[:, offs[1] : offs[2]] = -lp.split_a.w[:, ka:]
-    if km:
-        de_map[:, offs[2] : offs[3]] = lp.split_m.w[:, :km]
-    if jm:
-        de_map[:, offs[3] : offs[4]] = -lp.split_m.w[:, km:]
-    r = lp.r
+    dv_map, de_map = paired_state_maps(lp)
     c_v = r[:n, :n] @ dv_map + r[:n, n:] @ de_map
     c_e = r[n:, :n] @ dv_map + r[n:, n:] @ de_map
     base, pattern = stencil_layout(m)
@@ -276,6 +285,15 @@ def coo_collocation_system(lp, g_v, g_e):
         shape=(m * sdim, m * sdim),
     )
     return mat, rhs
+
+
+def coo_solve(lp, r, g_v, g_e):
+    """Grid values (dv, deta) from one SuperLU solve (COLAMD) of
+    `coo_collocation_system`."""
+    mat, rhs = coo_collocation_system(lp, r, g_v, g_e)
+    s = spla.splu(mat).solve(rhs).reshape(lp.times.size, 2 * lp.n, -1)
+    dv_map, de_map = paired_state_maps(lp)
+    return left_multiply(dv_map, s), left_multiply(de_map, s)
 
 
 def stepwise_control_trajectory(a, b, xi, v0):

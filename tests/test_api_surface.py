@@ -13,6 +13,9 @@ test reaches.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lqbundle"
@@ -279,3 +282,12 @@ def test_option_count_within_ceiling():
         f"{count} options in src/lqbundle (ceiling {MAX_OPTIONS}): make a "
         "single-valued option a constant, or derive it from the inputs"
     )
+
+
+def test_import_leaves_out_scipy_integrate():
+    # scipy.integrate (via scipy.optimize) took 0.2 s of a 0.65 s import;
+    # only the coercivity and Lyapunov stages need `simpson`
+    code = ("import sys, lqbundle, lqbundle.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

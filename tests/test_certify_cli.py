@@ -482,6 +482,27 @@ class TestCli:
         assert main([command, "--scenario", path]) == 2
         assert "input error" in capsys.readouterr().err
 
+    def test_unknown_tolerance_key_is_parse_error(self, tmp_path, capsys):
+        # a typo of `oracle`: the run used to pass under the default 1e-6
+        path = write_json(tmp_path, "s1.json", dict(S1_DOC, tolerances={"oracel": 1e-30}))
+        with pytest.raises(ParseError, match="oracel"):
+            load_scenario(path)
+        assert main(["verify", "--scenario", path]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        dict(SA_DOC, condition_set="bundel"),
+        dict(SA_DOC, driver=dict(SA_DOC["driver"], kind="periodc")),
+    ], ids=["condition-set", "driver-kind"])
+    def test_misspelt_name_is_parse_error(self, tmp_path, capsys, doc):
+        # these used to exit 1: no certificate, or a gap-search failure
+        path = write_json(tmp_path, "sa.json", doc)
+        with pytest.raises(ParseError, match="bundel|periodc"):
+            load_scenario(path)
+        assert main(["verify", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "certificate.json").exists()
+
     @pytest.mark.parametrize(
         "command, doc", [("check-freq", SA_DOC), ("sa-search", S1_DOC)]
     )

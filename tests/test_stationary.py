@@ -10,7 +10,7 @@ import lqbundle.stationary as st
 from decay_oracles import fit_decay_rate
 from lp_oracles import (
     SingleInputLP,
-    coo_collocation_system,
+    coo_solve,
     default_grid,
     paired_fixed_point,
     stepwise_control_trajectory,
@@ -213,60 +213,75 @@ class TestLPConstruction:
 
 
 #: name: (seed, n, j, inputs) of a seeded `random_passing_instance`
+STIFF = (np.diag([-1.0, -10.0, -100.0, -1000.0]), 0.5 * np.ones((4, 1)),
+         QuadraticFormTriple(f1=-0.1 * np.eye(4), f2=np.zeros((1, 4)), f3=[[1.0]]))
+
 COLLOCATION_SYSTEMS = {"s1": None, "j1-m2": (7, 5, 1, 2), "j-eq-n": (11, 6, 6, 2),
-                       "three-input": (13, 8, 2, 3)}
+                       "three-input": (13, 8, 2, 3), "stiff": STIFF}
 
 
 @pytest.fixture(params=sorted(COLLOCATION_SYSTEMS))
 def collocation(request):
-    """(lp, library (matrix, rhs), COO oracle (matrix, rhs)) on the default
-    grid of S1, a j = 1 two-input system, a j = n system (n = 6) and a
-    three-input system (n = 8, j = 2)."""
+    """(lp, regulator, sharp forcing) on the default grid of S1, a j = 1
+    two-input system, a j = n system (n = 6), a three-input system (n = 8,
+    j = 2) and the stiff system of `TestStepCap` (48,828 steps)."""
     spec = COLLOCATION_SYSTEMS[request.param]
     if spec is None:
         a, b, form = request.getfixturevalue("s1")
+    elif request.param == "stiff":
+        a, b, form = spec
     else:
         seed, n, j, inputs = spec
         a, b, form, _ = random_passing_instance(
             np.random.default_rng(seed), n, j=j, m=inputs
         )
         assert (Regulator(a, b, form).split_a.rank_j, b.shape[1]) == (j, inputs)
-    lp = st._StationaryLP(a, b, form, *default_grid(a, b, form), Regulator(a, b, form).r)
-    forcing = lp.sharp_forcing()
-    return lp, lp.assemble(*forcing), coo_collocation_system(lp, *forcing)
+    reg = Regulator(a, b, form)
+    lp = st._StationaryLP(a, b, form, *default_grid(a, b, form), reg.r)
+    return lp, reg, lp.sharp_forcing()
 
 
 class TestCollocationMatrix:
-    """The template-assembled collocation matrix against the COO oracle."""
+    """The collocation system in the states and the control xi against the
+    COO oracle's system in the states alone."""
 
-    def test_equals_coo_oracle_exactly(self, collocation):
-        _, (mat, rhs), (oracle, oracle_rhs) = collocation
-        assert mat.shape == oracle.shape
-        assert abs(mat - oracle).max() == 0.0
-        assert np.array_equal(rhs, oracle_rhs)
+    def test_solve_matches_coo_oracle(self, collocation):
+        lp, reg, forcing = collocation
+        lib = np.concatenate(lp.solve_structured(*forcing), axis=1)
+        ref = np.concatenate(coo_solve(lp, reg.r, *forcing), axis=1)
+        assert lib.shape == ref.shape == (lp.times.size, 2 * lp.n, forcing[0].shape[2])
+        assert np.abs(lib - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_canonical_window_rows(self, collocation):
-        lp, (mat, _), _ = collocation
-        m, sdim = lp.times.size, 2 * lp.n
+        lp, _, forcing = collocation
+        mat, _ = lp.assemble(*forcing)
+        m, n, size = lp.times.size, lp.n, lp.stride
+        mu = size - 2 * n
         assert mat.format == "csc" and mat.has_canonical_format
+        assert mat.shape == (m * size, m * size)
         col_of = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
         same_col = col_of[1:] == col_of[:-1]
         assert np.all(np.diff(mat.indices)[same_col] > 0)  # sorted, no duplicates
-        assert mat.nnz == (m - 1) * sdim * 4 * sdim + sdim
+        # a v row reads xi, an eta row (u, w, xi), at the four stencil nodes,
+        # plus the step's two width x width blocks
+        row_len = [4 * mu + 2 * w for w in lp.widths[:2]]
+        row_len += [4 * (n + mu) + 2 * w for w in lp.widths[2:]]
+        n_int = (m - 1) * sum(w * ell for w, ell in zip(lp.widths, row_len))
+        assert mat.nnz == n_int + m * mu * size + 2 * n
         csr = mat.tocsr()
-        row_len = np.diff(csr.indptr)
-        n_int = (m - 1) * sdim
-        assert np.all(row_len[:n_int] == 4 * sdim) and np.all(row_len[n_int:] == 1)
-        # interval rows run family by family, `width` rows per interval
+        counts = [(m - 1) * w for w in lp.widths] + [m * mu, 2 * n]
+        assert np.array_equal(np.diff(csr.indptr), np.repeat(row_len + [size, 1], counts))
+        # interval rows run family by family, `width` rows per interval, then
+        # mu control rows per node and the boundary rows at nodes 0 and m - 1
         base, _ = stencil_layout(m)
         interval = np.concatenate([np.repeat(np.arange(m - 1), w) for w in lp.widths])
-        lo = np.repeat(base[interval] * sdim, 4 * sdim)
-        cols = csr.indices[: n_int * 4 * sdim]
-        assert np.all((lo <= cols) & (cols < lo + 4 * sdim))
-
-
-STIFF = (np.diag([-1.0, -10.0, -100.0, -1000.0]), 0.5 * np.ones((4, 1)),
-         QuadraticFormTriple(f1=-0.1 * np.eye(4), f2=np.zeros((1, 4)), f3=[[1.0]]))
+        node = np.concatenate([np.repeat(np.arange(m), mu)]
+                              + [np.full(w, k) for w, k in zip(lp.widths, (0, m - 1, 0, m - 1))])
+        lo = np.concatenate([base[interval] * size, node * size])
+        hi = lo + np.concatenate([np.full(interval.size, 4 * size), np.full(node.size, size)])
+        lens = np.diff(csr.indptr)
+        assert np.all(np.repeat(lo, lens) <= csr.indices)
+        assert np.all(csr.indices < np.repeat(hi, lens))
 
 
 class TestStepCap:
