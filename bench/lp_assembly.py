@@ -96,7 +96,7 @@ def measure(name: str, assembly: str, ordering: str, steps: int | None) -> dict:
 
     def solve_on(grid):
         t0 = time.perf_counter()
-        lp = st._StationaryLP(reg.a, reg.b, reg.form, split_a, split_m, grid, reg.r)
+        lp = st._StationaryLP(reg.b, reg.form, split_a, split_m, reg.r, grid)
         forcing = lp.sharp_forcing()
         t1 = time.perf_counter()
         if assembly == "lean":

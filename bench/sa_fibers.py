@@ -128,9 +128,9 @@ def measure(n: int, variant: str) -> dict:
     impulse_columns = [(sa.constant_driver(cfg.a_bound), 0.0)]
     if frame is None:
         sa._ScalarFrame = timed(sa._ScalarFrame)
-        solver = sa._ModeSolver(cfg, impulse_columns, times, shifted=False)
+        frames = sa._frames(cfg, impulse_columns, times, np.zeros(cfg.n))
         start = time.perf_counter()
-        mats = [sa._mode_operator_matrices(solver, c) for c in (True, False)]
+        mats = [sa._mode_operator_matrices(cfg, frames, c) for c in (True, False)]
     else:
         frames = oracle_frames(cfg, impulse_columns, times, timed(frame))
         start = time.perf_counter()
@@ -163,7 +163,7 @@ def measure(n: int, variant: str) -> dict:
         "impulse_rss_rise_mb": round(rss1 - rss0, 1),
         "rss_before_mb": round(rss0, 1),
         "peak_rss_mb": round(rss2, 1),
-        "fibers_sha": _digest(*(np.diag(f.m_plus_q.matrix) for f in fibers),
+        "fibers_sha": _digest(*(f.m for f in fibers),
                               *(f.p_q for f in fibers if f.p_q is not None)),
         "impulse_sha": _digest(*mats),
     }

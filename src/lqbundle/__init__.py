@@ -54,7 +54,6 @@ from .stationary import (
     stable_lagrange_schur,
 )
 from .symplectic import (
-    GraphOperator,
     LagrangeSubspace,
     Subspace,
     apply_J,

@@ -86,10 +86,6 @@ class DichotomySplit:
     def k_stable(self) -> int:
         return self.n - self.rank_j
 
-    def projector_unstable(self) -> np.ndarray:
-        k = self.k_stable
-        return self.w[:, k:] @ self.winv[k:]
-
     def propagate_stable(self, t: float) -> np.ndarray:
         """exp(t A) Pi_stable for t >= 0 (decaying branch)."""
         k = self.k_stable

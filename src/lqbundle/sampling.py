@@ -146,32 +146,17 @@ def bump_control(
 def m0_sample(
     rng: np.random.Generator, reg: Regulator, times: np.ndarray
 ) -> tuple[GridFunction, GridFunction]:
-    """A decaying process (v, xi) with v(0) = 0 (an M_0 element).
+    """A decaying process (v, xi) with v(0) = 0 (an M_0 element) of a
+    generator A without unstable modes (j = 0): the sum of M0_BUMPS
+    one-bump controls.
 
-    For generators with unstable modes the bump coefficients are corrected by
-    a least-squares steering step so the unstable component is annihilated
-    and the state decays by the horizon.
+    For j > 0 the state of such a control need not decay, and
+    `coercivity_check` rejects the sample with SampleNotInM0.
     """
     a, b = reg.a, reg.b
     n, m_u = b.shape
-    split = reg.split_a
     bumps = [bump_control(rng, times, m_u, n_bumps=1) for _ in range(M0_BUMPS)]
-    if split.rank_j:
-        # unstable-subspace responses at a matching time
-        idx = int(0.7 * times.size)
-        proj_u = split.projector_unstable()
-        resp = []
-        for g in bumps:
-            v = integrate_control_trajectory(a, b, g, np.zeros(n))
-            resp.append(proj_u @ v.values[idx])
-        resp = np.array(resp).T  # (n, M0_BUMPS)
-        coef = np.ones(M0_BUMPS)
-        # minimal correction with resp @ coef = 0
-        corr = np.linalg.lstsq(resp, resp @ coef, rcond=None)[0]
-        coef = coef - corr
-    else:
-        coef = np.ones(M0_BUMPS)
-    xi_vals = sum(c * g.values for c, g in zip(coef, bumps))
+    xi_vals = sum(g.values for g in bumps)
     xi = GridFunction(times=times, values=xi_vals)
     v = integrate_control_trajectory(a, b, xi, np.zeros(n))
     return v, xi

@@ -4,16 +4,18 @@ nonoscillation and the singular quadratic-form certificate.
 
 Every block of the assembled Hamiltonian is a function of the diagonal
 reference operator, so the doubled system splits into independent
-(v_j, eta_j) mode pairs.  The fiber construction keeps the analytical
-structure (projected solves plus Picard on the certified contraction) but
-runs it mode-wise, on per-mode data derived once per `SAConfig`
-(`mode_coefficients`, `unstable`) and the scalar quadrature of `_phi`.  A
-mode's fiber forcing carries its own stiff exponential e^{mu_j t}, so the
-fiber solver integrates the smooth factor with the rate shifted by mu_j,
-and the stiff transients are integrated exactly; the contraction's impulse
-responses need no shift.  Each mode is integrated only in the direction of
-its square-integrable Green branch, and both directions of a frame share
-one recurrence.  `build_fibers` solves
+(v_j, eta_j) mode pairs, and each fiber L+(q) is the graph of a diagonal
+M+(q) = diag(m_j) over the sharp pairing subspace.  The fiber construction
+keeps the analytical structure (projected solves plus Picard on the
+certified contraction) but runs it mode-wise on per-mode arrays: the
+coefficients of `SAConfig.mode_coefficients`, the (v, eta) frames of
+`_frames` with the scalar quadrature of `_phi`, and the n entries m_j of
+each `FiberResult`.  A mode's fiber forcing carries its own stiff
+exponential e^{mu_j t}, so the fiber frames integrate the smooth factor
+with the rate shifted by mu_j, and the stiff transients are integrated
+exactly; the contraction's impulse responses need no shift.  Each mode is
+integrated only in the direction of its square-integrable Green branch, and
+both directions of a frame share one recurrence.  `build_fibers` solves
 every (driver, phase) column a run needs in one Picard iteration: the
 certify pipeline's frozen-driver oracle and continuity table read columns of
 its fibers stage and solve nothing.  The decay records read the exact growth
@@ -52,11 +54,7 @@ from .errors import (
 )
 from .spectral import ModeProjectors, SpectralModel, mode_projectors
 from .stationary import Hamiltonian, extract_nonoscillation
-from .symplectic import (
-    GraphOperator,
-    LagrangeSubspace,
-    grassmann_distance,
-)
+from .symplectic import LagrangeSubspace, grassmann_distance
 
 #: Picard stopping rule of the fiber construction, relative to the first update
 PICARD_TOL = 1e-10
@@ -318,21 +316,6 @@ def assemble_nonaut_hamiltonian(config: SAConfig, a_value: float) -> Hamiltonian
     return Hamiltonian(mat)
 
 
-def sa_breve_bases(config: SAConfig) -> tuple[LagrangeSubspace, LagrangeSubspace]:
-    """Sharp/flat pairing subspaces ordered by mode index.
-
-    Sharp column j: vertical e_j for j < N (unstable eta-side), horizontal
-    e_j for j >= N; flat columns are the complements.
-    """
-    n = config.n
-    modes = np.arange(n)
-    sharp = np.zeros((2 * n, n))
-    flat = np.zeros((2 * n, n))
-    sharp[np.where(config.unstable, n + modes, modes), modes] = 1.0
-    flat[np.where(config.unstable, modes, n + modes), modes] = 1.0
-    return LagrangeSubspace(sharp), LagrangeSubspace(flat)
-
-
 # -- mode-wise Lyapunov-Perron machinery -------------------------------------
 
 
@@ -451,43 +434,22 @@ class _ScalarFrame:
         return out
 
 
-class _ModeSolver:
-    """Mode-wise projected solves of the doubled SA system over many
-    (driver, phase) columns, every mode's rate shifted by rho_j.
+def _frames(config: SAConfig, columns, times: np.ndarray, rho: np.ndarray):
+    """The (v, eta) frames of the doubled SA system over (driver, phase)
+    columns, every mode's rate shifted by rho_j.
 
-    The fiber solver (`shifted`) uses rho_j = mu_j = -|a_diag_j|: its
-    forcing is e^{mu_j t} times smooth data, so it solves for the smooth
-    factor, and `physical` multiplies the decay back in.  The contraction
-    solver uses rho = 0, so its impulse responses are physical values.
+    The fiber solve shifts by mu_j = -|a_diag_j|: its forcing is e^{mu_j t}
+    times smooth data, so it solves for the smooth factor.  The contraction
+    solve shifts by 0, so its impulse responses are physical values.
     """
-
-    def __init__(self, config: SAConfig, columns, times: np.ndarray, shifted: bool):
-        self.config = config
-        self.times = np.asarray(times, dtype=float)
-        self.m = self.times.size
-        self.columns = list(columns)
-        self.a_diag, self.chi, self.b_coef, self.c_coef = config.mode_coefficients
-        a_diag, chi = self.a_diag, self.chi
-        self.rho = -np.abs(a_diag) if shifted else np.zeros_like(a_diag)
-        self.unstable = config.unstable
-        self.a_vals = np.stack(
-            [drv.values(q, self.times) for drv, q in self.columns], axis=1
-        )
-        c_int = np.stack(
-            [drv.integral(q, self.times) for drv, q in self.columns], axis=1
-        )
-        h = self.times[1] - self.times[0]
-        a_mean = np.diff(c_int, axis=0) / h
-        self.frame_v = _ScalarFrame(
-            self.times, a_diag, chi, -1.0, self.rho, ~self.unstable, a_mean, c_int
-        )
-        self.frame_e = _ScalarFrame(
-            self.times, -a_diag, chi, +1.0, self.rho, self.unstable, a_mean, c_int
-        )
-
-    def physical(self, x: np.ndarray) -> np.ndarray:
-        """Physical samples e^{rho t} x of (m, n, P) solutions."""
-        return np.exp(self.rho[None, :] * self.times[:, None])[:, :, None] * x
+    a_diag, chi, _, _ = config.mode_coefficients
+    c_int = np.stack([drv.integral(q, times) for drv, q in columns], axis=1)
+    a_mean = np.diff(c_int, axis=0) / (times[1] - times[0])
+    unstable = config.unstable
+    return (
+        _ScalarFrame(times, a_diag, chi, -1.0, rho, ~unstable, a_mean, c_int),
+        _ScalarFrame(times, -a_diag, chi, +1.0, rho, unstable, a_mean, c_int),
+    )
 
 
 # -- fibers -------------------------------------------------------------------
@@ -495,11 +457,15 @@ class _ModeSolver:
 
 @dataclass(frozen=True)
 class FiberResult:
-    """One fiber of the stable Lagrange bundle over the driving flow."""
+    """One fiber of the stable Lagrange bundle over the driving flow.
+
+    The fiber is the graph of the diagonal M+(q) = diag(m) over the sharp
+    pairing subspace; `m` holds its n entries m_j.
+    """
 
     q: object
     l_plus_q: LagrangeSubspace
-    m_plus_q: GraphOperator
+    m: np.ndarray
     p_q: np.ndarray | None
     oscillating: bool
     n_iterations: int
@@ -534,17 +500,19 @@ def _fiber_grid(config: SAConfig, horizon: float | None, n_steps: int | None):
     return np.linspace(0.0, t_end, int(n_steps) + 1)
 
 
-def _sharp_forcing(solver: _ModeSolver):
+def _sharp_forcing(config: SAConfig, columns, times: np.ndarray):
     """R(theta^t q) G_sharp(t) z^s_j over the decay e^{mu_j t}, (m, n, P) each.
 
     An unstable mode (j < N) has g = (0, e^{mu t}), so g_v = b_j and
     g_eta = chi_j a(t); a stable one has g = (e^{mu t}, 0), so
     g_v = -chi_j a(t) and g_eta = c_j.
     """
-    unst = solver.unstable[None, :, None]
-    chi_a = solver.chi[None, :, None] * solver.a_vals[:, None, :]
-    g_v = np.where(unst, solver.b_coef[None, :, None], -chi_a)
-    g_e = np.where(unst, chi_a, solver.c_coef[None, :, None])
+    _, chi, b_coef, c_coef = config.mode_coefficients
+    a_vals = np.stack([drv.values(q, times) for drv, q in columns], axis=1)
+    unst = config.unstable[None, :, None]
+    chi_a = chi[None, :, None] * a_vals[:, None, :]
+    g_v = np.where(unst, b_coef[None, :, None], -chi_a)
+    g_e = np.where(unst, chi_a, c_coef[None, :, None])
     return g_v, g_e
 
 
@@ -565,22 +533,26 @@ def build_fibers(
             )
     _require_contraction(config)
     times = _fiber_grid(config, horizon, None)
-    solver = _ModeSolver(config, columns, times, shifted=True)
-    g_v, g_e = _sharp_forcing(solver)
-    bcf = solver.b_coef[None, :, None]
-    ccf = solver.c_coef[None, :, None]
+    a_diag, _, b_coef, c_coef = config.mode_coefficients
+    rho = -np.abs(a_diag)
+    frame_v, frame_e = _frames(config, columns, times, rho)
+    g_v, g_e = _sharp_forcing(config, columns, times)
+    bcf = b_coef[None, :, None]
+    ccf = c_coef[None, :, None]
+    # a solution x stands for the physical e^{rho t} x
+    decay = np.exp(rho[None, :] * times[:, None])[:, :, None]
     d_eta = np.zeros_like(g_e)
     ref = None
     l2w = np.full(times.size, times[1] - times[0])
     l2w[0] = l2w[-1] = 0.5 * (times[1] - times[0])
 
     def phys_norm(x):
-        vals = solver.physical(x)
+        vals = decay * x
         return float(np.sqrt(np.max(np.sum(l2w[:, None, None] * vals**2, axis=(0, 1)))))
 
     for it in range(PICARD_MAX_ITER):
-        dv = solver.frame_v.solve(bcf * d_eta + g_v)
-        new = solver.frame_e.solve(ccf * dv + g_e)
+        dv = frame_v.solve(bcf * d_eta + g_v)
+        new = frame_e.solve(ccf * dv + g_e)
         delta = phys_norm(new - d_eta)
         d_eta = new
         if ref is None:
@@ -591,46 +563,47 @@ def build_fibers(
         raise ContractionFailed(
             f"Picard did not reach {PICARD_TOL:.1e} within {PICARD_MAX_ITER} iterations"
         )
-    dv = solver.frame_v.solve(bcf * d_eta + g_v)
+    dv = frame_v.solve(bcf * d_eta + g_v)
     # values at t = 0, where e^{mu 0} = 1
-    return _fibers_from(config, solver.columns, dv[0], d_eta[0], it + 1)
+    return _fibers_from(config, columns, dv[0], d_eta[0], it + 1)
 
 
 def _fibers_from(config: SAConfig, columns, dv0, de0, n_iter: int) -> list[FiberResult]:
     """The fibers of the columns from Delta z(0), (n, P) each per half.
 
-    The fiber basis adds Delta z(0) to each sharp basis vector, and
-    nonoscillation extraction is attempted on each fiber.
+    Mode j's sharp vector is e_j in the eta half for j < N (unstable) and in
+    the v half otherwise; the fiber vector adds m_j, the other half's entry
+    of Delta z(0), in the same mode's row there.  Nonoscillation extraction
+    is attempted on each fiber.
     """
-    sharp, flat = sa_breve_bases(config)
-    modes = np.arange(config.n)
-    # mode j's sharp vector gains m_j in its v-entry (j < N) or eta-entry
-    rows = np.where(config.unstable, modes, config.n + modes)
+    n = config.n
+    modes = np.arange(n)
+    sharp_rows = np.where(config.unstable, n + modes, modes)
+    m_rows = np.where(config.unstable, modes, n + modes)
     results = []
     for p_idx, (_, q) in enumerate(columns):
-        m_diag = np.where(config.unstable, dv0[:, p_idx], de0[:, p_idx])
-        basis = sharp.basis.copy()
-        basis[rows, modes] += m_diag
+        m = np.where(config.unstable, dv0[:, p_idx], de0[:, p_idx])
+        basis = np.zeros((2 * n, n))
+        basis[sharp_rows, modes] = 1.0
+        basis[m_rows, modes] = m
         l_plus = LagrangeSubspace(basis)
-        gop = GraphOperator(matrix=np.diag(m_diag), sharp=sharp, flat=flat)
         try:
             p_q, osc = extract_nonoscillation(l_plus).p, False
         except Oscillating:
             p_q, osc = None, True
-        results.append(FiberResult(q=q, l_plus_q=l_plus, m_plus_q=gop, p_q=p_q,
+        results.append(FiberResult(q=q, l_plus_q=l_plus, m=m, p_q=p_q,
                                    oscillating=osc, n_iterations=n_iter))
     return results
 
 
 def fiber_continuity(driver: Driver, ref: FiberResult, fibers) -> list[dict]:
     """Moduli table of built fibers of `driver` against the fiber `ref`:
-    phase distance, ||M+(q) - M+(q_ref)||, grassmann distance."""
+    phase distance, ||M+(q) - M+(q_ref)|| = max_j |m_j(q) - m_j(q_ref)|
+    (the spectral norm of a diagonal difference), grassmann distance."""
     return [
         {
             "phase_distance": driver.phase_distance(fib.q, ref.q),
-            "m_norm": float(
-                np.linalg.norm(fib.m_plus_q.matrix - ref.m_plus_q.matrix, 2)
-            ),
+            "m_norm": float(np.abs(fib.m - ref.m).max()),
             "grassmann": grassmann_distance(fib.l_plus_q, ref.l_plus_q),
         }
         for fib in fibers
@@ -649,7 +622,7 @@ def fiber_growth(
     of the line's spanning vector.
     """
     a_diag, chi, b_coef, c_coef = config.mode_coefficients
-    m = np.array([np.diag(f.m_plus_q.matrix) for f in fibers])
+    m = np.array([f.m for f in fibers])
     top = a_diag - np.array([driver.value(f.q) for f in fibers])[:, None] * chi
     growth = np.where(config.unstable, c_coef * m - top, top + b_coef * m)
     return growth, np.sqrt(1.0 + m**2)
@@ -683,27 +656,27 @@ def _require_contraction(config: SAConfig) -> dict:
     return out
 
 
-def _mode_operator_matrices(solver: _ModeSolver, with_coupling: bool):
+def _mode_operator_matrices(config: SAConfig, frames, with_coupling: bool):
     """Dense per-mode matrices of the discretized contraction T (or of L_A).
 
-    Columns are impulse responses of the unshifted solver, so they are
-    physical values; they ride on the column axis of the single-column
-    solver, whose step and weight arrays broadcast over it.
+    Columns are impulse responses of the unshifted (v, eta) frames, so they
+    are physical values; they ride on the column axis of the single-column
+    frames, whose step and weight arrays broadcast over it.
     """
-    m = solver.m
-    n = solver.a_diag.size
+    frame_v, frame_e = frames
+    _, _, b_coef, c_coef = config.mode_coefficients
+    m, n = frame_v.m, b_coef.size
     out = np.zeros((n, m, m))
-    b_coef, c_coef = solver.b_coef, solver.c_coef
     for lo in range(0, m, IMPULSE_BATCH):
         hi = min(lo + IMPULSE_BATCH, m)
         f = np.zeros((m, n, hi - lo))
         for col in range(lo, hi):
             f[col, :, col - lo] = 1.0
         if with_coupling:
-            dv = solver.frame_v.solve(b_coef[None, :, None] * f)
-            vals = solver.frame_e.solve(c_coef[None, :, None] * dv)
+            dv = frame_v.solve(b_coef[None, :, None] * f)
+            vals = frame_e.solve(c_coef[None, :, None] * dv)
         else:
-            vals = solver.frame_v.solve(f)
+            vals = frame_v.solve(f)
         out[:, :, lo:hi] = np.transpose(vals, (1, 0, 2))
     return out
 
@@ -723,11 +696,11 @@ def contraction_certificate(config: SAConfig) -> dict:
     w[0] = w[-1] = h / 2
     d_sq = np.sqrt(w)
     proj = config.projectors
-    solver = _ModeSolver(
-        config, [(constant_driver(config.a_bound), 0.0)], times, shifted=False
+    frames = _frames(
+        config, [(constant_driver(config.a_bound), 0.0)], times, np.zeros(config.n)
     )
-    tmats = _mode_operator_matrices(solver, with_coupling=True)
-    lmats = _mode_operator_matrices(solver, with_coupling=False)
+    tmats = _mode_operator_matrices(config, frames, with_coupling=True)
+    lmats = _mode_operator_matrices(config, frames, with_coupling=False)
     norms_t = np.array(
         [np.linalg.norm((tm * d_sq[:, None]) / d_sq[None, :], 2) for tm in tmats]
     )
@@ -740,12 +713,6 @@ def contraction_certificate(config: SAConfig) -> dict:
         measured_pq=float(norms_t[~mid].max()) if (~mid).any() else 0.0,
         lp_measured_all=float(norms_l.max()),
         lp_measured_pq=float(norms_l[~mid].max()) if (~mid).any() else 0.0,
-    )
-    out["measured_pass"] = bool(
-        out["measured_mid"] <= out["bound_mid"] + 1e-6
-        and out["measured_pq"] <= out["bound_pq"] + 1e-6
-        and out["lp_measured_all"] <= out["lp_bound_all"] + 1e-6
-        and out["lp_measured_pq"] <= out["lp_bound_pq"] + 1e-6
     )
     return out
 

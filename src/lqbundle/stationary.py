@@ -53,7 +53,6 @@ from .errors import (
 from .frequency import QuadraticFormTriple, level_crossings, resolvent_sup_norm
 from .symplectic import (
     RANK_RTOL,
-    GraphOperator,
     LagrangeSubspace,
     Subspace,
     graph_over,
@@ -228,10 +227,11 @@ def perturbation_matrix(a, b, form: QuadraticFormTriple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StableLagrangeResult:
-    """Stable Lagrange subspace with its graph data and solver diagnostics."""
+    """Stable Lagrange subspace with its graph matrix M+ over the sharp (+)
+    flat pairing subspaces of `breve_bases`, and solver diagnostics."""
 
     l_plus: LagrangeSubspace
-    m_plus: GraphOperator
+    m_plus: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -254,10 +254,10 @@ class _StationaryLP:
     Dz = L_breve P R (Dz + g) on one time grid.  R (`Regulator.r`) makes the
     forcing R g; R Dz reaches the system only through the control
     xi = F3^-1 (B^T deta - F2 dv), as R (dv, deta) = (B xi, F1 dv + F2^T xi),
-    so xi is an unknown of its own, read from b and form.  `a` is not read:
-    it keeps `times` where the benchmark tracer reads it."""
+    so xi is an unknown of its own, read from b and form.  `times` comes
+    last, where the benchmark tracer reads it."""
 
-    def __init__(self, a, b, form, split_a, split_m, times, r):
+    def __init__(self, b, form, split_a, split_m, r, times):
         self.split_a = split_a
         self.split_m = split_m
         self.times = times
@@ -455,7 +455,7 @@ def stable_lagrange_lp(
     times = _grid_parameters(split_a, ham, n_steps)
 
     def solve_on(grid_times: np.ndarray) -> np.ndarray:
-        lp = _StationaryLP(reg.a, reg.b, reg.form, split_a, split_m, grid_times, reg.r)
+        lp = _StationaryLP(reg.b, reg.form, split_a, split_m, reg.r, grid_times)
         dv, de = lp.solve_structured(*lp.sharp_forcing())
         return np.vstack([dv[0], de[0]])
 
@@ -477,8 +477,7 @@ def stable_lagrange_lp(
             / max(1.0, np.linalg.norm(ham.matrix, 2))
         ),
     }
-    m_plus = GraphOperator(matrix=coords, sharp=sharp, flat=flat)
-    return StableLagrangeResult(l_plus=l_plus, m_plus=m_plus, diagnostics=diagnostics)
+    return StableLagrangeResult(l_plus=l_plus, m_plus=coords, diagnostics=diagnostics)
 
 
 # -- nonoscillation and Riccati ------------------------------------------
@@ -503,10 +502,9 @@ def extract_nonoscillation(
     if intersection_dimension(l_plus, vertical_subspace(n)) > 0:
         raise Oscillating("stable subspace meets the vertical subspace")
     try:
-        go = graph_over(l_plus, horizontal_subspace(n), vertical_subspace(n))
+        p = -graph_over(l_plus, horizontal_subspace(n), vertical_subspace(n))
     except NotAGraph as exc:
         raise Oscillating(str(exc)) from exc
-    p = -go.matrix
     sym_defect = float(np.abs(p - p.T).max())
     p = 0.5 * (p + p.T)
     feedback = None

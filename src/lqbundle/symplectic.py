@@ -71,15 +71,6 @@ class LagrangeSubspace(Subspace):
             raise NotLagrange(f"isotropy defect {defect:.3e} exceeds {ISOTROPY_TOL}")
 
 
-@dataclass(frozen=True)
-class GraphOperator:
-    """Coordinates of a subspace as the graph {z + M z} over sharp + flat."""
-
-    matrix: np.ndarray
-    sharp: Subspace
-    flat: Subspace
-
-
 def j_matrix(two_n: int) -> np.ndarray:
     """Matrix of J(v, eta) = (-eta, v) on stacked coordinates (v; eta)."""
     if two_n % 2:
@@ -124,8 +115,9 @@ def intersection_dimension(l1: Subspace, l2: Subspace) -> int:
 
 def graph_over(
     subspace: Subspace, h_sharp: Subspace, h_flat: Subspace
-) -> GraphOperator:
-    """Represent `subspace` as {z + M z | z in sharp} over sharp (+) flat.
+) -> np.ndarray:
+    """The matrix M with `subspace` = {S c + F M c}: its graph over
+    sharp (+) flat, in their bases S and F.
 
     Raises NotADirectSum when sharp and flat fail to span the ambient space,
     NotAGraph when the oblique projection onto sharp is singular on the
@@ -147,8 +139,7 @@ def graph_over(
     smin = np.linalg.svd(sharp_part, compute_uv=False)[-1]
     if smin <= GRAPH_TOL:
         raise NotAGraph(f"projection onto sharp is singular on the subspace ({smin:.3e})")
-    m = flat_part @ np.linalg.inv(sharp_part)
-    return GraphOperator(matrix=m, sharp=h_sharp, flat=h_flat)
+    return flat_part @ np.linalg.inv(sharp_part)
 
 
 def horizontal_subspace(n: int) -> LagrangeSubspace:

@@ -262,7 +262,10 @@ def test_criterion_07_sa_standard_instance(sa_standard, sa_results):
     plugin_ok = (
         abs(con["bound_mid"] - 0.82) <= 1e-12
         and abs(con["bound_pq"] - 0.1339) <= 1e-4
-        and con["measured_pass"]
+        and con["measured_mid"] <= con["bound_mid"] + 1e-6
+        and con["measured_pq"] <= con["bound_pq"] + 1e-6
+        and con["lp_measured_all"] <= con["lp_bound_all"] + 1e-6
+        and con["lp_measured_pq"] <= con["lp_bound_pq"] + 1e-6
     )
     picard_ok = all(f.n_iterations <= 200 for f in fibers)
     (frozen,) = build_fibers(sa_standard, [(constant_driver(1.5), 0.0)])

@@ -10,6 +10,10 @@ method's name outside its own definition, and the KEEP key is
 (or a library base class's) only, so another class's attribute of the same
 name does not hide a method.  Anything else is code that only its own unit
 test reaches.
+
+Public fields of top-level dataclasses follow the same rule, with the KEEP
+key `Class.field`: a use is a read of the field by name, and `self.<name>`
+resolves to its own class as for methods.
 """
 
 import ast
@@ -26,6 +30,18 @@ KEEP = {
     # methods
     "TransferEvaluator.transfer_m": "TestTransferM, test_tail_bound_implication, "
     "TestRows (the per-point inverse-norm reference)",
+    # dataclass fields
+    "ModeProjectors.low_mask": "TestModeProjectors and the dense band projectors "
+    "of tests/spatial_oracles.py",
+    "ModeProjectors.high_mask": "TestModeProjectors and the dense band projectors "
+    "of tests/spatial_oracles.py",
+    "NonoscillationResult.feedback": "the four-argument extract_nonoscillation "
+    "of perfbench/worker.py (until it reads a run report), TestNonoscillation, "
+    "TestRiccati",
+    "NonoscillationResult.riccati_residual": "the four-argument "
+    "extract_nonoscillation of perfbench/worker.py, TestNonoscillation, "
+    "criterion 02",
+    "StableLagrangeResult.m_plus": "TestLPConstruction::test_trivial_graph_operator",
 }
 
 
@@ -120,13 +136,33 @@ def _self_accesses(tree):
     return out
 
 
-def _method_surface(parsed=None):
-    """({Class.method: (module, first line, last line)}, {Class.method used
-    by other library code}), a use being an attribute access by name.
+def _methods(cls):
+    """(name, node) of the public methods (and properties) of a class."""
+    return [
+        (node.name, node) for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def _fields(cls):
+    """(name, node) of the public fields of a dataclass."""
+    if not _is_dataclass(cls):
+        return []
+    return [
+        (node.target.id, node) for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and not node.target.id.startswith("_")
+    ]
+
+
+def _member_surface(members, parsed=None):
+    """({Class.member: (module, first line, last line)}, {Class.member read
+    by other library code}) for the members that `members(cls)` lists, a
+    use being an attribute read by name.
 
     `self.<name>` resolves to its enclosing class (or a library base class
-    of it) and is a use of that class's method only; any other `x.<name>`
-    is a use of every class's method of that name.
+    of it) and is a use of that class's member only; any other `x.<name>`
+    is a use of every class's member of that name.
     """
     parsed = _parsed() if parsed is None else parsed
     defined, used, bases = {}, set(), {}
@@ -135,11 +171,8 @@ def _method_surface(parsed=None):
             if not isinstance(cls, ast.ClassDef):
                 continue
             bases[cls.name] = [b.id for b in cls.bases if isinstance(b, ast.Name)]
-            for node in cls.body:
-                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                    defined[f"{cls.name}.{node.name}"] = (
-                        stem, node.lineno, node.end_lineno
-                    )
+            for name, node in members(cls):
+                defined[f"{cls.name}.{name}"] = (stem, node.lineno, node.end_lineno)
 
     def resolve(cls, attr):
         key = f"{cls}.{attr}"
@@ -154,7 +187,7 @@ def _method_surface(parsed=None):
     for stem, tree in parsed:
         owners = _self_accesses(tree)
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Attribute):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
                 continue
             if id(node) in owners:
                 keys = resolve(owners[id(node)], node.attr)
@@ -180,11 +213,20 @@ def test_every_public_name_is_used_or_kept():
 
 
 def test_every_public_method_is_used_or_kept():
-    defined, used = _method_surface()
+    defined, used = _member_surface(_methods)
     unused = sorted(key for key in defined if key not in used and key not in KEEP)
     assert unused == [], (
         "public methods that no other library code calls; delete them or add "
         f"them to KEEP with the test or criterion that needs them: {unused}"
+    )
+
+
+def test_every_public_field_is_read_or_kept():
+    defined, used = _member_surface(_fields)
+    unused = sorted(key for key in defined if key not in used and key not in KEEP)
+    assert unused == [], (
+        "public dataclass fields that no library code reads; delete them or "
+        f"add them to KEEP with the test or criterion that needs them: {unused}"
     )
 
 
@@ -214,20 +256,59 @@ class Driver:
 
 
 def test_self_access_resolves_to_its_own_class():
-    defined, used = _method_surface([("snippet", ast.parse(TWO_CLASSES))])
+    defined, used = _member_surface(_methods, [("snippet", ast.parse(TWO_CLASSES))])
     assert "Driver.shift" in defined and "Driver.shift" not in used
     # a method reached through `self` in its own class or a subclass is used
     assert {"Evaluator.scale", "Evaluator.value"} <= used
     assert "Scaled.doubled" not in used
 
 
+# A dataclass field read through `self` in its own method, fields that only
+# a constructor names, and a plain class's attribute of the same name.
+DATACLASSES = """
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Fiber:
+    m: float
+    q: float
+
+    def weight(self):
+        return 1.0 + self.m ** 2
+
+
+@dataclass
+class Grid:
+    q: float
+    times: tuple
+
+
+class Solver:
+    def __init__(self, q):
+        self.q = q
+
+    def phase(self):
+        return self.q
+"""
+
+
+def test_field_reads_resolve_to_their_own_class():
+    defined, used = _member_surface(_fields, [("snippet", ast.parse(DATACLASSES))])
+    assert set(defined) == {"Fiber.m", "Fiber.q", "Grid.q", "Grid.times"}
+    # Solver's self.q is neither a write nor a read of a dataclass field
+    assert used == {"Fiber.m"}
+
+
 def test_keep_lists_only_unused_names():
     defined, used = _surface()
-    methods, methods_used = _method_surface()
+    methods, methods_used = _member_surface(_methods)
+    fields, fields_used = _member_surface(_fields)
     stale = sorted(
         name for name in KEEP
         if not any(key[1] == name and key not in used for key in defined)
         and not (name in methods and name not in methods_used)
+        and not (name in fields and name not in fields_used)
     )
     assert stale == [], (
         f"KEEP entries the library no longer defines or already uses: {stale}"

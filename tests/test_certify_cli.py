@@ -101,7 +101,7 @@ def sa_route(tmp_path_factory):
             name: count_calls(mp, owner, name)
             for owner, name in (
                 (lqbundle.spatial, "build_fibers"),
-                (lqbundle.spatial, "_ModeSolver"),
+                (lqbundle.spatial, "_frames"),
                 (lqbundle.spectral, "mode_projectors"),
             )
         }
@@ -241,11 +241,11 @@ class TestPipeline:
 
     def test_sa_solves_each_fiber_once(self, sa_route):
         # one fiber solve holds the phase grid, the continuity steps and the
-        # frozen column; the other solver is the contraction certificate's;
-        # the band projectors are built once per config
+        # frozen column; the other frame pair is the contraction
+        # certificate's; the band projectors are built once per config
         cert, calls = sa_route
         assert {name: len(c) for name, c in calls.items()} == {
-            "build_fibers": 1, "_ModeSolver": 2, "mode_projectors": 1,
+            "build_fibers": 1, "_frames": 2, "mode_projectors": 1,
         }
         assert len(cert.tables["fibers"]) == 4
         assert len(cert.tables["continuity"]) == 6

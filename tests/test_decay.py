@@ -23,7 +23,6 @@ from lqbundle.spatial import (
     build_fibers,
     driver_make,
     fiber_growth,
-    sa_breve_bases,
 )
 from lqbundle.stationary import (
     assemble_hamiltonian,
@@ -31,7 +30,7 @@ from lqbundle.stationary import (
     restricted_decay,
     stable_lagrange_schur,
 )
-from lqbundle.symplectic import GraphOperator, LagrangeSubspace
+from lqbundle.symplectic import LagrangeSubspace
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
 #: pipeline seeds; a fitted random trajectory failed decay-rate on n40_j0
@@ -138,13 +137,23 @@ class TestStationaryDecay:
         assert m_eps == math.inf
 
 
+def sharp_flat(cfg):
+    """The sharp and flat pairing bases of the doubled SA system, by mode:
+    sharp column j is e_j in the eta half for j < N and in the v half
+    otherwise; flat column j is e_j in the other half."""
+    n, modes = cfg.n, np.arange(cfg.n)
+    sharp, flat = np.zeros((2 * n, n)), np.zeros((2 * n, n))
+    sharp[np.where(cfg.unstable, n + modes, modes), modes] = 1.0
+    flat[np.where(cfg.unstable, modes, n + modes), modes] = 1.0
+    return sharp, flat
+
+
 def mode_diagonal_fiber(cfg, q, m):
-    """The fiber with M+(q) = diag(m), assembled as `build_fibers` does."""
-    sharp, flat = sa_breve_bases(cfg)
-    gop = GraphOperator(matrix=np.diag(m), sharp=sharp, flat=flat)
+    """The fiber with M+(q) = diag(m), the graph of diag(m) over sharp (+) flat."""
+    sharp, flat = sharp_flat(cfg)
     return FiberResult(
-        q=q, l_plus_q=LagrangeSubspace(sharp.basis + flat.basis @ gop.matrix),
-        m_plus_q=gop, p_q=None, oscillating=False, n_iterations=0,
+        q=q, l_plus_q=LagrangeSubspace(sharp + flat @ np.diag(m)),
+        m=m, p_q=None, oscillating=False, n_iterations=0,
     )
 
 
@@ -185,10 +194,9 @@ class TestSpatialDecay:
         # mode 0, whose growth is -5.0125 at every phase)
         cfg, fib = sa_fibers.cfg, sa_fibers.fibers[0]
         growth, _ = fiber_growth(cfg, sa_fibers.driver, sa_fibers.fibers)
-        m = np.diag(fib.m_plus_q.matrix)
-        sharp, flat = sa_breve_bases(cfg)
+        sharp, flat = sharp_flat(cfg)
         for j in range(cfg.n):
-            z0 = sharp.basis[:, j] + m[j] * flat.basis[:, j]
+            z0 = sharp[:, j] + fib.m[j] * flat[:, j]
             fitted, _ = exp_decay_fit(cfg, sa_fibers.driver, fib.q, z0, fiber=fib)
             lo, hi = -growth[:, j].max(), -growth[:, j].min()
             assert lo * (1.0 - 1e-2) <= fitted <= hi * (1.0 + 1e-2), j

@@ -24,6 +24,7 @@ from lqbundle.errors import (
     NotADirectSum,
     NotATrajectory,
     Oscillating,
+    SampleNotInM0,
 )
 from lqbundle.frequency import (
     QuadraticFormTriple,
@@ -73,7 +74,7 @@ def lp_scanned(a, b, form, **kwargs):
 
 def structured_single_grid(a, b, form, split_a, split_m, times):
     """The library's collocation solve on one grid, without Richardson."""
-    lp = st._StationaryLP(a, b, form, split_a, split_m, times, Regulator(a, b, form).r)
+    lp = st._StationaryLP(b, form, split_a, split_m, Regulator(a, b, form).r, times)
     dv, de = lp.solve_structured(*lp.sharp_forcing())
     return subspace_from(np.vstack([dv[0], de[0]]), split_a, split_m)
 
@@ -134,7 +135,7 @@ class TestLPConstruction:
         a, b, _ = s1
         form0 = QuadraticFormTriple(f1=[[0.0]], f2=[[0.0]], f3=[[1.0]])
         res = lp_scanned(a, b, form0)
-        assert np.abs(res.m_plus.matrix).max() <= 1e-12
+        assert np.abs(res.m_plus).max() <= 1e-12
         assert grassmann_distance(res.l_plus, horizontal_subspace(1)) <= 1e-12
 
     def test_dense_and_structured_agree(self, s1):
@@ -237,7 +238,8 @@ def collocation(request):
         )
         assert (Regulator(a, b, form).split_a.rank_j, b.shape[1]) == (j, inputs)
     reg = Regulator(a, b, form)
-    lp = st._StationaryLP(a, b, form, *default_grid(a, b, form), reg.r)
+    split_a, split_m, times = default_grid(a, b, form)
+    lp = st._StationaryLP(b, form, split_a, split_m, reg.r, times)
     return lp, reg, lp.sharp_forcing()
 
 
@@ -437,6 +439,16 @@ class TestCoercivity:
         samples = [m0_sample(rng, reg, times) for _ in range(20)]
         ratio = coercivity_check(reg, samples, margin)
         assert ratio >= 1.0 - 1e-6
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_unstable_sample_is_rejected(self, rng, j):
+        # m0_sample samples M_0 for j = 0 only: with unstable modes the state
+        # of its control grows, and coercivity_check rejects the sample
+        a, b, form, margin = random_passing_instance(np.random.default_rng(3), 4, j=j)
+        reg = Regulator(a, b, form)
+        times = np.linspace(0.0, 18.0 / reg.split_a.eps_rate, 1500)
+        with pytest.raises(SampleNotInM0, match="has not decayed"):
+            coercivity_check(reg, [m0_sample(rng, reg, times)], margin)
 
 
 class TestLyapunovInequality:

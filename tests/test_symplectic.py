@@ -4,7 +4,6 @@ import scipy.linalg as sla
 
 from lqbundle.errors import NotAGraph, NotLagrange, OddLength
 from lqbundle.symplectic import (
-    GraphOperator,
     LagrangeSubspace,
     Subspace,
     apply_J,
@@ -24,9 +23,10 @@ def graph_of_symmetric(p):
     return LagrangeSubspace(np.vstack([np.eye(n), -p]))
 
 
-def graph_subspace(go: GraphOperator) -> Subspace:
-    """The subspace {z + M z | z in sharp} that the graph coordinates stand for."""
-    return Subspace(go.sharp.basis + go.flat.basis @ go.matrix)
+def graph_subspace(m, sharp: Subspace, flat: Subspace) -> Subspace:
+    """The subspace {S c + F M c} that the graph matrix M over sharp (+) flat
+    stands for, in their bases S and F."""
+    return Subspace(sharp.basis + flat.basis @ m)
 
 
 def random_lagrange(rng, n):
@@ -90,8 +90,8 @@ class TestGraphOver:
         p = rng.standard_normal((3, 3))
         p = 0.5 * (p + p.T)
         lag = graph_of_symmetric(p)
-        go = graph_over(lag, horizontal_subspace(3), vertical_subspace(3))
-        np.testing.assert_allclose(go.matrix, -p, atol=1e-12)
+        m = graph_over(lag, horizontal_subspace(3), vertical_subspace(3))
+        np.testing.assert_allclose(m, -p, atol=1e-12)
 
     def test_vertical_is_not_a_graph(self):
         with pytest.raises(NotAGraph):
@@ -100,8 +100,9 @@ class TestGraphOver:
     def test_round_trip(self, rng):
         for _ in range(10):
             lag = random_lagrange(rng, 4)
-            go = graph_over(lag, horizontal_subspace(4), vertical_subspace(4))
-            assert grassmann_distance(graph_subspace(go), lag) <= 1e-8
+            sharp, flat = horizontal_subspace(4), vertical_subspace(4)
+            m = graph_over(lag, sharp, flat)
+            assert grassmann_distance(graph_subspace(m, sharp, flat), lag) <= 1e-8
 
 
 class TestIsLagrange:
@@ -179,7 +180,5 @@ class TestTypes:
     def test_graph_operator_assemble(self, rng):
         p = rng.standard_normal((2, 2))
         p = 0.5 * (p + p.T)
-        go = GraphOperator(
-            matrix=-p, sharp=horizontal_subspace(2), flat=vertical_subspace(2)
-        )
-        assert grassmann_distance(graph_subspace(go), graph_of_symmetric(p)) <= 1e-12
+        graph = graph_subspace(-p, horizontal_subspace(2), vertical_subspace(2))
+        assert grassmann_distance(graph, graph_of_symmetric(p)) <= 1e-12
