@@ -87,7 +87,9 @@ def measure(name: str, assembly: str, ordering: str, steps: int | None) -> dict:
     reg = st.Regulator(*_system(name))
     ham, split_a, split_m = reg.ham, reg.split_a, reg.split_m
     ham.eigenvalues  # noqa: B018  (cached before the measured region)
-    times = st._grid_parameters(split_a, ham, steps)
+    times = st._grid_parameters(split_a, ham)
+    if steps is not None:
+        times = np.linspace(0.0, times[-1], steps + 1)
     coarse = np.linspace(times[0], times[-1], (times.size - 1) // 2 + 1)
     stage = dict.fromkeys(("forcing_s", "assembly_s", "factor_s", "solve_s"), 0.0)
     rows, nnz, lu_nnz = [], [], []
@@ -121,8 +123,7 @@ def measure(name: str, assembly: str, ordering: str, steps: int | None) -> dict:
     dz0 = (16.0 * solve_on(times) - solve_on(coarse)) / 15.0
     lp_s = time.perf_counter() - start
     peak = _peak_mb()
-    sharp, _ = st.breve_bases(split_a, split_m)
-    l_plus = LagrangeSubspace(sharp.basis + dz0)
+    l_plus = LagrangeSubspace(st.sharp_basis(split_a, split_m).basis + dz0)
     hb = ham.matrix @ l_plus.basis
     invariance = np.linalg.norm(hb - l_plus.basis @ (l_plus.basis.T @ hb), 2) / max(
         1.0, np.linalg.norm(ham.matrix, 2)

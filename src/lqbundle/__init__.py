@@ -31,13 +31,7 @@ from .spatial import (
     gap_search,
     v_form_certificate,
 )
-from .spectral import (
-    ModeProjectors,
-    SpectralModel,
-    eigenvalue_generator,
-    make_spectral_model,
-    mode_projectors,
-)
+from .spectral import SpectralModel, eigenvalue_generator, make_spectral_model
 from .stationary import (
     Hamiltonian,
     NonoscillationResult,
@@ -57,7 +51,6 @@ from .symplectic import (
     LagrangeSubspace,
     Subspace,
     apply_J,
-    graph_over,
     grassmann_distance,
     intersection_dimension,
     isotropy_defect,

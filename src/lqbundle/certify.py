@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +33,7 @@ from .frequency import (
     frequency_condition_margin,
     inverse_norm_bound,
 )
-from .sampling import bump_control, m0_sample
+from .sampling import bump_control, m0_control
 from .spectral import eigenvalue_generator, make_spectral_model
 from .stationary import (
     Regulator,
@@ -199,6 +199,14 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _seed(value, what: str) -> int:
+    """A nonnegative JSON integer, as numpy's generators take, else ParseError."""
+    seed = _integer(value, what)
+    if seed < 0:
+        raise ParseError(f"{what} must be nonnegative, got {seed}")
+    return seed
+
+
 def _array(value, what: str) -> np.ndarray:
     """A finite numeric JSON array (or number) as floats, else ParseError."""
     try:
@@ -220,7 +228,7 @@ def load_scenario(path: str) -> Scenario:
     doc = _read_json(path, "scenario")
     name = str(doc.get("name", os.path.basename(path)))
     mode = str(_require(doc, "mode"))
-    seed = _integer(doc.get("seed", 42), "seed")
+    seed = _seed(doc.get("seed", 42), "seed")
     overrides = doc.get("tolerances", {})
     if not isinstance(overrides, dict):
         raise ParseError("tolerances must be an object")
@@ -262,6 +270,17 @@ def load_scenario(path: str) -> Scenario:
         raise MissingField(f"unknown mode {mode!r}")
     return Scenario(name=name, mode=mode, seed=seed, tolerances=tolerances,
                     payload=doc, regulator=regulator)
+
+
+def with_overrides(scenario: Scenario, seed, tol_key: str, tol) -> Scenario:
+    """The scenario with a command line's seed and `tol_key` tolerance (None
+    keeps the scenario's own), checked as the file's own fields are."""
+    if seed is not None:
+        scenario = replace(scenario, seed=_seed(seed, "--seed"))
+    if tol is not None:
+        tolerances = dict(scenario.tolerances, **{tol_key: _number(tol, "--tol")})
+        scenario = replace(scenario, tolerances=tolerances)
+    return scenario
 
 
 def _sa_model(ev_doc):
@@ -440,9 +459,9 @@ def _st_coercivity(run, cert):
         return
     reg, rng = run.reg, run.rng
     times = np.linspace(0.0, 18.0 / run.split.eps_rate, 1500)
-    samples = [m0_sample(rng, reg, times) for _ in range(4)]
+    controls = [m0_control(rng, times, reg.form.control_dim) for _ in range(4)]
     try:
-        worst = coercivity_check(reg, samples, run.scan.margin)
+        worst = coercivity_check(reg, controls, run.scan.margin)
         cert.add_lower("coercivity-ratio", worst, 1.0 - 1e-6,
                        detail="J_F / coercive lower bound over M0 samples")
     except ValidationError as exc:

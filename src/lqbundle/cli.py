@@ -4,8 +4,10 @@ Every subcommand but `report` runs a fixed selection of the stages of
 `certify.run_pipeline` (`verify` the scenario's whole route) and lets --tol
 override one tolerance key; a command whose stages are not in the
 scenario's route is an input error.  All take --scenario/--out/--tol and
-randomized sweeps honor --seed (recorded in the certificate).  Exit codes:
-0 every check passed, 1 at least one check failed, 2 input error.
+randomized sweeps honor --seed (recorded in the certificate); --tol and
+--seed are checked as the scenario's own fields, so a NaN or infinite
+tolerance or a negative seed is an input error too.  Exit codes: 0 every
+check passed, 1 at least one check failed, 2 input error.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .certify import (
     load_certificate,
     load_scenario,
     run_pipeline,
+    with_overrides,
     write_certificate,
 )
 from .errors import LqBundleError, ValidationError
@@ -47,13 +50,6 @@ def _finish(cert: Certificate, out_dir: str | None) -> int:
         files = export_plots(cert, out_dir)
         print(f"wrote {path} and {len(files)} CSV tables")
     return EXIT_PASS if cert.passed else EXIT_FAIL
-
-
-def cmd_run(scenario, stages, tol_key, tol, out_dir) -> int:
-    """Run the selected pipeline stages, with --tol overriding `tol_key`."""
-    if tol is not None:
-        scenario.tolerances[tol_key] = tol
-    return _finish(run_pipeline(scenario, stages), out_dir)
 
 
 def cmd_report(certificate_path) -> int:
@@ -104,10 +100,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.scenario)
-        scenario = load_scenario(args.scenario)
-        if args.seed is not None:
-            object.__setattr__(scenario, "seed", args.seed)
-        return cmd_run(scenario, *_COMMANDS[args.command], args.tol, args.out)
+        stages, tol_key = _COMMANDS[args.command]
+        scenario = with_overrides(load_scenario(args.scenario), args.seed, tol_key,
+                                  args.tol)
+        return _finish(run_pipeline(scenario, stages), args.out)
     except ValidationError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

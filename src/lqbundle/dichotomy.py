@@ -68,7 +68,6 @@ class DichotomySplit:
     generator: np.ndarray
     eigenvalues: np.ndarray = field(repr=False)
     stable_basis: Subspace | None
-    unstable_basis: Subspace | None
     rank_j: int
     m_const: float
     eps_rate: float
@@ -132,12 +131,10 @@ def dichotomy_split(a) -> DichotomySplit:
     t_s = t[:k, :k]
     t_u = t[k:, k:]
     stable = Subspace(w[:, :k]) if k else None
-    unstable = Subspace(w[:, k:]) if j else None
     split = DichotomySplit(
         generator=a,
         eigenvalues=eigs,
         stable_basis=stable,
-        unstable_basis=unstable,
         rank_j=j,
         m_const=1.0,
         eps_rate=eps_rate,

@@ -35,14 +35,6 @@ class DimensionMismatch(ValidationError):
     pass
 
 
-class NotADirectSum(LqBundleError):
-    pass
-
-
-class NotAGraph(LqBundleError):
-    """Projection onto the sharp factor is singular on the subspace."""
-
-
 # dichotomies / Lyapunov-Perron
 class SpectrumOnAxis(LqBundleError):
     pass
@@ -76,10 +68,6 @@ class FrequencyConditionFailed(LqBundleError):
 
 class Oscillating(LqBundleError):
     """Stable subspace meets the vertical subspace nontrivially."""
-
-
-class NotATrajectory(ValidationError):
-    pass
 
 
 class SampleNotInM0(ValidationError):

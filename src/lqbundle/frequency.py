@@ -5,7 +5,8 @@ gamma < delta* holds exactly when the level Hamiltonian of
 (F1, F2, F3 - gamma I) has no imaginary eigenvalue, since F3 (I - M) tends
 to F3 > 0 (Willems 1971), and the level-set iteration of Boyd, Balakrishnan
 & Kabamba (1989) and Bruinsma & Steinbuch (1990) finds the infimum in a few
-eigenvalue solves.  A shifted system (eps0) uses the 4n-state realisation of
+eigenvalue solves.  The margin scan is unshifted; the eps0 bisection tests
+shifted systems by `level_crossings` alone, on the 4n-state realisation of
 the Hermitian part.  Transfer-norm sups follow from the Smith form.  The
 plot table (grid rows plus the minimiser) is sampled, and so is the
 Lax-Milgram inverse bound ||(I-M)^-1|| <= ||F3|| / delta* checked on it, with
@@ -118,7 +119,7 @@ def make_frequency_grid(a, b, form: QuadraticFormTriple) -> np.ndarray:
 class TransferEvaluator:
     """Shared factorizations for repeated M(w) evaluations on one system."""
 
-    def __init__(self, a, b, form: QuadraticFormTriple, shift: float = 0.0):
+    def __init__(self, a, b, form: QuadraticFormTriple):
         self.a = np.atleast_2d(np.asarray(a, dtype=float))
         self.b = np.atleast_2d(np.asarray(b, dtype=float))
         if self.b.shape != (form.state_dim, form.control_dim):
@@ -126,8 +127,7 @@ class TransferEvaluator:
                 f"B must be {form.state_dim} x {form.control_dim}, got {self.b.shape}"
             )
         self.form = form
-        self.shift = float(shift)
-        self.eigs = np.linalg.eigvals(self.a + self.shift * np.eye(self.a.shape[0]))
+        self.eigs = np.linalg.eigvals(self.a)
         self.f3_inv = np.linalg.inv(form.f3)
 
     def _guard(self, omegas: np.ndarray):
@@ -137,8 +137,8 @@ class TransferEvaluator:
             raise SingularShift(f"i*{w} within {AXIS_DIST_TOL} of the spectrum")
 
     def transfer_m(self, omega: float) -> np.ndarray:
-        """M(w) = F3^-1 F2 R B + F3^-1 B^* (-A^* + shift - i w)^-1 (F1 R B - F2^*),
-        R = (A + shift - i w)^{-1}."""
+        """M(w) = F3^-1 F2 R B + F3^-1 B^* (-A^* - i w)^-1 (F1 R B - F2^*),
+        R = (A - i w)^{-1}."""
         omegas = np.array([omega], dtype=float)
         self._guard(omegas)
         return self._transfer(omegas)[0]
@@ -146,7 +146,7 @@ class TransferEvaluator:
     def _transfer(self, omegas: np.ndarray) -> np.ndarray:
         """M(w) stacked over `omegas`, with the resolvent solves batched."""
         n, m = self.b.shape
-        z = (self.shift - 1j * omegas)[:, None, None]
+        z = (-1j * omegas)[:, None, None]
         b = np.broadcast_to(self.b, (z.size, n, m))
         rb = np.linalg.solve(self.a + z * np.eye(n), b)
         rhs = self.form.f1 @ rb - self.form.f2.T
@@ -158,7 +158,7 @@ class TransferEvaluator:
         lambda_min of the Hermitian part of G = F3 (I - M(w)), ||G - G^*||
         and ||(I - M(w))^{-1}|| = 1 / sigma_min(I - M(w)), all from one M(w)
         stack per chunk of BATCH frequencies.  Raises SingularShift when a
-        w lies on the spectrum of A + shift."""
+        w lies on the spectrum of A."""
         omegas = np.asarray(omegas, dtype=float)
         self._guard(omegas)
         out = np.empty((omegas.size, 3))
@@ -226,7 +226,6 @@ def frequency_condition_margin(
     a,
     b,
     form: QuadraticFormTriple,
-    shift: float = 0.0,
     full_scan: bool = False,
 ):
     """delta* = inf_w lambda_min(sym(F3 (I - M(w)))), exactly, by Hamiltonian
@@ -242,7 +241,7 @@ def frequency_condition_margin(
     symmetry in w is used: only w >= 0 is sampled.  Returns the margin, or
     the MarginScan when `full_scan` is set.
     """
-    ev = TransferEvaluator(a, b, form, shift=shift)
+    ev = TransferEvaluator(a, b, form)
     seen = {}
 
     def least(omegas):
@@ -262,7 +261,7 @@ def frequency_condition_margin(
         gamma, w_star = form.delta_floor, np.inf
     for _ in range(LEVEL_STEPS):
         level = gamma - LEVEL_RTOL * abs(gamma)
-        cross = level_crossings(ev.a, ev.b, form, level, shift)
+        cross = level_crossings(ev.a, ev.b, form, level, 0.0)
         if cross.size == 0:
             break
         ends = np.concatenate([-cross[::-1], cross])

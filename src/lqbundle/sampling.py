@@ -12,12 +12,7 @@ import numpy as np
 from .dichotomy import GridFunction
 from .errors import ConditionFailed, LqBundleError
 from .frequency import QuadraticFormTriple, frequency_condition_margin
-from .stationary import (
-    Regulator,
-    assemble_hamiltonian,
-    integrate_control_trajectory,
-    l2_controllability,
-)
+from .stationary import assemble_hamiltonian, l2_controllability
 
 #: real-part bands of the placed stable and unstable eigenvalues
 STABLE_BAND = (-2.2, -0.5)
@@ -143,20 +138,12 @@ def bump_control(
     return GridFunction(times=t, values=vals)
 
 
-def m0_sample(
-    rng: np.random.Generator, reg: Regulator, times: np.ndarray
-) -> tuple[GridFunction, GridFunction]:
-    """A decaying process (v, xi) with v(0) = 0 (an M_0 element) of a
-    generator A without unstable modes (j = 0): the sum of M0_BUMPS
-    one-bump controls.
+def m0_control(rng: np.random.Generator, times: np.ndarray, m: int) -> GridFunction:
+    """The control of an M_0 sample: the sum of M0_BUMPS one-bump controls.
 
-    For j > 0 the state of such a control need not decay, and
-    `coercivity_check` rejects the sample with SampleNotInM0.
+    `coercivity_check` integrates it from v(0) = 0.  The state decays, so
+    that (v, xi) is in M_0, when the generator A has no unstable modes
+    (j = 0); for j > 0 it need not, and the check raises SampleNotInM0.
     """
-    a, b = reg.a, reg.b
-    n, m_u = b.shape
-    bumps = [bump_control(rng, times, m_u, n_bumps=1) for _ in range(M0_BUMPS)]
-    xi_vals = sum(g.values for g in bumps)
-    xi = GridFunction(times=times, values=xi_vals)
-    v = integrate_control_trajectory(a, b, xi, np.zeros(n))
-    return v, xi
+    bumps = [bump_control(rng, times, m, n_bumps=1) for _ in range(M0_BUMPS)]
+    return GridFunction(times=times, values=sum(g.values for g in bumps))

@@ -8,7 +8,8 @@ reference operator, so the doubled system splits into independent
 M+(q) = diag(m_j) over the sharp pairing subspace.  The fiber construction
 keeps the analytical structure (projected solves plus Picard on the
 certified contraction) but runs it mode-wise on per-mode arrays: the
-coefficients of `SAConfig.mode_coefficients`, the (v, eta) frames of
+coefficients of `SAConfig.mode_coefficients` on the one band mask a run
+reads (`SAConfig.mid_mask`, the intermediate band), the (v, eta) frames of
 `_frames` with the scalar quadrature of `_phi`, and the n entries m_j of
 each `FiberResult`.  A mode's fiber forcing carries its own stiff
 exponential e^{mu_j t}, so the fiber frames integrate the smooth factor
@@ -22,10 +23,11 @@ its fibers stage and solve nothing.  The decay records read the exact growth
 rate of each mode line of the built fibers (`fiber_growth`); no trajectory
 is integrated in a run.  tests/spatial_oracles.py keeps the two-direction,
 two-channel frame solve with its Picard loop as an exact reference, and the
-routes that only tests take: the generic quadratic forms and frozen
-(A(q), B) of the spatial-averaging condition, the inequality-implication
-sweep, and the driven trajectories with their symplectic pairing;
-tests/decay_oracles.py keeps the trajectory fits of the decay rate.
+routes that only tests take: the low and high band projectors, the generic
+quadratic forms and frozen (A(q), B) of the spatial-averaging condition,
+the inequality-implication sweep, and the driven trajectories with their
+symplectic pairing; tests/decay_oracles.py keeps the trajectory fits of the
+decay rate.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import (
     NotPositive,
     Oscillating,
 )
-from .spectral import ModeProjectors, SpectralModel, mode_projectors
+from .spectral import SpectralModel
 from .stationary import Hamiltonian, extract_nonoscillation
 from .symplectic import LagrangeSubspace, grassmann_distance
 
@@ -116,9 +118,17 @@ class SAConfig:
         return self.model.n
 
     @cached_property
-    def projectors(self) -> ModeProjectors:
-        """The band projectors, built once per config."""
-        return mode_projectors(self.model, self.k, self.N)
+    def mid_mask(self) -> np.ndarray:
+        """The intermediate band around the gap (lambda_N, lambda_{N+1}), as
+        a mode mask built once per config: neither in the essentially-lower
+        band lambda_j < lambda_N - k nor in the essentially-higher band
+        lambda_j > lambda_{N+1} + k (the cuts are strict, so ties go to it).
+        The symmetric cuts keep the outer bands at distance at least
+        mu_bar + k from the gap midpoint, which the averaged-problem
+        solvability estimates use; every solve reads this band or its
+        complement P + Q."""
+        lam = self.model.eigenvalues
+        return ~((lam < lam[self.N - 1] - self.k) | (lam > lam[self.N] + self.k))
 
     @cached_property
     def unstable(self) -> np.ndarray:
@@ -133,7 +143,7 @@ class SAConfig:
         P+Q indicator, b the eta-coefficient in the v-row, c the
         v-coefficient in the eta-row.
         """
-        mid = self.projectors.mid_mask
+        mid = self.mid_mask
         ratio2 = 4.0 * (self.lam / self.mu_bar) ** 2
         return (
             self.alpha - self.model.eigenvalues,
@@ -695,7 +705,6 @@ def contraction_certificate(config: SAConfig) -> dict:
     w = np.full(times.size, h)
     w[0] = w[-1] = h / 2
     d_sq = np.sqrt(w)
-    proj = config.projectors
     frames = _frames(
         config, [(constant_driver(config.a_bound), 0.0)], times, np.zeros(config.n)
     )
@@ -707,7 +716,7 @@ def contraction_certificate(config: SAConfig) -> dict:
     norms_l = np.array(
         [np.linalg.norm((lm * d_sq[:, None]) / d_sq[None, :], 2) for lm in lmats]
     )
-    mid = proj.mid_mask
+    mid = config.mid_mask
     out.update(
         measured_mid=float(norms_t[mid].max()) if mid.any() else 0.0,
         measured_pq=float(norms_t[~mid].max()) if (~mid).any() else 0.0,
@@ -795,7 +804,7 @@ def v_form_certificate(config: SAConfig) -> dict:
     for a in (-ab, ab):
         blocks = _mode_quadratic_blocks(config, a)
         t1 = config.taus[0]
-        chi_i = config.projectors.mid_mask.astype(float)
+        chi_i = config.mid_mask.astype(float)
         blocks = blocks.copy()
         blocks[:, 0, 0] -= t1 * a**2 * chi_i
         affine.append(float(np.linalg.eigvalsh(blocks).min()))

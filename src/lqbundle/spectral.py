@@ -1,7 +1,7 @@
 """Finite Galerkin model of a diagonal positive self-adjoint operator.
 
-Holds the ascending eigenvalue sequence, its built-in generators, and the
-low/intermediate/high spectral bands (as mode masks).
+Holds the ascending eigenvalue sequence and its built-in generators; the
+spectral bands of a (k, N) split are `spatial.SAConfig.mid_mask`.
 """
 
 from __future__ import annotations
@@ -19,17 +19,6 @@ class SpectralModel:
 
     eigenvalues: np.ndarray
     n: int
-
-
-@dataclass(frozen=True)
-class ModeProjectors:
-    """The essentially-lower / intermediate / essentially-higher spectral
-    bands of a (k, N) split, as mode masks; the band projectors are the
-    diagonal matrices of the masks."""
-
-    low_mask: np.ndarray
-    mid_mask: np.ndarray
-    high_mask: np.ndarray
 
 
 def make_spectral_model(eigenvalues) -> SpectralModel:
@@ -64,24 +53,3 @@ def eigenvalue_generator(kind: str, n: int, **params) -> np.ndarray:
             raise IndexOutOfRange("internal generator range too small")
         return np.array(vals[:n])
     raise IndexOutOfRange(f"unknown eigenvalue generator {kind!r}")
-
-
-def mode_projectors(model: SpectralModel, k: int, N: int) -> ModeProjectors:
-    """Spectral band masks around the gap (lambda_N, lambda_{N+1}).
-
-    Lower band: lambda_j < lambda_N - k; higher band: lambda_j >
-    lambda_{N+1} + k; intermediate the rest (ties go to the intermediate
-    band, the inequalities are strict).  The symmetric cuts keep the outer
-    bands at distance at least mu_bar + k from the gap midpoint, which is
-    what the averaged-problem solvability estimates use.
-    """
-    if not (1 <= N < model.n):
-        raise IndexOutOfRange(f"N must satisfy 1 <= N < n, got N={N}, n={model.n}")
-    if k < 1:
-        raise IndexOutOfRange(f"k must be >= 1, got {k}")
-    lam = model.eigenvalues
-    low = lam < lam[N - 1] - k
-    high = lam > lam[N] + k
-    mid = ~(low | high)
-    return ModeProjectors(low_mask=low, mid_mask=mid, high_mask=high)
-

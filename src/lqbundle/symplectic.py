@@ -2,8 +2,7 @@
 
 Subspaces are column-orthonormal basis matrices; the complex structure is
 J(v, eta) = (-eta, v).  Distances are operator-norm gaps of orthogonal
-projectors, graph representations are taken over direct sums of Lagrange
-subspaces, and intersection dimensions come from scale-invariant SVD rank
+projectors, and intersection dimensions come from scale-invariant SVD rank
 decisions.
 """
 
@@ -13,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotADirectSum, NotAGraph, NotLagrange, OddLength
+from .errors import DimensionMismatch, NotLagrange, OddLength
 
 #: relative singular-value cutoff for rank decisions
 RANK_RTOL = 1e-8
-#: absolute singular-value floor for graph bijectivity
-GRAPH_TOL = 1e-10
 ISOTROPY_TOL = 1e-8
 
 
@@ -111,41 +108,6 @@ def intersection_dimension(l1: Subspace, l2: Subspace) -> int:
     sv = np.linalg.svd(stacked, compute_uv=False)
     rank = int(np.sum(sv > RANK_RTOL * sv[0]))
     return l1.dim + l2.dim - rank
-
-
-def graph_over(
-    subspace: Subspace, h_sharp: Subspace, h_flat: Subspace
-) -> np.ndarray:
-    """The matrix M with `subspace` = {S c + F M c}: its graph over
-    sharp (+) flat, in their bases S and F.
-
-    Raises NotADirectSum when sharp and flat fail to span the ambient space,
-    NotAGraph when the oblique projection onto sharp is singular on the
-    subspace (vertical directions present).
-    """
-    frame = np.hstack([h_sharp.basis, h_flat.basis])
-    if frame.shape[0] != frame.shape[1]:
-        raise NotADirectSum("sharp + flat dimensions must fill the ambient space")
-    sv = np.linalg.svd(frame, compute_uv=False)
-    if sv[-1] <= RANK_RTOL * sv[0]:
-        raise NotADirectSum("sharp and flat subspaces are not transversal")
-    coords = np.linalg.solve(frame, subspace.basis)
-    sharp_part = coords[: h_sharp.dim]
-    flat_part = coords[h_sharp.dim :]
-    if subspace.dim != h_sharp.dim:
-        raise NotAGraph(
-            f"subspace dimension {subspace.dim} != sharp dimension {h_sharp.dim}"
-        )
-    smin = np.linalg.svd(sharp_part, compute_uv=False)[-1]
-    if smin <= GRAPH_TOL:
-        raise NotAGraph(f"projection onto sharp is singular on the subspace ({smin:.3e})")
-    return flat_part @ np.linalg.inv(sharp_part)
-
-
-def horizontal_subspace(n: int) -> LagrangeSubspace:
-    """H x {0}."""
-    basis = np.vstack([np.eye(n), np.zeros((n, n))])
-    return LagrangeSubspace(basis)
 
 
 def vertical_subspace(n: int) -> LagrangeSubspace:

@@ -5,8 +5,12 @@ margin of `lqbundle.frequency`.
 level-set iteration: it samples lambda_min(sym(F3 (I - M(w)))) on the fixed
 grid and bisects, for REFINE_ROUNDS rounds, every interval with an end
 sample at most max(2 min, 0).  It is an upper estimate of delta*, so the
-exact margin never exceeds it by more than LEVEL_RTOL.  `tail_m_bound` is the submultiplicative
-bound on ||M(w)|| that certified the scan's tail.
+exact margin never exceeds it by more than LEVEL_RTOL.  `tail_m_bound` is
+the submultiplicative bound on ||M(w)|| that certified the scan's tail.
+`ShiftedTransfer` evaluates M(w) of the shifted system A + shift, as the
+library did before its margin scan became unshifted: the eps0 bisection
+tests the shifted systems by `level_crossings` alone, and this is the
+oracle of those level sets.
 """
 
 import numpy as np
@@ -37,9 +41,29 @@ def tail_m_bound(a, b, form: QuadraticFormTriple, omega: float) -> float:
     return float(f3inv * (f2 * b_norm * r + b_norm * r * (f1 * b_norm * r + f2)))
 
 
-def sampled_margin(a, b, form: QuadraticFormTriple, shift: float = 0.0):
+class ShiftedTransfer(TransferEvaluator):
+    """`TransferEvaluator` of the shifted system: M(w) with R = (A + shift -
+    i w)^-1 and (-A^* + shift - i w)^-1 in its second term, guarded against
+    the spectrum of A + shift."""
+
+    def __init__(self, a, b, form: QuadraticFormTriple, shift: float):
+        super().__init__(a, b, form)
+        self.shift = float(shift)
+        self.eigs = np.linalg.eigvals(self.a + self.shift * np.eye(self.a.shape[0]))
+
+    def _transfer(self, omegas: np.ndarray) -> np.ndarray:
+        n, m = self.b.shape
+        z = (self.shift - 1j * omegas)[:, None, None]
+        b = np.broadcast_to(self.b, (z.size, n, m))
+        rb = np.linalg.solve(self.a + z * np.eye(n), b)
+        rhs = self.form.f1 @ rb - self.form.f2.T
+        second = np.linalg.solve(-self.a.T + z * np.eye(n), rhs)
+        return self.f3_inv @ (self.form.f2 @ rb + self.b.T @ second)
+
+
+def sampled_margin(a, b, form: QuadraticFormTriple):
     """(omegas, margins) of the refined scan; margins.min() is its estimate."""
-    ev = TransferEvaluator(a, b, form, shift=shift)
+    ev = TransferEvaluator(a, b, form)
     omegas = list(make_frequency_grid(a, b, form))
     margins = [ev.margin_at(w)[0] for w in omegas]
     for _ in range(REFINE_ROUNDS):

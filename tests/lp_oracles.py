@@ -40,8 +40,8 @@ from lqbundle.dichotomy import GridFunction, dichotomy_split, left_multiply
 from lqbundle.stationary import (
     Regulator,
     _grid_parameters,
-    breve_bases,
     perturbation_matrix,
+    sharp_basis,
 )
 from lqbundle.symplectic import LagrangeSubspace
 
@@ -52,12 +52,12 @@ def default_grid(a, b, form, shift: float = 0.0):
     eye = np.eye(reg.a.shape[0])
     split_a = dichotomy_split(reg.a + shift * eye)
     split_m = dichotomy_split(-reg.a.T + shift * eye)
-    return split_a, split_m, _grid_parameters(split_a, reg.ham, None)
+    return split_a, split_m, _grid_parameters(split_a, reg.ham)
 
 
 def sharp_forcing(split_a, split_m, times) -> np.ndarray:
     """G_sharp(t) z^s on the grid for the orthonormal sharp basis columns."""
-    sharp, _ = breve_bases(split_a, split_m)
+    sharp = sharp_basis(split_a, split_m)
     n = split_a.n
     out = np.empty((times.size,) + sharp.basis.shape)
     for i, t in enumerate(times):
@@ -165,8 +165,7 @@ def paired_fixed_point(a, b, form, shift: float = 0.0) -> LagrangeSubspace:
     lmat = apply(np.eye(size).reshape(m, 2 * n, size)).reshape(size, size)
     rhs = apply(sharp_forcing(split_a, split_m, times)).reshape(size, -1)
     dz = np.linalg.solve(np.eye(size) - lmat, rhs).reshape(m, 2 * n, -1)
-    sharp, _ = breve_bases(split_a, split_m)
-    return LagrangeSubspace(sharp.basis + dz[0])
+    return LagrangeSubspace(sharp_basis(split_a, split_m).basis + dz[0])
 
 
 def paired_state_maps(lp):

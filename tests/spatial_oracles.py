@@ -240,12 +240,14 @@ def a_matrix(config, a_value: float) -> np.ndarray:
 
 
 def band_projectors(config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P_low, I_mid, Q_high): the diagonal matrices of the band masks."""
-    proj = config.projectors
-    return tuple(
-        np.diag(mask.astype(float))
-        for mask in (proj.low_mask, proj.mid_mask, proj.high_mask)
-    )
+    """(P_low, I_mid, Q_high): the diagonal matrices of the band masks, the
+    essentially-lower band lambda_j < lambda_N - k and the essentially-higher
+    band lambda_j > lambda_{N+1} + k around the library's intermediate band
+    `SAConfig.mid_mask`."""
+    lam = config.model.eigenvalues
+    low = lam < lam[config.N - 1] - config.k
+    high = lam > lam[config.N] + config.k
+    return tuple(np.diag(mask.astype(float)) for mask in (low, config.mid_mask, high))
 
 
 def assemble_forms(config, a_value: float) -> QuadraticFormTriple:

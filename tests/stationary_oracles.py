@@ -5,7 +5,9 @@ The library certifies P by its relative Riccati residual
 (`lqbundle.stationary.riccati_residual`).  `riccati_integral_check` checks
 the same P along a control trajectory instead: the storage function
 V_P(v) = <P v, v> must balance the integrated cost up to the completed
-square, so its defect measures the quadrature error only.
+square, so its defect measures the quadrature error only.  It first checks
+that (v, xi) is a control trajectory at all: the library's runs integrate
+every state from its control, so only this oracle takes a pair from outside.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from scipy.integrate import simpson
 
 from lqbundle.dichotomy import GridFunction
 from lqbundle.frequency import QuadraticFormTriple
-from lqbundle.stationary import _form_density, _validate_trajectory
+from lqbundle.stationary import _form_density, integrate_control_trajectory
+
+#: relative residual above which a (v, xi) pair is not a control trajectory
+TRAJ_TOL = 1e-6
+
+
+class NotATrajectory(ValueError):
+    """v is not the state of v' = A v + B xi from v(0)."""
 
 
 def riccati_integral_check(
@@ -34,7 +43,10 @@ def riccati_integral_check(
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    _validate_trajectory(a, b, v, xi)
+    ref = integrate_control_trajectory(a, b, xi, v.values[0])
+    err = np.abs(ref.values - v.values).max() / max(np.abs(v.values).max(), 1e-30)
+    if err > TRAJ_TOL:
+        raise NotATrajectory(f"trajectory residual {err:.3e} > {TRAJ_TOL:.1e}")
     f3_fac = form.f3_factor
     k_fb = -sla.cho_solve(f3_fac, form.f2) - sla.cho_solve(f3_fac, b.T @ p)
     vv = v.values

@@ -14,6 +14,14 @@ test reaches.
 Public fields of top-level dataclasses follow the same rule, with the KEEP
 key `Class.field`: a use is a read of the field by name, and `self.<name>`
 resolves to its own class as for methods.
+
+So does every defaulted parameter of a public function or method: some
+library call must pass it, else the default is the only value a run uses.
+The KEEP key is `function.param`, `Class.param` for a constructor and
+`Class.method.param` for a method.  A call passes the parameter by keyword
+or by position; an argument that only forwards a defaulted parameter of the
+calling function passes it only if that one is passed in turn.  The
+parameters of a function in KEEP count as passed by its outside callers.
 """
 
 import ast
@@ -31,17 +39,20 @@ KEEP = {
     "TransferEvaluator.transfer_m": "TestTransferM, test_tail_bound_implication, "
     "TestRows (the per-point inverse-norm reference)",
     # dataclass fields
-    "ModeProjectors.low_mask": "TestModeProjectors and the dense band projectors "
-    "of tests/spatial_oracles.py",
-    "ModeProjectors.high_mask": "TestModeProjectors and the dense band projectors "
-    "of tests/spatial_oracles.py",
     "NonoscillationResult.feedback": "the four-argument extract_nonoscillation "
     "of perfbench/worker.py (until it reads a run report), TestNonoscillation, "
     "TestRiccati",
     "NonoscillationResult.riccati_residual": "the four-argument "
     "extract_nonoscillation of perfbench/worker.py, TestNonoscillation, "
     "criterion 02",
-    "StableLagrangeResult.m_plus": "TestLPConstruction::test_trivial_graph_operator",
+    # defaulted parameters
+    **dict.fromkeys(
+        ("extract_nonoscillation.a", "extract_nonoscillation.b",
+         "extract_nonoscillation.form"),
+        "the four-argument extract_nonoscillation of perfbench/worker.py "
+        "(until it reads a run report), TestNonoscillation, TestRiccati",
+    ),
+    "main.argv": "the CLI tests, and perfbench/worker.py's in-process verify",
 }
 
 
@@ -300,15 +311,135 @@ def test_field_reads_resolve_to_their_own_class():
     assert used == {"Fiber.m"}
 
 
+def _defaulted_parameters(parsed):
+    """({key}, {def node id: {parameter: key}}, {callee name: [(key,
+    parameter, index among the positional arguments or None)]}) of the
+    defaulted parameters of the public functions, constructors and methods."""
+    params, scopes, by_callee = set(), {}, {}
+
+    def add(node, callee, prefix, skip_self):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):]
+        names = [(a, positional.index(a) - skip_self) for a in defaulted]
+        names += [(a, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+        scope = scopes.setdefault(id(node), {})
+        for arg, index in names:
+            key = f"{prefix}.{arg.arg}"
+            params.add(key)
+            scope[arg.arg] = key
+            by_callee.setdefault(callee, []).append((key, arg.arg, index))
+
+    for _, tree in parsed:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                add(node, node.name, node.name, 0)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for meth in node.body:
+                    if not isinstance(meth, ast.FunctionDef):
+                        continue
+                    if meth.name == "__init__":
+                        add(meth, node.name, node.name, 1)
+                    elif not meth.name.startswith("_"):
+                        add(meth, meth.name, f"{node.name}.{meth.name}", 1)
+    return params, scopes, by_callee
+
+
+def _passes(parsed, scopes, by_callee):
+    """(parameter key, the key of the defaulted parameter that its argument
+    only forwards, else None) for each library call that passes one."""
+    for _, tree in parsed:
+        enclosing = {}  # id(node): ids of the defs around it, outermost first
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for child in ast.walk(node):
+                    if child is not node:
+                        enclosing.setdefault(id(child), []).append(id(node))
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            keywords = {k.arg: k.value for k in call.keywords}
+            starred = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+            for key, name, index in by_callee.get(callee, ()):
+                if name in keywords:
+                    value = keywords[name]
+                elif index is not None and index < len(call.args) and not starred:
+                    value = call.args[index]
+                elif starred:
+                    value = None
+                else:
+                    continue
+                source = None
+                if isinstance(value, ast.Name):
+                    for scope in reversed(enclosing.get(id(call), [])):
+                        if value.id in scopes.get(scope, {}):
+                            source = scopes[scope][value.id]
+                            break
+                yield key, source
+
+
+def _unpassed_parameters(parsed, keep):
+    """The sorted keys of the defaulted parameters that no library call
+    passes, the parameters of a function in `keep` counting as passed."""
+    params, scopes, by_callee = _defaulted_parameters(parsed)
+    passes = list(_passes(parsed, scopes, by_callee))
+    passed = {key for key in params if key in keep or key.rsplit(".", 1)[0] in keep}
+    while True:
+        grown = passed | {key for key, source in passes if source is None or source in passed}
+        if grown == passed:
+            return sorted(params - passed)
+        passed = grown
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    unpassed = _unpassed_parameters(_parsed(), KEEP)
+    assert unpassed == [], (
+        "defaulted parameters that no library call passes; make the default "
+        f"the code, or add them to KEEP with what needs them: {unpassed}"
+    )
+
+
+# A defaulted parameter that only forwards another unpassed one, a method's
+# parameter passed by position, and a constructor's by keyword.
+PARAMETERS = """
+class Evaluator:
+    def __init__(self, a, shift=0.0):
+        self.shift = shift
+
+    def rows(self, omegas, batch=64):
+        return omegas
+
+
+def margin(a, shift=0.0, full=False):
+    ev = Evaluator(a, shift=shift)
+    return ev.rows(a, 32)
+
+
+def run(a):
+    return margin(a, full=True)
+"""
+
+
+def test_forwarded_default_is_not_passed():
+    parsed = [("snippet", ast.parse(PARAMETERS))]
+    assert _unpassed_parameters(parsed, {}) == ["Evaluator.shift", "margin.shift"]
+    # a caller outside the library passes the parameters of a kept function
+    assert _unpassed_parameters(parsed, {"margin": ""}) == []
+
+
 def test_keep_lists_only_unused_names():
     defined, used = _surface()
     methods, methods_used = _member_surface(_methods)
     fields, fields_used = _member_surface(_fields)
+    unpassed = _unpassed_parameters(_parsed(), {})
     stale = sorted(
         name for name in KEEP
         if not any(key[1] == name and key not in used for key in defined)
         and not (name in methods and name not in methods_used)
         and not (name in fields and name not in fields_used)
+        and name not in unpassed
     )
     assert stale == [], (
         f"KEEP entries the library no longer defines or already uses: {stale}"
@@ -318,7 +449,7 @@ def test_keep_lists_only_unused_names():
 # Defaulted `def` parameters plus defaulted dataclass init fields in
 # src/lqbundle/*.py.  Lower it when options go; raising it needs two callers
 # that want different values.
-MAX_OPTIONS = 30
+MAX_OPTIONS = 21
 
 
 def _is_dataclass(cls):

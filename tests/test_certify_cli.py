@@ -8,7 +8,6 @@ import scipy.linalg
 
 import lqbundle.dichotomy
 import lqbundle.spatial
-import lqbundle.spectral
 import lqbundle.stationary
 from lqbundle.certify import (
     DEFAULT_TOLERANCES,
@@ -16,6 +15,7 @@ from lqbundle.certify import (
     export_plots,
     load_scenario,
     run_pipeline,
+    with_overrides,
     write_certificate,
 )
 from lqbundle.cli import main
@@ -102,7 +102,6 @@ def sa_route(tmp_path_factory):
             for owner, name in (
                 (lqbundle.spatial, "build_fibers"),
                 (lqbundle.spatial, "_frames"),
-                (lqbundle.spectral, "mode_projectors"),
             )
         }
         cert = run_pipeline(scenario)
@@ -242,10 +241,10 @@ class TestPipeline:
     def test_sa_solves_each_fiber_once(self, sa_route):
         # one fiber solve holds the phase grid, the continuity steps and the
         # frozen column; the other frame pair is the contraction
-        # certificate's; the band projectors are built once per config
+        # certificate's
         cert, calls = sa_route
         assert {name: len(c) for name, c in calls.items()} == {
-            "build_fibers": 1, "_frames": 2, "mode_projectors": 1,
+            "build_fibers": 1, "_frames": 2,
         }
         assert len(cert.tables["fibers"]) == 4
         assert len(cert.tables["continuity"]) == 6
@@ -349,6 +348,9 @@ MALFORMED = {
     "lambda-text": ("verify", dict(SA_DOC, Lambda="one")),
     "horizon-text": ("verify", dict(SA_DOC, horizon="long")),
     "seed-text": ("verify", dict(S1_DOC, seed="x")),
+    # numpy's default_rng raised an untyped ValueError, even for check-freq
+    "seed-negative": ("verify", dict(S1_DOC, seed=-3)),
+    "seed-negative-check-freq": ("check-freq", dict(S1_DOC, seed=-3)),
     "tolerance-text": ("verify", dict(S1_DOC, tolerances={"oracle": "x"})),
     "nan-in-a": ("verify", dict(S1_DOC, A=[[float("nan")]])),
     "report-record-without-value": ("report", {
@@ -481,6 +483,24 @@ class TestCli:
         path = write_json(tmp_path, "bad.json", doc)
         assert main([command, "--scenario", path]) == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [("--seed", "-1"), ("--tol", "nan"), ("--tol", "inf")],
+                             ids=["seed-negative", "tol-nan", "tol-inf"])
+    def test_flags_are_checked_as_scenario_fields(self, tmp_path, capsys, flag):
+        # --seed -1 crashed in default_rng, --tol nan ended in a FAIL record
+        # and --tol inf made the tolerance vacuous; in the scenario file each
+        # is a ParseError
+        path = write_json(tmp_path, "s1.json", S1_DOC)
+        assert main(["check-freq", "--scenario", path, *flag]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and flag[0] in err
+
+    def test_flags_leave_the_loaded_scenario_alone(self, tmp_path):
+        scn = load_scenario(write_json(tmp_path, "s1.json", S1_DOC))
+        moved = with_overrides(scn, 7, "margin", 0.5)
+        assert (moved.seed, moved.tolerances["margin"]) == (7, 0.5)
+        assert (scn.seed, scn.tolerances) == (42, DEFAULT_TOLERANCES)
+        assert with_overrides(scn, None, "margin", None) is scn
 
     def test_unknown_tolerance_key_is_parse_error(self, tmp_path, capsys):
         # a typo of `oracle`: the run used to pass under the default 1e-6

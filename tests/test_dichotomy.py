@@ -14,6 +14,7 @@ from dichotomy_oracles import (
 
 from lqbundle.dichotomy import GridFunction, dichotomy_split
 from lqbundle.errors import DimensionMismatch, HorizonTooShort, SpectrumOnAxis
+from lqbundle.symplectic import Subspace
 
 
 def random_dichotomic(rng, n=4, j=0):
@@ -40,7 +41,8 @@ class TestSplit:
     def test_invariance_of_subspaces(self, rng):
         a = random_dichotomic(rng, 5, 2)
         s = dichotomy_split(a)
-        for sub in (s.stable_basis, s.unstable_basis):
+        k = s.k_stable
+        for sub in (s.stable_basis, Subspace(s.w[:, k:])):
             image = a @ sub.basis
             resid = image - sub.basis @ (sub.basis.T @ image)
             assert np.linalg.norm(resid, 2) <= 1e-10 * np.linalg.norm(a, 2)

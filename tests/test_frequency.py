@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from frequency_oracles import sampled_margin, tail_m_bound
+from frequency_oracles import ShiftedTransfer, sampled_margin, tail_m_bound
 from lqbundle import frequency
 from lqbundle.certify import DEFAULT_TOLERANCES, Scenario, run_pipeline
 from lqbundle.errors import (
@@ -206,20 +206,25 @@ class TestFrequencyMargin:
 
     @pytest.mark.parametrize("shift", [0.2, -0.3])
     def test_shifted_margin_against_dense_scan(self, rng, shift):
+        # the eps0 bisection reads a shifted margin through the level sets of
+        # `level_crossings`: they appear within LEVEL_RTOL of the minimum of
+        # the shifted M(w), and at its minimiser
         a, b, form = random_system(rng)
-        ev = TransferEvaluator(a, b, form, shift=shift)
+        ev = ShiftedTransfer(a, b, form, shift)
         omegas = np.linspace(0.0, 20.0, 4001)
         dense = np.array([ev.margin_at(w)[0] for w in omegas])
         w = omegas[np.argmin(dense)]
         sharp = sharpest(ev, max(0.0, w - 0.01), w + 0.01)
-        margin = frequency_condition_margin(a, b, form, shift=shift)
-        assert margin == pytest.approx(sharp, rel=LEVEL_RTOL)
+        gap = LEVEL_RTOL * abs(sharp)
+        assert level_crossings(a, b, form, sharp - gap, shift).size == 0
+        cross = level_crossings(a, b, form, sharp + gap, shift)
+        assert cross.size > 0 and np.abs(cross - w).max() <= 0.01
 
     @pytest.mark.parametrize("shift", [0.0, 0.25])
     def test_crossings_are_level_eigenvalues(self, rng, shift):
         a, b, form = random_system(rng)
-        ev = TransferEvaluator(a, b, form, shift=shift)
-        level = frequency_condition_margin(a, b, form, shift=shift) + 0.05
+        ev = ShiftedTransfer(a, b, form, shift)
+        level = ev.rows(np.linspace(0.0, 20.0, 4001))[:, 0].min() + 0.05
         cross = level_crossings(a, b, form, level, shift)
         assert cross.size >= 1
         for w in cross:

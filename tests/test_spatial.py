@@ -174,8 +174,7 @@ class TestSpatialAvgCondition:
 
     def test_rank_one_within_delta(self, sa_standard):
         cfg = sa_standard
-        proj = cfg.projectors
-        mid_idx = np.where(proj.mid_mask)[0]
+        mid_idx = np.where(cfg.mid_mask)[0]
         e = np.zeros(cfg.n)
         e[mid_idx[0]] = 1.0
         l_q = 1.0 * np.eye(cfg.n) + (cfg.delta / 2.0) * np.outer(e, e)

@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqbundle.errors import IndexOutOfRange, NonPositiveEigenvalue, NotSorted
-from lqbundle.spectral import eigenvalue_generator, make_spectral_model, mode_projectors
+from spatial_oracles import band_projectors
+from lqbundle.errors import IndexOutOfRange, NoCandidate, NonPositiveEigenvalue, NotSorted
+from lqbundle.spatial import SAConfig
+from lqbundle.spectral import eigenvalue_generator, make_spectral_model
+
+
+def bands(eigenvalues, k, n_split):
+    """The (low, mid, high) mode indices of a (k, N) split, with Lambda and
+    delta small enough for the config to exist."""
+    cfg = SAConfig(make_spectral_model(eigenvalues), lam=0.5, delta=0.5, k=k, N=n_split)
+    return [list(np.flatnonzero(np.diag(p))) for p in band_projectors(cfg)]
 
 
 class TestMakeSpectralModel:
@@ -50,51 +59,43 @@ class TestGenerators:
 
 
 class TestModeProjectors:
+    """The spectral bands of a (k, N) split: the library's intermediate band
+    `SAConfig.mid_mask`, between the low and high bands of the dense band
+    projectors in tests/spatial_oracles.py."""
+
     def test_band_example_square(self):
         # gap (4, 9), k = 3: lower cut 1 (strict), upper cut 12 (strict)
-        model = make_spectral_model([1, 4, 9, 16, 25])
-        proj = mode_projectors(model, k=3, N=2)
-        assert list(np.where(proj.low_mask)[0]) == []
-        assert list(np.where(proj.mid_mask)[0]) == [0, 1, 2]
-        assert list(np.where(proj.high_mask)[0]) == [3, 4]
+        assert bands([1, 4, 9, 16, 25], k=3, n_split=2) == [[], [0, 1, 2], [3, 4]]
 
     def test_band_example_small(self):
-        model = make_spectral_model([1, 4, 9])
-        proj = mode_projectors(model, k=1, N=2)
-        assert list(np.where(proj.low_mask)[0]) == [0]
-        assert list(np.where(proj.mid_mask)[0]) == [1, 2]
-        assert list(np.where(proj.high_mask)[0]) == []
+        assert bands([1, 4, 9], k=1, n_split=2) == [[0], [1, 2], []]
 
     def test_out_of_range(self):
-        model = make_spectral_model([1, 4, 9])
-        with pytest.raises(IndexOutOfRange):
-            mode_projectors(model, k=1, N=3)
-        with pytest.raises(IndexOutOfRange):
-            mode_projectors(model, k=0, N=1)
+        # SAConfig's own k and N checks
+        with pytest.raises(NoCandidate):
+            bands([1, 4, 9], k=1, n_split=3)
+        with pytest.raises(NoCandidate):
+            bands([1, 4, 9], k=0, n_split=1)
 
     @settings(max_examples=25, deadline=None)
     @given(k=st.integers(min_value=1, max_value=30), n=st.integers(min_value=1, max_value=7))
     def test_partition_of_unity(self, k, n):
         model = make_spectral_model([float(j * j) for j in range(1, 9)])
-        proj = mode_projectors(model, k=k, N=n)
-        bands = [
-            np.diag(mask.astype(float))
-            for mask in (proj.low_mask, proj.mid_mask, proj.high_mask)
-        ]
-        total = sum(bands)
+        projectors = band_projectors(SAConfig(model, lam=0.5, delta=0.5, k=k, N=n))
+        total = sum(projectors)
         assert np.abs(total - np.eye(8)).max() <= 1e-12
-        for p in bands:
+        for p in projectors:
             assert np.abs(p @ p - p).max() <= 1e-12
             assert np.abs(p - p.T).max() <= 1e-12
 
     def test_high_band_spectral_bound(self, rng):
         model = make_spectral_model([float(j * j) for j in range(1, 11)])
         k, n_split = 3, 2
-        proj = mode_projectors(model, k=k, N=n_split)
+        _, _, q_high = band_projectors(SAConfig(model, lam=0.5, delta=0.5, k=k, N=n_split))
         a0 = np.diag(model.eigenvalues)
         lam_n = model.eigenvalues[n_split - 1]
         for _ in range(50):
-            v = np.diag(proj.high_mask.astype(float)) @ rng.standard_normal(model.n)
+            v = q_high @ rng.standard_normal(model.n)
             quad = v @ a0 @ v
             assert quad >= (lam_n + k) * (v @ v) - 1e-12
 

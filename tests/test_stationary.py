@@ -15,24 +15,23 @@ from lp_oracles import (
     paired_fixed_point,
     stepwise_control_trajectory,
 )
-from stationary_oracles import riccati_integral_check
+from frequency_oracles import ShiftedTransfer
+from stationary_oracles import NotATrajectory, riccati_integral_check
 from lqbundle._phi import stencil_layout
 from lqbundle.dichotomy import GridFunction
 from lqbundle.errors import (
     ConditionFailed,
     EpsilonTooLarge,
-    NotADirectSum,
-    NotATrajectory,
     Oscillating,
     SampleNotInM0,
 )
 from lqbundle.frequency import (
     QuadraticFormTriple,
-    TransferEvaluator,
     frequency_condition_margin,
+    level_crossings,
     smith_form_triple,
 )
-from lqbundle.sampling import bump_control, m0_sample, random_passing_instance
+from lqbundle.sampling import bump_control, m0_control, random_passing_instance
 from lqbundle.stationary import (
     Regulator,
     assemble_hamiltonian,
@@ -51,7 +50,6 @@ from lqbundle.stationary import (
 from lqbundle.symplectic import (
     LagrangeSubspace,
     grassmann_distance,
-    horizontal_subspace,
     intersection_dimension,
     isotropy_defect,
     vertical_subspace,
@@ -61,15 +59,28 @@ SQRT3 = math.sqrt(3.0)
 SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
 
 
+def horizontal_subspace(n):
+    """H x {0}."""
+    return LagrangeSubspace(np.vstack([np.eye(n), np.zeros((n, n))]))
+
+
+def near_vertical(rng, n, s):
+    """A Lagrange subspace whose horizontal block B_v has least singular value
+    s / sqrt(1 + s^2): the graph of P = -q q^T / s, q a random unit vector."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    d_v, d_eta = np.ones(n), np.zeros(n)
+    d_v[-1], d_eta[-1] = s, 1.0
+    return LagrangeSubspace(np.vstack([q * d_v, q * d_eta]))
+
+
 def subspace_from(dz0, split_a, split_m):
-    sharp, _ = st.breve_bases(split_a, split_m)
-    return LagrangeSubspace(sharp.basis + dz0)
+    return LagrangeSubspace(st.sharp_basis(split_a, split_m).basis + dz0)
 
 
-def lp_scanned(a, b, form, **kwargs):
+def lp_scanned(a, b, form):
     """`stable_lagrange_lp` at the scanned frequency margin of (A, B, F)."""
     reg = Regulator(a, b, form)
-    return stable_lagrange_lp(reg, frequency_condition_margin(a, b, form), **kwargs)
+    return stable_lagrange_lp(reg, frequency_condition_margin(a, b, form))
 
 
 def structured_single_grid(a, b, form, split_a, split_m, times):
@@ -135,7 +146,9 @@ class TestLPConstruction:
         a, b, _ = s1
         form0 = QuadraticFormTriple(f1=[[0.0]], f2=[[0.0]], f3=[[1.0]])
         res = lp_scanned(a, b, form0)
-        assert np.abs(res.m_plus).max() <= 1e-12
+        # sharp = horizontal and flat = vertical for A < 0, so -P is the graph
+        # matrix of L+ over sharp (+) flat
+        assert np.abs(extract_nonoscillation(res.l_plus).p).max() <= 1e-12
         assert grassmann_distance(res.l_plus, horizontal_subspace(1)) <= 1e-12
 
     def test_dense_and_structured_agree(self, s1):
@@ -148,14 +161,16 @@ class TestLPConstruction:
         structured = structured_single_grid(*s1, *default_grid(*s1))
         assert grassmann_distance(structured, paired_fixed_point(*s1)) <= 1e-12
 
-    def test_richardson_beats_single_grid(self, s1):
+    def test_richardson_beats_single_grid(self, s1, monkeypatch):
         # 300 steps: coarser than the default 347-step S1 grid, yet in the
         # range where the O(h^4) term dominates (below about 200 steps the
         # error changes sign and extrapolation stops helping)
         split_a, split_m, times = default_grid(*s1)
         coarse = np.linspace(0.0, times[-1], 301)
         single = structured_single_grid(*s1, split_a, split_m, coarse)
-        res = lp_scanned(*s1, n_steps=300)
+        monkeypatch.setattr(st, "_grid_parameters", lambda split_a, ham: coarse)
+        res = lp_scanned(*s1)
+        assert res.diagnostics["n_steps"] == 300
         oracle = stable_lagrange_schur(assemble_hamiltonian(*s1))
         assert 3.0 * grassmann_distance(res.l_plus, oracle) <= grassmann_distance(
             single, oracle
@@ -306,7 +321,7 @@ class TestStepCap:
         steps = {}
         for name, system in systems.items():
             reg = Regulator(*system)
-            steps[name] = st._grid_parameters(reg.split_a, reg.ham, None).size - 1
+            steps[name] = st._grid_parameters(reg.split_a, reg.ham).size - 1
         # below MAX_STEPS, so neither the flat nor the budget cap clips them
         assert steps == {"s1": 347, "n40_j0": 1443, "n40_j1": 1308}
         assert max(steps.values()) < st.MAX_STEPS
@@ -327,6 +342,16 @@ class TestNonoscillation:
     def test_vertical_oscillates(self):
         with pytest.raises(Oscillating):
             extract_nonoscillation(vertical_subspace(2))
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 40])
+    def test_near_vertical_oscillates(self, rng, n):
+        # the rank test of intersection_dimension reports the vertical
+        # direction once sigma_min(B_v) is about 2 RANK_RTOL, well before
+        # B_v is too ill-conditioned to invert
+        with pytest.raises(Oscillating):
+            extract_nonoscillation(near_vertical(rng, n, 1e-9))
+        no = extract_nonoscillation(near_vertical(rng, n, 1e-6))
+        assert np.linalg.norm(no.p, 2) == pytest.approx(1e6, rel=1e-6)
 
 
 class TestRiccati:
@@ -428,27 +453,27 @@ class TestCoercivity:
     def test_scalar_bump(self, s1, rng):
         reg = Regulator(*s1)
         times = np.linspace(0.0, 16.0, 1601)
-        samples = [m0_sample(rng, reg, times) for _ in range(3)]
-        ratio = coercivity_check(reg, samples, frequency_condition_margin(*s1))
+        controls = [m0_control(rng, times, 1) for _ in range(3)]
+        ratio = coercivity_check(reg, controls, frequency_condition_margin(*s1))
         assert ratio >= 1.0
 
     def test_sweep(self, rng):
         a, b, form, margin = random_passing_instance(rng, 3, j=0, m=1)
         reg = Regulator(a, b, form)
         times = np.linspace(0.0, 18.0 / reg.split_a.eps_rate, 1500)
-        samples = [m0_sample(rng, reg, times) for _ in range(20)]
-        ratio = coercivity_check(reg, samples, margin)
+        controls = [m0_control(rng, times, 1) for _ in range(20)]
+        ratio = coercivity_check(reg, controls, margin)
         assert ratio >= 1.0 - 1e-6
 
     @pytest.mark.parametrize("j", [1, 2])
     def test_unstable_sample_is_rejected(self, rng, j):
-        # m0_sample samples M_0 for j = 0 only: with unstable modes the state
+        # m0_control samples M_0 for j = 0 only: with unstable modes the state
         # of its control grows, and coercivity_check rejects the sample
         a, b, form, margin = random_passing_instance(np.random.default_rng(3), 4, j=j)
         reg = Regulator(a, b, form)
         times = np.linspace(0.0, 18.0 / reg.split_a.eps_rate, 1500)
         with pytest.raises(SampleNotInM0, match="has not decayed"):
-            coercivity_check(reg, [m0_sample(rng, reg, times)], margin)
+            coercivity_check(reg, [m0_control(rng, times, 1)], margin)
 
 
 class TestLyapunovInequality:
@@ -498,12 +523,13 @@ class TestEps0:
         lo, hi = eps0 - 0.5 * st.EPS0_TOL, eps0 + 0.5 * st.EPS0_TOL
 
         def sampled(shift):
-            ev = TransferEvaluator(a, b, form, shift=shift)
+            ev = ShiftedTransfer(a, b, form, shift)
             return min(ev.margin_at(w)[0] for w in np.linspace(0.0, 1.0, 401))
 
         assert sampled(lo) > 0.0 and sampled(hi) < 0.0
+        # both shifted margins are positive at lo: no level-0 crossing
         for shift in (lo, -lo):
-            assert frequency_condition_margin(a, b, form, shift=shift) > 0.0
+            assert level_crossings(a, b, form, 0.0, shift).size == 0
 
 
 def _raiser(exc):
@@ -534,8 +560,3 @@ class TestTypedCatches:
     def test_sampler_out_of_tries_is_typed(self, rng):
         with pytest.raises(ConditionFailed):
             random_passing_instance(rng, 3, max_tries=0)
-
-    def test_only_not_a_graph_means_oscillating(self, monkeypatch):
-        monkeypatch.setattr(st, "graph_over", _raiser(NotADirectSum("not transversal")))
-        with pytest.raises(NotADirectSum):
-            extract_nonoscillation(horizontal_subspace(2))

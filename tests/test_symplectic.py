@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from lqbundle.errors import NotAGraph, NotLagrange, OddLength
+from lqbundle.errors import NotLagrange, OddLength, Oscillating
+from lqbundle.stationary import extract_nonoscillation
 from lqbundle.symplectic import (
     LagrangeSubspace,
     Subspace,
     apply_J,
-    graph_over,
     grassmann_distance,
-    horizontal_subspace,
     intersection_dimension,
     isotropy_defect,
     vertical_subspace,
@@ -21,6 +20,11 @@ def graph_of_symmetric(p):
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
     return LagrangeSubspace(np.vstack([np.eye(n), -p]))
+
+
+def horizontal_subspace(n):
+    """H x {0}, the graph of P = 0."""
+    return graph_of_symmetric(np.zeros((n, n)))
 
 
 def graph_subspace(m, sharp: Subspace, flat: Subspace) -> Subspace:
@@ -86,23 +90,26 @@ class TestGrassmannDistance:
 
 
 class TestGraphOver:
+    """The graph {(v, -P v)} over the horizontal subspace, as
+    `extract_nonoscillation` reads it off an orthonormal basis."""
+
     def test_symmetric_graph_recovers_p(self, rng):
         p = rng.standard_normal((3, 3))
         p = 0.5 * (p + p.T)
-        lag = graph_of_symmetric(p)
-        m = graph_over(lag, horizontal_subspace(3), vertical_subspace(3))
-        np.testing.assert_allclose(m, -p, atol=1e-12)
+        no = extract_nonoscillation(graph_of_symmetric(p))
+        np.testing.assert_allclose(no.p, p, atol=1e-12)
+        assert no.symmetry_defect <= 1e-12
 
     def test_vertical_is_not_a_graph(self):
-        with pytest.raises(NotAGraph):
-            graph_over(vertical_subspace(2), horizontal_subspace(2), vertical_subspace(2))
+        # one horizontal and one vertical direction: not a graph over H
+        with pytest.raises(Oscillating):
+            extract_nonoscillation(LagrangeSubspace(np.eye(4)[:, [0, 3]]))
 
     def test_round_trip(self, rng):
         for _ in range(10):
             lag = random_lagrange(rng, 4)
-            sharp, flat = horizontal_subspace(4), vertical_subspace(4)
-            m = graph_over(lag, sharp, flat)
-            assert grassmann_distance(graph_subspace(m, sharp, flat), lag) <= 1e-8
+            p = extract_nonoscillation(lag).p
+            assert grassmann_distance(graph_of_symmetric(p), lag) <= 1e-8
 
 
 class TestIsLagrange:
