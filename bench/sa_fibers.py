@@ -113,8 +113,7 @@ def measure(n: int, variant: str) -> dict:
 
     model = make_spectral_model([float(j * j) for j in range(1, n + 1)])
     cfg = sa.SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=2)
-    driver = sa.driver_make("periodic", {"c0": 1.5, "c1": 0.5, "omega": 1.0},
-                            a_bound=cfg.a_bound)
+    driver = sa.Driver(c0=1.5, amplitudes=np.array([0.5]), omegas=np.array([1.0]))
     columns = (
         [(driver, q) for q in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)]
         + [(driver, 2.0 ** (-k)) for k in range(1, 7)]

@@ -25,7 +25,6 @@ from .spatial import (
     condition_margins,
     constant_driver,
     contraction_certificate,
-    driver_make,
     fiber_continuity,
     fiber_growth,
     gap_search,

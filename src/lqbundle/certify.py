@@ -1,10 +1,10 @@
 """Scenario ingestion, pipeline orchestration and certificate emission.
 
 A scenario file describes either a stationary system (matrices) or a
-spatial-averaging configuration; the pipeline runs the named stages of the
-corresponding route (all of them, or a selection) and emits a deterministic
-certificate with one record per check (pass iff margin >= 0), plus CSV
-tables for plotting.
+spatial-averaging configuration, which `load_scenario` alone parses; the
+pipeline runs the named stages of the corresponding route (all of them, or a
+selection) on the parsed values and emits a deterministic certificate with
+one record per check (pass iff margin >= 0), plus CSV tables for plotting.
 """
 
 from __future__ import annotations
@@ -72,14 +72,15 @@ DEFAULT_TOLERANCES = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario description; `regulator` holds a stationary system."""
+    """Validated scenario description: `regulator` holds a stationary system,
+    `averaging` the parsed inputs of a spatial-averaging one by name."""
 
     name: str
     mode: str
     seed: int
     tolerances: dict
-    payload: dict = field(repr=False)
     regulator: Regulator | None = field(repr=False)
+    averaging: dict | None = field(repr=False)
 
 
 @dataclass
@@ -218,29 +219,57 @@ def _array(value, what: str) -> np.ndarray:
     return arr
 
 
-def load_scenario(path: str) -> Scenario:
-    """Parse and validate a scenario JSON file.
+def _choice(value, choices, what: str) -> str:
+    """`value` if it is one of the names in `choices`, else ParseError."""
+    if not (isinstance(value, str) and value in choices):
+        raise ParseError(f"{what} must be one of {tuple(choices)}, got {value!r}")
+    return value
 
-    Field types, matrix shapes and the form triple are validated eagerly, so
-    malformed input raises a ValidationError here rather than deep in the
-    pipeline.
+
+def _known(doc: dict, fields, what: str) -> None:
+    """ParseError naming the first key of `doc` outside `fields`."""
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ParseError(f"unknown {what} {unknown[0]!r}; known: {', '.join(fields)}")
+
+
+#: the known fields of a scenario document by mode (besides "name", "mode",
+#: "seed" and "tolerances"), of a driver by kind and of an eigenvalue generator
+_MODE_FIELDS = {
+    "stationary": ("A", "B", "F1", "F2", "F3"),
+    "spatial-averaging": ("eigenvalues", "Lambda", "delta", "k", "N", "driver",
+                          "condition_set", "phase_samples", "horizon"),
+}
+_DRIVER_FIELDS = {
+    "periodic": ("kind", "c0", "c1", "omega"),
+    "quasiperiodic": ("kind", "c0", "amplitudes", "omegas"),
+}
+_GENERATOR_FIELDS = {"power": ("generator", "n", "p"),
+                     "sum-of-squares-2d": ("generator", "n")}
+
+
+def load_scenario(path: str) -> Scenario:
+    """Parse and validate a scenario JSON file, the one reader of its format.
+
+    Field names and types, matrix shapes, the form triple, the spectral
+    model and the driver are checked here, so malformed input raises a
+    ValidationError before anything runs.
     """
     doc = _read_json(path, "scenario")
     name = str(doc.get("name", os.path.basename(path)))
-    mode = str(_require(doc, "mode"))
+    mode = _choice(_require(doc, "mode"), _MODE_FIELDS, "mode")
+    _known(doc, ("name", "mode", "seed", "tolerances") + _MODE_FIELDS[mode],
+           f"{mode} scenario field")
     seed = _seed(doc.get("seed", 42), "seed")
     overrides = doc.get("tolerances", {})
     if not isinstance(overrides, dict):
         raise ParseError("tolerances must be an object")
-    unknown = sorted(set(overrides) - set(DEFAULT_TOLERANCES))
-    if unknown:
-        raise ParseError(f"unknown tolerance {unknown[0]!r}; known: "
-                         f"{', '.join(DEFAULT_TOLERANCES)}")
+    _known(overrides, DEFAULT_TOLERANCES, "tolerance")
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(
         {key: _number(val, f"tolerance {key!r}") for key, val in overrides.items()}
     )
-    regulator = None
+    regulator = averaging = None
     if mode == "stationary":
         a, b, f1, f2, f3 = (
             _array(_require(doc, key), key) for key in ("A", "B", "F1", "F2", "F3")
@@ -251,25 +280,26 @@ def load_scenario(path: str) -> Scenario:
             regulator = Regulator(a, b, form)
         except DimensionMismatch as exc:
             raise MissingField(str(exc)) from exc
-    elif mode == "spatial-averaging":
-        for key in ("Lambda", "delta"):
-            _number(_require(doc, key), key)
-        for key in ("k", "N"):
-            if doc.get(key, "search") != "search":
-                _integer(doc[key], key)
-        if doc.get("horizon") is not None:
-            _number(doc["horizon"], "horizon")
-        if _integer(doc.get("phase_samples", 16), "phase_samples") < 1:
-            raise ParseError("phase_samples must be at least 1")
-        if doc.get("condition_set", "bundle") not in sa.CONDITION_SETS:
-            raise ParseError(f"condition_set must be one of {sa.CONDITION_SETS}, "
-                             f"got {doc['condition_set']!r}")
-        _driver_params(_require(doc, "driver"))
-        _sa_model(_require(doc, "eigenvalues"))
     else:
-        raise MissingField(f"unknown mode {mode!r}")
+        k, n_split = doc.get("k", "search"), doc.get("N", "search")
+        n_phases = _integer(doc.get("phase_samples", 16), "phase_samples")
+        if n_phases < 1:
+            raise ParseError("phase_samples must be at least 1")
+        horizon = doc.get("horizon")
+        averaging = dict(
+            model=_sa_model(_require(doc, "eigenvalues")),
+            lam=_number(_require(doc, "Lambda"), "Lambda"),
+            delta=_number(_require(doc, "delta"), "delta"),
+            k=k if k == "search" else _integer(k, "k"),
+            N=n_split if n_split == "search" else _integer(n_split, "N"),
+            condition_set=_choice(doc.get("condition_set", "bundle"),
+                                  sa.CONDITION_SETS, "condition_set"),
+            driver=_driver(_require(doc, "driver")),
+            horizon=None if horizon is None else _number(horizon, "horizon"),
+            phases=np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False),
+        )
     return Scenario(name=name, mode=mode, seed=seed, tolerances=tolerances,
-                    payload=doc, regulator=regulator)
+                    regulator=regulator, averaging=averaging)
 
 
 def with_overrides(scenario: Scenario, seed, tol_key: str, tol) -> Scenario:
@@ -287,7 +317,9 @@ def _sa_model(ev_doc):
     """The spectral model of a scenario's "eigenvalues": a generator object
     or a flat list."""
     if isinstance(ev_doc, dict):
-        kind = _require(ev_doc, "generator")
+        kind = _choice(_require(ev_doc, "generator"), _GENERATOR_FIELDS,
+                       "eigenvalue generator")
+        _known(ev_doc, _GENERATOR_FIELDS[kind], f"{kind} generator field")
         n = _integer(_require(ev_doc, "n"), "eigenvalue count n")
         params = {
             k: _number(v, f"eigenvalue parameter {k!r}")
@@ -300,20 +332,21 @@ def _sa_model(ev_doc):
     return make_spectral_model(values)
 
 
-def _driver_params(drv_doc) -> tuple[str, dict]:
-    """(kind, parameters) of a scenario's driver object for `driver_make`:
-    the offset c0 a number, the other parameters numeric arrays."""
+def _driver(drv_doc) -> sa.Driver:
+    """The driving flow of a scenario's periodic or quasiperiodic driver."""
     if not isinstance(drv_doc, dict):
         raise ParseError(f"driver must be an object, not {type(drv_doc).__name__}")
-    kind = drv_doc.get("kind", "periodic")
-    if kind not in sa.DRIVER_KINDS:
-        raise ParseError(f"driver kind must be one of {sa.DRIVER_KINDS}, got {kind!r}")
-    if kind == "quasiperiodic":
-        _require(drv_doc, "amplitudes"), _require(drv_doc, "omegas")
-    return kind, {
-        key: (_number if key == "c0" else _array)(val, f"driver {key}")
-        for key, val in drv_doc.items() if key != "kind"
-    }
+    kind = _choice(drv_doc.get("kind", "periodic"), _DRIVER_FIELDS, "driver kind")
+    _known(drv_doc, _DRIVER_FIELDS[kind], f"{kind} driver field")
+    if kind == "periodic":
+        terms = {"c1": drv_doc.get("c1", 0.0), "omega": drv_doc.get("omega", 1.0)}
+    else:
+        terms = {key: _require(drv_doc, key) for key in ("amplitudes", "omegas")}
+    amplitudes, omegas = (
+        np.atleast_1d(_array(val, f"driver {key}")) for key, val in terms.items()
+    )
+    return sa.Driver(c0=_number(drv_doc.get("c0", 0.0), "driver c0"),
+                     amplitudes=amplitudes, omegas=omegas)
 
 
 # -- pipeline stages -----------------------------------------------------------
@@ -482,30 +515,20 @@ def _st_coercivity(run, cert):
 
 
 def _sa_run(scenario: Scenario) -> SimpleNamespace:
-    doc = scenario.payload
-    n_phases = int(doc.get("phase_samples", 16))
     return SimpleNamespace(
-        doc=doc,
-        tol=scenario.tolerances,
-        phases=np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False),
-        horizon=doc.get("horizon"),
-        cfg=None, driver=None, fibers=None, step_fibers=None, frozen_fiber=None,
-        vres=None,
+        **scenario.averaging, tol=scenario.tolerances,
+        cfg=None, fibers=None, step_fibers=None, frozen_fiber=None, vres=None,
     )
 
 
 def _sa_gap(run, cert):
     """One gap search: it picks (k, N) when they are "search" and fills the
     table; a failed search ends the route only when (k, N) needed it."""
-    doc = run.doc
-    lam, delta = float(doc["Lambda"]), float(doc["delta"])
-    k, n_split = doc.get("k", "search"), doc.get("N", "search")
+    k, n_split = run.k, run.N
     searched = k == "search" or n_split == "search"
-    condition_set = doc.get("condition_set", "bundle")
     try:
-        model = _sa_model(doc["eigenvalues"])
         try:
-            rows = sa.gap_search(model, lam, delta, condition_set)
+            rows = sa.gap_search(run.model, run.lam, run.delta, run.condition_set)
         except LqBundleError:
             if searched:
                 raise
@@ -518,14 +541,15 @@ def _sa_gap(run, cert):
                 raise NoCandidate(f"no searched (k, N) has k = {k} and N = {n_split}")
             best = min(fits, key=lambda r: (r["N"], r["k"]))
             k, n_split = best["k"], best["N"]
-        cfg = sa.SAConfig(model=model, lam=lam, delta=delta, k=int(k), N=int(n_split))
-        driver = sa.driver_make(*_driver_params(doc["driver"]), a_bound=cfg.a_bound)
+        cfg = sa.SAConfig(model=run.model, lam=run.lam, delta=run.delta, k=k, N=n_split)
+        cfg.check_driver(run.driver)
     except LqBundleError as exc:
         cert.add_failure("gap-search", exc)
         return True
-    run.cfg, run.driver = cfg, driver
-    m1, m2 = sa.condition_margins(condition_set, lam, delta, cfg.mu_bar, cfg.k)
-    detail = f"set={condition_set}, k={cfg.k}, N={cfg.N}, mu_bar={cfg.mu_bar:.6g}"
+    run.cfg = cfg
+    m1, m2 = sa.condition_margins(run.condition_set, run.lam, run.delta,
+                                  cfg.mu_bar, cfg.k)
+    detail = f"set={run.condition_set}, k={cfg.k}, N={cfg.N}, mu_bar={cfg.mu_bar:.6g}"
     if searched:
         detail += " (searched)"
     cert.add_lower("gap-margin-1", m1, run.tol["margin"], detail=detail)

@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Every subcommand but `report` runs a fixed selection of the stages of
-`certify.run_pipeline` (`verify` the scenario's whole route) and lets --tol
-override one tolerance key; a command whose stages are not in the
-scenario's route is an input error.  All take --scenario/--out/--tol and
-randomized sweeps honor --seed (recorded in the certificate); --tol and
---seed are checked as the scenario's own fields, so a NaN or infinite
-tolerance or a negative seed is an input error too.  Exit codes: 0 every
-check passed, 1 at least one check failed, 2 input error.
+`certify.run_pipeline` (`verify` the scenario's whole route), lets --tol
+override one tolerance key and --seed the seed of the randomized sweeps
+(recorded in the certificate); a command whose stages are not in the
+scenario's route is an input error.  --tol and --seed are checked as the
+scenario's own fields, so a NaN or infinite tolerance or a negative seed is
+an input error too.  `report` takes --scenario (a certificate) and --out
+only.  Exit codes: 0 every check passed, 1 at least one check failed, 2
+input error.
 """
 
 from __future__ import annotations
@@ -87,11 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True,
                        help="scenario JSON (certificate JSON for `report`)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the headline tolerance of this command")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized sweeps, overriding the "
-                       "scenario's (recorded; default: the scenario's, else 42)")
+        if name in _COMMANDS:
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the headline tolerance of this command")
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed for randomized sweeps, overriding the scenario's "
+                           "(recorded; default: the scenario's, else 42)")
     return parser
 
 

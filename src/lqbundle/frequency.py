@@ -136,13 +136,6 @@ class TransferEvaluator:
             w = omegas[np.argmax(dist <= AXIS_DIST_TOL)]
             raise SingularShift(f"i*{w} within {AXIS_DIST_TOL} of the spectrum")
 
-    def transfer_m(self, omega: float) -> np.ndarray:
-        """M(w) = F3^-1 F2 R B + F3^-1 B^* (-A^* - i w)^-1 (F1 R B - F2^*),
-        R = (A - i w)^{-1}."""
-        omegas = np.array([omega], dtype=float)
-        self._guard(omegas)
-        return self._transfer(omegas)[0]
-
     def _transfer(self, omegas: np.ndarray) -> np.ndarray:
         """M(w) stacked over `omegas`, with the resolvent solves batched."""
         n, m = self.b.shape

@@ -27,7 +27,8 @@ routes that only tests take: the low and high band projectors, the generic
 quadratic forms and frozen (A(q), B) of the spatial-averaging condition,
 the inequality-implication sweep, and the driven trajectories with their
 symplectic pairing; tests/decay_oracles.py keeps the trajectory fits of the
-decay rate.
+decay rate.  `SAConfig.check_driver` is the one check of a driver's sup |a|
+against the amplitude bound a_b = Lambda + delta.
 """
 
 from __future__ import annotations
@@ -116,6 +117,12 @@ class SAConfig:
     @property
     def n(self) -> int:
         return self.model.n
+
+    def check_driver(self, driver: Driver) -> None:
+        """AmplitudeTooLarge unless sup |a| of the driver is within a_bound."""
+        if driver.amplitude_bound > self.a_bound + 1e-12:
+            raise AmplitudeTooLarge(f"sup |a| = {driver.amplitude_bound} exceeds "
+                                    f"allowed {self.a_bound}")
 
     @cached_property
     def mid_mask(self) -> np.ndarray:
@@ -230,9 +237,16 @@ class Driver:
     amplitudes: np.ndarray
     omegas: np.ndarray
 
+    def __post_init__(self):
+        if self.amplitudes.ndim != 1 or self.amplitudes.shape != self.omegas.shape:
+            raise AValueOutOfRange("amplitudes and omegas must be flat arrays of "
+                                   f"one length, not {self.amplitudes.shape} and "
+                                   f"{self.omegas.shape}")
+
     @property
     def amplitude_bound(self) -> float:
-        return float(self.c0 + np.sum(np.abs(self.amplitudes)))
+        """sup |a| over the orbit, |c0| + sum_i |c_i|."""
+        return float(abs(self.c0) + np.sum(np.abs(self.amplitudes)))
 
     def _phases(self, q) -> np.ndarray:
         """One phase per frequency; a scalar q is the same phase on each."""
@@ -273,35 +287,6 @@ class Driver:
         return float(np.max(d))
 
 
-#: the driver kinds of `driver_make`
-DRIVER_KINDS = ("periodic", "quasiperiodic")
-
-
-def driver_make(kind: str, params: dict, a_bound: float | None = None) -> Driver:
-    """Build a periodic or quasiperiodic driver; validates the amplitude."""
-    if kind == "periodic":
-        drv = Driver(
-            c0=float(params.get("c0", 0.0)),
-            amplitudes=np.atleast_1d(np.asarray(params.get("c1", 0.0), dtype=float)),
-            omegas=np.atleast_1d(np.asarray(params.get("omega", 1.0), dtype=float)),
-        )
-    elif kind == "quasiperiodic":
-        drv = Driver(
-            c0=float(params.get("c0", 0.0)),
-            amplitudes=np.asarray(params["amplitudes"], dtype=float),
-            omegas=np.asarray(params["omegas"], dtype=float),
-        )
-    else:
-        raise AValueOutOfRange(f"unknown driver kind {kind!r}")
-    if drv.amplitudes.shape != drv.omegas.shape:
-        raise AValueOutOfRange("amplitudes and omegas must have matching shapes")
-    if a_bound is not None and drv.amplitude_bound > a_bound + 1e-12:
-        raise AmplitudeTooLarge(
-            f"sup |a| = {drv.amplitude_bound} exceeds allowed {a_bound}"
-        )
-    return drv
-
-
 def constant_driver(value: float) -> Driver:
     return Driver(c0=float(value), amplitudes=np.zeros(1), omegas=np.ones(1))
 
@@ -313,8 +298,7 @@ def assemble_nonaut_hamiltonian(config: SAConfig, a_value: float) -> Hamiltonian
     """The frozen-coefficient Hamiltonian at a(q) = a_value, from the explicitly
     reduced mode-wise system; it equals `assemble_hamiltonian` on
     (A(q), B, F(q))."""
-    if abs(a_value) > config.a_bound + 1e-12:
-        raise AValueOutOfRange(f"|a| = {abs(a_value)} exceeds a_bound {config.a_bound}")
+    config.check_driver(constant_driver(a_value))
     a_diag, chi, b_coef, c_coef = config.mode_coefficients
     n = config.n
     mat = np.zeros((2 * n, 2 * n))
@@ -537,10 +521,7 @@ def build_fibers(
     """
     columns = list(columns)
     for driver, _ in columns:
-        if driver.amplitude_bound > config.a_bound + 1e-12:
-            raise AmplitudeTooLarge(
-                f"driver amplitude {driver.amplitude_bound} > a_bound {config.a_bound}"
-            )
+        config.check_driver(driver)
     _require_contraction(config)
     times = _fiber_grid(config, horizon, None)
     a_diag, _, b_coef, c_coef = config.mode_coefficients

@@ -3,7 +3,7 @@ import pytest
 
 from lqbundle.frequency import QuadraticFormTriple
 from lqbundle.spectral import make_spectral_model
-from lqbundle.spatial import SAConfig, driver_make
+from lqbundle.spatial import Driver, SAConfig
 
 
 @pytest.fixture
@@ -30,6 +30,6 @@ def sa_standard():
 @pytest.fixture(scope="session")
 def sa_driver(sa_standard):
     """a(t) = 1.5 + 0.5 sin t."""
-    return driver_make(
-        "periodic", {"c0": 1.5, "c1": 0.5, "omega": 1.0}, a_bound=sa_standard.a_bound
-    )
+    driver = Driver(c0=1.5, amplitudes=np.array([0.5]), omegas=np.array([1.0]))
+    sa_standard.check_driver(driver)
+    return driver

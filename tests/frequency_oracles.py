@@ -10,7 +10,8 @@ the submultiplicative bound on ||M(w)|| that certified the scan's tail.
 `ShiftedTransfer` evaluates M(w) of the shifted system A + shift, as the
 library did before its margin scan became unshifted: the eps0 bisection
 tests the shifted systems by `level_crossings` alone, and this is the
-oracle of those level sets.
+oracle of those level sets.  `transfer_m` is M(w) at one frequency, the
+per-point reference of `TransferEvaluator.rows`.
 """
 
 import numpy as np
@@ -22,6 +23,15 @@ from lqbundle.frequency import (
 )
 
 REFINE_ROUNDS = 3
+
+
+def transfer_m(ev: TransferEvaluator, omega: float) -> np.ndarray:
+    """M(w) = F3^-1 F2 R B + F3^-1 B^* (-A^* - i w)^-1 (F1 R B - F2^*),
+    R = (A - i w)^{-1}, of the evaluator's system at one frequency, guarded
+    against the spectrum as its `rows` are."""
+    omegas = np.array([omega], dtype=float)
+    ev._guard(omegas)
+    return ev._transfer(omegas)[0]
 
 
 def tail_m_bound(a, b, form: QuadraticFormTriple, omega: float) -> float:

@@ -63,7 +63,7 @@ class TestLoadScenario:
         doc["N"] = "search"
         doc["k"] = "search"
         scn = load_scenario(write_json(tmp_path, "sa.json", doc))
-        assert scn.payload["N"] == "search"
+        assert scn.averaging["N"] == "search"
 
     def test_asymmetric_f3_rejected(self, tmp_path):
         doc = dict(S1_DOC)
@@ -353,6 +353,21 @@ MALFORMED = {
     "seed-negative-check-freq": ("check-freq", dict(S1_DOC, seed=-3)),
     "tolerance-text": ("verify", dict(S1_DOC, tolerances={"oracle": "x"})),
     "nan-in-a": ("verify", dict(S1_DOC, A=[[float("nan")]])),
+    # misspelt fields ran with their defaults (omega = 1, p = 2, 16 phases)
+    "driver-field-misspelt": ("verify", dict(
+        SA_DOC, driver=dict(SA_DOC["driver"], omgea=2.0))),
+    "generator-field-misspelt": ("verify", dict(
+        SA_DOC, eigenvalues={"generator": "power", "pp": 3, "n": 8})),
+    "scenario-field-misspelt": ("verify", dict(SA_DOC, phase_sample=4)),
+    "stationary-field-unknown": ("check-freq", dict(S1_DOC, Foo=1)),
+    # drivers of mismatched or nested terms: a gap-search failure, or a pass
+    "quasiperiodic-lengths": ("verify", dict(SA_DOC, driver={
+        "kind": "quasiperiodic", "c0": 1.5, "amplitudes": [0.25, 0.25],
+        "omegas": [1.0]})),
+    "periodic-lengths": ("verify", dict(
+        SA_DOC, driver=dict(SA_DOC["driver"], c1=[0.25, 0.25]))),
+    "periodic-nested": ("verify", dict(
+        SA_DOC, driver=dict(SA_DOC["driver"], c1=[[0.5]], omega=[[1.0]]))),
     "report-record-without-value": ("report", {
         "name": "S1", "mode": "stationary", "seed": 42,
         "checks": [{"name": "eps0", "bound": 0.0, "margin": 1.0, "pass": True}],
@@ -470,6 +485,16 @@ class TestCli:
         assert [c["name"] for c in checks] == ["gap-margin-1", "gap-margin-2"]
         assert all(c["detail"].startswith(f"set=bundle, {picked},") for c in checks)
 
+    def test_driver_beyond_the_amplitude_bound_fails_the_gap_stage(self, tmp_path):
+        # sup |a| = |-1| + 2.9 exceeds Lambda + delta = 2; the bound used to
+        # read c0 + |c1| = 1.9, and every record passed
+        doc = dict(SA_DOC, driver=dict(SA_DOC["driver"], c0=-1.0, c1=2.9))
+        code, checks = run_command(tmp_path, "verify", doc)
+        assert code == 1
+        assert [(c["name"], c["pass"]) for c in checks] == [("gap-search", False)]
+        assert checks[0]["detail"] == (
+            "AmplitudeTooLarge: sup |a| = 3.9 exceeds allowed 2.0")
+
     def test_half_fixed_gap_search_without_a_match(self, tmp_path):
         # the search tries k <= 50 only, so no searched pair has k = 60
         code, checks = run_command(tmp_path, "sa-search", dict(SA_DOC, k=60, N="search"))
@@ -510,14 +535,25 @@ class TestCli:
         assert main(["verify", "--scenario", path]) == 2
         assert "input error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", [
-        dict(SA_DOC, condition_set="bundel"),
-        dict(SA_DOC, driver=dict(SA_DOC["driver"], kind="periodc")),
-    ], ids=["condition-set", "driver-kind"])
-    def test_misspelt_name_is_parse_error(self, tmp_path, capsys, doc):
-        # these used to exit 1: no certificate, or a gap-search failure
+    @pytest.mark.parametrize("doc, match", [
+        (dict(SA_DOC, condition_set="bundel"), "got 'bundel'"),
+        (dict(SA_DOC, driver=dict(SA_DOC["driver"], kind="periodc")), "got 'periodc'"),
+        (MALFORMED["driver-field-misspelt"][1],
+         "unknown periodic driver field 'omgea'; known: kind, c0, c1, omega"),
+        (MALFORMED["generator-field-misspelt"][1],
+         "unknown power generator field 'pp'; known: generator, n, p"),
+        (MALFORMED["scenario-field-misspelt"][1],
+         "unknown spatial-averaging scenario field 'phase_sample'; known: name, "),
+        (MALFORMED["stationary-field-unknown"][1],
+         "unknown stationary scenario field 'Foo'; known: name, mode, seed, "
+         "tolerances, A, B, F1, F2, F3"),
+    ], ids=["condition-set", "driver-kind", "driver-field", "generator-field",
+            "scenario-field", "stationary-field"])
+    def test_misspelt_name_is_parse_error(self, tmp_path, capsys, doc, match):
+        # a misspelt name exited 1 (no certificate, or a gap-search failure),
+        # and a misspelt field ran with its default and passed
         path = write_json(tmp_path, "sa.json", doc)
-        with pytest.raises(ParseError, match="bundel|periodc"):
+        with pytest.raises(ParseError, match=match):
             load_scenario(path)
         assert main(["verify", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
         assert "input error" in capsys.readouterr().err
@@ -538,6 +574,16 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", "--scenario", str(out / "certificate.json")]) == 0
         assert "overall: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [("--tol", "nan"), ("--seed", "-5")],
+                             ids=["tol", "seed"])
+    def test_report_takes_no_tol_or_seed(self, s1_seed7_run, capsys, flag):
+        # report ignored both: it printed `overall: PASS` and exited 0
+        path = str(s1_seed7_run / "certificate.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--scenario", path, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_report_rejects_non_certificate(self, tmp_path):
         path = write_json(tmp_path, "s1.json", S1_DOC)

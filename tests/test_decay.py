@@ -19,9 +19,9 @@ from decay_oracles import exp_decay_fit, fit_decay_rate
 from lqbundle import certify
 from lqbundle.certify import Certificate, load_scenario
 from lqbundle.spatial import (
+    Driver,
     FiberResult,
     build_fibers,
-    driver_make,
     fiber_growth,
 )
 from lqbundle.stationary import (
@@ -177,11 +177,8 @@ class TestSpatialDecay:
         assert len(cert.tables["decay"]) == 16
 
     def test_quasiperiodic_driver_gives_the_same_rate(self, sa_standard):
-        drv = driver_make(
-            "quasiperiodic",
-            {"c0": 1.5, "amplitudes": [0.3, 0.2], "omegas": [1.0, np.sqrt(2.0)]},
-            a_bound=sa_standard.a_bound,
-        )
+        drv = Driver(c0=1.5, amplitudes=np.array([0.3, 0.2]),
+                     omegas=np.array([1.0, np.sqrt(2.0)]))
         columns = [(drv, np.array([q, 2.0 * q])) for q in (0.0, 1.1, 4.0)]
         growth, _ = fiber_growth(sa_standard, drv, build_fibers(sa_standard, columns))
         assert -growth.max() == pytest.approx(SA_MID_RATE, abs=1e-8)

@@ -27,6 +27,7 @@ from lqbundle.errors import (
 )
 from lqbundle.spatial import (
     CONTRACTION_STEPS,
+    Driver,
     SAConfig,
     _fiber_grid,
     _frames,
@@ -38,7 +39,6 @@ from lqbundle.spatial import (
     constant_driver,
     contraction_bounds,
     contraction_certificate,
-    driver_make,
     fiber_continuity,
     gap_search,
     p_sign_structure,
@@ -232,16 +232,22 @@ class TestContraction:
 
 
 class TestDrivers:
-    def test_amplitude_bound_example(self, sa_standard):
-        drv = driver_make(
-            "periodic", {"c0": 1.5, "c1": 0.5, "omega": 1.0},
-            a_bound=sa_standard.a_bound,
-        )
-        assert drv.amplitude_bound == pytest.approx(2.0)
+    def test_amplitude_bound_example(self, sa_driver):
+        assert sa_driver.amplitude_bound == pytest.approx(2.0)
 
-    def test_amplitude_too_large(self):
-        with pytest.raises(AmplitudeTooLarge):
-            driver_make("periodic", {"c0": 2.0, "c1": 1.0, "omega": 1.0}, a_bound=2.0)
+    def test_amplitude_too_large(self, sa_standard):
+        # a_bound = Lambda + delta = 2, and sup |a| = |c0| + |c1| whatever c0's sign
+        for c0 in (2.0, -2.0):
+            drv = Driver(c0=c0, amplitudes=np.array([1.0]), omegas=np.array([1.0]))
+            with pytest.raises(AmplitudeTooLarge, match=r"sup \|a\| = 3.0 exceeds"):
+                sa_standard.check_driver(drv)
+
+    @pytest.mark.parametrize("amplitudes, omegas", [
+        ([0.25, 0.25], [1.0]), ([[0.5]], [[1.0]]), (0.5, 1.0),
+    ], ids=["lengths", "nested", "scalars"])
+    def test_amplitudes_and_omegas_are_flat_of_one_length(self, amplitudes, omegas):
+        with pytest.raises(AValueOutOfRange, match="flat arrays of one length"):
+            Driver(c0=1.0, amplitudes=np.array(amplitudes), omegas=np.array(omegas))
 
     def test_constant_driver_frozen(self):
         drv = constant_driver(1.5)
@@ -250,10 +256,8 @@ class TestDrivers:
         np.testing.assert_allclose(drv.integral(0.3, t), 1.5 * t)
 
     def test_quasiperiodic_scalar_phase(self):
-        drv = driver_make(
-            "quasiperiodic",
-            {"c0": 1.2, "amplitudes": [0.4, 0.3], "omegas": [1.0, 1.414]},
-        )
+        drv = Driver(c0=1.2, amplitudes=np.array([0.4, 0.3]),
+                     omegas=np.array([1.0, 1.414]))
         t = np.linspace(0.0, 3.0, 3001)
         got = drv.integral(0.7, t)
         np.testing.assert_array_equal(got, drv.integral([0.7, 0.7], t))
@@ -262,10 +266,8 @@ class TestDrivers:
         np.testing.assert_allclose(got, np.concatenate([[0.0], np.cumsum(steps)]), atol=1e-6)
 
     def test_quasiperiodic_integral(self):
-        drv = driver_make(
-            "quasiperiodic",
-            {"c0": 1.0, "amplitudes": [0.3, 0.2], "omegas": [1.0, np.sqrt(2.0)]},
-        )
+        drv = Driver(c0=1.0, amplitudes=np.array([0.3, 0.2]),
+                     omegas=np.array([1.0, np.sqrt(2.0)]))
         q = np.array([0.4, 1.1])
         t = np.linspace(0.0, 3.0, 7)
         from scipy.integrate import quad
@@ -442,8 +444,7 @@ class TestNonfiniteTrajectory:
         # minimum; the fit over the decaying window stays finite
         model = make_spectral_model([float(j * j) for j in range(1, 17)])
         cfg = SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=2)
-        drv = driver_make("periodic", {"c0": 1.5, "c1": 0.5, "omega": 1.0},
-                          a_bound=cfg.a_bound)
+        drv = Driver(c0=1.5, amplitudes=np.array([0.5]), omegas=np.array([1.0]))
         (fib,) = build_fibers(cfg, [(drv, 0.0)])
         z0 = fib.l_plus_q.basis @ np.ones(cfg.n)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -491,11 +492,8 @@ def verify_columns(driver):
 
 
 def quasiperiodic_columns(config):
-    drv = driver_make(
-        "quasiperiodic",
-        {"c0": 1.5, "amplitudes": [0.3, 0.2], "omegas": [1.0, np.sqrt(2.0)]},
-        a_bound=config.a_bound,
-    )
+    drv = Driver(c0=1.5, amplitudes=np.array([0.3, 0.2]),
+                 omegas=np.array([1.0, np.sqrt(2.0)]))
     return [(drv, np.array([q, 2.0 * q])) for q in (0.0, 1.1, 4.0)]
 
 
