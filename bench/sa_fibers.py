@@ -1,37 +1,31 @@
 """Before/after timing and memory of the spatial-averaging fiber solve.
 
-Runs the fiber Picard iteration of one `verify` (the 16 grid phases, the 6
-continuity steps and the frozen driver: 23 columns of one `build_fibers`
-call) and the contraction certificate's impulse-response matrices in one
-of three ways:
+Solves the fibers of one `verify` (the 16 grid phases, the 6 continuity
+steps and the frozen driver: 23 columns of one `build_fibers` call) in one
+of two ways:
 
-- `oracle`: the two-channel Picard and impulse loops of
-  tests/spatial_oracles.py on `ScalarFrameOracle` frames, which integrate
-  every mode in both directions;
-- `two_channel`: the same loops on the library's `_ScalarFrame` over the
-  doubled set of (mode, channel) pairs with rate shifts (0, mu_j), which is
-  the library's work before each solver kept one channel, array for array;
-- `one_channel`: the library, `build_fibers` and `_mode_operator_matrices`.
+- `two_channel` (before): the Picard loop of tests/spatial_oracles.py,
+  `two_channel_fibers`, on the library's `_ScalarFrame` over the doubled
+  set of (mode, channel) pairs with rate shifts (0, mu_j);
+- `direct` (after): the library's `build_fibers`, one banded solve per
+  (mode, column) block and one check sweep.
 
-Each run is a fresh single-threaded process, so its `ru_maxrss` rises are
-its own.  The contraction matrices are built first, then the fibers.  Frame
-setup is the time spent constructing the frames; ms per sweep is the rest
-of the fiber solve over the sweep count.  The fibers and the matrices are
-hashed, so the runs of one system show whether they agree bit for bit
-(up to the sign of an exact zero).
+Each run is a fresh single-threaded process, so its `ru_maxrss` rise over
+the solve is its own.  Frame setup is the time spent constructing the
+frames.  The summary holds each metric's median over the repeats and, per
+system, the largest |m_j| difference between the two variants' fibers.
 Systems: sa-standard (lambda_j = j^2, n = 8, Lambda = delta = 1, k = 3,
 N = 2, driver 1.5 + 0.5 sin t) and its n = 16 truncation.
 
     python bench/sa_fibers.py --out BENCH_sa_fibers.json
 
-Each of the six runs is repeated three times, interleaved, and the
-summary holds the medians.  About three minutes on a 2-core host.
+Each of the four runs is repeated three times, interleaved.  About one
+minute on a 2-core host.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -47,42 +41,33 @@ THREAD_ENV = {
     "OMP_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
 }
-RUNS = tuple(
-    (n, variant) for n in (8, 16) for variant in ("oracle", "two_channel", "one_channel")
-)
+RUNS = tuple((n, variant) for n in (8, 16) for variant in ("two_channel", "direct"))
 #: rounds over RUNS; the summary holds each metric's median over them
 REPEATS = 3
-SUMMARY = ("build_fibers_s", "frame_setup_s", "picard_sweeps", "ms_per_sweep",
-           "impulse_matrices_s", "fibers_rss_rise_mb", "impulse_rss_rise_mb")
+SUMMARY = ("build_fibers_s", "frame_setup_s", "picard_sweeps", "fibers_rss_rise_mb")
 
 
 def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _digest(*arrays) -> str:
-    """Hash of the arrays' bytes, with -0.0 read as +0.0: the two-channel
-    response ch0 + ch1 adds a signed zero, so its exact zeros are +0.0."""
-    sha = hashlib.sha256()
-    for arr in arrays:
-        sha.update((arr + 0.0).tobytes())
-    return sha.hexdigest()[:16]
-
-
 def measure(n: int, variant: str) -> dict:
-    """The contraction matrices, then the verify fiber solve, in this process."""
+    """The verify fiber solve in this process, with its fibers' m entries."""
     import numpy as np
 
     import lqbundle.spatial as sa
     from lqbundle.spectral import make_spectral_model
 
     sys.path.insert(0, str(ROOT / "tests"))
-    from spatial_oracles import (
-        ScalarFrameOracle,
-        oracle_frames,
-        two_channel_fibers,
-        two_channel_operator_matrices,
-    )
+    from spatial_oracles import two_channel_fibers
+
+    setup = {"s": 0.0}
+
+    class Timed(sa._ScalarFrame):
+        def __init__(self, *args):
+            start = time.perf_counter()
+            super().__init__(*args)
+            setup["s"] += time.perf_counter() - start
 
     class DoubledFrame:
         """A two-channel frame as the one-channel library frame over the
@@ -91,7 +76,7 @@ def measure(n: int, variant: str) -> dict:
         def __init__(self, times, s_base, chi, sign, mu, forward_modes, a_mean, c_int):
             self.m = times.size
             rho = np.stack([np.zeros_like(mu), mu], axis=1).ravel()
-            self.frame = sa._ScalarFrame(
+            self.frame = Timed(
                 times, np.repeat(s_base, 2), np.repeat(chi, 2), sign, rho,
                 np.repeat(forward_modes, 2), a_mean, c_int,
             )
@@ -99,17 +84,6 @@ def measure(n: int, variant: str) -> dict:
         def solve(self, fvals):
             m, modes, _, cols = fvals.shape
             return self.frame.solve(fvals.reshape(m, 2 * modes, cols)).reshape(fvals.shape)
-
-    setup = {"s": 0.0}
-
-    def timed(cls):
-        class Timed(cls):
-            def __init__(self, *args):
-                start = time.perf_counter()
-                super().__init__(*args)
-                setup["s"] += time.perf_counter() - start
-
-        return Timed
 
     model = make_spectral_model([float(j * j) for j in range(1, n + 1)])
     cfg = sa.SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=2)
@@ -119,34 +93,15 @@ def measure(n: int, variant: str) -> dict:
         + [(driver, 2.0 ** (-k)) for k in range(1, 7)]
         + [(sa.constant_driver(driver.value(0.0)), 0.0)]
     )
-    frame = {"oracle": ScalarFrameOracle, "two_channel": DoubledFrame}.get(variant)
     rss0 = _peak_mb()
-
-    # contraction certificate's impulse responses, T and L_A
-    times = sa._fiber_grid(cfg, None, sa.CONTRACTION_STEPS)
-    impulse_columns = [(sa.constant_driver(cfg.a_bound), 0.0)]
-    if frame is None:
-        sa._ScalarFrame = timed(sa._ScalarFrame)
-        frames = sa._frames(cfg, impulse_columns, times, np.zeros(cfg.n))
-        start = time.perf_counter()
-        mats = [sa._mode_operator_matrices(cfg, frames, c) for c in (True, False)]
-    else:
-        frames = oracle_frames(cfg, impulse_columns, times, timed(frame))
-        start = time.perf_counter()
-        mats = [two_channel_operator_matrices(cfg, frames, c) for c in (True, False)]
-    impulse_s = time.perf_counter() - start
-    impulse_setup_s, setup["s"] = setup["s"], 0.0
-    rss1 = _peak_mb()
-
-    # the fibers of one verify
     start = time.perf_counter()
-    if frame is None:
+    if variant == "direct":
+        sa._ScalarFrame = Timed
         fibers = sa.build_fibers(cfg, columns)
     else:
-        fibers = two_channel_fibers(cfg, columns, frame=timed(frame))
+        fibers = two_channel_fibers(cfg, columns, frame=DoubledFrame)
     fibers_s = time.perf_counter() - start
-    rss2 = _peak_mb()
-    sweeps = fibers[0].n_iterations
+    rss1 = _peak_mb()
     return {
         "n": n,
         "variant": variant,
@@ -154,17 +109,11 @@ def measure(n: int, variant: str) -> dict:
         "grid_nodes": int(sa._fiber_grid(cfg, None, None).size),
         "build_fibers_s": round(fibers_s, 3),
         "frame_setup_s": round(setup["s"], 3),
-        "picard_sweeps": sweeps,
-        "ms_per_sweep": round((fibers_s - setup["s"]) / sweeps * 1e3, 2),
-        "fibers_rss_rise_mb": round(rss2 - rss1, 1),
-        "impulse_matrices_s": round(impulse_s, 3),
-        "impulse_frame_setup_s": round(impulse_setup_s, 3),
-        "impulse_rss_rise_mb": round(rss1 - rss0, 1),
+        "picard_sweeps": fibers[0].n_iterations,
+        "fibers_rss_rise_mb": round(rss1 - rss0, 1),
         "rss_before_mb": round(rss0, 1),
-        "peak_rss_mb": round(rss2, 1),
-        "fibers_sha": _digest(*(f.m for f in fibers),
-                              *(f.p_q for f in fibers if f.p_q is not None)),
-        "impulse_sha": _digest(*mats),
+        "peak_rss_mb": round(rss1, 1),
+        "m": [f.m.tolist() for f in fibers],
     }
 
 
@@ -184,7 +133,8 @@ def main(argv=None) -> int:
             cmd = [sys.executable, __file__, "--child", str(n), variant]
             out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
             runs.append(json.loads(out.stdout.strip().splitlines()[-1]))
-            print(json.dumps(runs[-1]), file=sys.stderr)
+            print(json.dumps({k: v for k, v in runs[-1].items() if k != "m"}),
+                  file=sys.stderr)
     import numpy
     import scipy
 
@@ -196,22 +146,30 @@ def main(argv=None) -> int:
         }}
         for n, variant in RUNS
     ]
+    fibers_m = {}
+    for r in runs:
+        fibers_m.setdefault((r["n"], r["variant"]), []).append(numpy.array(r.pop("m")))
+    agreement = {
+        str(n): {
+            "max_abs_dm": float(max(
+                numpy.abs(a - b).max()
+                for a in fibers_m[n, "direct"] for b in fibers_m[n, "two_channel"]
+            )),
+            "max_abs_m": float(numpy.abs(fibers_m[n, "direct"][0]).max()),
+        }
+        for n in sorted({n for n, _ in RUNS})
+    }
 
     doc = {
-        "what": "the verify fiber solve (23 columns) and the contraction impulse "
-                "matrices: two-channel loops on the oracle frames (oracle) and on "
-                "the library frame over (mode, channel) pairs (two_channel, before), "
-                "against the one-channel library (one_channel, after)",
+        "what": "the verify fiber solve (23 columns): the Picard loop on the "
+                "library frame over (mode, channel) pairs (two_channel, before) "
+                "against the banded direct solve of the library (direct, after)",
         "command": "python bench/sa_fibers.py --out BENCH_sa_fibers.json",
         "threads": THREAD_ENV,
         "host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": numpy.__version__,
                  "scipy": scipy.__version__},
-        "identical": {
-            str(n): len({(r["fibers_sha"], r["impulse_sha"]) for r in runs if r["n"] == n})
-            == 1
-            for n in sorted({r["n"] for r in runs})
-        },
+        "agreement": agreement,
         "median": summary,
         "runs": runs,
     }

@@ -6,26 +6,29 @@ Every block of the assembled Hamiltonian is a function of the diagonal
 reference operator, so the doubled system splits into independent
 (v_j, eta_j) mode pairs, and each fiber L+(q) is the graph of a diagonal
 M+(q) = diag(m_j) over the sharp pairing subspace.  The fiber construction
-keeps the analytical structure (projected solves plus Picard on the
-certified contraction) but runs it mode-wise on per-mode arrays: the
-coefficients of `SAConfig.mode_coefficients` on the one band mask a run
-reads (`SAConfig.mid_mask`, the intermediate band), the (v, eta) frames of
+keeps the analytical structure (projected solves and the certified
+contraction) but runs it mode-wise on per-mode arrays: the coefficients of
+`SAConfig.mode_coefficients` on the one band mask a run reads
+(`SAConfig.mid_mask`, the intermediate band), the (v, eta) frames of
 `_frames` with the scalar quadrature of `_phi`, and the n entries m_j of
 each `FiberResult`.  A mode's fiber forcing carries its own stiff
 exponential e^{mu_j t}, so the fiber frames integrate the smooth factor
 with the rate shifted by mu_j, and the stiff transients are integrated
 exactly; the contraction's impulse responses need no shift.  Each mode is
 integrated only in the direction of its square-integrable Green branch, and
-both directions of a frame share one recurrence.  `build_fibers` solves
-every (driver, phase) column a run needs in one Picard iteration: the
-certify pipeline's frozen-driver oracle and continuity table read columns of
-its fibers stage and solve nothing.  The decay records read the exact growth
-rate of each mode line of the built fibers (`fiber_growth`); no trajectory
-is integrated in a run.  tests/spatial_oracles.py keeps the two-direction,
-two-channel frame solve with its Picard loop as an exact reference, and the
-routes that only tests take: the low and high band projectors, the generic
-quadratic forms and frozen (A(q), B) of the spatial-averaging condition,
-the inequality-implication sweep, and the driven trajectories with their
+both directions of a frame share one recurrence.  The contraction is affine
+and mode-diagonal, so `build_fibers` solves its fixed point directly, one
+banded system per (mode, column) block whose rows are the frames'
+recurrences, and checks it with one Picard sweep; it solves every (driver,
+phase) column a run needs in one call: the certify pipeline's frozen-driver
+oracle and continuity table read columns of its fibers stage and solve
+nothing.  The decay records read the exact growth rate of each mode line of
+the built fibers (`fiber_growth`); no trajectory is integrated in a run.
+tests/spatial_oracles.py keeps the two-direction, two-channel frame solve
+and the fibers' Picard loop on it as references, and the routes that only
+tests take: the low and high band projectors, the generic quadratic forms
+and frozen (A(q), B) of the spatial-averaging condition, the
+inequality-implication sweep, and the driven trajectories with their
 symplectic pairing; tests/decay_oracles.py keeps the trajectory fits of the
 decay rate.  `SAConfig.check_driver` is the one check of a driver's sup |a|
 against the amplitude bound a_b = Lambda + delta.
@@ -37,6 +40,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from ._phi import (
     backward_moments,
@@ -59,9 +63,10 @@ from .spectral import SpectralModel
 from .stationary import Hamiltonian, extract_nonoscillation
 from .symplectic import LagrangeSubspace, grassmann_distance
 
-#: Picard stopping rule of the fiber construction, relative to the first update
+#: largest update of the fiber solve's check sweep, relative to the solution
 PICARD_TOL = 1e-10
-PICARD_MAX_ITER = 200
+#: half-bandwidth of a (mode, column) fiber block in node-interleaved order
+FIBER_BAND = 7
 #: time steps of the grid on which the contraction norms are measured
 CONTRACTION_STEPS = 360
 #: impulse columns per solve of the measured contraction norms
@@ -454,7 +459,9 @@ class FiberResult:
     """One fiber of the stable Lagrange bundle over the driving flow.
 
     The fiber is the graph of the diagonal M+(q) = diag(m) over the sharp
-    pairing subspace; `m` holds its n entries m_j.
+    pairing subspace; `m` holds its n entries m_j.  `n_iterations` counts
+    the Picard sweeps applied to the solve and `residual` is the relative
+    update of the last one, the same over the columns of one solve.
     """
 
     q: object
@@ -463,6 +470,7 @@ class FiberResult:
     p_q: np.ndarray | None
     oscillating: bool
     n_iterations: int
+    residual: float
 
 
 def slowest_fiber_rate(config: SAConfig) -> float:
@@ -510,14 +518,71 @@ def _sharp_forcing(config: SAConfig, columns, times: np.ndarray):
     return g_v, g_e
 
 
+def _collocate(config: SAConfig, frames, g_v, g_e):
+    """The fixed point (dv, deta) of the fiber contraction, (m, n, P) each,
+    by one banded solve per (mode, column) block.
+
+    The unknowns of a block are node-interleaved, (dv_0, deta_0, dv_1, ...),
+    and its rows are the frames' recurrences, each with its unit diagonal at
+    its own unknown: a forward frame's row for x_{i+1} holds
+    -s_i x_i - sum_l w_l f_{base_i+l}, a backward frame's row for x_i holds
+    -s'_i x_{i+1} + sum_l w'_l f_{base_i+l}, where f is the other half's
+    unknown times the mode's coupling b_j or c_j; the boundary row x_0 = 0,
+    resp. x_{m-1} = 0, is the bare diagonal.  The sharp forcing's stencil
+    sums are the right-hand side.  The blocks of a mode write the same band
+    positions, so they share one band array, filled one block at a time.
+    """
+    _, _, b_coef, c_coef = config.mode_coefficients
+    m, n = frames[0].m, config.n
+    i = np.arange(m - 1)
+    base, _ = stencil_layout(m)
+    nodes = base[None, :] + np.arange(4)[:, None]
+    out = np.empty((2,) + g_v.shape)
+    for j in range(n):
+        band = np.zeros((2 * FIBER_BAND + 1, 2 * m))
+        band[FIBER_BAND] = 1.0
+        flat, rows, values, local = [], [], [], []
+        for slot, (frame, g, coef) in enumerate(
+            ((frames[0], g_v, b_coef[j]), (frames[1], g_e, c_coef[j]))
+        ):
+            forward = j in frame.fwd
+            k = int(np.searchsorted(frame.fwd if forward else frame.bwd, j))
+            if forward:
+                steps, wf = frame.steps[:, k], frame.wf_fwd[:, :, k]
+            else:
+                steps, wf = frame.steps[::-1, frame.fwd.size + k], frame.wf_bwd[:, :, k]
+            # a forward row subtracts the stencil sum, a backward row adds it
+            sign = -1.0 if forward else 1.0
+            r = 2 * (i + forward) + slot
+            c = np.concatenate([2 * (i + 1 - forward) + slot, 2 * nodes.ravel() + 1 - slot])
+            flat.append(np.ravel_multi_index((FIBER_BAND + np.tile(r, 5) - c, c),
+                                             band.shape))
+            rows.append(r)
+            values += [-steps, (sign * coef) * wf.reshape(4 * (m - 1), -1)]
+            local.append(-sign * np.sum(wf * g[nodes, j], axis=0))
+        flat, rows = np.concatenate(flat), np.concatenate(rows)
+        values, local = np.concatenate(values), np.concatenate(local)
+        rhs = np.zeros(2 * m)
+        for p in range(g_v.shape[2]):
+            band.flat[flat] = values[:, p]
+            rhs[rows] = local[:, p]
+            x = solve_banded((FIBER_BAND, FIBER_BAND), band, rhs, check_finite=False)
+            out[:, :, j, p] = x.reshape(m, 2).T
+    return out
+
+
 def build_fibers(
     config: SAConfig, columns, horizon: float | None = None
 ) -> list[FiberResult]:
-    """Stable-bundle fibers of (driver, phase) columns by one Picard iteration.
+    """Stable-bundle fibers of (driver, phase) columns by direct collocation.
 
-    The contraction is iterated mode-wise on the time grid, every column on
-    the same sweeps, until the largest update over the columns has settled;
-    one FiberResult is returned per column, in order (`_fibers_from`).
+    The contraction (dv, deta) -> (S_v(b deta + g_v), S_eta(c dv + g_eta))
+    of the frame solves S is affine and mode-diagonal, so its fixed point is
+    one linear two-point boundary-value problem per (mode, column), solved
+    as a banded system (`_collocate`).  One Picard sweep from the solution
+    checks it: ContractionFailed unless the sweep moves deta by at most
+    PICARD_TOL of its norm.  One FiberResult is returned per column, in
+    order (`_fibers_from`).
     """
     columns = list(columns)
     for driver, _ in columns:
@@ -528,38 +593,29 @@ def build_fibers(
     rho = -np.abs(a_diag)
     frame_v, frame_e = _frames(config, columns, times, rho)
     g_v, g_e = _sharp_forcing(config, columns, times)
-    bcf = b_coef[None, :, None]
-    ccf = c_coef[None, :, None]
+    dv, d_eta = _collocate(config, (frame_v, frame_e), g_v, g_e)
+    swept = frame_e.solve(
+        c_coef[None, :, None] * frame_v.solve(b_coef[None, :, None] * d_eta + g_v) + g_e
+    )
     # a solution x stands for the physical e^{rho t} x
     decay = np.exp(rho[None, :] * times[:, None])[:, :, None]
-    d_eta = np.zeros_like(g_e)
-    ref = None
-    l2w = np.full(times.size, times[1] - times[0])
-    l2w[0] = l2w[-1] = 0.5 * (times[1] - times[0])
 
     def phys_norm(x):
-        vals = decay * x
-        return float(np.sqrt(np.max(np.sum(l2w[:, None, None] * vals**2, axis=(0, 1)))))
+        return float(np.sqrt(np.max(np.sum((decay * x) ** 2, axis=(0, 1)))))
 
-    for it in range(PICARD_MAX_ITER):
-        dv = frame_v.solve(bcf * d_eta + g_v)
-        new = frame_e.solve(ccf * dv + g_e)
-        delta = phys_norm(new - d_eta)
-        d_eta = new
-        if ref is None:
-            ref = max(delta, 1e-300)
-        if delta <= PICARD_TOL * ref:
-            break
-    else:
+    residual = phys_norm(swept - d_eta) / max(phys_norm(d_eta), 1e-300)
+    if not residual <= PICARD_TOL:
         raise ContractionFailed(
-            f"Picard did not reach {PICARD_TOL:.1e} within {PICARD_MAX_ITER} iterations"
+            f"fixed-point residual {residual:.3e} of the fiber solve exceeds "
+            f"{PICARD_TOL:.1e}"
         )
-    dv = frame_v.solve(bcf * d_eta + g_v)
     # values at t = 0, where e^{mu 0} = 1
-    return _fibers_from(config, columns, dv[0], d_eta[0], it + 1)
+    return _fibers_from(config, columns, dv[0], d_eta[0], 1, residual)
 
 
-def _fibers_from(config: SAConfig, columns, dv0, de0, n_iter: int) -> list[FiberResult]:
+def _fibers_from(
+    config: SAConfig, columns, dv0, de0, n_iter: int, residual: float
+) -> list[FiberResult]:
     """The fibers of the columns from Delta z(0), (n, P) each per half.
 
     Mode j's sharp vector is e_j in the eta half for j < N (unstable) and in
@@ -583,7 +639,8 @@ def _fibers_from(config: SAConfig, columns, dv0, de0, n_iter: int) -> list[Fiber
         except Oscillating:
             p_q, osc = None, True
         results.append(FiberResult(q=q, l_plus_q=l_plus, m=m, p_q=p_q,
-                                   oscillating=osc, n_iterations=n_iter))
+                                   oscillating=osc, n_iterations=n_iter,
+                                   residual=residual))
     return results
 
 

@@ -48,13 +48,14 @@ from lqbundle.errors import AValueOutOfRange
 from lqbundle.frequency import QuadraticFormTriple
 from lqbundle.spatial import (
     IMPULSE_BATCH,
-    PICARD_MAX_ITER,
     PICARD_TOL,
     _fiber_grid,
     _fibers_from,
     condition_holds,
 )
 
+#: sweep cap of the reference Picard loop
+PICARD_MAX_ITER = 200
 #: trajectory step relative to 1 / (the largest frozen coefficient sum)
 TRAJECTORY_STEP_SCALE = 0.01
 #: trajectory steps whose propagators are computed in one vectorised batch
@@ -165,7 +166,7 @@ def oracle_frames(config, columns, times, frame=ScalarFrameOracle):
 def two_channel_fibers(config, columns, horizon=None, frame=ScalarFrameOracle):
     """`build_fibers` as a Picard loop on two-channel frames: the forcing
     fills channel 1 and the physical value is channel 0 plus e^{mu t} times
-    channel 1."""
+    channel 1.  The fibers' `residual` is the last update over the first."""
     columns = list(columns)
     times = _fiber_grid(config, horizon, None)
     frame_v, frame_e = oracle_frames(config, columns, times, frame)
@@ -201,7 +202,7 @@ def two_channel_fibers(config, columns, horizon=None, frame=ScalarFrameOracle):
     dv = frame_v.solve(bcf * d_eta + g_v)
     dv0 = dv[0, :, 0, :] + dv[0, :, 1, :]
     de0 = d_eta[0, :, 0, :] + d_eta[0, :, 1, :]
-    return _fibers_from(config, columns, dv0, de0, it + 1)
+    return _fibers_from(config, columns, dv0, de0, it + 1, delta / ref)
 
 
 def two_channel_operator_matrices(config, frames, with_coupling):

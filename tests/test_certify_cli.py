@@ -495,6 +495,15 @@ class TestCli:
         assert checks[0]["detail"] == (
             "AmplitudeTooLarge: sup |a| = 3.9 exceeds allowed 2.0")
 
+    def test_failed_fiber_check_sweep_is_one_fibers_failure(self, tmp_path, monkeypatch):
+        # no fixed-point residual is below a negative tolerance
+        monkeypatch.setattr(lqbundle.spatial, "PICARD_TOL", -1.0)
+        code, checks = run_command(tmp_path, "verify", SA_DOC)
+        assert code == 1
+        assert [c["name"] for c in checks if not c["pass"]] == ["fibers"]
+        (fibers,) = [c for c in checks if c["name"] == "fibers"]
+        assert fibers["detail"].startswith("ContractionFailed: fixed-point residual")
+
     def test_half_fixed_gap_search_without_a_match(self, tmp_path):
         # the search tries k <= 50 only, so no searched pair has k = 60
         code, checks = run_command(tmp_path, "sa-search", dict(SA_DOC, k=60, N="search"))

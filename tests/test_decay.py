@@ -153,7 +153,7 @@ def mode_diagonal_fiber(cfg, q, m):
     sharp, flat = sharp_flat(cfg)
     return FiberResult(
         q=q, l_plus_q=LagrangeSubspace(sharp + flat @ np.diag(m)),
-        m=m, p_q=None, oscillating=False, n_iterations=0,
+        m=m, p_q=None, oscillating=False, n_iterations=0, residual=0.0,
     )
 
 
