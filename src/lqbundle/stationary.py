@@ -9,10 +9,11 @@ Richardson extrapolation, which helps only once the grid is in the asymptotic
 range (see `stable_lagrange_lp`).  R reaches the system only through xi, so
 an interval row holds the entries of xi (v rows) or of (v, xi) (eta rows) at
 its cubic stencil's four nodes plus its own recursion step, and the CSR
-arrays are written straight from row templates.  The solve's memory is linear
-in the nonzeros (about 37 bytes each at n = 40, with the LU factor), and the
-step cap follows a budget on steps * 4 sdim^2 (`NNZ_BUDGET`, sdim = 2n) as
-well as `MAX_STEPS`, so stiff spectra get the step they need.
+arrays are written straight from row templates without their zeros.  The
+matrix is factored before the forcing exists, so the solve's memory is
+linear in the nonzeros (about 40 bytes each at n = 40, with the LU factor),
+and the step cap follows a budget on steps * 4 sdim^2 (`NNZ_BUDGET`,
+sdim = 2n) as well as `MAX_STEPS`, so stiff spectra get the step they need.
 Nonoscillation extraction (P read off the graph {(v, -P v)} over the
 horizontal subspace), Riccati verification, controllability, coercivity and
 the Lyapunov inequality live here as well, all on one `Regulator` (A, B, F);
@@ -66,7 +67,7 @@ MIN_STEPS = 320
 MAX_STEPS = 6000
 #: bound on steps * 4 sdim^2 (sdim = 2n) up to which the step cap may exceed
 #: MAX_STEPS: a proxy for the fine-grid nonzeros, of which the n = 40 fixtures
-#: hold about half and the stiff n = 4 system two thirds
+#: hold about a third and the stiff n = 4 system a fifth
 NNZ_BUDGET = 12_500_000
 #: entries per batch of the LP forcing's coordinate stack (64 kB); a whole-grid
 #: stack (18 MB at n = 40) raised the allocator's mmap threshold and peak RSS
@@ -293,119 +294,122 @@ class _StationaryLP:
         rg = left_multiply(self.r, g)
         return rg[:, :n], rg[:, n:]
 
-    def assemble(self, g_v, g_e) -> tuple[sp.csc_matrix, np.ndarray]:
-        """(matrix, right-hand side) of the collocation system in the states.
-
-        Interval i of a family couples the nodes base[i] .. base[i] + 3 of its
-        cubic stencil, and the recursion step x_{i+1} - E x_i (forward) or
-        x_i - E x_{i+1} (backward) sits at the window nodes p and p + 1 of
-        that stencil, p = pattern[i].  A v row reads xi at the four nodes
-        (4 mu entries), an eta row reads (u, w, xi) there (4 (n + mu)), and
-        both hold the dense width x width step blocks (2 width), so the rows
-        of one family differ only by p and their column window, which starts
-        at base[i] stride.  The CSR arrays are written directly from one
-        (width, row length) template and one column-offset row per family and
-        pattern.  Each node adds mu rows F3 xi + F2 dv - B^T deta = 0 over its
-        own stride columns, and the 2n boundary rows u_0 = 0, w_{m-1} = 0,
-        p_0 = 0 and q_{m-1} = 0 hold one entry each.  So the assembly's memory
-        is linear in the nonzeros and the matrix holds no duplicate entries.
-        """
-        n = self.n
-        m = self.times.size
-        size = self.stride
-        mu = size - 2 * n
-        form = self.form
-        # (what a family's rows read of a node's state, the columns it may touch)
-        reads = (
-            (self.b @ self.xi_map, np.arange(n, n + mu)),
-            (form.f1 @ self.dv_map + form.f2.T @ self.xi_map, np.arange(n + mu)),
-        )
-        fams = (  # (split, grid operator, forward recursion)
+    def _families(self):
+        """(family, first row, width, grid operator, forward recursion,
+        W^-1 block, stencil weights) of each nonempty interval family."""
+        fams = (
             (self.split_a, self.op_v, True),
             (self.split_a, self.op_v, False),
             (self.split_m, self.op_e, True),
             (self.split_m, self.op_e, False),
         )
-        row_len = [4 * reads[fam // 2][1].size + 2 * w for fam, w in enumerate(self.widths)]
-        n_int = (m - 1) * sum(w * ell for w, ell in zip(self.widths, row_len))
-        n_xi = m * mu * size
-        nnz = n_int + n_xi + 2 * n
-        idx_t = np.int32 if nnz < 2**31 else np.int64
-        data = np.empty(nnz)
-        indices = np.empty(nnz, dtype=idx_t)
-        indptr = np.zeros(m * size + 1, dtype=idx_t)
-        np.cumsum(np.repeat(row_len + [size, 1], [(m - 1) * w for w in self.widths]
-                            + [m * mu, 2 * n]), out=indptr[1:])
-        base, pattern = stencil_layout(m)
-        rhs = np.zeros((m * size, g_v.shape[2]))
         row0 = 0
         for fam, (split, op, fwd) in enumerate(fams):
             width = self.widths[fam]
-            if width == 0:
-                continue
+            if width:
+                k = split.k_stable
+                yield (fam, row0, width, op, fwd, split.winv[:k] if fwd else split.winv[k:],
+                       op.wf if fwd else op.wb)
+            row0 += (self.times.size - 1) * width
+
+    def matrix(self) -> sp.csc_matrix:
+        """The collocation matrix in the node states; it needs no forcing.
+
+        Interval i of a family couples the nodes base[i] .. base[i] + 3 of its
+        cubic stencil, and the recursion step x_{i+1} - E x_i (forward) or
+        x_i - E x_{i+1} (backward) sits at the window nodes p and p + 1 of
+        that stencil, p = pattern[i].  A v row reads xi at the four nodes, an
+        eta row reads (u, w, xi) there, and both hold a row of E and one
+        identity entry, so the rows of one family differ only by p and their
+        column window, which starts at base[i] stride.  Each (family, p)
+        template keeps only its nonzero entries (E = expm(h T) is triangular
+        up to the 2 x 2 blocks of the real Schur form T), and the CSR arrays
+        are written from it over the intervals of that pattern.  Each node
+        adds mu rows F3 xi + F2 dv - B^T deta = 0, also without their zeros,
+        and the 2n boundary rows u_0 = 0, w_{m-1} = 0, p_0 = 0 and q_{m-1} = 0
+        hold one entry each.  So the assembly's memory is linear in the
+        nonzeros, and the matrix stores no zero and no duplicate entry.
+        """
+        n = self.n
+        m = self.times.size
+        size = self.stride
+        form = self.form
+        # what a family's rows read of a node's state (zero outside its columns)
+        reads = (self.b @ self.xi_map, form.f1 @ self.dv_map + form.f2.T @ self.xi_map)
+        base, pattern = stencil_layout(m)
+        spans = np.searchsorted(pattern, np.arange(4))  # the intervals of each p
+        # (first row, window start per interval or node, values, window columns)
+        pieces, row_len = [], []
+        for fam, row0, width, op, fwd, winv_blk, weights in self._families():
             off = self.offs[fam]
-            k = split.k_stable
-            winv_blk = split.winv[:k] if fwd else split.winv[k:]
-            weights = op.wf if fwd else op.wb
-            cin, cols = reads[fam // 2]
             full = np.zeros((3, width, 4, size))
-            used = np.zeros((3, 4, size), dtype=bool)
-            used[:, :, cols] = True
             # the step's identity and -E blocks, at window nodes p and p + 1
             e_blk = op.e_s if fwd else op.e_u
             near, far = (-e_blk, np.eye(width)) if fwd else (np.eye(width), -e_blk)
             for p in range(3):
                 for ell in range(4):
-                    full[p, :, ell] = -(weights[p][ell] @ winv_blk) @ cin
-                for node, blk in ((p, near), (p + 1, far)):
-                    full[p, :, node, off : off + width] += blk
-                    used[p, node, off : off + width] = True
-            col_pat = np.stack([np.flatnonzero(used[p]) for p in range(3)]).astype(idx_t)
-            templates = np.stack([full[p].reshape(width, -1)[:, col_pat[p]]
-                                  for p in range(3)])
-            lo, hi = indptr[row0], indptr[row0 + (m - 1) * width]
-            shape = (m - 1, width, row_len[fam])
-            np.take(templates, pattern, axis=0, mode="clip", out=data[lo:hi].reshape(shape))
-            idx = indices[lo:hi].reshape(shape)
-            idx[...] = col_pat[pattern][:, None, :]
-            idx += (base.astype(idx_t) * size)[:, None, None]
-            # rhs from the g-forcing through the same stencil weights
-            coords = left_multiply(winv_blk, g_v if fam < 2 else g_e)
-            loc = local_forcing(weights, coords)
-            rhs[row0 : row0 + (m - 1) * width] = loc.reshape((m - 1) * width, -1)
-            row0 += (m - 1) * width
+                    full[p, :, ell] = -(weights[p][ell] @ winv_blk) @ reads[fam // 2]
+                full[p, :, p, off : off + width] += near
+                full[p, :, p + 1, off : off + width] += far
+            full = full.reshape(3, width, 4 * size)
+            row_len.append(np.count_nonzero(full, axis=2)[pattern].ravel())
+            pieces += [(row0 + spans[p] * width, base[spans[p] : spans[p + 1]],
+                        full[p][full[p] != 0], np.nonzero(full[p])[1]) for p in range(3)]
         # the control rows of every node
         xi_rows = form.f2 @ self.dv_map + form.f3 @ self.xi_map - self.b.T @ self.de_map
-        lo = n_int
-        data[lo : lo + n_xi].reshape(m, mu, size)[...] = xi_rows
-        indices[lo : lo + n_xi].reshape(m, mu, size)[...] = (
-            np.arange(m, dtype=idx_t)[:, None, None] * size + np.arange(size, dtype=idx_t)
-        )
-        data[lo + n_xi :] = 1.0
-        indices[lo + n_xi :] = np.concatenate([
+        pieces.append(((m - 1) * 2 * n, np.arange(m), xi_rows[xi_rows != 0],
+                       np.nonzero(xi_rows)[1]))
+        row_len = np.concatenate(row_len + [np.tile(np.count_nonzero(xi_rows, axis=1), m),
+                                            np.ones(2 * n, dtype=int)])
+        nnz = int(row_len.sum())
+        idx_t = np.int32 if nnz < 2**31 else np.int64
+        indptr = np.zeros(m * size + 1, dtype=idx_t)
+        np.cumsum(row_len, out=indptr[1:])
+        data = np.empty(nnz)
+        indices = np.empty(nnz, dtype=idx_t)
+        for row0, nodes, vals, cols in pieces:
+            lo = indptr[row0]
+            shape = (nodes.size, vals.size)
+            data[lo : lo + nodes.size * vals.size].reshape(shape)[...] = vals
+            idx = indices[lo : lo + nodes.size * vals.size].reshape(shape)
+            idx[...] = cols
+            idx += (nodes.astype(idx_t) * size)[:, None]
+        data[-2 * n :] = 1.0
+        indices[-2 * n :] = np.concatenate([
             node * size + self.offs[fam] + np.arange(self.widths[fam])
             for fam, node in ((0, 0), (1, m - 1), (2, 0), (3, m - 1))
         ])
         mat = sp.csr_matrix((data, indices, indptr), shape=(m * size, m * size))
-        return mat.tocsc(), rhs
+        return mat.tocsc()
 
-    def solve_structured(self, g_v, g_e):
-        """Direct sparse solve of the collocation system in the node states.
+    def rhs(self, g_v, g_e) -> np.ndarray:
+        """Right-hand side of the collocation system: the g-forcing through
+        the stencil weights of each interval row; zero in the other rows."""
+        m = self.times.size
+        rhs = np.zeros((m * self.stride, g_v.shape[2]))
+        for fam, row0, width, _, _, winv_blk, weights in self._families():
+            loc = local_forcing(weights, left_multiply(winv_blk, g_v if fam < 2 else g_e))
+            rhs[row0 : row0 + (m - 1) * width] = loc.reshape((m - 1) * width, -1)
+        return rhs
+
+    def solve_structured(self) -> np.ndarray:
+        """Direct sparse solve of the collocation system; returns the node
+        states, shape (m, stride, columns), which `dv_map`, `xi_map` and
+        `de_map` turn into dv, xi and deta.
 
         Eliminating the state unknowns from this block-banded system by hand
         gives the dense single-input equation (I - T) xi = T0 g; solving the
-        banded form instead costs O(m) rather than O(m^3).  The matrix comes
-        from `assemble`: at n = 40 with one input a v row holds 4 + 2 width
-        entries and an eta row 164 + 2 width, about half of what the product
-        R (dv, deta) stored in every row.  The node-major columns are already
-        in time order, so one SuperLU factorization keeps them in their
-        natural order.  Returns the grid values (dv, deta).
+        banded form instead costs O(m) rather than O(m^3).  At n = 40 with
+        one input a v row holds at most 4 + width + 1 entries and an eta row
+        at most 164 + width + 1, so no row stores the product R (dv, deta).
+        The node-major columns are already in time order, so one SuperLU
+        factorization keeps them in their natural order.  The matrix is
+        factored and dropped before the forcing exists, so while SuperLU
+        factors only the matrix and its LU are alive.
         """
-        mat, rhs = self.assemble(g_v, g_e)
-        lu = spla.splu(mat, permc_spec="NATURAL")
-        del mat  # the factor keeps no reference to it; the solve peaks without it
-        s = lu.solve(rhs).reshape(self.times.size, self.stride, -1)
-        return left_multiply(self.dv_map, s), left_multiply(self.de_map, s)
+        lu = spla.splu(self.matrix(), permc_spec="NATURAL")
+        rhs = self.rhs(*self.sharp_forcing())
+        return lu.solve(rhs).reshape(self.times.size, self.stride, -1)
 
 
 def stable_lagrange_lp(reg: Regulator, margin: float) -> StableLagrangeResult:
@@ -436,8 +440,8 @@ def stable_lagrange_lp(reg: Regulator, margin: float) -> StableLagrangeResult:
 
     def solve_on(grid_times: np.ndarray) -> np.ndarray:
         lp = _StationaryLP(reg.b, reg.form, split_a, split_m, reg.r, grid_times)
-        dv, de = lp.solve_structured(*lp.sharp_forcing())
-        return np.vstack([dv[0], de[0]])
+        s0 = lp.solve_structured()[0]
+        return np.vstack([lp.dv_map @ s0, lp.de_map @ s0])
 
     dz0 = solve_on(times)
     coarse = np.linspace(times[0], times[-1], (times.size - 1) // 2 + 1)

@@ -3,16 +3,18 @@
 The library solves the fixed point through one sparse collocation system in
 the recursion states and the control xi at every node
 (`lqbundle.stationary._StationaryLP.solve_structured`), whose CSR arrays
-`_StationaryLP.assemble` writes from per-family row templates.  The routes
-here reach the same discrete solution by other means, built on the grid
-operator `dichotomy_oracles.LPGridOracle`, and serve as references in the
-tests:
+`_StationaryLP.matrix` writes from per-family row templates without stored
+zeros, and whose right-hand side `_StationaryLP.rhs` builds from the forcing.
+The routes here reach the same discrete solution by other means, built on
+the grid operator `dichotomy_oracles.LPGridOracle`, and serve as references
+in the tests:
 
 - `coo_collocation_system` (solved by `coo_solve`): the collocation system
   in the recursion states alone, every row holding the dense product
   R (dv, deta), built block by block from COO triplet lists as the library
-  once did; it has about twice the library's nonzeros and needs about three
-  times the memory of its own matrix;
+  once did; it stores the zeros of its identity and step blocks, has about
+  three times the library's entries at n = 40 (five times on the stiff
+  n = 4 system), and needs about three times the memory of its own matrix;
 - `SingleInputLP.solve_dense`: the dense single-input equation
   (I - T) xi = T0 g;
 - `SingleInputLP.solve_picard`: the Picard iteration xi <- T xi + T0 g;

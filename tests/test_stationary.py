@@ -18,7 +18,7 @@ from lp_oracles import (
 from frequency_oracles import ShiftedTransfer
 from stationary_oracles import NotATrajectory, riccati_integral_check
 from lqbundle._phi import stencil_layout
-from lqbundle.dichotomy import GridFunction
+from lqbundle.dichotomy import GridFunction, left_multiply
 from lqbundle.errors import (
     ConditionFailed,
     EpsilonTooLarge,
@@ -86,8 +86,8 @@ def lp_scanned(a, b, form):
 def structured_single_grid(a, b, form, split_a, split_m, times):
     """The library's collocation solve on one grid, without Richardson."""
     lp = st._StationaryLP(b, form, split_a, split_m, Regulator(a, b, form).r, times)
-    dv, de = lp.solve_structured(*lp.sharp_forcing())
-    return subspace_from(np.vstack([dv[0], de[0]]), split_a, split_m)
+    s0 = lp.solve_structured()[0]
+    return subspace_from(np.vstack([lp.dv_map @ s0, lp.de_map @ s0]), split_a, split_m)
 
 
 @pytest.fixture
@@ -264,39 +264,73 @@ class TestCollocationMatrix:
 
     def test_solve_matches_coo_oracle(self, collocation):
         lp, reg, forcing = collocation
-        lib = np.concatenate(lp.solve_structured(*forcing), axis=1)
+        s = lp.solve_structured()
+        lib = np.concatenate([left_multiply(lp.dv_map, s), left_multiply(lp.de_map, s)], axis=1)
         ref = np.concatenate(coo_solve(lp, reg.r, *forcing), axis=1)
         assert lib.shape == ref.shape == (lp.times.size, 2 * lp.n, forcing[0].shape[2])
         assert np.abs(lib - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_factors_before_the_forcing_exists(self, s1, monkeypatch):
+        calls = []
+
+        def record(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(st.spla, "splu", record("splu", st.spla.splu))
+        monkeypatch.setattr(st._StationaryLP, "sharp_forcing",
+                            record("sharp_forcing", st._StationaryLP.sharp_forcing))
+        stable_lagrange_lp(Regulator(*s1), frequency_condition_margin(*s1))
+        assert calls == ["splu", "sharp_forcing"] * 2  # the fine and the coarse grid
+
     def test_canonical_window_rows(self, collocation):
-        lp, _, forcing = collocation
-        mat, _ = lp.assemble(*forcing)
+        lp, _, _ = collocation
+        mat = lp.matrix()
         m, n, size = lp.times.size, lp.n, lp.stride
         mu = size - 2 * n
         assert mat.format == "csc" and mat.has_canonical_format
         assert mat.shape == (m * size, m * size)
+        assert np.all(mat.data != 0)  # no stored zeros
         col_of = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
         same_col = col_of[1:] == col_of[:-1]
         assert np.all(np.diff(mat.indices)[same_col] > 0)  # sorted, no duplicates
-        # a v row reads xi, an eta row (u, w, xi), at the four stencil nodes,
-        # plus the step's two width x width blocks
-        row_len = [4 * mu + 2 * w for w in lp.widths[:2]]
-        row_len += [4 * (n + mu) + 2 * w for w in lp.widths[2:]]
-        n_int = (m - 1) * sum(w * ell for w, ell in zip(lp.widths, row_len))
-        assert mat.nnz == n_int + m * mu * size + 2 * n
+        # an interval row holds the nonzeros of what it reads at the four
+        # stencil nodes (xi for a v row, (u, w, xi) for an eta row), of its
+        # row of the step matrix E, and one identity entry
+        form = lp.form
+        reads = (lp.b @ lp.xi_map, form.f1 @ lp.dv_map + form.f2.T @ lp.xi_map)
+        base, pattern = stencil_layout(m)
+        row_len = []
+        for fam, (split, op, fwd) in enumerate(((lp.split_a, lp.op_v, True),
+                                                (lp.split_a, lp.op_v, False),
+                                                (lp.split_m, lp.op_e, True),
+                                                (lp.split_m, lp.op_e, False))):
+            if lp.widths[fam] == 0:
+                continue
+            k = split.k_stable
+            winv = split.winv[:k] if fwd else split.winv[k:]
+            weights, e_blk = (op.wf, op.e_s) if fwd else (op.wb, op.e_u)
+            per_p = np.stack([
+                sum(np.count_nonzero(-(weights[p][ell] @ winv) @ reads[fam // 2], axis=1)
+                    for ell in range(4))
+                for p in range(3)
+            ]) + np.count_nonzero(e_blk, axis=1) + 1
+            row_len.append(per_p[pattern].ravel())
+        # then the mu control rows of every node and one entry per boundary row
+        xi_rows = form.f2 @ lp.dv_map + form.f3 @ lp.xi_map - lp.b.T @ lp.de_map
+        row_len += [np.tile(np.count_nonzero(xi_rows, axis=1), m), np.ones(2 * n, dtype=int)]
         csr = mat.tocsr()
-        counts = [(m - 1) * w for w in lp.widths] + [m * mu, 2 * n]
-        assert np.array_equal(np.diff(csr.indptr), np.repeat(row_len + [size, 1], counts))
+        lens = np.diff(csr.indptr)
+        assert np.array_equal(lens, np.concatenate(row_len))
         # interval rows run family by family, `width` rows per interval, then
         # mu control rows per node and the boundary rows at nodes 0 and m - 1
-        base, _ = stencil_layout(m)
         interval = np.concatenate([np.repeat(np.arange(m - 1), w) for w in lp.widths])
         node = np.concatenate([np.repeat(np.arange(m), mu)]
                               + [np.full(w, k) for w, k in zip(lp.widths, (0, m - 1, 0, m - 1))])
         lo = np.concatenate([base[interval] * size, node * size])
         hi = lo + np.concatenate([np.full(interval.size, 4 * size), np.full(node.size, size)])
-        lens = np.diff(csr.indptr)
         assert np.all(np.repeat(lo, lens) <= csr.indices)
         assert np.all(csr.indices < np.repeat(hi, lens))
 
