@@ -5,8 +5,9 @@ steps and the frozen driver: 23 columns of one `build_fibers` call) in one
 of two ways:
 
 - `two_channel` (before): the Picard loop of tests/spatial_oracles.py,
-  `two_channel_fibers`, on the library's `_ScalarFrame` over the doubled
-  set of (mode, channel) pairs with rate shifts (0, mu_j);
+  `two_channel_fibers`, on the all-mode frame of the same module
+  (`AllModeFrame`, the library's frame before it went per mode) over the
+  doubled set of (mode, channel) pairs with rate shifts (0, mu_j);
 - `direct` (after): the library's `build_fibers`, one banded solve per
   (mode, column) block and one check sweep.
 
@@ -59,15 +60,18 @@ def measure(n: int, variant: str) -> dict:
     from lqbundle.spectral import make_spectral_model
 
     sys.path.insert(0, str(ROOT / "tests"))
-    from spatial_oracles import two_channel_fibers
+    from spatial_oracles import AllModeFrame, two_channel_fibers
 
     setup = {"s": 0.0}
 
-    class Timed(sa._ScalarFrame):
-        def __init__(self, *args):
-            start = time.perf_counter()
-            super().__init__(*args)
-            setup["s"] += time.perf_counter() - start
+    def timed(frame_class):
+        class Timed(frame_class):
+            def __init__(self, *args):
+                start = time.perf_counter()
+                super().__init__(*args)
+                setup["s"] += time.perf_counter() - start
+
+        return Timed
 
     class DoubledFrame:
         """A two-channel frame as the one-channel library frame over the
@@ -76,7 +80,7 @@ def measure(n: int, variant: str) -> dict:
         def __init__(self, times, s_base, chi, sign, mu, forward_modes, a_mean, c_int):
             self.m = times.size
             rho = np.stack([np.zeros_like(mu), mu], axis=1).ravel()
-            self.frame = Timed(
+            self.frame = timed(AllModeFrame)(
                 times, np.repeat(s_base, 2), np.repeat(chi, 2), sign, rho,
                 np.repeat(forward_modes, 2), a_mean, c_int,
             )
@@ -96,7 +100,7 @@ def measure(n: int, variant: str) -> dict:
     rss0 = _peak_mb()
     start = time.perf_counter()
     if variant == "direct":
-        sa._ScalarFrame = Timed
+        sa._ScalarFrame = timed(sa._ScalarFrame)
         fibers = sa.build_fibers(cfg, columns)
     else:
         fibers = two_channel_fibers(cfg, columns, frame=DoubledFrame)

@@ -43,26 +43,31 @@ def phi_scalar(kmax: int, z: np.ndarray) -> np.ndarray:
     """phi_1..phi_kmax at real arguments, vectorized.
 
     Returns an array of shape (kmax,) + z.shape.  Series for |z| < 0.5,
-    upward recursion phi_{k+1} = (phi_k - 1/k!)/z otherwise.
+    upward recursion phi_{k+1} = (phi_k - 1/k!)/z otherwise.  The series
+    runs in place in the output; the recursion fills only the entries
+    outside the series radius, and only if there are any.
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty((kmax,) + z.shape)
-    small = np.abs(z) < _SERIES_RADIUS
-    zs = np.where(small, z, 0.0)
-    zb = np.where(small, 1.0, z)
+    zf = z.ravel()
+    out = np.empty((kmax, zf.size))
+    small = np.abs(zf) < _SERIES_RADIUS
+    zs = np.where(small, zf, 0.0)
     # series branch
-    for k in range(1, kmax + 1):
-        acc = np.zeros_like(zs)
-        for i in range(_SERIES_TERMS, -1, -1):
-            acc = acc * zs + 1.0 / math.factorial(i + k)
-        out[k - 1] = acc
+    for k, acc in enumerate(out, start=1):
+        acc.fill(1.0 / math.factorial(_SERIES_TERMS + k))
+        for i in range(_SERIES_TERMS - 1, -1, -1):
+            acc *= zs
+            acc += 1.0 / math.factorial(i + k)
     # recursion branch
-    rec = np.expm1(zb) / zb
-    out[0] = np.where(small, out[0], rec)
-    for k in range(1, kmax):
-        rec = (rec - 1.0 / math.factorial(k)) / zb
-        out[k] = np.where(small, out[k], rec)
-    return out
+    big = ~small
+    if big.any():
+        zb = zf[big]
+        rec = np.expm1(zb) / zb
+        out[0, big] = rec
+        for k in range(1, kmax):
+            rec = (rec - 1.0 / math.factorial(k)) / zb
+            out[k, big] = rec
+    return out.reshape((kmax,) + z.shape)
 
 
 def phi_block(kmax: int, m: np.ndarray) -> list[np.ndarray]:

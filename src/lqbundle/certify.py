@@ -389,6 +389,9 @@ def _st_frequency(run, cert):
             detail="exact inf_w eig(sym(F3(I - M(w)))) by Hamiltonian level "
             f"sets, at w = {scan.omega_star:.6g}",
         )
+        # the frequency condition is strict, so a zero margin fails
+        freq = cert.records[-1]
+        freq.passed = freq.margin > 0.0
         cert.add_upper("transfer-selfadjoint-defect", scan.skew_defect, 1e-10,
                        detail="||F3 M - (F3 M)*||, sampled on the freq_margin rows")
         cert.tables["freq_margin"] = [

@@ -7,37 +7,39 @@ reference operator, so the doubled system splits into independent
 (v_j, eta_j) mode pairs, and each fiber L+(q) is the graph of a diagonal
 M+(q) = diag(m_j) over the sharp pairing subspace.  The fiber construction
 keeps the analytical structure (projected solves and the certified
-contraction) but runs it mode-wise on per-mode arrays: the coefficients of
+contraction) but runs it one mode at a time: the coefficients of
 `SAConfig.mode_coefficients` on the one band mask a run reads
-(`SAConfig.mid_mask`, the intermediate band), the (v, eta) frames of
-`_frames` with the scalar quadrature of `_phi`, and the n entries m_j of
-each `FiberResult`.  A mode's fiber forcing carries its own stiff
-exponential e^{mu_j t}, so the fiber frames integrate the smooth factor
-with the rate shifted by mu_j, and the stiff transients are integrated
-exactly; the contraction's impulse responses need no shift.  Each mode is
-integrated only in the direction of its square-integrable Green branch, and
-both directions of a frame share one recurrence.  The contraction is affine
-and mode-diagonal, so `build_fibers` solves its fixed point directly, one
+(`SAConfig.mid_mask`, the intermediate band), the (v, eta) frames of a mode
+(`_frames`) with the scalar quadrature of `_phi`, built, used and dropped
+inside the mode loop, and the n entries m_j of each `FiberResult`.  A
+mode's fiber forcing carries its own stiff exponential e^{mu_j t}, so the
+fiber frames integrate the smooth factor with the rate shifted by mu_j, and
+the stiff transients are integrated exactly; the contraction's impulse
+responses need no shift.  Each mode is integrated only in the direction of
+its square-integrable Green branch.  The contraction is affine and
+mode-diagonal, so `build_fibers` solves its fixed point directly, one
 banded system per (mode, column) block whose rows are the frames'
 recurrences, and checks it with one Picard sweep; it solves every (driver,
 phase) column a run needs in one call: the certify pipeline's frozen-driver
 oracle and continuity table read columns of its fibers stage and solve
-nothing.  The decay records read the exact growth rate of each mode line of
-the built fibers (`fiber_growth`); no trajectory is integrated in a run.
-tests/spatial_oracles.py keeps the two-direction, two-channel frame solve
-and the fibers' Picard loop on it as references, and the routes that only
-tests take: the low and high band projectors, the generic quadratic forms
-and frozen (A(q), B) of the spatial-averaging condition, the
-inequality-implication sweep, and the driven trajectories with their
-symplectic pairing; tests/decay_oracles.py keeps the trajectory fits of the
-decay rate.  `SAConfig.check_driver` is the one check of a driver's sup |a|
-against the amplitude bound a_b = Lambda + delta.
+nothing.  The contraction certificate's band maxima take an SVD only of the
+modes whose norm bound can still beat them.  The decay records read the
+exact growth rate of each mode line of the built fibers (`fiber_growth`);
+no trajectory is integrated in a run.
+tests/spatial_oracles.py keeps the all-mode frame, the two-direction,
+two-channel frame solve and the fibers' Picard loop on it as references,
+and the routes that only tests take: the low and high band projectors, the
+generic quadratic forms and frozen (A(q), B) of the spatial-averaging
+condition, the inequality-implication sweep, and the driven trajectories
+with their symplectic pairing; tests/decay_oracles.py keeps the trajectory
+fits of the decay rate.  `SAConfig.check_driver` is the one check of a
+driver's sup |a| against the amplitude bound a_b = Lambda + delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -69,8 +71,11 @@ PICARD_TOL = 1e-10
 FIBER_BAND = 7
 #: time steps of the grid on which the contraction norms are measured
 CONTRACTION_STEPS = 360
-#: impulse columns per solve of the measured contraction norms
-IMPULSE_BATCH = 64
+#: relative pad of an operator norm bound: at m = CONTRACTION_STEPS + 1
+#: nodes the rounding of the bound, a sum of m^2 squares, stays below
+#: m^2 eps = 2.9e-11, and an SVD's largest singular value is accurate to a
+#: modest multiple of m eps = 8e-14
+NORM_BOUND_PAD = 1e-10
 #: largest k that the gap search tries
 GAP_K_MAX = 50
 
@@ -319,87 +324,53 @@ def assemble_nonaut_hamiltonian(config: SAConfig, a_value: float) -> Hamiltonian
 
 
 class _ScalarFrame:
-    """One projected scalar equation family x' = (r(t) - rho) x + f, all
-    modes and columns.
+    """One mode's projected scalar equation x' = (r(t) - rho) x + f over P
+    columns, r(t) = s + sc * a(t) with sc = sign * chi_j.
 
-    r(t) = s_j + sign * chi_j * a(t) per mode, and rho_j is the mode's rate
-    shift: a solution x stands for the physical e^{rho_j t} x, so a forcing
-    that carries the mode's own stiff exponential is integrated exactly.
-    Step factors use the exact interval means of r; the within-interval
-    variation of a(t) is folded into the integrand samples, so only the
-    (smooth) fold-corrected data is polynomial-interpolated.
+    rho is the mode's rate shift: a solution x stands for the physical
+    e^{rho t} x, so a forcing that carries the mode's own stiff exponential
+    is integrated exactly.  Step factors use the exact interval means of r;
+    the within-interval variation of a(t) is folded into the integrand
+    samples, so only the (smooth) fold-corrected data is
+    polynomial-interpolated.
 
-    Each mode is integrated in the one direction whose Green branch is
-    square-integrable: forward from zero on `forward_modes`, backward from
-    zero on the others.  Quadrature weights, fold factors and step factors
-    exist for that direction only, and weights and folds are multiplied
-    once, since their product is the same on every solve.
+    The mode is integrated in the one direction whose Green branch is
+    square-integrable: forward from zero if `forward`, backward from zero
+    otherwise.  Quadrature weights, fold factors and step factors exist for
+    that direction only, and weights and folds are multiplied once, since
+    their product is the same on every solve.  `steps` and `wf` are in time
+    order.
 
-    Array layout: (m nodes, n modes, P columns).
+    Array layout: (m nodes, P columns); the step and weight arrays of a
+    single-column frame broadcast over any number of columns.
     """
 
-    def __init__(
-        self,
-        times: np.ndarray,
-        s_base: np.ndarray,
-        chi: np.ndarray,
-        sign: float,
-        rho: np.ndarray,
-        forward_modes: np.ndarray,
-        a_mean: np.ndarray,
-        c_int: np.ndarray,
-    ):
-        self.h = h = float(times[1] - times[0])
+    def __init__(self, times, drive, s, sc, rho, forward: bool):
+        h = float(times[1] - times[0])
         self.m = m = times.size
-        self.fwd = np.flatnonzero(forward_modes)
-        self.bwd = np.flatnonzero(~forward_modes)
-        base, _ = stencil_layout(m)
-        # shifted per-interval rates: (m-1, n, P)
-        rbar = s_base[None, :, None] + sign * chi[None, :, None] * a_mean[:, None, :]
-        z = (rbar - rho[None, :, None]) * h
-        # the recurrence runs over both directions at once: forward modes in
-        # time order, then backward modes in reversed time order
-        self.steps = np.concatenate(
-            [np.exp(z[:, self.fwd]), np.exp(-z[::-1, self.bwd])], axis=1
-        )
-        # fold factors at the stencil nodes: forward reference = right end,
-        # backward reference = left end of the interval
-        sc = sign * chi[None, :, None]
-        fold_f, fold_b = [], []
-        for ell in range(4):
-            nodes = base + ell
-            dev_f = (c_int[1:] - c_int[nodes]) - a_mean * (
-                times[1:, None] - times[nodes, None]
-            )
-            dev_b = (c_int[nodes] - c_int[:-1]) - a_mean * (
-                times[nodes, None] - times[:-1, None]
-            )
-            fold_f.append(np.exp(sc[:, self.fwd] * dev_f[:, None, :]))
-            fold_b.append(np.exp(-sc[:, self.bwd] * dev_b[:, None, :]))
-        self.wf_fwd = self._weighted_folds(True, z[:, self.fwd], fold_f)
-        self.wf_bwd = self._weighted_folds(False, z[:, self.bwd], fold_b)
-
-    def _weighted_folds(self, forward: bool, z, folds):
-        """Per stencil node ell, the weights of one direction times its fold
-        factors on the intervals: (4, m-1, modes, P).  Stencil pattern 0
-        holds on the first interval, 1 on the interior, 2 on the last."""
-        m, h = self.m, self.h
-        out = np.empty((4,) + z.shape)
+        self.forward = forward
+        a_mean, dev_f, dev_b = drive
+        # shifted per-interval rates: (m-1, P)
+        z = (s + sc * a_mean - rho) * h
+        self.steps = np.exp(z) if forward else np.exp(-z)
+        # weights times the fold factors at the stencil nodes, (4, m-1, P):
+        # forward reference = right end, backward = left end of the interval;
+        # stencil pattern 0 holds on the first interval, 1 on the interior,
+        # 2 on the last
+        self.wf = wf = np.empty((4,) + z.shape)
         spans = ((0, slice(0, 1)), (1, slice(1, m - 2)), (2, slice(m - 2, m - 1)))
         for pattern, sl in spans:
             if forward:
                 w = forward_weights(phi_scalar(4, z[sl]), h, pattern)
             else:
-                w = backward_weights(
-                    backward_moments(phi_scalar(4, -z[sl])), h, pattern
-                )
-            for ell in range(4):
-                out[ell, sl] = w[ell] * folds[ell][sl]
-        return out
+                w = backward_weights(backward_moments(phi_scalar(4, -z[sl])), h, pattern)
+            wf[:, sl] = w
+        for ell in range(4):
+            wf[ell] *= np.exp(sc * dev_f[ell]) if forward else np.exp(-sc * dev_b[ell])
 
-    def _local(self, fvals: np.ndarray, wf: np.ndarray, out: np.ndarray) -> None:
+    def _local(self, fvals: np.ndarray, out: np.ndarray) -> None:
         """Accumulate the per-interval local integrals of fvals into out."""
-        m = self.m
+        m, wf = self.m, self.wf
         interior = slice(1, m - 2)
         out_int = out[interior]
         prod = np.empty(out_int.shape)
@@ -411,43 +382,55 @@ class _ScalarFrame:
             out[m - 2] += wf[ell, m - 2] * fvals[m - 4 + ell]
 
     def solve(self, fvals: np.ndarray) -> np.ndarray:
-        """L2 solve: forward from zero on forward modes, backward (negated
-        Green branch) on the others.  The local integrals of both directions
-        fill one time-aligned buffer, forward modes in time order and
-        backward ones reversed, and a single recurrence
-        acc = step * acc + local runs over its rows."""
-        m = self.m
-        nf = self.fwd.size
-        loc = np.zeros((m - 1,) + fvals.shape[1:])
-        self._local(fvals[:, self.fwd], self.wf_fwd, loc[:, :nf])
-        back = loc[::-1, nf:]
-        self._local(fvals[:, self.bwd], self.wf_bwd, back)
-        np.negative(back, out=back)
+        """L2 solve: forward from zero, or backward (the negated Green
+        branch).  Interval i's local integral is written at node i + 1,
+        resp. node i, and the recurrence acc = step * acc + local runs over
+        those rows in the direction of integration."""
+        out = np.zeros(fvals.shape)
+        loc, steps = out[1:] if self.forward else out[:-1], self.steps
+        self._local(fvals, loc)
+        if not self.forward:
+            np.negative(loc, out=loc)
+            loc, steps = loc[::-1], steps[::-1]
         acc = np.zeros(loc.shape[1:])
-        for step, row in zip(self.steps, loc):
+        for step, row in zip(steps, loc):
             row += step * acc
             acc = row
-        out = np.zeros_like(fvals)
-        out[1:, self.fwd] = loc[:, :nf]
-        out[:-1, self.bwd] = back
         return out
 
 
-def _frames(config: SAConfig, columns, times: np.ndarray, rho: np.ndarray):
-    """The (v, eta) frames of the doubled SA system over (driver, phase)
-    columns, every mode's rate shifted by rho_j.
+def _drive(columns, times: np.ndarray):
+    """What every mode frame reads of the (driver, phase) columns on the
+    grid: the interval means a_mean of a(t), (m-1, P), and per stencil node
+    ell the deviation of the integral of a(t) from a_mean over the span from
+    the node to the interval's right end (forward) and from its left end to
+    the node (backward), (m-1, P) each."""
+    c_int = np.stack([drv.integral(q, times) for drv, q in columns], axis=1)
+    a_mean = np.diff(c_int, axis=0) / (times[1] - times[0])
+    base, _ = stencil_layout(times.size)
+    dev_f, dev_b = [], []
+    for ell in range(4):
+        nodes = base + ell
+        dev_f.append((c_int[1:] - c_int[nodes])
+                     - a_mean * (times[1:, None] - times[nodes, None]))
+        dev_b.append((c_int[nodes] - c_int[:-1])
+                     - a_mean * (times[nodes, None] - times[:-1, None]))
+    return a_mean, dev_f, dev_b
+
+
+def _frames(config: SAConfig, times: np.ndarray, drive, j: int, rho: float):
+    """The (v, eta) frames of mode j of the doubled SA system over the
+    columns of `drive`, the mode's rate shifted by rho.
 
     The fiber solve shifts by mu_j = -|a_diag_j|: its forcing is e^{mu_j t}
     times smooth data, so it solves for the smooth factor.  The contraction
     solve shifts by 0, so its impulse responses are physical values.
     """
     a_diag, chi, _, _ = config.mode_coefficients
-    c_int = np.stack([drv.integral(q, times) for drv, q in columns], axis=1)
-    a_mean = np.diff(c_int, axis=0) / (times[1] - times[0])
-    unstable = config.unstable
+    unstable = bool(config.unstable[j])
     return (
-        _ScalarFrame(times, a_diag, chi, -1.0, rho, ~unstable, a_mean, c_int),
-        _ScalarFrame(times, -a_diag, chi, +1.0, rho, unstable, a_mean, c_int),
+        _ScalarFrame(times, drive, a_diag[j], -chi[j], rho, not unstable),
+        _ScalarFrame(times, drive, -a_diag[j], chi[j], rho, unstable),
     )
 
 
@@ -502,72 +485,62 @@ def _fiber_grid(config: SAConfig, horizon: float | None, n_steps: int | None):
     return np.linspace(0.0, t_end, int(n_steps) + 1)
 
 
-def _sharp_forcing(config: SAConfig, columns, times: np.ndarray):
-    """R(theta^t q) G_sharp(t) z^s_j over the decay e^{mu_j t}, (m, n, P) each.
+def _sharp_forcing(config: SAConfig, j: int, a_vals: np.ndarray):
+    """R(theta^t q) G_sharp(t) z^s_j over the decay e^{mu_j t}, (m, P) each,
+    from the driver values a_vals (m, P).
 
     An unstable mode (j < N) has g = (0, e^{mu t}), so g_v = b_j and
     g_eta = chi_j a(t); a stable one has g = (e^{mu t}, 0), so
     g_v = -chi_j a(t) and g_eta = c_j.
     """
     _, chi, b_coef, c_coef = config.mode_coefficients
-    a_vals = np.stack([drv.values(q, times) for drv, q in columns], axis=1)
-    unst = config.unstable[None, :, None]
-    chi_a = chi[None, :, None] * a_vals[:, None, :]
-    g_v = np.where(unst, b_coef[None, :, None], -chi_a)
-    g_e = np.where(unst, chi_a, c_coef[None, :, None])
-    return g_v, g_e
+    chi_a = chi[j] * a_vals
+    if config.unstable[j]:
+        return np.full(a_vals.shape, b_coef[j]), chi_a
+    return -chi_a, np.full(a_vals.shape, c_coef[j])
 
 
-def _collocate(config: SAConfig, frames, g_v, g_e):
-    """The fixed point (dv, deta) of the fiber contraction, (m, n, P) each,
-    by one banded solve per (mode, column) block.
+def _collocate(frames, b: float, c: float, g_v, g_e):
+    """The fixed point (dv, deta) of one mode's fiber contraction, (m, P)
+    each, by one banded solve per (mode, column) block.
 
     The unknowns of a block are node-interleaved, (dv_0, deta_0, dv_1, ...),
     and its rows are the frames' recurrences, each with its unit diagonal at
     its own unknown: a forward frame's row for x_{i+1} holds
     -s_i x_i - sum_l w_l f_{base_i+l}, a backward frame's row for x_i holds
     -s'_i x_{i+1} + sum_l w'_l f_{base_i+l}, where f is the other half's
-    unknown times the mode's coupling b_j or c_j; the boundary row x_0 = 0,
+    unknown times the mode's coupling b or c; the boundary row x_0 = 0,
     resp. x_{m-1} = 0, is the bare diagonal.  The sharp forcing's stencil
-    sums are the right-hand side.  The blocks of a mode write the same band
+    sums are the right-hand side.  The blocks write the same band
     positions, so they share one band array, filled one block at a time.
     """
-    _, _, b_coef, c_coef = config.mode_coefficients
-    m, n = frames[0].m, config.n
+    m = frames[0].m
     i = np.arange(m - 1)
     base, _ = stencil_layout(m)
     nodes = base[None, :] + np.arange(4)[:, None]
+    band = np.zeros((2 * FIBER_BAND + 1, 2 * m))
+    band[FIBER_BAND] = 1.0
+    flat, rows, values, local = [], [], [], []
+    for slot, (frame, g, coef) in enumerate(((frames[0], g_v, b), (frames[1], g_e, c))):
+        forward = frame.forward
+        # a forward row subtracts the stencil sum, a backward row adds it
+        sign = -1.0 if forward else 1.0
+        r = 2 * (i + forward) + slot
+        cols = np.concatenate([2 * (i + 1 - forward) + slot, 2 * nodes.ravel() + 1 - slot])
+        flat.append(np.ravel_multi_index((FIBER_BAND + np.tile(r, 5) - cols, cols),
+                                         band.shape))
+        rows.append(r)
+        values += [-frame.steps, (sign * coef) * frame.wf.reshape(4 * (m - 1), -1)]
+        local.append(-sign * np.sum(frame.wf * g[nodes], axis=0))
+    flat, rows = np.concatenate(flat), np.concatenate(rows)
+    values, local = np.concatenate(values), np.concatenate(local)
     out = np.empty((2,) + g_v.shape)
-    for j in range(n):
-        band = np.zeros((2 * FIBER_BAND + 1, 2 * m))
-        band[FIBER_BAND] = 1.0
-        flat, rows, values, local = [], [], [], []
-        for slot, (frame, g, coef) in enumerate(
-            ((frames[0], g_v, b_coef[j]), (frames[1], g_e, c_coef[j]))
-        ):
-            forward = j in frame.fwd
-            k = int(np.searchsorted(frame.fwd if forward else frame.bwd, j))
-            if forward:
-                steps, wf = frame.steps[:, k], frame.wf_fwd[:, :, k]
-            else:
-                steps, wf = frame.steps[::-1, frame.fwd.size + k], frame.wf_bwd[:, :, k]
-            # a forward row subtracts the stencil sum, a backward row adds it
-            sign = -1.0 if forward else 1.0
-            r = 2 * (i + forward) + slot
-            c = np.concatenate([2 * (i + 1 - forward) + slot, 2 * nodes.ravel() + 1 - slot])
-            flat.append(np.ravel_multi_index((FIBER_BAND + np.tile(r, 5) - c, c),
-                                             band.shape))
-            rows.append(r)
-            values += [-steps, (sign * coef) * wf.reshape(4 * (m - 1), -1)]
-            local.append(-sign * np.sum(wf * g[nodes, j], axis=0))
-        flat, rows = np.concatenate(flat), np.concatenate(rows)
-        values, local = np.concatenate(values), np.concatenate(local)
-        rhs = np.zeros(2 * m)
-        for p in range(g_v.shape[2]):
-            band.flat[flat] = values[:, p]
-            rhs[rows] = local[:, p]
-            x = solve_banded((FIBER_BAND, FIBER_BAND), band, rhs, check_finite=False)
-            out[:, :, j, p] = x.reshape(m, 2).T
+    rhs = np.zeros(2 * m)
+    for p in range(g_v.shape[1]):
+        band.flat[flat] = values[:, p]
+        rhs[rows] = local[:, p]
+        x = solve_banded((FIBER_BAND, FIBER_BAND), band, rhs, check_finite=False)
+        out[:, :, p] = x.reshape(m, 2).T
     return out
 
 
@@ -579,10 +552,11 @@ def build_fibers(
     The contraction (dv, deta) -> (S_v(b deta + g_v), S_eta(c dv + g_eta))
     of the frame solves S is affine and mode-diagonal, so its fixed point is
     one linear two-point boundary-value problem per (mode, column), solved
-    as a banded system (`_collocate`).  One Picard sweep from the solution
-    checks it: ContractionFailed unless the sweep moves deta by at most
-    PICARD_TOL of its norm.  One FiberResult is returned per column, in
-    order (`_fibers_from`).
+    as a banded system (`_collocate`).  The work runs mode by mode: a mode's
+    frames and forcing are built, solved and swept, then dropped.  One
+    Picard sweep from the solution checks it: ContractionFailed unless the
+    sweep moves deta by at most PICARD_TOL of its norm.  One FiberResult is
+    returned per column, in order (`_fibers_from`).
     """
     columns = list(columns)
     for driver, _ in columns:
@@ -591,26 +565,32 @@ def build_fibers(
     times = _fiber_grid(config, horizon, None)
     a_diag, _, b_coef, c_coef = config.mode_coefficients
     rho = -np.abs(a_diag)
-    frame_v, frame_e = _frames(config, columns, times, rho)
-    g_v, g_e = _sharp_forcing(config, columns, times)
-    dv, d_eta = _collocate(config, (frame_v, frame_e), g_v, g_e)
-    swept = frame_e.solve(
-        c_coef[None, :, None] * frame_v.solve(b_coef[None, :, None] * d_eta + g_v) + g_e
-    )
+    drive = _drive(columns, times)
+    a_vals = np.stack([drv.values(q, times) for drv, q in columns], axis=1)
+    d_eta = np.empty((times.size, config.n, len(columns)))
+    update = np.empty(d_eta.shape)
+    dv0 = np.empty(d_eta.shape[1:])
+    for j in range(config.n):
+        frame_v, frame_e = _frames(config, times, drive, j, rho[j])
+        g_v, g_e = _sharp_forcing(config, j, a_vals)
+        dv, d_eta[:, j] = _collocate((frame_v, frame_e), b_coef[j], c_coef[j], g_v, g_e)
+        dv0[j] = dv[0]
+        dv_swept = frame_v.solve(b_coef[j] * d_eta[:, j] + g_v)
+        update[:, j] = frame_e.solve(c_coef[j] * dv_swept + g_e) - d_eta[:, j]
     # a solution x stands for the physical e^{rho t} x
     decay = np.exp(rho[None, :] * times[:, None])[:, :, None]
 
     def phys_norm(x):
         return float(np.sqrt(np.max(np.sum((decay * x) ** 2, axis=(0, 1)))))
 
-    residual = phys_norm(swept - d_eta) / max(phys_norm(d_eta), 1e-300)
+    residual = phys_norm(update) / max(phys_norm(d_eta), 1e-300)
     if not residual <= PICARD_TOL:
         raise ContractionFailed(
             f"fixed-point residual {residual:.3e} of the fiber solve exceeds "
             f"{PICARD_TOL:.1e}"
         )
     # values at t = 0, where e^{mu 0} = 1
-    return _fibers_from(config, columns, dv[0], d_eta[0], 1, residual)
+    return _fibers_from(config, columns, dv0, d_eta[0], 1, residual)
 
 
 def _fibers_from(
@@ -704,29 +684,46 @@ def _require_contraction(config: SAConfig) -> dict:
     return out
 
 
-def _mode_operator_matrices(config: SAConfig, frames, with_coupling: bool):
-    """Dense per-mode matrices of the discretized contraction T (or of L_A).
+def _mode_operator_matrix(frames, b: float, c: float, with_coupling: bool):
+    """Dense matrix of one mode's discretized contraction T (or of L_A).
 
-    Columns are impulse responses of the unshifted (v, eta) frames, so they
-    are physical values; they ride on the column axis of the single-column
-    frames, whose step and weight arrays broadcast over it.
+    Columns are impulse responses of the mode's unshifted (v, eta) frames,
+    so they are physical values; all m impulses ride on the column axis of
+    the single-column frames, whose step and weight arrays broadcast over
+    it, in one solve.
     """
     frame_v, frame_e = frames
-    _, _, b_coef, c_coef = config.mode_coefficients
-    m, n = frame_v.m, b_coef.size
-    out = np.zeros((n, m, m))
-    for lo in range(0, m, IMPULSE_BATCH):
-        hi = min(lo + IMPULSE_BATCH, m)
-        f = np.zeros((m, n, hi - lo))
-        for col in range(lo, hi):
-            f[col, :, col - lo] = 1.0
-        if with_coupling:
-            dv = frame_v.solve(b_coef[None, :, None] * f)
-            vals = frame_e.solve(c_coef[None, :, None] * dv)
-        else:
-            vals = frame_v.solve(f)
-        out[:, :, lo:hi] = np.transpose(vals, (1, 0, 2))
-    return out
+    eye = np.eye(frame_v.m)
+    if with_coupling:
+        return frame_e.solve(c * frame_v.solve(b * eye))
+    return frame_v.solve(eye)
+
+
+def _norm_bound(mat: np.ndarray) -> float:
+    """min(||mat||_F, sqrt(||mat||_1 ||mat||_inf)) >= ||mat||_2 (Golub & Van
+    Loan, Matrix Computations, 2.3), times 1 + NORM_BOUND_PAD so that the
+    rounding of the bound and of an SVD cannot put it below the SVD's
+    value.  ContractionFailed unless it is finite, as a non-finite entry
+    makes it."""
+    absm = np.abs(mat)
+    bound = np.minimum(np.linalg.norm(mat),
+                       np.sqrt(absm.sum(axis=0).max() * absm.sum(axis=1).max()))
+    if not np.isfinite(bound):
+        raise ContractionFailed(f"operator norm bound {bound} is not finite")
+    return float(bound) * (1.0 + NORM_BOUND_PAD)
+
+
+def _pruned_max(bounds: np.ndarray, norm, modes: np.ndarray) -> float:
+    """max of norm(j) over the modes (0.0 if there are none), given
+    bounds[j] >= norm(j): the modes are visited by falling bound, and the
+    first bound that cannot beat the running maximum ends the search, since
+    no later one can either."""
+    best = 0.0
+    for j in modes[np.argsort(-bounds[modes], kind="stable")]:
+        if bounds[j] <= best:
+            break
+        best = max(best, norm(j))
+    return best
 
 
 def contraction_certificate(config: SAConfig) -> dict:
@@ -736,6 +733,10 @@ def contraction_certificate(config: SAConfig) -> dict:
     They split by the band projectors (the discrete operator is
     mode-diagonal) and must stay below the analytic bounds; the discretized
     Lyapunov-Perron norms are checked against 1/mu_bar and 1/(mu_bar + k).
+    A first pass builds each mode's T and L_A matrices and keeps only their
+    norm bounds (`_norm_bound`); each band maximum then takes an SVD only of
+    the modes whose bound can still beat it (`_pruned_max`), rebuilding
+    those matrices, and a mode's SVD serves every band it is in.
     """
     out = _require_contraction(config)
     times = _fiber_grid(config, None, CONTRACTION_STEPS)
@@ -743,23 +744,30 @@ def contraction_certificate(config: SAConfig) -> dict:
     w = np.full(times.size, h)
     w[0] = w[-1] = h / 2
     d_sq = np.sqrt(w)
-    frames = _frames(
-        config, [(constant_driver(config.a_bound), 0.0)], times, np.zeros(config.n)
-    )
-    tmats = _mode_operator_matrices(config, frames, with_coupling=True)
-    lmats = _mode_operator_matrices(config, frames, with_coupling=False)
-    norms_t = np.array(
-        [np.linalg.norm((tm * d_sq[:, None]) / d_sq[None, :], 2) for tm in tmats]
-    )
-    norms_l = np.array(
-        [np.linalg.norm((lm * d_sq[:, None]) / d_sq[None, :], 2) for lm in lmats]
-    )
-    mid = config.mid_mask
+    drive = _drive([(constant_driver(config.a_bound), 0.0)], times)
+    _, _, b_coef, c_coef = config.mode_coefficients
+
+    def mode_frames(j):
+        return _frames(config, times, drive, j, 0.0)
+
+    def operator(frames, j, with_coupling):
+        mat = _mode_operator_matrix(frames, b_coef[j], c_coef[j], with_coupling)
+        return (mat * d_sq[:, None]) / d_sq[None, :]
+
+    @cache
+    def svd_norm(j, with_coupling):
+        return float(np.linalg.norm(operator(mode_frames(j), j, with_coupling), 2))
+
+    modes, mid = np.arange(config.n), config.mid_mask
+    bounds_t, bounds_l = np.array([
+        [_norm_bound(operator(frames, j, coupling)) for coupling in (True, False)]
+        for j, frames in zip(modes, map(mode_frames, modes))
+    ]).T
     out.update(
-        measured_mid=float(norms_t[mid].max()) if mid.any() else 0.0,
-        measured_pq=float(norms_t[~mid].max()) if (~mid).any() else 0.0,
-        lp_measured_all=float(norms_l.max()),
-        lp_measured_pq=float(norms_l[~mid].max()) if (~mid).any() else 0.0,
+        measured_mid=_pruned_max(bounds_t, lambda j: svd_norm(j, True), modes[mid]),
+        measured_pq=_pruned_max(bounds_t, lambda j: svd_norm(j, True), modes[~mid]),
+        lp_measured_all=_pruned_max(bounds_l, lambda j: svd_norm(j, False), modes),
+        lp_measured_pq=_pruned_max(bounds_l, lambda j: svd_norm(j, False), modes[~mid]),
     )
     return out
 

@@ -1,12 +1,16 @@
 """Reference loops of the spatial-averaging solves, and the spatial-averaging
 routes that only tests take.
 
-The library integrates each mode of a `_ScalarFrame` in its one
-square-integrable direction, through a single recurrence over a stacked
-buffer, on the one rate shift its solver needs.  The routes here are the
-plain loops those replace, with the same elementwise arithmetic, and serve
-as exact references in the tests:
+The library builds one mode's `_ScalarFrame` at a time, integrates it in
+its one square-integrable direction, on the one rate shift its solver
+needs, and drops it.  The routes here are the all-mode arrays and plain
+loops those replace, with the same elementwise arithmetic, and serve as
+exact references in the tests:
 
+- `AllModeFrame`: the library's frame before it went per mode, every mode
+  and column at once in one direction per mode, through a single
+  recurrence over a buffer that stacks the forward modes in time order and
+  the backward ones reversed;
 - `ScalarFrameOracle`: every mode propagated both ways on all-mode weight,
   fold and step arrays, in two channels, unshifted (0) and shifted by the
   mode's mu_j (1), which never mix; `solve` keeps the square-integrable
@@ -16,7 +20,7 @@ as exact references in the tests:
   Picard loop and the contraction's impulse responses on two-channel
   frames, as the library ran them before each solver kept only the channel
   its consumer reads (the fiber forcing fills channel 1 only, the impulses
-  channel 0 only).
+  channel 0 only), the impulses IMPULSE_BATCH columns per solve.
 
 A run reads the frozen Hamiltonian of the mode-wise reduced system
 (`assemble_nonaut_hamiltonian`) and integrates no driven trajectory.  The
@@ -47,7 +51,6 @@ from lqbundle.dichotomy import GridFunction
 from lqbundle.errors import AValueOutOfRange
 from lqbundle.frequency import QuadraticFormTriple
 from lqbundle.spatial import (
-    IMPULSE_BATCH,
     PICARD_TOL,
     _fiber_grid,
     _fibers_from,
@@ -56,10 +59,95 @@ from lqbundle.spatial import (
 
 #: sweep cap of the reference Picard loop
 PICARD_MAX_ITER = 200
+#: impulse columns per solve of `two_channel_operator_matrices`
+IMPULSE_BATCH = 64
 #: trajectory step relative to 1 / (the largest frozen coefficient sum)
 TRAJECTORY_STEP_SCALE = 0.01
 #: trajectory steps whose propagators are computed in one vectorised batch
 TRAJECTORY_CHUNK = 4096
+
+
+
+class AllModeFrame:
+    """The library's frame on every mode and column at once:
+    x' = (r(t) - rho) x + f with r(t) = s_j + sign * chi_j * a(t) and one
+    rate shift rho_j per mode, each mode integrated in the one direction of
+    its square-integrable Green branch, forward on `forward_modes`.
+
+    Array layout: (m nodes, n modes, P columns); `steps` holds the forward
+    modes in time order, then the backward ones in reversed time order, and
+    `wf_fwd`, `wf_bwd` the weights times folds, (4, m-1, modes, P).
+    """
+
+    def __init__(self, times, s_base, chi, sign, rho, forward_modes, a_mean, c_int):
+        self.h = h = float(times[1] - times[0])
+        self.m = m = times.size
+        self.fwd = np.flatnonzero(forward_modes)
+        self.bwd = np.flatnonzero(~forward_modes)
+        base, _ = stencil_layout(m)
+        rbar = s_base[None, :, None] + sign * chi[None, :, None] * a_mean[:, None, :]
+        z = (rbar - rho[None, :, None]) * h
+        self.steps = np.concatenate(
+            [np.exp(z[:, self.fwd]), np.exp(-z[::-1, self.bwd])], axis=1
+        )
+        sc = sign * chi[None, :, None]
+        fold_f, fold_b = [], []
+        for ell in range(4):
+            nodes = base + ell
+            dev_f = (c_int[1:] - c_int[nodes]) - a_mean * (
+                times[1:, None] - times[nodes, None]
+            )
+            dev_b = (c_int[nodes] - c_int[:-1]) - a_mean * (
+                times[nodes, None] - times[:-1, None]
+            )
+            fold_f.append(np.exp(sc[:, self.fwd] * dev_f[:, None, :]))
+            fold_b.append(np.exp(-sc[:, self.bwd] * dev_b[:, None, :]))
+        self.wf_fwd = self._weighted_folds(True, z[:, self.fwd], fold_f)
+        self.wf_bwd = self._weighted_folds(False, z[:, self.bwd], fold_b)
+
+    def _weighted_folds(self, forward, z, folds):
+        m, h = self.m, self.h
+        out = np.empty((4,) + z.shape)
+        spans = ((0, slice(0, 1)), (1, slice(1, m - 2)), (2, slice(m - 2, m - 1)))
+        for pattern, sl in spans:
+            if forward:
+                w = forward_weights(phi_scalar(4, z[sl]), h, pattern)
+            else:
+                w = backward_weights(
+                    backward_moments(phi_scalar(4, -z[sl])), h, pattern
+                )
+            for ell in range(4):
+                out[ell, sl] = w[ell] * folds[ell][sl]
+        return out
+
+    def _local(self, fvals, wf, out):
+        m = self.m
+        interior = slice(1, m - 2)
+        out_int = out[interior]
+        prod = np.empty(out_int.shape)
+        for ell in range(4):
+            np.multiply(wf[ell, interior], fvals[ell : m - 3 + ell], prod)
+            out_int += prod
+        for ell in range(4):
+            out[0] += wf[ell, 0] * fvals[ell]
+            out[m - 2] += wf[ell, m - 2] * fvals[m - 4 + ell]
+
+    def solve(self, fvals):
+        m = self.m
+        nf = self.fwd.size
+        loc = np.zeros((m - 1,) + fvals.shape[1:])
+        self._local(fvals[:, self.fwd], self.wf_fwd, loc[:, :nf])
+        back = loc[::-1, nf:]
+        self._local(fvals[:, self.bwd], self.wf_bwd, back)
+        np.negative(back, out=back)
+        acc = np.zeros(loc.shape[1:])
+        for step, row in zip(self.steps, loc):
+            row += step * acc
+            acc = row
+        out = np.zeros_like(fvals)
+        out[1:, self.fwd] = loc[:, :nf]
+        out[:-1, self.bwd] = back
+        return out
 
 
 class ScalarFrameOracle:
@@ -150,13 +238,15 @@ class ScalarFrameOracle:
         return out
 
 
-def oracle_frames(config, columns, times, frame=ScalarFrameOracle):
-    """(v-frame, eta-frame) two-channel frames of the columns on the grid;
-    `frame` is the frame class, called like `ScalarFrameOracle`."""
+def oracle_frames(config, columns, times, frame=ScalarFrameOracle, rho=None):
+    """(v-frame, eta-frame) all-mode frames of the columns on the grid:
+    two-channel `ScalarFrameOracle` frames, or any frame class called like
+    it; `AllModeFrame` takes the per-mode rate shifts rho in place of mu."""
     c_int = np.stack([drv.integral(q, times) for drv, q in columns], axis=1)
     a_mean = np.diff(c_int, axis=0) / (times[1] - times[0])
     a_diag, chi, _, _ = config.mode_coefficients
-    mu, unstable = -np.abs(a_diag), config.unstable
+    mu = -np.abs(a_diag) if rho is None else rho
+    unstable = config.unstable
     return (
         frame(times, a_diag, chi, -1.0, mu, ~unstable, a_mean, c_int),
         frame(times, -a_diag, chi, +1.0, mu, unstable, a_mean, c_int),

@@ -101,7 +101,7 @@ def sa_route(tmp_path_factory):
             name: count_calls(mp, owner, name)
             for owner, name in (
                 (lqbundle.spatial, "build_fibers"),
-                (lqbundle.spatial, "_frames"),
+                (lqbundle.spatial, "_collocate"),
             )
         }
         cert = run_pipeline(scenario)
@@ -240,11 +240,10 @@ class TestPipeline:
 
     def test_sa_solves_each_fiber_once(self, sa_route):
         # one fiber solve holds the phase grid, the continuity steps and the
-        # frozen column; the other frame pair is the contraction
-        # certificate's
+        # frozen column, and collocates each of the 8 modes once
         cert, calls = sa_route
         assert {name: len(c) for name, c in calls.items()} == {
-            "build_fibers": 1, "_frames": 2,
+            "build_fibers": 1, "_collocate": 8,
         }
         assert len(cert.tables["fibers"]) == 4
         assert len(cert.tables["continuity"]) == 6
@@ -425,6 +424,50 @@ class TestCli:
         assert code == 0
         assert "frequency-margin" in capsys.readouterr().out
         assert checks == stage_records(certificate_checks(s1_seed7_run), ["frequency"])
+
+    @pytest.mark.parametrize("command", ["check-freq", "verify"])
+    def test_zero_frequency_margin_fails(self, tmp_path, command):
+        # F1 = -4 puts the margin of S1 exactly at 0, at w = 0: the frequency
+        # condition is strict, so its record fails under both commands
+        code, checks = run_command(tmp_path, command, dict(S1_DOC, F1=[[-4.0]]))
+        rec = {c["name"]: c for c in checks}["frequency-margin"]
+        assert code == 1
+        assert rec["value"] == 0.0 and rec["margin"] == 0.0 and not rec["pass"]
+
+    @pytest.mark.parametrize("command", ["check-freq", "verify"])
+    @pytest.mark.filterwarnings("ignore:frequency margin 2.500e-06 is tiny")
+    def test_frequency_margins_beside_zero_keep_their_verdicts(self, tmp_path, command):
+        # margin -0.025 fails the record (and verify's schur-oracle); margin
+        # 2.5e-6 passes every record, where verify's LP warns of the margin
+        code, checks = run_command(tmp_path, command, dict(S1_DOC, F1=[[-4.1]]))
+        assert code == 1
+        failed = ["frequency-margin"] + (["schur-oracle"] if command == "verify" else [])
+        assert [c["name"] for c in checks if not c["pass"]] == failed
+        code, checks = run_command(tmp_path, command, dict(S1_DOC, F1=[[-3.99999]]))
+        rec = {c["name"]: c for c in checks}["frequency-margin"]
+        assert code == 0 and all(c["pass"] for c in checks)
+        assert rec["value"] == pytest.approx(2.5e-6, rel=1e-6)
+
+    def test_nonfinite_contraction_matrix_is_a_contraction_failure(self, tmp_path,
+                                                                   monkeypatch):
+        # one mode's impulse response turns NaN: a typed ContractionFailed,
+        # not an SVD's LinAlgError
+        real = lqbundle.spatial._mode_operator_matrix
+        calls = []
+
+        def nan_first_mode(*args):
+            mat = real(*args)
+            if not calls:
+                mat[:, 0] = np.nan
+            calls.append(None)
+            return mat
+
+        monkeypatch.setattr(lqbundle.spatial, "_mode_operator_matrix", nan_first_mode)
+        code, checks = run_command(tmp_path, "verify", SA_DOC)
+        assert code == 1
+        assert [c["name"] for c in checks if not c["pass"]] == ["contraction-certificate"]
+        (rec,) = [c for c in checks if c["name"] == "contraction-certificate"]
+        assert rec["detail"].startswith("ContractionFailed: operator norm bound nan")
 
     def test_check_freq_fails_between_grid_samples(self, tmp_path):
         # a resonance of width 1e-3 at w = 3.3137: the refined scan passed it

@@ -2,11 +2,15 @@
 direction for matrix and scalar callers, exact on cubics, and the stencil
 contraction against a per-interval loop."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from lqbundle._phi import (
+    _SERIES_RADIUS,
+    _SERIES_TERMS,
     STENCIL_OFFSETS,
     backward_moments,
     backward_weights,
@@ -80,3 +84,40 @@ def test_local_forcing_equals_a_per_interval_loop():
     got = local_forcing(weights, coords)
     assert got.shape == (m - 1, k, batch)
     np.testing.assert_allclose(got, loop, rtol=1e-13, atol=1e-13)
+
+
+def phi_scalar_reference(kmax, z):
+    """`phi_scalar` as whole-array Horner steps with a temporary per step,
+    and the recursion on every entry, selected by np.where."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty((kmax,) + z.shape)
+    small = np.abs(z) < _SERIES_RADIUS
+    zs = np.where(small, z, 0.0)
+    zb = np.where(small, 1.0, z)
+    for k in range(1, kmax + 1):
+        acc = np.zeros_like(zs)
+        for i in range(_SERIES_TERMS, -1, -1):
+            acc = acc * zs + 1.0 / math.factorial(i + k)
+        out[k - 1] = acc
+    rec = np.expm1(zb) / zb
+    out[0] = np.where(small, out[0], rec)
+    for k in range(1, kmax):
+        rec = (rec - 1.0 / math.factorial(k)) / zb
+        out[k] = np.where(small, out[k], rec)
+    return out
+
+
+@pytest.mark.parametrize("case", ["small", "large", "mixed", "half", "scalar"])
+def test_phi_scalar_in_place_equals_the_reference(case):
+    rng = np.random.default_rng(5)
+    z = {
+        "small": rng.uniform(-0.49, 0.49, (300, 4, 23)),
+        "large": rng.choice([-1.0, 1.0], (300, 4, 23)) * rng.uniform(0.5, 40.0, (300, 4, 23)),
+        "mixed": rng.uniform(-3.0, 3.0, (300, 4, 23)),
+        # exactly on the switch, both signs, next to signed zeros
+        "half": np.array([[0.5, -0.5], [0.0, -0.0], [np.nextafter(0.5, 0.0), -0.25]]),
+        "scalar": np.array(-0.5),
+    }[case]
+    got, ref = phi_scalar(4, z), phi_scalar_reference(4, z)
+    assert got.shape == ref.shape == (4,) + z.shape
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))

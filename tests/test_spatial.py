@@ -3,6 +3,7 @@ import pytest
 from decay_oracles import exp_decay_fit, fit_decay_rate
 from spatial_oracles import (
     TRAJECTORY_CHUNK,
+    AllModeFrame,
     a_matrix,
     assemble_forms,
     b_matrix,
@@ -32,9 +33,12 @@ from lqbundle.spatial import (
     PICARD_TOL,
     Driver,
     SAConfig,
+    _drive,
     _fiber_grid,
     _frames,
-    _mode_operator_matrices,
+    _mode_operator_matrix,
+    _norm_bound,
+    _pruned_max,
     assemble_nonaut_hamiltonian,
     build_fibers,
     condition_holds,
@@ -232,6 +236,116 @@ class TestContraction:
         assert cert["measured_pq"] <= cert["bound_pq"] + 1e-6
         assert cert["lp_measured_all"] <= cert["lp_bound_all"] + 1e-6
         assert cert["lp_measured_pq"] <= cert["lp_bound_pq"] + 1e-6
+
+
+#: the band maxima of `contraction_certificate`
+BAND_MAXIMA = ("measured_mid", "measured_pq", "lp_measured_all", "lp_measured_pq")
+
+
+def full_and_pruned_maxima(config, columns):
+    """({band: max over the band's modes of every SVD}, {band: `_pruned_max`
+    with `_norm_bound`}) of the scaled (T, L_A) matrices of the two-channel
+    impulse loop on the contraction grid, over one (driver, phase) column."""
+    times = _fiber_grid(config, None, CONTRACTION_STEPS)
+    h = times[1] - times[0]
+    w = np.full(times.size, h)
+    w[0] = w[-1] = h / 2
+    d_sq = np.sqrt(w)
+    oracles = oracle_frames(config, columns, times)
+    t_mats, l_mats = (
+        (two_channel_operator_matrices(config, oracles, coupling) * d_sq[:, None])
+        / d_sq[None, :]
+        for coupling in (True, False)
+    )
+    bounds_t, bounds_l = (np.array([_norm_bound(mat) for mat in mats])
+                          for mats in (t_mats, l_mats))
+    modes, mid = np.arange(config.n), config.mid_mask
+    bands = zip(BAND_MAXIMA, ((t_mats, bounds_t), (t_mats, bounds_t),
+                              (l_mats, bounds_l), (l_mats, bounds_l)),
+                (modes[mid], modes[~mid], modes, modes[~mid]))
+    full, pruned = {}, {}
+    for name, (mats, bounds), sel in bands:
+        def svd_norm(j, mats=mats):
+            return float(np.linalg.norm(mats[j], 2))
+
+        full[name] = max((svd_norm(j) for j in sel), default=0.0)
+        pruned[name] = _pruned_max(bounds, svd_norm, sel)
+    return full, pruned
+
+
+class TestPrunedNorms:
+    """The contraction's band maxima take an SVD only where a norm bound
+    cannot rule the mode out, and equal the maxima over every SVD bit for
+    bit."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_certificate_equals_full_svd_maxima(self, n):
+        model = make_spectral_model([float(j * j) for j in range(1, n + 1)])
+        cfg = SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=2)
+        full, _ = full_and_pruned_maxima(cfg, [(constant_driver(cfg.a_bound), 0.0)])
+        cert = contraction_certificate(cfg)
+        assert {name: cert[name] for name in BAND_MAXIMA} == full
+
+    def test_quasiperiodic_driver(self, sa_standard):
+        drv = Driver(c0=1.5, amplitudes=np.array([0.3, 0.2]),
+                     omegas=np.array([1.0, np.sqrt(2.0)]))
+        full, pruned = full_and_pruned_maxima(sa_standard, [(drv, np.array([0.0, 1.1]))])
+        assert pruned == full
+
+    def test_svd_count_on_sa_standard(self, sa_standard, monkeypatch):
+        # 6 of the 16 SVDs of the unpruned maxima; one per band is the least
+        real, calls = np.linalg.norm, []
+
+        def counted(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls.append(None)
+            return real(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        contraction_certificate(sa_standard)
+        assert len(calls) <= 8
+
+    def test_padded_bound_keeps_a_rank_one_winner(self):
+        # y is rank one, so ||y||_2 = ||y||_F, but its SVD rounds 2 ulp or
+        # more above its Frobenius norm; x = [[s]] has every norm s, exactly,
+        # with ||y||_F < s < SVD(y).  Unpadded, x's bound comes first and
+        # its SVD s rules y out: the maximum would read s
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            y = np.outer(rng.standard_normal(40), rng.standard_normal(40))
+            fro, svd = np.linalg.norm(y), np.linalg.norm(y, 2)
+            if svd > np.nextafter(fro, np.inf):
+                break
+        else:
+            pytest.fail("no rank-one matrix whose SVD rounds 2 ulp above its norm")
+        s = np.nextafter(svd, 0.0)
+        mats = [np.array([[s]]), y]
+
+        def svd_norm(j):
+            return float(np.linalg.norm(mats[j], 2))
+
+        assert svd_norm(0) == s and _norm_bound(y) >= svd
+        modes = np.arange(2)
+        assert _pruned_max(np.array([s, fro]), svd_norm, modes) == s
+        bounds = np.array([_norm_bound(mat) for mat in mats])
+        assert _pruned_max(bounds, svd_norm, modes) == svd
+
+    def test_empty_band_reads_zero(self):
+        assert _pruned_max(np.array([1.0]), lambda j: 1.0, np.arange(0)) == 0.0
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_nonfinite_matrix_is_a_contraction_failure(self, sa_standard, monkeypatch,
+                                                       entry):
+        real = lqbundle.spatial._mode_operator_matrix
+
+        def spoilt(*args):
+            mat = real(*args)
+            mat[3, 2] = entry
+            return mat
+
+        monkeypatch.setattr(lqbundle.spatial, "_mode_operator_matrix", spoilt)
+        with pytest.raises(ContractionFailed, match="operator norm bound"):
+            contraction_certificate(sa_standard)
 
 
 class TestDrivers:
@@ -470,20 +584,37 @@ class TestNonfiniteTrajectory:
         assert rate >= sa_eps0_estimate(cfg) - 1e-3
 
 
+def mode_slices(frame, j):
+    """Mode j's steps in time order and weights times folds, (m-1, P) and
+    (4, m-1, P), of an `AllModeFrame`."""
+    if j in frame.fwd:
+        k = int(np.searchsorted(frame.fwd, j))
+        return frame.steps[:, k], frame.wf_fwd[:, :, k]
+    k = int(np.searchsorted(frame.bwd, j))
+    return frame.steps[::-1, frame.fwd.size + k], frame.wf_bwd[:, :, k]
+
+
 def assert_frames_match_oracles(config, columns, times, shifted, rng):
-    """Both one-channel frame solves, shifted by mu_j (channel 1) or
-    unshifted (channel 0), equal that channel of the two-direction,
-    two-channel reference loops exactly, on random forcing in every mode,
-    channel and column."""
+    """Each mode's one-channel frames, shifted by mu_j (channel 1) or
+    unshifted (channel 0), equal the all-mode frame in steps, weights times
+    folds and solve, and that channel of the two-direction, two-channel
+    reference loops, exactly, on random forcing in every mode, channel and
+    column."""
     a_diag = config.mode_coefficients[0]
     rho = -np.abs(a_diag) if shifted else np.zeros_like(a_diag)
     channel = int(shifted)
-    frames = _frames(config, columns, times, rho)
-    for frame, oracle in zip(frames, oracle_frames(config, columns, times)):
+    drive = _drive(columns, times)
+    all_modes = oracle_frames(config, columns, times, AllModeFrame, rho)
+    for half, oracle in enumerate(oracle_frames(config, columns, times)):
         fvals = rng.standard_normal((times.size, a_diag.size, 2, len(columns)))
-        assert np.array_equal(
-            frame.solve(fvals[:, :, channel]), oracle.solve(fvals)[:, :, channel]
-        )
+        whole = all_modes[half].solve(fvals[:, :, channel])
+        assert np.array_equal(whole, oracle.solve(fvals)[:, :, channel])
+        for j in range(a_diag.size):
+            frame = _frames(config, times, drive, j, rho[j])[half]
+            steps, wf = mode_slices(all_modes[half], j)
+            assert np.array_equal(frame.steps, steps)
+            assert np.array_equal(frame.wf, wf)
+            assert np.array_equal(frame.solve(fvals[:, j, channel]), whole[:, j])
 
 
 #: agreement of the direct fiber solve with the Picard loop: the loop stops
@@ -540,15 +671,20 @@ class TestOracles:
         assert_fibers_match_two_channel(sa_standard, quasiperiodic_columns(sa_standard))
 
     def test_contraction_impulse_columns(self, sa_standard):
+        # one mode's impulses in one solve equal the two-channel loop's
+        # batches of impulses on every mode
         times = _fiber_grid(sa_standard, None, CONTRACTION_STEPS)
         columns = [(constant_driver(sa_standard.a_bound), 0.0)]
-        frames = _frames(sa_standard, columns, times, np.zeros(sa_standard.n))
+        drive = _drive(columns, times)
         oracles = oracle_frames(sa_standard, columns, times)
+        _, _, b_coef, c_coef = sa_standard.mode_coefficients
         for coupling in (True, False):
-            assert np.array_equal(
-                _mode_operator_matrices(sa_standard, frames, coupling),
-                two_channel_operator_matrices(sa_standard, oracles, coupling),
-            )
+            ref = two_channel_operator_matrices(sa_standard, oracles, coupling)
+            for j in range(sa_standard.n):
+                frames = _frames(sa_standard, times, drive, j, 0.0)
+                assert np.array_equal(
+                    _mode_operator_matrix(frames, b_coef[j], c_coef[j], coupling), ref[j]
+                )
 
     def test_trajectory_over_several_chunks(self, sa_standard, sa_driver, rng):
         z0 = rng.standard_normal(2 * sa_standard.n)
