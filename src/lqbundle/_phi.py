@@ -71,17 +71,18 @@ def phi_scalar(kmax: int, z: np.ndarray) -> np.ndarray:
 
 
 def phi_block(kmax: int, m: np.ndarray) -> list[np.ndarray]:
-    """[phi_1(m), ..., phi_kmax(m)] for a square matrix via one augmented expm."""
+    """[phi_1(m), ..., phi_kmax(m)] for a square matrix, or a stack of them
+    (..., n, n), via one augmented expm per matrix."""
     m = np.asarray(m, dtype=float)
-    n = m.shape[0]
+    n = m.shape[-1]
     size = n * (kmax + 1)
-    aug = np.zeros((size, size))
-    aug[:n, :n] = m
+    aug = np.zeros(m.shape[:-2] + (size, size))
+    aug[..., :n, :n] = m
     for k in range(kmax):
         r = k * n
-        aug[r : r + n, r + n : r + 2 * n] = np.eye(n)
+        aug[..., r : r + n, r + n : r + 2 * n] = np.eye(n)
     big = sla.expm(aug)
-    return [big[:n, (k + 1) * n : (k + 2) * n] for k in range(kmax)]
+    return [big[..., :n, (k + 1) * n : (k + 2) * n] for k in range(kmax)]
 
 
 def stencil_layout(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

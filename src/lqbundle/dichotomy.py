@@ -2,13 +2,13 @@
 
 A dichotomy split block-diagonalizes the generator by an ordered real Schur
 decomposition plus a Sylvester correction.  In the decoupled coordinates the
-Lyapunov-Perron operator on a uniform grid is a recursion whose local
-forcing is the piecewise-cubic exponential quadrature of `_phi`, so the
-exponential kernels are integrated exactly against the interpolant;
-`LPGridOperator` holds its step propagators and weights, from which the
-stationary collocation system is assembled.  The Green kernels and the grid
-application of the operator itself are kept as oracles in
-tests/dichotomy_oracles.py.
+Lyapunov-Perron operator on each uniform segment of a grid is a recursion
+whose local forcing is the piecewise-cubic exponential quadrature of `_phi`,
+so the exponential kernels are integrated exactly against the interpolant;
+`LPGridOperator` holds the step propagators and weights of every segment's
+step, from which the stationary collocation system is assembled.  The Green
+kernels and the grid application of the operator itself are kept as oracles
+in tests/dichotomy_oracles.py.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._phi import backward_moments, backward_weights, forward_weights, phi_block
-from .errors import DimensionMismatch, HorizonTooShort, SpectrumOnAxis
+from .errors import DimensionMismatch, SpectrumOnAxis
 from .symplectic import Subspace
 
 AXIS_TOL = 1e-10
@@ -174,18 +174,17 @@ def left_multiply(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
 
 
 class LPGridOperator:
-    """The Lyapunov-Perron operator's recursions on one uniform grid, in the
-    decoupled coordinates of `split`: forward on the stable block with step
-    `e_s` and weights `wf`, backward on the unstable block with `e_u` and
-    `wb`, the weights exact for the piecewise-cubic interpolant of the
-    forcing (one list per stencil pattern)."""
+    """The Lyapunov-Perron operator's recursions on a grid of uniform
+    segments, in the decoupled coordinates of `split`: forward on the stable
+    block with step propagators `e_s` and weights `wf`, backward on the
+    unstable block with `e_u` and `wb`, the weights exact for the
+    piecewise-cubic interpolant of the forcing (one list of four per stencil
+    pattern).  Each array stacks one matrix per entry of `steps`, the step of
+    each segment."""
 
-    def __init__(self, split: DichotomySplit, times: np.ndarray):
-        times = np.asarray(times, dtype=float)
-        if times.size < 4:
-            raise HorizonTooShort("need at least 4 grid nodes")
+    def __init__(self, split: DichotomySplit, steps: np.ndarray):
         self.split = split
-        h = float(times[1] - times[0])
+        h = np.asarray(steps, dtype=float)[:, None, None]
         if split.k_stable:
             self.e_s = sla.expm(h * split.t_stable)
             ph = phi_block(4, h * split.t_stable)

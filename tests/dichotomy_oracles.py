@@ -40,7 +40,20 @@ KERNEL_SEED = 0
 
 
 class LPGridOracle(LPGridOperator):
-    """Discretized Lyapunov-Perron solve z = int F(t,s) f(s) ds on a grid."""
+    """Discretized Lyapunov-Perron solve z = int F(t,s) f(s) ds on a uniform
+    grid: the library's recursion data of its one step, unstacked."""
+
+    def __init__(self, split: DichotomySplit, times: np.ndarray):
+        times = np.asarray(times, dtype=float)
+        if times.size < 4:
+            raise HorizonTooShort("need at least 4 grid nodes")
+        super().__init__(split, [times[1] - times[0]])
+        if split.k_stable:
+            self.e_s = self.e_s[0]
+            self.wf = [[w[0] for w in row] for row in self.wf]
+        if split.rank_j:
+            self.e_u = self.e_u[0]
+            self.wb = [[w[0] for w in row] for row in self.wb]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Apply to samples of f; values shaped (m, n) or (m, n, batch)."""

@@ -40,8 +40,9 @@ from dichotomy_oracles import LPGridOracle
 from lqbundle._phi import forward_weights, local_forcing, phi_block, stencil_layout
 from lqbundle.dichotomy import GridFunction, dichotomy_split, left_multiply
 from lqbundle.stationary import (
+    GRID_HORIZON_RATE,
     Regulator,
-    _grid_parameters,
+    _uniform_steps,
     perturbation_matrix,
     sharp_basis,
 )
@@ -49,12 +50,15 @@ from lqbundle.symplectic import LagrangeSubspace
 
 
 def default_grid(a, b, form, shift: float = 0.0):
-    """(split of A + s I, split of -A^T + s I, times) on the library's grid."""
+    """(split of A + s I, split of -A^T + s I, times) on the uniform grid
+    with the library's first step h0 over its horizon: the one-segment case
+    of the library's graded grid, on which the oracles here are written."""
     reg = Regulator(a, b, form)
     eye = np.eye(reg.a.shape[0])
     split_a = dichotomy_split(reg.a + shift * eye)
     split_m = dichotomy_split(-reg.a.T + shift * eye)
-    return split_a, split_m, _grid_parameters(split_a, reg.ham)
+    eps, steps = _uniform_steps(split_a, reg.ham)
+    return split_a, split_m, np.linspace(0.0, GRID_HORIZON_RATE / eps, steps + 1)
 
 
 def sharp_forcing(split_a, split_m, times) -> np.ndarray:
@@ -185,14 +189,15 @@ def paired_state_maps(lp):
 
 
 def coo_collocation_system(lp, r, g_v, g_e):
-    """(CSC matrix, rhs) of the collocation system of `lp`'s grid in the
-    paired state s = (u, w, p, q) of `paired_state_maps`, every row holding
-    the product R (dv, deta) of the system's perturbation `r`
-    (`Regulator.r`), assembled from triplet lists block by block; duplicates
-    are summed by the conversion."""
+    """(CSC matrix, rhs) of the collocation system of `lp`'s uniform grid
+    (one segment) in the paired state s = (u, w, p, q) of
+    `paired_state_maps`, every row holding the product R (dv, deta) of the
+    system's perturbation `r` (`Regulator.r`), assembled from triplet lists
+    block by block; duplicates are summed by the conversion."""
     n = lp.n
     m = lp.times.size
     nb = g_v.shape[2]
+    assert len(lp.segments) == 1, "the COO oracle is written on a uniform grid"
     fams = [  # (split, grid operator, recursion direction)
         (lp.split_a, lp.op_v, "fwd"),
         (lp.split_a, lp.op_v, "bwd"),
@@ -237,14 +242,15 @@ def coo_collocation_system(lp, r, g_v, g_e):
         cin = c_v if is_v else c_e
         g_in = g_v if is_v else g_e
         k = split.k_stable
+        # the recursion data of the one segment
         if kind == "fwd":
             winv_blk = split.winv[:k]
-            weights = op.wf
-            e_blk = op.e_s
+            weights = [[w[0] for w in row] for row in op.wf]
+            e_blk = op.e_s[0]
         else:
             winv_blk = split.winv[k:]
-            weights = op.wb
-            e_blk = op.e_u
+            weights = [[w[0] for w in row] for row in op.wb]
+            e_blk = op.e_u[0]
         # recursion rows: one block row per interval
         for p in range(3):
             sel = np.nonzero(pattern == p)[0]

@@ -38,6 +38,7 @@ from lqbundle.spatial import (
 from lqbundle.stationary import (
     MAX_STEPS,
     Regulator,
+    _uniform_steps,
     assemble_hamiltonian,
     estimate_eps0,
     extract_nonoscillation,
@@ -104,10 +105,13 @@ def test_criterion_01_oracle_equivalence(instance_pool):
 
 
 def test_pool_grids_below_the_flat_cap(instance_pool):
-    """No pool grid is clipped, by the flat MAX_STEPS cap or by the larger
-    nonzero-budget cap, so the budget moves none of them."""
-    steps = max(item["lp"].diagnostics["n_steps"] for item in instance_pool)
-    assert steps == 1386 < MAX_STEPS
+    """No pool grid's first step is clipped, by the flat MAX_STEPS cap or by
+    the larger nonzero-budget cap, so the budget moves none of them; each
+    graded grid then holds fewer than half the steps of its h0."""
+    first = [_uniform_steps(item["reg"].split_a, item["reg"].ham)[1] for item in instance_pool]
+    assert max(first) == 1386 < MAX_STEPS
+    for item, steps in zip(instance_pool, first):
+        assert item["lp"].diagnostics["n_steps"] < steps / 2
 
 
 def test_criterion_02_scalar_closed_form(s1):

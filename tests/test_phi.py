@@ -71,6 +71,27 @@ def test_weights_integrate_cubics_exactly(forward, pattern, r):
         assert got == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("forward", [True, False])
+def test_stacked_weights_equal_one_matrix_at_a_time(forward):
+    # the LP grid operator forms every segment's weights from one stack of
+    # h T, one step per segment
+    rng = np.random.default_rng(4)
+    t = np.triu(rng.standard_normal((3, 3))) - 2.0 * np.eye(3)
+    if not forward:
+        t = -t
+    steps = np.array([0.05, 0.1, 0.2, 0.4])
+    h = steps[:, None, None]
+    stacked = [forward_weights(phi_block(4, h * t), h, p) if forward else
+               backward_weights(backward_moments(phi_block(4, -h * t)), h, p)
+               for p in range(3)]
+    for s, step in enumerate(steps):
+        for p in range(3):
+            single = (forward_weights(phi_block(4, step * t), step, p) if forward else
+                      backward_weights(backward_moments(phi_block(4, -step * t)), step, p))
+            for got, ref in zip(stacked[p], single):
+                assert np.array_equal(got[s], ref)
+
+
 def test_local_forcing_equals_a_per_interval_loop():
     rng = np.random.default_rng(3)
     m, k, k_in, batch = 9, 3, 2, 4

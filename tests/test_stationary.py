@@ -162,15 +162,18 @@ class TestLPConstruction:
         assert grassmann_distance(structured, paired_fixed_point(*s1)) <= 1e-12
 
     def test_richardson_beats_single_grid(self, s1, monkeypatch):
-        # 300 steps: coarser than the default 347-step S1 grid, yet in the
-        # range where the O(h^4) term dominates (below about 200 steps the
-        # error changes sign and extrapolation stops helping)
-        split_a, split_m, times = default_grid(*s1)
-        coarse = np.linspace(0.0, times[-1], 301)
-        single = structured_single_grid(*s1, split_a, split_m, coarse)
+        # the graded grid of first step h0 = horizon / 300 (140 steps over
+        # five segments): coarser than the default S1 grid (h0 = horizon /
+        # 347, 164 steps), yet in the range where the O(h^4) term dominates
+        # (at h0 = horizon / 100 extrapolation gains only 1.06x)
+        reg = Regulator(*s1)
+        eps, _ = st._uniform_steps(reg.split_a, reg.ham)
+        coarse = st._graded_nodes(eps, 300)
+        assert [hi - lo for lo, hi in st._segments(coarse)] == [70, 36, 18, 10, 6]
+        single = structured_single_grid(*s1, reg.split_a, reg.split_m, coarse)
         monkeypatch.setattr(st, "_grid_parameters", lambda split_a, ham: coarse)
         res = lp_scanned(*s1)
-        assert res.diagnostics["n_steps"] == 300
+        assert res.diagnostics["n_steps"] == 140
         oracle = stable_lagrange_schur(assemble_hamiltonian(*s1))
         assert 3.0 * grassmann_distance(res.l_plus, oracle) <= grassmann_distance(
             single, oracle
@@ -237,25 +240,38 @@ COLLOCATION_SYSTEMS = {"s1": None, "j1-m2": (7, 5, 1, 2), "j-eq-n": (11, 6, 6, 2
 
 
 @pytest.fixture(params=sorted(COLLOCATION_SYSTEMS))
-def collocation(request):
-    """(lp, regulator, sharp forcing) on the default grid of S1, a j = 1
-    two-input system, a j = n system (n = 6), a three-input system (n = 8,
-    j = 2) and the stiff system of `TestStepCap` (48,828 steps)."""
+def collocation_system(request):
+    """(A, B, F) of S1, a j = 1 two-input system, a j = n system (n = 6), a
+    three-input system (n = 8, j = 2) and the stiff system of `TestStepCap`
+    (48,828 uniform steps of its first step h0, 21,390 graded ones)."""
     spec = COLLOCATION_SYSTEMS[request.param]
     if spec is None:
-        a, b, form = request.getfixturevalue("s1")
-    elif request.param == "stiff":
-        a, b, form = spec
-    else:
-        seed, n, j, inputs = spec
-        a, b, form, _ = random_passing_instance(
-            np.random.default_rng(seed), n, j=j, m=inputs
-        )
-        assert (Regulator(a, b, form).split_a.rank_j, b.shape[1]) == (j, inputs)
+        return request.getfixturevalue("s1")
+    if request.param == "stiff":
+        return spec
+    seed, n, j, inputs = spec
+    a, b, form, _ = random_passing_instance(np.random.default_rng(seed), n, j=j, m=inputs)
+    assert (Regulator(a, b, form).split_a.rank_j, b.shape[1]) == (j, inputs)
+    return a, b, form
+
+
+@pytest.fixture
+def collocation(collocation_system):
+    """(lp, regulator, sharp forcing) on the uniform grid of the library's
+    first step, the one-segment case the COO oracle is written on."""
+    a, b, form = collocation_system
     reg = Regulator(a, b, form)
     split_a, split_m, times = default_grid(a, b, form)
     lp = st._StationaryLP(b, form, split_a, split_m, reg.r, times)
     return lp, reg, lp.sharp_forcing()
+
+
+@pytest.fixture
+def graded(collocation_system):
+    """The library's LP on its own graded grid."""
+    reg = Regulator(*collocation_system)
+    times = st._grid_parameters(reg.split_a, reg.ham)
+    return st._StationaryLP(reg.b, reg.form, reg.split_a, reg.split_m, reg.r, times)
 
 
 class TestCollocationMatrix:
@@ -285,8 +301,9 @@ class TestCollocationMatrix:
         stable_lagrange_lp(Regulator(*s1), frequency_condition_margin(*s1))
         assert calls == ["splu", "sharp_forcing"] * 2  # the fine and the coarse grid
 
-    def test_canonical_window_rows(self, collocation):
-        lp, _, _ = collocation
+    def test_canonical_window_rows(self, graded):
+        lp = graded
+        assert len(lp.segments) == 5
         mat = lp.matrix()
         m, n, size = lp.times.size, lp.n, lp.stride
         mu = size - 2 * n
@@ -298,26 +315,26 @@ class TestCollocationMatrix:
         assert np.all(np.diff(mat.indices)[same_col] > 0)  # sorted, no duplicates
         # an interval row holds the nonzeros of what it reads at the four
         # stencil nodes (xi for a v row, (u, w, xi) for an eta row), of its
-        # row of the step matrix E, and one identity entry
+        # row of its segment's step matrix E, and one identity entry; the
+        # stencils are laid out segment by segment, so none crosses a join
         form = lp.form
         reads = (lp.b @ lp.xi_map, form.f1 @ lp.dv_map + form.f2.T @ lp.xi_map)
-        base, pattern = stencil_layout(m)
+        layouts = [stencil_layout(hi - lo + 1) for lo, hi in lp.segments]
+        base = np.concatenate([lo + base for (lo, _), (base, _) in zip(lp.segments, layouts)])
         row_len = []
-        for fam, (split, op, fwd) in enumerate(((lp.split_a, lp.op_v, True),
-                                                (lp.split_a, lp.op_v, False),
-                                                (lp.split_m, lp.op_e, True),
-                                                (lp.split_m, lp.op_e, False))):
+        for fam, op in enumerate((lp.op_v, lp.op_v, lp.op_e, lp.op_e)):
             if lp.widths[fam] == 0:
                 continue
-            k = split.k_stable
-            winv = split.winv[:k] if fwd else split.winv[k:]
-            weights, e_blk = (op.wf, op.e_s) if fwd else (op.wb, op.e_u)
-            per_p = np.stack([
-                sum(np.count_nonzero(-(weights[p][ell] @ winv) @ reads[fam // 2], axis=1)
-                    for ell in range(4))
-                for p in range(3)
-            ]) + np.count_nonzero(e_blk, axis=1) + 1
-            row_len.append(per_p[pattern].ravel())
+            k = op.split.k_stable
+            winv = op.split.winv[:k] if fam % 2 == 0 else op.split.winv[k:]
+            weights, e_stack = (op.wf, op.e_s) if fam % 2 == 0 else (op.wb, op.e_u)
+            for s, (_, pattern) in enumerate(layouts):
+                per_p = np.stack([
+                    sum(np.count_nonzero(-(weights[p][ell][s] @ winv) @ reads[fam // 2], axis=1)
+                        for ell in range(4))
+                    for p in range(3)
+                ]) + np.count_nonzero(e_stack[s], axis=1) + 1
+                row_len.append(per_p[pattern].ravel())
         # then the mu control rows of every node and one entry per boundary row
         xi_rows = form.f2 @ lp.dv_map + form.f3 @ lp.xi_map - lp.b.T @ lp.de_map
         row_len += [np.tile(np.count_nonzero(xi_rows, axis=1), m), np.ones(2 * n, dtype=int)]
@@ -333,15 +350,22 @@ class TestCollocationMatrix:
         hi = lo + np.concatenate([np.full(interval.size, 4 * size), np.full(node.size, size)])
         assert np.all(np.repeat(lo, lens) <= csr.indices)
         assert np.all(csr.indices < np.repeat(hi, lens))
+        # each interval's window lies inside its own segment
+        first, last = np.array(lp.segments).T
+        seg_of = np.repeat(np.arange(len(lp.segments)), last - first)
+        assert np.all((first[seg_of] <= base) & (base + 3 <= last[seg_of]))
 
 
 class TestStepCap:
     def test_stiff_spectrum_passes_lp_checks(self):
-        # rho(H) ~ 1000 asks for 303,823 steps; the flat 6000-step cap read
-        # invariance 6.9e-6 and oracle distance 3.5e-6
+        # rho(H) ~ 1000 asks for 303,823 steps of h0; the flat 6000-step cap
+        # read invariance 6.9e-6 and oracle distance 3.5e-6.  The budget cap
+        # sets h0 (48,828 uniform steps), and the graded grid needs fewer
         reg = Regulator(*STIFF)
         res = stable_lagrange_lp(reg, frequency_condition_margin(*STIFF))
-        assert res.diagnostics["n_steps"] == st.NNZ_BUDGET // (4 * 8**2) > st.MAX_STEPS
+        first = st._uniform_steps(reg.split_a, reg.ham)[1]
+        assert first == st.NNZ_BUDGET // (4 * 8**2) > st.MAX_STEPS
+        assert res.diagnostics["n_steps"] < 48_828
         assert grassmann_distance(res.l_plus, stable_lagrange_schur(reg.ham)) <= 1e-6
         assert res.diagnostics["invariance_defect"] <= 1e-8
 
@@ -352,13 +376,87 @@ class TestStepCap:
             doc = json.loads((scenarios / f"{name}.json").read_text())
             form = QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"])
             systems[name] = (doc["A"], doc["B"], form)
-        steps = {}
+        first, segments = {}, {}
         for name, system in systems.items():
             reg = Regulator(*system)
-            steps[name] = st._grid_parameters(reg.split_a, reg.ham).size - 1
-        # below MAX_STEPS, so neither the flat nor the budget cap clips them
-        assert steps == {"s1": 347, "n40_j0": 1443, "n40_j1": 1308}
-        assert max(steps.values()) < st.MAX_STEPS
+            first[name] = st._uniform_steps(reg.split_a, reg.ham)[1]
+            times = st._grid_parameters(reg.split_a, reg.ham)
+            segments[name] = [hi - lo for lo, hi in st._segments(times)]
+        # h0 spans the horizon in fewer than MAX_STEPS steps, so neither the
+        # flat nor the budget cap clips it
+        assert first == {"s1": 347, "n40_j0": 1443, "n40_j1": 1308}
+        assert max(first.values()) < st.MAX_STEPS
+        assert segments == {"s1": [82, 42, 22, 12, 6],
+                            "n40_j0": [334, 168, 84, 42, 8],
+                            "n40_j1": [304, 152, 76, 38, 8]}
+
+
+class TestGradedGrid:
+    def test_segment_shape(self, collocation_system):
+        reg = Regulator(*collocation_system)
+        eps, steps = st._uniform_steps(reg.split_a, reg.ham)
+        times = st._grid_parameters(reg.split_a, reg.ham)
+        horizon = st.GRID_HORIZON_RATE / eps
+        h0 = horizon / steps
+        assert times[0] == 0.0 and times[-1] == horizon
+        segments = st._segments(times)
+        assert len(segments) == 5  # ceil(12 / ln 16)
+        for s, (lo, hi) in enumerate(segments):
+            count = hi - lo
+            assert count % 2 == 0 and count >= st.SEGMENT_MIN_STEPS
+            # joins at multiples of ln 16 / eps, the horizon ends the last
+            assert times[lo] == pytest.approx(s * math.log(16.0) / eps, rel=1e-14, abs=0.0)
+            assert times[hi] == pytest.approx(min((s + 1) * math.log(16.0) / eps, horizon),
+                                              rel=1e-14)
+            # uniform inside: the step 2^s h0, shortened only to fit an even
+            # count, unless the count is the floor of six steps
+            dt = np.diff(times[lo : hi + 1])
+            assert np.ptp(dt) <= 64 * np.spacing(times[hi])
+            nominal = 2.0**s * h0
+            assert dt[0] <= nominal * (1.0 + 1e-12)
+            assert count == st.SEGMENT_MIN_STEPS or dt[0] * count > nominal * (count - 2)
+        # the step doubles from one full segment to the next
+        full = [np.diff(times[lo : lo + 2])[0] for lo, _ in segments[:4]]
+        np.testing.assert_allclose(np.array(full[1:]) / full[:-1], 2.0, rtol=0.1)
+        # every other node is the Richardson grid: the same joins, each
+        # segment's step doubled
+        coarse = times[::2]
+        assert coarse[-1] == times[-1]
+        assert [(lo // 2, hi // 2) for lo, hi in segments] == st._segments(coarse)
+        for (lo, hi), (clo, chi) in zip(segments, st._segments(coarse)):
+            assert coarse[clo] == times[lo] and coarse[chi] == times[hi]
+            np.testing.assert_allclose(np.diff(coarse[clo : chi + 1]),
+                                       2.0 * (times[lo + 1] - times[lo]), rtol=1e-12)
+
+    def test_uniform_grid_is_one_segment(self, collocation):
+        lp, _, _ = collocation
+        assert lp.segments == [(0, lp.times.size - 1)]
+
+    def test_as_close_to_the_oracle_as_the_uniform_grid(self, collocation_system,
+                                                        monkeypatch):
+        # the uniform grid of the first step h0, made even so that every
+        # other node is its Richardson grid
+        a, b, form = collocation_system
+        reg = Regulator(a, b, form)
+        margin = frequency_condition_margin(a, b, form)
+        oracle = stable_lagrange_schur(reg.ham)
+        graded = stable_lagrange_lp(reg, margin)
+        eps, steps = st._uniform_steps(reg.split_a, reg.ham)
+        uniform = np.linspace(0.0, st.GRID_HORIZON_RATE / eps, steps + steps % 2 + 1)
+        monkeypatch.setattr(st, "_grid_parameters", lambda split_a, ham: uniform)
+        ref = stable_lagrange_lp(reg, margin)
+        assert graded.diagnostics["n_steps"] < 0.5 * ref.diagnostics["n_steps"]
+        assert grassmann_distance(graded.l_plus, oracle) <= 1.1 * grassmann_distance(
+            ref.l_plus, oracle)
+
+    def test_diagnostics_list_the_segments(self, s1):
+        res = lp_scanned(*s1)
+        segments = res.diagnostics["segments"]
+        assert [seg["steps"] for seg in segments] == [82, 42, 22, 12, 6]
+        assert sum(seg["steps"] for seg in segments) == res.diagnostics["n_steps"] == 164
+        for seg, nxt in zip(segments, segments[1:] + [None]):
+            end = res.diagnostics["horizon"] if nxt is None else nxt["start"]
+            assert seg["start"] + seg["steps"] * seg["step"] == pytest.approx(end, rel=1e-12)
 
 
 class TestNonoscillation:
