@@ -1,10 +1,13 @@
 """Before/after timing and memory of the stationary Lyapunov-Perron solve.
 
-Runs the two grid solves of `stable_lagrange_lp` (the fine grid and the
-Richardson grid with twice the step: every other node of a graded grid, or
-the uniform grid of half the steps on a tree whose grid is uniform) through
-the library's phases in the library's order: build the matrix, factor it,
-drop it, then build the forcing and the right-hand side (`rhs`) and solve.
+Runs the two grid solves of `stable_lagrange_lp` (the fine graded grid and
+the Richardson grid, its every other node) through the library's phases in
+the library's order: build the matrix, factor it, drop it, then build the
+right-hand side (`rhs`, the sharp basis as boundary values) and solve, and
+reads L+ from the extrapolated node-0 states.  On an older tree whose
+`_StationaryLP` still solves for the correction of the sharp basis, the
+`rhs` phase includes that forcing (`sharp_forcing`), and L+ is the sharp
+basis plus the correction.
 
 Each run is a fresh single-threaded process.  Per grid it records the nodes,
 the steps of each segment (one on a uniform grid), the stored entries and
@@ -13,7 +16,7 @@ the LU nonzeros of the matrix, and each phase's time and the process's
 and the stiff system A = diag(-1, -10, -100, -1000), B = 0.5 (1, 1, 1, 1)^T,
 F1 = -0.1 I, F2 = 0, F3 = 1, each on its default grid.
 
-    python bench/lp_assembly.py --before OLD/src --out BENCH_lp_graded.json
+    python bench/lp_assembly.py --before OLD/src --out lp_assembly.json
 
 runs every system on the `src/` of an older checkout (say, one unpacked by
 `git archive`) and on this one, REPEATS times, alternating the trees; the
@@ -74,18 +77,15 @@ def measure(name: str) -> dict:
     ham, split_a, split_m = reg.ham, reg.split_a, reg.split_m
     ham.eigenvalues  # noqa: B018  (cached before the measured region)
     times = st._grid_parameters(split_a, ham)
-    if hasattr(st, "_segments"):  # graded: every other node
-        coarse = times[::2]
-    else:
-        coarse = np.linspace(times[0], times[-1], (times.size - 1) // 2 + 1)
+    sharp = st.sharp_basis(split_a, split_m)
+    forced = hasattr(st._StationaryLP, "sharp_forcing")  # an older tree
     grids = []
     rss0 = _peak_mb()
     start = time.perf_counter()
 
     def solve_on(grid):
-        info = {"nodes": int(grid.size), "phases": []}
-        if hasattr(st, "_segments"):
-            info["segment_steps"] = [int(hi - lo) for lo, hi in st._segments(grid)]
+        info = {"nodes": int(grid.size), "phases": [],
+                "segment_steps": [int(hi - lo) for lo, hi in st._segments(grid)]}
         clock = [time.perf_counter()]
 
         def record(phase):
@@ -93,25 +93,26 @@ def measure(name: str) -> dict:
             info["phases"].append([phase, round(now - clock[0], 3), round(_peak_mb(), 1)])
             clock[0] = now
 
-        lp = st._StationaryLP(reg.b, reg.form, split_a, split_m, reg.r, grid)
+        lp = st._StationaryLP(reg.b, reg.form, split_a, split_m,
+                              reg.r if forced else sharp, grid)
         mat = lp.matrix()
         info["nnz"] = int(mat.nnz)
         record("matrix")
         lu = spla.splu(mat, permc_spec="NATURAL")
         del mat
         record("factor")
-        rhs = lp.rhs(*lp.sharp_forcing())
-        record("forcing with rhs")
+        rhs = lp.rhs(*lp.sharp_forcing()) if forced else lp.rhs()
+        record("rhs")
         s0 = lu.solve(rhs).reshape(grid.size, lp.stride, -1)[0]
         record("solve")
         info["lu_nnz"] = int(lu.nnz)
         grids.append(info)
         return np.vstack([lp.dv_map @ s0, lp.de_map @ s0])
 
-    dz0 = (16.0 * solve_on(times) - solve_on(coarse)) / 15.0
+    y0 = (16.0 * solve_on(times) - solve_on(times[::2])) / 15.0
     lp_s = time.perf_counter() - start
     peak = _peak_mb()
-    l_plus = LagrangeSubspace(st.sharp_basis(split_a, split_m).basis + dz0)
+    l_plus = LagrangeSubspace(sharp.basis + y0 if forced else y0)
     hb = ham.matrix @ l_plus.basis
     invariance = np.linalg.norm(hb - l_plus.basis @ (l_plus.basis.T @ hb), 2) / max(
         1.0, np.linalg.norm(ham.matrix, 2)
@@ -126,7 +127,7 @@ def measure(name: str) -> dict:
         "rss_rise_mb": round(peak - rss0, 1),
         "invariance_defect": float(invariance),
         "oracle_distance": float(oracle),
-        "dz0_sha256": hashlib.sha256(dz0.tobytes()).hexdigest()[:16],
+        "l_plus_sha256": hashlib.sha256(l_plus.basis.tobytes()).hexdigest()[:16],
     }
 
 
@@ -152,7 +153,7 @@ def _summary(runs):
                         for r in mine) for phase, _, _ in grid["phases"]}}
                     for k, grid in enumerate(mine[0]["grids"])
                 ],
-                "dz0_sha256": sorted({r["dz0_sha256"] for r in mine}),
+                "l_plus_sha256": sorted({r["l_plus_sha256"] for r in mine}),
             }
         out.append(row)
     return out
@@ -160,7 +161,7 @@ def _summary(runs):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_lp_graded.json"))
+    parser.add_argument("--out", default="lp_assembly.json")
     parser.add_argument("--before", default=None,
                         help="the src/ directory of the tree to compare against")
     parser.add_argument("--child", metavar="SYSTEM", help=argparse.SUPPRESS)
@@ -190,7 +191,7 @@ def main(argv=None) -> int:
         "what": "stable_lagrange_lp's two grid solves on an older tree (before) "
                 "and this one (after); per grid the nodes, segment steps, stored "
                 "entries, LU nonzeros and phase times, and ru_maxrss after each phase",
-        "command": "python bench/lp_assembly.py --before OLD/src --out BENCH_lp_graded.json",
+        "command": "python bench/lp_assembly.py --before OLD/src --out lp_assembly.json",
         "threads": THREAD_ENV,
         "host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": numpy.__version__,

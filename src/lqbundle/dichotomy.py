@@ -164,15 +164,6 @@ def _fit_m_const(split: DichotomySplit) -> float:
     return float(m)
 
 
-def left_multiply(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """mat @ arr along axis 1 of (m, j[, batch]) arrays, via BLAS."""
-    if arr.ndim == 2:
-        return arr @ mat.T
-    m, j, b = arr.shape
-    out = mat @ arr.transpose(1, 0, 2).reshape(j, m * b)
-    return out.reshape(mat.shape[0], m, b).transpose(1, 0, 2)
-
-
 class LPGridOperator:
     """The Lyapunov-Perron operator's recursions on a grid of uniform
     segments, in the decoupled coordinates of `split`: forward on the stable

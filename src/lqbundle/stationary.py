@@ -1,24 +1,27 @@
 """Stationary Hamiltonian assembly and stable Lagrange subspace construction.
 
 Two independent routes produce the stable subspace: the ordered-Schur
-invariant subspace (oracle) and the Lyapunov-Perron fixed point, discretized
-with the exponential quadrature of `_phi` (Hochbruck & Ostermann, Acta
-Numerica 2010) on a graded time grid, solved as one sparse collocation
-system in the recursion states and the control xi at every node, and refined
-by Richardson extrapolation, which helps only once the grid is in the
-asymptotic range (see `stable_lagrange_lp`).  Every term of the fixed point
-decays like exp(-eps t) and the quadrature is exact on the linear part, so
-the grid's step doubles every ln(16) / eps (`_graded_nodes`), which keeps
-each segment's local error bound (h rho)^4 exp(-eps t) at that of the first
-step; on the n = 40 fixtures that is 56 % fewer nodes than one uniform step.
-R reaches the system only through xi, so an interval row holds the entries
-of xi (v rows) or of (v, xi) (eta rows) at its cubic stencil's four nodes,
-all in one segment, plus its own recursion step, and the CSR arrays are
-written straight from row templates without their zeros.  The matrix is
-factored before the forcing exists, so the solve's memory is linear in the
-nonzeros (about 40 bytes each at n = 40, with the LU factor), and the first
-step's cap follows a budget on steps * 4 sdim^2 (`NNZ_BUDGET`, sdim = 2n) as
-well as `MAX_STEPS`, so stiff spectra get the step they need.
+invariant subspace (oracle) and the Lyapunov-Perron image of the sharp
+pairing subspace, discretized with the exponential quadrature of `_phi`
+(Hochbruck & Ostermann, Acta Numerica 2010) on a graded time grid, solved as
+one sparse collocation system in the recursion states and the control xi at
+every node, and refined by Richardson extrapolation, which helps only once
+the grid is in the asymptotic range (see `stable_lagrange_lp`).  The sharp
+basis enters that system only as boundary values: its free flow is what the
+recursions' step propagators produce, so the system has no forcing.  Every
+term of the fixed point decays like exp(-eps t) and the quadrature is exact
+on the linear part, so the grid's step doubles every ln(16) / eps
+(`_graded_nodes`), which keeps each segment's local error bound
+(h rho)^4 exp(-eps t) at that of the first step; on the n = 40 fixtures
+that is 56 % fewer nodes than one uniform step.  R reaches the system only
+through xi, so an interval row holds the entries of xi (v rows) or of
+(v, xi) (eta rows) at its cubic stencil's four nodes, all in one segment,
+plus its own recursion step, and the CSR arrays are written straight from
+row templates without their zeros.  The matrix is dropped once factored, so
+the solve's memory is linear in the nonzeros (about 40 bytes each at
+n = 40, with the LU factor), and the first step's cap follows a budget on
+steps * 4 sdim^2 (`NNZ_BUDGET`, sdim = 2n) as well as `MAX_STEPS`, so stiff
+spectra get the step they need.
 Nonoscillation extraction (P read off the graph {(v, -P v)} over the
 horizontal subspace), Riccati verification, controllability, coercivity and
 the Lyapunov inequality live here as well, all on one `Regulator` (A, B, F);
@@ -45,7 +48,6 @@ from .dichotomy import (
     GridFunction,
     LPGridOperator,
     dichotomy_split,
-    left_multiply,
 )
 from .errors import (
     DimensionMismatch,
@@ -80,9 +82,6 @@ NNZ_BUDGET = 12_500_000
 SEGMENT_MIN_STEPS = 6
 #: relative change of the step above which an LP grid starts a new segment
 SEGMENT_STEP_RTOL = 1e-6
-#: entries per batch of the LP forcing's coordinate stack (64 kB); a whole-grid
-#: stack (18 MB at n = 40) raised the allocator's mmap threshold and peak RSS
-FORCING_BATCH = 8192
 #: relative state left at the horizon above which an M_0 sample has not decayed
 DECAY_TOL = 1e-3
 LYAPUNOV_SLACK = 1e-9
@@ -139,9 +138,8 @@ def assemble_hamiltonian(a, b, form: QuadraticFormTriple) -> Hamiltonian:
 @dataclass(frozen=True)
 class Regulator:
     """The regulator problem v' = A v + B xi with cost form F; the one place
-    that derives the perturbation `r`, the Hamiltonian `ham` (spectrum, gap),
-    the splits `split_a` of A and `split_m` of -A^T, and (via the form) the
-    F3 factor, each once."""
+    that derives the Hamiltonian `ham` (spectrum, gap), the splits `split_a`
+    of A and `split_m` of -A^T, and (via the form) the F3 factor, each once."""
 
     a: np.ndarray
     b: np.ndarray
@@ -159,14 +157,9 @@ class Regulator:
         object.__setattr__(self, "b", b)
 
     @cached_property
-    def r(self) -> np.ndarray:
-        """R = H - diag(A, -A^T), read by `ham` and by the LP solve."""
-        return perturbation_matrix(self.a, self.b, self.form)
-
-    @cached_property
     def ham(self) -> Hamiltonian:
         n = self.a.shape[0]
-        mat = self.r.copy()
+        mat = perturbation_matrix(self.a, self.b, self.form)
         mat[:n, :n] += self.a
         mat[n:, n:] -= self.a.T
         return Hamiltonian(mat)
@@ -200,7 +193,7 @@ def _basis_or_empty(subspace: Subspace | None, n: int) -> np.ndarray:
 
 def sharp_basis(split_a: DichotomySplit, split_m: DichotomySplit) -> LagrangeSubspace:
     """Orthonormal basis of the sharp pairing subspace stable(A) x stable(-A^T),
-    which the Lyapunov-Perron correction of `stable_lagrange_lp` moves to L+."""
+    which the Lyapunov-Perron map of `stable_lagrange_lp` takes to L+."""
     n = split_a.n
     bs_v = _basis_or_empty(split_a.stable_basis, n)
     bs_e = _basis_or_empty(split_m.stable_basis, n)
@@ -282,19 +275,24 @@ def _segments(times: np.ndarray) -> list[tuple[int, int]]:
 
 class _StationaryLP:
     """Half-line Lyapunov-Perron collocation of the paired fixed point
-    Dz = L_breve P R (Dz + g) on one piecewise-uniform time grid.  R
-    (`Regulator.r`) makes the forcing R g; R Dz reaches the system only
-    through the control xi = F3^-1 (B^T deta - F2 dv), as R (dv, deta) =
-    (B xi, F1 dv + F2^T xi), so xi is an unknown of its own, read from b and
+    y = G_sharp z^s + L_breve P R y on one piecewise-uniform time grid, for
+    the columns z^s of `sharp`'s basis; y(0) spans L+.  The sharp term
+    G_sharp(t) z^s = (e^{tA} P_s z^s_v, e^{-tA^T} P_s z^s_eta) solves each
+    forward recursion's homogeneous step exactly (E = expm(h T)), so it
+    enters only as the boundary values u_0 and p_0, the stable coordinates
+    of z^s, and the system has no forcing.  R y reaches the system only
+    through the control xi = F3^-1 (B^T eta - F2 v), as R (v, eta) =
+    (B xi, F1 v + F2^T xi), so xi is an unknown of its own, read from b and
     form.  The grid's segments (first and last node) are found where its
     step changes, each with its own step propagators and weights, and no
     stencil crosses a join; a uniform grid is the one-segment case.
     `times`, the whole node array, comes last, where the benchmark tracer
     reads it."""
 
-    def __init__(self, b, form, split_a, split_m, r, times):
+    def __init__(self, b, form, split_a, split_m, sharp, times):
         self.split_a = split_a
         self.split_m = split_m
+        self.sharp = sharp
         self.times = times
         self.segments = _segments(times)
         if min(hi - lo for lo, hi in self.segments) < 3:
@@ -305,7 +303,6 @@ class _StationaryLP:
         self.n = split_a.n
         self.b = np.atleast_2d(np.asarray(b, dtype=float))
         self.form = form
-        self.r = r
         # the per-node state s = (u, w, xi, p, q), `stride` entries: forward
         # and backward recursion coordinates of v, the control, then those of
         # eta; dv_map, xi_map and de_map give v, xi and eta
@@ -321,56 +318,9 @@ class _StationaryLP:
         self.de_map = np.hstack([np.zeros((self.n, self.n + mu)),
                                  split_m.w[:, :km], -split_m.w[:, km:]])
 
-    def sharp_forcing(self) -> tuple[np.ndarray, np.ndarray]:
-        """(g_v, g_eta) = R G_sharp(t) z^s for the orthonormal sharp basis
-        columns, split into the v and eta rows."""
-        m = self.times.size
-        n = self.n
-        cols_v = _basis_or_empty(self.split_a.stable_basis, n)
-        cols_e = _basis_or_empty(self.split_m.stable_basis, n)
-        g = np.zeros((m, 2 * n, cols_v.shape[1] + cols_e.shape[1]))
-        for (op, cols, row0, col0) in (
-            (self.op_v, cols_v, 0, 0),
-            (self.op_e, cols_e, n, cols_v.shape[1]),
-        ):
-            if cols.shape[1] == 0:
-                continue
-            split = op.split
-            k = split.k_stable
-            # the step of each interval: its segment's e_s
-            e_of = [e_s for e_s, (lo, hi) in zip(op.e_s, self.segments) for _ in range(lo, hi)]
-            # c <- e_s c per node; the basis multiplies one batch per product
-            c = split.winv[:k] @ cols
-            stack = np.empty((max(1, FORCING_BATCH // c.size),) + c.shape)
-            for lo in range(0, m, stack.shape[0]):
-                hi = min(lo + stack.shape[0], m)
-                for j in range(hi - lo):
-                    stack[j] = c
-                    if lo + j < m - 1:
-                        c = e_of[lo + j] @ c
-                block = g[lo:hi, row0 : row0 + n, col0 : col0 + cols.shape[1]]
-                np.matmul(split.w[:, :k], stack[: hi - lo], out=block)
-        rg = left_multiply(self.r, g)
-        return rg[:, :n], rg[:, n:]
-
-    def _families(self):
-        """(family, first row, width, forward recursion, W^-1 block, step
-        matrices E, stencil weights) of each nonempty interval family: the
-        stable (forward) and unstable (backward) coordinates of v, then of
-        eta.  E and each weight stack one matrix per segment."""
-        row0 = 0
-        for fam, op in enumerate((self.op_v, self.op_v, self.op_e, self.op_e)):
-            width = self.widths[fam]
-            if width:
-                k = op.split.k_stable
-                if fam % 2 == 0:
-                    yield fam, row0, width, True, op.split.winv[:k], op.e_s, op.wf
-                else:
-                    yield fam, row0, width, False, op.split.winv[k:], op.e_u, op.wb
-            row0 += (self.times.size - 1) * width
-
     def matrix(self) -> sp.csc_matrix:
-        """The collocation matrix in the node states; it needs no forcing.
+        """The collocation matrix in the node states, the same for any
+        boundary data.
 
         Interval i of a family couples the nodes base[i] .. base[i] + 3 of its
         cubic stencil, all in the segment of interval i, and the recursion
@@ -384,9 +334,9 @@ class _StationaryLP:
         nonzero entries (E = expm(h T) is triangular up to the 2 x 2 blocks of
         the real Schur form T), and the CSR arrays are written from it over
         the intervals of that pattern.  Each node adds mu rows
-        F3 xi + F2 dv - B^T deta = 0, also without their zeros, and the 2n
-        boundary rows u_0 = 0, w_{m-1} = 0, p_0 = 0 and q_{m-1} = 0 hold one
-        entry each.  So the assembly's memory is linear in the nonzeros, and
+        F3 xi + F2 v - B^T eta = 0, also without their zeros, and the 2n
+        boundary rows of u_0, w_{m-1}, p_0 and q_{m-1} hold one entry each.
+        So the assembly's memory is linear in the nonzeros, and
         the matrix stores no zero and no duplicate entry.
         """
         n = self.n
@@ -402,8 +352,17 @@ class _StationaryLP:
             layouts.append((lo, lo + base, pattern, np.searchsorted(pattern, np.arange(4))))
         # (first row, window start per interval or node, values, window columns)
         pieces, row_len = [], []
-        for fam, row0, width, fwd, winv_blk, e_blk, weights in self._families():
-            off = self.offs[fam]
+        # each nonempty interval family: the stable (forward) and unstable
+        # (backward) coordinates of v, then of eta; E and each weight stack
+        # one matrix per segment
+        for fam, op in enumerate((self.op_v, self.op_v, self.op_e, self.op_e)):
+            width, off, k = self.widths[fam], self.offs[fam], op.split.k_stable
+            if not width:
+                continue
+            row0 = (m - 1) * sum(self.widths[:fam])
+            fwd = fam % 2 == 0
+            winv_blk = op.split.winv[:k] if fwd else op.split.winv[k:]
+            e_blk, weights = (op.e_s, op.wf) if fwd else (op.e_u, op.wb)
             full = np.zeros((len(self.segments), 3, width, 4, size))
             # the step's identity and -E blocks, at window nodes p and p + 1
             near, far = (-e_blk, np.eye(width)) if fwd else (np.eye(width), -e_blk)
@@ -444,49 +403,50 @@ class _StationaryLP:
         mat = sp.csr_matrix((data, indices, indptr), shape=(m * size, m * size))
         return mat.tocsc()
 
-    def rhs(self, g_v, g_e) -> np.ndarray:
-        """Right-hand side of the collocation system: the g-forcing through
-        the stencil weights of each interval row, segment by segment; zero in
+    def rhs(self) -> np.ndarray:
+        """Right-hand side of the collocation system: the sharp basis's stable
+        coordinates in the boundary rows u_0 (of v) and p_0 (of eta), zero in
         the other rows."""
-        m = self.times.size
-        rhs = np.zeros((m * self.stride, g_v.shape[2]))
-        for fam, row0, width, _, winv_blk, _, weights in self._families():
-            coords = left_multiply(winv_blk, g_v if fam < 2 else g_e)
-            for s, (lo, hi) in enumerate(self.segments):
-                loc = local_forcing([[w[s] for w in row] for row in weights], coords[lo : hi + 1])
-                rhs[row0 + lo * width : row0 + hi * width] = loc.reshape((hi - lo) * width, -1)
+        n, ka, km = self.n, self.widths[0], self.widths[2]
+        basis = self.sharp.basis
+        rhs = np.zeros((self.times.size * self.stride, basis.shape[1]))
+        bc = rhs[-2 * n :]  # the rows of u_0, w_{m-1}, p_0 and q_{m-1}
+        bc[:ka] = self.split_a.winv[:ka] @ basis[:n]
+        bc[n : n + km] = self.split_m.winv[:km] @ basis[n:]
         return rhs
 
     def solve_structured(self) -> np.ndarray:
         """Direct sparse solve of the collocation system; returns the node
         states, shape (m, stride, columns), which `dv_map`, `xi_map` and
-        `de_map` turn into dv, xi and deta.
+        `de_map` turn into v, xi and eta.
 
         Eliminating the state unknowns from this block-banded system by hand
         gives the dense single-input equation (I - T) xi = T0 g; solving the
         banded form instead costs O(m) rather than O(m^3).  At n = 40 with
         one input a v row holds at most 4 + width + 1 entries and an eta row
-        at most 164 + width + 1, so no row stores the product R (dv, deta).
+        at most 164 + width + 1, so no row stores the product R (v, eta).
         The node-major columns are already in time order, so one SuperLU
         factorization keeps them in their natural order.  The matrix is
-        factored and dropped before the forcing exists, so while SuperLU
-        factors only the matrix and its LU are alive.
+        dropped once factored, so while SuperLU factors only the matrix and
+        its LU are alive, and the right-hand side holds nothing but the
+        boundary values.
         """
         lu = spla.splu(self.matrix(), permc_spec="NATURAL")
-        rhs = self.rhs(*self.sharp_forcing())
-        return lu.solve(rhs).reshape(self.times.size, self.stride, -1)
+        return lu.solve(self.rhs()).reshape(self.times.size, self.stride, -1)
 
 
 def stable_lagrange_lp(reg: Regulator, margin: float) -> StableLagrangeResult:
     """Stable Lagrange subspace by the Lyapunov-Perron route, given the
     system's frequency margin (a nonpositive one raises, a tiny one warns).
 
-    The discretized fixed point is solved directly on the graded time grid
-    of `_graded_nodes` as the block-banded collocation system in the
-    recursion states (the Schur complement of which is exactly I - T for the
-    single-input operator T), once on the grid and once on every other node,
-    the grid with every segment's step doubled, and the two are
-    Richardson-extrapolated for an O(h^4) error.  That helps only in the
+    L+ is the image of the sharp subspace (`sharp_basis`) under the
+    Lyapunov-Perron map.  The discretized fixed point is solved for that
+    image directly, with the sharp basis as boundary values, on the graded
+    time grid of `_graded_nodes` as the block-banded collocation system in
+    the recursion states (the Schur complement of which is exactly I - T
+    for the single-input operator T), once on the grid and once on every
+    other node, the grid with every segment's step doubled, and the two
+    node-0 states are Richardson-extrapolated for an O(h^4) error.  That helps only in the
     asymptotic range: on the scalar instance S1 the extrapolated subspace is
     3.9x, 4.5x and 6.5x closer to the Schur oracle than the single grid at
     the first steps horizon / 300, / 347 (the default) and / 512 (140, 164
@@ -504,13 +464,14 @@ def stable_lagrange_lp(reg: Regulator, margin: float) -> StableLagrangeResult:
     ham, split_a, split_m = reg.ham, reg.split_a, reg.split_m
     times = _grid_parameters(split_a, ham)
 
+    sharp = sharp_basis(split_a, split_m)
+
     def solve_on(grid_times: np.ndarray) -> np.ndarray:
-        lp = _StationaryLP(reg.b, reg.form, split_a, split_m, reg.r, grid_times)
+        lp = _StationaryLP(reg.b, reg.form, split_a, split_m, sharp, grid_times)
         s0 = lp.solve_structured()[0]
         return np.vstack([lp.dv_map @ s0, lp.de_map @ s0])
 
-    dz0 = (16.0 * solve_on(times) - solve_on(times[::2])) / 15.0
-    l_plus = LagrangeSubspace(sharp_basis(split_a, split_m).basis + dz0)
+    l_plus = LagrangeSubspace((16.0 * solve_on(times) - solve_on(times[::2])) / 15.0)
     hb = ham.matrix @ l_plus.basis
     diagnostics = {
         "n_steps": times.size - 1,

@@ -14,7 +14,10 @@ here apply it, and serve as references in the tests:
 - `fourier_resolvent_check`: the frequency-domain residual of that solve;
 - `green_kernel` and `adjoint_kernel_defect`: the dichotomy Green kernel and
   the two-route adjoint check of the kernels of A and -A^T;
-- `stable_projector`: the spectral projector onto the stable subspace.
+- `stable_projector`: the spectral projector onto the stable subspace;
+- `left_multiply`: a matrix applied along the component axis of grid
+  samples, with which these oracles and those of `lp_oracles` apply R, the
+  block maps and the coordinate changes node by node.
 """
 
 from __future__ import annotations
@@ -22,12 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from lqbundle._phi import local_forcing
-from lqbundle.dichotomy import (
-    DichotomySplit,
-    GridFunction,
-    LPGridOperator,
-    left_multiply,
-)
+from lqbundle.dichotomy import DichotomySplit, GridFunction, LPGridOperator
 from lqbundle.errors import DimensionMismatch, HorizonTooShort
 
 #: truncation target for the infinite-line integral
@@ -37,6 +35,15 @@ FOURIER_KEEP_REL = 1e-2
 #: sampled (t, s) pairs of the adjoint-kernel check, and their seed
 KERNEL_SAMPLES = 60
 KERNEL_SEED = 0
+
+
+def left_multiply(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """mat @ arr along axis 1 of (m, j[, batch]) arrays, via BLAS."""
+    if arr.ndim == 2:
+        return arr @ mat.T
+    m, j, b = arr.shape
+    out = mat @ arr.transpose(1, 0, 2).reshape(j, m * b)
+    return out.reshape(mat.shape[0], m, b).transpose(1, 0, 2)
 
 
 class LPGridOracle(LPGridOperator):

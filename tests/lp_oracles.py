@@ -4,10 +4,13 @@ The library solves the fixed point through one sparse collocation system in
 the recursion states and the control xi at every node
 (`lqbundle.stationary._StationaryLP.solve_structured`), whose CSR arrays
 `_StationaryLP.matrix` writes from per-family row templates without stored
-zeros, and whose right-hand side `_StationaryLP.rhs` builds from the forcing.
-The routes here reach the same discrete solution by other means, built on
-the grid operator `dichotomy_oracles.LPGridOracle`, and serve as references
-in the tests:
+zeros.  It solves for L+'s basis y = Delta z + G_sharp z^s itself, so its
+right-hand side `_StationaryLP.rhs` holds only the sharp basis as boundary
+values.  The routes here keep the forcing formulation: they solve for the
+correction Delta z = L_breve P R (Delta z + g) of the sharp basis, forced by
+R g with g = G_sharp z^s from `sharp_forcing`, and so reach the same
+discrete subspace by other means.  They are built on the grid operator
+`dichotomy_oracles.LPGridOracle` and serve as references in the tests:
 
 - `coo_collocation_system` (solved by `coo_solve`): the collocation system
   in the recursion states alone, every row holding the dense product
@@ -35,10 +38,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from dichotomy_oracles import LPGridOracle
+from dichotomy_oracles import LPGridOracle, left_multiply
 
 from lqbundle._phi import forward_weights, local_forcing, phi_block, stencil_layout
-from lqbundle.dichotomy import GridFunction, dichotomy_split, left_multiply
+from lqbundle.dichotomy import GridFunction, dichotomy_split
 from lqbundle.stationary import (
     GRID_HORIZON_RATE,
     Regulator,
@@ -192,8 +195,9 @@ def coo_collocation_system(lp, r, g_v, g_e):
     """(CSC matrix, rhs) of the collocation system of `lp`'s uniform grid
     (one segment) in the paired state s = (u, w, p, q) of
     `paired_state_maps`, every row holding the product R (dv, deta) of the
-    system's perturbation `r` (`Regulator.r`), assembled from triplet lists
-    block by block; duplicates are summed by the conversion."""
+    system's perturbation `r` (`perturbation_matrix`), forced by
+    (g_v, g_e) = R G_sharp z^s and assembled from triplet lists block by
+    block; duplicates are summed by the conversion."""
     n = lp.n
     m = lp.times.size
     nb = g_v.shape[2]

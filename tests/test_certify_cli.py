@@ -176,9 +176,9 @@ class TestPipeline:
         assert p_entries["P[0][0]"] == pytest.approx(-0.2679, abs=1e-4)
 
     def test_s1_derives_each_piece_once(self, tmp_path, monkeypatch):
-        # one R (read by H and by both LP grids), one split each of A and
-        # -A^T and one F3 factor for the system, plus the eps-shifted H, its
-        # R and its F3 factor of the Lyapunov check
+        # one R (read by H), one split each of A and -A^T and one F3 factor
+        # for the system, plus the eps-shifted H, its R and its F3 factor of
+        # the Lyapunov check
         scn = load_scenario(write_json(tmp_path, "s1.json", S1_DOC))
         calls = {
             name: count_calls(monkeypatch, owner, name)

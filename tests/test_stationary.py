@@ -8,17 +8,19 @@ import pytest
 import lqbundle.sampling
 import lqbundle.stationary as st
 from decay_oracles import fit_decay_rate
+from dichotomy_oracles import left_multiply
 from lp_oracles import (
     SingleInputLP,
     coo_solve,
     default_grid,
     paired_fixed_point,
+    sharp_forcing,
     stepwise_control_trajectory,
 )
 from frequency_oracles import ShiftedTransfer
 from stationary_oracles import NotATrajectory, riccati_integral_check
 from lqbundle._phi import stencil_layout
-from lqbundle.dichotomy import GridFunction, left_multiply
+from lqbundle.dichotomy import GridFunction
 from lqbundle.errors import (
     ConditionFailed,
     EpsilonTooLarge,
@@ -74,6 +76,7 @@ def near_vertical(rng, n, s):
 
 
 def subspace_from(dz0, split_a, split_m):
+    """L+ from an oracle's correction Delta z(0) of the sharp basis."""
     return LagrangeSubspace(st.sharp_basis(split_a, split_m).basis + dz0)
 
 
@@ -85,9 +88,10 @@ def lp_scanned(a, b, form):
 
 def structured_single_grid(a, b, form, split_a, split_m, times):
     """The library's collocation solve on one grid, without Richardson."""
-    lp = st._StationaryLP(b, form, split_a, split_m, Regulator(a, b, form).r, times)
+    sharp = st.sharp_basis(split_a, split_m)
+    lp = st._StationaryLP(b, form, split_a, split_m, sharp, times)
     s0 = lp.solve_structured()[0]
-    return subspace_from(np.vstack([lp.dv_map @ s0, lp.de_map @ s0]), split_a, split_m)
+    return LagrangeSubspace(np.vstack([lp.dv_map @ s0, lp.de_map @ s0]))
 
 
 @pytest.fixture
@@ -257,13 +261,12 @@ def collocation_system(request):
 
 @pytest.fixture
 def collocation(collocation_system):
-    """(lp, regulator, sharp forcing) on the uniform grid of the library's
-    first step, the one-segment case the COO oracle is written on."""
+    """The library's LP on the uniform grid of its first step, the
+    one-segment case the COO oracle is written on."""
     a, b, form = collocation_system
-    reg = Regulator(a, b, form)
     split_a, split_m, times = default_grid(a, b, form)
-    lp = st._StationaryLP(b, form, split_a, split_m, reg.r, times)
-    return lp, reg, lp.sharp_forcing()
+    sharp = st.sharp_basis(split_a, split_m)
+    return st._StationaryLP(b, form, split_a, split_m, sharp, times)
 
 
 @pytest.fixture
@@ -271,35 +274,46 @@ def graded(collocation_system):
     """The library's LP on its own graded grid."""
     reg = Regulator(*collocation_system)
     times = st._grid_parameters(reg.split_a, reg.ham)
-    return st._StationaryLP(reg.b, reg.form, reg.split_a, reg.split_m, reg.r, times)
+    sharp = st.sharp_basis(reg.split_a, reg.split_m)
+    return st._StationaryLP(reg.b, reg.form, reg.split_a, reg.split_m, sharp, times)
 
 
 class TestCollocationMatrix:
     """The collocation system in the states and the control xi against the
     COO oracle's system in the states alone."""
 
-    def test_solve_matches_coo_oracle(self, collocation):
-        lp, reg, forcing = collocation
+    def test_solve_matches_coo_oracle(self, collocation_system, collocation):
+        # the library solves for y = Delta z + G_sharp z^s with the sharp
+        # basis as boundary values; the oracle for the correction Delta z,
+        # forced by R G_sharp z^s
+        lp = collocation
+        reg = Regulator(*collocation_system)
+        r = st.perturbation_matrix(reg.a, reg.b, reg.form)
+        g = sharp_forcing(lp.split_a, lp.split_m, lp.times)
+        rg = left_multiply(r, g)
+        dv, de = coo_solve(lp, r, rg[:, : lp.n], rg[:, lp.n :])
         s = lp.solve_structured()
         lib = np.concatenate([left_multiply(lp.dv_map, s), left_multiply(lp.de_map, s)], axis=1)
-        ref = np.concatenate(coo_solve(lp, reg.r, *forcing), axis=1)
-        assert lib.shape == ref.shape == (lp.times.size, 2 * lp.n, forcing[0].shape[2])
+        ref = np.concatenate([dv, de], axis=1) + g
+        assert lib.shape == ref.shape == (lp.times.size, 2 * lp.n, lp.n)
         assert np.abs(lib - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_factors_before_the_forcing_exists(self, s1, monkeypatch):
-        calls = []
-
-        def record(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(st.spla, "splu", record("splu", st.spla.splu))
-        monkeypatch.setattr(st._StationaryLP, "sharp_forcing",
-                            record("sharp_forcing", st._StationaryLP.sharp_forcing))
-        stable_lagrange_lp(Regulator(*s1), frequency_condition_margin(*s1))
-        assert calls == ["splu", "sharp_forcing"] * 2  # the fine and the coarse grid
+    def test_solve_is_linear_in_its_boundary_data(self, collocation_system, monkeypatch):
+        # a non-orthogonal mix of the sharp columns (condition number 3)
+        # spans the same sharp subspace, so the LP must give the same L+
+        reg = Regulator(*collocation_system)
+        margin = frequency_condition_margin(*collocation_system)
+        plain = stable_lagrange_lp(reg, margin).l_plus
+        sharp = st.sharp_basis(reg.split_a, reg.split_m)
+        n = reg.split_a.n
+        rng = np.random.default_rng(3)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        mix = q1 @ np.diag(np.geomspace(3.0, 1.0, n)) @ q2.T
+        assert np.linalg.cond(mix) <= 10.0 and not np.allclose(mix.T @ mix, np.eye(n))
+        mixed = LagrangeSubspace(sharp.basis @ mix)
+        assert grassmann_distance(mixed, sharp) <= 1e-13
+        monkeypatch.setattr(st, "sharp_basis", lambda split_a, split_m: mixed)
+        assert grassmann_distance(stable_lagrange_lp(reg, margin).l_plus, plain) <= 1e-12
 
     def test_canonical_window_rows(self, graded):
         lp = graded
@@ -429,7 +443,7 @@ class TestGradedGrid:
                                        2.0 * (times[lo + 1] - times[lo]), rtol=1e-12)
 
     def test_uniform_grid_is_one_segment(self, collocation):
-        lp, _, _ = collocation
+        lp = collocation
         assert lp.segments == [(0, lp.times.size - 1)]
 
     def test_as_close_to_the_oracle_as_the_uniform_grid(self, collocation_system,
