@@ -18,7 +18,7 @@ system, the largest |m_j| difference between the two variants' fibers.
 Systems: sa-standard (lambda_j = j^2, n = 8, Lambda = delta = 1, k = 3,
 N = 2, driver 1.5 + 0.5 sin t) and its n = 16 truncation.
 
-    python bench/sa_fibers.py --out BENCH_sa_fibers.json
+    python bench/sa_fibers.py --out sa_fibers.json
 
 Each of the four runs is repeated three times, interleaved.  About one
 minute on a 2-core host.
@@ -110,7 +110,7 @@ def measure(n: int, variant: str) -> dict:
         "n": n,
         "variant": variant,
         "columns": len(columns),
-        "grid_nodes": int(sa._fiber_grid(cfg, None, None).size),
+        "grid_nodes": int(sa._fiber_grid(cfg, None).size),
         "build_fibers_s": round(fibers_s, 3),
         "frame_setup_s": round(setup["s"], 3),
         "picard_sweeps": fibers[0].n_iterations,
@@ -123,7 +123,7 @@ def measure(n: int, variant: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_sa_fibers.json"))
+    parser.add_argument("--out", default="sa_fibers.json")
     parser.add_argument("--child", nargs=2, metavar=("N", "VARIANT"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
         "what": "the verify fiber solve (23 columns): the Picard loop on the "
                 "library frame over (mode, channel) pairs (two_channel, before) "
                 "against the banded direct solve of the library (direct, after)",
-        "command": "python bench/sa_fibers.py --out BENCH_sa_fibers.json",
+        "command": "python bench/sa_fibers.py --out sa_fibers.json",
         "threads": THREAD_ENV,
         "host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": numpy.__version__,

@@ -9,7 +9,7 @@ pipeline and of its two spatial stages, `contraction_certificate` and
 contraction takes (numpy spectral norms), and the sha256 of the
 certificate's JSON, which two trees that agree byte for byte share.
 
-    python bench/sa_scale.py --before OLD/src --out BENCH_sa_scale.json
+    python bench/sa_scale.py --before OLD/src --out sa_scale.json
 
 runs every n on the `src/` of an older checkout (say, one made by
 `git clone`) and on this one, REPEATS times, alternating the trees; the
@@ -122,7 +122,7 @@ def _revision(src: Path) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_sa_scale.json"))
+    parser.add_argument("--out", default="sa_scale.json")
     parser.add_argument("--before", default=None,
                         help="the src/ directory of the tree to compare against")
     parser.add_argument("--child", type=int, metavar="N", help=argparse.SUPPRESS)
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
                 "pipeline, of contraction_certificate and of build_fibers, the "
                 "contraction's SVD count and ru_maxrss after each stage, on an "
                 "older tree (before) and this one (after)",
-        "command": "python bench/sa_scale.py --before OLD/src --out BENCH_sa_scale.json",
+        "command": "python bench/sa_scale.py --before OLD/src --out sa_scale.json",
         "trees": {tree: _revision(src) for tree, src in trees.items()},
         "threads": THREAD_ENV,
         "host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),

@@ -40,7 +40,6 @@ from .stationary import (
     coercivity_check,
     estimate_eps0,
     extract_nonoscillation,
-    integrate_control_trajectory,
     l2_controllability,
     lyapunov_inequality_check,
     pairing_drift,
@@ -238,7 +237,7 @@ def _known(doc: dict, fields, what: str) -> None:
 _MODE_FIELDS = {
     "stationary": ("A", "B", "F1", "F2", "F3"),
     "spatial-averaging": ("eigenvalues", "Lambda", "delta", "k", "N", "driver",
-                          "condition_set", "phase_samples", "horizon"),
+                          "condition_set", "phase_samples"),
 }
 _DRIVER_FIELDS = {
     "periodic": ("kind", "c0", "c1", "omega"),
@@ -285,7 +284,6 @@ def load_scenario(path: str) -> Scenario:
         n_phases = _integer(doc.get("phase_samples", 16), "phase_samples")
         if n_phases < 1:
             raise ParseError("phase_samples must be at least 1")
-        horizon = doc.get("horizon")
         averaging = dict(
             model=_sa_model(_require(doc, "eigenvalues")),
             lam=_number(_require(doc, "Lambda"), "Lambda"),
@@ -295,7 +293,6 @@ def load_scenario(path: str) -> Scenario:
             condition_set=_choice(doc.get("condition_set", "bundle"),
                                   sa.CONDITION_SETS, "condition_set"),
             driver=_driver(_require(doc, "driver")),
-            horizon=None if horizon is None else _number(horizon, "horizon"),
             phases=np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False),
         )
     return Scenario(name=name, mode=mode, seed=seed, tolerances=tolerances,
@@ -458,7 +455,9 @@ def _st_riccati(run, cert):
         cert.add_upper("riccati-residual", resid, run.tol["riccati"] * scale,
                        detail="||-P H3 P + P H1 + H1^T P + H2|| <= tol x "
                        f"(||P||^2 ||H3|| + 2 ||P|| ||H1|| + ||H2|| = {scale:.6g})")
-        cert.add_upper("p-symmetry-defect", no.symmetry_defect, 1e-8)
+        p_norm = np.linalg.norm(no.p, 2)
+        cert.add_upper("p-symmetry-defect", no.symmetry_defect / max(1.0, p_norm), 1e-8,
+                       detail=f"max|P - P^T| / max(1, ||P||), ||P|| = {p_norm:.6g}")
         cert.tables["riccati"] = [
             {"entry": f"P[{i}][{j}]", "value": float(no.p[i, j])}
             for i in range(n)
@@ -495,7 +494,8 @@ def _st_coercivity(run, cert):
         return
     reg, rng = run.reg, run.rng
     times = np.linspace(0.0, 18.0 / run.split.eps_rate, 1500)
-    controls = [m0_control(rng, times, reg.form.control_dim) for _ in range(4)]
+    m = reg.form.control_dim
+    controls = [m0_control(rng, times, m) for _ in range(4)]
     try:
         worst = coercivity_check(reg, controls, run.scan.margin)
         cert.add_lower("coercivity-ratio", worst, 1.0 - 1e-6,
@@ -503,14 +503,10 @@ def _st_coercivity(run, cert):
     except ValidationError as exc:
         cert.add_failure("coercivity-ratio", exc)
     eps_try = min(0.05, 0.25 * run.scan.margin)
-    trajectories = []
-    for _ in range(3):
-        xi = bump_control(rng, times, reg.form.control_dim)
-        v = integrate_control_trajectory(reg.a, reg.b, xi,
-                                         rng.standard_normal(reg.a.shape[0]))
-        trajectories.append((v, xi))
+    samples = [(bump_control(rng, times, m), rng.standard_normal(reg.a.shape[0]))
+               for _ in range(3)]
     try:
-        ok = lyapunov_inequality_check(reg, eps_try, trajectories)
+        ok = lyapunov_inequality_check(reg, eps_try, *zip(*samples))
     except LqBundleError as exc:
         cert.add_failure("lyapunov-inequality", exc)
     else:
@@ -597,7 +593,7 @@ def _sa_fibers(run, cert):
         + [(sa.constant_driver(run.driver.value(q0)), 0.0)]
     )
     try:
-        built = sa.build_fibers(run.cfg, columns, horizon=run.horizon)
+        built = sa.build_fibers(run.cfg, columns)
     except LqBundleError as exc:
         cert.add_failure("fibers", exc)
         return True

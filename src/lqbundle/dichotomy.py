@@ -6,14 +6,17 @@ Lyapunov-Perron operator on each uniform segment of a grid is a recursion
 whose local forcing is the piecewise-cubic exponential quadrature of `_phi`,
 so the exponential kernels are integrated exactly against the interpolant;
 `LPGridOperator` holds the step propagators and weights of every segment's
-step, from which the stationary collocation system is assembled.  The Green
-kernels and the grid application of the operator itself are kept as oracles
-in tests/dichotomy_oracles.py.
+step, from which the stationary collocation system is assembled.  A split
+fits its dichotomy constant M on first read (`m_const`); a run reads only
+the M of A's split, in the LP tail bound and the dichotomy-gap record.
+The Green kernels and the grid application of the operator itself are kept
+as oracles in tests/dichotomy_oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -69,7 +72,6 @@ class DichotomySplit:
     eigenvalues: np.ndarray = field(repr=False)
     stable_basis: Subspace | None
     rank_j: int
-    m_const: float
     eps_rate: float
     # block-diagonalizing similarity: generator = W diag(T_s, T_u) W^{-1}
     w: np.ndarray = field(repr=False)
@@ -98,6 +100,23 @@ class DichotomySplit:
             return np.zeros_like(self.generator)
         k = self.k_stable
         return self.w[:, k:] @ sla.expm(t * self.t_unstable) @ self.winv[k:]
+
+    @cached_property
+    def m_const(self) -> float:
+        """The dichotomy constant M, fitted on first read: the sampled sup
+        of the normalized semigroup norms (a lower estimate of M)."""
+        ts = np.concatenate(
+            [[0.0],
+             np.geomspace(1e-3 / self.eps_rate, 10.0 / self.eps_rate, M_CONST_SAMPLES)]
+        )
+        m = 1.0
+        for t in ts:
+            grow = np.exp(self.eps_rate * t)
+            if self.k_stable:
+                m = max(m, np.linalg.norm(self.propagate_stable(t), 2) * grow)
+            if self.rank_j:
+                m = max(m, np.linalg.norm(self.propagate_unstable(-t), 2) * grow)
+        return float(m)
 
 
 def dichotomy_split(a) -> DichotomySplit:
@@ -131,37 +150,17 @@ def dichotomy_split(a) -> DichotomySplit:
     t_s = t[:k, :k]
     t_u = t[k:, k:]
     stable = Subspace(w[:, :k]) if k else None
-    split = DichotomySplit(
+    return DichotomySplit(
         generator=a,
         eigenvalues=eigs,
         stable_basis=stable,
         rank_j=j,
-        m_const=1.0,
         eps_rate=eps_rate,
         w=w,
         winv=winv,
         t_stable=t_s,
         t_unstable=t_u,
     )
-    m_const = _fit_m_const(split)
-    object.__setattr__(split, "m_const", m_const)
-    return split
-
-
-def _fit_m_const(split: DichotomySplit) -> float:
-    """Sampled sup of the normalized semigroup norms (lower estimate of M)."""
-    ts = np.concatenate(
-        [[0.0],
-         np.geomspace(1e-3 / split.eps_rate, 10.0 / split.eps_rate, M_CONST_SAMPLES)]
-    )
-    m = 1.0
-    for t in ts:
-        grow = np.exp(split.eps_rate * t)
-        if split.k_stable:
-            m = max(m, np.linalg.norm(split.propagate_stable(t), 2) * grow)
-        if split.rank_j:
-            m = max(m, np.linalg.norm(split.propagate_unstable(-t), 2) * grow)
-    return float(m)
 
 
 class LPGridOperator:

@@ -19,13 +19,14 @@ responses need no shift.  Each mode is integrated only in the direction of
 its square-integrable Green branch.  The contraction is affine and
 mode-diagonal, so `build_fibers` solves its fixed point directly, one
 banded system per (mode, column) block whose rows are the frames'
-recurrences, and checks it with one Picard sweep; it solves every (driver,
-phase) column a run needs in one call: the certify pipeline's frozen-driver
-oracle and continuity table read columns of its fibers stage and solve
-nothing.  The contraction certificate's band maxima take an SVD only of the
-modes whose norm bound can still beat them.  The decay records read the
-exact growth rate of each mode line of the built fibers (`fiber_growth`);
-no trajectory is integrated in a run.
+recurrences, on the grid that the configuration fixes (`_fiber_grid`), and
+checks it with one Picard sweep, whose norms it sums mode by mode; it
+solves every (driver, phase) column a run needs in one call: the certify
+pipeline's frozen-driver oracle and continuity table read columns of its
+fibers stage and solve nothing.  The contraction certificate's band maxima
+take an SVD only of the modes whose norm bound can still beat them.  The
+decay records read the exact growth rate of each mode line of the built
+fibers (`fiber_growth`); no trajectory is integrated in a run.
 tests/spatial_oracles.py keeps the all-mode frame, the two-direction,
 two-channel frame solve and the fibers' Picard loop on it as references,
 and the routes that only tests take: the low and high band projectors, the
@@ -55,7 +56,6 @@ from .errors import (
     AmplitudeTooLarge,
     AValueOutOfRange,
     ContractionFailed,
-    HorizonTooShort,
     NoCandidate,
     NotAContraction,
     NotPositive,
@@ -470,15 +470,11 @@ def slowest_fiber_rate(config: SAConfig) -> float:
     return float(np.sqrt(s_sq.min()))
 
 
-def _fiber_grid(config: SAConfig, horizon: float | None, n_steps: int | None):
-    if horizon is None:
-        t_end = max(12.0 / config.mu_bar, 10.0 / slowest_fiber_rate(config))
-    else:
-        t_end = horizon
-    if t_end < 10.0 / config.mu_bar - 1e-12:
-        raise HorizonTooShort(
-            f"horizon {t_end:.3g} < {10.0 / config.mu_bar:.3g} = 10/mu_bar"
-        )
+def _fiber_grid(config: SAConfig, n_steps: int | None):
+    """The uniform grid over [0, max(12 / mu_bar, 10 / slowest frozen rate)]
+    with `n_steps` steps, or by default a step of 0.06 over the fastest
+    rate mu_bar + k + 2 a_b, at least 320 and at most 20,000 steps."""
+    t_end = max(12.0 / config.mu_bar, 10.0 / slowest_fiber_rate(config))
     if n_steps is None:
         rate_max = config.mu_bar + config.k + 2.0 * config.a_bound
         n_steps = int(np.clip(np.ceil(t_end * rate_max / 0.06), 320, 20000))
@@ -531,7 +527,9 @@ def _collocate(frames, b: float, c: float, g_v, g_e):
                                          band.shape))
         rows.append(r)
         values += [-frame.steps, (sign * coef) * frame.wf.reshape(4 * (m - 1), -1)]
-        local.append(-sign * np.sum(frame.wf * g[nodes], axis=0))
+        sums = np.zeros(frame.wf.shape[1:])
+        frame._local(g, sums)
+        local.append(-sign * sums)
     flat, rows = np.concatenate(flat), np.concatenate(rows)
     values, local = np.concatenate(values), np.concatenate(local)
     out = np.empty((2,) + g_v.shape)
@@ -544,53 +542,50 @@ def _collocate(frames, b: float, c: float, g_v, g_e):
     return out
 
 
-def build_fibers(
-    config: SAConfig, columns, horizon: float | None = None
-) -> list[FiberResult]:
+def build_fibers(config: SAConfig, columns) -> list[FiberResult]:
     """Stable-bundle fibers of (driver, phase) columns by direct collocation.
 
     The contraction (dv, deta) -> (S_v(b deta + g_v), S_eta(c dv + g_eta))
     of the frame solves S is affine and mode-diagonal, so its fixed point is
     one linear two-point boundary-value problem per (mode, column), solved
-    as a banded system (`_collocate`).  The work runs mode by mode: a mode's
-    frames and forcing are built, solved and swept, then dropped.  One
-    Picard sweep from the solution checks it: ContractionFailed unless the
-    sweep moves deta by at most PICARD_TOL of its norm.  One FiberResult is
-    returned per column, in order (`_fibers_from`).
+    as a banded system (`_collocate`) on the grid of `_fiber_grid`.  The
+    work runs mode by mode: a mode's frames and forcing are built, solved
+    and swept, then dropped, and only its values at t = 0 and the squared
+    physical norms of its deta and of the sweep's update, per column, are
+    kept.  One Picard sweep from the solution checks it: ContractionFailed
+    unless the sweep moves deta by at most PICARD_TOL of its norm.  One
+    FiberResult is returned per column, in order (`_fibers_from`).
     """
     columns = list(columns)
     for driver, _ in columns:
         config.check_driver(driver)
     _require_contraction(config)
-    times = _fiber_grid(config, horizon, None)
+    times = _fiber_grid(config, None)
     a_diag, _, b_coef, c_coef = config.mode_coefficients
     rho = -np.abs(a_diag)
     drive = _drive(columns, times)
     a_vals = np.stack([drv.values(q, times) for drv, q in columns], axis=1)
-    d_eta = np.empty((times.size, config.n, len(columns)))
-    update = np.empty(d_eta.shape)
-    dv0 = np.empty(d_eta.shape[1:])
+    dv0, de0 = np.empty((2, config.n, len(columns)))
+    eta_sq, update_sq = np.zeros((2, len(columns)))
     for j in range(config.n):
         frame_v, frame_e = _frames(config, times, drive, j, rho[j])
         g_v, g_e = _sharp_forcing(config, j, a_vals)
-        dv, d_eta[:, j] = _collocate((frame_v, frame_e), b_coef[j], c_coef[j], g_v, g_e)
-        dv0[j] = dv[0]
-        dv_swept = frame_v.solve(b_coef[j] * d_eta[:, j] + g_v)
-        update[:, j] = frame_e.solve(c_coef[j] * dv_swept + g_e) - d_eta[:, j]
-    # a solution x stands for the physical e^{rho t} x
-    decay = np.exp(rho[None, :] * times[:, None])[:, :, None]
-
-    def phys_norm(x):
-        return float(np.sqrt(np.max(np.sum((decay * x) ** 2, axis=(0, 1)))))
-
-    residual = phys_norm(update) / max(phys_norm(d_eta), 1e-300)
+        dv, d_eta = _collocate((frame_v, frame_e), b_coef[j], c_coef[j], g_v, g_e)
+        dv0[j], de0[j] = dv[0], d_eta[0]
+        dv_swept = frame_v.solve(b_coef[j] * d_eta + g_v)
+        update = frame_e.solve(c_coef[j] * dv_swept + g_e) - d_eta
+        # a solution x stands for the physical e^{rho t} x
+        decay = np.exp(rho[j] * times)[:, None]
+        eta_sq += np.sum((decay * d_eta) ** 2, axis=0)
+        update_sq += np.sum((decay * update) ** 2, axis=0)
+    residual = float(np.sqrt(update_sq.max()) / max(np.sqrt(eta_sq.max()), 1e-300))
     if not residual <= PICARD_TOL:
         raise ContractionFailed(
             f"fixed-point residual {residual:.3e} of the fiber solve exceeds "
             f"{PICARD_TOL:.1e}"
         )
     # values at t = 0, where e^{mu 0} = 1
-    return _fibers_from(config, columns, dv0, d_eta[0], 1, residual)
+    return _fibers_from(config, columns, dv0, de0, 1, residual)
 
 
 def _fibers_from(
@@ -739,7 +734,7 @@ def contraction_certificate(config: SAConfig) -> dict:
     those matrices, and a mode's SVD serves every band it is in.
     """
     out = _require_contraction(config)
-    times = _fiber_grid(config, None, CONTRACTION_STEPS)
+    times = _fiber_grid(config, CONTRACTION_STEPS)
     h = times[1] - times[0]
     w = np.full(times.size, h)
     w[0] = w[-1] = h / 2

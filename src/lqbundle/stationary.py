@@ -25,9 +25,9 @@ spectra get the step they need.
 Nonoscillation extraction (P read off the graph {(v, -P v)} over the
 horizontal subspace), Riccati verification, controllability, coercivity and
 the Lyapunov inequality live here as well, all on one `Regulator` (A, B, F);
-their control trajectories, each integrated once from its control, take the
-local integrals of every step from the same stencil contraction as the
-collocation system.
+the coercivity and Lyapunov checks each integrate their sampled controls in
+one recurrence over an (n, controls) state, whose local integrals of every
+step come from the same stencil contraction as the collocation system.
 """
 
 from __future__ import annotations
@@ -547,22 +547,24 @@ def riccati_residual(p, ham: Hamiltonian) -> tuple[float, float]:
 # -- trajectories -----------------------------------------------------------
 
 
-def integrate_control_trajectory(a, b, xi: GridFunction, v0) -> GridFunction:
-    """Exact-exponential stepping of v' = A v + B xi for piecewise-cubic xi:
-    the local integrals of all steps in one stencil contraction, then the
-    recurrence v_{i+1} = exp(hA) v_i + G_i."""
+def integrate_control_trajectory(a, b, controls, v0s) -> list[GridFunction]:
+    """Exact-exponential stepping of v' = A v + B xi for piecewise-cubic
+    controls xi on one grid, each from its own v(0): the local integrals of
+    all steps and controls in one stencil contraction, then the recurrence
+    v_{i+1} = exp(hA) v_i + G_i on the (n, controls) state."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    h = xi.step
+    times, h = controls[0].times, controls[0].step
     ph = phi_block(4, h * a)
     weights = [forward_weights(ph, h, p) for p in range(3)]
-    g = local_forcing(weights, (xi.values @ b.T)[:, :, None])[:, :, 0]
+    forcing = np.stack([xi.values @ b.T for xi in controls], axis=2)
+    g = local_forcing(weights, forcing)
     e = sla.expm(h * a)
-    v = np.empty((xi.times.size, a.shape[0]))
-    v[0] = np.asarray(v0, dtype=float)
+    v = np.empty((times.size, a.shape[0], len(controls)))
+    v[0] = np.asarray(v0s, dtype=float).T
     for i, gi in enumerate(g):
         v[i + 1] = e @ v[i] + gi
-    return GridFunction(times=xi.times, values=v)
+    return [GridFunction(times=times, values=v[:, :, c]) for c in range(len(controls))]
 
 
 def hamiltonian_trajectory(ham: Hamiltonian, z0, times) -> GridFunction:
@@ -612,7 +614,8 @@ def l2_controllability(a, b) -> bool:
 def coercivity_check(reg: Regulator, controls, margin: float) -> float:
     """Worst ratio of int F against the coercive lower bound on M_0 processes.
 
-    Each control xi is integrated from v(0) = 0, so (v, xi) is a process by
+    The controls xi are integrated from v(0) = 0 in one
+    `integrate_control_trajectory` call, so each (v, xi) is a process by
     construction, in M_0 when its state has decayed by the horizon (else
     SampleNotInM0).  Bound: delta/(max(1, delta) M^2 + 1) (||v||^2 + ||xi||^2),
     with M the exact sup of ||(A - i w)^{-1} B|| and delta the frequency
@@ -627,8 +630,8 @@ def coercivity_check(reg: Regulator, controls, margin: float) -> float:
     m_sup = resolvent_sup_norm(a, b, np.eye(a.shape[0]))
     factor = margin / (max(1.0, margin) * m_sup**2 + 1.0)
     worst = np.inf
-    for xi in controls:
-        v = integrate_control_trajectory(a, b, xi, np.zeros(a.shape[0]))
+    v0s = np.zeros((len(controls), a.shape[0]))
+    for v, xi in zip(integrate_control_trajectory(a, b, controls, v0s), controls):
         tail = np.abs(v.values[-1]).max()
         if tail > DECAY_TOL * max(np.abs(v.values).max(), 1e-30):
             raise SampleNotInM0(f"state has not decayed by the horizon ({tail:.3e})")
@@ -653,11 +656,13 @@ def shifted_form(form: QuadraticFormTriple, eps: float) -> QuadraticFormTriple:
         raise EpsilonTooLarge(f"F3 - eps I loses definiteness: {exc}") from exc
 
 
-def lyapunov_inequality_check(reg: Regulator, eps: float, trajectories) -> bool:
+def lyapunov_inequality_check(reg: Regulator, eps: float, controls, v0s) -> bool:
     """Dissipation inequality with the eps-shifted storage operator P_eps.
 
-    Builds P_eps from the pipeline on F_eps and verifies
-    V(v_T) - V(v_0) + int F >= eps int (|v|^2 + |xi|^2) on each trajectory.
+    Builds P_eps from the pipeline on F_eps, integrates each control from
+    its v(0) in `v0s` (one `integrate_control_trajectory` call), and
+    verifies V(v_T) - V(v_0) + int F >= eps int (|v|^2 + |xi|^2) on each
+    trajectory.
     """
     from scipy.integrate import simpson
 
@@ -668,8 +673,9 @@ def lyapunov_inequality_check(reg: Regulator, eps: float, trajectories) -> bool:
     ham = assemble_hamiltonian(reg.a, reg.b, form_eps)
     l_eps = stable_lagrange_schur(ham)
     p_eps = extract_nonoscillation(l_eps).p
+    states = integrate_control_trajectory(reg.a, reg.b, controls, v0s)
     ok = True
-    for v, xi in trajectories:
+    for v, xi in zip(states, controls):
         f_vals = _form_density(reg.form, v.values, xi.values)
         vp = np.einsum("mi,ij,mj->m", v.values, p_eps, v.values)
         lhs = vp[-1] - vp[0] + simpson(f_vals, x=v.times)

@@ -253,12 +253,12 @@ def oracle_frames(config, columns, times, frame=ScalarFrameOracle, rho=None):
     )
 
 
-def two_channel_fibers(config, columns, horizon=None, frame=ScalarFrameOracle):
+def two_channel_fibers(config, columns, frame=ScalarFrameOracle):
     """`build_fibers` as a Picard loop on two-channel frames: the forcing
     fills channel 1 and the physical value is channel 0 plus e^{mu t} times
     channel 1.  The fibers' `residual` is the last update over the first."""
     columns = list(columns)
-    times = _fiber_grid(config, horizon, None)
+    times = _fiber_grid(config, None)
     frame_v, frame_e = oracle_frames(config, columns, times, frame)
     a_diag, chi, b_coef, c_coef = config.mode_coefficients
     mu, unst = -np.abs(a_diag), config.unstable

@@ -43,7 +43,7 @@ def riccati_integral_check(
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    ref = integrate_control_trajectory(a, b, xi, v.values[0])
+    ref = integrate_control_trajectory(a, b, [xi], [v.values[0]])[0]
     err = np.abs(ref.values - v.values).max() / max(np.abs(v.values).max(), 1e-30)
     if err > TRAJ_TOL:
         raise NotATrajectory(f"trajectory residual {err:.3e} > {TRAJ_TOL:.1e}")

@@ -331,7 +331,7 @@ def test_criterion_09_convergence_orders(s1):
     for m in (201, 401, 801):
         times = np.linspace(0.0, 8.0, m)
         xi = GridFunction(times, (np.exp(-times) * np.sin(2 * times))[:, None])
-        v = integrate_control_trajectory(a, b, xi, np.array([0.7]))
+        v = integrate_control_trajectory(a, b, [xi], [np.array([0.7])])[0]
         defects.append(riccati_integral_check(p, a, b, form, v, xi))
     riccati_orders = [math.log2(defects[i] / defects[i + 1]) for i in range(2)]
     ok = min(fourier_orders) >= 2.0 and min(riccati_orders) >= 2.0

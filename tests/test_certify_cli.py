@@ -195,6 +195,13 @@ class TestPipeline:
             "dichotomy_split": 2, "cho_factor": 2,
         }
 
+    def test_s1_fits_no_unread_dichotomy_constant(self, tmp_path):
+        # only A's split has its M read (LP tail bound, dichotomy-gap)
+        scn = load_scenario(write_json(tmp_path, "s1.json", S1_DOC))
+        assert run_pipeline(scn).passed
+        assert "m_const" in vars(scn.regulator.split_a)
+        assert "m_const" not in vars(scn.regulator.split_m)
+
     def test_s1_margin_evaluations_within_budget(self, tmp_path, monkeypatch):
         # every evaluated row, batched or single (`margin_at` is one row of
         # `rows`): the 1,024 grid rows of the plot table in one batched call
@@ -229,6 +236,18 @@ class TestPipeline:
         p[0, 0] += 1e-6 * np.linalg.norm(p, 2)
         resid, scale = lqbundle.stationary.riccati_residual(p, ham)
         assert resid > DEFAULT_TOLERANCES["riccati"] * scale
+
+    def test_p_symmetry_bound_scales_with_p(self, tmp_path):
+        # j = n: ||P|| = 3.5e6, and max|P - P^T| = 4.2e-8 failed the absolute
+        # bound 1e-8 while every other record, Riccati included, passed
+        a, b, form, _ = random_passing_instance(np.random.default_rng(7), 3, j=3)
+        doc = {"name": "n3-j3", "mode": "stationary", "A": a.tolist(),
+               "B": b.tolist(), "F1": form.f1.tolist(), "F2": form.f2.tolist(),
+               "F3": form.f3.tolist()}
+        code, checks = run_command(tmp_path, "verify", doc)
+        assert code == 0 and all(c["pass"] for c in checks)
+        rec = {c["name"]: c for c in checks}["p-symmetry-defect"]
+        assert rec["value"] <= 1e-13 and "||P|| = 3.4" in rec["detail"]
 
     def test_sa_standard_certificate(self, sa_standard_cert):
         cert = sa_standard_cert
@@ -345,7 +364,8 @@ MALFORMED = {
         SA_DOC, eigenvalues={"generator": "power", "p": 2, "n": "eight"})),
     "nested-eigenvalues": ("verify", dict(SA_DOC, eigenvalues=[[1, 2], [3, 4]])),
     "lambda-text": ("verify", dict(SA_DOC, Lambda="one")),
-    "horizon-text": ("verify", dict(SA_DOC, horizon="long")),
+    # the fiber horizon option is gone: 10,000 crashed with LinAlgError
+    "horizon-unknown": ("verify", dict(SA_DOC, horizon=10000)),
     "seed-text": ("verify", dict(S1_DOC, seed="x")),
     # numpy's default_rng raised an untyped ValueError, even for check-freq
     "seed-negative": ("verify", dict(S1_DOC, seed=-3)),
@@ -599,8 +619,10 @@ class TestCli:
         (MALFORMED["stationary-field-unknown"][1],
          "unknown stationary scenario field 'Foo'; known: name, mode, seed, "
          "tolerances, A, B, F1, F2, F3"),
+        (MALFORMED["horizon-unknown"][1],
+         "unknown spatial-averaging scenario field 'horizon'"),
     ], ids=["condition-set", "driver-kind", "driver-field", "generator-field",
-            "scenario-field", "stationary-field"])
+            "scenario-field", "stationary-field", "horizon"])
     def test_misspelt_name_is_parse_error(self, tmp_path, capsys, doc, match):
         # a misspelt name exited 1 (no certificate, or a gap-search failure),
         # and a misspelt field ran with its default and passed

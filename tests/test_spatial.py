@@ -24,7 +24,6 @@ from lqbundle.errors import (
     AmplitudeTooLarge,
     AValueOutOfRange,
     ContractionFailed,
-    HorizonTooShort,
     NoCandidate,
     NotPositive,
 )
@@ -246,7 +245,7 @@ def full_and_pruned_maxima(config, columns):
     """({band: max over the band's modes of every SVD}, {band: `_pruned_max`
     with `_norm_bound`}) of the scaled (T, L_A) matrices of the two-channel
     impulse loop on the contraction grid, over one (driver, phase) column."""
-    times = _fiber_grid(config, None, CONTRACTION_STEPS)
+    times = _fiber_grid(config, CONTRACTION_STEPS)
     h = times[1] - times[0]
     w = np.full(times.size, h)
     w[0] = w[-1] = h / 2
@@ -446,10 +445,6 @@ class TestFibers:
         fibers = build_fibers(sa_standard, verify_columns(sa_driver))
         assert {f.residual for f in fibers} == {fibers[0].residual}
         assert fibers[0].residual < 1e-12
-
-    def test_horizon_guard(self, sa_standard, sa_driver):
-        with pytest.raises(HorizonTooShort):
-            build_fibers(sa_standard, [(sa_driver, 0.0)], horizon=1.0)
 
     def test_failing_k1_not_a_contraction(self):
         model = make_spectral_model([float(j * j) for j in range(1, 9)])
@@ -653,13 +648,13 @@ class TestOracles:
     # the fiber solver is shifted by mu (channel 1), the contraction's is not
     # (channel 0)
     def test_frames_on_verify_columns(self, sa_standard, sa_driver, rng):
-        times = _fiber_grid(sa_standard, None, None)
+        times = _fiber_grid(sa_standard, None)
         for shifted in (True, False):
             assert_frames_match_oracles(sa_standard, verify_columns(sa_driver), times,
                                         shifted, rng)
 
     def test_frames_on_quasiperiodic_driver(self, sa_standard, rng):
-        times = _fiber_grid(sa_standard, None, None)
+        times = _fiber_grid(sa_standard, None)
         for shifted in (True, False):
             assert_frames_match_oracles(sa_standard, quasiperiodic_columns(sa_standard),
                                         times, shifted, rng)
@@ -673,7 +668,7 @@ class TestOracles:
     def test_contraction_impulse_columns(self, sa_standard):
         # one mode's impulses in one solve equal the two-channel loop's
         # batches of impulses on every mode
-        times = _fiber_grid(sa_standard, None, CONTRACTION_STEPS)
+        times = _fiber_grid(sa_standard, CONTRACTION_STEPS)
         columns = [(constant_driver(sa_standard.a_bound), 0.0)]
         drive = _drive(columns, times)
         oracles = oracle_frames(sa_standard, columns, times)

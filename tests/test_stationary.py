@@ -541,7 +541,7 @@ class TestRiccati:
         for m in (201, 401, 801):
             times = np.linspace(0.0, 8.0, m)
             xi = GridFunction(times, (np.exp(-times) * np.sin(2 * times))[:, None])
-            v = integrate_control_trajectory(a, b, xi, np.array([0.7]))
+            v = integrate_control_trajectory(a, b, [xi], [np.array([0.7])])[0]
             defects.append(riccati_integral_check(p, a, b, form, v, xi))
         orders = [math.log2(defects[i] / defects[i + 1]) for i in range(2)]
         assert min(orders) >= 2.0
@@ -563,8 +563,18 @@ class TestControlTrajectory:
         times = np.linspace(0.0, horizon, nodes)
         xi = bump_control(rng, times, b.shape[1])
         v0 = rng.standard_normal(a.shape[0])
-        got = integrate_control_trajectory(a, b, xi, v0).values
+        got = integrate_control_trajectory(a, b, [xi], [v0])[0].values
         return got, stepwise_control_trajectory(a, b, xi, v0).values
+
+    @staticmethod
+    def _batch_and_singles(rng, a, b):
+        times = np.linspace(0.0, 10.0, 1001)
+        controls = [bump_control(rng, times, b.shape[1]) for _ in range(2)]
+        v0s = rng.standard_normal((2, a.shape[0]))
+        batch = integrate_control_trajectory(a, b, controls, v0s)
+        singles = [integrate_control_trajectory(a, b, [xi], [v0])[0]
+                   for xi, v0 in zip(controls, v0s)]
+        return [v.values for v in batch], [v.values for v in singles]
 
     def test_scalar_equals_the_loop_exactly(self, s1, rng):
         a, b, _ = s1
@@ -581,6 +591,16 @@ class TestControlTrajectory:
         a, b = np.array(doc["A"]), np.array(doc["B"])
         got, ref = self._both(rng, a, b, 10.0, 1001)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_batch_equals_single_runs(self, s1, rng):
+        a, b, _ = s1
+        batch, singles = self._batch_and_singles(rng, a, b)
+        for got, ref in zip(batch, singles, strict=True):
+            np.testing.assert_array_equal(got, ref)
+        a, b, _, _ = random_passing_instance(rng, 8, j=0, m=2)
+        batch, singles = self._batch_and_singles(rng, a, b)
+        for got, ref in zip(batch, singles, strict=True):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestControllability:
@@ -623,33 +643,25 @@ class TestCoercivity:
 
 
 class TestLyapunovInequality:
-    def _trajectories(self, rng, a, b, m, count=10):
+    @staticmethod
+    def _samples(rng, count):
+        """`count` bump controls on one grid and their initial states."""
         times = np.linspace(0.0, 12.0, 1201)
-        out = []
+        controls, v0s = [], []
         for _ in range(count):
-            xi = bump_control(rng, times, m)
-            v = integrate_control_trajectory(a, b, xi, rng.standard_normal(a.shape[0]))
-            out.append((v, xi))
-        return out
+            controls.append(bump_control(rng, times, 1))
+            v0s.append(rng.standard_normal(1))
+        return controls, v0s
 
     def test_scalar_holds(self, s1, rng):
-        a, b, _ = s1
-        assert lyapunov_inequality_check(
-            Regulator(*s1), 0.05, self._trajectories(rng, a, b, 1, 20)
-        )
+        assert lyapunov_inequality_check(Regulator(*s1), 0.05, *self._samples(rng, 20))
 
     def test_degenerate_eps_reduces_to_balance(self, s1, rng):
-        a, b, _ = s1
-        assert lyapunov_inequality_check(
-            Regulator(*s1), 0.0, self._trajectories(rng, a, b, 1, 5)
-        )
+        assert lyapunov_inequality_check(Regulator(*s1), 0.0, *self._samples(rng, 5))
 
     def test_eps_beyond_margin(self, s1, rng):
-        a, b, _ = s1
         with pytest.raises(EpsilonTooLarge):
-            lyapunov_inequality_check(
-                Regulator(*s1), 0.9, self._trajectories(rng, a, b, 1, 2)
-            )
+            lyapunov_inequality_check(Regulator(*s1), 0.9, *self._samples(rng, 2))
 
 
 class TestEps0:
