@@ -4,24 +4,25 @@ Runs the two grid solves of `stable_lagrange_lp` (the fine graded grid and
 the Richardson grid, its every other node) through the library's phases in
 the library's order: build the matrix, factor it, drop it, then build the
 right-hand side (`rhs`, the sharp basis as boundary values) and solve, and
-reads L+ from the extrapolated node-0 states.  On an older tree whose
-`_StationaryLP` still solves for the correction of the sharp basis, the
-`rhs` phase includes that forcing (`sharp_forcing`), and L+ is the sharp
-basis plus the correction.
+reads L+ from the extrapolated node-0 states.  The solution's node states
+come in time order from `_StationaryLP.node_states`, which undoes the
+library's backward column blocks; a tree without it keeps them in time order.
 
 Each run is a fresh single-threaded process.  Per grid it records the nodes,
-the steps of each segment (one on a uniform grid), the stored entries and
-the LU nonzeros of the matrix, and each phase's time and the process's
-`ru_maxrss` after it.  Systems: the benchmark's n40_j0 and n40_j1 scenarios
-and the stiff system A = diag(-1, -10, -100, -1000), B = 0.5 (1, 1, 1, 1)^T,
-F1 = -0.1 I, F2 = 0, F3 = 1, each on its default grid.
+the steps of each segment (one on a uniform grid), the direction of the
+column blocks (`elimination`: "backward" with `node_states`, else
+"forward"), the stored entries and the LU nonzeros of the matrix, and each
+phase's time and the process's `ru_maxrss` after it.  Systems: the
+benchmark's n40_j0 and n40_j1 scenarios and the stiff system
+A = diag(-1, -10, -100, -1000), B = 0.5 (1, 1, 1, 1)^T, F1 = -0.1 I, F2 = 0,
+F3 = 1, each on its default grid.
 
     python bench/lp_assembly.py --before OLD/src --out lp_assembly.json
 
 runs every system on the `src/` of an older checkout (say, one unpacked by
 `git archive`) and on this one, REPEATS times, alternating the trees; the
 summary holds the medians.  Without `--before` only this tree runs.  About
-half a minute on a 2-core host; no run peaks above 0.6 GB.
+a minute on a 2-core host; no run peaks above 0.3 GB.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ def measure(name: str) -> dict:
     ham.eigenvalues  # noqa: B018  (cached before the measured region)
     times = st._grid_parameters(split_a, ham)
     sharp = st.sharp_basis(split_a, split_m)
-    forced = hasattr(st._StationaryLP, "sharp_forcing")  # an older tree
     grids = []
     rss0 = _peak_mb()
     start = time.perf_counter()
@@ -93,17 +93,20 @@ def measure(name: str) -> dict:
             info["phases"].append([phase, round(now - clock[0], 3), round(_peak_mb(), 1)])
             clock[0] = now
 
-        lp = st._StationaryLP(reg.b, reg.form, split_a, split_m,
-                              reg.r if forced else sharp, grid)
+        lp = st._StationaryLP(reg.b, reg.form, split_a, split_m, sharp, grid)
         mat = lp.matrix()
         info["nnz"] = int(mat.nnz)
         record("matrix")
         lu = spla.splu(mat, permc_spec="NATURAL")
         del mat
         record("factor")
-        rhs = lp.rhs(*lp.sharp_forcing()) if forced else lp.rhs()
+        rhs = lp.rhs()
         record("rhs")
-        s0 = lu.solve(rhs).reshape(grid.size, lp.stride, -1)[0]
+        x = lu.solve(rhs)
+        if hasattr(lp, "node_states"):  # column blocks from the horizon back
+            info["elimination"], s0 = "backward", lp.node_states(x)[0]
+        else:  # an older tree, column blocks in time order
+            info["elimination"], s0 = "forward", x.reshape(grid.size, lp.stride, -1)[0]
         record("solve")
         info["lu_nnz"] = int(lu.nnz)
         grids.append(info)
@@ -112,7 +115,7 @@ def measure(name: str) -> dict:
     y0 = (16.0 * solve_on(times) - solve_on(times[::2])) / 15.0
     lp_s = time.perf_counter() - start
     peak = _peak_mb()
-    l_plus = LagrangeSubspace(sharp.basis + y0 if forced else y0)
+    l_plus = LagrangeSubspace(y0)
     hb = ham.matrix @ l_plus.basis
     invariance = np.linalg.norm(hb - l_plus.basis @ (l_plus.basis.T @ hb), 2) / max(
         1.0, np.linalg.norm(ham.matrix, 2)
@@ -146,8 +149,8 @@ def _summary(runs):
                 "invariance_defect": mine[0]["invariance_defect"],
                 "oracle_distance": mine[0]["oracle_distance"],
                 "grids": [
-                    {key: grid[key] for key in ("nodes", "segment_steps", "nnz", "lu_nnz")
-                     if key in grid}
+                    {key: grid[key] for key in ("nodes", "segment_steps", "elimination",
+                                                "nnz", "lu_nnz")}
                     | {"phase_s": {phase: statistics.median(
                         dict((p, s) for p, s, _ in r["grids"][k]["phases"])[phase]
                         for r in mine) for phase, _, _ in grid["phases"]}}
@@ -190,7 +193,8 @@ def main(argv=None) -> int:
     doc = {
         "what": "stable_lagrange_lp's two grid solves on an older tree (before) "
                 "and this one (after); per grid the nodes, segment steps, stored "
-                "entries, LU nonzeros and phase times, and ru_maxrss after each phase",
+                "entries, elimination direction, LU nonzeros and phase times, and "
+                "ru_maxrss after each phase",
         "command": "python bench/lp_assembly.py --before OLD/src --out lp_assembly.json",
         "threads": THREAD_ENV,
         "host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),

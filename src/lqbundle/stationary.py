@@ -17,11 +17,13 @@ that is 56 % fewer nodes than one uniform step.  R reaches the system only
 through xi, so an interval row holds the entries of xi (v rows) or of
 (v, xi) (eta rows) at its cubic stencil's four nodes, all in one segment,
 plus its own recursion step, and the CSR arrays are written straight from
-row templates without their zeros.  The matrix is dropped once factored, so
-the solve's memory is linear in the nonzeros (about 40 bytes each at
-n = 40, with the LU factor), and the first step's cap follows a budget on
-steps * 4 sdim^2 (`NNZ_BUDGET`, sdim = 2n) as well as `MAX_STEPS`, so stiff
-spectra get the step they need.
+row templates without their zeros.  The column blocks run from the horizon
+back to node 0, so SuperLU eliminates along eta's backward recursion, the
+dominant one when j <= n / 3 (j unstable modes of A), where that LU is the
+smaller.  The matrix is dropped once factored, so the solve's memory is
+linear in the nonzeros (about 40 bytes each at n = 40, with the LU factor),
+and the first step's cap follows a budget on steps * 4 sdim^2 (`NNZ_BUDGET`,
+sdim = 2n) as well as `MAX_STEPS`, so stiff spectra get the step they need.
 Nonoscillation extraction (P read off the graph {(v, -P v)} over the
 horizontal subspace), Riccati verification, controllability, coercivity and
 the Lyapunov inequality live here as well, all on one `Regulator` (A, B, F);
@@ -338,6 +340,10 @@ class _StationaryLP:
         boundary rows of u_0, w_{m-1}, p_0 and q_{m-1} hold one entry each.
         So the assembly's memory is linear in the nonzeros, and
         the matrix stores no zero and no duplicate entry.
+
+        The rows run in time order and the column blocks backward: node k
+        owns column block m - 1 - k, so each template holds its four node
+        blocks in reverse and its window starts at block m - 4 - base[i].
         """
         n = self.n
         m = self.times.size
@@ -345,11 +351,13 @@ class _StationaryLP:
         form = self.form
         # what a family's rows read of a node's state (zero outside its columns)
         reads = (self.b @ self.xi_map, form.f1 @ self.dv_map + form.f2.T @ self.xi_map)
-        # each segment's first node, stencil bases and the intervals of each p
+        # each segment's first node, its stencils' first column blocks and the
+        # intervals of each p
         layouts = []
         for lo, hi in self.segments:
             base, pattern = stencil_layout(hi - lo + 1)
-            layouts.append((lo, lo + base, pattern, np.searchsorted(pattern, np.arange(4))))
+            layouts.append((lo, m - 4 - lo - base, pattern,
+                            np.searchsorted(pattern, np.arange(4))))
         # (first row, window start per interval or node, values, window columns)
         pieces, row_len = [], []
         # each nonempty interval family: the stable (forward) and unstable
@@ -371,14 +379,14 @@ class _StationaryLP:
                     full[:, p, :, ell] = -(weights[p][ell] @ winv_blk) @ reads[fam // 2]
                 full[:, p, :, p, off : off + width] += near
                 full[:, p, :, p + 1, off : off + width] += far
-            full = full.reshape(len(self.segments), 3, width, 4 * size)
+            full = full[:, :, :, ::-1].reshape(len(self.segments), 3, width, 4 * size)
             for tmpl, (lo, base, pattern, spans) in zip(full, layouts):
                 row_len.append(np.count_nonzero(tmpl, axis=2)[pattern].ravel())
                 pieces += [(row0 + (lo + spans[p]) * width, base[spans[p] : spans[p + 1]],
                             tmpl[p][tmpl[p] != 0], np.nonzero(tmpl[p])[1]) for p in range(3)]
         # the control rows of every node
         xi_rows = form.f2 @ self.dv_map + form.f3 @ self.xi_map - self.b.T @ self.de_map
-        pieces.append(((m - 1) * 2 * n, np.arange(m), xi_rows[xi_rows != 0],
+        pieces.append(((m - 1) * 2 * n, m - 1 - np.arange(m), xi_rows[xi_rows != 0],
                        np.nonzero(xi_rows)[1]))
         row_len = np.concatenate(row_len + [np.tile(np.count_nonzero(xi_rows, axis=1), m),
                                             np.ones(2 * n, dtype=int)])
@@ -397,7 +405,7 @@ class _StationaryLP:
             idx += (nodes.astype(idx_t) * size)[:, None]
         data[-2 * n :] = 1.0
         indices[-2 * n :] = np.concatenate([
-            node * size + self.offs[fam] + np.arange(self.widths[fam])
+            (m - 1 - node) * size + self.offs[fam] + np.arange(self.widths[fam])
             for fam, node in ((0, 0), (1, m - 1), (2, 0), (3, m - 1))
         ])
         mat = sp.csr_matrix((data, indices, indptr), shape=(m * size, m * size))
@@ -415,24 +423,29 @@ class _StationaryLP:
         bc[n : n + km] = self.split_m.winv[:km] @ basis[n:]
         return rhs
 
-    def solve_structured(self) -> np.ndarray:
+    def node_states(self, solution: np.ndarray) -> np.ndarray:
+        """The node states of a solution of the collocation system in time
+        order, shape (m, stride, columns); its blocks run backward."""
+        return solution.reshape(self.times.size, self.stride, -1)[::-1]
+
+    def solve_structured(self) -> tuple[np.ndarray, int]:
         """Direct sparse solve of the collocation system; returns the node
-        states, shape (m, stride, columns), which `dv_map`, `xi_map` and
-        `de_map` turn into v, xi and eta.
+        states in time order, shape (m, stride, columns), which `dv_map`,
+        `xi_map` and `de_map` turn into v, xi and eta, and the LU's nonzeros.
 
         Eliminating the state unknowns from this block-banded system by hand
         gives the dense single-input equation (I - T) xi = T0 g; solving the
         banded form instead costs O(m) rather than O(m^3).  At n = 40 with
         one input a v row holds at most 4 + width + 1 entries and an eta row
         at most 164 + width + 1, so no row stores the product R (v, eta).
-        The node-major columns are already in time order, so one SuperLU
-        factorization keeps them in their natural order.  The matrix is
-        dropped once factored, so while SuperLU factors only the matrix and
-        its LU are alive, and the right-hand side holds nothing but the
-        boundary values.
+        One SuperLU factorization keeps the node-major column blocks in their
+        natural order, from the horizon back, along eta's backward recursion.
+        The matrix is dropped once factored, so while SuperLU factors only the
+        matrix and its LU are alive, and the right-hand side holds nothing but
+        the boundary values.
         """
         lu = spla.splu(self.matrix(), permc_spec="NATURAL")
-        return lu.solve(self.rhs()).reshape(self.times.size, self.stride, -1)
+        return self.node_states(lu.solve(self.rhs())), int(lu.nnz)
 
 
 def stable_lagrange_lp(reg: Regulator, margin: float) -> StableLagrangeResult:
@@ -451,6 +464,8 @@ def stable_lagrange_lp(reg: Regulator, margin: float) -> StableLagrangeResult:
     3.9x, 4.5x and 6.5x closer to the Schur oracle than the single grid at
     the first steps horizon / 300, / 347 (the default) and / 512 (140, 164
     and 232 graded steps), but only 1.06x at horizon / 100 (54 steps).
+    The diagnostics' `grids` give each grid's nodes and LU nonzeros, the
+    fine grid first.
     """
     if margin <= 0.0:
         raise FrequencyConditionFailed(f"frequency margin {margin:.3e} <= 0")
@@ -465,11 +480,13 @@ def stable_lagrange_lp(reg: Regulator, margin: float) -> StableLagrangeResult:
     times = _grid_parameters(split_a, ham)
 
     sharp = sharp_basis(split_a, split_m)
+    grids = []
 
     def solve_on(grid_times: np.ndarray) -> np.ndarray:
         lp = _StationaryLP(reg.b, reg.form, split_a, split_m, sharp, grid_times)
-        s0 = lp.solve_structured()[0]
-        return np.vstack([lp.dv_map @ s0, lp.de_map @ s0])
+        states, lu_nnz = lp.solve_structured()
+        grids.append({"nodes": grid_times.size, "lu_nnz": lu_nnz})
+        return np.vstack([lp.dv_map @ states[0], lp.de_map @ states[0]])
 
     l_plus = LagrangeSubspace((16.0 * solve_on(times) - solve_on(times[::2])) / 15.0)
     hb = ham.matrix @ l_plus.basis
@@ -480,6 +497,7 @@ def stable_lagrange_lp(reg: Regulator, margin: float) -> StableLagrangeResult:
              "steps": hi - lo}
             for lo, hi in _segments(times)
         ],
+        "grids": grids,
         "horizon": float(times[-1]),
         "tail_bound": float(split_a.m_const * np.exp(-split_a.eps_rate * times[-1])),
         "margin": margin,
