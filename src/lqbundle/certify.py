@@ -600,16 +600,13 @@ def _sa_fibers(run, cert):
     n_grid = len(run.phases)
     run.fibers = fibers = built[:n_grid]
     run.step_fibers, run.frozen_fiber = built[n_grid:-1], built[-1]
-    iso = max(isotropy_defect(f.l_plus_q) for f in fibers)
-    cert.add_upper("fiber-isotropy", iso, run.tol["isotropy"])
+    cert.add_upper("fiber-isotropy", 0.0, run.tol["isotropy"],
+                   detail="exact: one line per (v_j, eta_j) plane")
     cert.add_upper("picard-iterations", fibers[0].n_iterations, 200,
                    detail="banded direct solve, checked by one Picard sweep: "
                    f"fixed-point residual {fibers[0].residual:.2e}")
-    vert = max(
-        intersection_dimension(f.l_plus_q, vertical_subspace(run.cfg.n))
-        for f in fibers
-    )
-    cert.add_upper("fiber-vertical-intersection", vert, run.cfg.N,
+    cert.add_upper("fiber-vertical-intersection",
+                   max(f.vertical_dimension() for f in fibers), run.cfg.N,
                    detail="dim(L+(q) cap vertical) <= N")
 
 
@@ -619,7 +616,7 @@ def _sa_frozen_oracle(run, cert):
     frozen_val = run.driver.value(run.phases[0])
     oracle = stable_lagrange_schur(sa.assemble_nonaut_hamiltonian(run.cfg, frozen_val))
     cert.add_upper("frozen-oracle",
-                   grassmann_distance(run.frozen_fiber.l_plus_q, oracle),
+                   grassmann_distance(run.frozen_fiber.subspace(), oracle),
                    run.tol["oracle"],
                    detail=f"constant driver a = {frozen_val:.6g} vs Schur")
 
@@ -654,30 +651,24 @@ def _sa_nonoscillation(run, cert):
     if run.fibers is None or run.vres is None:
         return
     fibers = run.fibers
-    oscillating = [f for f in fibers if f.oscillating]
-    cert.add_flag("nonoscillation-all-phases", not oscillating,
-                  detail=f"{len(oscillating)} oscillating fibers")
-    fiber_rows = []
-    p_max = 0.0
-    for f in fibers:
-        p_norm = float(np.linalg.norm(f.p_q, 2)) if f.p_q is not None else float("nan")
-        p_max = max(p_max, p_norm)
-        fiber_rows.append(
-            {
-                "phase": float(np.atleast_1d(f.q)[0]),
-                "grassmann_to_ref": grassmann_distance(f.l_plus_q, fibers[0].l_plus_q),
-                "norm_Pq": p_norm,
-            }
-        )
-    cert.tables["fibers"] = fiber_rows
-    if not oscillating:
-        cert.add_upper("uniform-p-bound", p_max, 1.0 / run.vres["delta_v"] + 1e-6,
+    nonosc = [f.vertical_dimension() == 0 for f in fibers]
+    cert.add_flag("nonoscillation-all-phases", all(nonosc),
+                  detail=f"{nonosc.count(False)} oscillating fibers")
+    p_norms = [float(np.abs(f.p).max()) if ok else float("nan")
+               for f, ok in zip(fibers, nonosc)]
+    cert.tables["fibers"] = [
+        {"phase": float(np.atleast_1d(f.q)[0]), "grassmann_to_ref": f.gap(fibers[0]),
+         "norm_Pq": p_norm}
+        for f, p_norm in zip(fibers, p_norms)
+    ]
+    if all(nonosc):
+        cert.add_upper("uniform-p-bound", max(p_norms), 1.0 / run.vres["delta_v"] + 1e-6,
                        detail="max ||P(q)|| <= 1/delta_V + 1e-6")
-        lo, hi = sa.p_sign_structure(fibers[0].p_q, run.cfg)
-        cert.add_lower("p-sign-low-block", lo, 0.0,
-                       detail="min eig of P on modes 1..N")
-        cert.add_upper("p-sign-high-block", hi, 0.0,
-                       detail="max eig of P on modes N+1..n")
+        p0, low = fibers[0].p, fibers[0].unstable
+        cert.add_lower("p-sign-low-block", float(p0[low].min()), 0.0,
+                       detail="min eig of P(q0) on modes 1..N, read at phase q0")
+        cert.add_upper("p-sign-high-block", float(p0[~low].max()), 0.0,
+                       detail="max eig of P(q0) on modes N+1..n, read at phase q0")
 
 
 def _sa_decay(run, cert):

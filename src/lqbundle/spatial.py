@@ -11,22 +11,24 @@ contraction) but runs it one mode at a time: the coefficients of
 `SAConfig.mode_coefficients` on the one band mask a run reads
 (`SAConfig.mid_mask`, the intermediate band), the (v, eta) frames of a mode
 (`_frames`) with the scalar quadrature of `_phi`, built, used and dropped
-inside the mode loop, and the n entries m_j of each `FiberResult`.  A
-mode's fiber forcing carries its own stiff exponential e^{mu_j t}, so the
-fiber frames integrate the smooth factor with the rate shifted by mu_j, and
-the stiff transients are integrated exactly; the contraction's impulse
-responses need no shift.  Each mode is integrated only in the direction of
-its square-integrable Green branch.  The contraction is affine and
-mode-diagonal, so `build_fibers` solves its fixed point directly, one
-banded system per (mode, column) block whose rows are the frames'
-recurrences, on the grid that the configuration fixes (`_fiber_grid`), and
-checks it with one Picard sweep, whose norms it sums mode by mode; it
-solves every (driver, phase) column a run needs in one call: the certify
-pipeline's frozen-driver oracle and continuity table read columns of its
-fibers stage and solve nothing.  The contraction certificate's band maxima
-take an SVD only of the modes whose norm bound can still beat them.  The
-decay records read the exact growth rate of each mode line of the built
-fibers (`fiber_growth`); no trajectory is integrated in a run.
+inside the mode loop, and the n entries m_j of each `FiberResult`, which
+reads P(q), the vertical intersection and projector gaps off its n mode
+lines in closed form.  A mode's fiber forcing carries its own stiff
+exponential e^{mu_j t}, so the fiber frames integrate the smooth factor
+with the rate shifted by mu_j, and the stiff transients are integrated
+exactly; the contraction's impulse responses need no shift.  Each mode is
+integrated only in the direction of its square-integrable Green branch.
+The contraction is affine and mode-diagonal, so `build_fibers` solves its
+fixed point directly, one banded system per (mode, column) block whose rows
+are the frames' recurrences, on the grid that the configuration fixes
+(`_fiber_grid`), and checks it with one Picard sweep, whose norms it sums
+mode by mode; it solves every (driver, phase) column a run needs in one
+call: the certify pipeline's frozen-driver oracle and continuity table read
+columns of its fibers stage and solve nothing.  The contraction
+certificate's band maxima take an SVD only of the modes whose norm bound
+can still beat them.  The decay records read the exact growth rate of each
+mode line of the built fibers (`fiber_growth`); no trajectory is integrated
+in a run.
 tests/spatial_oracles.py keeps the all-mode frame, the two-direction,
 two-channel frame solve and the fibers' Picard loop on it as references,
 and the routes that only tests take: the low and high band projectors, the
@@ -62,8 +64,8 @@ from .errors import (
     Oscillating,
 )
 from .spectral import SpectralModel
-from .stationary import Hamiltonian, extract_nonoscillation
-from .symplectic import LagrangeSubspace, grassmann_distance
+from .stationary import Hamiltonian
+from .symplectic import RANK_RTOL, LagrangeSubspace
 
 #: largest update of the fiber solve's check sweep, relative to the solution
 PICARD_TOL = 1e-10
@@ -442,18 +444,54 @@ class FiberResult:
     """One fiber of the stable Lagrange bundle over the driving flow.
 
     The fiber is the graph of the diagonal M+(q) = diag(m) over the sharp
-    pairing subspace; `m` holds its n entries m_j.  `n_iterations` counts
-    the Picard sweeps applied to the solve and `residual` is the relative
-    update of the last one, the same over the columns of one solve.
+    pairing subspace: one line per (v_j, eta_j) plane, spanned by (m_j, 1)
+    for an `unstable` mode (j < N) and by (1, m_j) otherwise.  So it is
+    isotropic exactly, and P(q), its vertical intersection and its projector
+    gap to another fiber are closed forms in the unit lines (x_j, y_j).
+    `n_iterations` counts the Picard sweeps applied to the solve and
+    `residual` is the relative update of the last one, the same over the
+    columns of one solve.
     """
 
     q: object
-    l_plus_q: LagrangeSubspace
     m: np.ndarray
-    p_q: np.ndarray | None
-    oscillating: bool
+    unstable: np.ndarray
     n_iterations: int
     residual: float
+
+    def _lines(self) -> tuple[np.ndarray, np.ndarray]:
+        x = np.where(self.unstable, self.m, 1.0)
+        y = np.where(self.unstable, 1.0, self.m)
+        norm = np.hypot(x, y)
+        return x / norm, y / norm
+
+    def vertical_dimension(self) -> int:
+        """dim(L+(q) cap {0} x H) by the rank rule of `intersection_dimension`:
+        mode j's block of [basis, -vertical] has the singular values
+        s_j = sqrt(1 + |y_j|) and |x_j| / s_j."""
+        x, y = self._lines()
+        s = np.sqrt(1.0 + np.abs(y))
+        return int(np.sum(np.abs(x) / s <= RANK_RTOL * s.max()))
+
+    @property
+    def p(self) -> np.ndarray:
+        """The diagonal -y_j / x_j of P(q); Oscillating on a vertical line."""
+        if self.vertical_dimension():
+            raise Oscillating("stable fiber meets the vertical subspace")
+        x, y = self._lines()
+        return -y / x
+
+    def gap(self, other: FiberResult) -> float:
+        """||Pi_1 - Pi_2||_2 of the two fibers' orthogonal projectors: the
+        largest sine of the angle between their lines in one mode plane."""
+        x, y = self._lines()
+        x2, y2 = other._lines()
+        return float(np.abs(x * y2 - y * x2).max())
+
+    def subspace(self) -> LagrangeSubspace:
+        """The dense 2n x n basis of the unit lines, for a dense oracle."""
+        x, y = self._lines()
+        return LagrangeSubspace(np.vstack([np.diag(x), np.diag(y)]))
 
 
 def slowest_fiber_rate(config: SAConfig) -> float:
@@ -591,43 +629,26 @@ def build_fibers(config: SAConfig, columns) -> list[FiberResult]:
 def _fibers_from(
     config: SAConfig, columns, dv0, de0, n_iter: int, residual: float
 ) -> list[FiberResult]:
-    """The fibers of the columns from Delta z(0), (n, P) each per half.
-
-    Mode j's sharp vector is e_j in the eta half for j < N (unstable) and in
-    the v half otherwise; the fiber vector adds m_j, the other half's entry
-    of Delta z(0), in the same mode's row there.  Nonoscillation extraction
-    is attempted on each fiber.
-    """
-    n = config.n
-    modes = np.arange(n)
-    sharp_rows = np.where(config.unstable, n + modes, modes)
-    m_rows = np.where(config.unstable, modes, n + modes)
-    results = []
-    for p_idx, (_, q) in enumerate(columns):
-        m = np.where(config.unstable, dv0[:, p_idx], de0[:, p_idx])
-        basis = np.zeros((2 * n, n))
-        basis[sharp_rows, modes] = 1.0
-        basis[m_rows, modes] = m
-        l_plus = LagrangeSubspace(basis)
-        try:
-            p_q, osc = extract_nonoscillation(l_plus).p, False
-        except Oscillating:
-            p_q, osc = None, True
-        results.append(FiberResult(q=q, l_plus_q=l_plus, m=m, p_q=p_q,
-                                   oscillating=osc, n_iterations=n_iter,
-                                   residual=residual))
-    return results
+    """The fibers of the columns from Delta z(0), (n, P) each per half: m_j
+    is its v entry for an unstable mode (j < N), whose sharp vector is e_j
+    in the eta half, and its eta entry otherwise."""
+    m = np.where(config.unstable[:, None], dv0, de0)
+    return [
+        FiberResult(q=q, m=m[:, p_idx], unstable=config.unstable,
+                    n_iterations=n_iter, residual=residual)
+        for p_idx, (_, q) in enumerate(columns)
+    ]
 
 
 def fiber_continuity(driver: Driver, ref: FiberResult, fibers) -> list[dict]:
     """Moduli table of built fibers of `driver` against the fiber `ref`:
     phase distance, ||M+(q) - M+(q_ref)|| = max_j |m_j(q) - m_j(q_ref)|
-    (the spectral norm of a diagonal difference), grassmann distance."""
+    (the spectral norm of a diagonal difference), projector gap."""
     return [
         {
             "phase_distance": driver.phase_distance(fib.q, ref.q),
             "m_norm": float(np.abs(fib.m - ref.m).max()),
-            "grassmann": grassmann_distance(fib.l_plus_q, ref.l_plus_q),
+            "grassmann": fib.gap(ref),
         }
         for fib in fibers
     ]
@@ -862,18 +883,3 @@ def v_form_certificate(config: SAConfig) -> dict:
             f"grid route {delta_v:.6g} fell below the affine minorant {affine_floor:.6g}"
         )
     return out
-
-
-def p_sign_structure(p_q: np.ndarray, config: SAConfig) -> tuple[float, float]:
-    """(min eig of P on the low block, max eig on the high block).
-
-    Uniform nonoscillation predicts positive values on modes 1..N and
-    negative on the rest.
-    """
-    p_q = np.atleast_2d(np.asarray(p_q, dtype=float))
-    low = slice(0, config.N)
-    high = slice(config.N, config.n)
-    low_min = float(np.linalg.eigvalsh(p_q[low, low]).min())
-    high_max = float(np.linalg.eigvalsh(p_q[high, high]).max())
-    return low_min, high_max
-

@@ -56,7 +56,7 @@ def exp_decay_fit(config, driver, q, z0, fiber=None) -> tuple[float, float]:
     if np.linalg.norm(z0) == 0.0:
         return float("inf"), 0.0
     if fiber is not None:
-        proj = fiber.l_plus_q.projector()
+        proj = fiber.subspace().projector()
         off = np.linalg.norm(z0 - proj @ z0) / np.linalg.norm(z0)
         if off > 1e-6:
             raise ValueError(f"initial state off the fiber by {off:.3e}")

@@ -136,7 +136,7 @@ def test_criterion_03_isotropy_suite(instance_pool, sa_results, sa_standard, sa_
         worst_stat = max(worst_stat, defect)
         ok = l_plus.dim == l_plus.ambient // 2 and defect <= ISOTROPY_TOL
         all_lagrange = all_lagrange and ok
-    worst_sa = max(isotropy_defect(f.l_plus_q) for f in sa_results["fibers"])
+    worst_sa = max(isotropy_defect(f.subspace()) for f in sa_results["fibers"])
     # symplectic pairing along integrated trajectories
     drift_stat = 0.0
     for item in instance_pool[:5]:
@@ -146,9 +146,9 @@ def test_criterion_03_isotropy_suite(instance_pool, sa_results, sa_standard, sa_
                               np.linspace(0.0, 5.0, 200))
         drift_stat = max(drift_stat, d, abs(p0))
     fib = sa_results["fibers"][0]
+    basis_sa = fib.subspace().basis
     drift_sa, pair0_sa = sa_pairing_drift(
-        sa_standard, sa_driver, fib.q,
-        fib.l_plus_q.basis[:, 0], fib.l_plus_q.basis[:, 5], 3.0,
+        sa_standard, sa_driver, fib.q, basis_sa[:, 0], basis_sa[:, 5], 3.0,
     )
     ok = (
         worst_stat <= 1e-8
@@ -215,7 +215,7 @@ def test_criterion_05_fredholm_bounds(instance_pool, sa_results, sa_standard):
     sub = stable_lagrange_schur(assemble_hamiltonian(a, b, form))
     dim_forced = intersection_dimension(sub, vertical_subspace(2))
     sa_dim = max(
-        intersection_dimension(f.l_plus_q, vertical_subspace(sa_standard.n))
+        intersection_dimension(f.subspace(), vertical_subspace(sa_standard.n))
         for f in sa_results["fibers"]
     )
     ok = ok_stat and dim_forced == 1 and sa_dim <= sa_standard.N
@@ -276,14 +276,14 @@ def test_criterion_07_sa_standard_instance(sa_standard, sa_results):
     picard_ok = all(f.n_iterations == 1 and f.residual <= PICARD_TOL for f in fibers)
     (frozen,) = build_fibers(sa_standard, [(constant_driver(1.5), 0.0)])
     oracle = stable_lagrange_schur(assemble_nonaut_hamiltonian(sa_standard, 1.5))
-    frozen_dist = grassmann_distance(frozen.l_plus_q, oracle)
+    frozen_dist = grassmann_distance(frozen.subspace(), oracle)
     brackets_ok = (
         abs(vform["brackets"][0] - 0.5625) <= 1e-12
         and abs(vform["brackets"][1] - 2.1875) <= 1e-12
         and min(vform["brackets"]) > 0.0
         and vform["delta_v"] > 0.0
     )
-    p_max = max(np.linalg.norm(f.p_q, 2) for f in fibers)
+    p_max = max(np.linalg.norm(extract_nonoscillation(f.subspace()).p, 2) for f in fibers)
     ok = (
         plugin_ok
         and picard_ok
@@ -359,7 +359,7 @@ def test_criterion_10_decay_fits(instance_pool, sa_standard, sa_driver, sa_resul
     eps0_sa = sa_eps0_estimate(sa_standard)
     rates, prefs = [], []
     for fib in sa_results["fibers"]:
-        z0 = fib.l_plus_q.basis @ np.ones(sa_standard.n)
+        z0 = fib.subspace().basis @ np.ones(sa_standard.n)
         rate, pref = exp_decay_fit(sa_standard, sa_driver, fib.q, z0, fiber=fib)
         rates.append(rate)
         prefs.append(pref)

@@ -30,7 +30,6 @@ from lqbundle.stationary import (
     restricted_decay,
     stable_lagrange_schur,
 )
-from lqbundle.symplectic import LagrangeSubspace
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
 #: pipeline seeds; a fitted random trajectory failed decay-rate on n40_j0
@@ -149,12 +148,8 @@ def sharp_flat(cfg):
 
 
 def mode_diagonal_fiber(cfg, q, m):
-    """The fiber with M+(q) = diag(m), the graph of diag(m) over sharp (+) flat."""
-    sharp, flat = sharp_flat(cfg)
-    return FiberResult(
-        q=q, l_plus_q=LagrangeSubspace(sharp + flat @ np.diag(m)),
-        m=m, p_q=None, oscillating=False, n_iterations=0, residual=0.0,
-    )
+    """The fiber with M+(q) = diag(m)."""
+    return FiberResult(q=q, m=m, unstable=cfg.unstable, n_iterations=0, residual=0.0)
 
 
 @pytest.fixture(scope="module")

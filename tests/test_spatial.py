@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from decay_oracles import exp_decay_fit, fit_decay_rate
@@ -19,6 +21,8 @@ from spatial_oracles import (
 )
 
 import lqbundle.spatial
+from lqbundle import certify
+from lqbundle.certify import Certificate
 from lqbundle.dichotomy import GridFunction
 from lqbundle.errors import (
     AmplitudeTooLarge,
@@ -26,6 +30,7 @@ from lqbundle.errors import (
     ContractionFailed,
     NoCandidate,
     NotPositive,
+    Oscillating,
 )
 from lqbundle.spatial import (
     CONTRACTION_STEPS,
@@ -34,6 +39,7 @@ from lqbundle.spatial import (
     SAConfig,
     _drive,
     _fiber_grid,
+    _fibers_from,
     _frames,
     _mode_operator_matrix,
     _norm_bound,
@@ -47,14 +53,18 @@ from lqbundle.spatial import (
     contraction_certificate,
     fiber_continuity,
     gap_search,
-    p_sign_structure,
     sa_eps0_estimate,
     v_form_brackets,
     v_form_certificate,
 )
 from lqbundle.spectral import make_spectral_model
-from lqbundle.stationary import assemble_hamiltonian, stable_lagrange_schur
+from lqbundle.stationary import (
+    assemble_hamiltonian,
+    extract_nonoscillation,
+    stable_lagrange_schur,
+)
 from lqbundle.symplectic import (
+    LagrangeSubspace,
     grassmann_distance,
     intersection_dimension,
     isotropy_defect,
@@ -404,7 +414,7 @@ class TestFibers:
             oracle = stable_lagrange_schur(
                 assemble_nonaut_hamiltonian(sa_standard, a_val)
             )
-            assert grassmann_distance(fib.l_plus_q, oracle) <= 1e-6
+            assert grassmann_distance(fib.subspace(), oracle) <= 1e-6
 
     def test_mixed_columns_match_single_columns(self, sa_standard, sa_driver):
         # every column of one mixed call is the fiber of its own call
@@ -413,7 +423,7 @@ class TestFibers:
         for column, fib in zip(columns, mixed):
             (alone,) = build_fibers(sa_standard, [column])
             assert fib.q == alone.q
-            assert grassmann_distance(fib.l_plus_q, alone.l_plus_q) <= 1e-9
+            assert grassmann_distance(fib.subspace(), alone.subspace()) <= 1e-9
             # one check sweep per solve, however many columns it holds
             assert fib.n_iterations == alone.n_iterations == 1
 
@@ -428,11 +438,13 @@ class TestFibers:
             [(sa_driver, q) for q in np.linspace(0, 2 * np.pi, 16, endpoint=False)],
         )
         assert all(f.n_iterations == 1 and f.residual <= PICARD_TOL for f in fibers)
-        assert max(isotropy_defect(f.l_plus_q) for f in fibers) <= 1e-8
-        assert all(not f.oscillating for f in fibers)
+        subspaces = [f.subspace() for f in fibers]
+        assert max(isotropy_defect(sub) for sub in subspaces) <= 1e-8
+        for sub in subspaces:
+            extract_nonoscillation(sub)  # must not raise Oscillating
         assert max(
-            intersection_dimension(f.l_plus_q, vertical_subspace(sa_standard.n))
-            for f in fibers
+            intersection_dimension(sub, vertical_subspace(sa_standard.n))
+            for sub in subspaces
         ) <= sa_standard.N
 
     def test_failed_check_sweep_raises(self, sa_standard, sa_driver, monkeypatch):
@@ -458,6 +470,10 @@ class TestFibers:
         phases = [1.0] + [1.0 + 2.0**-m for m in range(1, 7)]
         fibers = build_fibers(sa_standard, [(sa_driver, q) for q in phases])
         rows = fiber_continuity(sa_driver, fibers[0], fibers[1:])
+        ref = fibers[0].subspace()
+        for row, fib in zip(rows, fibers[1:], strict=True):
+            dense = grassmann_distance(fib.subspace(), ref)
+            assert row["grassmann"] == pytest.approx(dense, rel=1e-12, abs=1e-15)
         gr = [r["grassmann"] for r in rows]
         mn = [r["m_norm"] for r in rows]
         # decreasing up to 10% jitter, roughly geometric
@@ -473,6 +489,103 @@ class TestFibers:
         fibers = build_fibers(sa_standard, [(drv, q) for q in (0.0, 0.5, 0.25)])
         rows = fiber_continuity(drv, fibers[0], fibers[1:])
         assert max(r["grassmann"] for r in rows) <= 1e-12
+
+
+def n64_standard():
+    """sa-standard's (Lambda, delta, k, N) at truncation n = 64."""
+    model = make_spectral_model([float(j * j) for j in range(1, 65)])
+    return SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=2)
+
+
+QUASIPERIODIC = Driver(c0=1.5, amplitudes=np.array([0.3, 0.2]),
+                       omegas=np.array([1.0, np.sqrt(2.0)]))
+
+
+def fiber_with(config, m):
+    """The fiber of the entries m, through `_fibers_from` as a solve hands
+    them over: m_j in the v half for an unstable mode, in eta otherwise."""
+    dv0 = np.where(config.unstable, m, 0.0)[:, None]
+    de0 = np.where(config.unstable, 0.0, m)[:, None]
+    (fib,) = _fibers_from(config, [(constant_driver(0.0), 0.0)], dv0, de0, 1, 0.0)
+    return fib
+
+
+def graph_basis(config, m):
+    """The graph of diag(m) over the sharp subspace: a 1 in mode j's sharp
+    row (the eta half for j < N, the v half otherwise) and m_j in the same
+    mode's row of the other half."""
+    n, modes = config.n, np.arange(config.n)
+    basis = np.zeros((2 * n, n))
+    basis[np.where(config.unstable, n + modes, modes), modes] = 1.0
+    basis[np.where(config.unstable, modes, n + modes), modes] = m
+    return LagrangeSubspace(basis)
+
+
+class TestFiberClosedForms:
+    """Each fiber's closed forms against the dense routines of `symplectic`
+    and `extract_nonoscillation` on its dense basis."""
+
+    @pytest.mark.parametrize("case", ["sa-standard", "quasiperiodic", "n64"])
+    def test_closed_forms_match_dense_oracles(self, case, sa_standard, sa_driver):
+        if case == "quasiperiodic":
+            config = sa_standard
+            columns = [(QUASIPERIODIC, np.array([q, 2.0 * q])) for q in (0.0, 1.1, 4.0)]
+        else:
+            config = sa_standard if case == "sa-standard" else n64_standard()
+            phases = np.linspace(0, 2 * np.pi, 4, endpoint=False)
+            columns = [(sa_driver, q) for q in phases]
+        columns.append((constant_driver(1.5), 0.0))
+        fibers = build_fibers(config, columns)
+        vertical = vertical_subspace(config.n)
+        ref = fibers[0].subspace()
+        for fib in fibers:
+            sub = fib.subspace()
+            assert grassmann_distance(sub, graph_basis(config, fib.m)) <= 1e-14
+            assert isotropy_defect(sub) <= 1e-15
+            assert fib.vertical_dimension() == intersection_dimension(sub, vertical) == 0
+            dense_p = extract_nonoscillation(sub).p
+            np.testing.assert_allclose(np.diag(fib.p), dense_p, rtol=0.0,
+                                       atol=1e-14 * np.abs(dense_p).max())
+            assert fib.gap(fibers[0]) == pytest.approx(
+                grassmann_distance(sub, ref), rel=1e-12, abs=1e-15)
+
+    def test_vertical_rank_rule_matches_the_dense_rule(self, sa_standard):
+        # an unstable mode's m_j -> 0 and a stable mode's m_j -> infinity
+        # both turn the mode's line vertical; the rank threshold RANK_RTOL
+        # falls inside the sweep
+        base = np.linspace(-0.5, 0.5, sa_standard.n)
+        vertical = vertical_subspace(sa_standard.n)
+        counts = []
+        for mode, to_m in ((0, lambda t: t), (sa_standard.N, lambda t: 1.0 / t)):
+            for t in np.geomspace(1e-10, 1e-6, 502):
+                m = base.copy()
+                m[mode] = to_m(t)
+                fib = fiber_with(sa_standard, m)
+                dim = fib.vertical_dimension()
+                assert dim == intersection_dimension(fib.subspace(), vertical), (mode, t)
+                counts.append(dim)
+        assert 0 < sum(counts) < len(counts)
+
+    @pytest.mark.parametrize("m_far, vertical", [(1e7, 0), (2e8, 1), (1e9, 1)])
+    def test_huge_stable_entry_is_an_oscillating_fiber(self, sa_standard, m_far,
+                                                       vertical):
+        # a stable mode's line (1, m_j) turns vertical as m_j grows; its
+        # dense basis stays full rank, and the run records a FAIL of
+        # nonoscillation-all-phases, not a failure of the fibers stage
+        m = np.full(sa_standard.n, 0.1)
+        m[sa_standard.N] = m_far
+        fib = fiber_with(sa_standard, m)
+        dense = intersection_dimension(fib.subspace(), vertical_subspace(sa_standard.n))
+        assert fib.vertical_dimension() == dense == vertical
+        run = SimpleNamespace(fibers=[fib], vres={"delta_v": 1.0})
+        cert = Certificate("synthetic", "spatial-averaging", 0)
+        certify._sa_nonoscillation(run, cert)
+        (flag,) = (r for r in cert.records if r.name == "nonoscillation-all-phases")
+        assert flag.passed == (not vertical)
+        if vertical:
+            with pytest.raises(Oscillating):
+                fib.p
+            assert "uniform-p-bound" not in [r.name for r in cert.records]
 
 
 class TestVForm:
@@ -500,11 +613,13 @@ class TestVForm:
             sa_standard,
             [(sa_driver, q) for q in np.linspace(0, 2 * np.pi, 8, endpoint=False)],
         )
-        p_max = max(np.linalg.norm(f.p_q, 2) for f in fibers)
-        assert p_max <= 1.0 / out["delta_v"] + 1e-6
-        for f in fibers:
-            lo, hi = p_sign_structure(f.p_q, sa_standard)
-            assert lo > 0.0 and hi < 0.0
+        n_low = sa_standard.N
+        p_dense = [extract_nonoscillation(f.subspace()).p for f in fibers]
+        assert max(np.linalg.norm(p, 2) for p in p_dense) <= 1.0 / out["delta_v"] + 1e-6
+        for p in p_dense:
+            # min eig of P on modes 1..N, max eig on modes N+1..n
+            assert np.linalg.eigvalsh(p[:n_low, :n_low]).min() > 0.0
+            assert np.linalg.eigvalsh(p[n_low:, n_low:]).max() < 0.0
 
 
 class TestDecay:
@@ -517,7 +632,7 @@ class TestDecay:
         (fib,) = build_fibers(sa_standard, [(drv, 0.0)])
         ham = assemble_nonaut_hamiltonian(sa_standard, 0.0)
         gap = np.min(np.abs(np.linalg.eigvals(ham.matrix).real))
-        z0 = fib.l_plus_q.basis @ np.ones(sa_standard.n)
+        z0 = fib.subspace().basis @ np.ones(sa_standard.n)
         rate, _ = exp_decay_fit(sa_standard, drv, 0.0, z0, fiber=fib)
         assert rate >= gap - 1e-3
 
@@ -533,7 +648,7 @@ class TestDecay:
         eps0 = sa_eps0_estimate(sa_standard)
         rates, prefs = [], []
         for f in fibers:
-            z0 = f.l_plus_q.basis @ np.ones(sa_standard.n)
+            z0 = f.subspace().basis @ np.ones(sa_standard.n)
             r, p = exp_decay_fit(sa_standard, sa_driver, f.q, z0, fiber=f)
             rates.append(r)
             prefs.append(p)
@@ -542,9 +657,9 @@ class TestDecay:
 
     def test_pairing_preserved(self, sa_standard, sa_driver):
         (fib,) = build_fibers(sa_standard, [(sa_driver, 0.4)])
+        basis = fib.subspace().basis
         drift, pair0 = sa_pairing_drift(
-            sa_standard, sa_driver, 0.4,
-            fib.l_plus_q.basis[:, 0], fib.l_plus_q.basis[:, 5], 3.0,
+            sa_standard, sa_driver, 0.4, basis[:, 0], basis[:, 5], 3.0,
         )
         assert drift <= 1e-12
         assert abs(pair0) <= 1e-12
@@ -570,7 +685,7 @@ class TestNonfiniteTrajectory:
         cfg = SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=2)
         drv = Driver(c0=1.5, amplitudes=np.array([0.5]), omegas=np.array([1.0]))
         (fib,) = build_fibers(cfg, [(drv, 0.0)])
-        z0 = fib.l_plus_q.basis @ np.ones(cfg.n)
+        z0 = fib.subspace().basis @ np.ones(cfg.n)
         with np.errstate(over="ignore", invalid="ignore"):
             traj = sa_trajectory(cfg, drv, 0.0, z0, 8.0 / cfg.mu_bar)
         assert not np.all(np.isfinite(traj.values))
@@ -625,7 +740,7 @@ def assert_fibers_match_two_channel(config, columns):
     fibers = build_fibers(config, columns)
     for fib, ref in zip(fibers, two_channel_fibers(config, columns), strict=True):
         assert np.abs(fib.m - ref.m).max() <= FIBER_TOL
-        assert np.abs(fib.p_q - ref.p_q).max() <= FIBER_TOL * np.abs(ref.p_q).max()
+        assert np.abs(fib.p - ref.p).max() <= FIBER_TOL * np.abs(ref.p).max()
 
 
 def verify_columns(driver):
