@@ -22,7 +22,8 @@ F3 = 1, each on its default grid.
 runs every system on the `src/` of an older checkout (say, one unpacked by
 `git archive`) and on this one, REPEATS times, alternating the trees; the
 summary holds the medians.  Without `--before` only this tree runs.  About
-a minute on a 2-core host; no run peaks above 0.3 GB.
+a minute on a 2-core host; in `BENCH_lp_spectral.json` no run peaked above
+244 MB, and none on the spectrum-graded grid above 156 MB.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import json
 import os
 import platform
 import resource
+import shlex
 import statistics
 import subprocess
 import sys
@@ -195,7 +197,9 @@ def main(argv=None) -> int:
                 "and this one (after); per grid the nodes, segment steps, stored "
                 "entries, elimination direction, LU nonzeros and phase times, and "
                 "ru_maxrss after each phase",
-        "command": "python bench/lp_assembly.py --before OLD/src --out lp_assembly.json",
+        "command": shlex.join(["python", "bench/lp_assembly.py",
+                               *(["--before", args.before] if args.before else []),
+                               "--out", args.out]),
         "threads": THREAD_ENV,
         "host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": numpy.__version__,

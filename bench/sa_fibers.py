@@ -31,6 +31,7 @@ import json
 import os
 import platform
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -168,7 +169,7 @@ def main(argv=None) -> int:
         "what": "the verify fiber solve (23 columns): the Picard loop on the "
                 "library frame over (mode, channel) pairs (two_channel, before) "
                 "against the banded direct solve of the library (direct, after)",
-        "command": "python bench/sa_fibers.py --out sa_fibers.json",
+        "command": shlex.join(["python", "bench/sa_fibers.py", "--out", args.out]),
         "threads": THREAD_ENV,
         "host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": numpy.__version__,

@@ -25,6 +25,7 @@ import json
 import os
 import platform
 import resource
+import shlex
 import statistics
 import subprocess
 import sys
@@ -154,7 +155,9 @@ def main(argv=None) -> int:
                 "pipeline, of contraction_certificate and of build_fibers, the "
                 "contraction's SVD count and ru_maxrss after each stage, on an "
                 "older tree (before) and this one (after)",
-        "command": "python bench/sa_scale.py --before OLD/src --out sa_scale.json",
+        "command": shlex.join(["python", "bench/sa_scale.py",
+                               *(["--before", args.before] if args.before else []),
+                               "--out", args.out]),
         "trees": {tree: _revision(src) for tree, src in trees.items()},
         "threads": THREAD_ENV,
         "host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),

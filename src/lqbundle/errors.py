@@ -62,6 +62,10 @@ class NotLagrange(LqBundleError):
     """Constructed subspace fails the Lagrange test (violated hypotheses)."""
 
 
+class LPBudgetExceeded(LqBundleError):
+    """The Lyapunov-Perron collocation matrix would store too many entries."""
+
+
 class FrequencyConditionFailed(LqBundleError):
     pass
 

@@ -9,11 +9,11 @@ every node, and refined by Richardson extrapolation, which helps only once
 the grid is in the asymptotic range (see `stable_lagrange_lp`).  The sharp
 basis enters that system only as boundary values: its free flow is what the
 recursions' step propagators produce, so the system has no forcing.  Every
-term of the fixed point decays like exp(-eps t) and the quadrature is exact
-on the linear part, so the grid's step doubles every ln(16) / eps
-(`_graded_nodes`), which keeps each segment's local error bound
-(h rho)^4 exp(-eps t) at that of the first step; on the n = 40 fixtures
-that is 56 % fewer nodes than one uniform step.  R reaches the system only
+term of the fixed point is a sum of modes exp(lambda_k t) and the quadrature
+is exact on the linear part, so the grid (`_grid_parameters`) grades its
+step by each mode's own rate and modulus: on the n = 40 fixtures 283 and
+293 nodes, where a step set by the fastest modulus and the slowest rate
+took 637 and 579.  R reaches the system only
 through xi, so an interval row holds the entries of xi (v rows) or of
 (v, xi) (eta rows) at its cubic stencil's four nodes, all in one segment,
 plus its own recursion step, and the CSR arrays are written straight from
@@ -22,8 +22,7 @@ back to node 0, so SuperLU eliminates along eta's backward recursion, the
 dominant one when j <= n / 3 (j unstable modes of A), where that LU is the
 smaller.  The matrix is dropped once factored, so the solve's memory is
 linear in the nonzeros (about 40 bytes each at n = 40, with the LU factor),
-and the first step's cap follows a budget on steps * 4 sdim^2 (`NNZ_BUDGET`,
-sdim = 2n) as well as `MAX_STEPS`, so stiff spectra get the step they need.
+which `LP_ENTRY_BUDGET` bounds (`LPBudgetExceeded`, before they exist).
 Nonoscillation extraction (P read off the graph {(v, -P v)} over the
 horizontal subspace), Riccati verification, controllability, coercivity and
 the Lyapunov inequality live here as well, all on one `Regulator` (A, B, F);
@@ -56,6 +55,7 @@ from .errors import (
     EpsilonTooLarge,
     FrequencyConditionFailed,
     HorizonTooShort,
+    LPBudgetExceeded,
     Oscillating,
     SampleNotInM0,
     SingularF3,
@@ -71,14 +71,11 @@ from .symplectic import (
     vertical_subspace,
 )
 
-GRID_RHO_STEP = 0.04
+#: h |lambda_k| of every mode k at the time its LP grid segment starts
+GRID_RHO_STEP = 0.036
 GRID_HORIZON_RATE = 12.0
-MIN_STEPS = 320
-MAX_STEPS = 6000
-#: bound on steps * 4 sdim^2 (sdim = 2n) up to which the step cap may exceed
-#: MAX_STEPS: a proxy for the fine-grid nonzeros, of which the n = 40 fixtures
-#: hold about a third and the stiff n = 4 system a fifth
-NNZ_BUDGET = 12_500_000
+#: most entries an LP matrix may store (36 M, a 1.3 GB peak, on n40_j0 at margin 1e-4)
+LP_ENTRY_BUDGET = 40_000_000
 #: fewest steps of an LP grid segment: even, so the Richardson grid keeps
 #: three per segment, as a cubic stencil needs
 SEGMENT_MIN_STEPS = 6
@@ -227,43 +224,40 @@ class StableLagrangeResult:
     diagnostics: dict
 
 
-def _uniform_steps(split_a: DichotomySplit, ham: Hamiltonian) -> tuple[float, int]:
-    """(eps, steps): the rate eps at which every term of the fixed point
-    decays, which sets the horizon GRID_HORIZON_RATE / eps, and the number of
-    steps of the first step h0 over that horizon, ceil(horizon rho /
-    GRID_RHO_STEP), at least MIN_STEPS and at most the larger of MAX_STEPS
-    and the NNZ_BUDGET cap."""
+def _grid_parameters(split_a: DichotomySplit, ham: Hamiltonian) -> np.ndarray:
+    """The LP grid over [0, GRID_HORIZON_RATE / eps], eps the slowest rate,
+    graded by the modes lambda_k, H's stable eigenvalues and all of A's: the
+    step h(t) = GRID_RHO_STEP min_k exp(|Re lambda_k| t / 4) / |lambda_k|
+    keeps the stencil's local error on each mode, about (h |lambda_k|)^4
+    exp(-|Re lambda_k| t), below GRID_RHO_STEP^4.  Segment s has the step
+    2^s h0, h0 = h(0), and ends where h reaches twice that, at max_k
+    4 ln(2^(s+1) h0 |lambda_k| / GRID_RHO_STEP) / |Re lambda_k|, its step
+    shortened to an even count, at least SEGMENT_MIN_STEPS; it takes in a tail
+    shorter than a minimal next one.  So `times[::2]` is the Richardson grid.
+    As eps <= |Re lambda_k| <= |lambda_k|, h0 = GRID_RHO_STEP / max_k
+    |lambda_k| <= GRID_RHO_STEP / eps = horizon / 333."""
     if ham.gap <= AXIS_TOL:
         raise SpectrumOnAxis("Hamiltonian spectrum touches the imaginary axis")
-    eps = min(split_a.eps_rate, ham.gap)
-    rho = max(np.abs(split_a.eigenvalues).max(), np.abs(ham.eigenvalues).max(), 1.0)
-    cap = max(MAX_STEPS, NNZ_BUDGET // (4 * (2 * split_a.n) ** 2))
-    steps = np.ceil(GRID_HORIZON_RATE / eps * rho / GRID_RHO_STEP)
-    return eps, int(np.clip(steps, MIN_STEPS, cap))
+    horizon = GRID_HORIZON_RATE / min(split_a.eps_rate, ham.gap)
+    modes = np.concatenate([ham.eigenvalues[ham.eigenvalues.real < 0], split_a.eigenvalues])
+    quarter_rate, modulus = np.abs(modes.real) / 4.0, np.abs(modes)
+    pieces, lo, step = [], 0.0, GRID_RHO_STEP / modulus.max()
+    while lo < horizon:
+        hi = np.max(np.log(2.0 * step * modulus / GRID_RHO_STEP) / quarter_rate)
+        if hi > horizon - SEGMENT_MIN_STEPS * 2.0 * step:
+            hi = horizon
+        pieces.append((lo, hi, max(SEGMENT_MIN_STEPS, 2 * int(np.ceil((hi - lo) / (2 * step))))))
+        lo, step = hi, 2.0 * step
+    nodes = 1 + sum(count for _, _, count in pieces)
+    _check_budget(nodes, nodes * (2 * split_a.n + 1))  # each node's 2n + mu rows hold entries
+    return np.append(np.concatenate([np.linspace(lo, hi, count + 1)[:-1]
+                                     for lo, hi, count in pieces]), horizon)
 
 
-def _graded_nodes(eps: float, steps: int) -> np.ndarray:
-    """The graded LP grid over [0, GRID_HORIZON_RATE / eps] whose first step
-    is h0 = horizon / steps.  Segment s starts at s ln(16) / eps and has the
-    step 2^s h0, shortened to fit an even number, at least
-    SEGMENT_MIN_STEPS, of steps into the segment (the horizon 12 / eps makes
-    five segments).  Every term of the fixed point decays like exp(-eps t),
-    so the local error bound (h_s rho)^4 exp(-eps t_s) of each segment equals
-    that of the first; the even counts make every other node, `times[::2]`,
-    the Richardson grid with every segment's step doubled."""
-    horizon = GRID_HORIZON_RATE / eps
-    h0 = horizon / steps
-    join = np.log(16.0) / eps
-    pieces = []
-    for s in range(int(np.ceil(GRID_HORIZON_RATE / np.log(16.0)))):
-        lo, hi = s * join, min((s + 1) * join, horizon)
-        count = max(SEGMENT_MIN_STEPS, 2 * int(np.ceil((hi - lo) / (2.0**(s + 1) * h0))))
-        pieces.append(np.linspace(lo, hi, count + 1)[:-1])
-    return np.append(np.concatenate(pieces), horizon)
-
-
-def _grid_parameters(split_a: DichotomySplit, ham: Hamiltonian) -> np.ndarray:
-    return _graded_nodes(*_uniform_steps(split_a, ham))
+def _check_budget(nodes: int, entries: int) -> None:
+    if entries > LP_ENTRY_BUDGET:
+        raise LPBudgetExceeded(f"the LP grid of {nodes:,} nodes stores at least {entries:,} "
+                               f"matrix entries, over LP_ENTRY_BUDGET = {LP_ENTRY_BUDGET:,}")
 
 
 def _segments(times: np.ndarray) -> list[tuple[int, int]]:
@@ -338,8 +332,9 @@ class _StationaryLP:
         the intervals of that pattern.  Each node adds mu rows
         F3 xi + F2 v - B^T eta = 0, also without their zeros, and the 2n
         boundary rows of u_0, w_{m-1}, p_0 and q_{m-1} hold one entry each.
-        So the assembly's memory is linear in the nonzeros, and
-        the matrix stores no zero and no duplicate entry.
+        So the assembly's memory is linear in the nonzeros, and the matrix
+        stores no zero, no duplicate entry and no more than LP_ENTRY_BUDGET
+        entries, which the row lengths count before its arrays exist.
 
         The rows run in time order and the column blocks backward: node k
         owns column block m - 1 - k, so each template holds its four node
@@ -391,6 +386,7 @@ class _StationaryLP:
         row_len = np.concatenate(row_len + [np.tile(np.count_nonzero(xi_rows, axis=1), m),
                                             np.ones(2 * n, dtype=int)])
         nnz = int(row_len.sum())
+        _check_budget(m, nnz)
         idx_t = np.int32 if nnz < 2**31 else np.int64
         indptr = np.zeros(m * size + 1, dtype=idx_t)
         np.cumsum(row_len, out=indptr[1:])
@@ -455,15 +451,15 @@ def stable_lagrange_lp(reg: Regulator, margin: float) -> StableLagrangeResult:
     L+ is the image of the sharp subspace (`sharp_basis`) under the
     Lyapunov-Perron map.  The discretized fixed point is solved for that
     image directly, with the sharp basis as boundary values, on the graded
-    time grid of `_graded_nodes` as the block-banded collocation system in
+    time grid of `_grid_parameters` as the block-banded collocation system in
     the recursion states (the Schur complement of which is exactly I - T
     for the single-input operator T), once on the grid and once on every
     other node, the grid with every segment's step doubled, and the two
     node-0 states are Richardson-extrapolated for an O(h^4) error.  That helps only in the
     asymptotic range: on the scalar instance S1 the extrapolated subspace is
-    3.9x, 4.5x and 6.5x closer to the Schur oracle than the single grid at
-    the first steps horizon / 300, / 347 (the default) and / 512 (140, 164
-    and 232 graded steps), but only 1.06x at horizon / 100 (54 steps).
+    3.7x, 4.6x and 6.4x closer to the Schur oracle than the single grid at
+    GRID_RHO_STEP = 0.045, 0.036 (the default) and 0.025 (128, 162 and 232
+    graded steps), but only 1.24x at 0.12 (56 steps).
     The diagnostics' `grids` give each grid's nodes and LU nonzeros, the
     fine grid first.
     """

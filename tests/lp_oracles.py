@@ -43,9 +43,8 @@ from dichotomy_oracles import LPGridOracle, left_multiply
 from lqbundle._phi import forward_weights, local_forcing, phi_block, stencil_layout
 from lqbundle.dichotomy import GridFunction, dichotomy_split
 from lqbundle.stationary import (
-    GRID_HORIZON_RATE,
     Regulator,
-    _uniform_steps,
+    _grid_parameters,
     perturbation_matrix,
     sharp_basis,
 )
@@ -54,14 +53,14 @@ from lqbundle.symplectic import LagrangeSubspace
 
 def default_grid(a, b, form, shift: float = 0.0):
     """(split of A + s I, split of -A^T + s I, times) on the uniform grid
-    with the library's first step h0 over its horizon: the one-segment case
-    of the library's graded grid, on which the oracles here are written."""
+    with the nodes of the library's graded grid over its horizon: the
+    one-segment case of that grid, on which the oracles here are written."""
     reg = Regulator(a, b, form)
     eye = np.eye(reg.a.shape[0])
     split_a = dichotomy_split(reg.a + shift * eye)
     split_m = dichotomy_split(-reg.a.T + shift * eye)
-    eps, steps = _uniform_steps(split_a, reg.ham)
-    return split_a, split_m, np.linspace(0.0, GRID_HORIZON_RATE / eps, steps + 1)
+    graded = _grid_parameters(split_a, reg.ham)
+    return split_a, split_m, np.linspace(0.0, graded[-1], graded.size)
 
 
 def sharp_forcing(split_a, split_m, times) -> np.ndarray:

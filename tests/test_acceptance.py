@@ -36,9 +36,10 @@ from lqbundle.spatial import (
     v_form_certificate,
 )
 from lqbundle.stationary import (
-    MAX_STEPS,
+    LP_ENTRY_BUDGET,
     Regulator,
-    _uniform_steps,
+    _grid_parameters,
+    _StationaryLP,
     assemble_hamiltonian,
     estimate_eps0,
     extract_nonoscillation,
@@ -46,6 +47,7 @@ from lqbundle.stationary import (
     integrate_control_trajectory,
     l2_controllability,
     pairing_drift,
+    sharp_basis,
     stable_lagrange_lp,
     stable_lagrange_schur,
 )
@@ -105,13 +107,18 @@ def test_criterion_01_oracle_equivalence(instance_pool):
 
 
 def test_pool_grids_below_the_flat_cap(instance_pool):
-    """No pool grid's first step is clipped, by the flat MAX_STEPS cap or by
-    the larger nonzero-budget cap, so the budget moves none of them; each
-    graded grid then holds fewer than half the steps of its h0."""
-    first = [_uniform_steps(item["reg"].split_a, item["reg"].ham)[1] for item in instance_pool]
-    assert max(first) == 1386 < MAX_STEPS
-    for item, steps in zip(instance_pool, first):
-        assert item["lp"].diagnostics["n_steps"] < steps / 2
+    """No pool grid's matrix comes near the flat LP_ENTRY_BUDGET (the largest
+    stores 664,381 entries), and each graded grid holds fewer than half the
+    steps of the uniform grid of its first step."""
+    entries = []
+    for item in instance_pool:
+        reg, diag = item["reg"], item["lp"].diagnostics
+        lp = _StationaryLP(reg.b, reg.form, reg.split_a, reg.split_m,
+                           sharp_basis(reg.split_a, reg.split_m),
+                           _grid_parameters(reg.split_a, reg.ham))
+        entries.append(lp.matrix().nnz)
+        assert diag["n_steps"] < diag["horizon"] / diag["segments"][0]["step"] / 2
+    assert max(entries) < LP_ENTRY_BUDGET / 50
 
 
 def test_criterion_02_scalar_closed_form(s1):

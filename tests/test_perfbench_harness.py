@@ -37,9 +37,9 @@ def test_traced_s1_round(tmp_path):
     assert result["problems"] == []
     assert result["attempted"] == 1 and result["failed"] == 0
     metrics = {name: value for name, (value, _unit) in result["metrics"].items()}
-    # the fine (164 graded steps) and the coarse Richardson grid of the S1
+    # the fine (162 graded steps) and the coarse Richardson grid of the S1
     # LP solve
-    assert metrics["stationary.lp_grid_nodes"] == 165 + 83
+    assert metrics["stationary.lp_grid_nodes"] == 163 + 82
     assert metrics["frequency.margin_evals"] > 0
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +24,11 @@ from frequency_oracles import ShiftedTransfer
 from stationary_oracles import NotATrajectory, riccati_integral_check
 from lqbundle._phi import stencil_layout
 from lqbundle.dichotomy import GridFunction
+from lqbundle.cli import main
 from lqbundle.errors import (
     ConditionFailed,
     EpsilonTooLarge,
+    LPBudgetExceeded,
     Oscillating,
     SampleNotInM0,
 )
@@ -167,18 +171,17 @@ class TestLPConstruction:
         assert grassmann_distance(structured, paired_fixed_point(*s1)) <= 1e-12
 
     def test_richardson_beats_single_grid(self, s1, monkeypatch):
-        # the graded grid of first step h0 = horizon / 300 (140 steps over
-        # five segments): coarser than the default S1 grid (h0 = horizon /
-        # 347, 164 steps), yet in the range where the O(h^4) term dominates
-        # (at h0 = horizon / 100 extrapolation gains only 1.06x)
+        # the grid of the library's rule at GRID_RHO_STEP = 0.045 (128 steps
+        # over four segments): coarser than the default S1 grid (0.036, 162
+        # steps), yet in the range where the O(h^4) term dominates (at 0.12
+        # extrapolation gains only 1.24x)
         reg = Regulator(*s1)
-        eps, _ = st._uniform_steps(reg.split_a, reg.ham)
-        coarse = st._graded_nodes(eps, 300)
-        assert [hi - lo for lo, hi in st._segments(coarse)] == [70, 36, 18, 10, 6]
+        monkeypatch.setattr(st, "GRID_RHO_STEP", 0.045)
+        coarse = st._grid_parameters(reg.split_a, reg.ham)
+        assert [hi - lo for lo, hi in st._segments(coarse)] == [62, 34, 18, 14]
         single = structured_single_grid(*s1, reg.split_a, reg.split_m, coarse)
-        monkeypatch.setattr(st, "_grid_parameters", lambda split_a, ham: coarse)
         res = lp_scanned(*s1)
-        assert res.diagnostics["n_steps"] == 140
+        assert res.diagnostics["n_steps"] == 128
         oracle = stable_lagrange_schur(assemble_hamiltonian(*s1))
         assert 3.0 * grassmann_distance(res.l_plus, oracle) <= grassmann_distance(
             single, oracle
@@ -248,7 +251,7 @@ COLLOCATION_SYSTEMS = {"s1": None, "j1-m2": (7, 5, 1, 2), "j-eq-n": (11, 6, 6, 2
 def collocation_system(request):
     """(A, B, F) of S1, a j = 1 two-input system, a j = n system (n = 6), a
     three-input system (n = 8, j = 2) and the stiff system of `TestStepCap`
-    (48,828 uniform steps of its first step h0, 21,390 graded ones)."""
+    (about 350,000 uniform steps of its first step h0, 500 graded ones)."""
     spec = COLLOCATION_SYSTEMS[request.param]
     if spec is None:
         return request.getfixturevalue("s1")
@@ -262,8 +265,8 @@ def collocation_system(request):
 
 @pytest.fixture
 def collocation(collocation_system):
-    """The library's LP on the uniform grid of its first step, the
-    one-segment case the COO oracle is written on."""
+    """The library's LP on the uniform grid with its graded grid's nodes,
+    the one-segment case the COO oracle is written on."""
     a, b, form = collocation_system
     split_a, split_m, times = default_grid(a, b, form)
     sharp = st.sharp_basis(split_a, split_m)
@@ -318,7 +321,7 @@ class TestCollocationMatrix:
 
     def test_canonical_window_rows(self, graded):
         lp = graded
-        assert len(lp.segments) == 5
+        assert len(lp.segments) >= 4
         mat = lp.matrix()
         m, n, size = lp.times.size, lp.n, lp.stride
         mu = size - 2 * n
@@ -386,14 +389,16 @@ class TestCollocationMatrix:
 
 class TestStepCap:
     def test_stiff_spectrum_passes_lp_checks(self):
-        # rho(H) ~ 1000 asks for 303,823 steps of h0; the flat 6000-step cap
-        # read invariance 6.9e-6 and oracle distance 3.5e-6.  The budget cap
-        # sets h0 (48,828 uniform steps), and the graded grid needs fewer
+        # rho(H) ~ 1000 asks for the first step h0 = GRID_RHO_STEP / 1000,
+        # about 350,000 steps over the horizon; the modes of modulus 1000 die
+        # out first, so the step doubles 13 times and the grid needs 500
         reg = Regulator(*STIFF)
         res = stable_lagrange_lp(reg, frequency_condition_margin(*STIFF))
-        first = st._uniform_steps(reg.split_a, reg.ham)[1]
-        assert first == st.NNZ_BUDGET // (4 * 8**2) > st.MAX_STEPS
-        assert res.diagnostics["n_steps"] < 48_828
+        horizon = res.diagnostics["horizon"]
+        h0 = st.GRID_RHO_STEP / np.abs(reg.ham.eigenvalues).max()
+        assert horizon / h0 > 300_000
+        assert res.diagnostics["n_steps"] == 500
+        assert len(res.diagnostics["segments"]) == 14
         assert grassmann_distance(res.l_plus, stable_lagrange_schur(reg.ham)) <= 1e-6
         assert res.diagnostics["invariance_defect"] <= 1e-8
 
@@ -404,48 +409,92 @@ class TestStepCap:
             doc = json.loads((scenarios / f"{name}.json").read_text())
             form = QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"])
             systems[name] = (doc["A"], doc["B"], form)
-        first, segments = {}, {}
+        segments = {}
         for name, system in systems.items():
             reg = Regulator(*system)
-            first[name] = st._uniform_steps(reg.split_a, reg.ham)[1]
             times = st._grid_parameters(reg.split_a, reg.ham)
             segments[name] = [hi - lo for lo, hi in st._segments(times)]
-        # h0 spans the horizon in fewer than MAX_STEPS steps, so neither the
-        # flat nor the budget cap clips it
-        assert first == {"s1": 347, "n40_j0": 1443, "n40_j1": 1308}
-        assert max(first.values()) < st.MAX_STEPS
-        assert segments == {"s1": [82, 42, 22, 12, 6],
-                            "n40_j0": [334, 168, 84, 42, 8],
-                            "n40_j1": [304, 152, 76, 38, 8]}
+        assert segments == {"s1": [78, 42, 24, 18],
+                            "n40_j0": [84, 62, 62, 32, 24, 18],
+                            "n40_j1": [86, 86, 56, 32, 16, 16]}
+
+    def test_entry_budget_fails_before_the_matrix(self, tmp_path, monkeypatch):
+        # n40_j0's fine grid stores 2.4 M entries; under a budget of 1 M the
+        # LP fails once it has counted them, before it allocates the 29 MB of
+        # the matrix's data and indices, and verify records the failure
+        path = SCENARIOS / "n40_j0.json"
+        doc = json.loads(path.read_text())
+        form = QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"])
+        reg = Regulator(doc["A"], doc["B"], form)
+        margin = frequency_condition_margin(reg.a, reg.b, form)
+        reg.ham.eigenvalues  # noqa: B018  (cached before the traced call)
+        monkeypatch.setattr(st, "LP_ENTRY_BUDGET", 1_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LPBudgetExceeded, match="LP_ENTRY_BUDGET = 1,000,000") as err:
+                stable_lagrange_lp(reg, margin)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = int(re.search(r"stores at least ([\d,]+) matrix entries", str(err.value))[1]
+                      .replace(",", ""))
+        assert entries > 2_000_000 and peak < 8 * entries
+        out = tmp_path / "o"
+        assert main(["verify", "--scenario", str(path), "--out", str(out)]) == 1
+        cert = json.loads((out / "certificate.json").read_text())
+        failed = [c for c in cert["checks"] if c["name"] == "lp-construction"]
+        assert len(failed) == 1 and not failed[0]["pass"]
+        assert failed[0]["detail"].startswith("LPBudgetExceeded: ")
+        assert "LP_ENTRY_BUDGET" in failed[0]["detail"]
+
+    def test_entry_budget_fails_before_the_grid(self, s1, monkeypatch):
+        # every node's 2n + mu rows store an entry, so S1's 163 nodes store at
+        # least 489 entries, which the grid counts before its nodes exist
+        reg = Regulator(*s1)
+        monkeypatch.setattr(st, "LP_ENTRY_BUDGET", 488)
+        with pytest.raises(LPBudgetExceeded, match="163 nodes stores at least 489 matrix"):
+            st._grid_parameters(reg.split_a, reg.ham)
+        monkeypatch.setattr(st, "LP_ENTRY_BUDGET", 489)
+        assert st._grid_parameters(reg.split_a, reg.ham).size == 163
+
+
+def mode_step(reg, t):
+    """h(t) = GRID_RHO_STEP min_k exp(|Re lambda_k| t / 4) / |lambda_k| over
+    H's stable eigenvalues and A's eigenvalues."""
+    eigs = reg.ham.eigenvalues
+    modes = np.concatenate([eigs[eigs.real < 0], reg.split_a.eigenvalues])
+    return st.GRID_RHO_STEP * np.exp(np.min(np.abs(modes.real) * t / 4.0 - np.log(np.abs(modes))))
 
 
 class TestGradedGrid:
     def test_segment_shape(self, collocation_system):
         reg = Regulator(*collocation_system)
-        eps, steps = st._uniform_steps(reg.split_a, reg.ham)
         times = st._grid_parameters(reg.split_a, reg.ham)
-        horizon = st.GRID_HORIZON_RATE / eps
-        h0 = horizon / steps
+        horizon = st.GRID_HORIZON_RATE / min(reg.split_a.eps_rate, reg.ham.gap)
+        h0 = mode_step(reg, 0.0)
         assert times[0] == 0.0 and times[-1] == horizon
+        # eps <= |Re lambda_k| <= |lambda_k|, so h0 <= GRID_RHO_STEP / eps
+        assert h0 <= horizon / 333.0
         segments = st._segments(times)
-        assert len(segments) == 5  # ceil(12 / ln 16)
         for s, (lo, hi) in enumerate(segments):
             count = hi - lo
             assert count % 2 == 0 and count >= st.SEGMENT_MIN_STEPS
-            # joins at multiples of ln 16 / eps, the horizon ends the last
-            assert times[lo] == pytest.approx(s * math.log(16.0) / eps, rel=1e-14, abs=0.0)
-            assert times[hi] == pytest.approx(min((s + 1) * math.log(16.0) / eps, horizon),
-                                              rel=1e-14)
-            # uniform inside: the step 2^s h0, shortened only to fit an even
-            # count, unless the count is the floor of six steps
+            # uniform inside, at most 2^s h0 and at most h at its start; the
+            # step is shortened only to fit an even count, unless the count
+            # is the floor of six steps
             dt = np.diff(times[lo : hi + 1])
             assert np.ptp(dt) <= 64 * np.spacing(times[hi])
             nominal = 2.0**s * h0
-            assert dt[0] <= nominal * (1.0 + 1e-12)
+            assert dt[0] <= min(nominal, mode_step(reg, times[lo])) * (1.0 + 1e-12)
             assert count == st.SEGMENT_MIN_STEPS or dt[0] * count > nominal * (count - 2)
-        # the step doubles from one full segment to the next
-        full = [np.diff(times[lo : lo + 2])[0] for lo, _ in segments[:4]]
-        np.testing.assert_allclose(np.array(full[1:]) / full[:-1], 2.0, rtol=0.1)
+            # a segment ends where h first reaches twice its step, or at the
+            # horizon, where it also takes in a tail shorter than a segment of
+            # six doubled steps
+            if hi < times.size - 1:
+                assert mode_step(reg, times[hi]) == pytest.approx(2.0 * nominal, rel=1e-12)
+            else:
+                tail = horizon - st.SEGMENT_MIN_STEPS * 2.0 * nominal
+                assert mode_step(reg, max(tail, times[lo])) < 2.0 * nominal
         # every other node is the Richardson grid: the same joins, each
         # segment's step doubled
         coarse = times[::2]
@@ -460,37 +509,34 @@ class TestGradedGrid:
         lp = collocation
         assert lp.segments == [(0, lp.times.size - 1)]
 
-    def test_as_close_to_the_oracle_as_the_uniform_grid(self, collocation_system,
-                                                        monkeypatch):
-        # the uniform grid of the first step h0, made even so that every
-        # other node is its Richardson grid
+    def test_as_close_to_the_oracle_as_the_uniform_grid(self, collocation_system, request):
+        # each system's distance on a grid that takes every mode as fast as
+        # the fastest and as slow as the slowest: the first step
+        # horizon / ceil(horizon rho / 0.04), doubled every ln 16 / eps, in
+        # 164 (s1), 358 (j1-m2), 388 (j-eq-n), 624 (three-input) and 21,390
+        # steps (stiff, its first step capped by a budget)
+        flat_rate = {"s1": 1.093e-9, "j1-m2": 5.652e-10, "j-eq-n": 8.915e-10,
+                     "three-input": 8.040e-10, "stiff": 1.334e-9}
         a, b, form = collocation_system
         reg = Regulator(a, b, form)
-        margin = frequency_condition_margin(a, b, form)
-        oracle = stable_lagrange_schur(reg.ham)
-        graded = stable_lagrange_lp(reg, margin)
-        eps, steps = st._uniform_steps(reg.split_a, reg.ham)
-        uniform = np.linspace(0.0, st.GRID_HORIZON_RATE / eps, steps + steps % 2 + 1)
-        monkeypatch.setattr(st, "_grid_parameters", lambda split_a, ham: uniform)
-        ref = stable_lagrange_lp(reg, margin)
-        assert graded.diagnostics["n_steps"] < 0.5 * ref.diagnostics["n_steps"]
-        assert grassmann_distance(graded.l_plus, oracle) <= 1.1 * grassmann_distance(
-            ref.l_plus, oracle)
+        res = stable_lagrange_lp(reg, frequency_condition_margin(a, b, form))
+        dist = grassmann_distance(res.l_plus, stable_lagrange_schur(reg.ham))
+        assert dist <= flat_rate[request.node.callspec.params["collocation_system"]]
 
     def test_diagnostics_list_the_segments(self, s1):
         res = lp_scanned(*s1)
         segments = res.diagnostics["segments"]
-        assert [seg["steps"] for seg in segments] == [82, 42, 22, 12, 6]
-        assert sum(seg["steps"] for seg in segments) == res.diagnostics["n_steps"] == 164
+        assert [seg["steps"] for seg in segments] == [78, 42, 24, 18]
+        assert sum(seg["steps"] for seg in segments) == res.diagnostics["n_steps"] == 162
         for seg, nxt in zip(segments, segments[1:] + [None]):
             end = res.diagnostics["horizon"] if nxt is None else nxt["start"]
             assert seg["start"] + seg["steps"] * seg["step"] == pytest.approx(end, rel=1e-12)
-        # the fine grid, then the Richardson grid, each LU below the 4,220
-        # and 2,170 nonzeros of its matrix with the column blocks in time order
+        # the fine grid, then the Richardson grid, each LU below the 4,167
+        # and 2,142 nonzeros of its matrix with the column blocks in time order
         grids = res.diagnostics["grids"]
-        assert [grid["nodes"] for grid in grids] == [165, 83]
+        assert [grid["nodes"] for grid in grids] == [163, 82]
         assert [grid.keys() for grid in grids] == [{"nodes", "lu_nnz"}] * 2
-        assert 0 < grids[0]["lu_nnz"] < 4220 and 0 < grids[1]["lu_nnz"] < 2170
+        assert 0 < grids[0]["lu_nnz"] < 4167 and 0 < grids[1]["lu_nnz"] < 2142
 
 
 class TestNonoscillation:
