@@ -9,8 +9,8 @@ for integrals of the form
 with p the cubic Lagrange interpolant of grid samples (Hochbruck &
 Ostermann, Acta Numerica 19, 2010), and the stencil contraction that
 applies matrix weights along a grid.  One forward and one backward weight
-formula serve both the matrix callers (the Lyapunov-Perron grid operator,
-the stationary collocation and the control trajectories) and the vectorised
+formula serve both the matrix callers (the recursions of the stationary
+collocation and the control trajectories) and the vectorised
 scalar callers (the spatial-averaging mode frames).  These weights make the
 kernel integration exact for piecewise-cubic data, which is what keeps the
 Lyapunov-Perron solves accurate on stiff spectra.

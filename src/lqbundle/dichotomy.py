@@ -1,16 +1,15 @@
-"""Exponential dichotomies and the grid data of the Lyapunov-Perron operator.
+"""Exponential dichotomies of a matrix generator.
 
 A dichotomy split block-diagonalizes the generator by an ordered real Schur
 decomposition plus a Sylvester correction.  In the decoupled coordinates the
-Lyapunov-Perron operator on each uniform segment of a grid is a recursion
-whose local forcing is the piecewise-cubic exponential quadrature of `_phi`,
-so the exponential kernels are integrated exactly against the interpolant;
-`LPGridOperator` holds the step propagators and weights of every segment's
-step, from which the stationary collocation system is assembled.  A split
-fits its dichotomy constant M on first read (`m_const`); a run reads only
-the M of A's split, in the LP tail bound and the dichotomy-gap record.
-The Green kernels and the grid application of the operator itself are kept
-as oracles in tests/dichotomy_oracles.py.
+Lyapunov-Perron operator is a forward recursion on the stable block and a
+backward one on the unstable block, each of whose steps the stationary
+collocation system (`stationary._StationaryLP`) discretizes with the
+piecewise-cubic exponential quadrature of `_phi`.  A split fits its
+dichotomy constant M on first read (`m_const`); a run reads only the M of
+A's split, in the LP tail bound and the dichotomy-gap record.  The Green
+kernels and the grid application of the operator itself are kept as
+oracles in tests/dichotomy_oracles.py.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from ._phi import backward_moments, backward_weights, forward_weights, phi_block
 from .errors import DimensionMismatch, SpectrumOnAxis
 from .symplectic import Subspace
 
@@ -162,24 +160,3 @@ def dichotomy_split(a) -> DichotomySplit:
         t_unstable=t_u,
     )
 
-
-class LPGridOperator:
-    """The Lyapunov-Perron operator's recursions on a grid of uniform
-    segments, in the decoupled coordinates of `split`: forward on the stable
-    block with step propagators `e_s` and weights `wf`, backward on the
-    unstable block with `e_u` and `wb`, the weights exact for the
-    piecewise-cubic interpolant of the forcing (one list of four per stencil
-    pattern).  Each array stacks one matrix per entry of `steps`, the step of
-    each segment."""
-
-    def __init__(self, split: DichotomySplit, steps: np.ndarray):
-        self.split = split
-        h = np.asarray(steps, dtype=float)[:, None, None]
-        if split.k_stable:
-            self.e_s = sla.expm(h * split.t_stable)
-            ph = phi_block(4, h * split.t_stable)
-            self.wf = [forward_weights(ph, h, p) for p in range(3)]
-        if split.rank_j:
-            self.e_u = sla.expm(-h * split.t_unstable)
-            jm = backward_moments(phi_block(4, -h * split.t_unstable))
-            self.wb = [backward_weights(jm, h, p) for p in range(3)]

@@ -16,13 +16,15 @@ step by each mode's own rate and modulus: on the n = 40 fixtures 283 and
 took 637 and 579.  R reaches the system only
 through xi, so an interval row holds the entries of xi (v rows) or of
 (v, xi) (eta rows) at its cubic stencil's four nodes, all in one segment,
-plus its own recursion step, and the CSR arrays are written straight from
-row templates without their zeros.  The column blocks run from the horizon
-back to node 0, so SuperLU eliminates along eta's backward recursion, the
-dominant one when j <= n / 3 (j unstable modes of A), where that LU is the
-smaller.  The matrix is dropped once factored, so the solve's memory is
-linear in the nonzeros (about 40 bytes each at n = 40, with the LU factor),
-which `LP_ENTRY_BUDGET` bounds (`LPBudgetExceeded`, before they exist).
+plus its own recursion step, and the CSR arrays are written in one
+row-ordered pass from row templates without their zeros, one per recursion
+(`_StationaryLP.recursions`), segment and stencil pattern.  The column
+blocks run from the horizon back to node 0, so SuperLU eliminates along
+eta's backward recursion, the dominant one when j <= n / 3 (j unstable
+modes of A), where that LU is the smaller.  The matrix is dropped once
+factored, so the solve's memory is linear in the nonzeros (about 40 bytes
+each at n = 40, with the LU factor), which `LP_ENTRY_BUDGET` bounds
+(`LPBudgetExceeded`, before they exist).
 Nonoscillation extraction (P read off the graph {(v, -P v)} over the
 horizontal subspace), Riccati verification, controllability, coercivity and
 the Lyapunov inequality live here as well, all on one `Regulator` (A, B, F);
@@ -34,6 +36,7 @@ step come from the same stencil contraction as the collocation system.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,12 +45,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._phi import forward_weights, local_forcing, phi_block, stencil_layout
+from ._phi import backward_moments, backward_weights, forward_weights, local_forcing, phi_block
 from .dichotomy import (
     AXIS_TOL,
     DichotomySplit,
     GridFunction,
-    LPGridOperator,
     dichotomy_split,
 )
 from .errors import (
@@ -269,6 +271,10 @@ def _segments(times: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+#: one nonempty recursion of the LP, a row of `_StationaryLP.recursions`
+_Recursion = namedtuple("_Recursion", "off width forward winv forcing e weights")
+
+
 class _StationaryLP:
     """Half-line Lyapunov-Perron collocation of the paired fixed point
     y = G_sharp z^s + L_breve P R y on one piecewise-uniform time grid, for
@@ -280,10 +286,16 @@ class _StationaryLP:
     through the control xi = F3^-1 (B^T eta - F2 v), as R (v, eta) =
     (B xi, F1 v + F2^T xi), so xi is an unknown of its own, read from b and
     form.  The grid's segments (first and last node) are found where its
-    step changes, each with its own step propagators and weights, and no
-    stencil crosses a join; a uniform grid is the one-segment case.
-    `times`, the whole node array, comes last, where the benchmark tracer
-    reads it."""
+    step changes; no stencil crosses a join, and a uniform grid is the
+    one-segment case.  `recursions` holds, in the order of the matrix rows,
+    one `_Recursion` per nonempty recursion of v's coordinates, then of
+    eta's: forward on the stable block or backward on the unstable one, its
+    `width` state entries from `off`, the rows `winv` of W^-1 that take the
+    map `forcing` of a node state to its forcing coordinates, and for every
+    segment's step its step propagator `e` and its cubic weights
+    `weights[p][l]` (stencil pattern p, node l), each a stack of one matrix
+    per segment.  `times`, the whole node array, comes last, where the
+    benchmark tracer reads it."""
 
     def __init__(self, b, form, split_a, split_m, sharp, times):
         self.split_a = split_a
@@ -293,117 +305,103 @@ class _StationaryLP:
         self.segments = _segments(times)
         if min(hi - lo for lo, hi in self.segments) < 3:
             raise HorizonTooShort("need at least 4 nodes in every grid segment")
-        steps = [times[lo + 1] - times[lo] for lo, _ in self.segments]
-        self.op_v = LPGridOperator(split_a, steps)
-        self.op_e = LPGridOperator(split_m, steps)
-        self.n = split_a.n
+        self.n = n = split_a.n
         self.b = np.atleast_2d(np.asarray(b, dtype=float))
         self.form = form
         # the per-node state s = (u, w, xi, p, q), `stride` entries: forward
         # and backward recursion coordinates of v, the control, then those of
         # eta; dv_map, xi_map and de_map give v, xi and eta
-        ka, ja = split_a.k_stable, split_a.rank_j
-        km, jm = split_m.k_stable, split_m.rank_j
-        mu = form.control_dim
-        self.widths = (ka, ja, km, jm)
-        self.offs = (0, ka, self.n + mu, self.n + mu + km)
-        self.stride = 2 * self.n + mu
-        self.dv_map = np.hstack([split_a.w[:, :ka], -split_a.w[:, ka:],
-                                 np.zeros((self.n, mu + km + jm))])
-        self.xi_map = np.eye(mu, self.stride, self.n)
-        self.de_map = np.hstack([np.zeros((self.n, self.n + mu)),
-                                 split_m.w[:, :km], -split_m.w[:, km:]])
+        ka, km, mu = split_a.k_stable, split_m.k_stable, form.control_dim
+        self.stride = 2 * n + mu
+        self.dv_map = np.hstack([split_a.w[:, :ka], -split_a.w[:, ka:], np.zeros((n, mu + n))])
+        self.xi_map = np.eye(mu, self.stride, n)
+        self.de_map = np.hstack([np.zeros((n, n + mu)), split_m.w[:, :km], -split_m.w[:, km:]])
+        h = np.array([times[lo + 1] - times[lo] for lo, _ in self.segments])[:, None, None]
+        # v's recursions are forced by B xi, eta's by F1 v + F2^T xi
+        self.recursions = []
+        for split, off, forcing in (
+                (split_a, 0, self.b @ self.xi_map),
+                (split_m, n + mu, form.f1 @ self.dv_map + form.f2.T @ self.xi_map)):
+            k, t_s, t_u = split.k_stable, split.t_stable, split.t_unstable
+            if k:
+                ph = phi_block(4, h * t_s)
+                self.recursions.append(_Recursion(
+                    off, k, True, split.winv[:k], forcing, sla.expm(h * t_s),
+                    [forward_weights(ph, h, p) for p in range(3)]))
+            if split.rank_j:
+                jm = backward_moments(phi_block(4, -h * t_u))
+                self.recursions.append(_Recursion(
+                    off + k, split.rank_j, False, split.winv[k:], forcing, sla.expm(-h * t_u),
+                    [backward_weights(jm, h, p) for p in range(3)]))
 
     def matrix(self) -> sp.csc_matrix:
         """The collocation matrix in the node states, the same for any
         boundary data.
 
-        Interval i of a family couples the nodes base[i] .. base[i] + 3 of its
-        cubic stencil, all in the segment of interval i, and the recursion
-        step x_{i+1} - E x_i (forward) or x_i - E x_{i+1} (backward) sits at
-        the window nodes p and p + 1 of that stencil, p = pattern[i] (first,
-        interior or last interval of the segment).  A v row reads xi at the
-        four nodes, an eta row reads (u, w, xi) there, and both hold a row of
-        the segment's E and one identity entry, so the rows of one family and
-        segment differ only by p and their column window, which starts at
-        base[i] stride.  Each (family, segment, p) template keeps only its
-        nonzero entries (E = expm(h T) is triangular up to the 2 x 2 blocks of
-        the real Schur form T), and the CSR arrays are written from it over
-        the intervals of that pattern.  Each node adds mu rows
-        F3 xi + F2 v - B^T eta = 0, also without their zeros, and the 2n
+        Interval i of a recursion couples the nodes base[i] .. base[i] + 3 of
+        its cubic stencil, all in the segment of interval i, and the
+        recursion step x_{i+1} - E x_i (forward) or x_i - E x_{i+1}
+        (backward) sits at the window nodes p and p + 1 of that stencil,
+        p = pattern[i] (first, interior or last interval of the segment).  A
+        v row reads xi at the four nodes, an eta row reads (u, w, xi) there,
+        and both hold a row of the segment's E and one identity entry, so the
+        rows of one recursion and segment differ only by p and their column
+        window, which starts at base[i] stride.  Each (recursion, segment, p)
+        template keeps only its nonzero entries (E = expm(h T) is triangular
+        up to the 2 x 2 blocks of the real Schur form T).  Each node adds mu
+        rows F3 xi + F2 v - B^T eta = 0, also without their zeros, and the 2n
         boundary rows of u_0, w_{m-1}, p_0 and q_{m-1} hold one entry each.
-        So the assembly's memory is linear in the nonzeros, and the matrix
-        stores no zero, no duplicate entry and no more than LP_ENTRY_BUDGET
-        entries, which the row lengths count before its arrays exist.
+        Every template is copied to a run of windows one block apart, so its
+        nonzeros times its copies count the matrix's entries before any array
+        of it exists, and no more than LP_ENTRY_BUDGET are stored; then one
+        pass writes the CSR arrays row by row, without a zero or a duplicate.
 
         The rows run in time order and the column blocks backward: node k
         owns column block m - 1 - k, so each template holds its four node
         blocks in reverse and its window starts at block m - 4 - base[i].
         """
-        n = self.n
-        m = self.times.size
-        size = self.stride
-        form = self.form
-        # what a family's rows read of a node's state (zero outside its columns)
-        reads = (self.b @ self.xi_map, form.f1 @ self.dv_map + form.f2.T @ self.xi_map)
-        # each segment's first node, its stencils' first column blocks and the
-        # intervals of each p
-        layouts = []
-        for lo, hi in self.segments:
-            base, pattern = stencil_layout(hi - lo + 1)
-            layouts.append((lo, m - 4 - lo - base, pattern,
-                            np.searchsorted(pattern, np.arange(4))))
-        # (first row, window start per interval or node, values, window columns)
-        pieces, row_len = [], []
-        # each nonempty interval family: the stable (forward) and unstable
-        # (backward) coordinates of v, then of eta; E and each weight stack
-        # one matrix per segment
-        for fam, op in enumerate((self.op_v, self.op_v, self.op_e, self.op_e)):
-            width, off, k = self.widths[fam], self.offs[fam], op.split.k_stable
-            if not width:
-                continue
-            row0 = (m - 1) * sum(self.widths[:fam])
-            fwd = fam % 2 == 0
-            winv_blk = op.split.winv[:k] if fwd else op.split.winv[k:]
-            e_blk, weights = (op.e_s, op.wf) if fwd else (op.e_u, op.wb)
-            full = np.zeros((len(self.segments), 3, width, 4, size))
+        m, size = self.times.size, self.stride
+        # (template, window block of its first copy, copies) in row order,
+        # each copy's window a block before the previous one's
+        pieces = []
+        for rec in self.recursions:
+            full = np.zeros((len(self.segments), 3, rec.width, 4, size))
             # the step's identity and -E blocks, at window nodes p and p + 1
-            near, far = (-e_blk, np.eye(width)) if fwd else (np.eye(width), -e_blk)
+            near, far = (-rec.e, np.eye(rec.width)) if rec.forward else (np.eye(rec.width), -rec.e)
             for p in range(3):
                 for ell in range(4):
-                    full[:, p, :, ell] = -(weights[p][ell] @ winv_blk) @ reads[fam // 2]
-                full[:, p, :, p, off : off + width] += near
-                full[:, p, :, p + 1, off : off + width] += far
-            full = full[:, :, :, ::-1].reshape(len(self.segments), 3, width, 4 * size)
-            for tmpl, (lo, base, pattern, spans) in zip(full, layouts):
-                row_len.append(np.count_nonzero(tmpl, axis=2)[pattern].ravel())
-                pieces += [(row0 + (lo + spans[p]) * width, base[spans[p] : spans[p + 1]],
-                            tmpl[p][tmpl[p] != 0], np.nonzero(tmpl[p])[1]) for p in range(3)]
-        # the control rows of every node
+                    full[:, p, :, ell] = -(rec.weights[p][ell] @ rec.winv) @ rec.forcing
+                full[:, p, :, p, rec.off : rec.off + rec.width] += near
+                full[:, p, :, p + 1, rec.off : rec.off + rec.width] += far
+            full = full[:, :, :, ::-1].reshape(len(self.segments), 3, rec.width, 4 * size)
+            # a segment's first stencil has base lo, its hi - lo - 2 interior
+            # ones lo .. hi - 3 and its last one hi - 3
+            for tmpl, (lo, hi) in zip(full, self.segments):
+                pieces += [(tmpl[0], m - 4 - lo, 1), (tmpl[1], m - 4 - lo, hi - lo - 2),
+                           (tmpl[2], m - 1 - hi, 1)]
+        form = self.form
         xi_rows = form.f2 @ self.dv_map + form.f3 @ self.xi_map - self.b.T @ self.de_map
-        pieces.append(((m - 1) * 2 * n, m - 1 - np.arange(m), xi_rows[xi_rows != 0],
-                       np.nonzero(xi_rows)[1]))
-        row_len = np.concatenate(row_len + [np.tile(np.count_nonzero(xi_rows, axis=1), m),
-                                            np.ones(2 * n, dtype=int)])
-        nnz = int(row_len.sum())
+        pieces.append((xi_rows, m - 1, m))
+        pieces += [(np.eye(rec.width, size, rec.off), m - 1 if rec.forward else 0, 1)
+                   for rec in self.recursions]
+        nnz = sum(np.count_nonzero(tmpl) * copies for tmpl, _, copies in pieces)
         _check_budget(m, nnz)
-        idx_t = np.int32 if nnz < 2**31 else np.int64
-        indptr = np.zeros(m * size + 1, dtype=idx_t)
-        np.cumsum(row_len, out=indptr[1:])
+        # every index is below nnz <= LP_ENTRY_BUDGET < 2^31
+        indptr = np.zeros(m * size + 1, dtype=np.int32)
         data = np.empty(nnz)
-        indices = np.empty(nnz, dtype=idx_t)
-        for row0, nodes, vals, cols in pieces:
-            lo = indptr[row0]
-            shape = (nodes.size, vals.size)
-            data[lo : lo + nodes.size * vals.size].reshape(shape)[...] = vals
-            idx = indices[lo : lo + nodes.size * vals.size].reshape(shape)
+        indices = np.empty(nnz, dtype=np.int32)
+        row = entry = 0
+        for tmpl, start, copies in pieces:
+            cols = np.nonzero(tmpl)[1]
+            end = entry + copies * cols.size
+            data[entry:end].reshape(copies, cols.size)[...] = tmpl[tmpl != 0]
+            idx = indices[entry:end].reshape(copies, cols.size)
             idx[...] = cols
-            idx += (nodes.astype(idx_t) * size)[:, None]
-        data[-2 * n :] = 1.0
-        indices[-2 * n :] = np.concatenate([
-            (m - 1 - node) * size + self.offs[fam] + np.arange(self.widths[fam])
-            for fam, node in ((0, 0), (1, m - 1), (2, 0), (3, m - 1))
-        ])
+            idx += (size * (start - np.arange(copies, dtype=np.int32)))[:, None]
+            ptr = indptr[row + 1 : row + 1 + copies * len(tmpl)].reshape(copies, len(tmpl))
+            ptr[...] = np.cumsum(np.count_nonzero(tmpl, axis=1))
+            ptr += (entry + cols.size * np.arange(copies, dtype=np.int32))[:, None]
+            row, entry = row + copies * len(tmpl), end
         mat = sp.csr_matrix((data, indices, indptr), shape=(m * size, m * size))
         return mat.tocsc()
 
@@ -411,7 +409,7 @@ class _StationaryLP:
         """Right-hand side of the collocation system: the sharp basis's stable
         coordinates in the boundary rows u_0 (of v) and p_0 (of eta), zero in
         the other rows."""
-        n, ka, km = self.n, self.widths[0], self.widths[2]
+        n, ka, km = self.n, self.split_a.k_stable, self.split_m.k_stable
         basis = self.sharp.basis
         rhs = np.zeros((self.times.size * self.stride, basis.shape[1]))
         bc = rhs[-2 * n :]  # the rows of u_0, w_{m-1}, p_0 and q_{m-1}

@@ -1,12 +1,13 @@
 """Green kernels and the grid Lyapunov-Perron operator, kept as oracles.
 
 The library assembles the stationary collocation system straight from the
-recursion data of `lqbundle.dichotomy.LPGridOperator` (step propagators and
-cubic-stencil weights) and never applies the operator itself.  The routes
-here apply it, and serve as references in the tests:
+recursion data of `lqbundle.stationary._StationaryLP.recursions` (step
+propagators and cubic-stencil weights) and never applies the operator
+itself.  The routes here apply it, and serve as references in the tests:
 
 - `LPGridOracle.apply`: the forward/backward recursions of the operator on
-  grid samples, truncated at the grid ends (the forcing is zero outside),
+  grid samples, from the same quadrature of `lqbundle._phi` on one uniform
+  step, truncated at the grid ends (the forcing is zero outside),
   which realizes both the whole-line operator on wide grids and the
   half-line R L P compression on [0, T] grids;
 - `lyapunov_perron_apply`: the whole-line solve of z' = A z + f on a grid
@@ -23,9 +24,16 @@ here apply it, and serve as references in the tests:
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 
-from lqbundle._phi import local_forcing
-from lqbundle.dichotomy import DichotomySplit, GridFunction, LPGridOperator
+from lqbundle._phi import (
+    backward_moments,
+    backward_weights,
+    forward_weights,
+    local_forcing,
+    phi_block,
+)
+from lqbundle.dichotomy import DichotomySplit, GridFunction
 from lqbundle.errors import DimensionMismatch, HorizonTooShort
 
 #: truncation target for the infinite-line integral
@@ -46,21 +54,28 @@ def left_multiply(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return out.reshape(mat.shape[0], m, b).transpose(1, 0, 2)
 
 
-class LPGridOracle(LPGridOperator):
+class LPGridOracle:
     """Discretized Lyapunov-Perron solve z = int F(t,s) f(s) ds on a uniform
-    grid: the library's recursion data of its one step, unstacked."""
+    grid, in the decoupled coordinates of `split`: forward on the stable
+    block with the step propagator `e_s` and weights `wf`, backward on the
+    unstable block with `e_u` and `wb`, the weights exact for the
+    piecewise-cubic interpolant of the forcing (one list of four per stencil
+    pattern)."""
 
     def __init__(self, split: DichotomySplit, times: np.ndarray):
         times = np.asarray(times, dtype=float)
         if times.size < 4:
             raise HorizonTooShort("need at least 4 grid nodes")
-        super().__init__(split, [times[1] - times[0]])
+        self.split = split
+        h = times[1] - times[0]
         if split.k_stable:
-            self.e_s = self.e_s[0]
-            self.wf = [[w[0] for w in row] for row in self.wf]
+            self.e_s = sla.expm(h * split.t_stable)
+            ph = phi_block(4, h * split.t_stable)
+            self.wf = [forward_weights(ph, h, p) for p in range(3)]
         if split.rank_j:
-            self.e_u = self.e_u[0]
-            self.wb = [[w[0] for w in row] for row in self.wb]
+            self.e_u = sla.expm(-h * split.t_unstable)
+            jm = backward_moments(phi_block(4, -h * split.t_unstable))
+            self.wb = [backward_weights(jm, h, p) for p in range(3)]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Apply to samples of f; values shaped (m, n) or (m, n, batch)."""

@@ -3,8 +3,8 @@
 The library solves the fixed point through one sparse collocation system in
 the recursion states and the control xi at every node
 (`lqbundle.stationary._StationaryLP.solve_structured`), whose CSR arrays
-`_StationaryLP.matrix` writes from per-family row templates without stored
-zeros.  It solves for L+'s basis y = Delta z + G_sharp z^s itself, so its
+`_StationaryLP.matrix` writes in one row-ordered pass from per-recursion row
+templates without stored zeros.  It solves for L+'s basis y = Delta z + G_sharp z^s itself, so its
 right-hand side `_StationaryLP.rhs` holds only the sharp basis as boundary
 values.  The routes here keep the forcing formulation: they solve for the
 correction Delta z = L_breve P R (Delta z + g) of the sharp basis, forced by
@@ -196,16 +196,18 @@ def coo_collocation_system(lp, r, g_v, g_e):
     `paired_state_maps`, every row holding the product R (dv, deta) of the
     system's perturbation `r` (`perturbation_matrix`), forced by
     (g_v, g_e) = R G_sharp z^s and assembled from triplet lists block by
-    block; duplicates are summed by the conversion."""
+    block, with the recursion data of its own `LPGridOracle` pair;
+    duplicates are summed by the conversion."""
     n = lp.n
     m = lp.times.size
     nb = g_v.shape[2]
     assert len(lp.segments) == 1, "the COO oracle is written on a uniform grid"
+    op_v, op_e = LPGridOracle(lp.split_a, lp.times), LPGridOracle(lp.split_m, lp.times)
     fams = [  # (split, grid operator, recursion direction)
-        (lp.split_a, lp.op_v, "fwd"),
-        (lp.split_a, lp.op_v, "bwd"),
-        (lp.split_m, lp.op_e, "fwd"),
-        (lp.split_m, lp.op_e, "bwd"),
+        (lp.split_a, op_v, "fwd"),
+        (lp.split_a, op_v, "bwd"),
+        (lp.split_m, op_e, "fwd"),
+        (lp.split_m, op_e, "bwd"),
     ]
     ka, ja = lp.split_a.k_stable, lp.split_a.rank_j
     km, jm = lp.split_m.k_stable, lp.split_m.rank_j
@@ -247,13 +249,9 @@ def coo_collocation_system(lp, r, g_v, g_e):
         k = split.k_stable
         # the recursion data of the one segment
         if kind == "fwd":
-            winv_blk = split.winv[:k]
-            weights = [[w[0] for w in row] for row in op.wf]
-            e_blk = op.e_s[0]
+            winv_blk, weights, e_blk = split.winv[:k], op.wf, op.e_s
         else:
-            winv_blk = split.winv[k:]
-            weights = [[w[0] for w in row] for row in op.wb]
-            e_blk = op.e_u[0]
+            winv_blk, weights, e_blk = split.winv[k:], op.wb, op.e_u
         # recursion rows: one block row per interval
         for p in range(3):
             sel = np.nonzero(pattern == p)[0]

@@ -106,7 +106,7 @@ def test_criterion_01_oracle_equivalence(instance_pool):
     )
 
 
-def test_pool_grids_below_the_flat_cap(instance_pool):
+def test_pool_matrices_within_the_entry_budget(instance_pool):
     """No pool grid's matrix comes near the flat LP_ENTRY_BUDGET (the largest
     stores 664,381 entries), and each graded grid holds fewer than half the
     steps of the uniform grid of its first step."""

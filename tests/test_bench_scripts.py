@@ -1,0 +1,66 @@
+"""The before/after scripts of bench/ against the library they measure.
+
+`bench/lp_assembly.py` and `bench/sa_scale.py` run each measurement in a
+fresh single-threaded child process (`--child`) that reaches into the
+library: `_StationaryLP`, `_segments`, `node_states` and `run_pipeline`.
+Each test here runs one child as the scripts do and checks that it prints
+one JSON result that agrees with the library, so a library change that
+breaks a script fails here first.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import lqbundle.stationary as st
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+THREAD_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
+
+
+def run_child(script: str, arg: str) -> dict:
+    env = dict(os.environ, **THREAD_ENV, PYTHONPATH=str(ROOT / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, str(BENCH / script), "--child", arg], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    lines = done.stdout.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_lp_assembly_child(monkeypatch):
+    result = run_child("lp_assembly.py", "stiff")
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    reg = st.Regulator(*importlib.import_module("lp_assembly")._system("stiff"))
+    times = st._grid_parameters(reg.split_a, reg.ham)
+    sharp = st.sharp_basis(reg.split_a, reg.split_m)
+    assert result["system"] == "stiff"
+    # the fine grid, 501 nodes in 14 segments, then the Richardson grid
+    grids = result["grids"]
+    assert [grid["nodes"] for grid in grids] == [times.size, times[::2].size] == [501, 251]
+    for grid, nodes in zip(grids, (times, times[::2])):
+        assert grid["segment_steps"] == [hi - lo for lo, hi in st._segments(nodes)]
+        lp = st._StationaryLP(reg.b, reg.form, reg.split_a, reg.split_m, sharp, nodes)
+        assert grid["nnz"] == lp.matrix().nnz
+        assert grid["elimination"] == "backward" and grid["lu_nnz"] > grid["nnz"]
+        assert [phase for phase, _, _ in grid["phases"]] == ["matrix", "factor", "rhs", "solve"]
+    assert result["oracle_distance"] <= 1e-6 and result["invariance_defect"] <= 1e-8
+
+
+def test_sa_scale_child():
+    result = run_child("sa_scale.py", "8")
+    # sa-standard at its own truncation passes every record; the contraction
+    # and the fibers were both timed, in that order
+    assert result["n"] == 8 and result["passed"] is True
+    assert result["contraction_s"] > 0.0 and result["fibers_s"] > 0.0
+    assert (result["rss_before_mb"] <= result["contraction_rss_after_mb"]
+            <= result["fibers_rss_after_mb"] <= result["peak_rss_mb"])

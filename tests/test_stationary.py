@@ -250,7 +250,7 @@ COLLOCATION_SYSTEMS = {"s1": None, "j1-m2": (7, 5, 1, 2), "j-eq-n": (11, 6, 6, 2
 @pytest.fixture(params=sorted(COLLOCATION_SYSTEMS))
 def collocation_system(request):
     """(A, B, F) of S1, a j = 1 two-input system, a j = n system (n = 6), a
-    three-input system (n = 8, j = 2) and the stiff system of `TestStepCap`
+    three-input system (n = 8, j = 2) and the stiff system of `TestGridAndBudget`
     (about 350,000 uniform steps of its first step h0, 500 graded ones)."""
     spec = COLLOCATION_SYSTEMS[request.param]
     if spec is None:
@@ -331,6 +331,13 @@ class TestCollocationMatrix:
         col_of = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
         same_col = col_of[1:] == col_of[:-1]
         assert np.all(np.diff(mat.indices)[same_col] > 0)  # sorted, no duplicates
+        # the nonempty recursions in row order: the forward (stable) and
+        # backward (unstable) coordinates of v, then those of eta, which
+        # follow xi in the node state
+        ka, km = lp.split_a.k_stable, lp.split_m.k_stable
+        table = [(0, ka, True), (ka, n - ka, False), (n + mu, km, True), (n + mu + km, n - km, False)]
+        recs = lp.recursions
+        assert [(rec.off, rec.width, rec.forward) for rec in recs] == [t for t in table if t[1]]
         # an interval row holds the nonzeros of what it reads at the four
         # stencil nodes (xi for a v row, (u, w, xi) for an eta row), of its
         # row of its segment's step matrix E, and one identity entry; the
@@ -340,18 +347,17 @@ class TestCollocationMatrix:
         layouts = [stencil_layout(hi - lo + 1) for lo, hi in lp.segments]
         base = np.concatenate([lo + base for (lo, _), (base, _) in zip(lp.segments, layouts)])
         row_len = []
-        for fam, op in enumerate((lp.op_v, lp.op_v, lp.op_e, lp.op_e)):
-            if lp.widths[fam] == 0:
-                continue
-            k = op.split.k_stable
-            winv = op.split.winv[:k] if fam % 2 == 0 else op.split.winv[k:]
-            weights, e_stack = (op.wf, op.e_s) if fam % 2 == 0 else (op.wb, op.e_u)
+        for rec in recs:
+            split = lp.split_a if rec.off < n else lp.split_m
+            k = split.k_stable
+            winv = split.winv[:k] if rec.forward else split.winv[k:]
             for s, (_, pattern) in enumerate(layouts):
                 per_p = np.stack([
-                    sum(np.count_nonzero(-(weights[p][ell][s] @ winv) @ reads[fam // 2], axis=1)
+                    sum(np.count_nonzero(-(rec.weights[p][ell][s] @ winv) @ reads[rec.off > n],
+                                         axis=1)
                         for ell in range(4))
                     for p in range(3)
-                ]) + np.count_nonzero(e_stack[s], axis=1) + 1
+                ]) + np.count_nonzero(rec.e[s], axis=1) + 1
                 row_len.append(per_p[pattern].ravel())
         # then the mu control rows of every node and one entry per boundary row
         xi_rows = form.f2 @ lp.dv_map + form.f3 @ lp.xi_map - lp.b.T @ lp.de_map
@@ -363,9 +369,9 @@ class TestCollocationMatrix:
         # mu control rows per node and the boundary rows at nodes 0 and m - 1;
         # the column blocks run from node m - 1 to node 0, so a stencil's
         # window starts at block m - 4 - base
-        interval = np.concatenate([np.repeat(np.arange(m - 1), w) for w in lp.widths])
+        interval = np.concatenate([np.repeat(np.arange(m - 1), rec.width) for rec in recs])
         node = np.concatenate([np.repeat(np.arange(m), mu)]
-                              + [np.full(w, k) for w, k in zip(lp.widths, (0, m - 1, 0, m - 1))])
+                              + [np.full(rec.width, 0 if rec.forward else m - 1) for rec in recs])
         lo = np.concatenate([m - 4 - base[interval], m - 1 - node]) * size
         hi = lo + np.concatenate([np.full(interval.size, 4 * size), np.full(node.size, size)])
         assert np.all(np.repeat(lo, lens) <= csr.indices)
@@ -387,7 +393,7 @@ class TestCollocationMatrix:
         assert ratio <= (1.0 if 3 * j <= n else 1.3)
 
 
-class TestStepCap:
+class TestGridAndBudget:
     def test_stiff_spectrum_passes_lp_checks(self):
         # rho(H) ~ 1000 asks for the first step h0 = GRID_RHO_STEP / 1000,
         # about 350,000 steps over the horizon; the modes of modulus 1000 die
@@ -446,6 +452,28 @@ class TestStepCap:
         assert len(failed) == 1 and not failed[0]["pass"]
         assert failed[0]["detail"].startswith("LPBudgetExceeded: ")
         assert "LP_ENTRY_BUDGET" in failed[0]["detail"]
+
+    def test_entry_budget_fails_before_any_row_array(self, monkeypatch):
+        # every index of a matrix within the budget fits the int32 arrays
+        assert st.LP_ENTRY_BUDGET < 2**31
+        # n40_j0's LP on a uniform grid of 100,001 nodes: the matrix counts
+        # its 853.7 M entries from its row templates and fails before it
+        # allocates anything with one element per row or interval
+        doc = json.loads((SCENARIOS / "n40_j0.json").read_text())
+        form = QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"])
+        reg = Regulator(doc["A"], doc["B"], form)
+        lp = st._StationaryLP(reg.b, form, reg.split_a, reg.split_m,
+                              st.sharp_basis(reg.split_a, reg.split_m),
+                              np.linspace(0.0, 60.0, 100_001))
+        monkeypatch.setattr(st, "LP_ENTRY_BUDGET", 1_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LPBudgetExceeded, match="stores at least 853,700,161 matrix entries"):
+                lp.matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
     def test_entry_budget_fails_before_the_grid(self, s1, monkeypatch):
         # every node's 2n + mu rows store an entry, so S1's 163 nodes store at
