@@ -3,28 +3,18 @@
 Two independent routes produce the stable subspace: the ordered-Schur
 invariant subspace (oracle) and the Lyapunov-Perron image of the sharp
 pairing subspace, discretized with the exponential quadrature of `_phi`
-(Hochbruck & Ostermann, Acta Numerica 2010) on a graded time grid, solved as
-one sparse collocation system in the recursion states and the control xi at
-every node, and refined by Richardson extrapolation, which helps only once
-the grid is in the asymptotic range (see `stable_lagrange_lp`).  The sharp
-basis enters that system only as boundary values: its free flow is what the
-recursions' step propagators produce, so the system has no forcing.  Every
-term of the fixed point is a sum of modes exp(lambda_k t) and the quadrature
-is exact on the linear part, so the grid (`_grid_parameters`) grades its
-step by each mode's own rate and modulus: on the n = 40 fixtures 283 and
-293 nodes, where a step set by the fastest modulus and the slowest rate
-took 637 and 579.  R reaches the system only
-through xi, so an interval row holds the entries of xi (v rows) or of
-(v, xi) (eta rows) at its cubic stencil's four nodes, all in one segment,
-plus its own recursion step, and the CSR arrays are written in one
-row-ordered pass from row templates without their zeros, one per recursion
-(`_StationaryLP.recursions`), segment and stencil pattern.  The column
-blocks run from the horizon back to node 0, so SuperLU eliminates along
-eta's backward recursion, the dominant one when j <= n / 3 (j unstable
-modes of A), where that LU is the smaller.  The matrix is dropped once
-factored, so the solve's memory is linear in the nonzeros (about 40 bytes
-each at n = 40, with the LU factor), which `LP_ENTRY_BUDGET` bounds
-(`LPBudgetExceeded`, before they exist).
+(Hochbruck & Ostermann, Acta Numerica 2010) on a spectrum-graded time grid
+(`_grid_parameters`) as one banded collocation system in the recursion
+states and the control xi at every node (`_StationaryLP`), with the sharp
+basis as boundary values, and refined by Richardson extrapolation (see
+`stable_lagrange_lp`).  Only node 0's state is read, so the system is solved
+by frontal elimination (Irons, IJNME 1970), the stable block elimination of
+dichotomic boundary value problems (Ascher, Mattheij & Russell 1988, ch. 6):
+from the horizon back to node 0, rows join the front as their windows come
+up, LAPACK factors the front's leading block with partial pivoting, and the
+pivot rows are dropped.  No global matrix or factor exists; the memory is
+one front (281 x 324 at n = 40), and `LP_ENTRY_BUDGET` bounds the work
+(`LPBudgetExceeded`, before any front exists).
 Nonoscillation extraction (P read off the graph {(v, -P v)} over the
 horizontal subspace), Riccati verification, controllability, coercivity and
 the Lyapunov inequality live here as well, all on one `Regulator` (A, B, F);
@@ -42,8 +32,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._phi import backward_moments, backward_weights, forward_weights, local_forcing, phi_block
 from .dichotomy import (
@@ -58,6 +46,7 @@ from .errors import (
     FrequencyConditionFailed,
     HorizonTooShort,
     LPBudgetExceeded,
+    NotLagrange,
     Oscillating,
     SampleNotInM0,
     SingularF3,
@@ -76,8 +65,11 @@ from .symplectic import (
 #: h |lambda_k| of every mode k at the time its LP grid segment starts
 GRID_RHO_STEP = 0.036
 GRID_HORIZON_RATE = 12.0
-#: most entries an LP matrix may store (36 M, a 1.3 GB peak, on n40_j0 at margin 1e-4)
+#: most entries the LP's row table may copy into its fronts, which bounds the
+#: elimination's work (36 M on n40_j0 at margin 1e-4, 4,241 nodes)
 LP_ENTRY_BUDGET = 40_000_000
+#: fewest columns an LP elimination step pivots on: whole nodes, one at n = 40
+FRONT_PANEL_COLUMNS = 64
 #: fewest steps of an LP grid segment: even, so the Richardson grid keeps
 #: three per segment, as a cubic stencil needs
 SEGMENT_MIN_STEPS = 6
@@ -138,9 +130,11 @@ def assemble_hamiltonian(a, b, form: QuadraticFormTriple) -> Hamiltonian:
 
 @dataclass(frozen=True)
 class Regulator:
-    """The regulator problem v' = A v + B xi with cost form F; the one place
-    that derives the Hamiltonian `ham` (spectrum, gap), the splits `split_a`
-    of A and `split_m` of -A^T, and (via the form) the F3 factor, each once."""
+    """The regulator problem v' = A v + B xi with cost form F; it derives the
+    Hamiltonian `ham` (spectrum, gap) and the splits `split_a` of A and
+    `split_m` of -A^T once each, and the form caches the F3 factor, but
+    `frequency.TransferEvaluator` still inverts F3 and recomputes A's
+    spectrum, as `l2_controllability` does."""
 
     a: np.ndarray
     b: np.ndarray
@@ -287,7 +281,7 @@ class _StationaryLP:
     (B xi, F1 v + F2^T xi), so xi is an unknown of its own, read from b and
     form.  The grid's segments (first and last node) are found where its
     step changes; no stencil crosses a join, and a uniform grid is the
-    one-segment case.  `recursions` holds, in the order of the matrix rows,
+    one-segment case.  `recursions` holds, in the order of the system's rows,
     one `_Recursion` per nonempty recursion of v's coordinates, then of
     eta's: forward on the stable block or backward on the unstable one, its
     `width` state entries from `off`, the rows `winv` of W^-1 that take the
@@ -334,36 +328,28 @@ class _StationaryLP:
                     off + k, split.rank_j, False, split.winv[k:], forcing, sla.expm(-h * t_u),
                     [backward_weights(jm, h, p) for p in range(3)]))
 
-    def matrix(self) -> sp.csc_matrix:
-        """The collocation matrix in the node states, the same for any
-        boundary data.
+    def row_table(self) -> list[tuple[np.ndarray, int, int]]:
+        """The collocation system's rows, the same for any boundary data, as
+        (template, window block of its first copy, copies) in row order, each
+        copy's window a block before the previous one's.
 
         Interval i of a recursion couples the nodes base[i] .. base[i] + 3 of
         its cubic stencil, all in the segment of interval i, and the
         recursion step x_{i+1} - E x_i (forward) or x_i - E x_{i+1}
-        (backward) sits at the window nodes p and p + 1 of that stencil,
-        p = pattern[i] (first, interior or last interval of the segment).  A
-        v row reads xi at the four nodes, an eta row reads (u, w, xi) there,
-        and both hold a row of the segment's E and one identity entry, so the
-        rows of one recursion and segment differ only by p and their column
-        window, which starts at base[i] stride.  Each (recursion, segment, p)
-        template keeps only its nonzero entries (E = expm(h T) is triangular
-        up to the 2 x 2 blocks of the real Schur form T).  Each node adds mu
-        rows F3 xi + F2 v - B^T eta = 0, also without their zeros, and the 2n
-        boundary rows of u_0, w_{m-1}, p_0 and q_{m-1} hold one entry each.
-        Every template is copied to a run of windows one block apart, so its
-        nonzeros times its copies count the matrix's entries before any array
-        of it exists, and no more than LP_ENTRY_BUDGET are stored; then one
-        pass writes the CSR arrays row by row, without a zero or a duplicate.
-
-        The rows run in time order and the column blocks backward: node k
-        owns column block m - 1 - k, so each template holds its four node
-        blocks in reverse and its window starts at block m - 4 - base[i].
+        (backward) sits at the window nodes p and p + 1, p = pattern[i]
+        (first, interior or last interval of the segment).  A v row reads xi
+        at the four nodes, an eta row reads (u, w, xi) there, and both hold a
+        row of the segment's E and one identity entry.  Each node adds mu rows
+        F3 xi + F2 v - B^T eta = 0, and the 2n boundary rows of u_0, w_{m-1},
+        p_0 and q_{m-1} come last.  Node k owns column block m - 1 - k, from
+        the horizon back, so each template holds its four node blocks in
+        reverse and its window starts at block m - 4 - base[i].  The
+        templates' nonzeros times their copies count the system's entries,
+        at most LP_ENTRY_BUDGET, before anything with one element per node
+        or row exists.
         """
         m, size = self.times.size, self.stride
-        # (template, window block of its first copy, copies) in row order,
-        # each copy's window a block before the previous one's
-        pieces = []
+        table = []
         for rec in self.recursions:
             full = np.zeros((len(self.segments), 3, rec.width, 4, size))
             # the step's identity and -E blocks, at window nodes p and p + 1
@@ -377,74 +363,86 @@ class _StationaryLP:
             # a segment's first stencil has base lo, its hi - lo - 2 interior
             # ones lo .. hi - 3 and its last one hi - 3
             for tmpl, (lo, hi) in zip(full, self.segments):
-                pieces += [(tmpl[0], m - 4 - lo, 1), (tmpl[1], m - 4 - lo, hi - lo - 2),
-                           (tmpl[2], m - 1 - hi, 1)]
+                table += [(tmpl[0], m - 4 - lo, 1), (tmpl[1], m - 4 - lo, hi - lo - 2),
+                          (tmpl[2], m - 1 - hi, 1)]
         form = self.form
         xi_rows = form.f2 @ self.dv_map + form.f3 @ self.xi_map - self.b.T @ self.de_map
-        pieces.append((xi_rows, m - 1, m))
-        pieces += [(np.eye(rec.width, size, rec.off), m - 1 if rec.forward else 0, 1)
-                   for rec in self.recursions]
-        nnz = sum(np.count_nonzero(tmpl) * copies for tmpl, _, copies in pieces)
-        _check_budget(m, nnz)
-        # every index is below nnz <= LP_ENTRY_BUDGET < 2^31
-        indptr = np.zeros(m * size + 1, dtype=np.int32)
-        data = np.empty(nnz)
-        indices = np.empty(nnz, dtype=np.int32)
-        row = entry = 0
-        for tmpl, start, copies in pieces:
-            cols = np.nonzero(tmpl)[1]
-            end = entry + copies * cols.size
-            data[entry:end].reshape(copies, cols.size)[...] = tmpl[tmpl != 0]
-            idx = indices[entry:end].reshape(copies, cols.size)
-            idx[...] = cols
-            idx += (size * (start - np.arange(copies, dtype=np.int32)))[:, None]
-            ptr = indptr[row + 1 : row + 1 + copies * len(tmpl)].reshape(copies, len(tmpl))
-            ptr[...] = np.cumsum(np.count_nonzero(tmpl, axis=1))
-            ptr += (entry + cols.size * np.arange(copies, dtype=np.int32))[:, None]
-            row, entry = row + copies * len(tmpl), end
-        mat = sp.csr_matrix((data, indices, indptr), shape=(m * size, m * size))
-        return mat.tocsc()
+        table.append((np.pad(xi_rows, ((0, 0), (0, 3 * size))), m - 1, m))
+        table += [(np.eye(rec.width, 4 * size, rec.off), m - 1 if rec.forward else 0, 1)
+                  for rec in self.recursions]
+        _check_budget(m, sum(np.count_nonzero(tmpl) * copies for tmpl, _, copies in table))
+        return table
 
-    def rhs(self) -> np.ndarray:
-        """Right-hand side of the collocation system: the sharp basis's stable
-        coordinates in the boundary rows u_0 (of v) and p_0 (of eta), zero in
-        the other rows."""
-        n, ka, km = self.n, self.split_a.k_stable, self.split_m.k_stable
-        basis = self.sharp.basis
-        rhs = np.zeros((self.times.size * self.stride, basis.shape[1]))
-        bc = rhs[-2 * n :]  # the rows of u_0, w_{m-1}, p_0 and q_{m-1}
-        bc[:ka] = self.split_a.winv[:ka] @ basis[:n]
-        bc[n : n + km] = self.split_m.winv[:km] @ basis[n:]
-        return rhs
+    def eliminate(self, table) -> tuple[np.ndarray, int]:
+        """Node 0's state, shape (stride, columns), which `dv_map`, `xi_map`
+        and `de_map` turn into v, xi and eta, and the rows of the widest
+        front, by frontal elimination of the system of `table` from the
+        horizon (block 0) to node 0 (block m - 1).
 
-    def node_states(self, solution: np.ndarray) -> np.ndarray:
-        """The node states of a solution of the collocation system in time
-        order, shape (m, stride, columns); its blocks run backward."""
-        return solution.reshape(self.times.size, self.stride, -1)[::-1]
-
-    def solve_structured(self) -> tuple[np.ndarray, int]:
-        """Direct sparse solve of the collocation system; returns the node
-        states in time order, shape (m, stride, columns), which `dv_map`,
-        `xi_map` and `de_map` turn into v, xi and eta, and the LU's nonzeros.
-
-        Eliminating the state unknowns from this block-banded system by hand
-        gives the dense single-input equation (I - T) xi = T0 g; solving the
-        banded form instead costs O(m) rather than O(m^3).  At n = 40 with
-        one input a v row holds at most 4 + width + 1 entries and an eta row
-        at most 164 + width + 1, so no row stores the product R (v, eta).
-        One SuperLU factorization keeps the node-major column blocks in their
-        natural order, from the horizon back, along eta's backward recursion.
-        The matrix is dropped once factored, so while SuperLU factors only the
-        matrix and its LU are alive, and the right-hand side holds nothing but
-        the boundary values.
+        Eliminating the state unknowns by hand would give the dense
+        single-input equation (I - T) xi = T0 g; the banded form costs O(m)
+        rather than O(m^3).  A step takes the next nodes, enough for
+        FRONT_PANEL_COLUMNS columns.  Each row joins the front at the first
+        block of its window (`_rows_by_block`); a row whose window has not
+        come up is zero in the step's columns, so LAPACK's partial pivoting
+        over the front picks among the candidates of a whole-grid LU in the
+        natural column order, and the rows left take the Schur update into
+        the next three blocks.  Only node 0 is read, so the pivot rows are
+        dropped, and no factor is kept.  The last front is square; its
+        columns past node 0 hold the boundary values of its last rows, those
+        of u_0 and p_0 (every other row's right-hand side is 0 and stays 0).
+        A zero pivot raises NotLagrange naming its node.
         """
-        lu = spla.splu(self.matrix(), permc_spec="NATURAL")
-        return self.node_states(lu.solve(self.rhs())), int(lu.nnz)
+        m, n, size, basis = self.times.size, self.n, self.stride, self.sharp.basis
+        step = -(-FRONT_PANEL_COLUMNS // size)
+        joining = _rows_by_block(table, m)
+        carried = np.zeros((0, 3 * size))
+        widest = 0
+        for c in range(0, m, step):
+            blocks = [next(joining) for _ in range(min(step, m - c))]
+            width = len(blocks) * size
+            front = np.zeros((len(carried) + sum(map(len, blocks)), width + 3 * size), order="F")
+            front[: len(carried), : 3 * size] = carried
+            row = len(carried)
+            for k, rows in enumerate(blocks):
+                front[row : row + len(rows), k * size : (k + 4) * size] = rows
+                row += len(rows)
+            widest = max(widest, row)
+            if c + width // size == m:  # past node 0 the columns hold the boundary values
+                ka, km = self.split_a.k_stable, self.split_m.k_stable
+                front[row - ka - km :, width : width + basis.shape[1]] = np.vstack(
+                    [self.split_a.winv[:ka] @ basis[:n], self.split_m.winv[:km] @ basis[n:]])
+            lu, piv, info = sla.lapack.dgetrf(front[:, :width], overwrite_a=True)
+            zero = min(row, info - 1 if info > 0 else width)  # the first column without a pivot
+            if zero < width:
+                node = m - 1 - c - zero // size
+                raise NotLagrange(f"the LP collocation system is singular at node {node} "
+                                  f"(t = {self.times[node]:.6g}): a zero pivot in its elimination")
+            rest = sla.lapack.dlaswp(front[:, width:], piv, overwrite_a=True)
+            upper = sla.blas.dtrsm(1.0, lu[:width], rest[:width], lower=1, diag=1)
+            carried = rest[width:] - lu[width:] @ upper
+        # node 0 is the last block, so its rows of U x = L^-1 P b stand alone
+        s0 = sla.blas.dtrsm(1.0, lu[-size:, -size:], upper[-size:])
+        return s0[:, : basis.shape[1]], widest
+
+
+def _rows_by_block(table, m: int):
+    """The rows of `table` that join the front at each block 0 .. m - 1, one
+    array per block; blocks between two changes of the set of joining
+    templates share theirs."""
+    first = np.array([start for _, start, _ in table])
+    last = first - np.array([copies for _, _, copies in table])
+    edges = np.unique(np.concatenate([[0, m], first + 1, last + 1]))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows = np.vstack([table[i][0] for i in np.flatnonzero((last < lo) & (lo <= first))])
+        for _ in range(lo, hi):
+            yield rows
 
 
 def stable_lagrange_lp(reg: Regulator, margin: float) -> StableLagrangeResult:
     """Stable Lagrange subspace by the Lyapunov-Perron route, given the
-    system's frequency margin (a nonpositive one raises, a tiny one warns).
+    system's frequency margin (a nonpositive one raises, a tiny one warns, a
+    singular collocation system raises NotLagrange).
 
     L+ is the image of the sharp subspace (`sharp_basis`) under the
     Lyapunov-Perron map.  The discretized fixed point is solved for that
@@ -458,8 +456,8 @@ def stable_lagrange_lp(reg: Regulator, margin: float) -> StableLagrangeResult:
     3.7x, 4.6x and 6.4x closer to the Schur oracle than the single grid at
     GRID_RHO_STEP = 0.045, 0.036 (the default) and 0.025 (128, 162 and 232
     graded steps), but only 1.24x at 0.12 (56 steps).
-    The diagnostics' `grids` give each grid's nodes and LU nonzeros, the
-    fine grid first.
+    The diagnostics' `grids` give each grid's nodes and widest front's rows,
+    the fine grid first.
     """
     if margin <= 0.0:
         raise FrequencyConditionFailed(f"frequency margin {margin:.3e} <= 0")
@@ -478,9 +476,9 @@ def stable_lagrange_lp(reg: Regulator, margin: float) -> StableLagrangeResult:
 
     def solve_on(grid_times: np.ndarray) -> np.ndarray:
         lp = _StationaryLP(reg.b, reg.form, split_a, split_m, sharp, grid_times)
-        states, lu_nnz = lp.solve_structured()
-        grids.append({"nodes": grid_times.size, "lu_nnz": lu_nnz})
-        return np.vstack([lp.dv_map @ states[0], lp.de_map @ states[0]])
+        s0, front_rows = lp.eliminate(lp.row_table())
+        grids.append({"nodes": grid_times.size, "front_rows": front_rows})
+        return np.vstack([lp.dv_map @ s0, lp.de_map @ s0])
 
     l_plus = LagrangeSubspace((16.0 * solve_on(times) - solve_on(times[::2])) / 15.0)
     hb = ham.matrix @ l_plus.basis

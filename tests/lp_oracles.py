@@ -1,23 +1,28 @@
 """Oracle discretizations of the stationary Lyapunov-Perron fixed point.
 
-The library solves the fixed point through one sparse collocation system in
-the recursion states and the control xi at every node
-(`lqbundle.stationary._StationaryLP.solve_structured`), whose CSR arrays
-`_StationaryLP.matrix` writes in one row-ordered pass from per-recursion row
-templates without stored zeros.  It solves for L+'s basis y = Delta z + G_sharp z^s itself, so its
-right-hand side `_StationaryLP.rhs` holds only the sharp basis as boundary
-values.  The routes here keep the forcing formulation: they solve for the
-correction Delta z = L_breve P R (Delta z + g) of the sharp basis, forced by
-R g with g = G_sharp z^s from `sharp_forcing`, and so reach the same
-discrete subspace by other means.  They are built on the grid operator
-`dichotomy_oracles.LPGridOracle` and serve as references in the tests:
+The library solves the fixed point through one banded collocation system in
+the recursion states and the control xi at every node, whose rows
+`_StationaryLP.row_table` lists as per-recursion templates without stored
+zeros, by frontal elimination to node 0 (`_StationaryLP.eliminate`).  It
+solves for L+'s basis y = Delta z + G_sharp z^s itself, so its only
+right-hand side is the sharp basis as boundary values.  The references
+here solve the same fixed point by other means:
 
+- `collocation_matrix`, `collocation_rhs` and `splu_node_states`: the
+  library's system as one global CSC matrix, written in one row-ordered pass
+  from the same row table, and solved whole by SuperLU in its natural column
+  order, as the library did before it eliminated frontally; every node's
+  state, where the library keeps node 0's alone;
 - `coo_collocation_system` (solved by `coo_solve`): the collocation system
   in the recursion states alone, every row holding the dense product
   R (dv, deta), built block by block from COO triplet lists as the library
   once did; it stores the zeros of its identity and step blocks, has about
   three times the library's entries at n = 40 (five times on the stiff
-  n = 4 system), and needs about three times the memory of its own matrix;
+  n = 4 system), and needs about three times the memory of its own matrix.
+  It keeps the forcing formulation: it solves for the correction
+  Delta z = L_breve P R (Delta z + g) of the sharp basis, forced by R g with
+  g = G_sharp z^s from `sharp_forcing`, on the grid operator
+  `dichotomy_oracles.LPGridOracle`, as do the next three;
 - `SingleInputLP.solve_dense`: the dense single-input equation
   (I - T) xi = T0 g;
 - `SingleInputLP.solve_picard`: the Picard iteration xi <- T xi + T0 g;
@@ -174,6 +179,51 @@ def paired_fixed_point(a, b, form, shift: float = 0.0) -> LagrangeSubspace:
     rhs = apply(sharp_forcing(split_a, split_m, times)).reshape(size, -1)
     dz = np.linalg.solve(np.eye(size) - lmat, rhs).reshape(m, 2 * n, -1)
     return LagrangeSubspace(sharp_basis(split_a, split_m).basis + dz[0])
+
+
+def collocation_matrix(lp) -> sp.csc_matrix:
+    """The global collocation matrix of `lp`'s row table, node k in column
+    block m - 1 - k, its CSR arrays written in one row-ordered pass without
+    a zero or a duplicate, then converted to CSC."""
+    table = lp.row_table()
+    m, size = lp.times.size, lp.stride
+    nnz = sum(np.count_nonzero(tmpl) * copies for tmpl, _, copies in table)
+    indptr = np.zeros(m * size + 1, dtype=np.int32)
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=np.int32)
+    row = entry = 0
+    for tmpl, start, copies in table:
+        cols = np.nonzero(tmpl)[1]
+        end = entry + copies * cols.size
+        data[entry:end].reshape(copies, cols.size)[...] = tmpl[tmpl != 0]
+        idx = indices[entry:end].reshape(copies, cols.size)
+        idx[...] = cols
+        idx += (size * (start - np.arange(copies, dtype=np.int32)))[:, None]
+        ptr = indptr[row + 1 : row + 1 + copies * len(tmpl)].reshape(copies, len(tmpl))
+        ptr[...] = np.cumsum(np.count_nonzero(tmpl, axis=1))
+        ptr += (entry + cols.size * np.arange(copies, dtype=np.int32))[:, None]
+        row, entry = row + copies * len(tmpl), end
+    return sp.csr_matrix((data, indices, indptr), shape=(m * size, m * size)).tocsc()
+
+
+def collocation_rhs(lp) -> np.ndarray:
+    """The global right-hand side: the sharp basis's stable coordinates in
+    the boundary rows u_0 (of v) and p_0 (of eta) among the last 2n rows
+    (u_0, w_{m-1}, p_0, q_{m-1}), zero in the other rows."""
+    n, ka, km = lp.n, lp.split_a.k_stable, lp.split_m.k_stable
+    basis = lp.sharp.basis
+    rhs = np.zeros((lp.times.size * lp.stride, basis.shape[1]))
+    bc = rhs[-2 * n :]
+    bc[:ka] = lp.split_a.winv[:ka] @ basis[:n]
+    bc[n : n + km] = lp.split_m.winv[:km] @ basis[n:]
+    return rhs
+
+
+def splu_node_states(lp) -> np.ndarray:
+    """Every node's state in time order, shape (m, stride, columns), from
+    one SuperLU solve of the global system in its natural column order."""
+    lu = spla.splu(collocation_matrix(lp), permc_spec="NATURAL")
+    return lu.solve(collocation_rhs(lp)).reshape(lp.times.size, lp.stride, -1)[::-1]
 
 
 def paired_state_maps(lp):

@@ -500,3 +500,12 @@ def test_import_leaves_out_scipy_integrate():
             "sys.exit('scipy.integrate' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_import_leaves_out_scipy_sparse():
+    # the LP eliminates with dense LAPACK fronts, so nothing a run executes
+    # needs scipy.sparse or scipy.sparse.linalg (about 37 ms of the import)
+    code = ("import sys, lqbundle, lqbundle.cli; "
+            "sys.exit(any(m.startswith('scipy.sparse') for m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -2,7 +2,8 @@
 
 `bench/lp_assembly.py` and `bench/sa_scale.py` run each measurement in a
 fresh single-threaded child process (`--child`) that reaches into the
-library: `_StationaryLP`, `_segments`, `node_states` and `run_pipeline`.
+library: `_StationaryLP` (its row table and elimination), `_segments` and
+`run_pipeline`.
 Each test here runs one child as the scripts do and checks that it prints
 one JSON result that agrees with the library, so a library change that
 breaks a script fails here first.
@@ -14,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import lqbundle.stationary as st
 
@@ -50,9 +53,12 @@ def test_lp_assembly_child(monkeypatch):
     for grid, nodes in zip(grids, (times, times[::2])):
         assert grid["segment_steps"] == [hi - lo for lo, hi in st._segments(nodes)]
         lp = st._StationaryLP(reg.b, reg.form, reg.split_a, reg.split_m, sharp, nodes)
-        assert grid["nnz"] == lp.matrix().nnz
-        assert grid["elimination"] == "backward" and grid["lu_nnz"] > grid["nnz"]
-        assert [phase for phase, _, _ in grid["phases"]] == ["matrix", "factor", "rhs", "solve"]
+        table = lp.row_table()
+        assert grid["nnz"] == sum(np.count_nonzero(tmpl) * copies for tmpl, _, copies in table)
+        assert grid["elimination"] == "frontal"
+        assert grid["front_rows"] == lp.eliminate(table)[1] == 92
+        assert [phase for phase, _, _ in grid["phases"]] == ["rows", "elimination"]
+    assert 0.0 < result["warm_lp_s"] and 0.0 < result["lp_s"]
     assert result["oracle_distance"] <= 1e-6 and result["invariance_defect"] <= 1e-8
 
 

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 import lqbundle.sampling
 import lqbundle.stationary as st
@@ -14,10 +13,12 @@ from decay_oracles import fit_decay_rate
 from dichotomy_oracles import left_multiply
 from lp_oracles import (
     SingleInputLP,
+    collocation_matrix,
     coo_solve,
     default_grid,
     paired_fixed_point,
     sharp_forcing,
+    splu_node_states,
     stepwise_control_trajectory,
 )
 from frequency_oracles import ShiftedTransfer
@@ -95,7 +96,7 @@ def structured_single_grid(a, b, form, split_a, split_m, times):
     """The library's collocation solve on one grid, without Richardson."""
     sharp = st.sharp_basis(split_a, split_m)
     lp = st._StationaryLP(b, form, split_a, split_m, sharp, times)
-    s0 = lp.solve_structured()[0][0]
+    s0, _ = lp.eliminate(lp.row_table())
     return LagrangeSubspace(np.vstack([lp.dv_map @ s0, lp.de_map @ s0]))
 
 
@@ -247,20 +248,33 @@ COLLOCATION_SYSTEMS = {"s1": None, "j1-m2": (7, 5, 1, 2), "j-eq-n": (11, 6, 6, 2
                        "three-input": (13, 8, 2, 3), "stiff": STIFF}
 
 
-@pytest.fixture(params=sorted(COLLOCATION_SYSTEMS))
-def collocation_system(request):
-    """(A, B, F) of S1, a j = 1 two-input system, a j = n system (n = 6), a
-    three-input system (n = 8, j = 2) and the stiff system of `TestGridAndBudget`
-    (about 350,000 uniform steps of its first step h0, 500 graded ones)."""
-    spec = COLLOCATION_SYSTEMS[request.param]
+def scenario_system(name):
+    """(A, B, F) of a perfbench scenario."""
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    return doc["A"], doc["B"], QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"])
+
+
+def named_system(name, request):
+    """(A, B, F) of a `COLLOCATION_SYSTEMS` member or an n = 40 scenario."""
+    if name.startswith("n40"):
+        return scenario_system(name)
+    spec = COLLOCATION_SYSTEMS[name]
     if spec is None:
         return request.getfixturevalue("s1")
-    if request.param == "stiff":
+    if name == "stiff":
         return spec
     seed, n, j, inputs = spec
     a, b, form, _ = random_passing_instance(np.random.default_rng(seed), n, j=j, m=inputs)
     assert (Regulator(a, b, form).split_a.rank_j, b.shape[1]) == (j, inputs)
     return a, b, form
+
+
+@pytest.fixture(params=sorted(COLLOCATION_SYSTEMS))
+def collocation_system(request):
+    """(A, B, F) of S1, a j = 1 two-input system, a j = n system (n = 6), a
+    three-input system (n = 8, j = 2) and the stiff system of `TestGridAndBudget`
+    (about 350,000 uniform steps of its first step h0, 500 graded ones)."""
+    return named_system(request.param, request)
 
 
 @pytest.fixture
@@ -296,11 +310,29 @@ class TestCollocationMatrix:
         g = sharp_forcing(lp.split_a, lp.split_m, lp.times)
         rg = left_multiply(r, g)
         dv, de = coo_solve(lp, r, rg[:, : lp.n], rg[:, lp.n :])
-        s, _ = lp.solve_structured()
-        lib = np.concatenate([left_multiply(lp.dv_map, s), left_multiply(lp.de_map, s)], axis=1)
+        s = splu_node_states(lp)
+        whole = np.concatenate([left_multiply(lp.dv_map, s), left_multiply(lp.de_map, s)], axis=1)
         ref = np.concatenate([dv, de], axis=1) + g
-        assert lib.shape == ref.shape == (lp.times.size, 2 * lp.n, lp.n)
-        assert np.abs(lib - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert whole.shape == ref.shape == (lp.times.size, 2 * lp.n, lp.n)
+        assert np.abs(whole - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the library's frontal elimination reads node 0 alone
+        s0, _ = lp.eliminate(lp.row_table())
+        lib = np.vstack([lp.dv_map @ s0, lp.de_map @ s0])
+        assert np.abs(lib - ref[0]).max() <= 1e-12 * np.abs(ref[0]).max()
+
+    @pytest.mark.parametrize("name", [*sorted(COLLOCATION_SYSTEMS), "n40_j0", "n40_j1"])
+    def test_node_zero_matches_the_splu_oracle(self, name, request):
+        # the frontal elimination against SuperLU's whole-grid solve of the
+        # same system, on the fine, the Richardson and a uniform grid
+        reg = Regulator(*named_system(name, request))
+        times = st._grid_parameters(reg.split_a, reg.ham)
+        sharp = st.sharp_basis(reg.split_a, reg.split_m)
+        for grid in (times, times[::2], np.linspace(0.0, times[-1], times.size)):
+            lp = st._StationaryLP(reg.b, reg.form, reg.split_a, reg.split_m, sharp, grid)
+            s0, _ = lp.eliminate(lp.row_table())
+            ref = splu_node_states(lp)[0]
+            assert s0.shape == ref.shape == (lp.stride, reg.split_a.n)
+            assert np.abs(s0 - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_solve_is_linear_in_its_boundary_data(self, collocation_system, monkeypatch):
         # a non-orthogonal mix of the sharp columns (condition number 3)
@@ -322,7 +354,7 @@ class TestCollocationMatrix:
     def test_canonical_window_rows(self, graded):
         lp = graded
         assert len(lp.segments) >= 4
-        mat = lp.matrix()
+        mat = collocation_matrix(lp)
         m, n, size = lp.times.size, lp.n, lp.stride
         mu = size - 2 * n
         assert mat.format == "csc" and mat.has_canonical_format
@@ -381,16 +413,19 @@ class TestCollocationMatrix:
         seg_of = np.repeat(np.arange(len(lp.segments)), last - first)
         assert np.all((first[seg_of] <= base) & (base + 3 <= last[seg_of]))
 
-    def test_backward_elimination_shrinks_the_lu(self, graded):
-        # against the same matrix with its column blocks in time order: with
-        # 3 j <= n the LU is smaller backward; j = n pays at most 30 % more
-        mat = graded.matrix()
-        m, size = graded.times.size, graded.stride
-        forward = (np.arange(m)[::-1, None] * size + np.arange(size)).ravel()
-        ratio = (splu(mat, permc_spec="NATURAL").nnz
-                 / splu(mat[:, forward].tocsc(), permc_spec="NATURAL").nnz)
-        j, n = graded.split_a.rank_j, graded.n
-        assert ratio <= (1.0 if 3 * j <= n else 1.3)
+    def test_widest_front_is_set_by_the_stencil(self, graded, request):
+        # a front holds the rows left over from earlier steps, which reach at
+        # most the three blocks after the step's, and the rows joining in
+        # the step; so at any j it stays below (step + 3) stride rows
+        fronts = {"s1": (69, 69), "j1-m2": (97, 87), "j-eq-n": (100, 88),
+                  "three-input": (116, 116), "stiff": (92, 92)}
+        lp = graded
+        coarse = st._StationaryLP(lp.b, lp.form, lp.split_a, lp.split_m, lp.sharp,
+                                  lp.times[::2])
+        rows = tuple(grid.eliminate(grid.row_table())[1] for grid in (lp, coarse))
+        assert rows == fronts[request.node.callspec.params["collocation_system"]]
+        step = -(-st.FRONT_PANEL_COLUMNS // lp.stride)
+        assert max(rows) < (step + 3) * lp.stride
 
 
 class TestGridAndBudget:
@@ -425,9 +460,9 @@ class TestGridAndBudget:
                             "n40_j1": [86, 86, 56, 32, 16, 16]}
 
     def test_entry_budget_fails_before_the_matrix(self, tmp_path, monkeypatch):
-        # n40_j0's fine grid stores 2.4 M entries; under a budget of 1 M the
-        # LP fails once it has counted them, before it allocates the 29 MB of
-        # the matrix's data and indices, and verify records the failure
+        # n40_j0's fine grid holds 2.4 M entries; under a budget of 1 M the
+        # LP fails once it has counted them in its row table, before any
+        # front exists, and verify records the failure
         path = SCENARIOS / "n40_j0.json"
         doc = json.loads(path.read_text())
         form = QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"])
@@ -454,11 +489,11 @@ class TestGridAndBudget:
         assert "LP_ENTRY_BUDGET" in failed[0]["detail"]
 
     def test_entry_budget_fails_before_any_row_array(self, monkeypatch):
-        # every index of a matrix within the budget fits the int32 arrays
+        # every index of a system within the budget fits an int32
         assert st.LP_ENTRY_BUDGET < 2**31
-        # n40_j0's LP on a uniform grid of 100,001 nodes: the matrix counts
-        # its 853.7 M entries from its row templates and fails before it
-        # allocates anything with one element per row or interval
+        # n40_j0's LP on a uniform grid of 100,001 nodes: the row table counts
+        # its 853.7 M entries from its templates and fails before anything
+        # with one element per row, interval or node exists
         doc = json.loads((SCENARIOS / "n40_j0.json").read_text())
         form = QuadraticFormTriple(f1=doc["F1"], f2=doc["F2"], f3=doc["F3"])
         reg = Regulator(doc["A"], doc["B"], form)
@@ -469,7 +504,7 @@ class TestGridAndBudget:
         tracemalloc.start()
         try:
             with pytest.raises(LPBudgetExceeded, match="stores at least 853,700,161 matrix entries"):
-                lp.matrix()
+                lp.eliminate(lp.row_table())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -484,6 +519,48 @@ class TestGridAndBudget:
             st._grid_parameters(reg.split_a, reg.ham)
         monkeypatch.setattr(st, "LP_ENTRY_BUDGET", 489)
         assert st._grid_parameters(reg.split_a, reg.ham).size == 163
+
+    def test_lp_memory_is_one_front(self):
+        # n40_j0's two grid solves hold one front of 281 x 324 doubles and the
+        # row templates, where the whole-grid SuperLU solve peaked at 64 MB
+        reg = Regulator(*scenario_system("n40_j0"))
+        margin = frequency_condition_margin(reg.a, reg.b, reg.form)
+        reg.ham.eigenvalues  # noqa: B018  (cached before the traced call)
+        reg.split_m  # noqa: B018
+        tracemalloc.start()
+        try:
+            res = stable_lagrange_lp(reg, margin)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [grid["front_rows"] for grid in res.diagnostics["grids"]] == [281, 281]
+        assert peak < 16_000_000
+
+    def test_singular_system_fails_at_its_node(self, tmp_path, monkeypatch):
+        # a row table whose columns of node 40 are all zero: the elimination
+        # meets an exact zero pivot there, and verify records one typed failure
+        table = st._StationaryLP.row_table
+
+        def singular_table(lp):
+            m, size = lp.times.size, lp.stride
+            block, out = m - 1 - 40, []
+            for tmpl, start, copies in table(lp):
+                for t in range(copies):
+                    own = tmpl.copy()
+                    lo = (block - start + t) * size
+                    if 0 <= lo < own.shape[1]:
+                        own[:, lo : lo + size] = 0.0
+                    out.append((own, start - t, 1))
+            return out
+
+        monkeypatch.setattr(st._StationaryLP, "row_table", singular_table)
+        out = tmp_path / "o"
+        assert main(["verify", "--scenario", str(SCENARIOS / "s1.json"), "--out", str(out)]) == 1
+        cert = json.loads((out / "certificate.json").read_text())
+        failed = [c for c in cert["checks"] if c["name"] == "lp-construction"]
+        assert len(failed) == 1 and not failed[0]["pass"]
+        assert failed[0]["detail"].startswith("NotLagrange: ")
+        assert "singular at node 40 " in failed[0]["detail"]
 
 
 def mode_step(reg, t):
@@ -537,7 +614,8 @@ class TestGradedGrid:
         lp = collocation
         assert lp.segments == [(0, lp.times.size - 1)]
 
-    def test_as_close_to_the_oracle_as_the_uniform_grid(self, collocation_system, request):
+    def test_no_farther_from_the_oracle_than_the_flat_rule_grid(self, collocation_system,
+                                                                  request):
         # each system's distance on a grid that takes every mode as fast as
         # the fastest and as slow as the slowest: the first step
         # horizon / ceil(horizon rho / 0.04), doubled every ln 16 / eps, in
@@ -559,12 +637,11 @@ class TestGradedGrid:
         for seg, nxt in zip(segments, segments[1:] + [None]):
             end = res.diagnostics["horizon"] if nxt is None else nxt["start"]
             assert seg["start"] + seg["steps"] * seg["step"] == pytest.approx(end, rel=1e-12)
-        # the fine grid, then the Richardson grid, each LU below the 4,167
-        # and 2,142 nonzeros of its matrix with the column blocks in time order
+        # the fine grid, then the Richardson grid, each eliminated 22 nodes
+        # (66 columns) a step in fronts of at most 69 rows
         grids = res.diagnostics["grids"]
-        assert [grid["nodes"] for grid in grids] == [163, 82]
-        assert [grid.keys() for grid in grids] == [{"nodes", "lu_nnz"}] * 2
-        assert 0 < grids[0]["lu_nnz"] < 4167 and 0 < grids[1]["lu_nnz"] < 2142
+        assert [grid.keys() for grid in grids] == [{"nodes", "front_rows"}] * 2
+        assert [(grid["nodes"], grid["front_rows"]) for grid in grids] == [(163, 69), (82, 69)]
 
 
 class TestNonoscillation:
