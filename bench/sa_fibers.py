@@ -8,12 +8,14 @@ of two ways:
   `two_channel_fibers`, on the all-mode frame of the same module
   (`AllModeFrame`, the library's frame before it went per mode) over the
   doubled set of (mode, channel) pairs with rate shifts (0, mu_j);
-- `direct` (after): the library's `build_fibers`, one banded solve per
-  (mode, column) block and one check sweep.
+- `direct` (after): the library's `build_fibers`, one backward Magnus
+  sweep of every mode's 2 x 2 flow over all columns, and the same sweep on
+  twice the step as its check.
 
 Each run is a fresh single-threaded process, so its `ru_maxrss` rise over
-the solve is its own.  Frame setup is the time spent constructing the
-frames.  The summary holds each metric's median over the repeats and, per
+the solve is its own.  Frame setup is the time the `two_channel` variant
+spends constructing its frames; the sweep builds no frame, so `direct`
+records 0.  The summary holds each metric's median over the repeats and, per
 system, the largest |m_j| difference between the two variants' fibers.
 Systems: sa-standard (lambda_j = j^2, n = 8, Lambda = delta = 1, k = 3,
 N = 2, driver 1.5 + 0.5 sin t) and its n = 16 truncation.
@@ -101,7 +103,6 @@ def measure(n: int, variant: str) -> dict:
     rss0 = _peak_mb()
     start = time.perf_counter()
     if variant == "direct":
-        sa._ScalarFrame = timed(sa._ScalarFrame)
         fibers = sa.build_fibers(cfg, columns)
     else:
         fibers = two_channel_fibers(cfg, columns, frame=DoubledFrame)
@@ -168,7 +169,7 @@ def main(argv=None) -> int:
     doc = {
         "what": "the verify fiber solve (23 columns): the Picard loop on the "
                 "library frame over (mode, channel) pairs (two_channel, before) "
-                "against the banded direct solve of the library (direct, after)",
+                "against the library's backward sweep (direct, after)",
         "command": shlex.join(["python", "bench/sa_fibers.py", "--out", args.out]),
         "threads": THREAD_ENV,
         "host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),

@@ -603,8 +603,8 @@ def _sa_fibers(run, cert):
     cert.add_upper("fiber-isotropy", 0.0, run.tol["isotropy"],
                    detail="exact: one line per (v_j, eta_j) plane")
     cert.add_upper("picard-iterations", fibers[0].n_iterations, 200,
-                   detail="banded direct solve, checked by one Picard sweep: "
-                   f"fixed-point residual {fibers[0].residual:.2e}")
+                   detail="backward Magnus sweep, checked on twice the step: "
+                   f"step-doubling estimate {fibers[0].residual:.2e}")
     cert.add_upper("fiber-vertical-intersection",
                    max(f.vertical_dimension() for f in fibers), run.cfg.N,
                    detail="dim(L+(q) cap vertical) <= N")

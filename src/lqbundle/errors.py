@@ -63,7 +63,7 @@ class NotLagrange(LqBundleError):
 
 
 class LPBudgetExceeded(LqBundleError):
-    """The Lyapunov-Perron collocation matrix would store too many entries."""
+    """The Lyapunov-Perron collocation's row table would hold too many entries."""
 
 
 class FrequencyConditionFailed(LqBundleError):

@@ -5,30 +5,25 @@ nonoscillation and the singular quadratic-form certificate.
 Every block of the assembled Hamiltonian is a function of the diagonal
 reference operator, so the doubled system splits into independent
 (v_j, eta_j) mode pairs, and each fiber L+(q) is the graph of a diagonal
-M+(q) = diag(m_j) over the sharp pairing subspace.  The fiber construction
-keeps the analytical structure (projected solves and the certified
-contraction) but runs it one mode at a time: the coefficients of
+M+(q) = diag(m_j) over the sharp pairing subspace.  Mode j's line is the
+stable line of its 2 x 2 flow along the driver's orbit, which
+`build_fibers` reads off one backward sweep (`_sweep`), vectorised over
+(mode, column), on the grid that the configuration fixes (`_fiber_grid`),
+and checks by the same sweep on twice the step.  It solves every
+(driver, phase) column a run needs in one call: the certify pipeline's
+frozen-driver oracle and continuity table read columns of its fibers stage
+and solve nothing.  Each `FiberResult` keeps the n entries m_j and reads
+P(q), the vertical intersection and projector gaps off its n mode lines in
+closed form.  The contraction certificate measures the fiber contraction's
+discretized operator norms mode by mode: the coefficients of
 `SAConfig.mode_coefficients` on the one band mask a run reads
-(`SAConfig.mid_mask`, the intermediate band), the (v, eta) frames of a mode
-(`_frames`) with the scalar quadrature of `_phi`, built, used and dropped
-inside the mode loop, and the n entries m_j of each `FiberResult`, which
-reads P(q), the vertical intersection and projector gaps off its n mode
-lines in closed form.  A mode's fiber forcing carries its own stiff
-exponential e^{mu_j t}, so the fiber frames integrate the smooth factor
-with the rate shifted by mu_j, and the stiff transients are integrated
-exactly; the contraction's impulse responses need no shift.  Each mode is
-integrated only in the direction of its square-integrable Green branch.
-The contraction is affine and mode-diagonal, so `build_fibers` solves its
-fixed point directly, one banded system per (mode, column) block whose rows
-are the frames' recurrences, on the grid that the configuration fixes
-(`_fiber_grid`), and checks it with one Picard sweep, whose norms it sums
-mode by mode; it solves every (driver, phase) column a run needs in one
-call: the certify pipeline's frozen-driver oracle and continuity table read
-columns of its fibers stage and solve nothing.  The contraction
-certificate's band maxima take an SVD only of the modes whose norm bound
-can still beat them.  The decay records read the exact growth rate of each
-mode line of the built fibers (`fiber_growth`); no trajectory is integrated
-in a run.
+(`SAConfig.mid_mask`, the intermediate band), and the (v, eta) frames of a
+mode (`_frames`) with the scalar quadrature of `_phi`, each integrated only
+in the direction of its square-integrable Green branch, built, used and
+dropped inside the mode loop.  Its band maxima take an SVD only of the
+modes whose norm bound can still beat them.  The decay records read the
+exact growth rate of each mode line of the built fibers (`fiber_growth`);
+no trajectory is integrated in a run.
 tests/spatial_oracles.py keeps the all-mode frame, the two-direction,
 two-channel frame solve and the fibers' Picard loop on it as references,
 and the routes that only tests take: the low and high band projectors, the
@@ -45,7 +40,6 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ._phi import (
     backward_moments,
@@ -67,10 +61,11 @@ from .spectral import SpectralModel
 from .stationary import Hamiltonian
 from .symplectic import RANK_RTOL, LagrangeSubspace
 
-#: largest update of the fiber solve's check sweep, relative to the solution
-PICARD_TOL = 1e-10
-#: half-bandwidth of a (mode, column) fiber block in node-interleaved order
-FIBER_BAND = 7
+#: largest step-doubling estimate of a fiber line's sine error: the
+#: accuracy that the frozen-oracle record asks of a fiber
+FIBER_TOL = 1e-6
+#: offset of the two Gauss nodes of a Magnus step from its midpoint, in steps
+GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 #: time steps of the grid on which the contraction norms are measured
 CONTRACTION_STEPS = 360
 #: relative pad of an operator norm bound: at m = CONTRACTION_STEPS + 1
@@ -326,15 +321,12 @@ def assemble_nonaut_hamiltonian(config: SAConfig, a_value: float) -> Hamiltonian
 
 
 class _ScalarFrame:
-    """One mode's projected scalar equation x' = (r(t) - rho) x + f over P
-    columns, r(t) = s + sc * a(t) with sc = sign * chi_j.
+    """One mode's projected scalar equation x' = r(t) x + f over P columns,
+    r(t) = s + sc * a(t) with sc = sign * chi_j.
 
-    rho is the mode's rate shift: a solution x stands for the physical
-    e^{rho t} x, so a forcing that carries the mode's own stiff exponential
-    is integrated exactly.  Step factors use the exact interval means of r;
-    the within-interval variation of a(t) is folded into the integrand
-    samples, so only the (smooth) fold-corrected data is
-    polynomial-interpolated.
+    Step factors use the exact interval means of r; the within-interval
+    variation of a(t) is folded into the integrand samples, so only the
+    (smooth) fold-corrected data is polynomial-interpolated.
 
     The mode is integrated in the one direction whose Green branch is
     square-integrable: forward from zero if `forward`, backward from zero
@@ -347,13 +339,13 @@ class _ScalarFrame:
     single-column frame broadcast over any number of columns.
     """
 
-    def __init__(self, times, drive, s, sc, rho, forward: bool):
+    def __init__(self, times, drive, s, sc, forward: bool):
         h = float(times[1] - times[0])
         self.m = m = times.size
         self.forward = forward
         a_mean, dev_f, dev_b = drive
-        # shifted per-interval rates: (m-1, P)
-        z = (s + sc * a_mean - rho) * h
+        # per-interval rates: (m-1, P)
+        z = (s + sc * a_mean) * h
         self.steps = np.exp(z) if forward else np.exp(-z)
         # weights times the fold factors at the stencil nodes, (4, m-1, P):
         # forward reference = right end, backward = left end of the interval;
@@ -420,19 +412,14 @@ def _drive(columns, times: np.ndarray):
     return a_mean, dev_f, dev_b
 
 
-def _frames(config: SAConfig, times: np.ndarray, drive, j: int, rho: float):
+def _frames(config: SAConfig, times: np.ndarray, drive, j: int):
     """The (v, eta) frames of mode j of the doubled SA system over the
-    columns of `drive`, the mode's rate shifted by rho.
-
-    The fiber solve shifts by mu_j = -|a_diag_j|: its forcing is e^{mu_j t}
-    times smooth data, so it solves for the smooth factor.  The contraction
-    solve shifts by 0, so its impulse responses are physical values.
-    """
+    columns of `drive`: the contraction's impulse responses."""
     a_diag, chi, _, _ = config.mode_coefficients
     unstable = bool(config.unstable[j])
     return (
-        _ScalarFrame(times, drive, a_diag[j], -chi[j], rho, not unstable),
-        _ScalarFrame(times, drive, -a_diag[j], chi[j], rho, unstable),
+        _ScalarFrame(times, drive, a_diag[j], -chi[j], not unstable),
+        _ScalarFrame(times, drive, -a_diag[j], chi[j], unstable),
     )
 
 
@@ -448,9 +435,9 @@ class FiberResult:
     for an `unstable` mode (j < N) and by (1, m_j) otherwise.  So it is
     isotropic exactly, and P(q), its vertical intersection and its projector
     gap to another fiber are closed forms in the unit lines (x_j, y_j).
-    `n_iterations` counts the Picard sweeps applied to the solve and
-    `residual` is the relative update of the last one, the same over the
-    columns of one solve.
+    `n_iterations` is 1, the one sweep of the solve, and `residual` is the
+    sweep's step-doubling estimate of the lines' sine error, the same over
+    the columns of one solve.
     """
 
     q: object
@@ -519,123 +506,85 @@ def _fiber_grid(config: SAConfig, n_steps: int | None):
     return np.linspace(0.0, t_end, int(n_steps) + 1)
 
 
-def _sharp_forcing(config: SAConfig, j: int, a_vals: np.ndarray):
-    """R(theta^t q) G_sharp(t) z^s_j over the decay e^{mu_j t}, (m, P) each,
-    from the driver values a_vals (m, P).
+def _sweep(config: SAConfig, columns, times: np.ndarray):
+    """The unit lines (x, y) at t = 0 of every (mode, column), (n, P) each,
+    by one backward sweep of the mode flows over the grid `times`.
 
-    An unstable mode (j < N) has g = (0, e^{mu t}), so g_v = b_j and
-    g_eta = chi_j a(t); a stable one has g = (e^{mu t}, 0), so
-    g_v = -chi_j a(t) and g_eta = c_j.
+    Mode j's flow in its (v_j, eta_j) plane is z' = [[top, b_j], [c_j, -top]] z
+    with top = a_diag_j - chi_j a(t).  Integrated backward, every line
+    converges to the stable one (Dieci, Osborne & Russell 1988, SIAM J.
+    Numer. Anal. 25:1055).  The sweep starts at the grid's end from the
+    stable eigenvector of the flow frozen there, in the form without
+    cancellation, so a constant driver's line is exact.  Each step applies
+    exp(-Omega) of the fourth-order two-point Gauss Magnus step (Blanes,
+    Casas, Oteo & Ros 2009, Phys. Rep. 470:151), Omega = [[p, q], [r, -p]]
+    with p = h (top_1 + top_2) / 2, q = h b (1 + sqrt(3)/6 h delta),
+    r = h c (1 - sqrt(3)/6 h delta), delta = top_2 - top_1 at the Gauss
+    nodes.  The closed form cosh(d) I - sinh(d) / d Omega, d^2 = p^2 + q r,
+    is scaled by e^{-|d|}, so it cannot overflow (cos and sin when
+    d^2 < 0), and the line is normalised every step.  Only (n, P) arrays
+    live across steps.
     """
-    _, chi, b_coef, c_coef = config.mode_coefficients
-    chi_a = chi[j] * a_vals
-    if config.unstable[j]:
-        return np.full(a_vals.shape, b_coef[j]), chi_a
-    return -chi_a, np.full(a_vals.shape, c_coef[j])
-
-
-def _collocate(frames, b: float, c: float, g_v, g_e):
-    """The fixed point (dv, deta) of one mode's fiber contraction, (m, P)
-    each, by one banded solve per (mode, column) block.
-
-    The unknowns of a block are node-interleaved, (dv_0, deta_0, dv_1, ...),
-    and its rows are the frames' recurrences, each with its unit diagonal at
-    its own unknown: a forward frame's row for x_{i+1} holds
-    -s_i x_i - sum_l w_l f_{base_i+l}, a backward frame's row for x_i holds
-    -s'_i x_{i+1} + sum_l w'_l f_{base_i+l}, where f is the other half's
-    unknown times the mode's coupling b or c; the boundary row x_0 = 0,
-    resp. x_{m-1} = 0, is the bare diagonal.  The sharp forcing's stencil
-    sums are the right-hand side.  The blocks write the same band
-    positions, so they share one band array, filled one block at a time.
-    """
-    m = frames[0].m
-    i = np.arange(m - 1)
-    base, _ = stencil_layout(m)
-    nodes = base[None, :] + np.arange(4)[:, None]
-    band = np.zeros((2 * FIBER_BAND + 1, 2 * m))
-    band[FIBER_BAND] = 1.0
-    flat, rows, values, local = [], [], [], []
-    for slot, (frame, g, coef) in enumerate(((frames[0], g_v, b), (frames[1], g_e, c))):
-        forward = frame.forward
-        # a forward row subtracts the stencil sum, a backward row adds it
-        sign = -1.0 if forward else 1.0
-        r = 2 * (i + forward) + slot
-        cols = np.concatenate([2 * (i + 1 - forward) + slot, 2 * nodes.ravel() + 1 - slot])
-        flat.append(np.ravel_multi_index((FIBER_BAND + np.tile(r, 5) - cols, cols),
-                                         band.shape))
-        rows.append(r)
-        values += [-frame.steps, (sign * coef) * frame.wf.reshape(4 * (m - 1), -1)]
-        sums = np.zeros(frame.wf.shape[1:])
-        frame._local(g, sums)
-        local.append(-sign * sums)
-    flat, rows = np.concatenate(flat), np.concatenate(rows)
-    values, local = np.concatenate(values), np.concatenate(local)
-    out = np.empty((2,) + g_v.shape)
-    rhs = np.zeros(2 * m)
-    for p in range(g_v.shape[1]):
-        band.flat[flat] = values[:, p]
-        rhs[rows] = local[:, p]
-        x = solve_banded((FIBER_BAND, FIBER_BAND), band, rhs, check_finite=False)
-        out[:, :, p] = x.reshape(m, 2).T
-    return out
+    a_diag, chi, b_coef, c_coef = config.mode_coefficients
+    h = times[1] - times[0]
+    mids = times[:-1] + 0.5 * h
+    a_lo, a_hi = (np.stack([drv.values(q, mids + off) for drv, q in columns], axis=1)
+                  for off in (-GAUSS_OFFSET * h, GAUSS_OFFSET * h))
+    # per step: the driver's mean and the Gauss-node difference of top
+    a_mean, a_tilt = 0.5 * (a_lo + a_hi), (GAUSS_OFFSET * h) * (a_lo - a_hi)
+    a_end = np.array([drv.values(q, times[-1:])[0] for drv, q in columns])
+    a_diag, chi, b_coef, c_coef = (v[:, None] for v in (a_diag, chi, b_coef, c_coef))
+    tiny = np.finfo(float).tiny
+    top = a_diag - chi * a_end
+    rate = np.sqrt(top**2 + b_coef * c_coef)
+    x = np.where(top >= 0.0, b_coef, top - rate)
+    y = np.where(top >= 0.0, -(top + rate), c_coef)
+    norm = np.hypot(x, y)
+    x, y = x / norm, y / norm
+    for mean, tilt in zip(a_mean[::-1], a_tilt[::-1]):
+        p = h * (a_diag - chi * mean)
+        q = (h * b_coef) * (1.0 + chi * tilt)
+        r = (h * c_coef) * (1.0 - chi * tilt)
+        d_sq = p * p + q * r
+        d = np.sqrt(np.maximum(np.abs(d_sq), tiny))
+        decay = np.expm1(-2.0 * d)
+        hyperbolic = d_sq > 0.0
+        cosh = np.where(hyperbolic, 1.0 + 0.5 * decay, np.cos(d))
+        sinc = np.where(hyperbolic, -0.5 * decay, np.sin(d)) / d
+        x, y = cosh * x - sinc * (p * x + q * y), cosh * y - sinc * (r * x - p * y)
+        norm = np.hypot(x, y)
+        x, y = x / norm, y / norm
+    return x, y
 
 
 def build_fibers(config: SAConfig, columns) -> list[FiberResult]:
-    """Stable-bundle fibers of (driver, phase) columns by direct collocation.
+    """Stable-bundle fibers of (driver, phase) columns by a backward sweep.
 
-    The contraction (dv, deta) -> (S_v(b deta + g_v), S_eta(c dv + g_eta))
-    of the frame solves S is affine and mode-diagonal, so its fixed point is
-    one linear two-point boundary-value problem per (mode, column), solved
-    as a banded system (`_collocate`) on the grid of `_fiber_grid`.  The
-    work runs mode by mode: a mode's frames and forcing are built, solved
-    and swept, then dropped, and only its values at t = 0 and the squared
-    physical norms of its deta and of the sweep's update, per column, are
-    kept.  One Picard sweep from the solution checks it: ContractionFailed
-    unless the sweep moves deta by at most PICARD_TOL of its norm.  One
-    FiberResult is returned per column, in order (`_fibers_from`).
+    Each fiber is n lines, one per mode plane, read off `_sweep` on the
+    grid of `_fiber_grid`, vectorised over (mode, column).  The same sweep
+    on half as many steps, twice the step, gives the step-doubling estimate
+    of the lines' error, the largest sine between the two sweeps' lines:
+    ContractionFailed unless it is at most FIBER_TOL.  One FiberResult is returned per
+    column, in order.
     """
     columns = list(columns)
     for driver, _ in columns:
         config.check_driver(driver)
     _require_contraction(config)
     times = _fiber_grid(config, None)
-    a_diag, _, b_coef, c_coef = config.mode_coefficients
-    rho = -np.abs(a_diag)
-    drive = _drive(columns, times)
-    a_vals = np.stack([drv.values(q, times) for drv, q in columns], axis=1)
-    dv0, de0 = np.empty((2, config.n, len(columns)))
-    eta_sq, update_sq = np.zeros((2, len(columns)))
-    for j in range(config.n):
-        frame_v, frame_e = _frames(config, times, drive, j, rho[j])
-        g_v, g_e = _sharp_forcing(config, j, a_vals)
-        dv, d_eta = _collocate((frame_v, frame_e), b_coef[j], c_coef[j], g_v, g_e)
-        dv0[j], de0[j] = dv[0], d_eta[0]
-        dv_swept = frame_v.solve(b_coef[j] * d_eta + g_v)
-        update = frame_e.solve(c_coef[j] * dv_swept + g_e) - d_eta
-        # a solution x stands for the physical e^{rho t} x
-        decay = np.exp(rho[j] * times)[:, None]
-        eta_sq += np.sum((decay * d_eta) ** 2, axis=0)
-        update_sq += np.sum((decay * update) ** 2, axis=0)
-    residual = float(np.sqrt(update_sq.max()) / max(np.sqrt(eta_sq.max()), 1e-300))
-    if not residual <= PICARD_TOL:
+    x, y = _sweep(config, columns, times)
+    x2, y2 = _sweep(config, columns, _fiber_grid(config, (times.size - 1) // 2))
+    estimate = float(np.abs(x * y2 - y * x2).max())
+    if not estimate <= FIBER_TOL:
         raise ContractionFailed(
-            f"fixed-point residual {residual:.3e} of the fiber solve exceeds "
-            f"{PICARD_TOL:.1e}"
+            f"step-doubling estimate {estimate:.3e} of the fiber sweep exceeds "
+            f"{FIBER_TOL:.1e}"
         )
-    # values at t = 0, where e^{mu 0} = 1
-    return _fibers_from(config, columns, dv0, de0, 1, residual)
-
-
-def _fibers_from(
-    config: SAConfig, columns, dv0, de0, n_iter: int, residual: float
-) -> list[FiberResult]:
-    """The fibers of the columns from Delta z(0), (n, P) each per half: m_j
-    is its v entry for an unstable mode (j < N), whose sharp vector is e_j
-    in the eta half, and its eta entry otherwise."""
-    m = np.where(config.unstable[:, None], dv0, de0)
+    # an unstable mode's line is (m_j, 1), a stable one's (1, m_j)
+    m = np.where(config.unstable[:, None], x / y, y / x)
     return [
         FiberResult(q=q, m=m[:, p_idx], unstable=config.unstable,
-                    n_iterations=n_iter, residual=residual)
+                    n_iterations=1, residual=estimate)
         for p_idx, (_, q) in enumerate(columns)
     ]
 
@@ -703,10 +652,9 @@ def _require_contraction(config: SAConfig) -> dict:
 def _mode_operator_matrix(frames, b: float, c: float, with_coupling: bool):
     """Dense matrix of one mode's discretized contraction T (or of L_A).
 
-    Columns are impulse responses of the mode's unshifted (v, eta) frames,
-    so they are physical values; all m impulses ride on the column axis of
-    the single-column frames, whose step and weight arrays broadcast over
-    it, in one solve.
+    Columns are impulse responses of the mode's (v, eta) frames; all m
+    impulses ride on the column axis of the single-column frames, whose
+    step and weight arrays broadcast over it, in one solve.
     """
     frame_v, frame_e = frames
     eye = np.eye(frame_v.m)
@@ -764,7 +712,7 @@ def contraction_certificate(config: SAConfig) -> dict:
     _, _, b_coef, c_coef = config.mode_coefficients
 
     def mode_frames(j):
-        return _frames(config, times, drive, j, 0.0)
+        return _frames(config, times, drive, j)
 
     def operator(frames, j, with_coupling):
         mat = _mode_operator_matrix(frames, b_coef[j], c_coef[j], with_coupling)

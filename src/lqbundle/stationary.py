@@ -252,8 +252,8 @@ def _grid_parameters(split_a: DichotomySplit, ham: Hamiltonian) -> np.ndarray:
 
 def _check_budget(nodes: int, entries: int) -> None:
     if entries > LP_ENTRY_BUDGET:
-        raise LPBudgetExceeded(f"the LP grid of {nodes:,} nodes stores at least {entries:,} "
-                               f"matrix entries, over LP_ENTRY_BUDGET = {LP_ENTRY_BUDGET:,}")
+        raise LPBudgetExceeded(f"the LP grid of {nodes:,} nodes has at least {entries:,} "
+                               f"row-table entries, over LP_ENTRY_BUDGET = {LP_ENTRY_BUDGET:,}")
 
 
 def _segments(times: np.ndarray) -> list[tuple[int, int]]:

@@ -1,11 +1,11 @@
 """Reference loops of the spatial-averaging solves, and the spatial-averaging
 routes that only tests take.
 
-The library builds one mode's `_ScalarFrame` at a time, integrates it in
-its one square-integrable direction, on the one rate shift its solver
-needs, and drops it.  The routes here are the all-mode arrays and plain
-loops those replace, with the same elementwise arithmetic, and serve as
-exact references in the tests:
+The library builds one mode's `_ScalarFrame` at a time for the
+contraction's impulse responses, integrates it in its one
+square-integrable direction, unshifted, and drops it.  The routes here are
+the all-mode arrays and plain loops those replace, with the same
+elementwise arithmetic, and serve as exact references in the tests:
 
 - `AllModeFrame`: the library's frame before it went per mode, every mode
   and column at once in one direction per mode, through a single
@@ -17,10 +17,12 @@ exact references in the tests:
   branch;
 - `oracle_frames`: the v- and eta-frames of a column set;
 - `two_channel_fibers` and `two_channel_operator_matrices`: the fiber
-  Picard loop and the contraction's impulse responses on two-channel
-  frames, as the library ran them before each solver kept only the channel
-  its consumer reads (the fiber forcing fills channel 1 only, the impulses
-  channel 0 only), the impulses IMPULSE_BATCH columns per solve.
+  contraction's Picard loop and the contraction's impulse responses on
+  two-channel frames (the fiber forcing fills channel 1 only, the impulses
+  channel 0 only), the impulses IMPULSE_BATCH columns per solve; the
+  Picard loop is an independent discretisation of the fibers that the
+  library reads off a backward sweep of the mode flows, and `fibers_from`
+  turns its values at t = 0 into fibers.
 
 A run reads the frozen Hamiltonian of the mode-wise reduced system
 (`assemble_nonaut_hamiltonian`) and integrates no driven trajectory.  The
@@ -50,15 +52,12 @@ from lqbundle._phi import (
 from lqbundle.dichotomy import GridFunction
 from lqbundle.errors import AValueOutOfRange
 from lqbundle.frequency import QuadraticFormTriple
-from lqbundle.spatial import (
-    PICARD_TOL,
-    _fiber_grid,
-    _fibers_from,
-    condition_holds,
-)
+from lqbundle.spatial import FiberResult, _fiber_grid, condition_holds
 
 #: sweep cap of the reference Picard loop
 PICARD_MAX_ITER = 200
+#: the reference Picard loop stops once an update is this fraction of its first
+PICARD_STOP_TOL = 1e-10
 #: impulse columns per solve of `two_channel_operator_matrices`
 IMPULSE_BATCH = 64
 #: trajectory step relative to 1 / (the largest frozen coefficient sum)
@@ -254,9 +253,10 @@ def oracle_frames(config, columns, times, frame=ScalarFrameOracle, rho=None):
 
 
 def two_channel_fibers(config, columns, frame=ScalarFrameOracle):
-    """`build_fibers` as a Picard loop on two-channel frames: the forcing
-    fills channel 1 and the physical value is channel 0 plus e^{mu t} times
-    channel 1.  The fibers' `residual` is the last update over the first."""
+    """The fibers of the columns as the fixed point of the fiber contraction,
+    by a Picard loop on two-channel frames: the forcing fills channel 1 and
+    the physical value is channel 0 plus e^{mu t} times channel 1.  The
+    fibers' `residual` is the last update over the first."""
     columns = list(columns)
     times = _fiber_grid(config, None)
     frame_v, frame_e = oracle_frames(config, columns, times, frame)
@@ -285,14 +285,26 @@ def two_channel_fibers(config, columns, frame=ScalarFrameOracle):
         d_eta = new
         if ref is None:
             ref = max(delta, 1e-300)
-        if delta <= PICARD_TOL * ref:
+        if delta <= PICARD_STOP_TOL * ref:
             break
     else:
         raise AssertionError("the reference Picard loop did not converge")
     dv = frame_v.solve(bcf * d_eta + g_v)
     dv0 = dv[0, :, 0, :] + dv[0, :, 1, :]
     de0 = d_eta[0, :, 0, :] + d_eta[0, :, 1, :]
-    return _fibers_from(config, columns, dv0, de0, it + 1, delta / ref)
+    return fibers_from(config, columns, dv0, de0, it + 1, delta / ref)
+
+
+def fibers_from(config, columns, dv0, de0, n_iter: int, residual: float):
+    """The fibers of the columns from Delta z(0) of the Picard loop, (n, P)
+    each per half: m_j is its v entry for an unstable mode (j < N), whose
+    sharp vector is e_j in the eta half, and its eta entry otherwise."""
+    m = np.where(config.unstable[:, None], dv0, de0)
+    return [
+        FiberResult(q=q, m=m[:, p_idx], unstable=config.unstable,
+                    n_iterations=n_iter, residual=residual)
+        for p_idx, (_, q) in enumerate(columns)
+    ]
 
 
 def two_channel_operator_matrices(config, frames, with_coupling):

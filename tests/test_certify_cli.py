@@ -101,7 +101,7 @@ def sa_route(tmp_path_factory):
             name: count_calls(mp, owner, name)
             for owner, name in (
                 (lqbundle.spatial, "build_fibers"),
-                (lqbundle.spatial, "_collocate"),
+                (lqbundle.spatial, "_sweep"),
             )
         }
         cert = run_pipeline(scenario)
@@ -259,10 +259,11 @@ class TestPipeline:
 
     def test_sa_solves_each_fiber_once(self, sa_route):
         # one fiber solve holds the phase grid, the continuity steps and the
-        # frozen column, and collocates each of the 8 modes once
+        # frozen column, and sweeps all of them once on the step and once on
+        # twice the step
         cert, calls = sa_route
         assert {name: len(c) for name, c in calls.items()} == {
-            "build_fibers": 1, "_collocate": 8,
+            "build_fibers": 1, "_sweep": 2,
         }
         assert len(cert.tables["fibers"]) == 4
         assert len(cert.tables["continuity"]) == 6
@@ -559,13 +560,13 @@ class TestCli:
             "AmplitudeTooLarge: sup |a| = 3.9 exceeds allowed 2.0")
 
     def test_failed_fiber_check_sweep_is_one_fibers_failure(self, tmp_path, monkeypatch):
-        # no fixed-point residual is below a negative tolerance
-        monkeypatch.setattr(lqbundle.spatial, "PICARD_TOL", -1.0)
+        # no step-doubling estimate is below a negative tolerance
+        monkeypatch.setattr(lqbundle.spatial, "FIBER_TOL", -1.0)
         code, checks = run_command(tmp_path, "verify", SA_DOC)
         assert code == 1
         assert [c["name"] for c in checks if not c["pass"]] == ["fibers"]
         (fibers,) = [c for c in checks if c["name"] == "fibers"]
-        assert fibers["detail"].startswith("ContractionFailed: fixed-point residual")
+        assert fibers["detail"].startswith("ContractionFailed: step-doubling estimate")
 
     def test_half_fixed_gap_search_without_a_match(self, tmp_path):
         # the search tries k <= 50 only, so no searched pair has k = 60

@@ -477,7 +477,7 @@ class TestGridAndBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        entries = int(re.search(r"stores at least ([\d,]+) matrix entries", str(err.value))[1]
+        entries = int(re.search(r"has at least ([\d,]+) row-table entries", str(err.value))[1]
                       .replace(",", ""))
         assert entries > 2_000_000 and peak < 8 * entries
         out = tmp_path / "o"
@@ -503,7 +503,7 @@ class TestGridAndBudget:
         monkeypatch.setattr(st, "LP_ENTRY_BUDGET", 1_000_000)
         tracemalloc.start()
         try:
-            with pytest.raises(LPBudgetExceeded, match="stores at least 853,700,161 matrix entries"):
+            with pytest.raises(LPBudgetExceeded, match="has at least 853,700,161 row-table entries"):
                 lp.eliminate(lp.row_table())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -515,7 +515,7 @@ class TestGridAndBudget:
         # least 489 entries, which the grid counts before its nodes exist
         reg = Regulator(*s1)
         monkeypatch.setattr(st, "LP_ENTRY_BUDGET", 488)
-        with pytest.raises(LPBudgetExceeded, match="163 nodes stores at least 489 matrix"):
+        with pytest.raises(LPBudgetExceeded, match="163 nodes has at least 489 row-table"):
             st._grid_parameters(reg.split_a, reg.ham)
         monkeypatch.setattr(st, "LP_ENTRY_BUDGET", 489)
         assert st._grid_parameters(reg.split_a, reg.ham).size == 163
