@@ -5,9 +5,9 @@ steps and the frozen driver: 23 columns of one `build_fibers` call) in one
 of two ways:
 
 - `two_channel` (before): the Picard loop of tests/spatial_oracles.py,
-  `two_channel_fibers`, on the all-mode frame of the same module
-  (`AllModeFrame`, the library's frame before it went per mode) over the
-  doubled set of (mode, channel) pairs with rate shifts (0, mu_j);
+  `two_channel_fibers`, on the two-channel frames of the same module
+  (`ScalarFrameOracle`, every mode propagated both ways with rate shifts
+  (0, mu_j));
 - `direct` (after): the library's `build_fibers`, one backward Magnus
   sweep of every mode's 2 x 2 flow over all columns, and the same sweep on
   twice the step as its check.
@@ -22,8 +22,9 @@ N = 2, driver 1.5 + 0.5 sin t) and its n = 16 truncation.
 
     python bench/sa_fibers.py --out sa_fibers.json
 
-Each of the four runs is repeated three times, interleaved.  About one
-minute on a 2-core host.
+Each of the four runs is repeated three times, interleaved.  About a
+minute and a half on a 2-core host; the n = 16 `two_channel` run peaks at
+about 550 MB.
 """
 
 from __future__ import annotations
@@ -63,34 +64,17 @@ def measure(n: int, variant: str) -> dict:
     from lqbundle.spectral import make_spectral_model
 
     sys.path.insert(0, str(ROOT / "tests"))
-    from spatial_oracles import AllModeFrame, two_channel_fibers
+    import spatial_oracles
 
     setup = {"s": 0.0}
 
-    def timed(frame_class):
-        class Timed(frame_class):
-            def __init__(self, *args):
-                start = time.perf_counter()
-                super().__init__(*args)
-                setup["s"] += time.perf_counter() - start
+    class TimedFrame(spatial_oracles.ScalarFrameOracle):
+        def __init__(self, *args):
+            start = time.perf_counter()
+            super().__init__(*args)
+            setup["s"] += time.perf_counter() - start
 
-        return Timed
-
-    class DoubledFrame:
-        """A two-channel frame as the one-channel library frame over the
-        (mode, channel) pairs, shifted by (0, mu_j)."""
-
-        def __init__(self, times, s_base, chi, sign, mu, forward_modes, a_mean, c_int):
-            self.m = times.size
-            rho = np.stack([np.zeros_like(mu), mu], axis=1).ravel()
-            self.frame = timed(AllModeFrame)(
-                times, np.repeat(s_base, 2), np.repeat(chi, 2), sign, rho,
-                np.repeat(forward_modes, 2), a_mean, c_int,
-            )
-
-        def solve(self, fvals):
-            m, modes, _, cols = fvals.shape
-            return self.frame.solve(fvals.reshape(m, 2 * modes, cols)).reshape(fvals.shape)
+    spatial_oracles.ScalarFrameOracle = TimedFrame
 
     model = make_spectral_model([float(j * j) for j in range(1, n + 1)])
     cfg = sa.SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=2)
@@ -105,7 +89,7 @@ def measure(n: int, variant: str) -> dict:
     if variant == "direct":
         fibers = sa.build_fibers(cfg, columns)
     else:
-        fibers = two_channel_fibers(cfg, columns, frame=DoubledFrame)
+        fibers = spatial_oracles.two_channel_fibers(cfg, columns)
     fibers_s = time.perf_counter() - start
     rss1 = _peak_mb()
     return {
@@ -168,8 +152,8 @@ def main(argv=None) -> int:
 
     doc = {
         "what": "the verify fiber solve (23 columns): the Picard loop on the "
-                "library frame over (mode, channel) pairs (two_channel, before) "
-                "against the library's backward sweep (direct, after)",
+                "two-channel oracle frames (two_channel, before) against the "
+                "library's backward sweep (direct, after)",
         "command": shlex.join(["python", "bench/sa_fibers.py", "--out", args.out]),
         "threads": THREAD_ENV,
         "host": {"cpu_count": os.cpu_count(), "machine": platform.machine(),

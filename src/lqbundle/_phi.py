@@ -10,10 +10,10 @@ with p the cubic Lagrange interpolant of grid samples (Hochbruck &
 Ostermann, Acta Numerica 19, 2010), and the stencil contraction that
 applies matrix weights along a grid.  One forward and one backward weight
 formula serve both the matrix callers (the recursions of the stationary
-collocation and the control trajectories) and the vectorised
-scalar callers (the spatial-averaging mode frames).  These weights make the
-kernel integration exact for piecewise-cubic data, which is what keeps the
-Lyapunov-Perron solves accurate on stiff spectra.
+collocation and the control trajectories) and the scalar callers (the
+spatial-averaging mode frames, one constant rate each).  These weights make
+the kernel integration exact for piecewise-cubic data, which is what keeps
+the Lyapunov-Perron solves accurate on stiff spectra.
 """
 
 from __future__ import annotations
@@ -83,19 +83,6 @@ def phi_block(kmax: int, m: np.ndarray) -> list[np.ndarray]:
         aug[..., r : r + n, r + n : r + 2 * n] = np.eye(n)
     big = sla.expm(aug)
     return [big[..., :n, (k + 1) * n : (k + 2) * n] for k in range(kmax)]
-
-
-def stencil_layout(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-interval stencil base index and pattern id for cubic interpolation.
-
-    Interval i uses nodes base[i] .. base[i]+3; pattern[i] in {0,1,2} selects
-    the offset row of STENCIL_OFFSETS.
-    """
-    if n_nodes < 4:
-        raise ValueError("need at least 4 grid nodes for cubic quadrature")
-    idx = np.arange(n_nodes - 1)
-    base = np.clip(idx - 1, 0, n_nodes - 4)
-    return base, idx - base
 
 
 def forward_weights(ph, h: float, pattern: int) -> list:

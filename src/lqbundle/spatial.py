@@ -15,18 +15,19 @@ frozen-driver oracle and continuity table read columns of its fibers stage
 and solve nothing.  Each `FiberResult` keeps the n entries m_j and reads
 P(q), the vertical intersection and projector gaps off its n mode lines in
 closed form.  The contraction certificate measures the fiber contraction's
-discretized operator norms mode by mode: the coefficients of
-`SAConfig.mode_coefficients` on the one band mask a run reads
-(`SAConfig.mid_mask`, the intermediate band), and the (v, eta) frames of a
-mode (`_frames`) with the scalar quadrature of `_phi`, each integrated only
-in the direction of its square-integrable Green branch, built, used and
+discretized operator norms mode by mode under the constant driver
+a = a_b: the coefficients of `SAConfig.mode_coefficients` on the one band
+mask a run reads (`SAConfig.mid_mask`, the intermediate band), and the
+(v, eta) frames of a mode (`_frames`), each a scalar equation at one
+constant rate with the quadrature weights of `_phi`, integrated only in
+the direction of its square-integrable Green branch, built, used and
 dropped inside the mode loop.  Its band maxima take an SVD only of the
 modes whose norm bound can still beat them.  The decay records read the
 exact growth rate of each mode line of the built fibers (`fiber_growth`);
 no trajectory is integrated in a run.
-tests/spatial_oracles.py keeps the all-mode frame, the two-direction,
-two-channel frame solve and the fibers' Picard loop on it as references,
-and the routes that only tests take: the low and high band projectors, the
+tests/spatial_oracles.py keeps the two-direction, two-channel frame solve
+of driven columns and the fibers' Picard loop on it as references, and the
+routes that only tests take: the low and high band projectors, the
 generic quadratic forms and frozen (A(q), B) of the spatial-averaging
 condition, the inequality-implication sweep, and the driven trajectories
 with their symplectic pairing; tests/decay_oracles.py keeps the trajectory
@@ -46,7 +47,6 @@ from ._phi import (
     backward_weights,
     forward_weights,
     phi_scalar,
-    stencil_layout,
 )
 from .errors import (
     AmplitudeTooLarge,
@@ -233,8 +233,8 @@ def gap_search(
 
 @dataclass(frozen=True)
 class Driver:
-    """Closed-form driving flow with exact integrals: from phase q the flow
-    reaches phase q + omega t at time t.
+    """Closed-form driving flow: from phase q the flow reaches phase
+    q + omega t at time t.
 
     periodic: a = c0 + c1 sin(omega t + q), phase q scalar.
     quasiperiodic: a = c0 + sum_i c_i sin(omega_i t + q_i), phase q vector.
@@ -269,25 +269,6 @@ class Driver:
             self.amplitudes * np.sin(self.omegas * tt + ph), axis=1
         )
 
-    def integral(self, q, times: np.ndarray) -> np.ndarray:
-        """int_0^t a(q + omega s) ds, closed form."""
-        ph = self._phases(q)
-        tt = np.asarray(times, dtype=float)[:, None]
-        nz = np.abs(self.omegas) > 0
-        osc = np.zeros(tt.shape[0])
-        if np.any(nz):
-            osc += np.sum(
-                -self.amplitudes[nz]
-                / self.omegas[nz]
-                * (np.cos(self.omegas[nz] * tt + ph[nz]) - np.cos(ph[nz])),
-                axis=1,
-            )
-        if np.any(~nz):
-            osc += np.sum(
-                self.amplitudes[~nz] * np.sin(ph[~nz]) * tt, axis=1
-            )
-        return self.c0 * np.asarray(times, dtype=float) + osc
-
     def phase_distance(self, q1, q2) -> float:
         d = np.abs(self._phases(q1) - self._phases(q2))
         d = np.minimum(d, 2.0 * np.pi - d)
@@ -321,59 +302,43 @@ def assemble_nonaut_hamiltonian(config: SAConfig, a_value: float) -> Hamiltonian
 
 
 class _ScalarFrame:
-    """One mode's projected scalar equation x' = r(t) x + f over P columns,
-    r(t) = s + sc * a(t) with sc = sign * chi_j.
-
-    Step factors use the exact interval means of r; the within-interval
-    variation of a(t) is folded into the integrand samples, so only the
-    (smooth) fold-corrected data is polynomial-interpolated.
+    """One mode's projected scalar equation x' = rate x + f over P columns,
+    at the one constant rate of the contraction's driver, on m nodes of step
+    h.
 
     The mode is integrated in the one direction whose Green branch is
     square-integrable: forward from zero if `forward`, backward from zero
-    otherwise.  Quadrature weights, fold factors and step factors exist for
-    that direction only, and weights and folds are multiplied once, since
-    their product is the same on every solve.  `steps` and `wf` are in time
-    order.
+    otherwise.  Its step factor e^{+-rate h} and the four weights of each
+    stencil pattern (first, interior and last interval) exist for that
+    direction only.
 
-    Array layout: (m nodes, P columns); the step and weight arrays of a
-    single-column frame broadcast over any number of columns.
+    Array layout: (m nodes, P columns); the scalar step and weights apply to
+    every column.
     """
 
-    def __init__(self, times, drive, s, sc, forward: bool):
-        h = float(times[1] - times[0])
-        self.m = m = times.size
+    def __init__(self, h: float, m: int, rate: float, forward: bool):
+        self.m = m
         self.forward = forward
-        a_mean, dev_f, dev_b = drive
-        # per-interval rates: (m-1, P)
-        z = (s + sc * a_mean) * h
-        self.steps = np.exp(z) if forward else np.exp(-z)
-        # weights times the fold factors at the stencil nodes, (4, m-1, P):
-        # forward reference = right end, backward = left end of the interval;
-        # stencil pattern 0 holds on the first interval, 1 on the interior,
-        # 2 on the last
-        self.wf = wf = np.empty((4,) + z.shape)
-        spans = ((0, slice(0, 1)), (1, slice(1, m - 2)), (2, slice(m - 2, m - 1)))
-        for pattern, sl in spans:
-            if forward:
-                w = forward_weights(phi_scalar(4, z[sl]), h, pattern)
-            else:
-                w = backward_weights(backward_moments(phi_scalar(4, -z[sl])), h, pattern)
-            wf[:, sl] = w
-        for ell in range(4):
-            wf[ell] *= np.exp(sc * dev_f[ell]) if forward else np.exp(-sc * dev_b[ell])
+        z = rate * h
+        if forward:
+            self.step = np.exp(z)
+            ph, weights = phi_scalar(4, z), forward_weights
+        else:
+            self.step = np.exp(-z)
+            ph, weights = backward_moments(phi_scalar(4, -z)), backward_weights
+        self.w = [weights(ph, h, pattern) for pattern in range(3)]
 
     def _local(self, fvals: np.ndarray, out: np.ndarray) -> None:
         """Accumulate the per-interval local integrals of fvals into out."""
-        m, wf = self.m, self.wf
-        interior = slice(1, m - 2)
-        out_int = out[interior]
+        m, (first, interior, last) = self.m, self.w
+        out_int = out[1 : m - 2]
         prod = np.empty(out_int.shape)
         for ell in range(4):
-            np.multiply(wf[ell, interior], fvals[ell : m - 3 + ell], prod)
+            np.multiply(interior[ell], fvals[ell : m - 3 + ell], prod)
             out_int += prod
         for ell in range(4):
-            out[0] += wf[ell, 0] * fvals[ell]
-            out[m - 2] += wf[ell, m - 2] * fvals[m - 4 + ell]
+            out[0] += first[ell] * fvals[ell]
+            out[m - 2] += last[ell] * fvals[m - 4 + ell]
 
     def solve(self, fvals: np.ndarray) -> np.ndarray:
         """L2 solve: forward from zero, or backward (the negated Green
@@ -381,46 +346,27 @@ class _ScalarFrame:
         resp. node i, and the recurrence acc = step * acc + local runs over
         those rows in the direction of integration."""
         out = np.zeros(fvals.shape)
-        loc, steps = out[1:] if self.forward else out[:-1], self.steps
+        loc = out[1:] if self.forward else out[:-1]
         self._local(fvals, loc)
         if not self.forward:
             np.negative(loc, out=loc)
-            loc, steps = loc[::-1], steps[::-1]
-        acc = np.zeros(loc.shape[1:])
-        for step, row in zip(steps, loc):
+            loc = loc[::-1]
+        step, acc = self.step, np.zeros(loc.shape[1:])
+        for row in loc:
             row += step * acc
             acc = row
         return out
 
 
-def _drive(columns, times: np.ndarray):
-    """What every mode frame reads of the (driver, phase) columns on the
-    grid: the interval means a_mean of a(t), (m-1, P), and per stencil node
-    ell the deviation of the integral of a(t) from a_mean over the span from
-    the node to the interval's right end (forward) and from its left end to
-    the node (backward), (m-1, P) each."""
-    c_int = np.stack([drv.integral(q, times) for drv, q in columns], axis=1)
-    a_mean = np.diff(c_int, axis=0) / (times[1] - times[0])
-    base, _ = stencil_layout(times.size)
-    dev_f, dev_b = [], []
-    for ell in range(4):
-        nodes = base + ell
-        dev_f.append((c_int[1:] - c_int[nodes])
-                     - a_mean * (times[1:, None] - times[nodes, None]))
-        dev_b.append((c_int[nodes] - c_int[:-1])
-                     - a_mean * (times[nodes, None] - times[:-1, None]))
-    return a_mean, dev_f, dev_b
-
-
-def _frames(config: SAConfig, times: np.ndarray, drive, j: int):
-    """The (v, eta) frames of mode j of the doubled SA system over the
-    columns of `drive`: the contraction's impulse responses."""
+def _frames(config: SAConfig, h: float, m: int, j: int):
+    """The (v, eta) frames of mode j of the doubled SA system under the
+    constant driver a = a_b, on m nodes of step h: the contraction's impulse
+    responses.  The v-frame runs at top_j = a_diag_j - chi_j a_b, the
+    eta-frame at -top_j."""
     a_diag, chi, _, _ = config.mode_coefficients
+    top = a_diag[j] - chi[j] * config.a_bound
     unstable = bool(config.unstable[j])
-    return (
-        _ScalarFrame(times, drive, a_diag[j], -chi[j], not unstable),
-        _ScalarFrame(times, drive, -a_diag[j], chi[j], unstable),
-    )
+    return _ScalarFrame(h, m, top, not unstable), _ScalarFrame(h, m, -top, unstable)
 
 
 # -- fibers -------------------------------------------------------------------
@@ -653,8 +599,8 @@ def _mode_operator_matrix(frames, b: float, c: float, with_coupling: bool):
     """Dense matrix of one mode's discretized contraction T (or of L_A).
 
     Columns are impulse responses of the mode's (v, eta) frames; all m
-    impulses ride on the column axis of the single-column frames, whose
-    step and weight arrays broadcast over it, in one solve.
+    impulses ride on the column axis of the frames, whose scalar step and
+    weights apply to every column, in one solve.
     """
     frame_v, frame_e = frames
     eye = np.eye(frame_v.m)
@@ -693,10 +639,11 @@ def _pruned_max(bounds: np.ndarray, norm, modes: np.ndarray) -> float:
 def contraction_certificate(config: SAConfig) -> dict:
     """Analytic contraction bounds plus measured discretized operator norms.
 
-    The norms are measured at phase 0 of the constant driver a = a_bound.
-    They split by the band projectors (the discrete operator is
-    mode-diagonal) and must stay below the analytic bounds; the discretized
-    Lyapunov-Perron norms are checked against 1/mu_bar and 1/(mu_bar + k).
+    The norms are measured under the constant driver a = a_bound, so each
+    mode's frames run at one rate (`_frames`).  They split by the band
+    projectors (the discrete operator is mode-diagonal) and must stay below
+    the analytic bounds; the discretized Lyapunov-Perron norms are checked
+    against 1/mu_bar and 1/(mu_bar + k).
     A first pass builds each mode's T and L_A matrices and keeps only their
     norm bounds (`_norm_bound`); each band maximum then takes an SVD only of
     the modes whose bound can still beat it (`_pruned_max`), rebuilding
@@ -708,11 +655,10 @@ def contraction_certificate(config: SAConfig) -> dict:
     w = np.full(times.size, h)
     w[0] = w[-1] = h / 2
     d_sq = np.sqrt(w)
-    drive = _drive([(constant_driver(config.a_bound), 0.0)], times)
     _, _, b_coef, c_coef = config.mode_coefficients
 
     def mode_frames(j):
-        return _frames(config, times, drive, j)
+        return _frames(config, h, times.size, j)
 
     def operator(frames, j, with_coupling):
         mat = _mode_operator_matrix(frames, b_coef[j], c_coef[j], with_coupling)

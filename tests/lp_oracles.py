@@ -35,6 +35,8 @@ One more oracle shares their quadrature: `stepwise_control_trajectory`
 steps v' = A v + B xi one interval at a time, each step's local integral a
 sum of four weight-matrix products, as `integrate_control_trajectory` ran
 before it took all local integrals from one stencil contraction.
+`stencil_layout` gives each interval's cubic stencil (base node and
+pattern) for these per-interval loops.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dichotomy_oracles import LPGridOracle, left_multiply
 
-from lqbundle._phi import forward_weights, local_forcing, phi_block, stencil_layout
+from lqbundle._phi import forward_weights, local_forcing, phi_block
 from lqbundle.dichotomy import GridFunction, dichotomy_split
 from lqbundle.stationary import (
     Regulator,
@@ -54,6 +56,19 @@ from lqbundle.stationary import (
     sharp_basis,
 )
 from lqbundle.symplectic import LagrangeSubspace
+
+
+def stencil_layout(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-interval stencil base index and pattern id for cubic interpolation.
+
+    Interval i uses nodes base[i] .. base[i]+3; pattern[i] in {0,1,2} selects
+    the offset row of `lqbundle._phi.STENCIL_OFFSETS`.
+    """
+    if n_nodes < 4:
+        raise ValueError("need at least 4 grid nodes for cubic quadrature")
+    idx = np.arange(n_nodes - 1)
+    base = np.clip(idx - 1, 0, n_nodes - 4)
+    return base, idx - base
 
 
 def default_grid(a, b, form, shift: float = 0.0):

@@ -2,19 +2,18 @@
 routes that only tests take.
 
 The library builds one mode's `_ScalarFrame` at a time for the
-contraction's impulse responses, integrates it in its one
-square-integrable direction, unshifted, and drops it.  The routes here are
-the all-mode arrays and plain loops those replace, with the same
-elementwise arithmetic, and serve as exact references in the tests:
+contraction's impulse responses, at the one constant rate of the driver
+a = a_b, integrates it in its one square-integrable direction and drops
+it.  The routes here are the driven, all-mode loops that it replaces, and
+serve as references in the tests:
 
-- `AllModeFrame`: the library's frame before it went per mode, every mode
-  and column at once in one direction per mode, through a single
-  recurrence over a buffer that stacks the forward modes in time order and
-  the backward ones reversed;
-- `ScalarFrameOracle`: every mode propagated both ways on all-mode weight,
-  fold and step arrays, in two channels, unshifted (0) and shifted by the
-  mode's mu_j (1), which never mix; `solve` keeps the square-integrable
-  branch;
+- `driver_integral`: the closed-form integral of a driver's a(t) from a
+  phase, which the frames here fold into their forcing;
+- `ScalarFrameOracle`: x' = r(t) x + f on every mode and column, propagated
+  both ways with step factors from the interval means of r(t) and the
+  variation of a(t) within an interval folded into the integrand samples,
+  in two channels, unshifted (0) and shifted by the mode's mu_j (1), which
+  never mix; `solve` keeps the square-integrable branch;
 - `oracle_frames`: the v- and eta-frames of a column set;
 - `two_channel_fibers` and `two_channel_operator_matrices`: the fiber
   contraction's Picard loop and the contraction's impulse responses on
@@ -41,13 +40,13 @@ second routes of the tests live here:
 from __future__ import annotations
 
 import numpy as np
+from lp_oracles import stencil_layout
 
 from lqbundle._phi import (
     backward_moments,
     backward_weights,
     forward_weights,
     phi_scalar,
-    stencil_layout,
 )
 from lqbundle.dichotomy import GridFunction
 from lqbundle.errors import AValueOutOfRange
@@ -66,92 +65,30 @@ TRAJECTORY_STEP_SCALE = 0.01
 TRAJECTORY_CHUNK = 4096
 
 
-
-class AllModeFrame:
-    """The library's frame on every mode and column at once:
-    x' = (r(t) - rho) x + f with r(t) = s_j + sign * chi_j * a(t) and one
-    rate shift rho_j per mode, each mode integrated in the one direction of
-    its square-integrable Green branch, forward on `forward_modes`.
-
-    Array layout: (m nodes, n modes, P columns); `steps` holds the forward
-    modes in time order, then the backward ones in reversed time order, and
-    `wf_fwd`, `wf_bwd` the weights times folds, (4, m-1, modes, P).
-    """
-
-    def __init__(self, times, s_base, chi, sign, rho, forward_modes, a_mean, c_int):
-        self.h = h = float(times[1] - times[0])
-        self.m = m = times.size
-        self.fwd = np.flatnonzero(forward_modes)
-        self.bwd = np.flatnonzero(~forward_modes)
-        base, _ = stencil_layout(m)
-        rbar = s_base[None, :, None] + sign * chi[None, :, None] * a_mean[:, None, :]
-        z = (rbar - rho[None, :, None]) * h
-        self.steps = np.concatenate(
-            [np.exp(z[:, self.fwd]), np.exp(-z[::-1, self.bwd])], axis=1
+def driver_integral(driver, q, times) -> np.ndarray:
+    """int_0^t a(q + omega s) ds of a `Driver`, closed form."""
+    ph = driver._phases(q)
+    tt = np.asarray(times, dtype=float)[:, None]
+    nz = np.abs(driver.omegas) > 0
+    osc = np.zeros(tt.shape[0])
+    if np.any(nz):
+        osc += np.sum(
+            -driver.amplitudes[nz]
+            / driver.omegas[nz]
+            * (np.cos(driver.omegas[nz] * tt + ph[nz]) - np.cos(ph[nz])),
+            axis=1,
         )
-        sc = sign * chi[None, :, None]
-        fold_f, fold_b = [], []
-        for ell in range(4):
-            nodes = base + ell
-            dev_f = (c_int[1:] - c_int[nodes]) - a_mean * (
-                times[1:, None] - times[nodes, None]
-            )
-            dev_b = (c_int[nodes] - c_int[:-1]) - a_mean * (
-                times[nodes, None] - times[:-1, None]
-            )
-            fold_f.append(np.exp(sc[:, self.fwd] * dev_f[:, None, :]))
-            fold_b.append(np.exp(-sc[:, self.bwd] * dev_b[:, None, :]))
-        self.wf_fwd = self._weighted_folds(True, z[:, self.fwd], fold_f)
-        self.wf_bwd = self._weighted_folds(False, z[:, self.bwd], fold_b)
-
-    def _weighted_folds(self, forward, z, folds):
-        m, h = self.m, self.h
-        out = np.empty((4,) + z.shape)
-        spans = ((0, slice(0, 1)), (1, slice(1, m - 2)), (2, slice(m - 2, m - 1)))
-        for pattern, sl in spans:
-            if forward:
-                w = forward_weights(phi_scalar(4, z[sl]), h, pattern)
-            else:
-                w = backward_weights(
-                    backward_moments(phi_scalar(4, -z[sl])), h, pattern
-                )
-            for ell in range(4):
-                out[ell, sl] = w[ell] * folds[ell][sl]
-        return out
-
-    def _local(self, fvals, wf, out):
-        m = self.m
-        interior = slice(1, m - 2)
-        out_int = out[interior]
-        prod = np.empty(out_int.shape)
-        for ell in range(4):
-            np.multiply(wf[ell, interior], fvals[ell : m - 3 + ell], prod)
-            out_int += prod
-        for ell in range(4):
-            out[0] += wf[ell, 0] * fvals[ell]
-            out[m - 2] += wf[ell, m - 2] * fvals[m - 4 + ell]
-
-    def solve(self, fvals):
-        m = self.m
-        nf = self.fwd.size
-        loc = np.zeros((m - 1,) + fvals.shape[1:])
-        self._local(fvals[:, self.fwd], self.wf_fwd, loc[:, :nf])
-        back = loc[::-1, nf:]
-        self._local(fvals[:, self.bwd], self.wf_bwd, back)
-        np.negative(back, out=back)
-        acc = np.zeros(loc.shape[1:])
-        for step, row in zip(self.steps, loc):
-            row += step * acc
-            acc = row
-        out = np.zeros_like(fvals)
-        out[1:, self.fwd] = loc[:, :nf]
-        out[:-1, self.bwd] = back
-        return out
+    if np.any(~nz):
+        osc += np.sum(driver.amplitudes[~nz] * np.sin(ph[~nz]) * tt, axis=1)
+    return driver.c0 * np.asarray(times, dtype=float) + osc
 
 
 class ScalarFrameOracle:
     """x' = (r(t) - rho_c) x + f on all modes in both directions, in two
-    channels c with rho = (0, mu) (see `_ScalarFrame`).
+    channels c with rho = (0, mu), where r(t) = s_j + sign * chi_j * a(t).
+    Step factors use the exact interval means of r; the variation of a(t)
+    within an interval is folded into the integrand samples, so only the
+    fold-corrected data is polynomial-interpolated.
 
     Array layout: (m nodes, n modes, 2 channels, P columns).
     """
@@ -237,29 +174,27 @@ class ScalarFrameOracle:
         return out
 
 
-def oracle_frames(config, columns, times, frame=ScalarFrameOracle, rho=None):
-    """(v-frame, eta-frame) all-mode frames of the columns on the grid:
-    two-channel `ScalarFrameOracle` frames, or any frame class called like
-    it; `AllModeFrame` takes the per-mode rate shifts rho in place of mu."""
-    c_int = np.stack([drv.integral(q, times) for drv, q in columns], axis=1)
+def oracle_frames(config, columns, times):
+    """(v-frame, eta-frame) two-channel `ScalarFrameOracle` frames of the
+    columns on the grid."""
+    c_int = np.stack([driver_integral(drv, q, times) for drv, q in columns], axis=1)
     a_mean = np.diff(c_int, axis=0) / (times[1] - times[0])
     a_diag, chi, _, _ = config.mode_coefficients
-    mu = -np.abs(a_diag) if rho is None else rho
-    unstable = config.unstable
+    mu, unstable = -np.abs(a_diag), config.unstable
     return (
-        frame(times, a_diag, chi, -1.0, mu, ~unstable, a_mean, c_int),
-        frame(times, -a_diag, chi, +1.0, mu, unstable, a_mean, c_int),
+        ScalarFrameOracle(times, a_diag, chi, -1.0, mu, ~unstable, a_mean, c_int),
+        ScalarFrameOracle(times, -a_diag, chi, +1.0, mu, unstable, a_mean, c_int),
     )
 
 
-def two_channel_fibers(config, columns, frame=ScalarFrameOracle):
+def two_channel_fibers(config, columns):
     """The fibers of the columns as the fixed point of the fiber contraction,
     by a Picard loop on two-channel frames: the forcing fills channel 1 and
     the physical value is channel 0 plus e^{mu t} times channel 1.  The
     fibers' `residual` is the last update over the first."""
     columns = list(columns)
     times = _fiber_grid(config, None)
-    frame_v, frame_e = oracle_frames(config, columns, times, frame)
+    frame_v, frame_e = oracle_frames(config, columns, times)
     a_diag, chi, b_coef, c_coef = config.mode_coefficients
     mu, unst = -np.abs(a_diag), config.unstable
     a_t = np.stack([drv.values(q, times) for drv, q in columns], axis=1)[:, None, :]

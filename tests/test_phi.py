@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from lp_oracles import stencil_layout
 from scipy.integrate import quad
 
 from lqbundle._phi import (
@@ -18,7 +19,6 @@ from lqbundle._phi import (
     local_forcing,
     phi_block,
     phi_scalar,
-    stencil_layout,
 )
 
 H = 0.3

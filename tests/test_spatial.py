@@ -1,3 +1,5 @@
+import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,11 +7,11 @@ import pytest
 from decay_oracles import exp_decay_fit, fit_decay_rate
 from spatial_oracles import (
     TRAJECTORY_CHUNK,
-    AllModeFrame,
     a_matrix,
     assemble_forms,
     b_matrix,
     band_projectors,
+    driver_integral,
     fibers_from,
     implication_sweep,
     oracle_frames,
@@ -38,7 +40,7 @@ from lqbundle.spatial import (
     FIBER_TOL,
     Driver,
     SAConfig,
-    _drive,
+    _ScalarFrame,
     _fiber_grid,
     _frames,
     _mode_operator_matrix,
@@ -252,21 +254,45 @@ class TestContraction:
 BAND_MAXIMA = ("measured_mid", "measured_pq", "lp_measured_all", "lp_measured_pq")
 
 
-def full_and_pruned_maxima(config, columns):
+def j_squared(n):
+    """lambda_j = j^2 at truncation n, Lambda = delta = 1, k = 3, N = 2:
+    sa-standard at n = 8."""
+    model = make_spectral_model([float(j * j) for j in range(1, n + 1)])
+    return SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=2)
+
+
+def library_matrices(config, with_coupling):
+    """Every mode's T (or L_A) matrix from its `_frames` on the contraction
+    grid, as `contraction_certificate` builds it, (n, m, m)."""
+    times = _fiber_grid(config, CONTRACTION_STEPS)
+    h = times[1] - times[0]
+    _, _, b_coef, c_coef = config.mode_coefficients
+    return np.array([
+        _mode_operator_matrix(_frames(config, h, times.size, j), b_coef[j], c_coef[j],
+                              with_coupling)
+        for j in range(config.n)
+    ])
+
+
+def oracle_matrices(config, columns, with_coupling):
+    """Every mode's T (or L_A) matrix from the two-channel impulse loop on the
+    contraction grid over one (driver, phase) column, (n, m, m)."""
+    times = _fiber_grid(config, CONTRACTION_STEPS)
+    return two_channel_operator_matrices(config, oracle_frames(config, columns, times),
+                                         with_coupling)
+
+
+def full_and_pruned_maxima(config, matrices):
     """({band: max over the band's modes of every SVD}, {band: `_pruned_max`
-    with `_norm_bound`}) of the scaled (T, L_A) matrices of the two-channel
-    impulse loop on the contraction grid, over one (driver, phase) column."""
+    with `_norm_bound`}) of the scaled (T, L_A) matrices on the contraction
+    grid, where matrices(with_coupling) gives them unscaled."""
     times = _fiber_grid(config, CONTRACTION_STEPS)
     h = times[1] - times[0]
     w = np.full(times.size, h)
     w[0] = w[-1] = h / 2
     d_sq = np.sqrt(w)
-    oracles = oracle_frames(config, columns, times)
-    t_mats, l_mats = (
-        (two_channel_operator_matrices(config, oracles, coupling) * d_sq[:, None])
-        / d_sq[None, :]
-        for coupling in (True, False)
-    )
+    t_mats, l_mats = ((matrices(coupling) * d_sq[:, None]) / d_sq[None, :]
+                      for coupling in (True, False))
     bounds_t, bounds_l = (np.array([_norm_bound(mat) for mat in mats])
                           for mats in (t_mats, l_mats))
     modes, mid = np.arange(config.n), config.mid_mask
@@ -290,16 +316,17 @@ class TestPrunedNorms:
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_certificate_equals_full_svd_maxima(self, n):
-        model = make_spectral_model([float(j * j) for j in range(1, n + 1)])
-        cfg = SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=2)
-        full, _ = full_and_pruned_maxima(cfg, [(constant_driver(cfg.a_bound), 0.0)])
+        cfg = j_squared(n)
+        full, _ = full_and_pruned_maxima(cfg, partial(library_matrices, cfg))
         cert = contraction_certificate(cfg)
         assert {name: cert[name] for name in BAND_MAXIMA} == full
 
     def test_quasiperiodic_driver(self, sa_standard):
         drv = Driver(c0=1.5, amplitudes=np.array([0.3, 0.2]),
                      omegas=np.array([1.0, np.sqrt(2.0)]))
-        full, pruned = full_and_pruned_maxima(sa_standard, [(drv, np.array([0.0, 1.1]))])
+        columns = [(drv, np.array([0.0, 1.1]))]
+        full, pruned = full_and_pruned_maxima(
+            sa_standard, partial(oracle_matrices, sa_standard, columns))
         assert pruned == full
 
     def test_svd_count_on_sa_standard(self, sa_standard, monkeypatch):
@@ -380,14 +407,14 @@ class TestDrivers:
         drv = constant_driver(1.5)
         t = np.linspace(0.0, 5.0, 11)
         np.testing.assert_allclose(drv.values(0.3, t), 1.5)
-        np.testing.assert_allclose(drv.integral(0.3, t), 1.5 * t)
+        np.testing.assert_allclose(driver_integral(drv, 0.3, t), 1.5 * t)
 
     def test_quasiperiodic_scalar_phase(self):
         drv = Driver(c0=1.2, amplitudes=np.array([0.4, 0.3]),
                      omegas=np.array([1.0, 1.414]))
         t = np.linspace(0.0, 3.0, 3001)
-        got = drv.integral(0.7, t)
-        np.testing.assert_array_equal(got, drv.integral([0.7, 0.7], t))
+        got = driver_integral(drv, 0.7, t)
+        np.testing.assert_array_equal(got, driver_integral(drv, [0.7, 0.7], t))
         vals = drv.values(0.7, t)
         steps = 0.5 * (vals[1:] + vals[:-1]) * np.diff(t)
         np.testing.assert_allclose(got, np.concatenate([[0.0], np.cumsum(steps)]), atol=1e-6)
@@ -402,7 +429,7 @@ class TestDrivers:
         for tv in t[1:]:
             ref, _ = quad(lambda s: drv.value(q + drv.omegas * s), 0.0, tv,
                           epsabs=1e-12, epsrel=1e-12)
-            assert drv.integral(q, [tv])[0] == pytest.approx(ref, abs=1e-10)
+            assert driver_integral(drv, q, [tv])[0] == pytest.approx(ref, abs=1e-10)
 
 
 class TestFibers:
@@ -734,36 +761,6 @@ class TestNonfiniteTrajectory:
         assert rate >= sa_eps0_estimate(cfg) - 1e-3
 
 
-def mode_slices(frame, j):
-    """Mode j's steps in time order and weights times folds, (m-1, P) and
-    (4, m-1, P), of an `AllModeFrame`."""
-    if j in frame.fwd:
-        k = int(np.searchsorted(frame.fwd, j))
-        return frame.steps[:, k], frame.wf_fwd[:, :, k]
-    k = int(np.searchsorted(frame.bwd, j))
-    return frame.steps[::-1, frame.fwd.size + k], frame.wf_bwd[:, :, k]
-
-
-def assert_frames_match_oracles(config, columns, times, rng):
-    """Each mode's one-channel frames equal the all-mode frame in steps,
-    weights times folds and solve, and the unshifted channel 0 of the
-    two-direction, two-channel reference loops, exactly, on random forcing
-    in every mode, channel and column."""
-    a_diag = config.mode_coefficients[0]
-    drive = _drive(columns, times)
-    all_modes = oracle_frames(config, columns, times, AllModeFrame, np.zeros_like(a_diag))
-    for half, oracle in enumerate(oracle_frames(config, columns, times)):
-        fvals = rng.standard_normal((times.size, a_diag.size, 2, len(columns)))
-        whole = all_modes[half].solve(fvals[:, :, 0])
-        assert np.array_equal(whole, oracle.solve(fvals)[:, :, 0])
-        for j in range(a_diag.size):
-            frame = _frames(config, times, drive, j)[half]
-            steps, wf = mode_slices(all_modes[half], j)
-            assert np.array_equal(frame.steps, steps)
-            assert np.array_equal(frame.wf, wf)
-            assert np.array_equal(frame.solve(fvals[:, j, 0]), whole[:, j])
-
-
 #: agreement of the fiber sweep with the Picard loop: the loop's own
 #: discretisation error (6.95e-10 on sa-standard) plus the sweep's
 #: (2.6e-10); the two agree to 1.06e-9
@@ -796,37 +793,54 @@ def quasiperiodic_columns(config):
     return [(drv, np.array([q, 2.0 * q])) for q in (0.0, 1.1, 4.0)]
 
 
+class TestScalarFrame:
+    @pytest.mark.parametrize("rate", [0.5, 200.0], ids=["mild", "stiff"])
+    @pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+    def test_cubic_forcing_matches_closed_form(self, rate, forward):
+        # x' = r x + p from zero, forward from t = 0 at r = -rate and
+        # backward from t = T at r = +rate (the square-integrable branches),
+        # for p = 1, t, t^2, t^3: the quadrature is exact on cubics.  With
+        # x_p = -sum_k p^(k) / r^(k+1), the solution is
+        # x_p(t) - e^{r (t - t0)} x_p(t0) with t0 = 0 or T
+        r = -rate if forward else rate
+        times = np.linspace(0.0, 6.0, 121)
+        frame = _ScalarFrame(times[1] - times[0], times.size, r, forward)
+        got = frame.solve(times[:, None] ** np.arange(4))
+
+        def particular(t):
+            return np.array([
+                -sum(math.perm(d, k) * t ** (d - k) / r ** (k + 1)
+                     for k in range(d + 1))
+                for d in range(4)
+            ])
+
+        t0 = times[0] if forward else times[-1]
+        exact = (np.array([particular(t) for t in times])
+                 - np.exp(r * (times - t0))[:, None] * particular(t0))
+        err = np.abs(got - exact).max(axis=0)
+        assert np.all(err <= 1e-12 * np.abs(exact).max(axis=0))
+
+
 class TestOracles:
-    def test_frames_on_verify_columns(self, sa_standard, sa_driver, rng):
-        times = _fiber_grid(sa_standard, None)
-        assert_frames_match_oracles(sa_standard, verify_columns(sa_driver), times, rng)
-
-    def test_frames_on_quasiperiodic_driver(self, sa_standard, rng):
-        times = _fiber_grid(sa_standard, None)
-        assert_frames_match_oracles(sa_standard, quasiperiodic_columns(sa_standard),
-                                    times, rng)
-
     def test_fibers_on_verify_columns(self, sa_standard, sa_driver):
         assert_fibers_match_two_channel(sa_standard, verify_columns(sa_driver))
 
     def test_fibers_on_quasiperiodic_driver(self, sa_standard):
         assert_fibers_match_two_channel(sa_standard, quasiperiodic_columns(sa_standard))
 
-    def test_contraction_impulse_columns(self, sa_standard):
-        # one mode's impulses in one solve equal the two-channel loop's
-        # batches of impulses on every mode
-        times = _fiber_grid(sa_standard, CONTRACTION_STEPS)
-        columns = [(constant_driver(sa_standard.a_bound), 0.0)]
-        drive = _drive(columns, times)
-        oracles = oracle_frames(sa_standard, columns, times)
-        _, _, b_coef, c_coef = sa_standard.mode_coefficients
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_contraction_impulse_columns(self, n):
+        # one mode's impulses in one solve at the constant rate agree with the
+        # two-channel loop's batches of impulses on every mode, driven by the
+        # same constant column, to roundoff: the loop's interval means of
+        # a_b t differ from a_b by a few ulp
+        cfg = j_squared(n)
+        columns = [(constant_driver(cfg.a_bound), 0.0)]
         for coupling in (True, False):
-            ref = two_channel_operator_matrices(sa_standard, oracles, coupling)
-            for j in range(sa_standard.n):
-                frames = _frames(sa_standard, times, drive, j)
-                assert np.array_equal(
-                    _mode_operator_matrix(frames, b_coef[j], c_coef[j], coupling), ref[j]
-                )
+            got = library_matrices(cfg, coupling)
+            ref = oracle_matrices(cfg, columns, coupling)
+            for mat, ref_mat in zip(got, ref, strict=True):
+                assert np.abs(mat - ref_mat).max() <= 1e-14 * np.abs(ref_mat).max()
 
     def test_trajectory_over_several_chunks(self, sa_standard, sa_driver, rng):
         z0 = rng.standard_normal(2 * sa_standard.n)

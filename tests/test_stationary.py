@@ -19,11 +19,11 @@ from lp_oracles import (
     paired_fixed_point,
     sharp_forcing,
     splu_node_states,
+    stencil_layout,
     stepwise_control_trajectory,
 )
 from frequency_oracles import ShiftedTransfer
 from stationary_oracles import NotATrajectory, riccati_integral_check
-from lqbundle._phi import stencil_layout
 from lqbundle.dichotomy import GridFunction
 from lqbundle.cli import main
 from lqbundle.errors import (
