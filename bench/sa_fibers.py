@@ -6,8 +6,8 @@ of two ways:
 
 - `two_channel` (before): the Picard loop of tests/spatial_oracles.py,
   `two_channel_fibers`, on the two-channel frames of the same module
-  (`ScalarFrameOracle`, every mode propagated both ways with rate shifts
-  (0, mu_j));
+  (`ScalarFrameOracle`, every mode propagated in its square-integrable
+  direction, in two channels with rate shifts (0, mu_j));
 - `direct` (after): the library's `build_fibers`, one backward Magnus
   sweep of every mode's 2 x 2 flow over all columns, and the same sweep on
   twice the step as its check.
@@ -22,9 +22,9 @@ N = 2, driver 1.5 + 0.5 sin t) and its n = 16 truncation.
 
     python bench/sa_fibers.py --out sa_fibers.json
 
-Each of the four runs is repeated three times, interleaved.  About a
-minute and a half on a 2-core host; the n = 16 `two_channel` run peaks at
-about 550 MB.
+Each of the four runs is repeated three times, interleaved.  Under a
+minute on a 2-core host; the n = 16 `two_channel` run peaks at about
+250 MB.
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ a = a_b: the coefficients of `SAConfig.mode_coefficients` on the one band
 mask a run reads (`SAConfig.mid_mask`, the intermediate band), and the
 (v, eta) frames of a mode (`_frames`), each a scalar equation at one
 constant rate with the quadrature weights of `_phi`, integrated only in
-the direction of its square-integrable Green branch, built, used and
-dropped inside the mode loop.  Its band maxima take an SVD only of the
-modes whose norm bound can still beat them.  The decay records read the
+the direction of its square-integrable Green branch.  Its band maxima
+take an SVD only of the modes whose O(m) majorant bound, batched over
+modes, can still beat them.  The decay records read the
 exact growth rate of each mode line of the built fibers (`fiber_growth`);
 no trajectory is integrated in a run.
 tests/spatial_oracles.py keeps the two-direction, two-channel frame solve
@@ -66,12 +66,13 @@ from .symplectic import RANK_RTOL, LagrangeSubspace
 FIBER_TOL = 1e-6
 #: offset of the two Gauss nodes of a Magnus step from its midpoint, in steps
 GAUSS_OFFSET = np.sqrt(3.0) / 6.0
+#: (step, mode, column) entries per coefficient array of a fiber sweep chunk
+SWEEP_CHUNK = 8192
 #: time steps of the grid on which the contraction norms are measured
 CONTRACTION_STEPS = 360
 #: relative pad of an operator norm bound: at m = CONTRACTION_STEPS + 1
-#: nodes the rounding of the bound, a sum of m^2 squares, stays below
-#: m^2 eps = 2.9e-11, and an SVD's largest singular value is accurate to a
-#: modest multiple of m eps = 8e-14
+#: nodes the bound's sums of nonnegative terms, the dense matrix an SVD reads
+#: and the SVD's largest singular value all round by a few m eps = 8e-14
 NORM_BOUND_PAD = 1e-10
 #: largest k that the gap search tries
 GAP_K_MAX = 50
@@ -357,15 +358,31 @@ class _ScalarFrame:
             acc = row
         return out
 
+    def solve_transposed(self, g: np.ndarray) -> np.ndarray:
+        """S^T g for the matrix S of `solve`: its recurrence run the other
+        way, then each interval's value scattered back to its four nodes."""
+        m, (first, interior, last) = self.m, self.w
+        acc_rows = g[1:].copy() if self.forward else -g[:-1]
+        step, acc = self.step, np.zeros(g.shape[1:])
+        for row in acc_rows[::-1] if self.forward else acc_rows:
+            row += step * acc
+            acc = row
+        out = np.zeros(g.shape)
+        for ell in range(4):
+            out[ell : m - 3 + ell] += interior[ell] * acc_rows[1 : m - 2]
+            out[ell] += first[ell] * acc_rows[0]
+            out[m - 4 + ell] += last[ell] * acc_rows[m - 2]
+        return out
 
-def _frames(config: SAConfig, h: float, m: int, j: int):
-    """The (v, eta) frames of mode j of the doubled SA system under the
-    constant driver a = a_b, on m nodes of step h: the contraction's impulse
-    responses.  The v-frame runs at top_j = a_diag_j - chi_j a_b, the
-    eta-frame at -top_j."""
+
+def _frames(config: SAConfig, h: float, m: int, modes):
+    """The (v, eta) frames of mode j, or of an index array of modes all
+    unstable or all stable (one per column), of the doubled SA system under
+    a = a_b on m nodes of step h: the contraction's impulse responses.  The
+    v-frame runs at top_j = a_diag_j - chi_j a_b, the eta-frame at -top_j."""
     a_diag, chi, _, _ = config.mode_coefficients
-    top = a_diag[j] - chi[j] * config.a_bound
-    unstable = bool(config.unstable[j])
+    top = a_diag[modes] - chi[modes] * config.a_bound
+    unstable = bool(np.all(config.unstable[modes]))
     return _ScalarFrame(h, m, top, not unstable), _ScalarFrame(h, m, -top, unstable)
 
 
@@ -468,8 +485,10 @@ def _sweep(config: SAConfig, columns, times: np.ndarray):
     r = h c (1 - sqrt(3)/6 h delta), delta = top_2 - top_1 at the Gauss
     nodes.  The closed form cosh(d) I - sinh(d) / d Omega, d^2 = p^2 + q r,
     is scaled by e^{-|d|}, so it cannot overflow (cos and sin when
-    d^2 < 0), and the line is normalised every step.  Only (n, P) arrays
-    live across steps.
+    d^2 < 0), and the line is normalised every step.  The coefficients of a
+    chunk of steps are computed at once, at most SWEEP_CHUNK (step, mode,
+    column) entries per array; only the line's update and normalisation run
+    step by step, in a step-by-step sweep's arithmetic and order.
     """
     a_diag, chi, b_coef, c_coef = config.mode_coefficients
     h = times[1] - times[0]
@@ -487,7 +506,9 @@ def _sweep(config: SAConfig, columns, times: np.ndarray):
     y = np.where(top >= 0.0, -(top + rate), c_coef)
     norm = np.hypot(x, y)
     x, y = x / norm, y / norm
-    for mean, tilt in zip(a_mean[::-1], a_tilt[::-1]):
+    chunk = max(1, SWEEP_CHUNK // x.size)
+    for hi in range(a_mean.shape[0], 0, -chunk):
+        mean, tilt = (v[max(0, hi - chunk) : hi][::-1, None] for v in (a_mean, a_tilt))
         p = h * (a_diag - chi * mean)
         q = (h * b_coef) * (1.0 + chi * tilt)
         r = (h * c_coef) * (1.0 - chi * tilt)
@@ -497,9 +518,10 @@ def _sweep(config: SAConfig, columns, times: np.ndarray):
         hyperbolic = d_sq > 0.0
         cosh = np.where(hyperbolic, 1.0 + 0.5 * decay, np.cos(d))
         sinc = np.where(hyperbolic, -0.5 * decay, np.sin(d)) / d
-        x, y = cosh * x - sinc * (p * x + q * y), cosh * y - sinc * (r * x - p * y)
-        norm = np.hypot(x, y)
-        x, y = x / norm, y / norm
+        for p1, q1, r1, c1, s1 in zip(p, q, r, cosh, sinc):  # one step each
+            x, y = c1 * x - s1 * (p1 * x + q1 * y), c1 * y - s1 * (r1 * x - p1 * y)
+            norm = np.hypot(x, y)
+            x, y = x / norm, y / norm
     return x, y
 
 
@@ -609,18 +631,41 @@ def _mode_operator_matrix(frames, b: float, c: float, with_coupling: bool):
     return frame_v.solve(eye)
 
 
-def _norm_bound(mat: np.ndarray) -> float:
-    """min(||mat||_F, sqrt(||mat||_1 ||mat||_inf)) >= ||mat||_2 (Golub & Van
-    Loan, Matrix Computations, 2.3), times 1 + NORM_BOUND_PAD so that the
-    rounding of the bound and of an SVD cannot put it below the SVD's
-    value.  ContractionFailed unless it is finite, as a non-finite entry
-    makes it."""
-    absm = np.abs(mat)
-    bound = np.minimum(np.linalg.norm(mat),
-                       np.sqrt(absm.sum(axis=0).max() * absm.sum(axis=1).max()))
-    if not np.isfinite(bound):
-        raise ContractionFailed(f"operator norm bound {bound} is not finite")
-    return float(bound) * (1.0 + NORM_BOUND_PAD)
+def _norm_bound(row_sums: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
+    """sqrt(||A+||_inf ||A+||_1) >= ||A||_2, A+ >= |A| entrywise (Higham 2002,
+    ch. 6), per trailing index of A+'s row and column sums, padded so that no
+    rounding puts it below an SVD; ContractionFailed unless finite."""
+    bound = np.sqrt(row_sums.max(axis=0) * col_sums.max(axis=0))
+    if not np.all(np.isfinite(bound)):
+        raise ContractionFailed(f"operator norm bound {np.max(bound)} is not finite")
+    return bound * (1.0 + NORM_BOUND_PAD)
+
+
+def _majorant_sums(config: SAConfig, h: float, d_sq: np.ndarray) -> np.ndarray:
+    """(T rows, T columns, L_A rows, L_A columns), (4, m, n): row and column
+    sums of majorants of every mode's D^1/2 T D^-1/2 and D^1/2 L_A D^-1/2, D
+    the quadrature weights.  A frame's matrix is +-R W, R's entries powers of
+    its positive step, so with |W| (negated backward, as `solve` negates) it
+    is M = R |W| >= |R W|, and |T| <= |b c| M_eta M_v.  The modes of one
+    direction share one column axis, and no matrix is built."""
+    _, _, b_coef, c_coef = config.mode_coefficients
+    sums = np.empty((4, d_sq.size, config.n))
+    for modes in np.flatnonzero(config.unstable), np.flatnonzero(~config.unstable):
+        frame_v, frame_e = _frames(config, h, d_sq.size, modes)
+        for frame in frame_v, frame_e:
+            sign = 1.0 if frame.forward else -1.0
+            frame.w = [[sign * np.abs(w) for w in pattern] for pattern in frame.w]
+        bc = np.abs(b_coef[modes] * c_coef[modes])
+        left = np.repeat(d_sq[:, None], modes.size, axis=1)
+        right = 1.0 / left
+        rows_v = frame_v.solve(right)
+        sums[:, :, modes] = (
+            bc * left * frame_e.solve(rows_v),
+            bc * right * frame_v.solve_transposed(frame_e.solve_transposed(left)),
+            left * rows_v,
+            right * frame_v.solve_transposed(left),
+        )
+    return sums
 
 
 def _pruned_max(bounds: np.ndarray, norm, modes: np.ndarray) -> float:
@@ -644,10 +689,10 @@ def contraction_certificate(config: SAConfig) -> dict:
     projectors (the discrete operator is mode-diagonal) and must stay below
     the analytic bounds; the discretized Lyapunov-Perron norms are checked
     against 1/mu_bar and 1/(mu_bar + k).
-    A first pass builds each mode's T and L_A matrices and keeps only their
-    norm bounds (`_norm_bound`); each band maximum then takes an SVD only of
-    the modes whose bound can still beat it (`_pruned_max`), rebuilding
-    those matrices, and a mode's SVD serves every band it is in.
+    A first pass bounds every mode's T and L_A norm in O(m), building no
+    matrix (`_majorant_sums`, `_norm_bound`); each band maximum then takes an
+    SVD only of the modes whose bound can still beat it (`_pruned_max`),
+    building each such matrix once for every band it is in.
     """
     out = _require_contraction(config)
     times = _fiber_grid(config, CONTRACTION_STEPS)
@@ -657,22 +702,17 @@ def contraction_certificate(config: SAConfig) -> dict:
     d_sq = np.sqrt(w)
     _, _, b_coef, c_coef = config.mode_coefficients
 
-    def mode_frames(j):
-        return _frames(config, h, times.size, j)
-
-    def operator(frames, j, with_coupling):
-        mat = _mode_operator_matrix(frames, b_coef[j], c_coef[j], with_coupling)
-        return (mat * d_sq[:, None]) / d_sq[None, :]
-
     @cache
     def svd_norm(j, with_coupling):
-        return float(np.linalg.norm(operator(mode_frames(j), j, with_coupling), 2))
+        mat = _mode_operator_matrix(_frames(config, h, times.size, j), b_coef[j],
+                                    c_coef[j], with_coupling)
+        mat = (mat * d_sq[:, None]) / d_sq[None, :]
+        _norm_bound(np.abs(mat).sum(axis=1), np.abs(mat).sum(axis=0))  # or fails
+        return float(np.linalg.norm(mat, 2))
 
+    rows_t, cols_t, rows_l, cols_l = _majorant_sums(config, h, d_sq)
+    bounds_t, bounds_l = _norm_bound(rows_t, cols_t), _norm_bound(rows_l, cols_l)
     modes, mid = np.arange(config.n), config.mid_mask
-    bounds_t, bounds_l = np.array([
-        [_norm_bound(operator(frames, j, coupling)) for coupling in (True, False)]
-        for j, frames in zip(modes, map(mode_frames, modes))
-    ]).T
     out.update(
         measured_mid=_pruned_max(bounds_t, lambda j: svd_norm(j, True), modes[mid]),
         measured_pq=_pruned_max(bounds_t, lambda j: svd_norm(j, True), modes[~mid]),

@@ -9,11 +9,11 @@ serve as references in the tests:
 
 - `driver_integral`: the closed-form integral of a driver's a(t) from a
   phase, which the frames here fold into their forcing;
-- `ScalarFrameOracle`: x' = r(t) x + f on every mode and column, propagated
-  both ways with step factors from the interval means of r(t) and the
-  variation of a(t) within an interval folded into the integrand samples,
-  in two channels, unshifted (0) and shifted by the mode's mu_j (1), which
-  never mix; `solve` keeps the square-integrable branch;
+- `ScalarFrameOracle`: x' = r(t) x + f on every mode and column, each
+  mode propagated in its square-integrable direction only, with step
+  factors from the interval means of r(t) and the variation of a(t) within
+  an interval folded into the integrand samples, in two channels,
+  unshifted (0) and shifted by the mode's mu_j (1), which never mix;
 - `oracle_frames`: the v- and eta-frames of a column set;
 - `two_channel_fibers` and `two_channel_operator_matrices`: the fiber
   contraction's Picard loop and the contraction's impulse responses on
@@ -21,7 +21,10 @@ serve as references in the tests:
   channel 0 only), the impulses IMPULSE_BATCH columns per solve; the
   Picard loop is an independent discretisation of the fibers that the
   library reads off a backward sweep of the mode flows, and `fibers_from`
-  turns its values at t = 0 into fibers.
+  turns its values at t = 0 into fibers;
+- `per_step_sweep`: the library's backward sweep with the Magnus
+  coefficients computed step by step, which the chunked sweep equals bit
+  for bit.
 
 A run reads the frozen Hamiltonian of the mode-wise reduced system
 (`assemble_nonaut_hamiltonian`) and integrates no driven trajectory.  The
@@ -51,7 +54,7 @@ from lqbundle._phi import (
 from lqbundle.dichotomy import GridFunction
 from lqbundle.errors import AValueOutOfRange
 from lqbundle.frequency import QuadraticFormTriple
-from lqbundle.spatial import FiberResult, _fiber_grid, condition_holds
+from lqbundle.spatial import GAUSS_OFFSET, FiberResult, _fiber_grid, condition_holds
 
 #: sweep cap of the reference Picard loop
 PICARD_MAX_ITER = 200
@@ -84,93 +87,89 @@ def driver_integral(driver, q, times) -> np.ndarray:
 
 
 class ScalarFrameOracle:
-    """x' = (r(t) - rho_c) x + f on all modes in both directions, in two
+    """x' = (r(t) - rho_c) x + f on all modes, each in its square-integrable
+    direction (`forward_modes` forward, the others backward), in two
     channels c with rho = (0, mu), where r(t) = s_j + sign * chi_j * a(t).
     Step factors use the exact interval means of r; the variation of a(t)
     within an interval is folded into the integrand samples, so only the
     fold-corrected data is polynomial-interpolated.
 
-    Array layout: (m nodes, n modes, 2 channels, P columns).
+    Array layout: (m nodes, n modes, 2 channels, P columns); each direction
+    keeps its step factors, weights and folds on its own modes only.
     """
 
     def __init__(self, times, s_base, chi, sign, mu, forward_modes, a_mean, c_int):
         self.h = float(times[1] - times[0])
         self.m = m = times.size
-        n = s_base.size
-        p_count = a_mean.shape[1]
-        self.forward_modes = forward_modes
         base, _ = stencil_layout(m)
-        rbar = (
-            s_base[None, :, None, None]
-            + sign * chi[None, :, None, None] * a_mean[:, None, None, :]
-        )
-        rho = np.zeros((1, n, 2, 1))
-        rho[0, :, 1, 0] = mu
-        z = (rbar - rho) * self.h
-        self.step_fwd = np.exp(z)
-        self.step_bwd = np.exp(-z)
         spans = ((0, slice(0, 1)), (1, slice(1, m - 2)), (2, slice(m - 2, m - 1)))
-        self.w_fwd = [
-            forward_weights(phi_scalar(4, z[sl]), self.h, p) for p, sl in spans
-        ]
-        self.w_bwd = [
-            backward_weights(backward_moments(phi_scalar(4, -z[sl])), self.h, p)
-            for p, sl in spans
-        ]
-        self.fold_fwd = np.ones((m - 1, 4, n, p_count))
-        self.fold_bwd = np.ones((m - 1, 4, n, p_count))
-        sc = sign * chi[None, :, None]
-        for ell in range(4):
-            nodes = base + ell
-            dev_f = (c_int[1:] - c_int[nodes]) - a_mean * (
-                times[1:, None] - times[nodes, None]
+        #: forward -> (modes, step factors, [first, interior, last] weights
+        #: times folds, each (intervals, modes, 2, P) per stencil node)
+        self.directions = {}
+        for forward, modes in ((True, forward_modes), (False, ~forward_modes)):
+            if not np.any(modes):
+                continue
+            rbar = (
+                s_base[None, modes, None, None]
+                + sign * chi[None, modes, None, None] * a_mean[:, None, None, :]
             )
-            dev_b = (c_int[nodes] - c_int[:-1]) - a_mean * (
-                times[nodes, None] - times[:-1, None]
-            )
-            self.fold_fwd[:, ell] = np.exp(sc * dev_f[:, None, :])
-            self.fold_bwd[:, ell] = np.exp(-sc * dev_b[:, None, :])
-        # interior weights times folds, the same on every solve
-        self.wf_interior = {
-            forward: [w[1][ell] * fold[1 : m - 2, ell, :, None, :] for ell in range(4)]
-            for forward, w, fold in (
-                (True, self.w_fwd, self.fold_fwd), (False, self.w_bwd, self.fold_bwd)
-            )
-        }
+            rho = np.zeros((1, int(modes.sum()), 2, 1))
+            rho[0, :, 1, 0] = mu[modes]
+            z = (rbar - rho) * self.h
+            if forward:
+                step = np.exp(z)
+                weights = [forward_weights(phi_scalar(4, z[sl]), self.h, p)
+                           for p, sl in spans]
+            else:
+                step = np.exp(-z)
+                weights = [
+                    backward_weights(backward_moments(phi_scalar(4, -z[sl])), self.h, p)
+                    for p, sl in spans
+                ]
+            sc = sign * chi[None, modes, None]
+            folded = [[], [], []]
+            for ell in range(4):
+                nodes = base + ell
+                if forward:
+                    dev = (c_int[1:] - c_int[nodes]) - a_mean * (
+                        times[1:, None] - times[nodes, None]
+                    )
+                    fold = np.exp(sc * dev[:, None, :])
+                else:
+                    dev = (c_int[nodes] - c_int[:-1]) - a_mean * (
+                        times[nodes, None] - times[:-1, None]
+                    )
+                    fold = np.exp(-sc * dev[:, None, :])
+                for pattern, (_, sl) in enumerate(spans):
+                    folded[pattern].append(weights[pattern][ell] * fold[sl, :, None, :])
+            self.directions[forward] = (modes, step, folded)
 
     def _local(self, fvals, forward):
+        """The per-interval local integrals of the direction's modes."""
         m = self.m
-        w_first, _, w_last = self.w_fwd if forward else self.w_bwd
-        fold = self.fold_fwd if forward else self.fold_bwd
+        modes, _, (first, interior, last) = self.directions[forward]
+        fvals = fvals[:, modes]
         out = np.zeros((m - 1,) + fvals.shape[1:])
-        for ell, w_int in enumerate(self.wf_interior[forward]):
+        for ell, w_int in enumerate(interior):
             out[1 : m - 2] += w_int * fvals[ell : m - 3 + ell]
         for ell in range(4):
-            out[0] += w_first[ell][0] * fold[0, ell, :, None, :] * fvals[ell]
-            out[m - 2] += (
-                w_last[ell][0] * fold[m - 2, ell, :, None, :] * fvals[m - 4 + ell]
-            )
+            out[0] += first[ell][0] * fvals[ell]
+            out[m - 2] += last[ell][0] * fvals[m - 4 + ell]
         return out
 
     def solve(self, fvals):
         m = self.m
         out = np.zeros_like(fvals)
-        fsel = self.forward_modes
-        bsel = ~fsel
-        if np.any(fsel):
-            loc = self._local(fvals, forward=True)[:, fsel]
-            step = self.step_fwd[:, fsel]
+        for forward, (modes, step, _) in self.directions.items():
+            loc = self._local(fvals, forward)
             vals = np.zeros((m,) + loc.shape[1:])
-            for i in range(m - 1):
-                vals[i + 1] = step[i] * vals[i] + loc[i]
-            out[:, fsel] = vals
-        if np.any(bsel):
-            loc = self._local(fvals, forward=False)[:, bsel]
-            step = self.step_bwd[:, bsel]
-            vals = np.zeros((m,) + loc.shape[1:])
-            for i in range(m - 2, -1, -1):
-                vals[i] = step[i] * vals[i + 1] - loc[i]
-            out[:, bsel] = vals
+            if forward:
+                for i in range(m - 1):
+                    vals[i + 1] = step[i] * vals[i] + loc[i]
+            else:
+                for i in range(m - 2, -1, -1):
+                    vals[i] = step[i] * vals[i + 1] - loc[i]
+            out[:, modes] = vals
         return out
 
 
@@ -230,6 +229,41 @@ def two_channel_fibers(config, columns):
     return fibers_from(config, columns, dv0, de0, it + 1, delta / ref)
 
 
+def per_step_sweep(config, columns, times):
+    """`_sweep` with the Magnus coefficients computed step by step: its
+    reference, equal to it bit for bit."""
+    a_diag, chi, b_coef, c_coef = config.mode_coefficients
+    h = times[1] - times[0]
+    mids = times[:-1] + 0.5 * h
+    a_lo, a_hi = (np.stack([drv.values(q, mids + off) for drv, q in columns], axis=1)
+                  for off in (-GAUSS_OFFSET * h, GAUSS_OFFSET * h))
+    # per step: the driver's mean and the Gauss-node difference of top
+    a_mean, a_tilt = 0.5 * (a_lo + a_hi), (GAUSS_OFFSET * h) * (a_lo - a_hi)
+    a_end = np.array([drv.values(q, times[-1:])[0] for drv, q in columns])
+    a_diag, chi, b_coef, c_coef = (v[:, None] for v in (a_diag, chi, b_coef, c_coef))
+    tiny = np.finfo(float).tiny
+    top = a_diag - chi * a_end
+    rate = np.sqrt(top**2 + b_coef * c_coef)
+    x = np.where(top >= 0.0, b_coef, top - rate)
+    y = np.where(top >= 0.0, -(top + rate), c_coef)
+    norm = np.hypot(x, y)
+    x, y = x / norm, y / norm
+    for mean, tilt in zip(a_mean[::-1], a_tilt[::-1]):
+        p = h * (a_diag - chi * mean)
+        q = (h * b_coef) * (1.0 + chi * tilt)
+        r = (h * c_coef) * (1.0 - chi * tilt)
+        d_sq = p * p + q * r
+        d = np.sqrt(np.maximum(np.abs(d_sq), tiny))
+        decay = np.expm1(-2.0 * d)
+        hyperbolic = d_sq > 0.0
+        cosh = np.where(hyperbolic, 1.0 + 0.5 * decay, np.cos(d))
+        sinc = np.where(hyperbolic, -0.5 * decay, np.sin(d)) / d
+        x, y = cosh * x - sinc * (p * x + q * y), cosh * y - sinc * (r * x - p * y)
+        norm = np.hypot(x, y)
+        x, y = x / norm, y / norm
+    return x, y
+
+
 def fibers_from(config, columns, dv0, de0, n_iter: int, residual: float):
     """The fibers of the columns from Delta z(0) of the Picard loop, (n, P)
     each per half: m_j is its v entry for an unstable mode (j < N), whose
@@ -243,8 +277,8 @@ def fibers_from(config, columns, dv0, de0, n_iter: int, residual: float):
 
 
 def two_channel_operator_matrices(config, frames, with_coupling):
-    """`_mode_operator_matrices` on two-channel (v, eta) frames: impulses in
-    channel 0 and the channel sum as the response."""
+    """`_mode_operator_matrix` of every mode on two-channel (v, eta) frames:
+    impulses in channel 0 and the channel sum as the response."""
     frame_v, frame_e = frames
     _, _, b_coef, c_coef = config.mode_coefficients
     m, n = frame_v.m, b_coef.size

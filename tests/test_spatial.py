@@ -15,6 +15,7 @@ from spatial_oracles import (
     fibers_from,
     implication_sweep,
     oracle_frames,
+    per_step_sweep,
     sa_pairing_drift,
     sa_trajectory,
     spatial_avg_condition,
@@ -38,11 +39,13 @@ from lqbundle.errors import (
 from lqbundle.spatial import (
     CONTRACTION_STEPS,
     FIBER_TOL,
+    SWEEP_CHUNK,
     Driver,
     SAConfig,
     _ScalarFrame,
     _fiber_grid,
     _frames,
+    _majorant_sums,
     _mode_operator_matrix,
     _norm_bound,
     _pruned_max,
@@ -282,18 +285,28 @@ def oracle_matrices(config, columns, with_coupling):
                                          with_coupling)
 
 
-def full_and_pruned_maxima(config, matrices):
-    """({band: max over the band's modes of every SVD}, {band: `_pruned_max`
-    with `_norm_bound`}) of the scaled (T, L_A) matrices on the contraction
-    grid, where matrices(with_coupling) gives them unscaled."""
+def dense_bound(mat):
+    """`_norm_bound` of a dense matrix, with |mat| as its own majorant."""
+    return _norm_bound(np.abs(mat).sum(axis=1), np.abs(mat).sum(axis=0))
+
+
+def contraction_scaling(config):
+    """(step, sqrt of the quadrature weights) of the contraction grid."""
     times = _fiber_grid(config, CONTRACTION_STEPS)
     h = times[1] - times[0]
     w = np.full(times.size, h)
     w[0] = w[-1] = h / 2
-    d_sq = np.sqrt(w)
+    return h, np.sqrt(w)
+
+
+def full_and_pruned_maxima(config, matrices):
+    """({band: max over the band's modes of every SVD}, {band: `_pruned_max`
+    with `dense_bound`}) of the scaled (T, L_A) matrices on the contraction
+    grid, where matrices(with_coupling) gives them unscaled."""
+    _, d_sq = contraction_scaling(config)
     t_mats, l_mats = ((matrices(coupling) * d_sq[:, None]) / d_sq[None, :]
                       for coupling in (True, False))
-    bounds_t, bounds_l = (np.array([_norm_bound(mat) for mat in mats])
+    bounds_t, bounds_l = (np.array([dense_bound(mat) for mat in mats])
                           for mats in (t_mats, l_mats))
     modes, mid = np.arange(config.n), config.mid_mask
     bands = zip(BAND_MAXIMA, ((t_mats, bounds_t), (t_mats, bounds_t),
@@ -343,28 +356,30 @@ class TestPrunedNorms:
         assert len(calls) <= 8
 
     def test_padded_bound_keeps_a_rank_one_winner(self):
-        # y is rank one, so ||y||_2 = ||y||_F, but its SVD rounds 2 ulp or
-        # more above its Frobenius norm; x = [[s]] has every norm s, exactly,
-        # with ||y||_F < s < SVD(y).  Unpadded, x's bound comes first and
-        # its SVD s rules y out: the maximum would read s
+        # y = c 1 1^T is rank one with ||y||_2 = sqrt(||y||_1 ||y||_inf) = 40 c,
+        # but its SVD rounds 2 ulp or more above that product's root;
+        # x = [[s]] has every norm s, exactly, with that root < s < SVD(y).
+        # Unpadded, x's bound comes first and its SVD s rules y out: the
+        # maximum would read s
         rng = np.random.default_rng(0)
         for _ in range(2000):
-            y = np.outer(rng.standard_normal(40), rng.standard_normal(40))
-            fro, svd = np.linalg.norm(y), np.linalg.norm(y, 2)
-            if svd > np.nextafter(fro, np.inf):
+            y = np.full((40, 40), rng.uniform(0.5, 2.0))
+            root = np.sqrt(y.sum(axis=1).max() * y.sum(axis=0).max())
+            svd = np.linalg.norm(y, 2)
+            if svd > np.nextafter(root, np.inf):
                 break
         else:
-            pytest.fail("no rank-one matrix whose SVD rounds 2 ulp above its norm")
+            pytest.fail("no constant matrix whose SVD rounds 2 ulp above its bound")
         s = np.nextafter(svd, 0.0)
         mats = [np.array([[s]]), y]
 
         def svd_norm(j):
             return float(np.linalg.norm(mats[j], 2))
 
-        assert svd_norm(0) == s and _norm_bound(y) >= svd
+        assert svd_norm(0) == s and dense_bound(y) >= svd
         modes = np.arange(2)
-        assert _pruned_max(np.array([s, fro]), svd_norm, modes) == s
-        bounds = np.array([_norm_bound(mat) for mat in mats])
+        assert _pruned_max(np.array([s, root]), svd_norm, modes) == s
+        bounds = np.array([dense_bound(mat) for mat in mats])
         assert _pruned_max(bounds, svd_norm, modes) == svd
 
     def test_empty_band_reads_zero(self):
@@ -383,6 +398,112 @@ class TestPrunedNorms:
         monkeypatch.setattr(lqbundle.spatial, "_mode_operator_matrix", spoilt)
         with pytest.raises(ContractionFailed, match="operator norm bound"):
             contraction_certificate(sa_standard)
+
+
+def dense_majorants(config, j):
+    """Mode j's dense majorants |b c| D^1/2 M_eta M_v D^-1/2 of T and
+    D^1/2 M_v D^-1/2 of L_A, with M = R |W| for each frame: +-W read off a
+    solve of the identity without recurrence (step 0), and R, the powers of
+    the step factor in the direction of integration, written out."""
+    h, d_sq = contraction_scaling(config)
+    m = d_sq.size
+    lags = np.subtract.outer(np.arange(m), np.arange(m))
+
+    def majorant(frame):
+        step, frame.step = frame.step, 0.0
+        stencil = np.abs(frame.solve(np.eye(m)))
+        ahead = lags >= 0 if frame.forward else lags <= 0
+        return np.where(ahead, step ** np.abs(lags), 0.0) @ stencil
+
+    m_v, m_e = map(majorant, _frames(config, h, m, j))
+    _, _, b_coef, c_coef = config.mode_coefficients
+    m_t = abs(b_coef[j] * c_coef[j]) * m_e @ m_v
+    return tuple((mat * d_sq[:, None]) / d_sq[None, :] for mat in (m_t, m_v))
+
+
+class TestMajorant:
+    """The contraction's O(m) norm bounds: row and column sums of entrywise
+    majorants, computed by recurrences batched over modes."""
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_bound_dominates_every_svd(self, n):
+        cfg = j_squared(n)
+        h, d_sq = contraction_scaling(cfg)
+        rows_t, cols_t, rows_l, cols_l = _majorant_sums(cfg, h, d_sq)
+        bounds = {True: _norm_bound(rows_t, cols_t), False: _norm_bound(rows_l, cols_l)}
+        for coupling in (True, False):
+            mats = library_matrices(cfg, coupling) * d_sq[:, None] / d_sq[None, :]
+            svds = np.array([np.linalg.norm(mat, 2) for mat in mats])
+            assert np.all(bounds[coupling] >= svds)
+
+    def test_sums_match_the_dense_majorant(self):
+        # the batched recurrences against each mode's dense majorant, which
+        # dominates the mode's scaled T and L_A entrywise
+        cfg = j_squared(8)
+        h, d_sq = contraction_scaling(cfg)
+        sums = _majorant_sums(cfg, h, d_sq)
+        mats = [library_matrices(cfg, coupling) * d_sq[:, None] / d_sq[None, :]
+                for coupling in (True, False)]
+        for j in range(cfg.n):
+            major_t, major_l = dense_majorants(cfg, j)
+            assert np.all(np.abs(mats[0][j]) <= major_t)
+            assert np.all(np.abs(mats[1][j]) <= major_l)
+            dense = (major_t.sum(axis=1), major_t.sum(axis=0),
+                     major_l.sum(axis=1), major_l.sum(axis=0))
+            for got, ref in zip(sums, dense, strict=True):
+                assert np.abs(got[:, j] - ref).max() <= 1e-13 * ref.max()
+
+    def test_transposed_solve_is_the_transpose(self, rng):
+        # both directions, batched over the unstable and the stable modes
+        cfg = j_squared(8)
+        h, d_sq = contraction_scaling(cfg)
+        m = d_sq.size
+        for modes in np.flatnonzero(cfg.unstable), np.flatnonzero(~cfg.unstable):
+            for frame, single in zip(_frames(cfg, h, m, modes),
+                                     zip(*(_frames(cfg, h, m, j) for j in modes))):
+                g = rng.standard_normal((m, modes.size))
+                got = frame.solve_transposed(g)
+                for col, one in enumerate(single):
+                    ref = one.solve(np.eye(m)).T @ g[:, col]
+                    assert np.abs(got[:, col] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_dense_builds_only_for_svds_on_sa_standard(self, sa_standard, monkeypatch):
+        # the bound pass builds no matrix; each SVD'd (mode, operator) pair is
+        # built once, and sa-standard takes 6 SVDs
+        real_build, real_norm = lqbundle.spatial._mode_operator_matrix, np.linalg.norm
+        builds, svds = [], []
+
+        def build(frames, b, c, with_coupling):
+            builds.append((frames[0].step, frames[0].forward, b, c, with_coupling))
+            return real_build(frames, b, c, with_coupling)
+
+        def counted(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                svds.append(None)
+            return real_norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(lqbundle.spatial, "_mode_operator_matrix", build)
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        contraction_certificate(sa_standard)
+        assert len(builds) == len(set(builds)) == len(svds) == 6
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_nonfinite_majorant_is_a_contraction_failure(self, monkeypatch, rate):
+        # a non-finite rate makes a mode's majorant non-finite: a typed
+        # ContractionFailed before any matrix is built, not an SVD's
+        # LinAlgError (an infinite rate's phi functions warn on the way)
+        cfg = j_squared(8)
+        a_diag, chi, b_coef, c_coef = cfg.mode_coefficients
+        a_diag = a_diag.copy()
+        a_diag[5] = rate
+        cfg.__dict__["mode_coefficients"] = (a_diag, chi, b_coef, c_coef)
+        builds = []
+        monkeypatch.setattr(lqbundle.spatial, "_mode_operator_matrix",
+                            lambda *args: builds.append(args))
+        with (np.errstate(all="ignore"),
+              pytest.raises(ContractionFailed, match="operator norm bound")):
+            contraction_certificate(cfg)
+        assert builds == []
 
 
 class TestDrivers:
@@ -819,6 +940,29 @@ class TestScalarFrame:
                  - np.exp(r * (times - t0))[:, None] * particular(t0))
         err = np.abs(got - exact).max(axis=0)
         assert np.all(err <= 1e-12 * np.abs(exact).max(axis=0))
+
+
+class TestChunkedSweep:
+    """`_sweep` computes the Magnus coefficients a chunk of steps at a time
+    and equals the step-by-step sweep bit for bit."""
+
+    @pytest.mark.parametrize("case", ["verify", "quasiperiodic", "n64", "remainder"])
+    def test_equals_the_per_step_sweep(self, case, sa_standard, sa_driver):
+        config, columns = {
+            "verify": (sa_standard, verify_columns(sa_driver)),
+            "quasiperiodic": (sa_standard, quasiperiodic_columns(sa_standard)),
+            "n64": (n64_standard(), verify_columns(sa_driver)),
+            "remainder": (sa_standard, verify_columns(sa_driver)),
+        }[case]
+        times = _fiber_grid(config, None)
+        chunk = SWEEP_CHUNK // (config.n * len(columns))
+        if case == "remainder":
+            # three whole chunks and one step
+            times = _fiber_grid(config, 3 * chunk + 1)
+        assert chunk > 1 and (times.size - 1) % chunk
+        for got, ref in zip(_sweep(config, columns, times),
+                            per_step_sweep(config, columns, times), strict=True):
+            assert np.array_equal(got, ref)
 
 
 class TestOracles:
