@@ -485,7 +485,8 @@ def _sweep(config: SAConfig, columns, times: np.ndarray):
     r = h c (1 - sqrt(3)/6 h delta), delta = top_2 - top_1 at the Gauss
     nodes.  The closed form cosh(d) I - sinh(d) / d Omega, d^2 = p^2 + q r,
     is scaled by e^{-|d|}, so it cannot overflow (cos and sin when
-    d^2 < 0), and the line is normalised every step.  The coefficients of a
+    d^2 <= 0, computed only for a chunk that has such a step), and the line
+    is normalised every step.  The coefficients of a
     chunk of steps are computed at once, at most SWEEP_CHUNK (step, mode,
     column) entries per array; only the line's update and normalisation run
     step by step, in a step-by-step sweep's arithmetic and order.
@@ -516,8 +517,11 @@ def _sweep(config: SAConfig, columns, times: np.ndarray):
         d = np.sqrt(np.maximum(np.abs(d_sq), tiny))
         decay = np.expm1(-2.0 * d)
         hyperbolic = d_sq > 0.0
-        cosh = np.where(hyperbolic, 1.0 + 0.5 * decay, np.cos(d))
-        sinc = np.where(hyperbolic, -0.5 * decay, np.sin(d)) / d
+        cosh, sinc = 1.0 + 0.5 * decay, -0.5 * decay
+        if not hyperbolic.all():  # a chunk with an oscillatory step
+            cosh = np.where(hyperbolic, cosh, np.cos(d))
+            sinc = np.where(hyperbolic, sinc, np.sin(d))
+        sinc = sinc / d
         for p1, q1, r1, c1, s1 in zip(p, q, r, cosh, sinc):  # one step each
             x, y = c1 * x - s1 * (p1 * x + q1 * y), c1 * y - s1 * (r1 * x - p1 * y)
             norm = np.hypot(x, y)

@@ -132,9 +132,10 @@ def assemble_hamiltonian(a, b, form: QuadraticFormTriple) -> Hamiltonian:
 class Regulator:
     """The regulator problem v' = A v + B xi with cost form F; it derives the
     Hamiltonian `ham` (spectrum, gap) and the splits `split_a` of A and
-    `split_m` of -A^T once each, and the form caches the F3 factor, but
-    `frequency.TransferEvaluator` still inverts F3 and recomputes A's
-    spectrum, as `l2_controllability` does."""
+    `split_m` of -A^T once each, and the form caches the F3 factor.
+    `frequency.TransferEvaluator` factors A once more, into the complex
+    Schur form its solves need, and reads A's spectrum off its diagonal;
+    `l2_controllability` still recomputes that spectrum."""
 
     a: np.ndarray
     b: np.ndarray
@@ -269,12 +270,18 @@ def _segments(times: np.ndarray) -> list[tuple[int, int]]:
 _Recursion = namedtuple("_Recursion", "off width forward winv forcing e weights")
 
 
+def _propagator(z: np.ndarray, ph) -> np.ndarray:
+    """exp(Z) = I + Z phi_1(Z), from ph = `phi_block` of the step matrix Z
+    (or a stack of them)."""
+    return np.eye(z.shape[-1]) + z @ ph[0]
+
+
 class _StationaryLP:
     """Half-line Lyapunov-Perron collocation of the paired fixed point
     y = G_sharp z^s + L_breve P R y on one piecewise-uniform time grid, for
     the columns z^s of `sharp`'s basis; y(0) spans L+.  The sharp term
     G_sharp(t) z^s = (e^{tA} P_s z^s_v, e^{-tA^T} P_s z^s_eta) solves each
-    forward recursion's homogeneous step exactly (E = expm(h T)), so it
+    forward recursion's homogeneous step exactly (E = e^{hT}, `_propagator`), so it
     enters only as the boundary values u_0 and p_0, the stable coordinates
     of z^s, and the system has no forcing.  R y reaches the system only
     through the control xi = F3^-1 (B^T eta - F2 v), as R (v, eta) =
@@ -320,13 +327,14 @@ class _StationaryLP:
             if k:
                 ph = phi_block(4, h * t_s)
                 self.recursions.append(_Recursion(
-                    off, k, True, split.winv[:k], forcing, sla.expm(h * t_s),
+                    off, k, True, split.winv[:k], forcing, _propagator(h * t_s, ph),
                     [forward_weights(ph, h, p) for p in range(3)]))
             if split.rank_j:
-                jm = backward_moments(phi_block(4, -h * t_u))
+                ph = phi_block(4, -h * t_u)
                 self.recursions.append(_Recursion(
-                    off + k, split.rank_j, False, split.winv[k:], forcing, sla.expm(-h * t_u),
-                    [backward_weights(jm, h, p) for p in range(3)]))
+                    off + k, split.rank_j, False, split.winv[k:], forcing,
+                    _propagator(-h * t_u, ph),
+                    [backward_weights(backward_moments(ph), h, p) for p in range(3)]))
 
     def row_table(self) -> list[tuple[np.ndarray, int, int]]:
         """The collocation system's rows, the same for any boundary data, as
@@ -569,7 +577,7 @@ def integrate_control_trajectory(a, b, controls, v0s) -> list[GridFunction]:
     weights = [forward_weights(ph, h, p) for p in range(3)]
     forcing = np.stack([xi.values @ b.T for xi in controls], axis=2)
     g = local_forcing(weights, forcing)
-    e = sla.expm(h * a)
+    e = _propagator(h * a, ph)
     v = np.empty((times.size, a.shape[0], len(controls)))
     v[0] = np.asarray(v0s, dtype=float).T
     for i, gi in enumerate(g):
@@ -702,16 +710,16 @@ def lyapunov_inequality_check(reg: Regulator, eps: float, controls, v0s) -> bool
 def estimate_eps0(reg: Regulator) -> float:
     """Largest verified eps with both +/- shifted frequency margins positive.
 
-    Bisection on the exact test (no level-0 crossing of either shifted
-    system); the reported value is the midpoint of the final bracket,
-    capped below the dichotomy and Hamiltonian spectral gaps.
+    Bisection on the exact test, no level-0 crossing of the shifted system;
+    the reported value is the midpoint of the final bracket, capped below
+    the dichotomy and Hamiltonian spectral gaps.  One test serves both
+    signs: the shifted Hermitian part is even in the shift (see
+    `level_crossings`), so the crossings at +eps are those at -eps.
     """
     cap = 0.999 * min(reg.split_a.eps_rate, reg.ham.gap)
 
     def passes(eps: float) -> bool:
-        return not any(
-            level_crossings(reg.a, reg.b, reg.form, 0.0, s).size for s in (eps, -eps)
-        )
+        return not level_crossings(reg.a, reg.b, reg.form, 0.0, eps).size
 
     if passes(cap):
         return cap

@@ -6,7 +6,9 @@ stationary rate from the spectrum of H restricted to L+
 the exact growth of each mode line of the fibers
 (`lqbundle.spatial.fiber_growth`).  The routes here integrate a trajectory
 from the subspace and least-squares-fit its norms instead, and serve as
-independent references in the tests.
+independent references in the tests.  `two_sided_eps0` is the eps0
+bisection as the library ran it before one shifted level test served both
+signs: every pass tests the shifts +eps and -eps.
 """
 
 from __future__ import annotations
@@ -15,9 +17,33 @@ import numpy as np
 from spatial_oracles import sa_trajectory
 
 from lqbundle.dichotomy import GridFunction
+from lqbundle.frequency import level_crossings
+from lqbundle.stationary import EPS0_TOL, Regulator
 
 #: relative norm below which trajectory samples are left out of the rate fit
 DECAY_FIT_FLOOR = 1e-13
+
+
+def two_sided_eps0(reg: Regulator) -> float:
+    """`lqbundle.stationary.estimate_eps0` with both shifted systems tested
+    on every pass."""
+    cap = 0.999 * min(reg.split_a.eps_rate, reg.ham.gap)
+
+    def passes(eps: float) -> bool:
+        return not any(
+            level_crossings(reg.a, reg.b, reg.form, 0.0, s).size for s in (eps, -eps)
+        )
+
+    if passes(cap):
+        return cap
+    lo, hi = 0.0, cap
+    while hi - lo > EPS0_TOL:
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def fit_decay_rate(traj: GridFunction) -> tuple[float, float]:

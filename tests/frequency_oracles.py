@@ -7,11 +7,15 @@ grid and bisects, for REFINE_ROUNDS rounds, every interval with an end
 sample at most max(2 min, 0).  It is an upper estimate of delta*, so the
 exact margin never exceeds it by more than LEVEL_RTOL.  `tail_m_bound` is
 the submultiplicative bound on ||M(w)|| that certified the scan's tail.
-`ShiftedTransfer` evaluates M(w) of the shifted system A + shift, as the
-library did before its margin scan became unshifted: the eps0 bisection
-tests the shifted systems by `level_crossings` alone, and this is the
-oracle of those level sets.  `transfer_m` is M(w) at one frequency, the
-per-point reference of `TransferEvaluator.rows`.
+`SolveTransfer` is `TransferEvaluator` with M(w) from two complex LU
+solves per frequency on A itself (`np.linalg.solve`) and the spectrum from
+`np.linalg.eigvals`, as the library computed them before its triangular
+solves on one Schur form of A: the oracle of `_transfer`.  With a shift it
+evaluates M(w) of the shifted system A + shift, as the library did before
+its margin scan became unshifted: the eps0 bisection tests the shifted
+systems by `level_crossings` alone, and this is the oracle of those level
+sets.  `transfer_m` is M(w) at one frequency, the per-point reference of
+`TransferEvaluator.rows`.
 """
 
 import numpy as np
@@ -51,15 +55,17 @@ def tail_m_bound(a, b, form: QuadraticFormTriple, omega: float) -> float:
     return float(f3inv * (f2 * b_norm * r + b_norm * r * (f1 * b_norm * r + f2)))
 
 
-class ShiftedTransfer(TransferEvaluator):
-    """`TransferEvaluator` of the shifted system: M(w) with R = (A + shift -
-    i w)^-1 and (-A^* + shift - i w)^-1 in its second term, guarded against
-    the spectrum of A + shift."""
+class SolveTransfer(TransferEvaluator):
+    """`TransferEvaluator` by dense solves: M(w) with R = (A + shift - i w)^-1
+    and (-A^* + shift - i w)^-1 in its second term, each a batched
+    `np.linalg.solve`, guarded against the spectrum of A + shift from
+    `np.linalg.eigvals`; shift 0 is the library's own system."""
 
-    def __init__(self, a, b, form: QuadraticFormTriple, shift: float):
+    def __init__(self, a, b, form: QuadraticFormTriple, shift: float = 0.0):
         super().__init__(a, b, form)
         self.shift = float(shift)
         self.eigs = np.linalg.eigvals(self.a + self.shift * np.eye(self.a.shape[0]))
+        self.f3_inv = np.linalg.inv(form.f3)
 
     def _transfer(self, omegas: np.ndarray) -> np.ndarray:
         n, m = self.b.shape

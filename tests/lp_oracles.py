@@ -36,7 +36,10 @@ steps v' = A v + B xi one interval at a time, each step's local integral a
 sum of four weight-matrix products, as `integrate_control_trajectory` ran
 before it took all local integrals from one stencil contraction.
 `stencil_layout` gives each interval's cubic stencil (base node and
-pattern) for these per-interval loops.
+pattern) for these per-interval loops.  `augmented_phi_block` takes the
+phi-functions of the quadrature from one augmented (5n x 5n) `expm` per
+matrix, as `lqbundle._phi.phi_block` did before it worked at the matrix's
+own size.
 """
 
 from __future__ import annotations
@@ -56,6 +59,22 @@ from lqbundle.stationary import (
     sharp_basis,
 )
 from lqbundle.symplectic import LagrangeSubspace
+
+
+def augmented_phi_block(kmax: int, m: np.ndarray) -> list[np.ndarray]:
+    """[phi_1(m), ..., phi_kmax(m)] for a square matrix, or a stack of them
+    (..., n, n), from the exponential of the block matrix with m in its
+    corner and identities on its superdiagonal (Sidje 1998)."""
+    m = np.asarray(m, dtype=float)
+    n = m.shape[-1]
+    size = n * (kmax + 1)
+    aug = np.zeros(m.shape[:-2] + (size, size))
+    aug[..., :n, :n] = m
+    for k in range(kmax):
+        r = k * n
+        aug[..., r : r + n, r + n : r + 2 * n] = np.eye(n)
+    big = sla.expm(aug)
+    return [big[..., :n, (k + 1) * n : (k + 2) * n] for k in range(kmax)]
 
 
 def stencil_layout(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

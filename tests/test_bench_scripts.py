@@ -1,14 +1,16 @@
 """The before/after scripts of bench/ against the library they measure.
 
-`bench/lp_assembly.py` and `bench/sa_scale.py` run each measurement in a
-fresh single-threaded child process (`--child`) that reaches into the
-library: `_StationaryLP` (its row table and elimination), `_segments` and
-`run_pipeline`.
+`bench/lp_assembly.py`, `bench/sa_scale.py` and `bench/stationary_stages.py`
+run each measurement in a fresh single-threaded child process (`--child`)
+that reaches into the library: `_StationaryLP` (its row table and
+elimination), `_segments`, `run_pipeline` and the stationary route's
+stages.
 Each test here runs one child as the scripts do and checks that it prints
 one JSON result that agrees with the library, so a library change that
 breaks a script fails here first.
 """
 
+import hashlib
 import importlib
 import json
 import os
@@ -19,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 import lqbundle.stationary as st
+from lqbundle.certify import STAGES, load_scenario, run_pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -70,3 +73,17 @@ def test_sa_scale_child():
     assert result["contraction_s"] > 0.0 and result["fibers_s"] > 0.0
     assert (result["rss_before_mb"] <= result["contraction_rss_after_mb"]
             <= result["fibers_rss_after_mb"] <= result["peak_rss_mb"])
+
+
+def test_stationary_stages_child():
+    result = run_child("stationary_stages.py", "s1")
+    # every stage of the route timed, in route order, in both runs; the
+    # certificate is the one this process computes
+    cert = run_pipeline(load_scenario(str(ROOT / "perfbench" / "scenarios" / "s1.json")))
+    assert result["system"] == "s1" and result["passed"] is cert.passed is True
+    assert result["certificate_sha256"] == hashlib.sha256(cert.to_json().encode()).hexdigest()[:16]
+    assert [r[0] for r in result["records"]] == [r.name for r in cert.records]
+    for run in (result["first"], result["warm"]):
+        assert list(run["stages"]) == list(STAGES["stationary"])
+        assert 0.0 < sum(run["stages"].values()) <= run["pipeline_s"]
+        assert run["rss_after_mb"] > 0.0

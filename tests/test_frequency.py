@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from frequency_oracles import ShiftedTransfer, sampled_margin, tail_m_bound, transfer_m
+from frequency_oracles import SolveTransfer, sampled_margin, tail_m_bound, transfer_m
 from lqbundle import frequency
 from lqbundle.certify import DEFAULT_TOLERANCES, Scenario, run_pipeline
 from lqbundle.errors import (
@@ -15,6 +15,7 @@ from lqbundle.errors import (
     SingularShift,
 )
 from lqbundle.frequency import (
+    AXIS_DIST_TOL,
     LEVEL_RTOL,
     QuadraticFormTriple,
     TransferEvaluator,
@@ -133,6 +134,64 @@ class TestRows:
             ev.rows([0.0, 1.0, 2.0, 3.0])
 
 
+def transfer_gaps(ev, ref, omegas):
+    """Per frequency, ||M - M_ref||_2 / ||M_ref||_2 of the Schur route against
+    the solve oracle."""
+    got, want = ev._transfer(omegas), ref._transfer(omegas)
+    return np.linalg.norm(got - want, 2, axis=(-2, -1)) / np.linalg.norm(want, 2, axis=(-2, -1))
+
+
+class TestSchurTransfer:
+    """`_transfer` by triangular solves on one Schur form of A against the
+    dense solves of `SolveTransfer`."""
+
+    @pytest.mark.parametrize("name", ["s1", "n40_j0", "n40_j1"])
+    def test_grid_matches_the_solve_oracle(self, s1, name):
+        a, b, form = s1 if name == "s1" else scenario_system(name)
+        ev, ref = TransferEvaluator(a, b, form), SolveTransfer(a, b, form)
+        grid = make_frequency_grid(a, b, form)
+        assert transfer_gaps(ev, ref, grid).max() <= 1e-12
+        # the guard's spectrum, T's diagonal, against np.linalg.eigvals: one
+        # ill-conditioned eigenvalue of n40_j0 differs by 3.7e-11
+        dist = np.abs(ev.eigs[:, None] - ref.eigs[None, :]).min(axis=1)
+        assert dist.max() <= 1e-10 * np.linalg.norm(a, 2)
+
+    def test_resonance_just_outside_the_guard(self):
+        # poles 2 AXIS_DIST_TOL from the axis at +-2i: every frequency is
+        # evaluated, the peak too; off the peak the routes agree to 1e-12,
+        # at it to the resolvent's conditioning, u ||A|| / dist = 1.1e-4
+        # (the two routes differ by 1.8e-4 there)
+        dist = 2.0 * AXIS_DIST_TOL
+        a, b, form = resonance(dist, 2.0, 0.01)
+        ev, ref = TransferEvaluator(a, b, form), SolveTransfer(a, b, form)
+        near = 2.0 + np.array([-1e-2, -1e-3, 1e-3, 1e-2])
+        omegas = np.concatenate([make_frequency_grid(a, b, form), near])
+        ev._guard(omegas)
+        assert transfer_gaps(ev, ref, omegas).max() <= 1e-12
+        peak = np.array([2.0])
+        ev._guard(peak)
+        assert np.all(np.isfinite(ev._transfer(peak)))
+        cond = np.finfo(float).eps * np.linalg.norm(a, 2) / dist
+        assert transfer_gaps(ev, ref, peak).max() <= 64.0 * cond
+
+    @pytest.mark.parametrize("block", ["real", "rotation"])
+    def test_defective_a(self, block):
+        # a Jordan block: A has no eigenvector basis, and the triangular
+        # solves do not need one
+        if block == "real":
+            a = -np.eye(3) + np.diag([1.0, 1.0], 1)
+        else:
+            rot = np.array([[-0.5, 1.0], [-1.0, -0.5]])
+            a = np.block([[rot, np.eye(2)], [np.zeros((2, 2)), rot]])
+        n = a.shape[0]
+        assert np.linalg.matrix_rank(np.linalg.eig(a)[1], tol=1e-6) < n
+        b = np.eye(n, 1, -(n - 1))
+        form = QuadraticFormTriple(f1=-0.1 * np.eye(n), f2=0.1 * np.eye(1, n), f3=[[2.0]])
+        ev, ref = TransferEvaluator(a, b, form), SolveTransfer(a, b, form)
+        omegas = np.linspace(0.0, 10.0, 101)
+        assert transfer_gaps(ev, ref, omegas).max() <= 1e-12
+
+
 class TestFrequencyMargin:
     def test_scalar_closed_form(self, s1):
         a, b, form = s1
@@ -211,7 +270,7 @@ class TestFrequencyMargin:
         # `level_crossings`: they appear within LEVEL_RTOL of the minimum of
         # the shifted M(w), and at its minimiser
         a, b, form = random_system(rng)
-        ev = ShiftedTransfer(a, b, form, shift)
+        ev = SolveTransfer(a, b, form, shift)
         omegas = np.linspace(0.0, 20.0, 4001)
         dense = np.array([ev.margin_at(w)[0] for w in omegas])
         w = omegas[np.argmin(dense)]
@@ -224,7 +283,7 @@ class TestFrequencyMargin:
     @pytest.mark.parametrize("shift", [0.0, 0.25])
     def test_crossings_are_level_eigenvalues(self, rng, shift):
         a, b, form = random_system(rng)
-        ev = ShiftedTransfer(a, b, form, shift)
+        ev = SolveTransfer(a, b, form, shift)
         level = ev.rows(np.linspace(0.0, 20.0, 4001))[:, 0].min() + 0.05
         cross = level_crossings(a, b, form, level, shift)
         assert cross.size >= 1

@@ -942,17 +942,29 @@ class TestScalarFrame:
         assert np.all(err <= 1e-12 * np.abs(exact).max(axis=0))
 
 
+def oscillatory_columns(config):
+    """Columns of a driver past a_bound, swinging around the first driven
+    mode's a_diag = -9.5 of sa-standard: that mode's plane turns oscillatory
+    (d^2 < 0) on part of the grid, and is hyperbolic at the grid's end, where
+    the sweep starts from the frozen stable line."""
+    t_end = _fiber_grid(config, None)[-1]
+    drv = Driver(c0=-9.5, amplitudes=np.array([2.0]), omegas=np.array([1.0]))
+    return [(drv, 0.5 * np.pi - t_end), (drv, -0.5 * np.pi - t_end)]
+
+
 class TestChunkedSweep:
     """`_sweep` computes the Magnus coefficients a chunk of steps at a time
     and equals the step-by-step sweep bit for bit."""
 
-    @pytest.mark.parametrize("case", ["verify", "quasiperiodic", "n64", "remainder"])
+    @pytest.mark.parametrize("case", ["verify", "quasiperiodic", "n64", "remainder",
+                                      "oscillatory"])
     def test_equals_the_per_step_sweep(self, case, sa_standard, sa_driver):
         config, columns = {
             "verify": (sa_standard, verify_columns(sa_driver)),
             "quasiperiodic": (sa_standard, quasiperiodic_columns(sa_standard)),
             "n64": (n64_standard(), verify_columns(sa_driver)),
             "remainder": (sa_standard, verify_columns(sa_driver)),
+            "oscillatory": (sa_standard, oscillatory_columns(sa_standard)),
         }[case]
         times = _fiber_grid(config, None)
         chunk = SWEEP_CHUNK // (config.n * len(columns))
@@ -963,6 +975,17 @@ class TestChunkedSweep:
         for got, ref in zip(_sweep(config, columns, times),
                             per_step_sweep(config, columns, times), strict=True):
             assert np.array_equal(got, ref)
+
+    def test_oscillatory_case_reaches_the_trigonometric_branch(self, sa_standard):
+        # top^2 + b c < 0 on hundreds of steps of both columns, and the
+        # lines stay finite
+        times = _fiber_grid(sa_standard, None)
+        a_diag, chi, b_coef, c_coef = sa_standard.mode_coefficients
+        columns = oscillatory_columns(sa_standard)
+        for drv, q in columns:
+            top = a_diag[:, None] - chi[:, None] * drv.values(q, times)[None, :]
+            assert np.count_nonzero(top**2 + (b_coef * c_coef)[:, None] < 0.0) > 100
+        assert all(np.isfinite(v).all() for v in _sweep(sa_standard, columns, times))
 
 
 class TestOracles:

@@ -9,7 +9,7 @@ import pytest
 
 import lqbundle.sampling
 import lqbundle.stationary as st
-from decay_oracles import fit_decay_rate
+from decay_oracles import fit_decay_rate, two_sided_eps0
 from dichotomy_oracles import left_multiply
 from lp_oracles import (
     SingleInputLP,
@@ -22,7 +22,7 @@ from lp_oracles import (
     stencil_layout,
     stepwise_control_trajectory,
 )
-from frequency_oracles import ShiftedTransfer
+from frequency_oracles import SolveTransfer
 from stationary_oracles import NotATrajectory, riccati_integral_check
 from lqbundle.dichotomy import GridFunction
 from lqbundle.cli import main
@@ -835,7 +835,28 @@ class TestLyapunovInequality:
             lyapunov_inequality_check(Regulator(*s1), 0.9, *self._samples(rng, 2))
 
 
+#: random_passing_instance(default_rng(seed), n, j) systems of the eps0
+#: bisection test, each bisected below its cap in 14 or 15 passes, as n40_j0
+#: is (S1 and n40_j1 pass at the cap)
+EPS0_RANDOM = {"n6-j0": (3, 6, 0), "n10-j2": (5, 10, 2), "n20-j0": (6, 20, 0)}
+
+
 class TestEps0:
+    @pytest.mark.parametrize("name", ["s1", "n40_j0", "n40_j1", *EPS0_RANDOM])
+    def test_equals_the_two_sided_bisection(self, s1, name):
+        # one shifted level test per pass: the Hermitian part is even in the
+        # shift, so it reads what testing +eps and -eps read
+        if name == "s1":
+            a, b, form = s1
+        elif name in EPS0_RANDOM:
+            seed, n, j = EPS0_RANDOM[name]
+            a, b, form, _ = random_passing_instance(np.random.default_rng(seed), n, j=j)
+        else:
+            a, b, form = scenario_system(name)
+        reg = Regulator(a, b, form)
+        eps0 = estimate_eps0(reg)
+        assert eps0 > 0.0 and eps0 == two_sided_eps0(reg)
+
     def test_scalar_cap(self, s1):
         eps0 = estimate_eps0(Regulator(*s1))
         # capped below both spectral gaps (2 and sqrt(3))
@@ -852,7 +873,7 @@ class TestEps0:
         lo, hi = eps0 - 0.5 * st.EPS0_TOL, eps0 + 0.5 * st.EPS0_TOL
 
         def sampled(shift):
-            ev = ShiftedTransfer(a, b, form, shift)
+            ev = SolveTransfer(a, b, form, shift)
             return min(ev.margin_at(w)[0] for w in np.linspace(0.0, 1.0, 401))
 
         assert sampled(lo) > 0.0 and sampled(hi) < 0.0
