@@ -168,17 +168,17 @@ def local_forcing(weights, coords: np.ndarray) -> np.ndarray:
     weights[pattern][node] (k, k_in); returns (m - 1, k, batch).
 
     Interior intervals share the centered stencil, so the contraction is
-    four whole-array products accumulated through shifted views; only the
+    four whole-array products, each added through a shifted view as it is
+    formed, so only one (k, m, batch) product is alive at a time; only the
     first and last interval use one-sided stencils.
     """
     m, k_in, batch = coords.shape
     k = weights[0][0].shape[0]
     flat = coords.transpose(1, 0, 2).reshape(k_in, m * batch)
-    z = [(weights[1][ell] @ flat).reshape(k, m, batch) for ell in range(4)]
     out = np.zeros((m - 1, k, batch))
     interior = out[1 : m - 2].transpose(1, 0, 2)
     for ell in range(4):
-        interior += z[ell][:, ell : m - 3 + ell]
+        interior += (weights[1][ell] @ flat).reshape(k, m, batch)[:, ell : m - 3 + ell]
     for ell in range(4):
         out[0] += weights[0][ell] @ coords[ell]
         out[m - 2] += weights[2][ell] @ coords[m - 4 + ell]

@@ -629,6 +629,42 @@ def l2_controllability(a, b) -> bool:
     return True
 
 
+def _simpson(y: np.ndarray, x: np.ndarray):
+    """Composite Simpson's rule for samples y on a strictly increasing 1-D
+    grid x of at least 3 points, by the floating-point operations of
+    `scipy.integrate.simpson(y, x=x)` (scipy 1.17), so the two agree bit for
+    bit: the rule for unequal spacings on each pair of intervals, and for an
+    even point count the last interval by Cartwright's correction (K. V.
+    Cartwright, J. Math. Sci. Math. Educ. 12(2), 2017, eq. 8, recast for the
+    last interval), then the trailing `+= 0.0`.  scipy guards zero
+    spacings, which a strictly increasing grid does not have.
+    """
+    n = y.size
+    even = n % 2 == 0
+    stop = n - 3 if even else n - 2
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (
+        y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+        + y[1 : stop + 1 : 2] * (hsum * (hsum / hprod))
+        + y[2 : stop + 2 : 2] * (2.0 - h0divh1)
+    )
+    result = np.sum(tmp)
+    if even:
+        # 0-d arrays, as scipy's: their `**` runs numpy's power loop, which
+        # can differ from a scalar's by 1 ulp
+        h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
+        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = h1**3 / (6 * h0 * (h0 + h1))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+        result += 0.0
+    return result
+
+
 def coercivity_check(reg: Regulator, controls, margin: float) -> float:
     """Worst ratio of int F against the coercive lower bound on M_0 processes.
 
@@ -642,8 +678,6 @@ def coercivity_check(reg: Regulator, controls, margin: float) -> float:
     overstate the constant (the scalar closed-form instance attains
     delta/(M^2+1) sharply).
     """
-    from scipy.integrate import simpson  # 0.2 s to import, for this stage only
-
     a, b, form = reg.a, reg.b, reg.form
     m_sup = resolvent_sup_norm(a, b, np.eye(a.shape[0]))
     factor = margin / (max(1.0, margin) * m_sup**2 + 1.0)
@@ -654,7 +688,7 @@ def coercivity_check(reg: Regulator, controls, margin: float) -> float:
         if tail > DECAY_TOL * max(np.abs(v.values).max(), 1e-30):
             raise SampleNotInM0(f"state has not decayed by the horizon ({tail:.3e})")
         f_vals = _form_density(form, v.values, xi.values)
-        lhs = simpson(f_vals, x=v.times)
+        lhs = _simpson(f_vals, v.times)
         rhs = factor * (v.l2_norm() ** 2 + xi.l2_norm() ** 2)
         if rhs <= 1e-30:
             continue
@@ -682,8 +716,6 @@ def lyapunov_inequality_check(reg: Regulator, eps: float, controls, v0s) -> bool
     verifies V(v_T) - V(v_0) + int F >= eps int (|v|^2 + |xi|^2) on each
     trajectory.
     """
-    from scipy.integrate import simpson
-
     form_eps = shifted_form(reg.form, eps)
     cross = level_crossings(reg.a, reg.b, form_eps, 0.0, 0.0)
     if cross.size:
@@ -696,9 +728,9 @@ def lyapunov_inequality_check(reg: Regulator, eps: float, controls, v0s) -> bool
     for v, xi in zip(states, controls):
         f_vals = _form_density(reg.form, v.values, xi.values)
         vp = np.einsum("mi,ij,mj->m", v.values, p_eps, v.values)
-        lhs = vp[-1] - vp[0] + simpson(f_vals, x=v.times)
+        lhs = vp[-1] - vp[0] + _simpson(f_vals, v.times)
         rhs = eps * (v.l2_norm() ** 2 + xi.l2_norm() ** 2)
-        scale = abs(vp[-1]) + abs(vp[0]) + simpson(np.abs(f_vals), x=v.times) + rhs
+        scale = abs(vp[-1]) + abs(vp[0]) + _simpson(np.abs(f_vals), v.times) + rhs
         if lhs < rhs - LYAPUNOV_SLACK * max(1.0, scale):
             ok = False
     return ok

@@ -81,7 +81,7 @@ def sampled_margin(a, b, form: QuadraticFormTriple):
     """(omegas, margins) of the refined scan; margins.min() is its estimate."""
     ev = TransferEvaluator(a, b, form)
     omegas = list(make_frequency_grid(a, b, form))
-    margins = [ev.margin_at(w)[0] for w in omegas]
+    margins = list(ev.rows(omegas)[:, 0])
     for _ in range(REFINE_ROUNDS):
         glob = min(margins)
         order = np.argsort(omegas)
@@ -95,6 +95,6 @@ def sampled_margin(a, b, form: QuadraticFormTriple):
         if not new:
             break
         omegas += new
-        margins += [ev.margin_at(w)[0] for w in new]
+        margins += list(ev.rows(new)[:, 0])
     order = np.argsort(omegas)
     return np.asarray(omegas)[order], np.asarray(margins)[order]

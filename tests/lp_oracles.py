@@ -36,7 +36,10 @@ steps v' = A v + B xi one interval at a time, each step's local integral a
 sum of four weight-matrix products, as `integrate_control_trajectory` ran
 before it took all local integrals from one stencil contraction.
 `stencil_layout` gives each interval's cubic stencil (base node and
-pattern) for these per-interval loops.  `augmented_phi_block` takes the
+pattern) for these per-interval loops.  `four_product_local_forcing` is
+the stencil contraction as `lqbundle._phi.local_forcing` ran before it
+streamed its products: all four interior products formed first, then
+summed.  `augmented_phi_block` takes the
 phi-functions of the quadrature from one augmented (5n x 5n) `expm` per
 matrix, as `lqbundle._phi.phi_block` did before it worked at the matrix's
 own size.
@@ -406,3 +409,20 @@ def stepwise_control_trajectory(a, b, xi, v0):
         local = sum(weights[p][ell] @ bx[base[i] + ell] for ell in range(4))
         v[i + 1] = e @ v[i] + local
     return GridFunction(times=xi.times, values=v)
+
+
+def four_product_local_forcing(weights, coords: np.ndarray) -> np.ndarray:
+    """`lqbundle._phi.local_forcing` with its four interior products
+    (k, m, batch) alive at once, summed in the same order."""
+    m, k_in, batch = coords.shape
+    k = weights[0][0].shape[0]
+    flat = coords.transpose(1, 0, 2).reshape(k_in, m * batch)
+    z = [(weights[1][ell] @ flat).reshape(k, m, batch) for ell in range(4)]
+    out = np.zeros((m - 1, k, batch))
+    interior = out[1 : m - 2].transpose(1, 0, 2)
+    for ell in range(4):
+        interior += z[ell][:, ell : m - 3 + ell]
+    for ell in range(4):
+        out[0] += weights[0][ell] @ coords[ell]
+        out[m - 2] += weights[2][ell] @ coords[m - 4 + ell]
+    return out

@@ -494,12 +494,23 @@ def test_option_count_within_ceiling():
 
 
 def test_import_leaves_out_scipy_integrate():
-    # scipy.integrate (via scipy.optimize) took 0.2 s of a 0.65 s import;
-    # only the coercivity and Lyapunov stages need `simpson`
-    code = ("import sys, lqbundle, lqbundle.cli; "
+    # scipy.integrate (via scipy.optimize) took 0.2 s of a 0.65 s import and
+    # 22 MB of a verify process's peak.  Neither the import nor a whole
+    # `verify` of S1 and of n40_j0, whose coercivity and Lyapunov stages
+    # integrate by Simpson's rule, loads it
+    scenarios = SRC.parents[1] / "perfbench" / "scenarios"
+    code = ("import sys, lqbundle, lqbundle.cli\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            "for name in ('s1', 'n40_j0'):\n"
+            f"    path = {str(scenarios)!r} + '/' + name + '.json'\n"
+            "    assert lqbundle.cli.main(['verify', '--scenario', path]) == 0\n"
             "sys.exit('scipy.integrate' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    for record in ("coercivity-ratio", "lyapunov-inequality"):
+        assert done.stdout.count(f"[PASS] {record}:") == 2
 
 
 def test_import_leaves_out_scipy_sparse():

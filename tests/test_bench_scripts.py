@@ -4,10 +4,11 @@
 run each measurement in a fresh single-threaded child process (`--child`)
 that reaches into the library: `_StationaryLP` (its row table and
 elimination), `_segments`, `run_pipeline` and the stationary route's
-stages.
-Each test here runs one child as the scripts do and checks that it prints
-one JSON result that agrees with the library, so a library change that
-breaks a script fails here first.
+stages.  `bench/process_footprint.py` measures a fresh `verify` process
+from the command line.
+Each test here runs one child as the scripts do and checks that its result
+agrees with the library, so a library change that breaks a script fails
+here first.
 """
 
 import hashlib
@@ -87,3 +88,16 @@ def test_stationary_stages_child():
         assert list(run["stages"]) == list(STAGES["stationary"])
         assert 0.0 < sum(run["stages"].values()) <= run["pipeline_s"]
         assert run["rss_after_mb"] > 0.0
+
+
+def test_process_footprint_child(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    footprint = importlib.import_module("process_footprint")
+    result = footprint.measure("s1", ROOT / "src")
+    # the child wrote the certificate this process computes, and passed
+    cert = run_pipeline(load_scenario(str(ROOT / "perfbench" / "scenarios" / "s1.json")))
+    text = (cert.to_json() + "\n").encode()
+    assert result["system"] == "s1" and result["exit_code"] == 0
+    assert result["certificate_sha256"] == hashlib.sha256(text).hexdigest()[:16]
+    assert result["wall_s"] > 0.0 and result["peak_rss_mb"] > 0.0

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from lp_oracles import augmented_phi_block, stencil_layout
+from lp_oracles import augmented_phi_block, four_product_local_forcing, stencil_layout
 from scipy.integrate import quad
 
 from lqbundle._phi import (
@@ -112,6 +112,20 @@ def test_local_forcing_equals_a_per_interval_loop():
     got = local_forcing(weights, coords)
     assert got.shape == (m - 1, k, batch)
     np.testing.assert_allclose(got, loop, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["s1", "n40_j0"])
+@pytest.mark.parametrize("batch", [4, 3])
+def test_streamed_local_forcing_equals_the_four_product_one(name, batch):
+    # the forcings of the coercivity (4 controls) and Lyapunov (3) checks on
+    # their 1,500-node grid, with the system's forward weights: adding each
+    # interior product as it is formed keeps every sum bit for bit
+    reg = lp_system(name)
+    h = 18.0 / reg.split_a.eps_rate / 1499
+    weights = [forward_weights(phi_block(4, h * reg.a), h, p) for p in range(3)]
+    coords = np.random.default_rng(5).standard_normal((1500, reg.a.shape[0], batch))
+    got = local_forcing(weights, coords)
+    assert np.array_equal(got, four_product_local_forcing(weights, coords))
 
 
 def phi_scalar_reference(kmax, z):

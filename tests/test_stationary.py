@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 import lqbundle.sampling
 import lqbundle.stationary as st
@@ -813,6 +814,25 @@ class TestCoercivity:
             coercivity_check(reg, [m0_control(rng, times, 1)], margin)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 1500, 1501])
+@pytest.mark.parametrize("grid", ["uniform", "geometric", "random"])
+def test_simpson_equals_scipy_bit_for_bit(n, grid):
+    # the coercivity and Lyapunov checks integrate by `_simpson`, which
+    # repeats scipy's operations: the odd and the even point count (with
+    # Cartwright's last interval), on equal and unequal spacings.  On the
+    # uniform 4-point grid of [0, 65] a scalar's cube of the last step is
+    # 1 ulp off numpy's array cube, which scipy takes, and some draws show it
+    rng = np.random.default_rng(n)
+    x = {"uniform": np.linspace(0.0, 65.0, n),
+         "geometric": np.geomspace(1e-3, 18.0, n),
+         "random": np.cumsum(rng.uniform(0.01, 1.0, n))}[grid]
+    for _ in range(50):
+        y = 10.0 ** rng.integers(-6, 7) * rng.standard_normal(n)
+        for sample in (y, np.abs(y), -np.abs(y)):
+            got, ref = st._simpson(sample, x), simpson(sample, x=x)
+            assert got == ref and np.signbit(got) == np.signbit(ref)
+
+
 class TestLyapunovInequality:
     @staticmethod
     def _samples(rng, count):
@@ -874,7 +894,7 @@ class TestEps0:
 
         def sampled(shift):
             ev = SolveTransfer(a, b, form, shift)
-            return min(ev.margin_at(w)[0] for w in np.linspace(0.0, 1.0, 401))
+            return ev.rows(np.linspace(0.0, 1.0, 401))[:, 0].min()
 
         assert sampled(lo) > 0.0 and sampled(hi) < 0.0
         # both shifted margins are positive at lo: no level-0 crossing
