@@ -3,18 +3,20 @@
 Runs `run_pipeline` (every stage of `verify`) on the benchmark's sa-standard
 scenario with `eigenvalues.n` set to each of N_VALUES, one fresh
 single-threaded process per run.  Per run it records the wall time of the
-pipeline and of its two spatial stages, `contraction_certificate` and
-`build_fibers` (the pipeline runs them in that order), the process's
-`ru_maxrss` before the pipeline and after each stage, the SVDs the
-contraction takes (numpy spectral norms), and the sha256 of the
+pipeline and of the route's stages TIMED_STAGES (the pipeline runs them in
+that order), the process's `ru_maxrss` before the pipeline and after each
+of them, the SVDs each takes (numpy spectral norms), and the sha256 of the
 certificate's JSON, which two trees that agree byte for byte share.
 
     python bench/sa_scale.py --before OLD/src --out sa_scale.json
 
 runs every n on the `src/` of an older checkout (say, one made by
 `git clone`) and on this one, REPEATS times, alternating the trees; the
-summary holds the medians.  Without `--before` only this tree runs.  About
-three and a half minutes on a 2-core host; no run peaks above 130 MB.
+summary holds the medians.  Without `--before` only this tree runs.
+About two minutes on a 2-core host against an older tree whose frozen-oracle
+stage takes a dense Schur form (20 s per run at n = 1,024), under one minute
+for this tree alone.  No run of this tree peaks above 140 MB (135 MB at
+n = 1,024); the dense route peaks at 266 MB there.
 """
 
 from __future__ import annotations
@@ -40,10 +42,13 @@ THREAD_ENV = {
     "OMP_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
 }
-N_VALUES = (8, 16, 32, 64, 128, 256)
+N_VALUES = (8, 16, 32, 64, 128, 256, 512, 1024)
 REPEATS = 3
-METRICS = ("pipeline_s", "peak_rss_mb", "contraction_s", "contraction_svds",
-           "contraction_rss_after_mb", "fibers_s", "fibers_rss_after_mb")
+#: the stages of the spatial-averaging route that a run times, in route order
+TIMED_STAGES = ("gap", "contraction", "fibers", "frozen-oracle")
+METRICS = ("pipeline_s", "peak_rss_mb", "gap_s", "contraction_s", "contraction_svds",
+           "contraction_rss_after_mb", "fibers_s", "fibers_rss_after_mb",
+           "frozen_oracle_s", "frozen_oracle_rss_after_mb")
 
 
 def _peak_mb() -> float:
@@ -54,7 +59,7 @@ def measure(n: int) -> dict:
     """One pipeline run of sa-standard at truncation n in this process."""
     import numpy as np
 
-    import lqbundle.spatial as sa
+    from lqbundle import certify
     from lqbundle.certify import load_scenario, run_pipeline
 
     doc = json.loads(SCENARIO.read_text())
@@ -85,8 +90,9 @@ def measure(n: int) -> dict:
                 stages[f"{name}_rss_after_mb"] = round(_peak_mb(), 1)
         return run
 
-    sa.contraction_certificate = staged("contraction", sa.contraction_certificate)
-    sa.build_fibers = staged("fibers", sa.build_fibers)
+    route = certify._ROUTES["spatial-averaging"][1]
+    for name in TIMED_STAGES:
+        route[name] = staged(name.replace("-", "_"), route[name])
     rss0 = _peak_mb()
     start = time.perf_counter()
     cert = run_pipeline(scenario)
@@ -152,7 +158,7 @@ def main(argv=None) -> int:
 
     doc = {
         "what": "run_pipeline on sa-standard at truncation n: wall time of the "
-                "pipeline, of contraction_certificate and of build_fibers, the "
+                f"pipeline and of the stages {', '.join(TIMED_STAGES)}, the "
                 "contraction's SVD count and ru_maxrss after each stage, on an "
                 "older tree (before) and this one (after)",
         "command": shlex.join(["python", "bench/sa_scale.py",

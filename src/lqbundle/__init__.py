@@ -20,7 +20,6 @@ from .spatial import (
     Driver,
     FiberResult,
     SAConfig,
-    assemble_nonaut_hamiltonian,
     build_fibers,
     condition_margins,
     constant_driver,

@@ -12,7 +12,7 @@ import numpy as np
 from .dichotomy import GridFunction
 from .errors import ConditionFailed, LqBundleError
 from .frequency import QuadraticFormTriple, frequency_condition_margin
-from .stationary import assemble_hamiltonian, l2_controllability
+from .stationary import Regulator, l2_controllability
 
 #: real-part bands of the placed stable and unstable eigenvalues
 STABLE_BAND = (-2.2, -0.5)
@@ -102,7 +102,8 @@ def random_passing_instance(
         b = rng.standard_normal((n, m))
         b /= max(1.0, np.linalg.norm(b, 2))
         form = random_form(rng, n, m)
-        if require_controllable and not l2_controllability(a, b):
+        reg = Regulator(a, b, form)
+        if require_controllable and not l2_controllability(reg):
             continue
         try:
             margin = frequency_condition_margin(a, b, form)
@@ -110,9 +111,8 @@ def random_passing_instance(
             continue
         if margin < min_margin:
             continue
-        ham = assemble_hamiltonian(a, b, form)
-        eps_h = ham.gap
-        rho_h = np.max(np.abs(ham.eigenvalues))
+        eps_h = reg.ham.gap
+        rho_h = np.max(np.abs(reg.ham.eigenvalues))
         # keep the stiffness bounded so the default time grids stay sharp
         if eps_h < 0.35 or rho_h > 6.0 or rho_h / eps_h > 5.0:
             continue

@@ -1,10 +1,11 @@
-"""Spatial-averaging pipeline: gap search, nonautonomous Hamiltonians over a
-driving flow, contraction-certified fiber construction, uniform
-nonoscillation and the singular quadratic-form certificate.
+"""Spatial-averaging pipeline: gap search, driving flows, contraction-certified
+fiber construction, the frozen-driver oracle, uniform nonoscillation and the
+singular quadratic-form certificate.
 
-Every block of the assembled Hamiltonian is a function of the diagonal
-reference operator, so the doubled system splits into independent
-(v_j, eta_j) mode pairs, and each fiber L+(q) is the graph of a diagonal
+Every block of the doubled system's Hamiltonian is a function of the
+diagonal reference operator, so the system splits into independent
+(v_j, eta_j) mode pairs, and every stage works plane by plane: no 2n x 2n
+matrix is built.  Each fiber L+(q) is the graph of a diagonal
 M+(q) = diag(m_j) over the sharp pairing subspace.  Mode j's line is the
 stable line of its 2 x 2 flow along the driver's orbit, which
 `build_fibers` reads off one backward sweep (`_sweep`), vectorised over
@@ -14,25 +15,28 @@ and checks by the same sweep on twice the step.  It solves every
 frozen-driver oracle and continuity table read columns of its fibers stage
 and solve nothing.  Each `FiberResult` keeps the n entries m_j and reads
 P(q), the vertical intersection and projector gaps off its n mode lines in
-closed form.  The contraction certificate measures the fiber contraction's
-discretized operator norms mode by mode under the constant driver
-a = a_b: the coefficients of `SAConfig.mode_coefficients` on the one band
-mask a run reads (`SAConfig.mid_mask`, the intermediate band), and the
-(v, eta) frames of a mode (`_frames`), each a scalar equation at one
-constant rate with the quadrature weights of `_phi`, integrated only in
-the direction of its square-integrable Green branch.  Its band maxima
-take an SVD only of the modes whose O(m) majorant bound, batched over
-modes, can still beat them.  The decay records read the
-exact growth rate of each mode line of the built fibers (`fiber_growth`);
-no trajectory is integrated in a run.
+closed form; `frozen_oracle_gap` compares them with the stable eigenvectors
+of one `eig` of the stacked frozen 2 x 2 blocks.  The contraction
+certificate measures the fiber contraction's discretized operator norms
+mode by mode under the constant driver a = a_b: the coefficients of
+`SAConfig.mode_coefficients` on the one band mask a run reads
+(`SAConfig.mid_mask`, the intermediate band), and the (v, eta) frames of a
+mode (`_frames`), each a scalar equation at one constant rate with the
+quadrature weights of `_phi`, integrated only in the direction of its
+square-integrable Green branch.  Its band maxima take an SVD only of the
+modes whose O(m) majorant bound, batched over modes, can still beat them.
+The decay records read the exact growth rate of each mode line of the
+built fibers (`fiber_growth`); no trajectory is integrated in a run.
 tests/spatial_oracles.py keeps the two-direction, two-channel frame solve
-of driven columns and the fibers' Picard loop on it as references, and the
-routes that only tests take: the low and high band projectors, the
-generic quadratic forms and frozen (A(q), B) of the spatial-averaging
-condition, the inequality-implication sweep, and the driven trajectories
-with their symplectic pairing; tests/decay_oracles.py keeps the trajectory
-fits of the decay rate.  `SAConfig.check_driver` is the one check of a
-driver's sup |a| against the amplitude bound a_b = Lambda + delta.
+of driven columns and the fibers' Picard loop on it as references, the
+dense frozen Hamiltonian and fiber basis, the gap search's loop over
+(N, k), and the routes that only tests take: the low and high band
+projectors, the generic quadratic forms and frozen (A(q), B) of the
+spatial-averaging condition, the inequality-implication sweep, and the
+driven trajectories with their symplectic pairing; tests/decay_oracles.py
+keeps the trajectory fits of the decay rate.  `SAConfig.check_driver` is
+the one check of a driver's sup |a| against the amplitude bound
+a_b = Lambda + delta.
 """
 
 from __future__ import annotations
@@ -56,10 +60,10 @@ from .errors import (
     NotAContraction,
     NotPositive,
     Oscillating,
+    SpectrumOnAxis,
 )
 from .spectral import SpectralModel
-from .stationary import Hamiltonian
-from .symplectic import RANK_RTOL, LagrangeSubspace
+from .symplectic import RANK_RTOL
 
 #: largest step-doubling estimate of a fiber line's sine error: the
 #: accuracy that the frozen-oracle record asks of a fiber
@@ -189,14 +193,19 @@ def condition_margins(
     raise NoCandidate(f"unknown condition set {condition_set!r}")
 
 
+def _satisfied(condition_set: str, m1, m2):
+    """Whether the margins of `condition_margins` satisfy their set,
+    elementwise; the first inequality is strict for the nonoscillation-type
+    sets."""
+    first = m1 >= 0.0 if condition_set == "bundle" else m1 > 0.0
+    return first & (m2 >= 0.0)
+
+
 def condition_holds(
     condition_set: str, lam: float, delta: float, mu_bar: float, k
 ) -> bool:
-    m1, m2 = condition_margins(condition_set, lam, delta, mu_bar, k)
-    if condition_set == "bundle":
-        return bool(m1 >= 0.0 and m2 >= 0.0)
-    # first inequality strict for the nonoscillation-type sets
-    return bool(m1 > 0.0 and m2 >= 0.0)
+    return bool(_satisfied(condition_set,
+                           *condition_margins(condition_set, lam, delta, mu_bar, k)))
 
 
 def gap_search(
@@ -205,23 +214,19 @@ def gap_search(
     delta: float,
     condition_set: str,
 ) -> list[dict]:
-    """Enumerate (k, N) pairs satisfying the selected inequality set."""
-    found = []
-    for n_idx in range(1, model.n):
-        mu_bar = 0.5 * (model.eigenvalues[n_idx] - model.eigenvalues[n_idx - 1])
-        if mu_bar <= 0.0:
-            continue
-        for k in range(1, GAP_K_MAX + 1):
-            if condition_holds(condition_set, lam, delta, mu_bar, k):
-                m1, m2 = condition_margins(condition_set, lam, delta, mu_bar, k)
-                found.append(
-                    {
-                        "k": k,
-                        "N": n_idx,
-                        "mu_bar": float(mu_bar),
-                        "margins": (float(m1), float(m2)),
-                    }
-                )
+    """Enumerate (k, N) pairs satisfying the selected inequality set, by N and
+    then k: the margins of every gap mu_bar > 0 and k = 1..GAP_K_MAX in one
+    array computation."""
+    mu_bar = 0.5 * np.diff(model.eigenvalues)
+    gaps = np.flatnonzero(mu_bar > 0.0)
+    ks = np.arange(1, GAP_K_MAX + 1)
+    m1, m2 = np.broadcast_arrays(
+        *condition_margins(condition_set, lam, delta, mu_bar[gaps, None], ks))
+    found = [
+        {"k": int(ks[col]), "N": int(gaps[row]) + 1, "mu_bar": float(mu_bar[gaps[row]]),
+         "margins": (float(m1[row, col]), float(m2[row, col]))}
+        for row, col in zip(*np.nonzero(_satisfied(condition_set, m1, m2)))
+    ]
     if not found:
         raise NoCandidate(
             f"no (k, N) satisfies the {condition_set!r} inequalities up to k = {GAP_K_MAX}"
@@ -278,25 +283,6 @@ class Driver:
 
 def constant_driver(value: float) -> Driver:
     return Driver(c0=float(value), amplitudes=np.zeros(1), omegas=np.ones(1))
-
-
-# -- Hamiltonians -------------------------------------------------------------
-
-
-def assemble_nonaut_hamiltonian(config: SAConfig, a_value: float) -> Hamiltonian:
-    """The frozen-coefficient Hamiltonian at a(q) = a_value, from the explicitly
-    reduced mode-wise system; it equals `assemble_hamiltonian` on
-    (A(q), B, F(q))."""
-    config.check_driver(constant_driver(a_value))
-    a_diag, chi, b_coef, c_coef = config.mode_coefficients
-    n = config.n
-    mat = np.zeros((2 * n, 2 * n))
-    top = a_diag - a_value * chi
-    mat[:n, :n] = np.diag(top)
-    mat[:n, n:] = np.diag(b_coef)
-    mat[n:, :n] = np.diag(c_coef)
-    mat[n:, n:] = -np.diag(top)
-    return Hamiltonian(mat)
 
 
 # -- mode-wise Lyapunov-Perron machinery -------------------------------------
@@ -432,16 +418,36 @@ class FiberResult:
         return -y / x
 
     def gap(self, other: FiberResult) -> float:
-        """||Pi_1 - Pi_2||_2 of the two fibers' orthogonal projectors: the
-        largest sine of the angle between their lines in one mode plane."""
-        x, y = self._lines()
-        x2, y2 = other._lines()
-        return float(np.abs(x * y2 - y * x2).max())
+        """||Pi_1 - Pi_2||_2 of the two fibers' orthogonal projectors."""
+        return _line_gap(self._lines(), other._lines())
 
-    def subspace(self) -> LagrangeSubspace:
-        """The dense 2n x n basis of the unit lines, for a dense oracle."""
-        x, y = self._lines()
-        return LagrangeSubspace(np.vstack([np.diag(x), np.diag(y)]))
+
+def _line_gap(lines, other) -> float:
+    """The largest sine of the angle between two unit lines (x_j, y_j) and
+    (x'_j, y'_j) of one mode plane, max_j |x_j y'_j - y_j x'_j|: the
+    projector gap of two sets of mode lines."""
+    (x, y), (x2, y2) = lines, other
+    return float(np.abs(x * y2 - y * x2).max())
+
+
+def frozen_oracle_gap(config: SAConfig, a_value: float, fiber: FiberResult) -> float:
+    """Projector gap of `fiber` to the stable subspace of the Hamiltonian
+    frozen at a = a_value, mode by mode: the stable subspace is the stable
+    eigenvector of each plane's block [[top_j, b_j], [c_j, -top_j]],
+    top_j = a_diag_j - chi_j a_value, normalised.  SpectrumOnAxis unless
+    every block has one negative and one positive real eigenvalue."""
+    a_diag, chi, b_coef, c_coef = config.mode_coefficients
+    top = a_diag - chi * a_value
+    blocks = np.stack([top, b_coef, c_coef, -top], axis=-1).reshape(-1, 2, 2)
+    vals, vecs = np.linalg.eig(blocks)
+    if np.iscomplexobj(vals) or not np.all((vals.min(axis=1) < 0.0)
+                                           & (vals.max(axis=1) > 0.0)):
+        raise SpectrumOnAxis(f"a frozen mode block at a = {a_value:.6g} has no "
+                             "negative and positive real eigenvalue pair")
+    stable = np.take_along_axis(vecs, vals.argmin(axis=1)[:, None, None], axis=2)
+    x, y = stable[:, 0, 0], stable[:, 1, 0]
+    norm = np.hypot(x, y)
+    return _line_gap(fiber._lines(), (x / norm, y / norm))
 
 
 def slowest_fiber_rate(config: SAConfig) -> float:
@@ -546,7 +552,7 @@ def build_fibers(config: SAConfig, columns) -> list[FiberResult]:
     times = _fiber_grid(config, None)
     x, y = _sweep(config, columns, times)
     x2, y2 = _sweep(config, columns, _fiber_grid(config, (times.size - 1) // 2))
-    estimate = float(np.abs(x * y2 - y * x2).max())
+    estimate = _line_gap((x, y), (x2, y2))
     if not estimate <= FIBER_TOL:
         raise ContractionFailed(
             f"step-doubling estimate {estimate:.3e} of the fiber sweep exceeds "
@@ -754,21 +760,22 @@ def v_form_brackets(config: SAConfig) -> tuple[float, float]:
     return float(b_mid), float(b_pq)
 
 
-def _mode_quadratic_blocks(config: SAConfig, a_value: float) -> np.ndarray:
+def _mode_quadratic_blocks(config: SAConfig, a_values) -> np.ndarray:
     """Per-mode 3x3 matrices of the infinitesimal certificate form in
-    (v_j, xiI_j, xiC_j)."""
+    (v_j, xiI_j, xiC_j), (..., n, 3, 3) over the shape of `a_values`."""
     t1, t2, t3 = config.taus
     lam2 = config.lam**2
     a_diag, chi, _, _ = config.mode_coefficients
     chi_i = 1.0 - chi
     d = config.mu_bar * np.where(config.unstable, 1.0, -1.0)
-    f1 = (t1 * a_value**2 - t1 * config.delta**2 - t2 * lam2) * chi_i - t3 * lam2 * chi
-    s = np.zeros((config.n, 3, 3))
-    s[:, 0, 0] = d * (a_diag - a_value) + f1
-    s[:, 0, 1] = s[:, 1, 0] = 0.5 * d - t1 * a_value * chi_i
-    s[:, 0, 2] = s[:, 2, 0] = 0.5 * d
-    s[:, 1, 1] = t1 * chi_i + t2 * chi
-    s[:, 2, 2] = t3
+    a = np.asarray(a_values, dtype=float)[..., None]
+    f1 = (t1 * a**2 - t1 * config.delta**2 - t2 * lam2) * chi_i - t3 * lam2 * chi
+    s = np.zeros(a.shape[:-1] + (config.n, 3, 3))
+    s[..., 0, 0] = d * (a_diag - a) + f1
+    s[..., 0, 1] = s[..., 1, 0] = 0.5 * d - t1 * a * chi_i
+    s[..., 0, 2] = s[..., 2, 0] = 0.5 * d
+    s[..., 1, 1] = t1 * chi_i + t2 * chi
+    s[..., 2, 2] = t3
     return s
 
 
@@ -778,9 +785,10 @@ def v_form_certificate(config: SAConfig) -> dict:
     For each a of a 64-point grid on [-a_bound, a_bound] the per-mode 3x3
     infinitesimal form is assembled; blocks - delta I is psd exactly for
     delta up to the least eigenvalue of the blocks, and the certificate is
-    the minimum of that eigenvalue over the grid.  An affine minorant route (the a-quadratic term is psd and may
-    be dropped) cross-checks the grid route from below at the interval
-    endpoints.
+    the minimum of that eigenvalue over the grid, from one `eigvalsh` of the
+    stack of every a's blocks.  An affine minorant route (the a-quadratic
+    term is psd and may be dropped) cross-checks the grid route from below
+    at the interval endpoints.
     """
     if not condition_holds(
         "nonosc", config.lam, config.delta, config.mu_bar, config.k
@@ -794,21 +802,12 @@ def v_form_certificate(config: SAConfig) -> dict:
         )
     ab = config.a_bound
     a_grid = np.unique(np.concatenate([np.linspace(-ab, ab, 64), [-ab, ab]]))
-    vals = []
-    for a in a_grid:
-        blocks = _mode_quadratic_blocks(config, a)
-        vals.append(float(np.linalg.eigvalsh(blocks).min()))
-    delta_v = float(np.min(vals))
+    delta_v = float(np.linalg.eigvalsh(_mode_quadratic_blocks(config, a_grid)).min())
     # affine minorant: drop the psd a^2 term, check the segment endpoints
-    affine = []
-    for a in (-ab, ab):
-        blocks = _mode_quadratic_blocks(config, a)
-        t1 = config.taus[0]
-        chi_i = config.mid_mask.astype(float)
-        blocks = blocks.copy()
-        blocks[:, 0, 0] -= t1 * a**2 * chi_i
-        affine.append(float(np.linalg.eigvalsh(blocks).min()))
-    affine_floor = float(min(affine))
+    ends = np.array([-ab, ab])
+    blocks = _mode_quadratic_blocks(config, ends)
+    blocks[..., 0, 0] -= config.taus[0] * ends[:, None] ** 2 * config.mid_mask
+    affine_floor = float(np.linalg.eigvalsh(blocks).min())
     out = {
         "delta_v": delta_v,
         "affine_floor": affine_floor,

@@ -134,8 +134,7 @@ class Regulator:
     Hamiltonian `ham` (spectrum, gap) and the splits `split_a` of A and
     `split_m` of -A^T once each, and the form caches the F3 factor.
     `frequency.TransferEvaluator` factors A once more, into the complex
-    Schur form its solves need, and reads A's spectrum off its diagonal;
-    `l2_controllability` still recomputes that spectrum."""
+    Schur form its solves need, and reads A's spectrum off its diagonal."""
 
     a: np.ndarray
     b: np.ndarray
@@ -614,15 +613,14 @@ def _form_density(form: QuadraticFormTriple, vv, xx) -> np.ndarray:
     )
 
 
-def l2_controllability(a, b) -> bool:
-    """Hautus test on the nonstable modes: rank [A - lam I, B] = n."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    n = a.shape[0]
-    for lam in np.linalg.eigvals(a):
+def l2_controllability(reg: Regulator) -> bool:
+    """Hautus test on the nonstable modes: rank [A - lam I, B] = n, over the
+    spectrum of A's split."""
+    n = reg.a.shape[0]
+    for lam in reg.split_a.eigenvalues:
         if lam.real < -1e-9:
             continue
-        pencil = np.hstack([a - lam * np.eye(n), b.astype(complex)])
+        pencil = np.hstack([reg.a - lam * np.eye(n), reg.b.astype(complex)])
         sv = np.linalg.svd(pencil, compute_uv=False)
         if np.sum(sv > RANK_RTOL * sv[0]) < n:
             return False

@@ -14,7 +14,7 @@ signs: every pass tests the shifts +eps and -eps.
 from __future__ import annotations
 
 import numpy as np
-from spatial_oracles import sa_trajectory
+from spatial_oracles import fiber_subspace, sa_trajectory
 
 from lqbundle.dichotomy import GridFunction
 from lqbundle.frequency import level_crossings
@@ -82,7 +82,7 @@ def exp_decay_fit(config, driver, q, z0, fiber=None) -> tuple[float, float]:
     if np.linalg.norm(z0) == 0.0:
         return float("inf"), 0.0
     if fiber is not None:
-        proj = fiber.subspace().projector()
+        proj = fiber_subspace(fiber).projector()
         off = np.linalg.norm(z0 - proj @ z0) / np.linalg.norm(z0)
         if off > 1e-6:
             raise ValueError(f"initial state off the fiber by {off:.3e}")

@@ -26,10 +26,15 @@ serve as references in the tests:
   coefficients computed step by step, which the chunked sweep equals bit
   for bit.
 
-A run reads the frozen Hamiltonian of the mode-wise reduced system
-(`assemble_nonaut_hamiltonian`) and integrates no driven trajectory.  The
-second routes of the tests live here:
+A run reads the frozen-driver oracle off the 2 x 2 block of each mode
+plane (`spatial.frozen_oracle_gap`) and integrates no driven trajectory.
+The second routes of the tests live here:
 
+- `assemble_nonaut_hamiltonian` and `fiber_subspace`: the dense 2n x 2n
+  frozen Hamiltonian of the mode-wise reduced system and the dense 2n x n
+  basis of a fiber's unit lines, for the dense routines of `stationary`
+  and `symplectic` (the ordered Schur form, the projector gap);
+- `gap_search_loop`: the gap search as a loop over (N, k);
 - `assemble_forms`, `a_matrix` and `b_matrix`: the generic
   (A(q), B, F(q)) of the paper's formulation, on the dense band projectors;
 - `spatial_avg_condition`: the spatial-averaging condition on an operator;
@@ -52,9 +57,19 @@ from lqbundle._phi import (
     phi_scalar,
 )
 from lqbundle.dichotomy import GridFunction
-from lqbundle.errors import AValueOutOfRange
+from lqbundle.errors import AValueOutOfRange, NoCandidate
 from lqbundle.frequency import QuadraticFormTriple
-from lqbundle.spatial import GAUSS_OFFSET, FiberResult, _fiber_grid, condition_holds
+from lqbundle.spatial import (
+    GAP_K_MAX,
+    GAUSS_OFFSET,
+    FiberResult,
+    _fiber_grid,
+    condition_holds,
+    condition_margins,
+    constant_driver,
+)
+from lqbundle.stationary import Hamiltonian
+from lqbundle.symplectic import LagrangeSubspace
 
 #: sweep cap of the reference Picard loop
 PICARD_MAX_ITER = 200
@@ -295,6 +310,52 @@ def two_channel_operator_matrices(config, frames, with_coupling):
             resp = frame_v.solve(f)
         out[:, :, lo:hi] = np.transpose(resp[:, :, 0] + resp[:, :, 1], (1, 0, 2))
     return out
+
+
+# -- the dense frozen Hamiltonian and the gap search loop ------------------------
+
+
+def assemble_nonaut_hamiltonian(config, a_value: float) -> Hamiltonian:
+    """The frozen-coefficient Hamiltonian at a(q) = a_value, from the explicitly
+    reduced mode-wise system; it equals `assemble_hamiltonian` on
+    (A(q), B, F(q))."""
+    config.check_driver(constant_driver(a_value))
+    a_diag, chi, b_coef, c_coef = config.mode_coefficients
+    n = config.n
+    mat = np.zeros((2 * n, 2 * n))
+    top = a_diag - a_value * chi
+    mat[:n, :n] = np.diag(top)
+    mat[:n, n:] = np.diag(b_coef)
+    mat[n:, :n] = np.diag(c_coef)
+    mat[n:, n:] = -np.diag(top)
+    return Hamiltonian(mat)
+
+
+def fiber_subspace(fiber) -> LagrangeSubspace:
+    """The dense 2n x n basis of a fiber's unit lines."""
+    x, y = fiber._lines()
+    return LagrangeSubspace(np.vstack([np.diag(x), np.diag(y)]))
+
+
+def gap_search_loop(model, lam, delta, condition_set) -> list[dict]:
+    """`spatial.gap_search` one (N, k) pair at a time, with the first
+    inequality strict for the nonoscillation-type sets."""
+    found = []
+    for n_idx in range(1, model.n):
+        mu_bar = 0.5 * (model.eigenvalues[n_idx] - model.eigenvalues[n_idx - 1])
+        if mu_bar <= 0.0:
+            continue
+        for k in range(1, GAP_K_MAX + 1):
+            m1, m2 = condition_margins(condition_set, lam, delta, mu_bar, k)
+            first = m1 >= 0.0 if condition_set == "bundle" else m1 > 0.0
+            if first and m2 >= 0.0:
+                found.append({"k": k, "N": n_idx, "mu_bar": float(mu_bar),
+                              "margins": (float(m1), float(m2))})
+    if not found:
+        raise NoCandidate(
+            f"no (k, N) satisfies the {condition_set!r} inequalities up to k = {GAP_K_MAX}"
+        )
+    return found
 
 
 # -- the generic formulation --------------------------------------------------

@@ -15,7 +15,12 @@ from dichotomy_oracles import (
     lyapunov_perron_apply,
     stable_projector,
 )
-from spatial_oracles import implication_sweep, sa_pairing_drift
+from spatial_oracles import (
+    assemble_nonaut_hamiltonian,
+    fiber_subspace,
+    implication_sweep,
+    sa_pairing_drift,
+)
 from stationary_oracles import riccati_integral_check
 
 from lqbundle.dichotomy import GridFunction, dichotomy_split
@@ -28,7 +33,6 @@ from lqbundle.frequency import (
 from lqbundle.sampling import random_dichotomy_generator, random_passing_instance
 from lqbundle.spatial import (
     FIBER_TOL,
-    assemble_nonaut_hamiltonian,
     build_fibers,
     constant_driver,
     contraction_certificate,
@@ -144,7 +148,7 @@ def test_criterion_03_isotropy_suite(instance_pool, sa_results, sa_standard, sa_
         worst_stat = max(worst_stat, defect)
         ok = l_plus.dim == l_plus.ambient // 2 and defect <= ISOTROPY_TOL
         all_lagrange = all_lagrange and ok
-    worst_sa = max(isotropy_defect(f.subspace()) for f in sa_results["fibers"])
+    worst_sa = max(isotropy_defect(fiber_subspace(f)) for f in sa_results["fibers"])
     # symplectic pairing along integrated trajectories
     drift_stat = 0.0
     for item in instance_pool[:5]:
@@ -154,7 +158,7 @@ def test_criterion_03_isotropy_suite(instance_pool, sa_results, sa_standard, sa_
                               np.linspace(0.0, 5.0, 200))
         drift_stat = max(drift_stat, d, abs(p0))
     fib = sa_results["fibers"][0]
-    basis_sa = fib.subspace().basis
+    basis_sa = fiber_subspace(fib).basis
     drift_sa, pair0_sa = sa_pairing_drift(
         sa_standard, sa_driver, fib.q, basis_sa[:, 0], basis_sa[:, 5], 3.0,
     )
@@ -223,7 +227,7 @@ def test_criterion_05_fredholm_bounds(instance_pool, sa_results, sa_standard):
     sub = stable_lagrange_schur(assemble_hamiltonian(a, b, form))
     dim_forced = intersection_dimension(sub, vertical_subspace(2))
     sa_dim = max(
-        intersection_dimension(f.subspace(), vertical_subspace(sa_standard.n))
+        intersection_dimension(fiber_subspace(f), vertical_subspace(sa_standard.n))
         for f in sa_results["fibers"]
     )
     ok = ok_stat and dim_forced == 1 and sa_dim <= sa_standard.N
@@ -238,7 +242,7 @@ def test_criterion_06_controllability_nonoscillation(instance_pool):
     rng = np.random.default_rng(99)
     checked = 0
     for item in instance_pool:
-        if not l2_controllability(item["reg"].a, item["reg"].b):
+        if not l2_controllability(item["reg"]):
             continue
         extract_nonoscillation(item["schur"])  # must not raise
         checked += 1
@@ -254,7 +258,7 @@ def test_criterion_06_controllability_nonoscillation(instance_pool):
     a = np.diag([1.0, -1.0])
     b = np.array([[0.0], [1.0]])
     form = QuadraticFormTriple(f1=-0.15 * np.eye(2), f2=np.zeros((1, 2)), f3=[[1.0]])
-    assert not l2_controllability(a, b)
+    assert not l2_controllability(Regulator(a, b, form))
     sub = stable_lagrange_schur(assemble_hamiltonian(a, b, form))
     flagged = False
     try:
@@ -284,14 +288,14 @@ def test_criterion_07_sa_standard_instance(sa_standard, sa_results):
     picard_ok = all(f.n_iterations == 1 and f.residual <= FIBER_TOL for f in fibers)
     (frozen,) = build_fibers(sa_standard, [(constant_driver(1.5), 0.0)])
     oracle = stable_lagrange_schur(assemble_nonaut_hamiltonian(sa_standard, 1.5))
-    frozen_dist = grassmann_distance(frozen.subspace(), oracle)
+    frozen_dist = grassmann_distance(fiber_subspace(frozen), oracle)
     brackets_ok = (
         abs(vform["brackets"][0] - 0.5625) <= 1e-12
         and abs(vform["brackets"][1] - 2.1875) <= 1e-12
         and min(vform["brackets"]) > 0.0
         and vform["delta_v"] > 0.0
     )
-    p_max = max(np.linalg.norm(extract_nonoscillation(f.subspace()).p, 2) for f in fibers)
+    p_max = max(np.linalg.norm(extract_nonoscillation(fiber_subspace(f)).p, 2) for f in fibers)
     ok = (
         plugin_ok
         and picard_ok
@@ -367,7 +371,7 @@ def test_criterion_10_decay_fits(instance_pool, sa_standard, sa_driver, sa_resul
     eps0_sa = sa_eps0_estimate(sa_standard)
     rates, prefs = [], []
     for fib in sa_results["fibers"]:
-        z0 = fib.subspace().basis @ np.ones(sa_standard.n)
+        z0 = fiber_subspace(fib).basis @ np.ones(sa_standard.n)
         rate, pref = exp_decay_fit(sa_standard, sa_driver, fib.q, z0, fiber=fib)
         rates.append(rate)
         prefs.append(pref)

@@ -68,12 +68,14 @@ def test_lp_assembly_child(monkeypatch):
 
 def test_sa_scale_child():
     result = run_child("sa_scale.py", "8")
-    # sa-standard at its own truncation passes every record; the contraction
-    # and the fibers were both timed, in that order
+    # sa-standard at its own truncation passes every record; the gap,
+    # contraction, fibers and frozen-oracle stages were all timed, in that order
     assert result["n"] == 8 and result["passed"] is True
     assert result["contraction_s"] > 0.0 and result["fibers_s"] > 0.0
-    assert (result["rss_before_mb"] <= result["contraction_rss_after_mb"]
-            <= result["fibers_rss_after_mb"] <= result["peak_rss_mb"])
+    assert result["gap_s"] >= 0.0 and result["frozen_oracle_s"] >= 0.0
+    assert (result["rss_before_mb"] <= result["gap_rss_after_mb"]
+            <= result["contraction_rss_after_mb"] <= result["fibers_rss_after_mb"]
+            <= result["frozen_oracle_rss_after_mb"] <= result["peak_rss_mb"])
 
 
 def test_stationary_stages_child():

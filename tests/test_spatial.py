@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import re
+import warnings
 from functools import partial
 from types import SimpleNamespace
 
@@ -9,10 +12,13 @@ from spatial_oracles import (
     TRAJECTORY_CHUNK,
     a_matrix,
     assemble_forms,
+    assemble_nonaut_hamiltonian,
     b_matrix,
     band_projectors,
     driver_integral,
+    fiber_subspace,
     fibers_from,
+    gap_search_loop,
     implication_sweep,
     oracle_frames,
     per_step_sweep,
@@ -35,8 +41,10 @@ from lqbundle.errors import (
     NoCandidate,
     NotPositive,
     Oscillating,
+    SpectrumOnAxis,
 )
 from lqbundle.spatial import (
+    CONDITION_SETS,
     CONTRACTION_STEPS,
     FIBER_TOL,
     SWEEP_CHUNK,
@@ -50,7 +58,6 @@ from lqbundle.spatial import (
     _norm_bound,
     _pruned_max,
     _sweep,
-    assemble_nonaut_hamiltonian,
     build_fibers,
     condition_holds,
     condition_margins,
@@ -58,12 +65,13 @@ from lqbundle.spatial import (
     contraction_bounds,
     contraction_certificate,
     fiber_continuity,
+    frozen_oracle_gap,
     gap_search,
     sa_eps0_estimate,
     v_form_brackets,
     v_form_certificate,
 )
-from lqbundle.spectral import make_spectral_model
+from lqbundle.spectral import eigenvalue_generator, make_spectral_model
 from lqbundle.stationary import (
     assemble_hamiltonian,
     extract_nonoscillation,
@@ -76,6 +84,20 @@ from lqbundle.symplectic import (
     isotropy_defect,
     vertical_subspace,
 )
+
+
+#: name: (generator, parameters) of the spectra, at n = 32, of the gap search
+GAP_SPECTRA = {
+    "power-1.5": ("power", {"p": 1.5}),
+    "power-2": ("power", {"p": 2.0}),
+    "power-3": ("power", {"p": 3.0}),
+    "sum-of-squares-2d": ("sum-of-squares-2d", {}),
+}
+
+
+def gap_model(spectrum):
+    kind, params = GAP_SPECTRA[spectrum]
+    return make_spectral_model(eigenvalue_generator(kind, 32, **params))
 
 
 class TestGapSearch:
@@ -99,6 +121,37 @@ class TestGapSearch:
         with pytest.raises(NoCandidate):
             gap_search(model, 1.0, 10.0, "bundle")
 
+    @pytest.mark.parametrize("spectrum", GAP_SPECTRA)
+    @pytest.mark.parametrize("condition_set", CONDITION_SETS)
+    def test_equals_the_loop(self, spectrum, condition_set):
+        # the same rows in the same order with the same floats, or the same
+        # NoCandidate
+        model = gap_model(spectrum)
+        for lam, delta in ((1.0, 1.0), (0.5, 0.25)):
+            try:
+                ref = gap_search_loop(model, lam, delta, condition_set)
+            except NoCandidate as exc:
+                with pytest.raises(NoCandidate, match=re.escape(str(exc))):
+                    gap_search(model, lam, delta, condition_set)
+            else:
+                assert gap_search(model, lam, delta, condition_set) == ref
+
+    def test_zelik_on_sum_of_squares_is_no_candidate(self):
+        with pytest.raises(NoCandidate, match="'zelik'"):
+            gap_search(gap_model("sum-of-squares-2d"), 1.0, 1.0, "zelik")
+
+    def test_zero_gaps_emit_no_warning(self):
+        # sum-of-squares-2d repeats eigenvalues: margins over its zero gaps
+        # divide by zero, and the search evaluates none of them
+        model = gap_model("sum-of-squares-2d")
+        mu_bar = 0.5 * np.diff(model.eigenvalues)
+        assert np.count_nonzero(mu_bar == 0.0) > 0
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            condition_margins("bundle", 1.0, 1.0, mu_bar[:, None], np.arange(1, 51))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for condition_set in ("bundle", "nonosc"):
+                assert gap_search(model, 1.0, 1.0, condition_set)
 
     def test_zero_gap_config_is_no_candidate(self):
         # lambda_1 = lambda_2: no gap at N = 1, where mu_bar = 0
@@ -232,6 +285,61 @@ class TestNonautHamiltonian:
         for a_val in (0.7, -1.1):
             ham = assemble_nonaut_hamiltonian(sa_standard, a_val)
             assert ham.symplectic_defect() <= 1e-12 * np.linalg.norm(ham.matrix, 2)
+
+
+def sum_of_squares_32():
+    """sum-of-squares-2d at n = 32 with (k, N) = (3, 21), whose P band (the
+    modes below lambda_N - k) holds 16 modes; sa-standard's is empty."""
+    model = make_spectral_model(eigenvalue_generator("sum-of-squares-2d", 32))
+    return SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=21)
+
+
+class TestFrozenOracle:
+    """`frozen_oracle_gap`, read mode by mode, against the ordered Schur form
+    of the dense frozen Hamiltonian."""
+
+    @pytest.mark.parametrize("case", ["n8-periodic", "n8-quasiperiodic", "n64-periodic",
+                                      "n64-quasiperiodic", "sum-of-squares-2d"])
+    def test_matches_the_dense_schur_route(self, case, sa_standard, sa_driver):
+        config = {"n8": sa_standard, "n64": n64_standard(),
+                  "sum": sum_of_squares_32()}[case.split("-")[0]]
+        if case.endswith("quasiperiodic"):
+            a_val = QUASIPERIODIC.value(np.array([0.4, 1.1]))
+        else:
+            a_val = sa_driver.value(0.7)
+        if case.startswith("sum"):
+            assert np.count_nonzero(config.mode_coefficients[1] * config.unstable) > 0
+        (fib,) = build_fibers(config, [(constant_driver(a_val), 0.0)])
+        schur = stable_lagrange_schur(assemble_nonaut_hamiltonian(config, a_val))
+        m = fib.m.copy()
+        m[config.N] += 1e-3
+        for fiber in (fib, dataclasses.replace(fib, m=m)):
+            dense = grassmann_distance(fiber_subspace(fiber), schur)
+            assert abs(frozen_oracle_gap(config, a_val, fiber) - dense) <= 1e-14
+
+    def test_reads_the_fiber_it_is_given(self, sa_standard):
+        # one entry m_j off by 1e-3 turns its line by
+        # 1e-3 / sqrt((1 + m_j^2) (1 + (m_j + 1e-3)^2)), about 1e-3
+        (fib,) = build_fibers(sa_standard, [(constant_driver(1.5), 0.0)])
+        assert frozen_oracle_gap(sa_standard, 1.5, fib) <= 1e-15
+        j = sa_standard.N
+        m = fib.m.copy()
+        m[j] += 1e-3
+        got = frozen_oracle_gap(sa_standard, 1.5, dataclasses.replace(fib, m=m))
+        turn = 1e-3 / np.sqrt((1.0 + fib.m[j] ** 2) * (1.0 + m[j] ** 2))
+        assert got == pytest.approx(turn, rel=1e-9)
+        assert 5e-4 < got <= 1e-3
+
+    def test_oscillatory_blocks_are_a_typed_failure(self, sa_standard):
+        # delta > mu_bar / 2 gives the mid modes next to the gap
+        # top^2 + b c = mu^2 / 2 - 2 delta^2 < 0: no stable line
+        config = dataclasses.replace(sa_standard, delta=1.3)
+        assert config.delta > config.mu_bar / 2.0
+        (fib,) = build_fibers(sa_standard, [(constant_driver(0.0), 0.0)])
+        with pytest.raises(SpectrumOnAxis):
+            frozen_oracle_gap(config, 0.0, fib)
+        with pytest.raises(SpectrumOnAxis):
+            stable_lagrange_schur(assemble_nonaut_hamiltonian(config, 0.0))
 
 
 class TestContraction:
@@ -564,7 +672,7 @@ class TestFibers:
                 assemble_nonaut_hamiltonian(sa_standard, a_val)
             )
             # the sweep starts on the frozen stable line, which every step keeps
-            assert grassmann_distance(fib.subspace(), oracle) <= 1e-14
+            assert grassmann_distance(fiber_subspace(fib), oracle) <= 1e-14
 
     def test_mixed_columns_match_single_columns(self, sa_standard, sa_driver):
         # every column of one mixed call is the fiber of its own call
@@ -573,7 +681,7 @@ class TestFibers:
         for column, fib in zip(columns, mixed):
             (alone,) = build_fibers(sa_standard, [column])
             assert fib.q == alone.q
-            assert grassmann_distance(fib.subspace(), alone.subspace()) <= 1e-9
+            assert grassmann_distance(fiber_subspace(fib), fiber_subspace(alone)) <= 1e-9
             # one sweep per solve, however many columns it holds
             assert fib.n_iterations == alone.n_iterations == 1
 
@@ -588,7 +696,7 @@ class TestFibers:
             [(sa_driver, q) for q in np.linspace(0, 2 * np.pi, 16, endpoint=False)],
         )
         assert all(f.n_iterations == 1 and f.residual <= FIBER_TOL for f in fibers)
-        subspaces = [f.subspace() for f in fibers]
+        subspaces = [fiber_subspace(f) for f in fibers]
         assert max(isotropy_defect(sub) for sub in subspaces) <= 1e-8
         for sub in subspaces:
             extract_nonoscillation(sub)  # must not raise Oscillating
@@ -657,9 +765,9 @@ class TestFibers:
         phases = [1.0] + [1.0 + 2.0**-m for m in range(1, 7)]
         fibers = build_fibers(sa_standard, [(sa_driver, q) for q in phases])
         rows = fiber_continuity(sa_driver, fibers[0], fibers[1:])
-        ref = fibers[0].subspace()
+        ref = fiber_subspace(fibers[0])
         for row, fib in zip(rows, fibers[1:], strict=True):
-            dense = grassmann_distance(fib.subspace(), ref)
+            dense = grassmann_distance(fiber_subspace(fib), ref)
             assert row["grassmann"] == pytest.approx(dense, rel=1e-12, abs=1e-15)
         gr = [r["grassmann"] for r in rows]
         mn = [r["m_norm"] for r in rows]
@@ -725,9 +833,9 @@ class TestFiberClosedForms:
         columns.append((constant_driver(1.5), 0.0))
         fibers = build_fibers(config, columns)
         vertical = vertical_subspace(config.n)
-        ref = fibers[0].subspace()
+        ref = fiber_subspace(fibers[0])
         for fib in fibers:
-            sub = fib.subspace()
+            sub = fiber_subspace(fib)
             assert grassmann_distance(sub, graph_basis(config, fib.m)) <= 1e-14
             assert isotropy_defect(sub) <= 1e-15
             assert fib.vertical_dimension() == intersection_dimension(sub, vertical) == 0
@@ -750,7 +858,7 @@ class TestFiberClosedForms:
                 m[mode] = to_m(t)
                 fib = fiber_with(sa_standard, m)
                 dim = fib.vertical_dimension()
-                assert dim == intersection_dimension(fib.subspace(), vertical), (mode, t)
+                assert dim == intersection_dimension(fiber_subspace(fib), vertical), (mode, t)
                 counts.append(dim)
         assert 0 < sum(counts) < len(counts)
 
@@ -763,7 +871,7 @@ class TestFiberClosedForms:
         m = np.full(sa_standard.n, 0.1)
         m[sa_standard.N] = m_far
         fib = fiber_with(sa_standard, m)
-        dense = intersection_dimension(fib.subspace(), vertical_subspace(sa_standard.n))
+        dense = intersection_dimension(fiber_subspace(fib), vertical_subspace(sa_standard.n))
         assert fib.vertical_dimension() == dense == vertical
         run = SimpleNamespace(fibers=[fib], vres={"delta_v": 1.0})
         cert = Certificate("synthetic", "spatial-averaging", 0)
@@ -802,7 +910,7 @@ class TestVForm:
             [(sa_driver, q) for q in np.linspace(0, 2 * np.pi, 8, endpoint=False)],
         )
         n_low = sa_standard.N
-        p_dense = [extract_nonoscillation(f.subspace()).p for f in fibers]
+        p_dense = [extract_nonoscillation(fiber_subspace(f)).p for f in fibers]
         assert max(np.linalg.norm(p, 2) for p in p_dense) <= 1.0 / out["delta_v"] + 1e-6
         for p in p_dense:
             # min eig of P on modes 1..N, max eig on modes N+1..n
@@ -820,7 +928,7 @@ class TestDecay:
         (fib,) = build_fibers(sa_standard, [(drv, 0.0)])
         ham = assemble_nonaut_hamiltonian(sa_standard, 0.0)
         gap = np.min(np.abs(np.linalg.eigvals(ham.matrix).real))
-        z0 = fib.subspace().basis @ np.ones(sa_standard.n)
+        z0 = fiber_subspace(fib).basis @ np.ones(sa_standard.n)
         rate, _ = exp_decay_fit(sa_standard, drv, 0.0, z0, fiber=fib)
         assert rate >= gap - 1e-3
 
@@ -836,7 +944,7 @@ class TestDecay:
         eps0 = sa_eps0_estimate(sa_standard)
         rates, prefs = [], []
         for f in fibers:
-            z0 = f.subspace().basis @ np.ones(sa_standard.n)
+            z0 = fiber_subspace(f).basis @ np.ones(sa_standard.n)
             r, p = exp_decay_fit(sa_standard, sa_driver, f.q, z0, fiber=f)
             rates.append(r)
             prefs.append(p)
@@ -845,7 +953,7 @@ class TestDecay:
 
     def test_pairing_preserved(self, sa_standard, sa_driver):
         (fib,) = build_fibers(sa_standard, [(sa_driver, 0.4)])
-        basis = fib.subspace().basis
+        basis = fiber_subspace(fib).basis
         drift, pair0 = sa_pairing_drift(
             sa_standard, sa_driver, 0.4, basis[:, 0], basis[:, 5], 3.0,
         )
@@ -873,7 +981,7 @@ class TestNonfiniteTrajectory:
         cfg = SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=2)
         drv = Driver(c0=1.5, amplitudes=np.array([0.5]), omegas=np.array([1.0]))
         (fib,) = build_fibers(cfg, [(drv, 0.0)])
-        z0 = fib.subspace().basis @ np.ones(cfg.n)
+        z0 = fiber_subspace(fib).basis @ np.ones(cfg.n)
         with np.errstate(over="ignore", invalid="ignore"):
             traj = sa_trajectory(cfg, drv, 0.0, z0, 8.0 / cfg.mu_bar)
         assert not np.all(np.isfinite(traj.values))

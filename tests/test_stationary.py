@@ -775,16 +775,33 @@ class TestControlTrajectory:
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def single_input_regulator(a, b):
+    """The regulator of (A, b) with the form F1 = -I, F2 = 0, F3 = 1."""
+    form = QuadraticFormTriple(f1=-np.eye(a.shape[0]), f2=np.zeros((1, a.shape[0])),
+                               f3=[[1.0]])
+    return Regulator(a, b, form)
+
+
 class TestControllability:
     def test_stable_always(self, rng):
-        a = np.diag([-1.0, -2.0])
-        assert l2_controllability(a, np.zeros((2, 1)))
+        reg = single_input_regulator(np.diag([-1.0, -2.0]), np.zeros((2, 1)))
+        assert l2_controllability(reg)
 
     def test_reachable_unstable(self):
-        assert l2_controllability(np.diag([1.0, -1.0]), np.array([[1.0], [0.0]]))
+        reg = single_input_regulator(np.diag([1.0, -1.0]), np.array([[1.0], [0.0]]))
+        assert l2_controllability(reg)
 
     def test_unreachable_unstable(self):
-        assert not l2_controllability(np.diag([1.0, -1.0]), np.array([[0.0], [1.0]]))
+        reg = single_input_regulator(np.diag([1.0, -1.0]), np.array([[0.0], [1.0]]))
+        assert not l2_controllability(reg)
+
+    def test_reads_the_spectrum_of_the_split(self, monkeypatch):
+        # A's eigenvalues come from its dichotomy split, not from a second
+        # eigvals call
+        reg = single_input_regulator(np.diag([1.0, -1.0]), np.array([[0.0], [1.0]]))
+        reg.split_a  # derive it first
+        monkeypatch.setattr(np.linalg, "eigvals", None)
+        assert not l2_controllability(reg)
 
 
 class TestCoercivity:
