@@ -5,7 +5,11 @@ n40_j1) twice in one fresh single-threaded process per system: a first run,
 which pays the process's first-call costs, and a warm one.  Per run it
 records the wall time of every stage of the route (`dichotomy`,
 `frequency`, `lagrange`, `oracle`, `riccati`, `decay`, `coercivity`) and
-the process's `ru_maxrss` after the run; per system, the sha256 of the
+the process's `ru_maxrss` after the run, the eigensolves of the eps0
+bisection (`eps0_eigensolves`: its calls of the shifted level test, by
+whichever name `lqbundle.stationary` binds it, `level_set` or the older
+`level_crossings`) and the LP elimination's wall time per grid node
+(`lp_us_per_node`, over both grids); per system, the sha256 of the
 certificate's JSON, which two trees that agree byte for byte share, and its
 records' values and bounds.
 
@@ -49,13 +53,39 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _count_hot_loops(stationary, tally: dict) -> None:
+    """Count the eps0 bisection's shifted level tests and time the LP
+    elimination per node into `tally`, by wrapping what `stationary` binds."""
+    level_test = "level_set" if hasattr(stationary, "level_set") else "level_crossings"
+    test = getattr(stationary, level_test)
+
+    def counted(*args):
+        tally["eps0_eigensolves"] += args[-1] != 0.0  # the Lyapunov check's test is unshifted
+        return test(*args)
+
+    eliminate = stationary._StationaryLP.eliminate
+
+    def timed(lp, table):
+        start = time.perf_counter()
+        try:
+            return eliminate(lp, table)
+        finally:
+            tally["lp_s"] += time.perf_counter() - start
+            tally["lp_nodes"] += lp.times.size
+
+    setattr(stationary, level_test, counted)
+    stationary._StationaryLP.eliminate = timed
+
+
 def measure(name: str) -> dict:
     """A first and a warm pipeline run of one scenario in this process."""
-    from lqbundle import certify
+    from lqbundle import certify, stationary
 
     scenario = certify.load_scenario(str(SCENARIOS / f"{name}.json"))
     route = certify._ROUTES[scenario.mode][1]
     stages = {}
+    tally = {}
+    _count_hot_loops(stationary, tally)
 
     def timed(stage_name, stage):
         def run(*args):
@@ -71,10 +101,13 @@ def measure(name: str) -> dict:
     runs = []
     for _ in range(2):
         stages = {}
+        tally.update(eps0_eigensolves=0, lp_s=0.0, lp_nodes=0)
         start = time.perf_counter()
         cert = certify.run_pipeline(scenario)
         runs.append({"pipeline_s": round(time.perf_counter() - start, 6),
-                     "stages": stages, "rss_after_mb": round(_peak_mb(), 1)})
+                     "stages": stages, "rss_after_mb": round(_peak_mb(), 1),
+                     "eps0_eigensolves": tally["eps0_eigensolves"],
+                     "lp_us_per_node": round(1e6 * tally["lp_s"] / tally["lp_nodes"], 1)})
     text = cert.to_json()
     return {
         "system": name,
@@ -138,6 +171,9 @@ def _summary(runs, trees):
                 "first_pipeline_s": median(tree, name, lambda r: r["first"]["pipeline_s"]),
                 "warm_pipeline_s": median(tree, name, lambda r: r["warm"]["pipeline_s"]),
                 "peak_rss_mb": median(tree, name, lambda r: r["warm"]["rss_after_mb"]),
+                "eps0_eigensolves": median(tree, name, lambda r: r["warm"]["eps0_eigensolves"]),
+                "warm_lp_us_per_node": median(tree, name,
+                                              lambda r: r["warm"]["lp_us_per_node"]),
                 "warm_stages_s": {s: median(tree, name, lambda r, s=s: r["warm"]["stages"][s])
                                   for s in stage_names},
                 "first_stages_s": {s: median(tree, name, lambda r, s=s: r["first"]["stages"][s])
@@ -187,9 +223,10 @@ def main(argv=None) -> int:
     doc = {
         "what": "run_pipeline on the stationary scenarios, a first and a warm run "
                 "per process: wall time of the pipeline and of each stage, "
-                "ru_maxrss after it, the certificate's sha256 and each record's "
-                "largest relative move, on an older tree (before) and this one "
-                "(after)",
+                "ru_maxrss after it, the eps0 bisection's eigensolves, the LP "
+                "elimination's microseconds per grid node, the certificate's "
+                "sha256 and each record's largest relative move, on an older "
+                "tree (before) and this one (after)",
         "command": shlex.join(["python", "bench/stationary_stages.py",
                                *(["--before", args.before] if args.before else []),
                                "--out", args.out]),

@@ -11,7 +11,7 @@ from .dichotomy import DichotomySplit, GridFunction, dichotomy_split
 from .frequency import (
     QuadraticFormTriple,
     frequency_condition_margin,
-    level_crossings,
+    level_set,
     make_frequency_grid,
     resolvent_sup_norm,
     smith_form_triple,

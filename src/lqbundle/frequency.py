@@ -6,8 +6,8 @@ gamma < delta* holds exactly when the level Hamiltonian of
 to F3 > 0 (Willems 1971), and the level-set iteration of Boyd, Balakrishnan
 & Kabamba (1989) and Bruinsma & Steinbuch (1990) finds the infimum in a few
 eigenvalue solves.  The margin scan is unshifted; the eps0 bisection tests
-shifted systems by `level_crossings` alone, on the 4n-state realisation of
-the Hermitian part.  Transfer-norm sups follow from the Smith form.  The
+shifted systems by `level_set` alone, on the 4n-state realisation of the
+Hermitian part.  Transfer-norm sups follow from the Smith form.  The
 plot table (grid rows plus the minimiser) is sampled, and so is the
 Lax-Milgram inverse bound ||(I-M)^-1|| <= ||F3|| / delta* checked on it, with
 delta* replaced by the certified lower end of the margin.  The fixed grid is
@@ -215,10 +215,12 @@ def _substitute(tri: np.ndarray, upper: bool, z: np.ndarray, rhs: np.ndarray) ->
     return x
 
 
-def level_crossings(a, b, form: QuadraticFormTriple, level: float, shift: float):
-    """The w >= 0 at which `level` is an eigenvalue of the Hermitian part of
-    F3 (I - M(w)) for the shifted system A + shift: the imaginary eigenvalues
-    of the level Hamiltonian.
+def level_set(a, b, form: QuadraticFormTriple, level: float,
+              shift: float) -> tuple[np.ndarray, float]:
+    """(crossings, distance) of the level Hamiltonian of the shifted system
+    A + shift: the w >= 0 of its imaginary eigenvalues, at which `level` is
+    an eigenvalue of the Hermitian part of F3 (I - M(w)), and min |Re lambda|
+    over its whole spectrum, both from one eigenvalue solve.
 
     The transfer function F3 (I - M) is F3 + C0 (s - A0)^-1 B0 with
     A0 = [[A + shift, 0], [F1, shift - A^T]], B0 = [B; F2^T], C0 = [F2, -B^T],
@@ -243,8 +245,9 @@ def level_crossings(a, b, form: QuadraticFormTriple, level: float, shift: float)
         b0, c0 = np.vstack([b0, -c0.T]), 0.5 * np.hstack([c0, b0.T])
     ham = a0 - b0 @ np.linalg.solve(form.f3 - level * np.eye(form.control_dim), c0)
     eigs = np.linalg.eigvals(ham)
+    distance = np.abs(eigs.real)
     tol = CROSSING_RTOL * max(1.0, np.linalg.norm(ham, 1))
-    return np.sort(eigs.imag[(np.abs(eigs.real) <= tol) & (eigs.imag >= 0.0)])
+    return np.sort(eigs.imag[(distance <= tol) & (eigs.imag >= 0.0)]), float(distance.min())
 
 
 @dataclass(frozen=True)
@@ -302,7 +305,7 @@ def frequency_condition_margin(
         gamma, w_star = form.delta_floor, np.inf
     for _ in range(LEVEL_STEPS):
         level = gamma - LEVEL_RTOL * abs(gamma)
-        cross = level_crossings(ev.a, ev.b, form, level, 0.0)
+        cross = level_set(ev.a, ev.b, form, level, 0.0)[0]
         if cross.size == 0:
             break
         ends = np.concatenate([-cross[::-1], cross])

@@ -13,7 +13,9 @@ dichotomic boundary value problems (Ascher, Mattheij & Russell 1988, ch. 6):
 from the horizon back to node 0, rows join the front as their windows come
 up, LAPACK factors the front's leading block with partial pivoting, and the
 pivot rows are dropped.  No global matrix or factor exists; the memory is
-one front (281 x 324 at n = 40), and `LP_ENTRY_BUDGET` bounds the work
+the front of one step and the rows it carries into the next (at n = 40, 264
+of the 283 fronts of n40_j0's grid are 201 x 284, and the widest, at the
+segment joins, 281 x 324), and `LP_ENTRY_BUDGET` bounds the work
 (`LPBudgetExceeded`, before any front exists).
 Nonoscillation extraction (P read off the graph {(v, -P v)} over the
 horizontal subspace), Riccati verification, controllability, coercivity and
@@ -52,7 +54,7 @@ from .errors import (
     SingularF3,
     SpectrumOnAxis,
 )
-from .frequency import QuadraticFormTriple, level_crossings, resolvent_sup_norm
+from .frequency import QuadraticFormTriple, level_set, resolvent_sup_norm
 from .symplectic import (
     RANK_RTOL,
     LagrangeSubspace,
@@ -80,6 +82,10 @@ DECAY_TOL = 1e-3
 LYAPUNOV_SLACK = 1e-9
 #: bracket width of the eps0 bisection
 EPS0_TOL = 1e-4
+#: entries per matrix product of `_row_forms` (80 kB): a 1,500-node n = 40
+#: trajectory's whole product (480 kB) stays at the top of the heap once
+#: freed, and raised the n = 40 benchmark's peak RSS by 0.9 MB
+FORM_ENTRIES = 10240
 
 
 @dataclass(frozen=True)
@@ -394,8 +400,13 @@ class _StationaryLP:
         come up is zero in the step's columns, so LAPACK's partial pivoting
         over the front picks among the candidates of a whole-grid LU in the
         natural column order, and the rows left take the Schur update into
-        the next three blocks.  Only node 0 is read, so the pivot rows are
-        dropped, and no factor is kept.  The last front is square; its
+        the next three blocks.  A front ends at the last column its rows
+        reach: a node's eta columns first appear two blocks ahead, so at
+        n = 40 most fronts hold 203 of the next three blocks' 243 columns.
+        U12 comes from the right-side solve U12^T = B^T L11^-T, faster than
+        the left-side one at these shapes, and the Schur update from one
+        dgemm, both in Fortran order.  Only node 0 is read, so the pivot
+        rows are dropped, and no factor is kept.  The last front is square; its
         columns past node 0 hold the boundary values of its last rows, those
         of u_0 and p_0 (every other row's right-hand side is 0 and stays 0).
         A zero pivot raises NotLagrange naming its node.
@@ -403,19 +414,23 @@ class _StationaryLP:
         m, n, size, basis = self.times.size, self.n, self.stride, self.sharp.basis
         step = -(-FRONT_PANEL_COLUMNS // size)
         joining = _rows_by_block(table, m)
-        carried = np.zeros((0, 3 * size))
+        carried = np.zeros((0, 0), order="F")
         widest = 0
         for c in range(0, m, step):
             blocks = [next(joining) for _ in range(min(step, m - c))]
             width = len(blocks) * size
-            front = np.zeros((len(carried) + sum(map(len, blocks)), width + 3 * size), order="F")
-            front[: len(carried), : 3 * size] = carried
+            last = c + len(blocks) == m
+            cols = max(carried.shape[1], width + (basis.shape[1] if last else 0),
+                       *(k * size + reach for k, (_, reach) in enumerate(blocks)))
+            height = len(carried) + sum(len(rows) for rows, _ in blocks)
+            front = np.zeros((height, cols), order="F")
+            front[: len(carried), : carried.shape[1]] = carried
             row = len(carried)
-            for k, rows in enumerate(blocks):
-                front[row : row + len(rows), k * size : (k + 4) * size] = rows
+            for k, (rows, reach) in enumerate(blocks):
+                front[row : row + len(rows), k * size : k * size + reach] = rows[:, :reach]
                 row += len(rows)
             widest = max(widest, row)
-            if c + width // size == m:  # past node 0 the columns hold the boundary values
+            if last:  # past node 0 the columns hold the boundary values
                 ka, km = self.split_a.k_stable, self.split_m.k_stable
                 front[row - ka - km :, width : width + basis.shape[1]] = np.vstack(
                     [self.split_a.winv[:ka] @ basis[:n], self.split_m.winv[:km] @ basis[n:]])
@@ -426,24 +441,28 @@ class _StationaryLP:
                 raise NotLagrange(f"the LP collocation system is singular at node {node} "
                                   f"(t = {self.times[node]:.6g}): a zero pivot in its elimination")
             rest = sla.lapack.dlaswp(front[:, width:], piv, overwrite_a=True)
-            upper = sla.blas.dtrsm(1.0, lu[:width], rest[:width], lower=1, diag=1)
-            carried = rest[width:] - lu[width:] @ upper
+            upper_t = sla.blas.dtrsm(1.0, lu[:width], rest[:width].T, side=1, lower=1,
+                                     trans_a=1, diag=1)
+            if not last:
+                carried = sla.blas.dgemm(-1.0, lu[width:], upper_t, 1.0, rest[width:], trans_b=1)
         # node 0 is the last block, so its rows of U x = L^-1 P b stand alone
-        s0 = sla.blas.dtrsm(1.0, lu[-size:, -size:], upper[-size:])
-        return s0[:, : basis.shape[1]], widest
+        s0 = sla.blas.dtrsm(1.0, lu[-size:, -size:], upper_t[: basis.shape[1], -size:].T)
+        return s0, widest
 
 
 def _rows_by_block(table, m: int):
     """The rows of `table` that join the front at each block 0 .. m - 1, one
-    array per block; blocks between two changes of the set of joining
-    templates share theirs."""
+    (rows, reach) pair per block, `reach` the columns up to the rows' last
+    nonzero; blocks between two changes of the set of joining templates share
+    theirs."""
     first = np.array([start for _, start, _ in table])
     last = first - np.array([copies for _, _, copies in table])
     edges = np.unique(np.concatenate([[0, m], first + 1, last + 1]))
     for lo, hi in zip(edges[:-1], edges[1:]):
         rows = np.vstack([table[i][0] for i in np.flatnonzero((last < lo) & (lo <= first))])
+        reach = int(rows.any(axis=0).nonzero()[0][-1]) + 1
         for _ in range(lo, hi):
-            yield rows
+            yield rows, reach
 
 
 def stable_lagrange_lp(reg: Regulator, margin: float) -> StableLagrangeResult:
@@ -600,16 +619,26 @@ def pairing_drift(ham: Hamiltonian, z10, z20, times) -> tuple[float, float]:
     j = j_matrix(ham.matrix.shape[0])
     z1 = hamiltonian_trajectory(ham, z10, times)
     z2 = hamiltonian_trajectory(ham, z20, times)
-    pair = np.einsum("mi,ij,mj->m", z1.values, j, z2.values)
+    pair = _row_forms(z1.values, j, z2.values)
     return float(np.max(np.abs(pair - pair[0]))), float(pair[0])
+
+
+def _row_forms(x: np.ndarray, m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x_k, M y_k> over the rows k of x and y: a matrix product and a row
+    sum per chunk of rows whose product holds FORM_ENTRIES entries."""
+    out = np.empty(len(x))
+    rows = max(1, FORM_ENTRIES // m.shape[1])
+    for lo in range(0, len(x), rows):
+        out[lo : lo + rows] = ((x[lo : lo + rows] @ m) * y[lo : lo + rows]).sum(1)
+    return out
 
 
 def _form_density(form: QuadraticFormTriple, vv, xx) -> np.ndarray:
     """<F1 v, v> + 2 <F2 v, xi> + <F3 xi, xi> at every grid node."""
     return (
-        np.einsum("mi,ij,mj->m", vv, form.f1, vv)
-        + 2.0 * np.einsum("mi,ij,mj->m", xx, form.f2, vv)
-        + np.einsum("mi,ij,mj->m", xx, form.f3, xx)
+        _row_forms(vv, form.f1, vv)
+        + 2.0 * _row_forms(xx, form.f2, vv)
+        + _row_forms(xx, form.f3, xx)
     )
 
 
@@ -715,7 +744,7 @@ def lyapunov_inequality_check(reg: Regulator, eps: float, controls, v0s) -> bool
     trajectory.
     """
     form_eps = shifted_form(reg.form, eps)
-    cross = level_crossings(reg.a, reg.b, form_eps, 0.0, 0.0)
+    cross = level_set(reg.a, reg.b, form_eps, 0.0, 0.0)[0]
     if cross.size:
         raise EpsilonTooLarge(f"F_eps frequency margin <= 0 (at w = {cross[0]:.6g})")
     ham = assemble_hamiltonian(reg.a, reg.b, form_eps)
@@ -725,7 +754,7 @@ def lyapunov_inequality_check(reg: Regulator, eps: float, controls, v0s) -> bool
     ok = True
     for v, xi in zip(states, controls):
         f_vals = _form_density(reg.form, v.values, xi.values)
-        vp = np.einsum("mi,ij,mj->m", v.values, p_eps, v.values)
+        vp = _row_forms(v.values, p_eps, v.values)
         lhs = vp[-1] - vp[0] + _simpson(f_vals, v.times)
         rhs = eps * (v.l2_norm() ** 2 + xi.l2_norm() ** 2)
         scale = abs(vp[-1]) + abs(vp[0]) + _simpson(np.abs(f_vals), v.times) + rhs
@@ -744,23 +773,89 @@ def estimate_eps0(reg: Regulator) -> float:
     the reported value is the midpoint of the final bracket, capped below
     the dichotomy and Hamiltonian spectral gaps.  One test serves both
     signs: the shifted Hermitian part is even in the shift (see
-    `level_crossings`), so the crossings at +eps are those at -eps.
+    `level_set`), so the crossings at +eps are those at -eps.
+
+    The test is monotone in the shift on [0, cap].  The Hermitian part
+    tested at shift s is that of G(mu), mu = s + i w, and G is analytic on
+    the strip |Re mu| <= cap, below the spectral gap of A and of -A^T.  For
+    each vector x, Re x^* G(mu) x is harmonic there, so their minimum over
+    unit x, lambda_min of the Hermitian part, is superharmonic; it is even
+    in Re mu and tends to lambda_min(F3) as |w| grows.  By the minimum
+    principle its infimum over |Re mu| <= s is attained on Re mu = +/- s,
+    so that infimum, which the test at s checks for a zero, does not rise
+    as s grows.  So a midpoint at or below a shift known to pass passes,
+    one at or above a shift known to fail fails, and neither costs an
+    eigensolve; the bisection takes the same midpoints and returns the same
+    one as if it tested each.
+
+    The eigensolves go instead where the crossing is predicted.  Where two
+    eigenvalues of the level Hamiltonian meet on the imaginary axis at the
+    critical shift s*, a passing shift's distance d = min |Re lambda| has
+    d^2 ~ k (s* - s), and past s* they split along the axis into crossings
+    e either side of the meeting point, e^2 ~ k (s - s*) (a dip about
+    w = 0 shows one crossing, at e).  So q = d^2, or -e^2 where at most
+    two crossings show, is smooth through s*.  An open midpoint is put to
+    the end, on the midpoint's side, of the final bracket that holds the
+    root of the polynomial through the last three samples of q (shift 0
+    gives q = gap(H)^2, as the level Hamiltonian there is H); if that probe
+    comes out as predicted, it settles the midpoint and every midpoint
+    between.  Predicted probes are at most as many as the bisection's
+    passes, so the count of eigensolves stays below twice that of testing
+    every midpoint.
     """
     cap = 0.999 * min(reg.split_a.eps_rate, reg.ham.gap)
+    samples = [(0.0, reg.ham.gap**2)]  # (shift, q) of the probes with a q
+    passed, failed = 0.0, cap
 
-    def passes(eps: float) -> bool:
-        return not level_crossings(reg.a, reg.b, reg.form, 0.0, eps).size
+    def probe(shift: float) -> None:
+        nonlocal passed, failed
+        crossings, distance = level_set(reg.a, reg.b, reg.form, 0.0, shift)
+        if not crossings.size:
+            passed = shift
+            samples.append((shift, distance**2))
+            return
+        failed = shift
+        if crossings.size <= 2:  # one dip, about w = 0 when one crossing shows
+            half = 0.5 * (crossings[1] - crossings[0]) if crossings.size == 2 else crossings[0]
+            samples.append((shift, -half**2))
 
-    if passes(cap):
+    def predicted(mid: float) -> float:
+        fit = np.array(samples[-3:])
+        roots = np.roots(np.polyfit(fit[:, 0], fit[:, 1], len(fit) - 1))
+        roots = roots.real[(roots.imag == 0.0) & (passed < roots.real) & (roots.real < failed)]
+        if not roots.size:
+            return mid
+        root = roots.min()
+        lo, hi, _ = _bisect(cap, lambda shift: shift < root)
+        shift = lo if mid < root else hi
+        return shift if passed < shift < failed else mid
+
+    def settled(mid: float) -> bool:
+        nonlocal budget
+        while passed < mid < failed:
+            shift = predicted(mid) if budget else mid
+            if shift != mid:
+                budget -= 1
+            probe(shift)
+        return mid <= passed
+
+    probe(cap)
+    if passed == cap:
         return cap
-    lo, hi = 0.0, cap
+    budget = _bisect(cap, lambda shift: True)[2]
+    lo, hi, _ = _bisect(cap, settled)
+    return 0.5 * (lo + hi)
+
+
+def _bisect(cap: float, passes) -> tuple[float, float, int]:
+    """(lo, hi, passes): the final bracket of the eps0 bisection on [0, cap]
+    with `passes(mid)` the test at each midpoint, and the midpoints' count."""
+    lo, hi, count = 0.0, cap, 0
     while hi - lo > EPS0_TOL:
         mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+        count += 1
+    return lo, hi, count
 
 
 def restricted_decay(

@@ -17,7 +17,7 @@ import numpy as np
 from spatial_oracles import fiber_subspace, sa_trajectory
 
 from lqbundle.dichotomy import GridFunction
-from lqbundle.frequency import level_crossings
+from lqbundle.frequency import level_set
 from lqbundle.stationary import EPS0_TOL, Regulator
 
 #: relative norm below which trajectory samples are left out of the rate fit
@@ -31,7 +31,7 @@ def two_sided_eps0(reg: Regulator) -> float:
 
     def passes(eps: float) -> bool:
         return not any(
-            level_crossings(reg.a, reg.b, reg.form, 0.0, s).size for s in (eps, -eps)
+            level_set(reg.a, reg.b, reg.form, 0.0, s)[0].size for s in (eps, -eps)
         )
 
     if passes(cap):

@@ -13,7 +13,7 @@ solves per frequency on A itself (`np.linalg.solve`) and the spectrum from
 solves on one Schur form of A: the oracle of `_transfer`.  With a shift it
 evaluates M(w) of the shifted system A + shift, as the library did before
 its margin scan became unshifted: the eps0 bisection tests the shifted
-systems by `level_crossings` alone, and this is the oracle of those level
+systems by `level_set` alone, and this is the oracle of those level
 sets.  `transfer_m` is M(w) at one frequency, the per-point reference of
 `TransferEvaluator.rows`.
 """

@@ -90,6 +90,8 @@ def test_stationary_stages_child():
         assert list(run["stages"]) == list(STAGES["stationary"])
         assert 0.0 < sum(run["stages"].values()) <= run["pipeline_s"]
         assert run["rss_after_mb"] > 0.0
+        # S1 passes the eps0 test at its cap, and its LP eliminates both grids
+        assert run["eps0_eigensolves"] == 1 and run["lp_us_per_node"] > 0.0
 
 
 def test_process_footprint_child(monkeypatch):

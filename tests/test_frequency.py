@@ -21,7 +21,7 @@ from lqbundle.frequency import (
     TransferEvaluator,
     frequency_condition_margin,
     inverse_norm_bound,
-    level_crossings,
+    level_set,
     make_frequency_grid,
     resolvent_sup_norm,
     smith_form_triple,
@@ -267,7 +267,7 @@ class TestFrequencyMargin:
     @pytest.mark.parametrize("shift", [0.2, -0.3])
     def test_shifted_margin_against_dense_scan(self, rng, shift):
         # the eps0 bisection reads a shifted margin through the level sets of
-        # `level_crossings`: they appear within LEVEL_RTOL of the minimum of
+        # `level_set`: they appear within LEVEL_RTOL of the minimum of
         # the shifted M(w), and at its minimiser
         a, b, form = random_system(rng)
         ev = SolveTransfer(a, b, form, shift)
@@ -276,8 +276,8 @@ class TestFrequencyMargin:
         w = omegas[np.argmin(dense)]
         sharp = sharpest(ev, max(0.0, w - 0.01), w + 0.01)
         gap = LEVEL_RTOL * abs(sharp)
-        assert level_crossings(a, b, form, sharp - gap, shift).size == 0
-        cross = level_crossings(a, b, form, sharp + gap, shift)
+        assert level_set(a, b, form, sharp - gap, shift)[0].size == 0
+        cross = level_set(a, b, form, sharp + gap, shift)[0]
         assert cross.size > 0 and np.abs(cross - w).max() <= 0.01
 
     @pytest.mark.parametrize("shift", [0.0, 0.25])
@@ -285,7 +285,7 @@ class TestFrequencyMargin:
         a, b, form = random_system(rng)
         ev = SolveTransfer(a, b, form, shift)
         level = ev.rows(np.linspace(0.0, 20.0, 4001))[:, 0].min() + 0.05
-        cross = level_crossings(a, b, form, level, shift)
+        cross = level_set(a, b, form, level, shift)[0]
         assert cross.size >= 1
         for w in cross:
             g = form.f3 @ (np.eye(2) - transfer_m(ev, w))

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import re
@@ -37,7 +38,7 @@ from lqbundle.errors import (
 from lqbundle.frequency import (
     QuadraticFormTriple,
     frequency_condition_margin,
-    level_crossings,
+    level_set,
     smith_form_triple,
 )
 from lqbundle.sampling import bump_control, m0_control, random_passing_instance
@@ -334,6 +335,44 @@ class TestCollocationMatrix:
             ref = splu_node_states(lp)[0]
             assert s0.shape == ref.shape == (lp.stride, reg.split_a.n)
             assert np.abs(s0 - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["s1", "n40_j0"])
+    def test_fronts_are_cut_to_their_nonzero_columns(self, name, request, monkeypatch):
+        # each front as (rows, pivot columns, trailing columns), read off the
+        # calls to dgetrf and dlaswp; the trailing columns end at the joining
+        # rows' last nonzero, so a node whose eta columns first appear two
+        # blocks ahead reaches only 41 of the third block's 81 at n = 40, and
+        # S1's 22-node panels (66 columns) reach 8 of the 9 after them
+        fronts = []
+        getrf, laswp = st.sla.lapack.dgetrf, st.sla.lapack.dlaswp
+
+        def factor(a, **kwargs):
+            fronts.append(a.shape)
+            return getrf(a, **kwargs)
+
+        def swap(a, piv, **kwargs):
+            fronts[-1] += (a.shape[1],)
+            return laswp(a, piv, **kwargs)
+
+        monkeypatch.setattr(st.sla.lapack, "dgetrf", factor)
+        monkeypatch.setattr(st.sla.lapack, "dlaswp", swap)
+        reg = Regulator(*named_system(name, request))
+        times = st._grid_parameters(reg.split_a, reg.ham)
+        sharp = st.sharp_basis(reg.split_a, reg.split_m)
+        lp = st._StationaryLP(reg.b, reg.form, reg.split_a, reg.split_m, sharp, times)
+        lp.eliminate(lp.row_table())
+        expected = {
+            "s1": {(69, 66, 8): 7, (27, 27, 1): 1},
+            "n40_j0": {(201, 81, 203): 264, (281, 81, 243): 6, (201, 81, 162): 6,
+                       (121, 81, 81): 6, (81, 81, 40): 1},
+        }[name]
+        assert collections.Counter(fronts) == expected
+        assert len(fronts) == -(-times.size // -(-st.FRONT_PANEL_COLUMNS // lp.stride))
+        if name == "n40_j0":
+            # 120 carried rows and 81 new ones in 270 of the 283 fronts
+            assert sum(rows == 201 for rows, _, _ in fronts) == 270
+        # no front is wider than its pivot block and the three blocks after it
+        assert all(trailing <= 3 * lp.stride for _, _, trailing in fronts)
 
     def test_solve_is_linear_in_its_boundary_data(self, collocation_system, monkeypatch):
         # a non-orthogonal mix of the sharp columns (condition number 3)
@@ -831,6 +870,20 @@ class TestCoercivity:
             coercivity_check(reg, [m0_control(rng, times, 1)], margin)
 
 
+@pytest.mark.parametrize("rows", [1, st.FORM_ENTRIES // 40, st.FORM_ENTRIES // 40 + 1, 1501])
+@pytest.mark.parametrize("n", [1, 40])
+def test_row_forms_match_the_three_operand_einsum(rng, rows, n):
+    # the quadratic forms of the coercivity, Lyapunov and pairing checks, a
+    # BLAS product per FORM_ENTRIES entries, against the einsum they
+    # replaced, on the strided column of a (rows, n, controls) trajectory
+    # stack as the checks pass it
+    x = rng.standard_normal((rows, n, 3))[:, :, 1]
+    y = rng.standard_normal((rows, 40))
+    m = rng.standard_normal((n, 40))
+    ref = np.einsum("mi,ij,mj->m", x, m, y)
+    assert np.abs(st._row_forms(x, m, y) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 1500, 1501])
 @pytest.mark.parametrize("grid", ["uniform", "geometric", "random"])
 def test_simpson_equals_scipy_bit_for_bit(n, grid):
@@ -874,8 +927,12 @@ class TestLyapunovInequality:
 
 #: random_passing_instance(default_rng(seed), n, j) systems of the eps0
 #: bisection test, each bisected below its cap in 14 or 15 passes, as n40_j0
-#: is (S1 and n40_j1 pass at the cap)
-EPS0_RANDOM = {"n6-j0": (3, 6, 0), "n10-j2": (5, 10, 2), "n20-j0": (6, 20, 0)}
+#: is (S1 and n40_j1 pass at the cap); at the cap of the last three the
+#: shifted Hermitian part dips below 0 twice (4 crossings), and the crossing
+#: the bisection closes in on is the first of those dips to appear, at 0.990,
+#: 0.986 and 0.934 of the cap
+EPS0_RANDOM = {"n6-j0": (3, 6, 0), "n10-j2": (5, 10, 2), "n20-j0": (6, 20, 0),
+               "n10-j2-twodips": (6, 10, 2), "n12-j1": (35, 12, 1), "n24-j1": (24, 24, 1)}
 
 
 class TestEps0:
@@ -893,6 +950,34 @@ class TestEps0:
         reg = Regulator(a, b, form)
         eps0 = estimate_eps0(reg)
         assert eps0 > 0.0 and eps0 == two_sided_eps0(reg)
+
+    @pytest.mark.parametrize("name, most", [("s1", 1), ("n40_j0", 8), ("n40_j1", 1)])
+    def test_eigensolves(self, s1, name, most, monkeypatch):
+        # a midpoint that a passing or failing shift already settles costs no
+        # eigensolve; S1 and n40_j1 pass at the cap, and n40_j0's 13
+        # midpoints below it take at most 7 more, each at a new shift
+        shifts = []
+        level_set = st.level_set
+
+        def counted(a, b, form, level, shift):
+            shifts.append(shift)
+            return level_set(a, b, form, level, shift)
+
+        monkeypatch.setattr(st, "level_set", counted)
+        reg = Regulator(*(s1 if name == "s1" else scenario_system(name)))
+        eps0 = estimate_eps0(reg)
+        assert len(shifts) <= most and len(set(shifts)) == len(shifts)
+        assert shifts[0] == 0.999 * min(reg.split_a.eps_rate, reg.ham.gap)
+        if most == 1:
+            assert eps0 == shifts[0]
+
+    @pytest.mark.parametrize("name", ["s1", "n40_j0", "n40_j1"])
+    def test_unshifted_distance_is_the_gap_of_h(self, s1, name):
+        # the bisection's free sample: at shift 0 and level 0 the level
+        # Hamiltonian is H itself, so its distance from the axis is H's gap
+        reg = Regulator(*(s1 if name == "s1" else scenario_system(name)))
+        crossings, distance = level_set(reg.a, reg.b, reg.form, 0.0, 0.0)
+        assert crossings.size == 0 and distance == pytest.approx(reg.ham.gap, rel=1e-9)
 
     def test_scalar_cap(self, s1):
         eps0 = estimate_eps0(Regulator(*s1))
@@ -916,7 +1001,7 @@ class TestEps0:
         assert sampled(lo) > 0.0 and sampled(hi) < 0.0
         # both shifted margins are positive at lo: no level-0 crossing
         for shift in (lo, -lo):
-            assert level_crossings(a, b, form, 0.0, shift).size == 0
+            assert level_set(a, b, form, 0.0, shift)[0].size == 0
 
 
 def _raiser(exc):
@@ -931,7 +1016,7 @@ class TestTypedCatches:
 
     def test_eps0_bisection_lets_untyped_errors_escape(self, s1, monkeypatch):
         monkeypatch.setattr(
-            st, "level_crossings", _raiser(RuntimeError("scan broke"))
+            st, "level_set", _raiser(RuntimeError("scan broke"))
         )
         with pytest.raises(RuntimeError, match="scan broke"):
             estimate_eps0(Regulator(*s1))
