@@ -1,14 +1,16 @@
 """Wall time and peak memory of a fresh `lqbundle verify` process.
 
-Each measurement is one child process, `python -m lqbundle.cli verify` on one
-of the benchmark's scenarios (S1, n40_j0, n40_j1 and sa-standard), with one
-BLAS thread, writing its certificate and tables to a temporary directory.
-Per child it records the wall time from its start to its exit, the child's
-own peak resident set (`ru_maxrss` from `os.wait4`; `RUSAGE_CHILDREN` would
-give the largest over every child so far), its exit code, and the sha256 of
-its certificate.json, which two trees that agree byte for byte share.  A
-fresh process pays every import and first-call cost, so this is what a
-single `verify` costs from the shell.
+Each measurement is one child process with one BLAS thread: either
+`python -m lqbundle.cli verify` on one of the benchmark's scenarios (S1,
+n40_j0, n40_j1 and sa-standard), writing its certificate and tables to a
+temporary directory, or `python -c "import lqbundle, lqbundle.cli"` alone
+(system "import"), the cold start every command pays.  Per child it records
+the wall time from its start to its exit, the child's own peak resident set
+(`ru_maxrss` from `os.wait4`; `RUSAGE_CHILDREN` would give the largest over
+every child so far), its exit code, and for a `verify` the sha256 of its
+certificate.json, which two trees that agree byte for byte share.  A fresh
+process pays every import and first-call cost, so this is what a single
+`verify` costs from the shell.
 
     python bench/process_footprint.py --before OLD/src --out process_footprint.json
 
@@ -40,28 +42,35 @@ THREAD_ENV = {
     "OMP_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
 }
-SYSTEMS = ("s1", "n40_j0", "n40_j1", "sa_standard")
+#: the import-only child, measured next to the `verify` children
+IMPORT = "import"
+SYSTEMS = (IMPORT, "s1", "n40_j0", "n40_j1", "sa_standard")
 REPEATS = 5
 
 
 def measure(name: str, src: Path) -> dict:
-    """One fresh `verify` process of scenario `name` on the library in `src`."""
+    """One fresh process on the library in `src`: a `verify` of scenario
+    `name`, or the import alone for IMPORT (no certificate, sha256 None)."""
     env = dict(os.environ, **THREAD_ENV, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as out:
-        cmd = [sys.executable, "-m", "lqbundle.cli", "verify",
-               "--scenario", str(SCENARIOS / f"{name}.json"), "--out", out]
+        if name == IMPORT:
+            cmd = [sys.executable, "-c", "import lqbundle, lqbundle.cli"]
+        else:
+            cmd = [sys.executable, "-m", "lqbundle.cli", "verify",
+                   "--scenario", str(SCENARIOS / f"{name}.json"), "--out", out]
         start = time.perf_counter()
         child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
         child.returncode = os.waitstatus_to_exitcode(status)
-        text = Path(out, "certificate.json").read_bytes()
+        sha = (None if name == IMPORT else
+               hashlib.sha256(Path(out, "certificate.json").read_bytes()).hexdigest()[:16])
     return {
         "system": name,
         "exit_code": child.returncode,
         "wall_s": round(wall, 4),
         "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
-        "certificate_sha256": hashlib.sha256(text).hexdigest()[:16],
+        "certificate_sha256": sha,
     }
 
 
@@ -108,7 +117,8 @@ def main(argv=None) -> int:
     import scipy
 
     doc = {
-        "what": "a fresh `python -m lqbundle.cli verify` process per scenario: its "
+        "what": "a fresh `python -m lqbundle.cli verify` process per scenario, and "
+                "one `python -c 'import lqbundle, lqbundle.cli'` (system import): its "
                 "wall time, its own ru_maxrss (os.wait4), its exit code and the "
                 "sha256 of its certificate.json, on an older tree (before) and this "
                 "one (after)",

@@ -527,19 +527,22 @@ def _sa_gap(run, cert):
     searched = k == "search" or n_split == "search"
     try:
         try:
-            rows = sa.gap_search(run.model, run.lam, run.delta, run.condition_set)
+            pairs, margins = sa.gap_search(run.model, run.lam, run.delta,
+                                           run.condition_set)
         except LqBundleError:
             if searched:
                 raise
-            rows = []
+            pairs, margins = np.zeros((0, 2), dtype=int), np.zeros((0, 2))
         if searched:
-            # the minimal pair among those that keep a fixed k or N
-            fits = [r for r in rows
-                    if k in ("search", r["k"]) and n_split in ("search", r["N"])]
-            if not fits:
+            # the pairs run by N and then k, so the first that keeps a fixed
+            # k or N is the minimal one
+            fits = np.ones(len(pairs), dtype=bool)
+            for col, fixed in enumerate((k, n_split)):
+                if fixed != "search":
+                    fits &= pairs[:, col] == fixed
+            if not fits.any():
                 raise NoCandidate(f"no searched (k, N) has k = {k} and N = {n_split}")
-            best = min(fits, key=lambda r: (r["N"], r["k"]))
-            k, n_split = best["k"], best["N"]
+            k, n_split = pairs[np.argmax(fits)].tolist()
         cfg = sa.SAConfig(model=run.model, lam=run.lam, delta=run.delta, k=k, N=n_split)
         cfg.check_driver(run.driver)
     except LqBundleError as exc:
@@ -553,11 +556,8 @@ def _sa_gap(run, cert):
         detail += " (searched)"
     cert.add_lower("gap-margin-1", m1, run.tol["margin"], detail=detail)
     cert.add_lower("gap-margin-2", m2, run.tol["margin"], detail=detail)
-    cert.tables["gap_margins"] = [
-        {"k": r["k"], "N": r["N"], "margin1": r["margins"][0],
-         "margin2": r["margins"][1]}
-        for r in rows
-    ]
+    cert.tables["gap_margins"] = {"k": pairs[:, 0], "N": pairs[:, 1],
+                                  "margin1": margins[:, 0], "margin2": margins[:, 1]}
 
 
 def _sa_contraction(run, cert):
@@ -751,7 +751,8 @@ _CSV_SCHEMAS = {
 
 def export_plots(cert: Certificate, out_dir: str) -> list[str]:
     """Write the certificate's plot tables as CSV files; always emits every
-    schema (empty tables produce header-only files)."""
+    schema (empty tables produce header-only files).  A table is a list of
+    row dicts or, for the long gap table, a dict of array columns."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for table, columns in _CSV_SCHEMAS.items():
@@ -759,8 +760,11 @@ def export_plots(cert: Certificate, out_dir: str) -> list[str]:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for row in cert.tables.get(table, []):
-                writer.writerow([row.get(c, "") for c in columns])
+            rows = cert.tables.get(table, [])
+            if isinstance(rows, dict):  # a table of array columns
+                writer.writerows(zip(*(rows[c].tolist() for c in columns)))
+            else:
+                writer.writerows([row.get(c, "") for c in columns] for row in rows)
         written.append(path)
     return written
 

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
+# scipy.linalg (0.16 s to import) is imported by the functions that call it,
+# so that only a stationary construction loads it; the spatial-averaging
+# route never does
 
 from .errors import DimensionMismatch, SpectrumOnAxis
 from .symplectic import Subspace
@@ -90,12 +92,16 @@ class DichotomySplit:
         k = self.k_stable
         if k == 0:
             return np.zeros_like(self.generator)
+        import scipy.linalg as sla
+
         return self.w[:, :k] @ sla.expm(t * self.t_stable) @ self.winv[:k]
 
     def propagate_unstable(self, t: float) -> np.ndarray:
         """exp(t A) Pi_unstable for t <= 0 (decaying backward branch)."""
         if self.rank_j == 0:
             return np.zeros_like(self.generator)
+        import scipy.linalg as sla
+
         k = self.k_stable
         return self.w[:, k:] @ sla.expm(t * self.t_unstable) @ self.winv[k:]
 
@@ -132,6 +138,8 @@ def dichotomy_split(a) -> DichotomySplit:
         raise SpectrumOnAxis(
             f"eigenvalue with |Re| = {eps_rate:.3e} <= {AXIS_TOL:.1e}"
         )
+    import scipy.linalg as sla
+
     t, u, k = sla.schur(a, output="real", sort="lhp")
     j = n - k
     if 0 < k < n:

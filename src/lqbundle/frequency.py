@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
+# scipy.linalg (0.16 s to import) is imported by the functions that call it,
+# so that only a stationary construction loads it
 
 from .errors import ConditionFailed, DimensionMismatch, SingularF3, SingularShift
 
@@ -84,6 +85,8 @@ class QuadraticFormTriple:
     @cached_property
     def f3_factor(self) -> tuple[np.ndarray, bool]:
         """`scipy.linalg.cho_factor(F3)`, computed once per form."""
+        import scipy.linalg as sla
+
         try:
             return sla.cho_factor(self.f3)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - F3 > 0 is checked
@@ -142,6 +145,8 @@ class TransferEvaluator:
                 f"B must be {form.state_dim} x {form.control_dim}, got {self.b.shape}"
             )
         self.form = form
+        import scipy.linalg as sla
+
         # the real Schur form made complex: LAPACK's complex Schur driver
         # raised an S1 run's peak RSS by 0.3 MB, and the real one, which the
         # dichotomy split calls too, adds nothing
@@ -241,7 +246,7 @@ def level_set(a, b, form: QuadraticFormTriple, level: float,
     b0 = np.vstack([b, form.f2.T])
     c0 = np.hstack([form.f2, -b.T])
     if shift:
-        a0 = sla.block_diag(a0, -a0.T)
+        a0 = np.block([[a0, np.zeros_like(a0)], [np.zeros_like(a0), -a0.T]])
         b0, c0 = np.vstack([b0, -c0.T]), 0.5 * np.hstack([c0, b0.T])
     ham = a0 - b0 @ np.linalg.solve(form.f3 - level * np.eye(form.control_dim), c0)
     eigs = np.linalg.eigvals(ham)

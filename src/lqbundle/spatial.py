@@ -213,25 +213,22 @@ def gap_search(
     lam: float,
     delta: float,
     condition_set: str,
-) -> list[dict]:
-    """Enumerate (k, N) pairs satisfying the selected inequality set, by N and
-    then k: the margins of every gap mu_bar > 0 and k = 1..GAP_K_MAX in one
-    array computation."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, N) pairs satisfying the selected inequality set and their two
+    margins, as (pairs, 2) arrays ordered by N and then k: the margins of
+    every gap mu_bar > 0 and k = 1..GAP_K_MAX in one array computation."""
     mu_bar = 0.5 * np.diff(model.eigenvalues)
     gaps = np.flatnonzero(mu_bar > 0.0)
     ks = np.arange(1, GAP_K_MAX + 1)
     m1, m2 = np.broadcast_arrays(
         *condition_margins(condition_set, lam, delta, mu_bar[gaps, None], ks))
-    found = [
-        {"k": int(ks[col]), "N": int(gaps[row]) + 1, "mu_bar": float(mu_bar[gaps[row]]),
-         "margins": (float(m1[row, col]), float(m2[row, col]))}
-        for row, col in zip(*np.nonzero(_satisfied(condition_set, m1, m2)))
-    ]
-    if not found:
+    rows, cols = np.nonzero(_satisfied(condition_set, m1, m2))
+    if not rows.size:
         raise NoCandidate(
             f"no (k, N) satisfies the {condition_set!r} inequalities up to k = {GAP_K_MAX}"
         )
-    return found
+    return (np.column_stack([ks[cols], gaps[rows] + 1]),
+            np.column_stack([m1[rows, cols], m2[rows, cols]]))
 
 
 # -- drivers -----------------------------------------------------------------

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
+# scipy.linalg (0.16 s to import) is imported by the functions that call it,
+# so that only a stationary construction loads it
 
 from ._phi import backward_moments, backward_weights, forward_weights, local_forcing, phi_block
 from .dichotomy import (
@@ -178,6 +179,8 @@ def stable_lagrange_schur(ham: Hamiltonian) -> LagrangeSubspace:
     """Oracle route: ordered real Schur basis of the stable invariant subspace."""
     if ham.gap <= AXIS_TOL:
         raise SpectrumOnAxis(f"Hamiltonian eigenvalue with |Re| = {ham.gap:.3e}")
+    import scipy.linalg as sla
+
     _, u, k = sla.schur(ham.matrix, output="real", sort="lhp")
     if k != ham.n:
         raise SpectrumOnAxis(
@@ -206,6 +209,8 @@ def sharp_basis(split_a: DichotomySplit, split_m: DichotomySplit) -> LagrangeSub
 
 def perturbation_matrix(a, b, form: QuadraticFormTriple) -> np.ndarray:
     """R with H = diag(A, -A^T) + R, for 2-d float A and B."""
+    import scipy.linalg as sla
+
     n = a.shape[0]
     f3_fac = form.f3_factor
     f3inv_f2 = sla.cho_solve(f3_fac, form.f2)
@@ -411,6 +416,8 @@ class _StationaryLP:
         of u_0 and p_0 (every other row's right-hand side is 0 and stays 0).
         A zero pivot raises NotLagrange naming its node.
         """
+        import scipy.linalg as sla
+
         m, n, size, basis = self.times.size, self.n, self.stride, self.sharp.basis
         step = -(-FRONT_PANEL_COLUMNS // size)
         joining = _rows_by_block(table, m)
@@ -559,6 +566,8 @@ def extract_nonoscillation(
     feedback = None
     resid = None
     if a is not None and b is not None and form is not None:
+        import scipy.linalg as sla
+
         b = np.atleast_2d(np.asarray(b, dtype=float))
         f3_fac = form.f3_factor
         feedback = -sla.cho_solve(f3_fac, form.f2) - sla.cho_solve(f3_fac, b.T @ p)
@@ -605,6 +614,8 @@ def integrate_control_trajectory(a, b, controls, v0s) -> list[GridFunction]:
 
 def hamiltonian_trajectory(ham: Hamiltonian, z0, times) -> GridFunction:
     """z' = H z by exact matrix exponentials per step."""
+    import scipy.linalg as sla
+
     times = np.asarray(times, dtype=float)
     e = sla.expm((times[1] - times[0]) * ham.matrix)
     z = np.empty((times.size, ham.matrix.shape[0]))
@@ -873,6 +884,8 @@ def restricted_decay(
     rate = -float(np.max(np.linalg.eigvals(k).real))
     if rate <= eps0:
         return rate, float("inf")
+    import scipy.linalg as sla
+
     shifted = k + eps0 * np.eye(k.shape[0])
     x = sla.solve_continuous_lyapunov(shifted.T, -np.eye(k.shape[0]))
     return rate, float(np.sqrt(np.linalg.cond(x)))

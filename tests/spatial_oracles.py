@@ -349,8 +349,7 @@ def gap_search_loop(model, lam, delta, condition_set) -> list[dict]:
             m1, m2 = condition_margins(condition_set, lam, delta, mu_bar, k)
             first = m1 >= 0.0 if condition_set == "bundle" else m1 > 0.0
             if first and m2 >= 0.0:
-                found.append({"k": k, "N": n_idx, "mu_bar": float(mu_bar),
-                              "margins": (float(m1), float(m2))})
+                found.append({"k": k, "N": n_idx, "margins": (float(m1), float(m2))})
     if not found:
         raise NoCandidate(
             f"no (k, N) satisfies the {condition_set!r} inequalities up to k = {GAP_K_MAX}"

@@ -497,20 +497,31 @@ def test_import_leaves_out_scipy_integrate():
     # scipy.integrate (via scipy.optimize) took 0.2 s of a 0.65 s import and
     # 22 MB of a verify process's peak.  Neither the import nor a whole
     # `verify` of S1 and of n40_j0, whose coercivity and Lyapunov stages
-    # integrate by Simpson's rule, loads it
+    # integrate by Simpson's rule, loads it, nor scipy.sparse.  scipy.linalg
+    # (0.16 s) is loaded by the stationary constructions alone: the import,
+    # loading every benchmark scenario and a whole sa-standard `verify` load
+    # no scipy module at all
     scenarios = SRC.parents[1] / "perfbench" / "scenarios"
     code = ("import sys, lqbundle, lqbundle.cli\n"
-            "assert 'scipy.integrate' not in sys.modules\n"
+            f"path = {str(scenarios)!r} + '/{{}}.json'\n"
+            "def scipy_modules(*prefixes):\n"
+            "    return [m for m in sys.modules if m.startswith(prefixes)]\n"
+            "for name in ('s1', 'n40_j0', 'n40_j1', 'sa_standard'):\n"
+            "    lqbundle.cli.load_scenario(path.format(name))\n"
+            "assert lqbundle.cli.main(['verify', '--scenario', path.format('sa_standard')]) == 0\n"
+            "assert not scipy_modules('scipy'), scipy_modules('scipy')\n"
             "for name in ('s1', 'n40_j0'):\n"
-            f"    path = {str(scenarios)!r} + '/' + name + '.json'\n"
-            "    assert lqbundle.cli.main(['verify', '--scenario', path]) == 0\n"
-            "sys.exit('scipy.integrate' in sys.modules)")
+            "    assert lqbundle.cli.main(['verify', '--scenario', path.format(name)]) == 0\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+            "assert not scipy_modules('scipy.integrate', 'scipy.sparse'), "
+            "scipy_modules('scipy.integrate', 'scipy.sparse')\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True)
     assert done.returncode == 0, done.stderr
     for record in ("coercivity-ratio", "lyapunov-inequality"):
         assert done.stdout.count(f"[PASS] {record}:") == 2
+    assert done.stdout.count("[PASS] contraction-mid:") == 1
 
 
 def test_import_leaves_out_scipy_sparse():

@@ -105,3 +105,8 @@ def test_process_footprint_child(monkeypatch):
     assert result["system"] == "s1" and result["exit_code"] == 0
     assert result["certificate_sha256"] == hashlib.sha256(text).hexdigest()[:16]
     assert result["wall_s"] > 0.0 and result["peak_rss_mb"] > 0.0
+    # the import-only child writes no certificate
+    result = footprint.measure(footprint.IMPORT, ROOT / "src")
+    assert result["system"] == "import" and result["exit_code"] == 0
+    assert result["certificate_sha256"] is None
+    assert result["wall_s"] > 0.0 and result["peak_rss_mb"] > 0.0

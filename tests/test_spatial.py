@@ -103,11 +103,11 @@ def gap_model(spectrum):
 class TestGapSearch:
     def test_minimal_bundle_pair(self):
         model = make_spectral_model([float(j * j) for j in range(1, 9)])
-        rows = gap_search(model, 1.0, 1.0, "bundle")
-        best = min(rows, key=lambda r: (r["N"], r["k"]))
-        assert (best["k"], best["N"]) == (3, 2)
-        assert best["margins"][0] == pytest.approx(2.5 / np.sqrt(5) - 1.0)
-        assert best["margins"][1] == pytest.approx(2.36)
+        # the pairs run by N and then k, so the first is the minimal one
+        pairs, margins = gap_search(model, 1.0, 1.0, "bundle")
+        assert pairs[0].tolist() == [3, 2]
+        assert margins[0, 0] == pytest.approx(2.5 / np.sqrt(5) - 1.0)
+        assert margins[0, 1] == pytest.approx(2.36)
 
     def test_nonosc_margins_at_3_2(self):
         m1, m2 = condition_margins("nonosc", 1.0, 1.0, 2.5, 3)
@@ -134,7 +134,10 @@ class TestGapSearch:
                 with pytest.raises(NoCandidate, match=re.escape(str(exc))):
                     gap_search(model, lam, delta, condition_set)
             else:
-                assert gap_search(model, lam, delta, condition_set) == ref
+                pairs, margins = gap_search(model, lam, delta, condition_set)
+                rows = [{"k": k, "N": n_split, "margins": tuple(m)}
+                        for (k, n_split), m in zip(pairs.tolist(), margins.tolist())]
+                assert rows == ref
 
     def test_zelik_on_sum_of_squares_is_no_candidate(self):
         with pytest.raises(NoCandidate, match="'zelik'"):
@@ -151,7 +154,7 @@ class TestGapSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for condition_set in ("bundle", "nonosc"):
-                assert gap_search(model, 1.0, 1.0, condition_set)
+                assert len(gap_search(model, 1.0, 1.0, condition_set)[0])
 
     def test_zero_gap_config_is_no_candidate(self):
         # lambda_1 = lambda_2: no gap at N = 1, where mu_bar = 0

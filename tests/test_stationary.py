@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import lapack
 
 import lqbundle.sampling
 import lqbundle.stationary as st
@@ -344,7 +345,7 @@ class TestCollocationMatrix:
         # blocks ahead reaches only 41 of the third block's 81 at n = 40, and
         # S1's 22-node panels (66 columns) reach 8 of the 9 after them
         fronts = []
-        getrf, laswp = st.sla.lapack.dgetrf, st.sla.lapack.dlaswp
+        getrf, laswp = lapack.dgetrf, lapack.dlaswp
 
         def factor(a, **kwargs):
             fronts.append(a.shape)
@@ -354,8 +355,8 @@ class TestCollocationMatrix:
             fronts[-1] += (a.shape[1],)
             return laswp(a, piv, **kwargs)
 
-        monkeypatch.setattr(st.sla.lapack, "dgetrf", factor)
-        monkeypatch.setattr(st.sla.lapack, "dlaswp", swap)
+        monkeypatch.setattr(lapack, "dgetrf", factor)
+        monkeypatch.setattr(lapack, "dlaswp", swap)
         reg = Regulator(*named_system(name, request))
         times = st._grid_parameters(reg.split_a, reg.ham)
         sharp = st.sharp_basis(reg.split_a, reg.split_m)
