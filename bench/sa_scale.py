@@ -5,18 +5,20 @@ scenario with `eigenvalues.n` set to each of N_VALUES, one fresh
 single-threaded process per run.  Per run it records the wall time of the
 pipeline and of the route's stages TIMED_STAGES (the pipeline runs them in
 that order), the process's `ru_maxrss` before the pipeline and after each
-of them, the SVDs each takes (numpy spectral norms), and the sha256 of the
-certificate's JSON, which two trees that agree byte for byte share.
+of them, the dense eigensolves each takes (numpy `eigvalsh` calls, and the
+spectral norms `norm(x, 2)` by which older trees took an SVD), and the
+sha256 of the certificate's JSON, which two trees that agree byte for byte
+share.
 
     python bench/sa_scale.py --before OLD/src --out sa_scale.json
 
 runs every n on the `src/` of an older checkout (say, one made by
 `git clone`) and on this one, REPEATS times, alternating the trees; the
 summary holds the medians.  Without `--before` only this tree runs.
-About two minutes on a 2-core host against an older tree whose frozen-oracle
-stage takes a dense Schur form (20 s per run at n = 1,024), under one minute
-for this tree alone.  No run of this tree peaks above 140 MB (135 MB at
-n = 1,024); the dense route peaks at 266 MB there.
+About 40 s on a 2-core host for two trees that both take the mode-wise
+frozen oracle; an older tree whose frozen-oracle stage takes a dense Schur
+form spends 20 s per run at n = 1,024.  No run of this tree peaks above
+90 MB (87 MB at n = 1,024); the dense route peaks at 266 MB there.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ N_VALUES = (8, 16, 32, 64, 128, 256, 512, 1024)
 REPEATS = 3
 #: the stages of the spatial-averaging route that a run times, in route order
 TIMED_STAGES = ("gap", "contraction", "fibers", "frozen-oracle")
-METRICS = ("pipeline_s", "peak_rss_mb", "gap_s", "contraction_s", "contraction_svds",
+METRICS = ("pipeline_s", "peak_rss_mb", "gap_s", "contraction_s", "contraction_eigensolves",
            "contraction_rss_after_mb", "fibers_s", "fibers_rss_after_mb",
            "frozen_oracle_s", "frozen_oracle_rss_after_mb")
 
@@ -68,25 +70,29 @@ def measure(n: int) -> dict:
         path = Path(tmp) / "sa.json"
         path.write_text(json.dumps(doc))
         scenario = load_scenario(str(path))
-    svds = []
-    norm = np.linalg.norm
+    solves = []
+    norm, eigvalsh = np.linalg.norm, np.linalg.eigvalsh
 
     def counted_norm(x, ord=None, *args, **kwargs):
         if ord == 2:
-            svds.append(None)
+            solves.append(None)
         return norm(x, ord, *args, **kwargs)
 
-    np.linalg.norm = counted_norm
+    def counted_eigvalsh(*args, **kwargs):
+        solves.append(None)
+        return eigvalsh(*args, **kwargs)
+
+    np.linalg.norm, np.linalg.eigvalsh = counted_norm, counted_eigvalsh
     stages = {}
 
     def staged(name, fn):
         def run(*args, **kwargs):
-            first, start = len(svds), time.perf_counter()
+            first, start = len(solves), time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 stages[f"{name}_s"] = round(time.perf_counter() - start, 3)
-                stages[f"{name}_svds"] = len(svds) - first
+                stages[f"{name}_eigensolves"] = len(solves) - first
                 stages[f"{name}_rss_after_mb"] = round(_peak_mb(), 1)
         return run
 
@@ -159,7 +165,7 @@ def main(argv=None) -> int:
     doc = {
         "what": "run_pipeline on sa-standard at truncation n: wall time of the "
                 f"pipeline and of the stages {', '.join(TIMED_STAGES)}, the "
-                "contraction's SVD count and ru_maxrss after each stage, on an "
+                "contraction's dense eigensolve count and ru_maxrss after each stage, on an "
                 "older tree (before) and this one (after)",
         "command": shlex.join(["python", "bench/sa_scale.py",
                                *(["--before", args.before] if args.before else []),

@@ -23,8 +23,9 @@ mode by mode under the constant driver a = a_b: the coefficients of
 (`SAConfig.mid_mask`, the intermediate band), and the (v, eta) frames of a
 mode (`_frames`), each a scalar equation at one constant rate with the
 quadrature weights of `_phi`, integrated only in the direction of its
-square-integrable Green branch.  Its band maxima take an SVD only of the
-modes whose O(m) majorant bound, batched over modes, can still beat them.
+square-integrable Green branch.  Its band maxima take a norm only of the
+modes whose O(m) majorant bound, batched over modes, can still beat them,
+once per distinct pair of frames, from a Gram eigensolve.
 The decay records read the exact growth rate of each mode line of the
 built fibers (`fiber_growth`); no trajectory is integrated in a run.
 tests/spatial_oracles.py keeps the two-direction, two-channel frame solve
@@ -75,11 +76,17 @@ SWEEP_CHUNK = 8192
 #: time steps of the grid on which the contraction norms are measured
 CONTRACTION_STEPS = 360
 #: relative pad of an operator norm bound: at m = CONTRACTION_STEPS + 1
-#: nodes the bound's sums of nonnegative terms, the dense matrix an SVD reads
-#: and the SVD's largest singular value all round by a few m eps = 8e-14
+#: nodes the bound's sums of nonnegative terms, the dense matrix and the root
+#: of its Gram matrix's largest eigenvalue all round by a few m eps = 8e-14
 NORM_BOUND_PAD = 1e-10
+#: rows of the Gram matrix that one BLAS product of `_spectral_norm` builds:
+#: one whole 361 x 361 product touches more of the BLAS work buffer, which
+#: raised the peak RSS of a warm sa-standard verify by 0.7 MB
+GRAM_PANEL = 96
 #: largest k that the gap search tries
 GAP_K_MAX = 50
+#: pieces of [-a_bound, a_bound] on which the v-form's floor is affine
+V_FORM_PIECES = 16
 
 
 # -- configuration ----------------------------------------------------------
@@ -624,24 +631,32 @@ def _require_contraction(config: SAConfig) -> dict:
     return out
 
 
-def _mode_operator_matrix(frames, b: float, c: float, with_coupling: bool):
-    """Dense matrix of one mode's discretized contraction T (or of L_A).
+def _mode_operators(frames, bc: float, d_sq: np.ndarray):
+    """One mode's discretized L_A and T, scaled to D^1/2 L_A D^-1/2 and
+    D^1/2 T D^-1/2 by the quadrature weights D, yielded in that order.
 
-    Columns are impulse responses of the mode's (v, eta) frames; all m
-    impulses ride on the column axis of the frames, whose scalar step and
-    weights apply to every column, in one solve.
+    L_A = S_v and T = b c S_eta S_v for the (v, eta) frames' solves S, so
+    one v-frame solve serves both: the m impulses, each scaled by its
+    D^-1/2, ride on the column axis of the frame, whose scalar step and
+    weights apply to every column.  T's solve reads L_A's buffer and
+    overwrites it first, so that one m x m matrix of the mode is alive
+    outside the solves: a reader of L_A is done with it before it asks
+    for T.
     """
     frame_v, frame_e = frames
-    eye = np.eye(frame_v.m)
-    if with_coupling:
-        return frame_e.solve(c * frame_v.solve(b * eye))
-    return frame_v.solve(eye)
+    mat = frame_v.solve(np.diag(1.0 / d_sq))
+    mat *= d_sq[:, None]
+    yield mat
+    mat *= bc / d_sq[:, None]
+    mat = frame_e.solve(mat)
+    mat *= d_sq[:, None]
+    yield mat
 
 
 def _norm_bound(row_sums: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
     """sqrt(||A+||_inf ||A+||_1) >= ||A||_2, A+ >= |A| entrywise (Higham 2002,
     ch. 6), per trailing index of A+'s row and column sums, padded so that no
-    rounding puts it below an SVD; ContractionFailed unless finite."""
+    rounding puts it below a measured norm; ContractionFailed unless finite."""
     bound = np.sqrt(row_sums.max(axis=0) * col_sums.max(axis=0))
     if not np.all(np.isfinite(bound)):
         raise ContractionFailed(f"operator norm bound {np.max(bound)} is not finite")
@@ -688,6 +703,19 @@ def _pruned_max(bounds: np.ndarray, norm, modes: np.ndarray) -> float:
     return best
 
 
+def _spectral_norm(mat: np.ndarray) -> float:
+    """||mat||_2 = sqrt(lambda_max(mat^T mat)), from one `eigvalsh` of the
+    Gram matrix, built GRAM_PANEL rows at a time; ContractionFailed first
+    unless mat is finite (`_norm_bound` of its entries).  The symmetric
+    solver is backward stable, so the root keeps a relative error of a few
+    m eps, as an SVD's largest singular value does."""
+    _norm_bound(np.abs(mat).sum(axis=1), np.abs(mat).sum(axis=0))  # or fails
+    gram = np.empty((mat.shape[1], mat.shape[1]))
+    for lo in range(0, gram.shape[0], GRAM_PANEL):
+        np.dot(mat[:, lo : lo + GRAM_PANEL].T, mat, out=gram[lo : lo + GRAM_PANEL])
+    return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+
+
 def contraction_certificate(config: SAConfig) -> dict:
     """Analytic contraction bounds plus measured discretized operator norms.
 
@@ -697,9 +725,16 @@ def contraction_certificate(config: SAConfig) -> dict:
     the analytic bounds; the discretized Lyapunov-Perron norms are checked
     against 1/mu_bar and 1/(mu_bar + k).
     A first pass bounds every mode's T and L_A norm in O(m), building no
-    matrix (`_majorant_sums`, `_norm_bound`); each band maximum then takes an
-    SVD only of the modes whose bound can still beat it (`_pruned_max`),
-    building each such matrix once for every band it is in.
+    matrix (`_majorant_sums`, `_norm_bound`); each band maximum then takes
+    the norms only of the modes whose bound can still beat it
+    (`_pruned_max`).  A mode's frames are fixed by its key
+    (sigma_j top_j, b_j c_j), sigma_j = -1 on an unstable mode and +1
+    otherwise, and the norms of a key are evaluated once, T and L_A from one
+    build (`_mode_operators`, `_spectral_norm`).  Equal keys mean equal
+    frames, or mirrored ones: an unstable mode's v-frame runs backward at
+    rate -t where a stable mode's runs forward at t, the time reversal J of
+    it up to sign, and the trapezoid weights are symmetric, so the scaled
+    T' = J T J and L_A' = -J L_A J have the same norms.
     """
     out = _require_contraction(config)
     times = _fiber_grid(config, CONTRACTION_STEPS)
@@ -707,24 +742,31 @@ def contraction_certificate(config: SAConfig) -> dict:
     w = np.full(times.size, h)
     w[0] = w[-1] = h / 2
     d_sq = np.sqrt(w)
-    _, _, b_coef, c_coef = config.mode_coefficients
+    a_diag, chi, b_coef, c_coef = config.mode_coefficients
+    bc = b_coef * c_coef
+    top = a_diag - chi * config.a_bound
+    keys = list(zip(np.where(config.unstable, -top, top).tolist(), bc.tolist()))
 
     @cache
-    def svd_norm(j, with_coupling):
-        mat = _mode_operator_matrix(_frames(config, h, times.size, j), b_coef[j],
-                                    c_coef[j], with_coupling)
-        mat = (mat * d_sq[:, None]) / d_sq[None, :]
-        _norm_bound(np.abs(mat).sum(axis=1), np.abs(mat).sum(axis=0))  # or fails
-        return float(np.linalg.norm(mat, 2))
+    def key_norms(key):  # (||L_A||, ||T||) of the first mode with the key
+        j = keys.index(key)
+        return tuple(map(_spectral_norm,
+                         _mode_operators(_frames(config, h, times.size, j), bc[j], d_sq)))
+
+    def norm_t(j):
+        return key_norms(keys[j])[1]
+
+    def norm_l(j):
+        return key_norms(keys[j])[0]
 
     rows_t, cols_t, rows_l, cols_l = _majorant_sums(config, h, d_sq)
     bounds_t, bounds_l = _norm_bound(rows_t, cols_t), _norm_bound(rows_l, cols_l)
     modes, mid = np.arange(config.n), config.mid_mask
     out.update(
-        measured_mid=_pruned_max(bounds_t, lambda j: svd_norm(j, True), modes[mid]),
-        measured_pq=_pruned_max(bounds_t, lambda j: svd_norm(j, True), modes[~mid]),
-        lp_measured_all=_pruned_max(bounds_l, lambda j: svd_norm(j, False), modes),
-        lp_measured_pq=_pruned_max(bounds_l, lambda j: svd_norm(j, False), modes[~mid]),
+        measured_mid=_pruned_max(bounds_t, norm_t, modes[mid]),
+        measured_pq=_pruned_max(bounds_t, norm_t, modes[~mid]),
+        lp_measured_all=_pruned_max(bounds_l, norm_l, modes),
+        lp_measured_pq=_pruned_max(bounds_l, norm_l, modes[~mid]),
     )
     return out
 
@@ -783,9 +825,20 @@ def v_form_certificate(config: SAConfig) -> dict:
     infinitesimal form is assembled; blocks - delta I is psd exactly for
     delta up to the least eigenvalue of the blocks, and the certificate is
     the minimum of that eigenvalue over the grid, from one `eigvalsh` of the
-    stack of every a's blocks.  An affine minorant route (the a-quadratic
-    term is psd and may be dropped) cross-checks the grid route from below
-    at the interval endpoints.
+    stack of every a's blocks.
+
+    A piecewise-affine minorant proves a floor under it.  The blocks are
+    S0 + a S1 + t1 chi_i a^2 E00 (chi_i the intermediate band's indicator,
+    E00 the (v, v) entry).  On each of V_FORM_PIECES equal pieces of
+    [-a_bound, a_bound] with midpoint a_m, a^2 >= 2 a_m a - a_m^2, its
+    tangent, and t1 >= 0, so the blocks dominate the affine S0 + a S1 +
+    t1 chi_i (2 a_m a - a_m^2) E00 in the psd order.  The least eigenvalue
+    of an affine symmetric matrix function is a minimum of affine functions
+    of a, so concave, and its minimum over the piece is at an end.  The
+    floor, the least eigenvalue at both ends of every piece from one
+    `eigvalsh` of the (pieces, 2, n, 3, 3) stack, is thus at most the least
+    eigenvalue anywhere on [-a_bound, a_bound], and NotPositive if the grid
+    route falls below it.
     """
     if not condition_holds(
         "nonosc", config.lam, config.delta, config.mu_bar, config.k
@@ -800,10 +853,12 @@ def v_form_certificate(config: SAConfig) -> dict:
     ab = config.a_bound
     a_grid = np.unique(np.concatenate([np.linspace(-ab, ab, 64), [-ab, ab]]))
     delta_v = float(np.linalg.eigvalsh(_mode_quadratic_blocks(config, a_grid)).min())
-    # affine minorant: drop the psd a^2 term, check the segment endpoints
-    ends = np.array([-ab, ab])
+    cuts = np.linspace(-ab, ab, V_FORM_PIECES + 1)
+    ends = np.column_stack([cuts[:-1], cuts[1:]])
+    # a^2 - (2 a_m a - a_m^2) = (a - a_m)^2 off each (v, v) entry of the band
+    gaps = ends - ends.mean(axis=1, keepdims=True)
     blocks = _mode_quadratic_blocks(config, ends)
-    blocks[..., 0, 0] -= config.taus[0] * ends[:, None] ** 2 * config.mid_mask
+    blocks[..., 0, 0] -= config.taus[0] * gaps[..., None] ** 2 * config.mid_mask
     affine_floor = float(np.linalg.eigvalsh(blocks).min())
     out = {
         "delta_v": delta_v,

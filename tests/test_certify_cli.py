@@ -472,18 +472,18 @@ class TestCli:
     def test_nonfinite_contraction_matrix_is_a_contraction_failure(self, tmp_path,
                                                                    monkeypatch):
         # one mode's impulse response turns NaN: a typed ContractionFailed,
-        # not an SVD's LinAlgError
-        real = lqbundle.spatial._mode_operator_matrix
+        # not an eigensolver's LinAlgError
+        real = lqbundle.spatial._mode_operators
         calls = []
 
         def nan_first_mode(*args):
-            mat = real(*args)
-            if not calls:
-                mat[:, 0] = np.nan
-            calls.append(None)
-            return mat
+            for mat in real(*args):
+                if not calls:
+                    mat[:, 0] = np.nan
+                calls.append(None)
+                yield mat
 
-        monkeypatch.setattr(lqbundle.spatial, "_mode_operator_matrix", nan_first_mode)
+        monkeypatch.setattr(lqbundle.spatial, "_mode_operators", nan_first_mode)
         code, checks = run_command(tmp_path, "verify", SA_DOC)
         assert code == 1
         assert [c["name"] for c in checks if not c["pass"]] == ["contraction-certificate"]

@@ -54,7 +54,8 @@ from lqbundle.spatial import (
     _fiber_grid,
     _frames,
     _majorant_sums,
-    _mode_operator_matrix,
+    _mode_operators,
+    _mode_quadratic_blocks,
     _norm_bound,
     _pruned_max,
     _sweep,
@@ -376,16 +377,19 @@ def j_squared(n):
 
 
 def library_matrices(config, with_coupling):
-    """Every mode's T (or L_A) matrix from its `_frames` on the contraction
-    grid, as `contraction_certificate` builds it, (n, m, m)."""
+    """Every mode's unscaled T (or L_A) matrix from its `_frames` on the
+    contraction grid, by solves of the identity, T = S_eta(c S_v(b I)) and
+    L_A = S_v(I), one mode at a time, (n, m, m)."""
     times = _fiber_grid(config, CONTRACTION_STEPS)
     h = times[1] - times[0]
     _, _, b_coef, c_coef = config.mode_coefficients
-    return np.array([
-        _mode_operator_matrix(_frames(config, h, times.size, j), b_coef[j], c_coef[j],
-                              with_coupling)
-        for j in range(config.n)
-    ])
+    eye = np.eye(times.size)
+    mats = []
+    for j in range(config.n):
+        frame_v, frame_e = _frames(config, h, times.size, j)
+        mats.append(frame_e.solve(c_coef[j] * frame_v.solve(b_coef[j] * eye))
+                    if with_coupling else frame_v.solve(eye))
+    return np.array(mats)
 
 
 def oracle_matrices(config, columns, with_coupling):
@@ -433,17 +437,91 @@ def full_and_pruned_maxima(config, matrices):
     return full, pruned
 
 
+#: relative agreement of the certificate's norms with dense SVDs: the Gram
+#: eigensolve is backward stable, so at m = 361 nodes the Gram's largest
+#: eigenvalue is right to about m u (u = 1.1e-16, the unit roundoff) and its
+#: root to m u / 2 = 2e-14, and the SVD's largest singular value is right to
+#: a few m u as well; 1.7e-15 was measured on sa-standard
+NORM_RTOL = 1e-13
+
+
+def assert_maxima_match(cert, full):
+    for name in BAND_MAXIMA:
+        assert abs(cert[name] - full[name]) <= NORM_RTOL * full[name], name
+
+
+def counted_certificate(config, monkeypatch):
+    """(certificate, builds, eigensolves) of `contraction_certificate`, with
+    each build's (step, direction, b c) of its v-frame."""
+    real_build, real_eig = lqbundle.spatial._mode_operators, np.linalg.eigvalsh
+    builds, eigs = [], []
+
+    def build(frames, bc, d_sq):
+        builds.append((frames[0].step, frames[0].forward, bc))
+        return real_build(frames, bc, d_sq)
+
+    def counted(a, *args, **kwargs):
+        eigs.append(None)
+        return real_eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(lqbundle.spatial, "_mode_operators", build)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return contraction_certificate(config), builds, len(eigs)
+
+
 class TestPrunedNorms:
-    """The contraction's band maxima take an SVD only where a norm bound
-    cannot rule the mode out, and equal the maxima over every SVD bit for
-    bit."""
+    """The contraction's band maxima take a norm only where a norm bound
+    cannot rule the mode out, once per distinct key, and equal the maxima
+    over every mode's SVD to roundoff."""
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_certificate_equals_full_svd_maxima(self, n):
         cfg = j_squared(n)
         full, _ = full_and_pruned_maxima(cfg, partial(library_matrices, cfg))
-        cert = contraction_certificate(cfg)
-        assert {name: cert[name] for name in BAND_MAXIMA} == full
+        assert_maxima_match(contraction_certificate(cfg), full)
+
+    def test_nonempty_p_band_maxima_match_full_svd(self, monkeypatch):
+        # sum-of-squares-2d at (k, N) = (3, 21): 16 modes in the P band, and
+        # repeated eigenvalues give the 32 modes 15 distinct keys.  Values
+        # only: the lp-norm-pq record fails on this system (its measured norm
+        # exceeds 1/(mu_bar + k))
+        cfg = sum_of_squares_32()
+        assert np.count_nonzero(cfg.mode_coefficients[1] * cfg.unstable) == 16
+        full, _ = full_and_pruned_maxima(cfg, partial(library_matrices, cfg))
+        cert, builds, eigs = counted_certificate(cfg, monkeypatch)
+        assert_maxima_match(cert, full)
+        assert cert["measured_pq"] > 0.0 and cert["lp_measured_pq"] > 0.0
+        assert (len(builds), eigs) == (2, 4)
+
+    def test_near_mirror_modes_keep_their_own_builds(self, monkeypatch):
+        # power p = 1.5 at n = 32, (k, N) = (3, 9): the tops of modes 8 and 9,
+        # +-2.3113883..., are not exact negatives, so the two keys differ and
+        # the certificate takes the SVD route's 6 (mode, operator) norms, T
+        # and L_A of modes 7, 8 and 9, on 3 builds
+        model = make_spectral_model(eigenvalue_generator("power", 32, p=1.5))
+        cfg = SAConfig(model=model, lam=1.0, delta=1.0, k=3, N=9)
+        a_diag, chi, _, _ = cfg.mode_coefficients
+        top = a_diag - chi * cfg.a_bound
+        assert top[8] != -top[9] and abs(top[8] + top[9]) <= 1e-14
+        cert, builds, eigs = counted_certificate(cfg, monkeypatch)
+        assert (len(set(builds)), len(builds), eigs) == (3, 3, 6)
+        full, _ = full_and_pruned_maxima(cfg, partial(library_matrices, cfg))
+        assert_maxima_match(cert, full)
+
+    def test_mirrored_modes_share_their_norms(self, sa_standard):
+        # mode 1 (unstable, top 2.5) and mode 2 (stable, top -2.5) share the
+        # key (-2.5, b c): mode 2's frames are mode 1's run the other way in
+        # time, so T_2 = J T_1 J and L_2 = -J L_1 J for the reversal J
+        h, d_sq = contraction_scaling(sa_standard)
+        _, _, b_coef, c_coef = sa_standard.mode_coefficients
+        bc = b_coef * c_coef
+        assert bc[1] == bc[2]
+        (l_1, t_1), (l_2, t_2) = (
+            [mat.copy() for mat in _mode_operators(_frames(sa_standard, h, d_sq.size, j),
+                                                   bc[j], d_sq)]
+            for j in (1, 2))
+        for got, ref in ((t_2, t_1[::-1, ::-1]), (l_2, -l_1[::-1, ::-1])):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_quasiperiodic_driver(self, sa_standard):
         drv = Driver(c0=1.5, amplitudes=np.array([0.3, 0.2]),
@@ -453,18 +531,19 @@ class TestPrunedNorms:
             sa_standard, partial(oracle_matrices, sa_standard, columns))
         assert pruned == full
 
-    def test_svd_count_on_sa_standard(self, sa_standard, monkeypatch):
-        # 6 of the 16 SVDs of the unpruned maxima; one per band is the least
-        real, calls = np.linalg.norm, []
+    def test_eigensolve_count_on_sa_standard(self, sa_standard, monkeypatch):
+        # 4 Gram eigensolves for the 16 norms of the unpruned maxima, and no
+        # SVD
+        real, svds = np.linalg.norm, []
 
         def counted(x, ord=None, *args, **kwargs):
             if ord == 2:
-                calls.append(None)
+                svds.append(None)
             return real(x, ord, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", counted)
-        contraction_certificate(sa_standard)
-        assert len(calls) <= 8
+        _, _, eigs = counted_certificate(sa_standard, monkeypatch)
+        assert eigs == 4 and svds == []
 
     def test_padded_bound_keeps_a_rank_one_winner(self):
         # y = c 1 1^T is rank one with ||y||_2 = sqrt(||y||_1 ||y||_inf) = 40 c,
@@ -499,14 +578,14 @@ class TestPrunedNorms:
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_nonfinite_matrix_is_a_contraction_failure(self, sa_standard, monkeypatch,
                                                        entry):
-        real = lqbundle.spatial._mode_operator_matrix
+        real = lqbundle.spatial._mode_operators
 
         def spoilt(*args):
-            mat = real(*args)
-            mat[3, 2] = entry
-            return mat
+            for mat in real(*args):
+                mat[3, 2] = entry
+                yield mat
 
-        monkeypatch.setattr(lqbundle.spatial, "_mode_operator_matrix", spoilt)
+        monkeypatch.setattr(lqbundle.spatial, "_mode_operators", spoilt)
         with pytest.raises(ContractionFailed, match="operator norm bound"):
             contraction_certificate(sa_standard)
 
@@ -578,25 +657,13 @@ class TestMajorant:
                     ref = one.solve(np.eye(m)).T @ g[:, col]
                     assert np.abs(got[:, col] - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    def test_dense_builds_only_for_svds_on_sa_standard(self, sa_standard, monkeypatch):
-        # the bound pass builds no matrix; each SVD'd (mode, operator) pair is
-        # built once, and sa-standard takes 6 SVDs
-        real_build, real_norm = lqbundle.spatial._mode_operator_matrix, np.linalg.norm
-        builds, svds = [], []
-
-        def build(frames, b, c, with_coupling):
-            builds.append((frames[0].step, frames[0].forward, b, c, with_coupling))
-            return real_build(frames, b, c, with_coupling)
-
-        def counted(x, ord=None, *args, **kwargs):
-            if ord == 2:
-                svds.append(None)
-            return real_norm(x, ord, *args, **kwargs)
-
-        monkeypatch.setattr(lqbundle.spatial, "_mode_operator_matrix", build)
-        monkeypatch.setattr(np.linalg, "norm", counted)
-        contraction_certificate(sa_standard)
-        assert len(builds) == len(set(builds)) == len(svds) == 6
+    def test_dense_builds_only_for_eigensolves_on_sa_standard(self, sa_standard,
+                                                              monkeypatch):
+        # the bound pass builds no matrix; each key's T and L_A come from one
+        # build, and sa-standard's modes 1 and 2 share a key: 4 eigensolves
+        # on 2 builds, where the SVD route took 6 SVDs on 6 builds
+        _, builds, eigs = counted_certificate(sa_standard, monkeypatch)
+        assert len(builds) == len(set(builds)) == 2 and eigs == 4
 
     @pytest.mark.parametrize("rate", [np.nan, np.inf])
     def test_nonfinite_majorant_is_a_contraction_failure(self, monkeypatch, rate):
@@ -609,7 +676,7 @@ class TestMajorant:
         a_diag[5] = rate
         cfg.__dict__["mode_coefficients"] = (a_diag, chi, b_coef, c_coef)
         builds = []
-        monkeypatch.setattr(lqbundle.spatial, "_mode_operator_matrix",
+        monkeypatch.setattr(lqbundle.spatial, "_mode_operators",
                             lambda *args: builds.append(args))
         with (np.errstate(all="ignore"),
               pytest.raises(ContractionFailed, match="operator norm bound")):
@@ -897,6 +964,32 @@ class TestVForm:
         out = v_form_certificate(sa_standard)
         assert out["delta_v"] > 0.0
         assert out["delta_v"] >= out["affine_floor"] - 1e-9
+
+    def test_floor_bounds_delta_v_from_below(self, sa_standard):
+        # the piecewise-affine floor is below the least eigenvalue anywhere
+        # on [-a_b, a_b], which a 4,001-point grid samples, and within 5 % of
+        # the certificate's 64-point grid on sa-standard
+        out = v_form_certificate(sa_standard)
+        ab = sa_standard.a_bound
+        fine = np.linalg.eigvalsh(
+            _mode_quadratic_blocks(sa_standard, np.linspace(-ab, ab, 4001))).min()
+        assert out["affine_floor"] <= fine <= out["delta_v"]
+        assert out["affine_floor"] >= 0.95 * out["delta_v"]
+
+    def test_spoilt_grid_blocks_fail_the_floor_check(self, sa_standard, monkeypatch):
+        # the grid route's blocks halved: delta_V stays positive but falls
+        # below the floor, which its own stack still proves
+        real = lqbundle.spatial._mode_quadratic_blocks
+
+        def spoilt(config, a_values):
+            blocks = real(config, a_values)
+            if np.ndim(a_values) == 1:
+                blocks *= 0.5
+            return blocks
+
+        monkeypatch.setattr(lqbundle.spatial, "_mode_quadratic_blocks", spoilt)
+        with pytest.raises(NotPositive, match="fell below the affine minorant"):
+            v_form_certificate(sa_standard)
 
     def test_small_lambda_delta_limit(self):
         model = make_spectral_model([float(j * j) for j in range(1, 9)])
